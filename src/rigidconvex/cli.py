@@ -31,7 +31,7 @@ from .errors import (
     UnknownFixtureError,
 )
 from .fixtures import FIXTURE_NAMES, verify_fixture
-from .hermite import hermite_matrix, line_substitute
+from .hermite import hermite_matrix
 from .locate import certify_psd_point, critical_points, find_interior_point
 from .polycore import Pencil, UniPoly, format_scalar, parse_poly, parse_scalar
 
@@ -89,12 +89,12 @@ def cmd_check_rigid(args) -> int:
     inputs = {"poly": args.poly}
     body: dict = {}
 
-    if p(0, 0) != 0:
-        line = line_substitute(p)
+    p0 = p(0, 0)
+    if p0 != 0:
         H = hermite_matrix(p)
         verdict = psd_on_circle(H)
         body["verdict"] = _STATUS_TO_VERDICT[verdict.status]
-        body["normalization"] = format_scalar(line.scale)
+        body["normalization"] = format_scalar(p0)
         body["min_eigenvalue"] = verdict.min_eig
         body["tolerance"] = verdict.tolerance
         if verdict.status == CircleVerdict.NOT_PSD:
@@ -132,12 +132,11 @@ def cmd_check_rigid(args) -> int:
 def cmd_hermite(args) -> int:
     started = time.perf_counter()
     p = parse_poly(args.poly)
-    line = line_substitute(p)
     H = hermite_matrix(p)
     body = {
         "m": H.m,
         "half_degree": H.d,
-        "normalization": format_scalar(line.scale),
+        "normalization": format_scalar(p(0, 0)),
         "hermite": _hermite_entries(H),
     }
     _emit(_report("hermite", {"poly": args.poly}, started, **body), args.json)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NoRealSolutionError, SingularCubicError
+from .errors import IdenticallyZeroResultantError, NoRealSolutionError, SingularCubicError
 from .locate import real_roots_with_multiplicity
 from .polycore import Pencil, Poly, Scalar, UniPoly, solve_exact
 
@@ -105,7 +105,7 @@ def _affine_singular_point(p: Poly):
     norm = max(abs(float(v)) for v in p.coeffs.values())
     try:
         raw = _solve_system_complex(g1, g2)
-    except ValueError:
+    except (ValueError, IdenticallyZeroResultantError):
         return None
     for x1v, x2v in raw:
         tol = 1e-7 * (1.0 + norm * max(1.0, abs(x1v), abs(x2v)) ** p.degree)

@@ -8,7 +8,9 @@ Representations:
 * ``TrigPoly``  -- Laurent polynomial that is real-valued on the unit circle,
                    stored as cosine coefficients ``c[k]`` on z^k + z^-k plus
                    (rarely needed) sine coefficients ``s[k]`` on i(z^k - z^-k).
-* ``TrigMatrix``-- symmetric matrix of TrigPoly entries.
+* ``TrigMatrix``-- symmetric matrix of TrigPoly entries; its exact determinant
+                   is taken by integer evaluation, fraction-free Bareiss
+                   elimination and integer Newton interpolation.
 * ``Pencil``    -- constant symmetric matrices F0, F1, F2 (optionally F3) with
                    F(x) = F0 + x1 F1 + x2 F2 (+ x3 F3).
 
@@ -18,6 +20,7 @@ explicitly numeric steps such as congruence scaling or cube roots.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -618,10 +621,6 @@ class TrigPoly:
         return cls([value])
 
     @classmethod
-    def cosine(cls, coeffs: Iterable[Scalar]) -> "TrigPoly":
-        return cls(coeffs)
-
-    @classmethod
     def cos_basis(cls, k: int) -> "TrigPoly":
         """z^k + z^-k (equals the constant 2 when k = 0)."""
         if k == 0:
@@ -648,9 +647,6 @@ class TrigPoly:
 
     def is_constant(self) -> bool:
         return len(self.c) <= 1 and not self.s
-
-    def constant_value(self):
-        return self.c[0] if self.c else Fraction(0)
 
     def cos_coeff(self, k: int):
         return self.c[k] if 0 <= k < len(self.c) else Fraction(0)
@@ -761,9 +757,6 @@ class TrigPoly:
             out[d - k] = ck - 1j * sk
         return out
 
-    def scale_exact(self, factor: Scalar) -> "TrigPoly":
-        return self * factor
-
     def __str__(self):
         if self.is_zero():
             return "0"
@@ -840,6 +833,106 @@ def solve_exact(rows, rhs) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Exact integer kernels for TrigMatrix.det
+# ---------------------------------------------------------------------------
+
+def _gauss_int_coeffs(e: TrigPoly):
+    """(den, re, im): den * z^h * e(z), h the half-degree, as ascending integer
+    coefficient lists of length 2h+1; den is the lcm of e's denominators."""
+    c = [Fraction(x) for x in e.c]
+    s = [Fraction(x) for x in e.s]
+    den = math.lcm(*[x.denominator for x in c + s])
+    h = e.half_degree
+    re = [0] * (2 * h + 1)
+    im = [0] * (2 * h + 1)
+    for k, x in enumerate(c):
+        re[h + k] = re[h - k] = x.numerator * (den // x.denominator)
+    for k, x in enumerate(s):
+        v = x.numerator * (den // x.denominator)
+        im[h + k], im[h - k] = v, -v
+    return den, re, im
+
+
+def _horner(coeffs, x: int) -> int:
+    acc = 0
+    for a in reversed(coeffs):
+        acc = acc * x + a
+    return acc
+
+
+def _bareiss_det(mat) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss); every division by the previous pivot is exact."""
+    n = len(mat)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if mat[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if mat[r][k] != 0), None)
+            if piv is None:
+                return 0
+            mat[k], mat[piv] = mat[piv], mat[k]
+            sign = -sign
+        pk, rowk = mat[k][k], mat[k]
+        for rowi in mat[k + 1:]:
+            f = rowi[k]
+            for j in range(k + 1, n):
+                rowi[j] = (pk * rowi[j] - f * rowk[j]) // prev
+        prev = pk
+    return sign * mat[-1][-1] if n else 1
+
+
+def _bareiss_det_gauss(re, im) -> tuple[int, int]:
+    """Bareiss determinant over the Gaussian integers, the matrix given as
+    real and imaginary integer parts; returns (real, imaginary)."""
+    n = len(re)
+    sign, qr, qi, qn = 1, 1, 0, 1  # previous pivot and its norm
+    for k in range(n - 1):
+        if re[k][k] == 0 and im[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if re[r][k] or im[r][k]), None)
+            if piv is None:
+                return 0, 0
+            re[k], re[piv] = re[piv], re[k]
+            im[k], im[piv] = im[piv], im[k]
+            sign = -sign
+        pr, pi, rk, ik = re[k][k], im[k][k], re[k], im[k]
+        for ri, ii in zip(re[k + 1:], im[k + 1:]):
+            fr, fi = ri[k], ii[k]
+            for j in range(k + 1, n):
+                ar, ai, br, bi = ri[j], ii[j], rk[j], ik[j]
+                tr = pr * ar - pi * ai - fr * br + fi * bi
+                ti = pr * ai + pi * ar - fr * bi - fi * br
+                # exact division by the previous pivot q: t * conj(q) / |q|^2
+                ri[j] = (tr * qr + ti * qi) // qn
+                ii[j] = (ti * qr - tr * qi) // qn
+        qr, qi, qn = pr, pi, pr * pr + pi * pi
+    if n == 0:
+        return 1, 0
+    return sign * re[-1][-1], sign * im[-1][-1]
+
+
+def _newton_interpolate(values, x0: int) -> list:
+    """Ascending integer coefficients of the integer polynomial of degree
+    < len(values) that takes ``values`` at x0, x0+1, ....  Divided differences
+    of an integer polynomial on consecutive integers are integers, so each
+    division below is exact."""
+    dd = list(values)
+    n = len(dd) - 1
+    for k in range(1, n + 1):
+        for j in range(n, k - 1, -1):
+            dd[j] = (dd[j] - dd[j - 1]) // k
+    coeffs = [dd[n]]
+    for k in range(n - 1, -1, -1):  # coeffs <- coeffs * (x - x_k) + dd[k]
+        xk = x0 + k
+        nxt = [0] * (len(coeffs) + 1)
+        nxt[0] = dd[k] - xk * coeffs[0]
+        for i in range(1, len(coeffs)):
+            nxt[i] = coeffs[i - 1] - xk * coeffs[i]
+        nxt[-1] = coeffs[-1]
+        coeffs = nxt
+    return coeffs
+
+
+# ---------------------------------------------------------------------------
 # Symmetric matrices of TrigPoly
 # ---------------------------------------------------------------------------
 
@@ -890,10 +983,6 @@ class TrigMatrix:
                 out[i, j] = out[j, i] = self.entries[i][j].eval_theta(theta)
         return out
 
-    def cos_block(self, k: int) -> np.ndarray:
-        """Float matrix of cosine coefficients c[k] entrywise."""
-        return np.array([[float(e.cos_coeff(k)) for e in row] for row in self.entries])
-
     def cos_block_exact(self, k: int) -> list:
         return [[e.cos_coeff(k) for e in row] for row in self.entries]
 
@@ -919,33 +1008,60 @@ class TrigMatrix:
         return TrigMatrix(out)
 
     def det(self) -> TrigPoly:
-        """Exact determinant in the TrigPoly ring (column-subset recursion)."""
-        m = self.m
-        if m == 0:
-            return TrigPoly([1])
-        minors = {0: TrigPoly([1])}  # mask of used columns -> minor over first rows
-        for row in range(m):
-            nxt: dict[int, TrigPoly] = {}
-            for mask, val in minors.items():
-                if val.is_zero():
-                    continue
-                seen = 0
-                for col in range(m):
-                    bit = 1 << col
-                    if mask & bit:
-                        seen += 1
-                        continue
-                    e = self.entries[row][col]
-                    if e.is_zero():
-                        continue
-                    term = val * e
-                    # sign flips once per used column to the right of col
-                    if (row - seen) & 1:
-                        term = -term
-                    key = mask | bit
-                    nxt[key] = nxt.get(key, TrigPoly()) + term
-            minors = nxt
-        return minors.get((1 << m) - 1, TrigPoly())
+        """Exact determinant in the TrigPoly ring, by evaluation and interpolation.
+
+        Each entry is cleared to integers on its own (floats exactly, through
+        ``Fraction(float)``).  Column j is then multiplied by z^b_j c_j and row i
+        by z^a_i r_i, where b_j and c_j are the least half-degree and the gcd of
+        the denominators in column j, and a_i and r_i the largest half-degree
+        and the lcm of the denominators left in row i.  The scaled entries
+        M_ij(z) are polynomials with Gaussian-integer coefficients (real ones
+        when H is cosine-only), so
+
+            D(z) = det M(z) = z^n prod(r_i c_j) det H(z),  n = sum(a) + sum(b),
+
+        has degree at most 2n.  n <= m*d; a Hermite matrix, whose entry (i, j)
+        has half-degree at most i + j, usually gets n = m(m-1), half of m*d.
+        D is evaluated at the integers -n..n (Horner once per distinct entry,
+        a fraction-free Bareiss determinant per point) and recovered by integer
+        Newton interpolation.  The only Fractions built are the final
+        coefficients.
+        """
+        m, rows = self.m, self.entries
+        cols = [[row[j] for row in rows] for j in range(m)]
+        ints = {e: _gauss_int_coeffs(e) for row in rows for e in row}
+        # lists, not generator expressions, here and in _gauss_int_coeffs: with
+        # generators the process's peak RSS grew with every call on CPython 3.11
+        b = [min([e.half_degree for e in col]) for col in cols]
+        c = [math.gcd(*[ints[e][0] for e in col]) for col in cols]
+        a = [max([e.half_degree - b[j] for j, e in enumerate(row)]) for row in rows]
+        r = [math.lcm(*[ints[e][0] // c[j] for j, e in enumerate(row)]) for row in rows]
+        n = sum(a) + sum(b)
+        index = {e: k for k, e in enumerate(ints)}
+        polys = list(ints.values())
+        # M_ij(x) = factor * x^shift * P_e(x), P_e = den_e z^h e(z)
+        plan = [[(r[i] * c[j] // ints[e][0], a[i] + b[j] - e.half_degree, index[e])
+                 for j, e in enumerate(row)] for i, row in enumerate(rows)]
+        gauss = not self.is_cosine()
+
+        re_vals, im_vals = [], []
+        for x in range(-n, n + 1):
+            re_at = [_horner(re, x) for _, re, _ in polys]
+            re_mat = [[f * x**s * re_at[k] for f, s, k in row] for row in plan]
+            if not gauss:
+                re_vals.append(_bareiss_det(re_mat))
+                continue
+            im_at = [_horner(im, x) for _, _, im in polys]
+            im_mat = [[f * x**s * im_at[k] for f, s, k in row] for row in plan]
+            vr, vi = _bareiss_det_gauss(re_mat, im_mat)
+            re_vals.append(vr)
+            im_vals.append(vi)
+
+        # D_j is the Laurent coefficient of z^(j-n): cos[k] = Re D_{n+k}, sin[k] = Im D_{n+k}
+        scale = math.prod(r) * math.prod(c)
+        cos = [Fraction(v, scale) for v in _newton_interpolate(re_vals, -n)[n:]]
+        sin = [Fraction(v, scale) for v in _newton_interpolate(im_vals, -n)[n:]] if gauss else []
+        return TrigPoly(cos, sin)
 
     def __eq__(self, other):
         return (isinstance(other, TrigMatrix) and self.m == other.m

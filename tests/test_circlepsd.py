@@ -320,6 +320,104 @@ def test_trigmatrix_det_matches_numeric_random():
             assert sym == pytest.approx(num, rel=1e-9, abs=1e-9)
 
 
+# ---------------------------------------------------------------------------
+# exact determinant against the column-subset recursion
+# ---------------------------------------------------------------------------
+
+def subset_recursion_det(H: TrigMatrix) -> TrigPoly:
+    """Reference det H: Laplace expansion row by row, keeping one minor per
+    set of used columns (2^m of them), over Fractions (floats taken exactly)."""
+    from fractions import Fraction
+
+    rows = [[TrigPoly([Fraction(x) for x in e.c], [Fraction(x) for x in e.s])
+             for e in row] for row in H.entries]
+    m = len(rows)
+    minors = {0: TrigPoly([1])}  # mask of used columns -> minor over first rows
+    for row in range(m):
+        nxt: dict = {}
+        for mask, val in minors.items():
+            if val.is_zero():
+                continue
+            seen = 0
+            for col in range(m):
+                bit = 1 << col
+                if mask & bit:
+                    seen += 1
+                    continue
+                e = rows[row][col]
+                if e.is_zero():
+                    continue
+                term = val * e
+                # sign flips once per used column to the right of col
+                if (row - seen) & 1:
+                    term = -term
+                nxt[mask | bit] = nxt.get(mask | bit, TrigPoly()) + term
+        minors = nxt
+    return minors.get((1 << m) - 1, TrigPoly())
+
+
+def _random_trig_matrix(rng, m, sine):
+    from fractions import Fraction
+
+    entries = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            h = rng.randint(0, 3)
+            c = [Fraction(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(h + 1)]
+            s = [0] + [Fraction(rng.randint(-6, 6), rng.randint(1, 9))
+                       for _ in range(h)] if sine else []
+            entries[i][j] = entries[j][i] = TrigPoly(c, s)
+    return TrigMatrix(entries)
+
+
+@pytest.mark.parametrize("sine", [False, True])
+def test_det_equals_subset_recursion_random(sine):
+    import random
+
+    rng = random.Random(41 + sine)
+    dets = []
+    for m in range(6):
+        for _ in range(6):
+            H = _random_trig_matrix(rng, m, sine)
+            dets.append(H.det())
+            assert dets[-1] == subset_recursion_det(H)
+    assert any(not det.is_cosine() for det in dets) == sine
+
+
+def test_det_of_singular_matrix_is_zero():
+    from fractions import Fraction
+
+    u = [TrigPoly([1, Fraction(1, 2)]), TrigPoly([Fraction(-2, 3), 0, 1], [0, 3]),
+         TrigPoly([5])]
+    rank_one = TrigMatrix([[a * b for b in u] for a in u])
+    assert rank_one.det() == subset_recursion_det(rank_one) == TrigPoly()
+    zero_row = TrigMatrix([[TrigPoly(), TrigPoly()], [TrigPoly(), TrigPoly([1, 1])]])
+    assert zero_row.det() == TrigPoly()
+
+
+def test_det_of_float_congruence_is_exact():
+    for theta0 in (0.0, 1.0):
+        H0, _, mode = scale_congruence(CUBIC_H, theta0)
+        assert mode == "full"
+        assert any(isinstance(x, float) for e in H0.entries[0] for x in e.c)
+        assert H0.det() == subset_recursion_det(H0)
+
+
+def test_det_of_recentred_hermite_matrix():
+    # recentring at a float critical point gives shifts with 53-bit
+    # denominators, as check-rigid does when p(0) = 0
+    from fractions import Fraction
+
+    from rigidconvex.locate import critical_points
+
+    for text in ("x1*(1-x1^2-x2^2)+x2^3", "2*x1-x1^2-x2^2+x1^2*x2-x2^4"):
+        p = parse_poly(text)
+        pivot = next(c for c in critical_points(p) if abs(float(p(*c.x))) > 1e-9)
+        H = hermite_matrix(p.shifted(*[Fraction(v) for v in pivot.x]))
+        assert not H.is_cosine()
+        assert H.det() == subset_recursion_det(H)
+
+
 def test_scale_congruence_nonzero_theta0():
     H0, w, mode = scale_congruence(CUBIC_H, 1.0)
     assert mode == "full"
@@ -339,6 +437,26 @@ def test_degree_eight_runtime():
     terms[(0, 0)] = Fraction(5)
     p = Poly(terms)
     assert p.degree == 8
+    started = time.perf_counter()
+    verdict = psd_on_circle(hermite_matrix(p))
+    assert time.perf_counter() - started < 30.0
+    assert verdict.status in (CircleVerdict.PD, CircleVerdict.NOT_PSD,
+                              CircleVerdict.MARGINAL)
+
+
+def test_degree_ten_runtime():
+    import random
+    import time
+    from fractions import Fraction
+
+    from rigidconvex.polycore import Poly
+
+    rng = random.Random(0)
+    terms = {(a, b): Fraction(rng.randint(-3, 3))
+             for a in range(11) for b in range(0, 11 - a, 2)}
+    terms[(0, 0)] = Fraction(5)
+    p = Poly(terms)
+    assert p.degree == 10
     started = time.perf_counter()
     verdict = psd_on_circle(hermite_matrix(p))
     assert time.perf_counter() - started < 30.0

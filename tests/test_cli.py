@@ -205,6 +205,16 @@ def test_cubic_repr_singular(capsys):
     assert rep["verdict"] == "singular-cubic"
 
 
+def test_cubic_repr_singular_at_infinity_with_shared_gradient_factor(capsys):
+    # dp/dx1 and dp/dx2 share a factor, so their resultant vanishes
+    # identically; the cubic is singular at infinity
+    code, rep, _ = run_json(
+        capsys, "cubic-repr",
+        "--poly=-9+4*x2+2*x2^2-x2^3-8*x1+2*x1*x2^2-2*x1^2-x1^2*x2")
+    assert code == 0
+    assert rep["verdict"] == "singular-cubic"
+
+
 # ---------------------------------------------------------------------------
 # fixture / plot-data
 # ---------------------------------------------------------------------------
