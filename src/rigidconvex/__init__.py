@@ -47,16 +47,14 @@ from .polycore import (
     TrigMatrix,
     TrigPoly,
     UniPoly,
-    cosine_mul,
     parse_poly,
-    poly_eval,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Poly", "UniPoly", "TrigPoly", "TrigMatrix", "Pencil",
-    "parse_poly", "poly_eval", "cosine_mul",
+    "parse_poly",
     "hermite_matrix", "line_substitute", "newton_sums",
     "psd_on_circle", "scale_congruence", "build_sdp", "write_sdpa",
     "verify_spectral_factor", "CircleVerdict", "SdpProblem", "MatrixPoly",

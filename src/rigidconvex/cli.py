@@ -8,6 +8,7 @@ the default decision tolerances.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -412,9 +413,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once: each build leaves ~450 objects in argparse reference cycles,
+    # which made a long-lived process's peak RSS creep until a full collection
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (PolyParseError, OriginOnCurveError, UnknownFixtureError,

@@ -19,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import IdenticallyZeroResultantError, NoRealSolutionError, SingularCubicError
-from .locate import real_roots_with_multiplicity
-from .polycore import Pencil, Poly, Scalar, UniPoly, solve_exact
+from .locate import _solve_system, real_roots_with_multiplicity
+from .polycore import Pencil, Poly, Scalar, UniPoly, interpolate_exact
 
 
 # ---------------------------------------------------------------------------
@@ -104,46 +104,15 @@ def _affine_singular_point(p: Poly):
     g1, g2 = p.partial(0), p.partial(1)
     norm = max(abs(float(v)) for v in p.coeffs.values())
     try:
-        raw = _solve_system_complex(g1, g2)
-    except (ValueError, IdenticallyZeroResultantError):
+        raw = _solve_system(g1, g2, real=False)
+    except IdenticallyZeroResultantError:
         return None
     for x1v, x2v in raw:
         tol = 1e-7 * (1.0 + norm * max(1.0, abs(x1v), abs(x2v)) ** p.degree)
-        vals = [abs(complex(_eval_c(q, x1v, x2v))) for q in (p, g1, g2)]
+        vals = [abs(q(x1v, x2v)) for q in (p, g1, g2)]
         if all(v <= tol for v in vals):
             return (x1v, x2v)
     return None
-
-
-def _eval_c(p: Poly, x1: complex, x2: complex) -> complex:
-    total = 0j
-    for (a, b), v in p.coeffs.items():
-        total += complex(v) * x1**a * x2**b
-    return total
-
-
-def _solve_system_complex(f: Poly, g: Poly):
-    """All complex solutions of {f = 0, g = 0} (resultant + back-substitution)."""
-    from .locate import _eliminate
-
-    elim = _eliminate(f, g)
-    if elim.is_zero():
-        raise ValueError("degenerate system")
-    points = []
-    for x2v in elim.roots():
-        cands: list[complex] = []
-        for q in (f, g):
-            top = max((a for (a, _b) in q.coeffs), default=0)
-            coeffs = np.zeros(top + 1, dtype=complex)
-            for (a, b), v in q.coeffs.items():
-                coeffs[a] += complex(v) * x2v**b
-            scale = max(1.0, np.abs(coeffs).max())
-            trimmed = np.trim_zeros(
-                np.where(np.abs(coeffs) > 1e-12 * scale, coeffs, 0.0), "b")
-            if len(trimmed) > 1:
-                cands.extend(np.roots(trimmed[::-1]))
-        points.extend((x1v, x2v) for x1v in cands)
-    return points
 
 
 def _singular_at_infinity(P: Poly) -> bool:
@@ -216,16 +185,11 @@ def _cube_root_exact(c: Fraction):
 
 def _monomial_t_polys(P: Poly, h: Poly) -> dict[tuple, UniPoly]:
     """Coefficients of det H(h + t P) as exact polynomials in t (degree <= 3),
-    recovered by interpolation at four rational t values."""
-    tvals = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2)]
-    dets = [hessian_det(h + P * t) for t in tvals]
+    recovered by exact Newton interpolation at t = -1, 0, 1, 2."""
+    dets = [hessian_det(h + P * t) for t in (-1, 0, 1, 2)]
     monos = sorted(set().union(*(set(d.coeffs) for d in dets)) | set(P.coeffs))
-    rows = [[t**j for j in range(4)] for t in tvals]
-    out = {}
-    for mono in monos:
-        coeffs = solve_exact(rows, [d.coeff(mono) for d in dets])
-        out[mono] = UniPoly(coeffs)
-    return out
+    return {mono: UniPoly(interpolate_exact([d.coeff(mono) for d in dets], -1))
+            for mono in monos}
 
 
 def cubic_representations(p: Poly) -> list[CubicRepresentation]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import IdenticallyZeroResultantError
-from .polycore import Pencil, Poly, UniPoly, det_exact, solve_exact
+from .polycore import Pencil, Poly, UniPoly, det_exact, interpolate_exact
 
 RESIDUAL_TOL = 1e-7
 MERGE_TOL = 1e-8
@@ -73,9 +73,9 @@ def _sylvester_at(fc, d1, gc, d2, x2val: Fraction) -> Fraction:
 def resultant_elim_x1(f: Poly, g: Poly) -> UniPoly:
     """Exact resultant of f and g with respect to x1, as a polynomial in x2.
 
-    Computed by evaluation at rational x2 samples followed by exact
-    interpolation; raises IdenticallyZeroResultantError when f and g share a
-    factor involving x1.
+    Computed by exact Sylvester determinants at x2 = 0, 1, ..., N-1 followed
+    by exact Newton interpolation; raises IdenticallyZeroResultantError when f
+    and g share a factor involving x1.
     """
     fc = _x1_coefficients(f)
     gc = _x1_coefficients(g)
@@ -85,17 +85,11 @@ def resultant_elim_x1(f: Poly, g: Poly) -> UniPoly:
         raise ValueError("both inputs need positive degree in x1")
     deg_bound = d2 * max((q.degree for q in fc.values()), default=0) \
         + d1 * max((q.degree for q in gc.values()), default=0)
-    npts = deg_bound + 1
-    samples = [Fraction(k) for k in range(npts)]
-    values = [_sylvester_at(fc, d1, gc, d2, s) for s in samples]
+    values = [_sylvester_at(fc, d1, gc, d2, Fraction(k)) for k in range(deg_bound + 1)]
     if all(v == 0 for v in values):
         raise IdenticallyZeroResultantError(
             "resultant vanishes identically; common factor in x1")
-    if npts == 1:
-        return UniPoly([values[0]])
-    rows = [[s**j for j in range(npts)] for s in samples]
-    coeffs = solve_exact(rows, values)
-    return UniPoly(coeffs)
+    return UniPoly(interpolate_exact(values, 0))
 
 
 def real_roots_with_multiplicity(r: UniPoly) -> list[tuple[float, int]]:
@@ -132,21 +126,18 @@ def _grad_scale(p: Poly, x: tuple[float, float]) -> float:
     return 1.0 + _poly_norm(p) * r ** max(p.degree - 1, 0)
 
 
-def _eval_f(p: Poly, x1: float, x2: float) -> float:
-    return float(p(x1, x2))
-
-
-def _univariate_in_x1(p: Poly, x2val: float) -> np.ndarray:
-    """Float coefficients (ascending) of x1 -> p(x1, x2val)."""
+def _univariate_in_x1(p: Poly, x2val: float | complex) -> np.ndarray:
+    """Float or complex coefficients (ascending) of x1 -> p(x1, x2val)."""
     top = max((a for (a, _b) in p.coeffs), default=0)
-    out = np.zeros(top + 1)
+    out = np.zeros(top + 1, dtype=type(x2val))
     for (a, b), v in p.coeffs.items():
         out[a] += float(v) * x2val**b
     return out
 
 
-def _x1_candidates(polys: list[Poly], x2val: float) -> list[float]:
-    cands: list[float] = []
+def _x1_candidates(polys: list[Poly], x2val, real: bool) -> list:
+    """x1 roots of each p(x1, x2val): the real ones, or all of them as complex."""
+    cands: list = []
     for p in polys:
         coeffs = _univariate_in_x1(p, x2val)
         scale = max(1.0, np.abs(coeffs).max())
@@ -154,8 +145,11 @@ def _x1_candidates(polys: list[Poly], x2val: float) -> list[float]:
         if len(trimmed) <= 1:
             continue
         roots = np.roots(trimmed[::-1])
-        cands.extend(float(r.real) for r in roots
-                     if abs(r.imag) < 1e-7 * max(1.0, abs(r)))
+        if real:
+            cands.extend(float(r.real) for r in roots
+                         if abs(r.imag) < 1e-7 * max(1.0, abs(r)))
+        else:
+            cands.extend([complex(r) for r in roots])
     return cands
 
 
@@ -181,14 +175,22 @@ def _eliminate(f: Poly, g: Poly) -> UniPoly:
     return resultant_elim_x1(f, g)
 
 
-def _solve_system(f: Poly, g: Poly) -> list[tuple[float, float]]:
-    """Approximate real solutions of {f = 0, g = 0}."""
+def _solve_system(f: Poly, g: Poly, real: bool = True) -> list[tuple]:
+    """Approximate real solutions of {f = 0, g = 0}, or with ``real=False``
+    all complex ones (as Python complex numbers).  x2 runs over the roots of
+    the square-free factors of the exact eliminant, so numeric root extraction
+    only sees simple roots, and x1 over the roots of f and g at each x2."""
     elim = _eliminate(f, g)
     if elim.is_zero():
         raise IdenticallyZeroResultantError("system has a continuum of solutions")
+    if real:
+        x2vals = [x2val for x2val, _mult in real_roots_with_multiplicity(elim)]
+    else:
+        x2vals = [complex(x2val) for factor, _mult in elim.squarefree_decomposition()
+                  for x2val in factor.roots()]
     points = []
-    for x2val, _mult in real_roots_with_multiplicity(elim):
-        x1vals = _x1_candidates([f, g], x2val)
+    for x2val in x2vals:
+        x1vals = _x1_candidates([f, g], x2val, real)
         if x1vals:
             points.extend((x1val, x2val) for x1val in x1vals)
         else:
@@ -229,7 +231,7 @@ def critical_points(p: Poly) -> list[CandidatePoint]:
     out = []
     for x1val, x2val in raw:
         tol = RESIDUAL_TOL * _grad_scale(p, (x1val, x2val))
-        if abs(_eval_f(g1, x1val, x2val)) <= tol and abs(_eval_f(g2, x1val, x2val)) <= tol:
+        if abs(g1(x1val, x2val)) <= tol and abs(g2(x1val, x2val)) <= tol:
             out.append(CandidatePoint((x1val, x2val), "critical"))
     return _dedupe_sorted(out)
 
@@ -246,8 +248,7 @@ def boundary_points(p: Poly) -> list[CandidatePoint]:
             continue
         for x1val, x2val in raw:
             tol = RESIDUAL_TOL * _grad_scale(p, (x1val, x2val))
-            if (abs(_eval_f(p, x1val, x2val)) <= tol
-                    and abs(_eval_f(partial, x1val, x2val)) <= tol):
+            if abs(p(x1val, x2val)) <= tol and abs(partial(x1val, x2val)) <= tol:
                 out.append(CandidatePoint((x1val, x2val), "boundary"))
     return _dedupe_sorted(out)
 

@@ -16,6 +16,11 @@ Representations:
 
 Coefficients stay exact (``Fraction``) end to end; floats only appear after
 explicitly numeric steps such as congruence scaling or cube roots.
+
+Exact elimination has one kernel, the fraction-free ``_bareiss`` (square or
+augmented integer matrices; sine-carrying TrigMatrix determinants take the
+Gaussian-integer ``_bareiss_det_gauss``), and exact interpolation one, the
+integer Newton ``_newton_interpolate`` (``interpolate_exact`` for rationals).
 """
 from __future__ import annotations
 
@@ -79,6 +84,20 @@ def parse_scalar(text: Union[str, int, float]) -> Scalar:
     if any(ch in text for ch in ".eE") and not text.lstrip("+-").isdigit():
         return Fraction(text)
     return Fraction(int(text))
+
+
+def _power(base, n: int, one):
+    """base**n by square-and-multiply; ``one`` is the unit of base's ring."""
+    if n < 0:
+        raise ValueError("negative power")
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +207,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = Poly.constant(1, self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, Poly.constant(1, self.nvars))
 
     def shifted(self, *offset: Scalar) -> "Poly":
         """p(x + offset), expanded exactly via binomials."""
@@ -408,11 +418,6 @@ def parse_poly(expr: str, nvars: int | None = None) -> Poly:
     return poly
 
 
-def poly_eval(p: Poly, *point: Scalar):
-    """Exact evaluation helper; thin alias for ``p(*point)``."""
-    return p(*point)
-
-
 # ---------------------------------------------------------------------------
 # Univariate polynomials
 # ---------------------------------------------------------------------------
@@ -480,16 +485,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = UniPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, UniPoly([1]))
 
     def __call__(self, x: Scalar):
         total = 0
@@ -722,16 +718,7 @@ class TrigPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = TrigPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, TrigPoly([1]))
 
     # -- evaluation ------------------------------------------------------------------
     def eval_theta(self, theta: float) -> float:
@@ -784,57 +771,71 @@ class TrigPoly:
         return f"TrigPoly({list(self.c)!r}, {list(self.s)!r})"
 
 
-def cosine_mul(a: TrigPoly, b: TrigPoly) -> TrigPoly:
-    """Ring product of two circle polynomials."""
-    return a * b
+# ---------------------------------------------------------------------------
+# Exact elimination and interpolation
+# ---------------------------------------------------------------------------
+
+def _bareiss(mat) -> int:
+    """Fraction-free (Bareiss) elimination, in place, of an integer matrix with
+    n rows and at least n columns; each division by the previous pivot is exact.
+    Returns the determinant of the leading n x n block, 0 when it is singular;
+    otherwise mat[i][j], j >= i, is now an upper-triangular equivalent system.
+    """
+    n = len(mat)
+    if n == 0:
+        return 1
+    width = len(mat[0])
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if mat[k][k] == 0:
+            piv = [r for r in range(k + 1, n) if mat[r][k] != 0]
+            if not piv:
+                return 0
+            mat[k], mat[piv[0]] = mat[piv[0]], mat[k]
+            sign = -sign
+        pk, rowk = mat[k][k], mat[k]
+        for rowi in mat[k + 1:]:
+            f = rowi[k]
+            for j in range(k + 1, width):
+                rowi[j] = (pk * rowi[j] - f * rowk[j]) // prev
+        prev = pk
+    return sign * mat[n - 1][n - 1]
 
 
-# ---------------------------------------------------------------------------
-# Exact dense linear algebra (Fractions)
-# ---------------------------------------------------------------------------
+def _clear_rows(rows):
+    """(mat, scale): each row times the lcm of its denominators, as integers,
+    and the product of those lcms."""
+    mat, scale = [], 1
+    for row in rows:
+        den = math.lcm(*[x.denominator for x in row])
+        mat.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    return mat, scale
+
 
 def det_exact(rows) -> Fraction:
-    """Determinant of a square rational matrix by fraction elimination."""
-    mat = [list(r) for r in rows]
-    n = len(mat)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / Fraction(mat[col][col])
-        for r in range(col + 1, n):
-            if mat[r][col] != 0:
-                f = mat[r][col] * inv
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    return det
+    """Determinant of a square rational matrix: rows cleared to integers, one
+    Bareiss elimination, then division by the clearing factors."""
+    mat, scale = _clear_rows(rows)
+    return Fraction(_bareiss(mat), scale)
 
 
 def solve_exact(rows, rhs) -> list:
-    """Solve A x = b exactly; A must be square nonsingular over the rationals."""
-    mat = [list(r) + [b] for r, b in zip(rows, rhs)]
+    """Solve A x = b exactly; A must be square nonsingular over the rationals.
+    Bareiss elimination of the cleared augmented matrix, then back substitution
+    for y = det * x, which Cramer's rule makes integral."""
+    mat, _ = _clear_rows([list(r) + [b] for r, b in zip(rows, rhs)])
     n = len(mat)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular system")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv = 1 / Fraction(mat[col][col])
-        mat[col] = [x * inv for x in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    return [mat[r][n] for r in range(n)]
+    det = _bareiss(mat)
+    if det == 0:
+        raise ZeroDivisionError("singular system")
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = mat[i]
+        rest = sum([row[j] * y[j] for j in range(i + 1, n)])
+        y[i] = (det * row[n] - rest) // row[i]
+    return [Fraction(v, det) for v in y]
 
-
-# ---------------------------------------------------------------------------
-# Exact integer kernels for TrigMatrix.det
-# ---------------------------------------------------------------------------
 
 def _gauss_int_coeffs(e: TrigPoly):
     """(den, re, im): den * z^h * e(z), h the half-degree, as ascending integer
@@ -858,27 +859,6 @@ def _horner(coeffs, x: int) -> int:
     for a in reversed(coeffs):
         acc = acc * x + a
     return acc
-
-
-def _bareiss_det(mat) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination
-    (Bareiss); every division by the previous pivot is exact."""
-    n = len(mat)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if mat[r][k] != 0), None)
-            if piv is None:
-                return 0
-            mat[k], mat[piv] = mat[piv], mat[k]
-            sign = -sign
-        pk, rowk = mat[k][k], mat[k]
-        for rowi in mat[k + 1:]:
-            f = rowi[k]
-            for j in range(k + 1, n):
-                rowi[j] = (pk * rowi[j] - f * rowk[j]) // prev
-        prev = pk
-    return sign * mat[-1][-1] if n else 1
 
 
 def _bareiss_det_gauss(re, im) -> tuple[int, int]:
@@ -930,6 +910,16 @@ def _newton_interpolate(values, x0: int) -> list:
         nxt[-1] = coeffs[-1]
         coeffs = nxt
     return coeffs
+
+
+def interpolate_exact(values, x0: int) -> list:
+    """Ascending Fraction coefficients of the polynomial P of degree
+    < len(values) that takes the rational ``values`` at x0, x0+1, ....  With L
+    the lcm of their denominators, L P is integer-valued at n+1 consecutive
+    integers, so n! L P has integer coefficients."""
+    scale = math.lcm(*[v.denominator for v in values]) * math.factorial(len(values) - 1)
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    return [Fraction(c, scale) for c in _newton_interpolate(ints, x0)]
 
 
 # ---------------------------------------------------------------------------
@@ -1049,7 +1039,7 @@ class TrigMatrix:
             re_at = [_horner(re, x) for _, re, _ in polys]
             re_mat = [[f * x**s * re_at[k] for f, s, k in row] for row in plan]
             if not gauss:
-                re_vals.append(_bareiss_det(re_mat))
+                re_vals.append(_bareiss(re_mat))
                 continue
             im_at = [_horner(im, x) for _, _, im in polys]
             im_mat = [[f * x**s * im_at[k] for f, s, k in row] for row in plan]

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -203,6 +204,21 @@ def test_cubic_repr_singular(capsys):
     code, rep, _ = run_json(capsys, "cubic-repr", "--poly=-x1^3-x1^2+x2^2")
     assert code == 0
     assert rep["verdict"] == "singular-cubic"
+    assert "np." not in rep["note"]
+
+
+@pytest.mark.parametrize("poly", [
+    # node at (1/2, 1/2) whose x2 another critical point shares, so it is a
+    # double root of the eliminant
+    "-2+10*x2+8*x2^2-8*x2^3-2*x1-40*x1*x2+40*x1*x2^2+24*x1^2-48*x1^2*x2+16*x1^3",
+    # cusp at (1, -1), a multiple root of the eliminant
+    "-4*x2-14*x2^2-9*x2^3+4*x1-4*x1*x2-5*x1*x2^2-6*x1^2-3*x1^2*x2+x1^3",
+], ids=["node-sharing-x2", "cusp"])
+def test_cubic_repr_singular_at_multiple_root_of_eliminant(capsys, poly):
+    code, rep, _ = run_json(capsys, "cubic-repr", "--poly=" + poly)
+    assert code == 0
+    assert rep["verdict"] == "singular-cubic"
+    assert "np." not in rep["note"]
 
 
 def test_cubic_repr_singular_at_infinity_with_shared_gradient_factor(capsys):
@@ -213,6 +229,24 @@ def test_cubic_repr_singular_at_infinity_with_shared_gradient_factor(capsys):
         "--poly=-9+4*x2+2*x2^2-x2^3-8*x1+2*x1*x2^2-2*x1^2-x1^2*x2")
     assert code == 0
     assert rep["verdict"] == "singular-cubic"
+
+
+def test_repeated_calls_leave_little_cyclic_garbage(capsys):
+    # a parser built per call left ~450 objects in reference cycles, which
+    # only a full collection frees: a long-lived process's peak RSS crept
+    argv = ["cubic-repr", "--poly", "x1^3-x2^2-x1", "--json"]
+    main(argv)
+    gc.collect()
+    debug = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        main(argv)
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+    assert garbage < 100
 
 
 # ---------------------------------------------------------------------------

@@ -146,8 +146,10 @@ def test_elliptic_pd_certification_per_pencil():
 
 
 def test_nodal_cubic_rejected():
-    with pytest.raises(SingularCubicError):
+    with pytest.raises(SingularCubicError) as err:
         cubic_representations(parse_poly("-x1^3-x1^2+x2^2"))
+    assert err.value.singular_point == (0.0, 0.0)
+    assert all(type(v) is float for v in err.value.singular_point)
 
 
 def test_cuspidal_cubic_rejected():

@@ -11,11 +11,15 @@ from rigidconvex import (
     TrigPoly,
     UniPoly,
     UnknownVariableError,
-    cosine_mul,
     parse_poly,
-    poly_eval,
 )
-from rigidconvex.polycore import format_scalar, parse_scalar
+from rigidconvex.polycore import (
+    det_exact,
+    format_scalar,
+    interpolate_exact,
+    parse_scalar,
+    solve_exact,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -120,19 +124,19 @@ def test_parse_print_parse_idempotent():
 
 def test_eval_capricorn_exact():
     p = parse_poly("x1^2*(x1^2+x2^2)-2*(x1^2+x2^2-x2)^2")
-    assert poly_eval(p, 0, Fraction(1, 2)) == Fraction(-1, 8)
+    assert p(0, Fraction(1, 2)) == Fraction(-1, 8)
 
 
 def test_eval_at_origin_is_constant_coeff():
     rng = random.Random(3)
     for _ in range(25):
         p = _random_poly(rng)
-        assert poly_eval(p, 0, 0) == p.coeff((0, 0))
+        assert p(0, 0) == p.coeff((0, 0))
 
 
 def test_eval_on_curve_point():
     p = parse_poly("1-x1^4-x2^4")
-    assert poly_eval(p, 1, 0) == 0
+    assert p(1, 0) == 0
 
 
 def test_eval_matches_unexpanded_expression():
@@ -144,7 +148,7 @@ def test_eval_matches_unexpanded_expression():
         a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         b = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         direct = a**2 * (a**2 + b**2) - 2 * (a**2 + b**2 - b) ** 2
-        assert poly_eval(p, a, b) == direct
+        assert p(a, b) == direct
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +186,7 @@ def test_trig_ring_axioms_random():
 
 def test_cosine_square():
     w = TrigPoly([0, 1])  # z + z^-1
-    assert cosine_mul(w, w) == TrigPoly([2, 0, 1])
+    assert w * w == TrigPoly([2, 0, 1])
 
 
 def test_cosine_identity():
@@ -190,7 +194,7 @@ def test_cosine_identity():
     one = TrigPoly([1])
     for _ in range(20):
         a = _random_trig(rng)
-        assert cosine_mul(a, one) == a
+        assert a * one == a
 
 
 def test_cosine_cube():
@@ -260,6 +264,144 @@ def test_unipoly_real_roots():
     q = UniPoly([-4, 0, 1])  # roots +-2
     assert q.real_roots() == pytest.approx([-2.0, 2.0])
     assert UniPoly([1, 0, 1]).real_roots() == []
+
+
+def test_power_matches_repeated_product():
+    rng = random.Random(29)
+    cases = [(_random_poly(rng, degree=2), Poly.constant(1)),
+             (UniPoly([Fraction(1, 2), -1, 3]), UniPoly([1])),
+             (_random_trig(rng, d=2), TrigPoly([1]))]
+    for base, one in cases:
+        prod = base**0
+        assert prod == one
+        for n in range(1, 6):
+            prod = prod * base
+            assert base**n == prod
+        with pytest.raises(ValueError):
+            base ** -1
+
+
+# ---------------------------------------------------------------------------
+# exact elimination and interpolation, against the Fraction eliminations
+# they replaced
+# ---------------------------------------------------------------------------
+
+def reference_det(rows) -> Fraction:
+    """Determinant by Gaussian elimination over Fractions."""
+    mat = [list(r) for r in rows]
+    n = len(mat)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            mat[col], mat[piv] = mat[piv], mat[col]
+            det = -det
+        det *= mat[col][col]
+        inv = 1 / Fraction(mat[col][col])
+        for r in range(col + 1, n):
+            if mat[r][col] != 0:
+                f = mat[r][col] * inv
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
+    return det
+
+
+def reference_solve(rows, rhs) -> list:
+    """Solution of A x = b by Gauss-Jordan elimination over Fractions."""
+    mat = [list(r) + [b] for r, b in zip(rows, rhs)]
+    n = len(mat)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular system")
+        mat[col], mat[piv] = mat[piv], mat[col]
+        inv = 1 / Fraction(mat[col][col])
+        mat[col] = [x * inv for x in mat[col]]
+        for r in range(n):
+            if r != col and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
+    return [mat[r][n] for r in range(n)]
+
+
+def _random_rational(rng):
+    # mixed denominators, some entries plain ints, some zero
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-9, 9)
+    return Fraction(rng.randint(-99, 99), rng.choice([1, 2, 3, 7, 12, 35, 1024]))
+
+
+def _exact_types(values):
+    return all(type(v) is Fraction for v in values)
+
+
+def test_det_and_solve_match_fraction_elimination_random():
+    rng = random.Random(41)
+    for _ in range(120):
+        n = rng.randint(1, 7)
+        rows = [[_random_rational(rng) for _ in range(n)] for _ in range(n)]
+        rhs = [_random_rational(rng) for _ in range(n)]
+        det = det_exact(rows)
+        assert det == reference_det(rows) and type(det) is Fraction
+        if det == 0:
+            with pytest.raises(ZeroDivisionError):
+                solve_exact(rows, rhs)
+            continue
+        x = solve_exact(rows, rhs)
+        assert x == reference_solve(rows, rhs) and _exact_types(x)
+
+
+def test_det_and_solve_zero_leading_pivot_needs_row_swap():
+    rows = [[0, Fraction(1, 2), 3], [Fraction(2, 3), 1, 0], [1, 0, Fraction(-1, 5)]]
+    rhs = [1, Fraction(1, 7), 0]
+    assert det_exact(rows) == reference_det(rows) != 0
+    assert solve_exact(rows, rhs) == reference_solve(rows, rhs)
+    # a zero pivot that appears only after the first elimination step
+    rows = [[1, 2, 3], [2, 4, 7], [Fraction(1, 3), 1, 0]]
+    assert det_exact(rows) == reference_det(rows) != 0
+    assert solve_exact(rows, rhs) == reference_solve(rows, rhs)
+
+
+def test_det_and_solve_singular_matrix():
+    rows = [[1, Fraction(1, 2), 2], [2, 1, 4], [Fraction(1, 3), 5, 0]]
+    assert det_exact(rows) == 0 == reference_det(rows)
+    with pytest.raises(ZeroDivisionError):
+        solve_exact(rows, [1, 2, 3])
+    # singular in the last pivot only
+    rows = [[1, 2], [Fraction(1, 2), 1]]
+    assert det_exact(rows) == 0
+    with pytest.raises(ZeroDivisionError):
+        solve_exact(rows, [1, 1])
+
+
+def test_det_and_solve_empty_matrix():
+    assert det_exact([]) == 1 and type(det_exact([])) is Fraction
+    assert solve_exact([], []) == []
+
+
+def test_det_and_solve_return_fractions_for_integer_input():
+    # 1 x 1 and the last row of back substitution divide two ints
+    assert det_exact([[3]]) == 3 and type(det_exact([[3]])) is Fraction
+    x = solve_exact([[2]], [1])
+    assert x == [Fraction(1, 2)] and _exact_types(x)
+    x = solve_exact([[2, 1], [0, 4]], [1, 2])
+    assert x == reference_solve([[2, 1], [0, 4]], [1, 2]) and _exact_types(x)
+
+
+@pytest.mark.parametrize("npts", [1, 2, 20])
+def test_interpolate_exact_matches_vandermonde_solve(npts):
+    rng = random.Random(npts)
+    for x0 in (0, -1, 3):
+        values = [_random_rational(rng) for _ in range(npts)]
+        xs = range(x0, x0 + npts)
+        vandermonde = [[Fraction(x) ** j for j in range(npts)] for x in xs]
+        coeffs = interpolate_exact(values, x0)
+        assert coeffs == reference_solve(vandermonde, values)
+        assert _exact_types(coeffs)
 
 
 # ---------------------------------------------------------------------------
