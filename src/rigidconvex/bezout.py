@@ -211,16 +211,9 @@ def interpolate_det(pencil: Pencil) -> Poly:
     return Poly({mono: c for mono, c in zip(monos, coeffs)}, nvars)
 
 
-def _mono_eval(mono: tuple, point: tuple) -> Fraction:
-    out = Fraction(1)
-    for e, x in zip(mono, point):
-        if e:
-            out *= x**e
-    return out
-
-
-def _mono_eval_f(mono: tuple, point: tuple) -> float:
-    out = 1.0
+def _mono_eval(mono: tuple, point: tuple):
+    """x^mono; exact at a point of Fractions, float at a point of floats."""
+    out = 1
     for e, x in zip(mono, point):
         if e:
             out *= x**e
@@ -256,7 +249,7 @@ def verify_pencil_det(pencil: Pencil, p: Poly, rel_tol: float = 1e-8):
 
     monos = _monomials(pencil.m, pencil.nvars)
     points = [tuple(float(e) for e in mono) for mono in monos]
-    rows = np.array([[_mono_eval_f(mono, pt) for mono in monos] for pt in points])
+    rows = np.array([[_mono_eval(mono, pt) for mono in monos] for pt in points])
     rhs = np.array([float(np.linalg.det(pencil.eval(*pt))) for pt in points])
     coeffs = np.linalg.solve(rows, rhs)
     det = {mono: val for mono, val in zip(monos, coeffs)}
@@ -288,7 +281,7 @@ class RigidVerdict:
 
 def rigid_at_origin(pencil: Pencil) -> RigidVerdict:
     """Classify F(0) = F0: PD, PSD-with-kernel, or not PSD."""
-    F0 = np.array([[float(x) for x in row] for row in pencil.F0])
+    F0 = np.array([[float(x) for x in row] for row in pencil.mats[0]])
     eigs = np.linalg.eigvalsh(F0)
     tol = 1e-9 * max(1.0, float(np.linalg.norm(F0)))
     low = float(eigs.min())

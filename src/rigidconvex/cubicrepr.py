@@ -1,7 +1,9 @@
 """Determinantal representations of smooth plane cubics via Hessian homotopy.
 
-Homogenise the cubic p to P(x0, x1, x2), form the Hessian determinant
-h = det H(P), and follow the family s(x, t) = h(x) + t P(x).  The values t*
+Homogenise the cubic p to P(x0, x1, x2).  Its Hessian matrix at x0 = 1 is
+a ``Pencil``, H(P)(1, x1, x2) = F0 + x1 F1 + x2 F2, whose exact lattice
+determinant (``bezout.interpolate_det``), homogenised, is h = det H(P).
+Follow the family s(x, t) = h(x) + t P(x).  The values t*
 for which det H(s(x, t*)) is proportional to P(x) (a cubic condition, so up
 to three real solutions) each yield a symmetric pencil
 
@@ -18,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bezout import interpolate_det
 from .errors import IdenticallyZeroResultantError, NoRealSolutionError, SingularCubicError
 from .locate import _solve_system, real_roots_with_multiplicity
 from .polycore import Pencil, Poly, Scalar, UniPoly, interpolate_exact
@@ -34,65 +37,22 @@ def homogenize(p: Poly) -> Poly:
     return Poly({(3 - a - b, a, b): v for (a, b), v in p.coeffs.items()}, nvars=3)
 
 
-def dehomogenize(p3: Poly) -> Poly:
-    """Substitute x0 = 1."""
-    out: dict[tuple, Scalar] = {}
-    for (a0, a1, a2), v in p3.coeffs.items():
-        key = (a1, a2)
-        out[key] = out.get(key, Fraction(0)) + v
-    return Poly(out, nvars=2)
-
-
-@dataclass(frozen=True)
-class Pencil3:
-    """Homogeneous symmetric pencil G0 x0 + G1 x1 + G2 x2 of size 3."""
-
-    G0: tuple
-    G1: tuple
-    G2: tuple
-
-    def dehomogenized(self) -> Pencil:
-        return Pencil.from_rows(self.G0, self.G1, self.G2)
-
-    def eval(self, x0, x1, x2) -> np.ndarray:
-        out = np.zeros((3, 3))
-        for coeff, mat in zip((x0, x1, x2), (self.G0, self.G1, self.G2)):
-            out += float(coeff) * np.array([[float(v) for v in row] for row in mat])
-        return out
-
-
-def hessian(p3: Poly) -> Pencil3:
-    """Second-partials matrix of a homogeneous cubic, split by variable."""
-    if p3.nvars != 3:
+def hessian(P: Poly) -> Pencil:
+    """The Hessian matrix of a homogeneous cubic at x0 = 1, as the pencil
+    F(x1, x2) = H(P)(1, x1, x2): F0, F1, F2 are the x0, x1, x2 coefficient
+    matrices of H(P), whose entries are linear forms."""
+    if P.nvars != 3:
         raise ValueError("expected a homogeneous cubic in x0, x1, x2")
-    second = [[p3.partial(i).partial(j) for j in range(3)] for i in range(3)]
-    mats = []
-    for var in range(3):
-        key = tuple(1 if k == var else 0 for k in range(3))
-        mats.append(tuple(tuple(second[i][j].coeff(key) for j in range(3))
-                          for i in range(3)))
-    return Pencil3(*mats)
+    second = [[P.partial(i).partial(j) for j in range(3)] for i in range(3)]
+    units = [tuple(int(k == var) for k in range(3)) for var in range(3)]
+    return Pencil.from_rows(*([[second[i][j].coeff(unit) for j in range(3)]
+                               for i in range(3)] for unit in units))
 
 
-def hessian_matrix_polys(p3: Poly) -> list[list[Poly]]:
-    return [[p3.partial(i).partial(j) for j in range(3)] for i in range(3)]
-
-
-_PERMS = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-          ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1))
-
-
-def _det3(mat: list[list[Poly]]) -> Poly:
-    out = Poly.zero(3)
-    for perm, sign in _PERMS:
-        term = mat[0][perm[0]] * mat[1][perm[1]] * mat[2][perm[2]]
-        out = out + term * sign
-    return out
-
-
-def hessian_det(p3: Poly) -> Poly:
-    """h(x) = det H(P); again a homogeneous cubic."""
-    return _det3(hessian_matrix_polys(p3))
+def hessian_det(P: Poly) -> Poly:
+    """h(x) = det H(P) for an exact P; again a homogeneous cubic, so it is
+    the homogenisation of the determinant of the pencil at x0 = 1."""
+    return homogenize(interpolate_det(hessian(P)))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +107,10 @@ def check_smooth_cubic(p: Poly) -> None:
         raise ValueError("expected a cubic")
     point = _affine_singular_point(p)
     if point is not None:
-        display = tuple(round(v.real, 12) if abs(v.imag) < 1e-9 else v for v in point)
+        # numpy.roots splits a double root by about sqrt(eps), so a cusp's
+        # real coordinate can carry an imaginary part near 1e-8
+        display = tuple(round(v.real, 12) if abs(v.imag) <= 1e-6 * max(1.0, abs(v))
+                        else v for v in point)
         raise SingularCubicError(
             f"cubic is singular near {display}; use the parametrization route "
             "for genus-zero cubics", singular_point=display)
@@ -235,8 +198,7 @@ def cubic_representations(p: Poly) -> list[CubicRepresentation]:
         snapped = Fraction(tval).limit_denominator(10**9)
         if all(r(snapped) == 0 for r in constraints):
             t = snapped
-        s = h + P * t
-        c = _det3(hessian_matrix_polys(s)).coeff(anchor) / P.coeff(anchor)
+        c = gpoly[anchor](t) / P.coeff(anchor)
         if c == 0:
             continue
         if isinstance(c, Fraction):
@@ -247,13 +209,7 @@ def cubic_representations(p: Poly) -> list[CubicRepresentation]:
                 mu = float(np.sign(float(c)) * abs(float(c)) ** (-1.0 / 3.0))
         else:
             mu = float(np.sign(c) * abs(c) ** (-1.0 / 3.0))
-        G = hessian(s)
-        scale = mu
-
-        def mul(mat):
-            return tuple(tuple(x * scale for x in row) for row in mat)
-
-        pencil = Pencil.from_rows(mul(G.G0), mul(G.G1), mul(G.G2), c=1)
+        pencil = hessian(h + P * t).scaled(mu).with_scale(1)
         reps.append(CubicRepresentation(t, c, mu, pencil))
     if not reps:
         raise NoRealSolutionError("no real homotopy parameter found")

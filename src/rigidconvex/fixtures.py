@@ -72,8 +72,8 @@ def _parametrization(block) -> Parametrization:
 
 
 def _signed_perm_match(pencil: Pencil, target: Pencil, tol=1e-9) -> bool:
-    mats = [np.array([[float(v) for v in row] for row in m]) for m in pencil.mats()]
-    tgts = [np.array([[float(v) for v in row] for row in m]) for m in target.mats()]
+    mats = [np.array([[float(v) for v in row] for row in m]) for m in pencil.mats]
+    tgts = [np.array([[float(v) for v in row] for row in m]) for m in target.mats]
     n = pencil.m
     for perm in itertools.permutations(range(n)):
         P = np.eye(n)[:, perm]

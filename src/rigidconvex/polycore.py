@@ -11,8 +11,9 @@ Representations:
 * ``TrigMatrix``-- symmetric matrix of TrigPoly entries; its exact determinant
                    is taken by integer evaluation, fraction-free Bareiss
                    elimination and integer Newton interpolation.
-* ``Pencil``    -- constant symmetric matrices F0, F1, F2 (optionally F3) with
-                   F(x) = F0 + x1 F1 + x2 F2 (+ x3 F3).
+* ``Pencil``    -- constant symmetric matrices (F0, ..., Fn) with
+                   F(x) = F0 + x1 F1 + ... + xn Fn; the Bezout and Hessian
+                   routes build n = 2, pencil files may add F3 (n = 3).
 
 Coefficients stay exact (``Fraction``) end to end; floats only appear after
 explicitly numeric steps such as congruence scaling or cube roots.
@@ -1089,64 +1090,51 @@ def _num_eq(a, b) -> bool:
 
 @dataclass(frozen=True)
 class Pencil:
-    """F(x) = F0 + x1 F1 + x2 F2 (+ x3 F3), all matrices symmetric of size m.
+    """F(x) = F0 + x1 F1 + ... + xn Fn, all matrices symmetric of size m.
 
+    ``mats`` is (F0, ..., Fn), so the pencil has n = len(mats) - 1 variables.
     ``c`` optionally records the proportionality det F(x) = c * p(x) once a
     determinant check has been run.
     """
 
     m: int
-    F0: tuple
-    F1: tuple
-    F2: tuple
-    F3: tuple | None = None
+    mats: tuple
     c: Scalar | None = None
 
     @classmethod
-    def from_rows(cls, F0, F1, F2, F3=None, c=None) -> "Pencil":
-        m = len(F0)
-        return cls(m, _as_matrix(F0, m), _as_matrix(F1, m), _as_matrix(F2, m),
-                   _as_matrix(F3, m) if F3 is not None else None, c)
+    def from_rows(cls, *mats, c=None) -> "Pencil":
+        m = len(mats[0])
+        return cls(m, tuple(_as_matrix(F, m) for F in mats), c)
 
     @property
     def nvars(self) -> int:
-        return 3 if self.F3 is not None else 2
-
-    def mats(self) -> list:
-        out = [self.F0, self.F1, self.F2]
-        if self.F3 is not None:
-            out.append(self.F3)
-        return out
+        return len(self.mats) - 1
 
     def is_exact(self) -> bool:
-        return all(not isinstance(x, float) for mat in self.mats() for row in mat for x in row)
+        return all(not isinstance(x, float) for mat in self.mats for row in mat for x in row)
 
     def with_scale(self, c: Scalar) -> "Pencil":
-        return Pencil(self.m, self.F0, self.F1, self.F2, self.F3, c)
+        return Pencil(self.m, self.mats, c)
 
     def scaled(self, s: Scalar) -> "Pencil":
-        def mul(mat):
-            return tuple(tuple(x * s for x in row) for row in mat)
-        return Pencil(self.m, mul(self.F0), mul(self.F1), mul(self.F2),
-                      mul(self.F3) if self.F3 is not None else None, self.c)
+        return Pencil(self.m, tuple(tuple(tuple(x * s for x in row) for row in mat)
+                                    for mat in self.mats), self.c)
 
     def eval(self, *x: Scalar) -> np.ndarray:
         """Float matrix F(x)."""
-        mats = self.mats()
-        if len(x) != len(mats) - 1:
+        if len(x) != self.nvars:
             raise DimensionMismatchError(
-                f"expected {len(mats) - 1} coordinates, got {len(x)}")
-        out = np.array([[float(v) for v in row] for row in self.F0])
-        for xi, mat in zip(x, mats[1:]):
+                f"expected {self.nvars} coordinates, got {len(x)}")
+        out = np.array([[float(v) for v in row] for row in self.mats[0]])
+        for xi, mat in zip(x, self.mats[1:]):
             out += float(xi) * np.array([[float(v) for v in row] for row in mat])
         return out
 
     def eval_exact(self, *x: Scalar) -> list:
         """Exact matrix F(x) as nested lists of Fractions (exact pencils only)."""
-        mats = self.mats()
         point = [to_exact(v) for v in x]
-        out = [[self.F0[i][j] for j in range(self.m)] for i in range(self.m)]
-        for xi, mat in zip(point, mats[1:]):
+        out = [list(row) for row in self.mats[0]]
+        for xi, mat in zip(point, self.mats[1:]):
             for i in range(self.m):
                 for j in range(self.m):
                     out[i][j] = out[i][j] + xi * mat[i][j]
@@ -1161,26 +1149,20 @@ class Pencil:
 
         def enc(mat):
             return [[enc1(x) for x in row] for row in mat]
-        out = {
-            "m": self.m,
-            "c": None if self.c is None else enc1(self.c),
-            "F0": enc(self.F0),
-            "F1": enc(self.F1),
-            "F2": enc(self.F2),
-        }
-        if self.F3 is not None:
-            out["F3"] = enc(self.F3)
+        out = {"m": self.m, "c": None if self.c is None else enc1(self.c)}
+        for k, mat in enumerate(self.mats):
+            out[f"F{k}"] = enc(mat)
         return out
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Pencil":
         def dec(rows):
             return [[parse_scalar(x) for x in row] for row in rows]
+        # F0, F1 and F2 are required, F3 (a third variable) is optional
+        keys = ("F0", "F1", "F2", "F3") if "F3" in data else ("F0", "F1", "F2")
         c = data.get("c")
-        return cls.from_rows(
-            dec(data["F0"]), dec(data["F1"]), dec(data["F2"]),
-            dec(data["F3"]) if "F3" in data else None,
-            parse_scalar(c) if c is not None else None)
+        return cls.from_rows(*(dec(data[k]) for k in keys),
+                             c=parse_scalar(c) if c is not None else None)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)

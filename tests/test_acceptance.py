@@ -169,8 +169,8 @@ F1_TARGET = Pencil.from_rows(
 
 
 def _signed_perm_match(pencil, target, tol=1e-6):
-    mats = [np.array([[float(v) for v in row] for row in m]) for m in pencil.mats()]
-    tgts = [np.array([[float(v) for v in row] for row in m]) for m in target.mats()]
+    mats = [np.array([[float(v) for v in row] for row in m]) for m in pencil.mats]
+    tgts = [np.array([[float(v) for v in row] for row in m]) for m in target.mats]
     for perm in itertools.permutations(range(3)):
         P = np.eye(3)[:, perm]
         for signs in itertools.product([1.0, -1.0], repeat=3):

@@ -144,7 +144,7 @@ def test_capricorn_pencil_det_proportional():
 
 def test_unit_circle_pencil():
     pencil = pencil_from_param(CIRCLE)
-    assert pencil.F0 == ((2, 0), (0, 2))
+    assert pencil.mats[0] == ((2, 0), (0, 2))
     c = verify_pencil_det(pencil, parse_poly("1-x1^2-x2^2"))
     assert c == 4
     assert rigid_at_origin(pencil).status == RigidVerdict.STRICT

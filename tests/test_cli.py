@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from rigidconvex import SingularCubicError, cubic_representations, parse_poly
 from rigidconvex.cli import main
 
 CAPRICORN = "x1^2*(x1^2+x2^2)-2*(x1^2+x2^2-x2)^2"
@@ -188,6 +189,46 @@ def test_verify_det_mismatch_is_exit_zero(tmp_path, capsys):
     assert rep["monomial"] is not None
 
 
+_DISC_PENCIL = {
+    "m": 2, "c": None,
+    "F0": [["1", "0"], ["0", "1"]],
+    "F1": [["1", "0"], ["0", "-1"]],
+    "F2": [["0", "1"], ["1", "0"]],
+}
+
+
+@pytest.mark.parametrize("change", [
+    {"F2": None},
+    {"F1": [["1", "2"], ["0", "-1"]]},
+    {"F1": [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "0"]]},
+], ids=["missing-F2", "asymmetric-F1", "wrong-size-F1"])
+def test_verify_det_malformed_pencil_exit_1(tmp_path, capsys, change):
+    pencil = {k: v for k, v in {**_DISC_PENCIL, **change}.items() if v is not None}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(pencil))
+    code, out, err = run(capsys, "verify-det", "--pencil", str(path),
+                         "--poly", "1-x1^2-x2^2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("name, c", [("fermat-pencil", "-1"), ("cayley-cubic", "1")])
+def test_verify_det_stored_pencils(tmp_path, capsys, name, c):
+    # fermat-pencil has F0..F2; cayley-cubic adds F3 for a third variable
+    from rigidconvex.fixtures import load_fixture
+
+    data = load_fixture(name)
+    poly = data.get("poly") or data["expect"]["det"]["poly"]
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps(data["pencil"]))
+    code, rep, _ = run_json(capsys, "verify-det", "--pencil", str(path),
+                            "--poly", poly)
+    assert code == 0
+    assert rep["verdict"] == "proportional"
+    assert rep["c"] == c
+
+
 # ---------------------------------------------------------------------------
 # cubic-repr
 # ---------------------------------------------------------------------------
@@ -219,6 +260,12 @@ def test_cubic_repr_singular_at_multiple_root_of_eliminant(capsys, poly):
     assert code == 0
     assert rep["verdict"] == "singular-cubic"
     assert "np." not in rep["note"]
+    # numpy.roots splits the cusp's double root by about sqrt(eps); the
+    # point is still shown and kept as real
+    assert "j" not in rep["note"]
+    with pytest.raises(SingularCubicError) as err:
+        cubic_representations(parse_poly(poly))
+    assert all(type(v) is float for v in err.value.singular_point)
 
 
 def test_cubic_repr_singular_at_infinity_with_shared_gradient_factor(capsys):

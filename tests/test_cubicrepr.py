@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,6 @@ from rigidconvex import NoRealSolutionError, SingularCubicError, parse_poly
 from rigidconvex.bezout import verify_pencil_det
 from rigidconvex.cubicrepr import (
     cubic_representations,
-    dehomogenize,
     hessian,
     hessian_det,
     homogenize,
@@ -32,30 +32,29 @@ def test_homogenize_roundtrip():
         (1, 0, 2): Fraction(-1),
         (2, 1, 0): Fraction(-1),
     }
-    assert dehomogenize(P) == ELLIPTIC
 
 
 def test_hessian_of_x0x1x2():
     G = hessian(Poly({(1, 1, 1): 1}, nvars=3))
-    assert G.G0 == ((0, 0, 0), (0, 0, 1), (0, 1, 0))
-    assert G.G1 == ((0, 0, 1), (0, 0, 0), (1, 0, 0))
-    assert G.G2 == ((0, 1, 0), (1, 0, 0), (0, 0, 0))
+    assert G.mats[0] == ((0, 0, 0), (0, 0, 1), (0, 1, 0))
+    assert G.mats[1] == ((0, 0, 1), (0, 0, 0), (1, 0, 0))
+    assert G.mats[2] == ((0, 1, 0), (1, 0, 0), (0, 0, 0))
 
 
 def test_hessian_of_elliptic():
     # by hand: H = [[-2x1, -2x0, -2x2], [-2x0, 6x1, 0], [-2x2, 0, -2x0]]
     G = hessian(homogenize(ELLIPTIC))
-    assert G.G0 == ((0, -2, 0), (-2, 0, 0), (0, 0, -2))
-    assert G.G1 == ((-2, 0, 0), (0, 6, 0), (0, 0, 0))
-    assert G.G2 == ((0, 0, -2), (0, 0, 0), (-2, 0, 0))
+    assert G.mats[0] == ((0, -2, 0), (-2, 0, 0), (0, 0, -2))
+    assert G.mats[1] == ((-2, 0, 0), (0, 6, 0), (0, 0, 0))
+    assert G.mats[2] == ((0, 0, -2), (0, 0, 0), (-2, 0, 0))
 
 
 def test_hessian_structural_zero_without_x2():
     p3 = homogenize(parse_poly("x1^3-x1+1"))
     G = hessian(p3)
     # third row/column involves only x0 and x1
-    assert all(G.G2[2][j] == 0 for j in range(3))
-    assert all(G.G2[i][2] == 0 for i in range(3))
+    assert all(G.mats[2][2][j] == 0 for j in range(3))
+    assert all(G.mats[2][i][2] == 0 for i in range(3))
 
 
 def test_hessian_matches_finite_differences():
@@ -70,7 +69,8 @@ def test_hessian_matches_finite_differences():
 
     for _ in range(10):
         x = rng.normal(size=3)
-        H = G.eval(*x)
+        # H(P) is linear in x, so H(P)(x) = x0 F(x1/x0, x2/x0)
+        H = x[0] * G.eval(x[1] / x[0], x[2] / x[0])
         for i in range(3):
             for j in range(3):
                 e_i = np.eye(3)[i] * eps
@@ -93,6 +93,66 @@ def test_hessian_det_x0x1x2():
 
 def test_hessian_det_degenerate():
     assert hessian_det(Poly({(3, 0, 0): 1}, nvars=3)).is_zero()
+
+
+# the former symbolic determinant: the Leibniz formula over products of the
+# Hessian's second-partial polynomials, kept as the reference
+_PERMS = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+          ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1))
+
+
+def _reference_hessian_det(P: Poly) -> Poly:
+    mat = [[P.partial(i).partial(j) for j in range(3)] for i in range(3)]
+    out = Poly.zero(3)
+    for perm, sign in _PERMS:
+        out = out + mat[0][perm[0]] * mat[1][perm[1]] * mat[2][perm[2]] * sign
+    return out
+
+
+_CUBIC_MONOS = [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
+
+
+def _random_cubic3(rng: random.Random) -> Poly:
+    coeffs = {}
+    for mono in rng.sample(_CUBIC_MONOS, rng.randint(1, len(_CUBIC_MONOS))):
+        coeffs[mono] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    return Poly(coeffs, nvars=3)
+
+
+def test_hessian_det_matches_reference_on_random_cubics():
+    rng = random.Random(4)
+    cubics = [Poly({(3, 0, 0): 1}, nvars=3)] + [_random_cubic3(rng) for _ in range(50)]
+    for P in cubics:
+        assert hessian_det(P) == _reference_hessian_det(P)
+
+
+def test_root_constant_matches_reference_determinant():
+    # c is read off the interpolated t-polynomials; the former code took
+    # det H(h + t* P) at every root and read the anchor coefficient
+    rng = random.Random(7)
+    polys = [ELLIPTIC, parse_poly("x1^3+x2^3+1")]
+    while len(polys) < 30:
+        P = _random_cubic3(rng)
+        if P.coeff((0, 3, 0)) != 0:
+            polys.append(Poly({(a, b): v for (_, a, b), v in P.coeffs.items()}))
+    exact = floating = 0
+    for p in polys:
+        try:
+            reps = cubic_representations(p)
+        except (SingularCubicError, NoRealSolutionError):
+            continue
+        P = homogenize(p)
+        h = _reference_hessian_det(P)
+        anchor = max(P.coeffs, key=lambda e: abs(P.coeffs[e]))
+        for rep in reps:
+            want = _reference_hessian_det(h + P * rep.t_star).coeff(anchor) / P.coeff(anchor)
+            if isinstance(rep.t_star, Fraction):
+                assert rep.c == want
+                exact += 1
+            else:
+                assert abs(rep.c - want) <= 1e-11 * abs(want)
+                floating += 1
+    assert exact >= 3 and floating >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +181,7 @@ def test_elliptic_t0_matches_published_pencil():
 
 def _signed_perm_equal(pencil, rows, tol=1e-9):
     """Entrywise match after some signed permutation congruence."""
-    mats = [np.array(m, dtype=float) for m in (pencil.F0, pencil.F1, pencil.F2)]
+    mats = [np.array(m, dtype=float) for m in pencil.mats]
     targets = [np.array(m, dtype=float) for m in rows]
     for perm in itertools.permutations(range(3)):
         P = np.eye(3)[:, perm]
