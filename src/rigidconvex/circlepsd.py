@@ -1,8 +1,10 @@
 """Positive semidefiniteness of a TrigMatrix along the unit circle.
 
 The decision procedure is eigenvalue-based: locate the circle zeros of
-det H(z) exactly-in-coefficients / numerically-in-roots, then sample the
-minimum eigenvalue between consecutive zeros and on a uniform grid.  The
+det H(z) exactly-in-coefficients / numerically-in-roots, then take the minimum
+eigenvalue at the sample angles (a uniform grid, the zeros and the midpoints
+between consecutive zeros) from one batched ``eigvalsh`` over the stack that
+``TrigMatrix.eval_thetas`` evaluates in one product.  The
 equivalent semidefinite feasibility problem is exported in SDPA sparse
 format for external solvers; candidate spectral factors can be verified
 against H on a grid.
@@ -91,7 +93,7 @@ def psd_on_circle(H: TrigMatrix, tol: float | None = None, *,
         # a PSD matrix with a zero diagonal entry has a zero row; pick the
         # witness where the violation is largest so min_eig < -tol holds there
         grid = np.linspace(0.0, 2 * np.pi, grid_size, endpoint=False)
-        eigs = np.array([np.linalg.eigvalsh(H.eval_theta(t)).min() for t in grid])
+        eigs = np.linalg.eigvalsh(H.eval_thetas(grid))[:, 0]
         k = int(np.argmin(eigs))
         return CircleVerdict(CircleVerdict.NOT_PSD, float(grid[k]),
                              float(eigs[k]), tol, shortcut=True)
@@ -99,7 +101,7 @@ def psd_on_circle(H: TrigMatrix, tol: float | None = None, *,
     det = H.det()
     roots = [] if det.is_zero() else circle_roots_of(det, root_tol)
     angles = _sample_angles(roots, grid_size)
-    eigs = np.array([np.linalg.eigvalsh(H.eval_theta(t)).min() for t in angles])
+    eigs = np.linalg.eigvalsh(H.eval_thetas(angles))[:, 0]
     k = int(np.argmin(eigs))
     min_eig, witness = float(eigs[k]), float(angles[k])
 
@@ -294,9 +296,9 @@ def verify_spectral_factor(H: TrigMatrix, U: MatrixPoly,
         raise DimensionMismatchError(f"factor size {U.m} != matrix size {H.m}")
     max_res = 0.0
     max_h = 0.0
-    for theta in np.linspace(0.0, 2 * np.pi, grid, endpoint=False):
+    thetas = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
+    for theta, Hval in zip(thetas, H.eval_thetas(thetas)):
         z = np.exp(1j * theta)
-        Hval = H.eval_theta(theta)
         prod = U.eval(1 / z).T @ U.eval(z)
         max_res = max(max_res, float(np.linalg.norm(Hval - prod)))
         max_h = max(max_h, float(np.linalg.norm(Hval)))

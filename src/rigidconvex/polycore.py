@@ -317,6 +317,14 @@ def _tokenize(expr: str):
     return tokens
 
 
+MAX_DEGREE = 32  # largest total degree parse_poly expands; inputs today reach 12
+
+
+def _check_degree(degree: int, off: int) -> None:
+    if degree > MAX_DEGREE:
+        raise PolyParseError(f"total degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}", off)
+
+
 class _Parser:
     def __init__(self, expr: str, nvars: int):
         self.tokens = _tokenize(expr)
@@ -357,10 +365,12 @@ class _Parser:
     def parse_term(self) -> Poly:
         out = self.parse_factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, off = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                out = out * self.parse_factor()
+                factor = self.parse_factor()
+                _check_degree(out.degree + factor.degree, off)
+                out = out * factor
             else:
                 return out
 
@@ -372,6 +382,7 @@ class _Parser:
             kind, val, off = self.take()
             if kind != "num" or "." in val:
                 raise PolyParseError("exponent must be a nonnegative integer", off)
+            _check_degree(base.degree * int(val), off)
             return base ** int(val)
         return base
 
@@ -691,30 +702,36 @@ class TrigPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, float)):
             return TrigPoly([x * other for x in self.c], [x * other for x in self.s])
-        # Laurent convolution on coefficient pairs l_k = (re, im), l_-k = conj.
+        # Laurent convolution on coefficient pairs l_k = (re, im), l_-k = conj,
+        # keeping only the powers k >= 0 of the product (the rest mirror them)
         da, db = self.half_degree, other.half_degree
         d = da + db
-        re = [Fraction(0)] * (2 * d + 1)
-        im = [Fraction(0)] * (2 * d + 1)
+        ra, ia = self._laurent(da)
+        rb, ib = other._laurent(db)
+        re = [Fraction(0)] * (d + 1)
+        im = [Fraction(0)] * (d + 1)
+        if not (self.s or other.s):
+            for a, x in enumerate(ra):
+                if x:
+                    for b in range(max(0, d - a), 2 * db + 1):
+                        if rb[b]:
+                            re[a + b - d] += x * rb[b]
+            return TrigPoly(re)
+        for a, (x, y) in enumerate(zip(ra, ia)):
+            if x or y:
+                for b in range(max(0, d - a), 2 * db + 1):
+                    u, v = rb[b], ib[b]
+                    if u or v:
+                        re[a + b - d] += x * u - y * v
+                        im[a + b - d] += x * v + y * u
+        im[0] = Fraction(0)  # z^0's coefficient is real; float sums can leave a residue
+        return TrigPoly(re, im)
 
-        def laurent(p: "TrigPoly", k: int):
-            if k >= 0:
-                return p.cos_coeff(k), p.sin_coeff(k)
-            return p.cos_coeff(-k), -p.sin_coeff(-k)
-
-        for ka in range(-da, da + 1):
-            ra, ia = laurent(self, ka)
-            if ra == 0 and ia == 0:
-                continue
-            for kb in range(-db, db + 1):
-                rb, ib = laurent(other, kb)
-                if rb == 0 and ib == 0:
-                    continue
-                k = ka + kb + d
-                re[k] += ra * rb - ia * ib
-                im[k] += ra * ib + ia * rb
-        return TrigPoly([re[d + k] for k in range(d + 1)],
-                        [im[d + k] for k in range(d + 1)])
+    def _laurent(self, d: int) -> tuple[list, list]:
+        """Real and imaginary parts of the coefficients of z^-d .. z^d."""
+        re = list(self.c) + [Fraction(0)] * (d + 1 - len(self.c))
+        im = list(self.s) + [Fraction(0)] * (d + 1 - len(self.s))
+        return re[:0:-1] + re, [-x for x in im[:0:-1]] + im
 
     __rmul__ = __mul__
 
@@ -736,14 +753,8 @@ class TrigPoly:
 
     def laurent_coeffs(self) -> np.ndarray:
         """Complex coefficients [l_-d, ..., l_0, ..., l_d]."""
-        d = self.half_degree
-        out = np.zeros(2 * d + 1, dtype=complex)
-        out[d] = float(self.cos_coeff(0))
-        for k in range(1, d + 1):
-            ck, sk = float(self.cos_coeff(k)), float(self.sin_coeff(k))
-            out[d + k] = ck + 1j * sk
-            out[d - k] = ck - 1j * sk
-        return out
+        re, im = self._laurent(self.half_degree)
+        return np.array([complex(float(x), float(y)) for x, y in zip(re, im)])
 
     def __str__(self):
         if self.is_zero():
@@ -967,12 +978,24 @@ class TrigMatrix:
     def max_abs_coeff(self) -> float:
         return max((e.max_abs_coeff() for row in self.entries for e in row), default=0.0)
 
+    def eval_thetas(self, thetas) -> np.ndarray:
+        """H(e^{i theta}) at every angle, shape (N, m, m): the cosine and sine
+        coefficients become (d+1, m, m) float blocks once, and one product with
+        the cos(k theta) and sin(k theta) tables gives, entrywise,
+        c0 + 2 sum c_k cos(k theta) - 2 sum s_k sin(k theta)."""
+        m, d = self.m, self.d
+        blocks = np.zeros((2, d + 1, m, m))
+        for i, row in enumerate(self.entries):
+            for j, e in enumerate(row):
+                blocks[0, :len(e.c), i, j] = [float(x) for x in e.c]
+                blocks[1, :len(e.s), i, j] = [float(x) for x in e.s]
+        blocks[:, 1:] *= 2.0
+        kt = np.multiply.outer(np.asarray(thetas, dtype=float), np.arange(d + 1))
+        table = np.concatenate([np.cos(kt), -np.sin(kt)], axis=1)
+        return (table @ blocks.reshape(2 * (d + 1), m * m)).reshape(-1, m, m)
+
     def eval_theta(self, theta: float) -> np.ndarray:
-        out = np.empty((self.m, self.m))
-        for i in range(self.m):
-            for j in range(i, self.m):
-                out[i, j] = out[j, i] = self.entries[i][j].eval_theta(theta)
-        return out
+        return self.eval_thetas([theta])[0]
 
     def cos_block_exact(self, k: int) -> list:
         return [[e.cos_coeff(k) for e in row] for row in self.entries]
@@ -1160,9 +1183,12 @@ class Pencil:
             return [[parse_scalar(x) for x in row] for row in rows]
         # F0, F1 and F2 are required, F3 (a third variable) is optional
         keys = ("F0", "F1", "F2", "F3") if "F3" in data else ("F0", "F1", "F2")
+        mats = [dec(data[k]) for k in keys]
+        if data.get("m", len(mats[0])) != len(mats[0]):
+            raise DimensionMismatchError(f"pencil declares m = {data['m']}, F0 is "
+                                         f"{len(mats[0])}x{len(mats[0])}")
         c = data.get("c")
-        return cls.from_rows(*(dec(data[k]) for k in keys),
-                             c=parse_scalar(c) if c is not None else None)
+        return cls.from_rows(*mats, c=parse_scalar(c) if c is not None else None)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)

@@ -418,13 +418,114 @@ def test_det_of_recentred_hermite_matrix():
         assert H.det() == subset_recursion_det(H)
 
 
+# ---------------------------------------------------------------------------
+# batched evaluation against the per-angle, per-entry loop it replaced
+# ---------------------------------------------------------------------------
+
+def per_angle_eval(H: TrigMatrix, theta: float) -> np.ndarray:
+    """Reference H(e^{i theta}): one TrigPoly.eval_theta per upper entry."""
+    out = np.empty((H.m, H.m))
+    for i in range(H.m):
+        for j in range(i, H.m):
+            out[i, j] = out[j, i] = H.entries[i][j].eval_theta(theta)
+    return out
+
+
+def per_angle_scan(H: TrigMatrix) -> tuple[str, float]:
+    """Reference psd_on_circle status and min eigenvalue, one eigvalsh per angle."""
+    from rigidconvex.circlepsd import (
+        GRID_SIZE,
+        _sample_angles,
+        _structural_shortcut,
+        default_tolerance,
+    )
+
+    def min_eig(angles):
+        return min(float(np.linalg.eigvalsh(per_angle_eval(H, t)).min()) for t in angles)
+
+    tol = default_tolerance(H)
+    if _structural_shortcut(H) is not None:
+        return CircleVerdict.NOT_PSD, min_eig(np.linspace(0, 2 * np.pi, GRID_SIZE,
+                                                          endpoint=False))
+    det = H.det()
+    roots = [] if det.is_zero() else circle_roots_of(det)
+    low = min_eig(_sample_angles(roots, GRID_SIZE))
+    if low < -tol:
+        return CircleVerdict.NOT_PSD, low
+    if det.is_zero():
+        return CircleVerdict.INCONCLUSIVE, low
+    if roots or low <= tol:
+        return CircleVerdict.MARGINAL, low
+    return CircleVerdict.PD, low
+
+
+def _eval_test_matrices():
+    import random
+    from fractions import Fraction
+
+    rng = random.Random(53)
+    out = []
+    for sine in (False, True):
+        for m in range(1, 7):
+            for _ in range(3):
+                H = _random_trig_matrix(rng, m, sine)
+                out.append(H)
+                # a dominant constant diagonal makes it positive definite
+                shift = Fraction(4 * m * m * 10)
+                out.append(TrigMatrix([[e + (shift if i == j else 0) for j, e in enumerate(row)]
+                                       for i, row in enumerate(H.entries)]))
+            const = [[TrigPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 4))])
+                      for _ in range(m)] for _ in range(m)]
+            out.append(TrigMatrix([[const[min(i, j)][max(i, j)] for j in range(m)]
+                                   for i in range(m)]))
+    out.append(TrigMatrix([[TrigPoly([2, 1]), TrigPoly()], [TrigPoly(), TrigPoly([1])]]))
+    return out + [CUBIC_H, TV_H, DISC_H]
+
+
+def test_eval_thetas_matches_per_angle_loop():
+    thetas = np.concatenate([np.linspace(0, 2 * np.pi, 37), [np.pi, 1e-9, 5.0]])
+    matrices = _eval_test_matrices()
+    assert {H.d for H in matrices} >= {0, 1, 2, 3}
+    assert {H.m for H in matrices} == set(range(1, 7))
+    assert any(not H.is_cosine() for H in matrices)
+    for H in matrices:
+        bound = 1e-12 * max(1.0, H.max_abs_coeff())
+        batch = H.eval_thetas(thetas)
+        assert batch.shape == (len(thetas), H.m, H.m)
+        for theta, got in zip(thetas, batch):
+            assert np.abs(got - per_angle_eval(H, theta)).max() <= bound
+
+
+def test_eval_thetas_of_scale_congruence_output():
+    # m = 3: random, shifted positive definite, constant and CUBIC_H; cosine and sine
+    for H in [DISC_H] + [H for H in _eval_test_matrices() if H.m == 3]:
+        for theta0 in (0.0, 1.0):
+            H0, _, _ = scale_congruence(H, theta0)
+            thetas = np.linspace(0, 2 * np.pi, 29)
+            bound = 1e-12 * max(1.0, H0.max_abs_coeff())
+            for theta, got in zip(thetas, H0.eval_thetas(thetas)):
+                assert np.abs(got - per_angle_eval(H0, theta)).max() <= bound
+
+
+def test_psd_on_circle_matches_per_angle_scan():
+    seen = set()
+    for H in _eval_test_matrices():
+        verdict = psd_on_circle(H)
+        status, low = per_angle_scan(H)
+        assert verdict.status == status
+        assert abs(verdict.min_eig - low) <= 1e-12 * max(1.0, H.max_abs_coeff())
+        seen.add(status)
+    assert seen >= {CircleVerdict.PD, CircleVerdict.NOT_PSD, CircleVerdict.MARGINAL}
+
+
 def test_scale_congruence_nonzero_theta0():
     H0, w, mode = scale_congruence(CUBIC_H, 1.0)
     assert mode == "full"
     assert np.allclose(H0.eval_theta(1.0), np.eye(3), atol=1e-9)
 
 
-def test_degree_eight_runtime():
+@pytest.mark.parametrize("degree", [8, 10, 12])
+def test_degree_runtime(degree):
     import random
     import time
     from fractions import Fraction
@@ -433,30 +534,10 @@ def test_degree_eight_runtime():
 
     rng = random.Random(0)
     terms = {(a, b): Fraction(rng.randint(-3, 3))
-             for a in range(9) for b in range(0, 9 - a, 2)}
+             for a in range(degree + 1) for b in range(0, degree + 1 - a, 2)}
     terms[(0, 0)] = Fraction(5)
     p = Poly(terms)
-    assert p.degree == 8
-    started = time.perf_counter()
-    verdict = psd_on_circle(hermite_matrix(p))
-    assert time.perf_counter() - started < 30.0
-    assert verdict.status in (CircleVerdict.PD, CircleVerdict.NOT_PSD,
-                              CircleVerdict.MARGINAL)
-
-
-def test_degree_ten_runtime():
-    import random
-    import time
-    from fractions import Fraction
-
-    from rigidconvex.polycore import Poly
-
-    rng = random.Random(0)
-    terms = {(a, b): Fraction(rng.randint(-3, 3))
-             for a in range(11) for b in range(0, 11 - a, 2)}
-    terms[(0, 0)] = Fraction(5)
-    p = Poly(terms)
-    assert p.degree == 10
+    assert p.degree == degree
     started = time.perf_counter()
     verdict = psd_on_circle(hermite_matrix(p))
     assert time.perf_counter() - started < 30.0

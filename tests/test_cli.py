@@ -53,6 +53,17 @@ def test_check_rigid_parse_error_exit_1(capsys):
     assert "error" in err
 
 
+def test_check_rigid_degree_bound_fails_fast(capsys):
+    import time
+
+    started = time.perf_counter()
+    code, out, err = run(capsys, "check-rigid", "--poly", "(1+x1+x2)^5000")
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "MAX_DEGREE" in err
+
+
 def test_check_rigid_origin_on_curve_recenters(capsys):
     code, rep, _ = run_json(capsys, "check-rigid", "--poly", CAPRICORN)
     assert code == 0
@@ -211,6 +222,17 @@ def test_verify_det_malformed_pencil_exit_1(tmp_path, capsys, change):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_verify_det_declared_size_must_match_exit_1(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**_DISC_PENCIL, "m": 5}))
+    code, out, err = run(capsys, "verify-det", "--pencil", str(path),
+                         "--poly", "1-x1^2-x2^2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "m = 5" in err
 
 
 @pytest.mark.parametrize("name, c", [("fermat-pencil", "-1"), ("cayley-cubic", "1")])

@@ -151,6 +151,18 @@ def test_eval_matches_unexpanded_expression():
         assert p(a, b) == direct
 
 
+def test_parse_degree_bound():
+    from rigidconvex.polycore import MAX_DEGREE
+
+    assert MAX_DEGREE >= 12
+    assert parse_poly(f"x1^{MAX_DEGREE}").degree == MAX_DEGREE
+    assert parse_poly(f"x1^{MAX_DEGREE - 1}*x2").degree == MAX_DEGREE
+    for text in (f"x1^{MAX_DEGREE + 1}", f"x1^{MAX_DEGREE}*x2", "(1+x1+x2)^5000",
+                 f"(x1^{MAX_DEGREE // 2 + 1})^2", f"(x1*x2)^{MAX_DEGREE // 2 + 1}"):
+        with pytest.raises(PolyParseError, match="MAX_DEGREE"):
+            parse_poly(text)
+
+
 # ---------------------------------------------------------------------------
 # ring axioms
 # ---------------------------------------------------------------------------
@@ -228,6 +240,74 @@ def test_trig_eval_sine_part():
     s = TrigPoly.sin_basis(1)
     for theta in (0.0, 0.5, 1.7, 3.9):
         assert abs(s.eval_theta(theta) + 2 * np.sin(theta)) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# TrigPoly product against the Laurent convolution it replaced
+# ---------------------------------------------------------------------------
+
+def reference_mul(p: TrigPoly, q: TrigPoly) -> tuple[list, list]:
+    """Cosine and sine coefficients of p * q by the full Laurent convolution
+    over k = -d..d, one ``cos_coeff``/``sin_coeff`` lookup per term."""
+    da, db = p.half_degree, q.half_degree
+    d = da + db
+    re = [Fraction(0)] * (2 * d + 1)
+    im = [Fraction(0)] * (2 * d + 1)
+
+    def laurent(t: TrigPoly, k: int):
+        if k >= 0:
+            return t.cos_coeff(k), t.sin_coeff(k)
+        return t.cos_coeff(-k), -t.sin_coeff(-k)
+
+    for ka in range(-da, da + 1):
+        ra, ia = laurent(p, ka)
+        if ra == 0 and ia == 0:
+            continue
+        for kb in range(-db, db + 1):
+            rb, ib = laurent(q, kb)
+            if rb == 0 and ib == 0:
+                continue
+            k = ka + kb + d
+            re[k] += ra * rb - ia * ib
+            im[k] += ra * ib + ia * rb
+    return re[d:], im[d:]
+
+
+def _random_cosine(rng, d=5):
+    return TrigPoly([_random_rational(rng) for _ in range(rng.randint(1, d + 1))])
+
+
+def test_mul_matches_reference_exactly():
+    rng = random.Random(29)
+    pool = [TrigPoly(), TrigPoly([Fraction(-3, 7)]), TrigPoly([1]),
+            TrigPoly([], [0, 1]), TrigPoly([0, 0, 2], [0, 0, Fraction(1, 3)])]
+    pool += [_random_cosine(rng) for _ in range(20)]
+    pool += [_random_trig(rng, d=6) for _ in range(20)]
+    for a in pool:
+        for b in pool:
+            got = a * b
+            assert got == TrigPoly(*reference_mul(a, b))
+            assert all(type(x) is Fraction for x in got.c + got.s)
+    assert any(not a.is_cosine() for a in pool)
+
+
+def test_mul_of_float_operands_matches_reference():
+    # entries as TrigMatrix.congruence makes them: Fractions times floats.
+    # The reference's imaginary z^0 part, zero in exact arithmetic, can keep a
+    # rounding residue (which TrigPoly would reject as s[0]); the product drops it.
+    rng = random.Random(31)
+    for _ in range(40):
+        a = _random_trig(rng, d=5) * rng.uniform(-2, 2)
+        b = _random_cosine(rng) * rng.uniform(-2, 2) + _random_trig(rng)
+        c = _random_cosine(rng) * rng.uniform(-2, 2)
+        for x, y in ((a, b), (b, a), (a, a), (a, c), (c, c), (c, _random_cosine(rng))):
+            got = x * y
+            cos, sin = reference_mul(x, y)
+            assert abs(sin[0]) <= 1e-12 * max([1.0] + [abs(float(v)) for v in sin])
+            ref = TrigPoly(cos, [0] + sin[1:])
+            assert got.c == ref.c and got.s == ref.s
+            assert [type(v) for v in got.c + got.s[1:]] == \
+                [type(v) for v in ref.c + ref.s[1:]]
 
 
 # ---------------------------------------------------------------------------
