@@ -14,13 +14,16 @@ origin and is equivalent to the roots of q1 and q2 interlacing.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DegreeZeroError, DeterminantMismatchError, DimensionMismatchError
-from .polycore import Pencil, Poly, Scalar, UniPoly, det_exact, solve_exact
+from .polycore import Pencil, Poly, Scalar, UniPoly, _bareiss, _divided_differences, \
+    _newton_interpolate, _newton_to_monomial
 
 ROOT_REALITY_TOL = 1e-8
 
@@ -100,40 +103,21 @@ class InterlaceReport:
 
 
 def signature_exact(rows) -> tuple[int, int, int]:
-    """(n_pos, n_neg, n_zero) of an exact symmetric rational matrix, by
-    congruence diagonalization (Sylvester's law of inertia)."""
-    A = [list(r) for r in rows]
-    n = len(A)
-    active = list(range(n))
-    pos = neg = 0
-    while active:
-        piv = next((k for k in active if A[k][k] != 0), None)
-        if piv is None:
-            pair = next(((i, j) for i in active for j in active
-                         if i != j and A[i][j] != 0), None)
-            if pair is None:
-                break  # remaining block is zero
-            i, j = pair
-            # congruence by (I + e_i e_j^T) makes A[i][i] = 2 A[i][j] != 0
-            for k in range(n):
-                A[i][k] = A[i][k] + A[j][k]
-            for k in range(n):
-                A[k][i] = A[k][i] + A[k][j]
-            continue
-        a = A[piv][piv]
-        if a > 0:
-            pos += 1
-        else:
-            neg += 1
-        active.remove(piv)
-        for i in active:
-            if A[i][piv] != 0:
-                f = A[i][piv] / a
-                for j in active:
-                    A[i][j] = A[i][j] - f * A[piv][j]
-        for i in active:
-            A[i][piv] = A[piv][i] = Fraction(0)
-    return pos, neg, n - pos - neg
+    """(n_pos, n_neg, n_zero) of an exact symmetric rational matrix A.  Its
+    characteristic polynomial det(tI - D A), D the lcm of the denominators,
+    is interpolated from integer Bareiss determinants at t = 0..n; it has
+    only real roots, so Descartes' rule counts the positive ones exactly as
+    the sign changes of its coefficients."""
+    den = math.lcm(*[x.denominator for row in rows for x in row])
+    mat = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    n = len(mat)
+    values = [_bareiss([[t * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(mat)])
+              for t in range(n + 1)]
+    char = _newton_interpolate(values, 0)
+    signs = [c > 0 for c in char if c]
+    pos = sum(a != b for a, b in zip(signs, signs[1:]))
+    zero = next(k for k, c in enumerate(char) if c)  # multiplicity of the root 0
+    return pos, n - pos - zero, zero
 
 
 def _real_roots_or_none(q: UniPoly):
@@ -191,33 +175,34 @@ def interlace_check(q1: UniPoly, q2: UniPoly) -> InterlaceReport:
 # ---------------------------------------------------------------------------
 
 def _monomials(degree: int, nvars: int) -> list[tuple]:
-    if nvars == 2:
-        return [(a, b) for a in range(degree + 1) for b in range(degree + 1 - a)]
-    return [(a, b, c) for a in range(degree + 1)
-            for b in range(degree + 1 - a) for c in range(degree + 1 - a - b)]
+    return [e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) <= degree]
 
 
 def interpolate_det(pencil: Pencil) -> Poly:
-    """det F(x) as an exact polynomial (degree <= m) via interpolation on the
-    principal lattice; requires an exact pencil."""
+    """det F(x) as an exact polynomial (total degree <= m) by Newton
+    interpolation on the principal lattice {x in N^n : |x| <= m}; requires an
+    exact pencil.  F is cleared by one lcm D, and det(D F) is evaluated at
+    every lattice point with integer multiply-adds and Bareiss.  Divided
+    differences along each axis give its coefficients in the falling-factorial
+    basis, the one of index a using only the points <= a; converting back
+    along each axis gives its integer monomial coefficients, divided by D^m."""
     if not pencil.is_exact():
         raise ValueError("exact interpolation needs rational pencil entries")
-    nvars = pencil.nvars
-    monos = _monomials(pencil.m, nvars)
-    points = [tuple(Fraction(e) for e in mono) for mono in monos]
-    rows = [[_mono_eval(mono, pt) for mono in monos] for pt in points]
-    rhs = [det_exact(pencil.eval_exact(*pt)) for pt in points]
-    coeffs = solve_exact(rows, rhs)
-    return Poly({mono: c for mono, c in zip(monos, coeffs)}, nvars)
-
-
-def _mono_eval(mono: tuple, point: tuple):
-    """x^mono; exact at a point of Fractions, float at a point of floats."""
-    out = 1
-    for e, x in zip(mono, point):
-        if e:
-            out *= x**e
-    return out
+    m, nvars = pencil.m, pencil.nvars
+    den = math.lcm(*[x.denominator for mat in pencil.mats for row in mat for x in row])
+    ints = [[[x.numerator * (den // x.denominator) for x in row] for row in mat]
+            for mat in pencil.mats]
+    monos = _monomials(m, nvars)
+    vals = {mono: _bareiss([[sum([e * G[i][j] for e, G in zip((1,) + mono, ints)])
+                             for j in range(m)] for i in range(m)]) for mono in monos}
+    for convert in (_divided_differences, _newton_to_monomial):
+        for axis in range(nvars):
+            for start in monos:
+                if start[axis] == 0:  # each lattice line along the axis once
+                    line = [start[:axis] + (k,) + start[axis + 1:]
+                            for k in range(m + 1 - sum(start))]
+                    vals.update(zip(line, convert([vals[pt] for pt in line])))
+    return Poly({mono: Fraction(vals[mono], den**m) for mono in monos}, nvars)
 
 
 def verify_pencil_det(pencil: Pencil, p: Poly, rel_tol: float = 1e-8):
@@ -249,7 +234,8 @@ def verify_pencil_det(pencil: Pencil, p: Poly, rel_tol: float = 1e-8):
 
     monos = _monomials(pencil.m, pencil.nvars)
     points = [tuple(float(e) for e in mono) for mono in monos]
-    rows = np.array([[_mono_eval(mono, pt) for mono in monos] for pt in points])
+    rows = np.array([[math.prod([x**e for x, e in zip(pt, mono)]) for mono in monos]
+                     for pt in points])
     rhs = np.array([float(np.linalg.det(pencil.eval(*pt))) for pt in points])
     coeffs = np.linalg.solve(rows, rhs)
     det = {mono: val for mono, val in zip(monos, coeffs)}

@@ -2,20 +2,22 @@
 
 The search is purely algebraic: candidate points come from the critical
 equations grad p = 0 and from the boundary systems {p = 0, dp/dx_i = 0},
-both reduced to univariate root extraction through resultants.  Candidates
+both reduced to univariate root extraction through exact integer resultants
+and integer square-free parts (see ``polycore``).  Candidates
 are then certified through the sign pattern of the characteristic
 polynomial of F(x), det(tI + F(x)) = p_0(x) + p_1(x) t + ... + t^m, which is
 entrywise nonnegative exactly on the LMI set.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import IdenticallyZeroResultantError
-from .polycore import Pencil, Poly, UniPoly, det_exact, interpolate_exact
+from .polycore import Pencil, Poly, UniPoly, _bareiss, _horner, _newton_interpolate
 
 RESIDUAL_TOL = 1e-7
 MERGE_TOL = 1e-8
@@ -44,52 +46,48 @@ class LocateResult:
 # resultants
 # ---------------------------------------------------------------------------
 
-def _x1_coefficients(p: Poly) -> dict[int, UniPoly]:
-    """p as a polynomial in x1 with UniPoly-in-x2 coefficients."""
-    cols: dict[int, dict[int, Fraction]] = {}
+def _x1_columns(p: Poly) -> tuple[int, dict[int, list]]:
+    """(den, cols): den * p as a polynomial in x1 whose coefficient of x1^a is
+    cols[a], an ascending integer list in x2; den is the lcm of p's
+    denominators."""
+    den = math.lcm(*[v.denominator for v in p.coeffs.values()])
+    cols: dict[int, list] = {}
     for (a, b), v in p.coeffs.items():
-        cols.setdefault(a, {})[b] = v
-    out = {}
-    for a, vals in cols.items():
-        top = max(vals)
-        out[a] = UniPoly([vals.get(k, Fraction(0)) for k in range(top + 1)])
-    return out
-
-
-def _sylvester_at(fc, d1, gc, d2, x2val: Fraction) -> Fraction:
-    """Determinant of the Sylvester matrix of f, g in x1, specialised at x2."""
-    n = d1 + d2
-    frow = [fc.get(i, UniPoly())(x2val) for i in range(d1, -1, -1)]
-    grow = [gc.get(i, UniPoly())(x2val) for i in range(d2, -1, -1)]
-    rows = []
-    for r in range(d2):
-        rows.append([Fraction(0)] * r + frow + [Fraction(0)] * (d2 - 1 - r))
-    for r in range(d1):
-        rows.append([Fraction(0)] * r + grow + [Fraction(0)] * (d1 - 1 - r))
-    assert all(len(row) == n for row in rows)
-    return det_exact(rows)
+        col = cols.setdefault(a, [])
+        col.extend([0] * (b + 1 - len(col)))
+        col[b] = v.numerator * (den // v.denominator)
+    return den, cols
 
 
 def resultant_elim_x1(f: Poly, g: Poly) -> UniPoly:
     """Exact resultant of f and g with respect to x1, as a polynomial in x2.
 
-    Computed by exact Sylvester determinants at x2 = 0, 1, ..., N-1 followed
-    by exact Newton interpolation; raises IdenticallyZeroResultantError when f
-    and g share a factor involving x1.
+    f and g are cleared once to integer x1-columns (denominators cf, cg).  The
+    integer Sylvester matrix is evaluated at x2 = 0, 1, ..., N by Horner, its
+    determinant taken by fraction-free Bareiss, and the integer resultant
+    recovered by Newton interpolation, then divided by cf^d2 cg^d1.  Raises
+    IdenticallyZeroResultantError when f and g share a factor involving x1.
     """
-    fc = _x1_coefficients(f)
-    gc = _x1_coefficients(g)
+    cf, fc = _x1_columns(f)
+    cg, gc = _x1_columns(g)
     d1 = max(fc, default=0)
     d2 = max(gc, default=0)
     if d1 == 0 or d2 == 0:
         raise ValueError("both inputs need positive degree in x1")
-    deg_bound = d2 * max((q.degree for q in fc.values()), default=0) \
-        + d1 * max((q.degree for q in gc.values()), default=0)
-    values = [_sylvester_at(fc, d1, gc, d2, Fraction(k)) for k in range(deg_bound + 1)]
-    if all(v == 0 for v in values):
+    deg_bound = d2 * (max(len(c) for c in fc.values()) - 1) \
+        + d1 * (max(len(c) for c in gc.values()) - 1)
+    values = []
+    for x in range(deg_bound + 1):
+        frow = [_horner(fc.get(i, ()), x) for i in range(d1, -1, -1)]
+        grow = [_horner(gc.get(i, ()), x) for i in range(d2, -1, -1)]
+        rows = [[0] * r + frow + [0] * (d2 - 1 - r) for r in range(d2)]
+        rows += [[0] * r + grow + [0] * (d1 - 1 - r) for r in range(d1)]
+        values.append(_bareiss(rows))
+    if not any(values):
         raise IdenticallyZeroResultantError(
             "resultant vanishes identically; common factor in x1")
-    return UniPoly(interpolate_exact(values, 0))
+    scale = cf**d2 * cg**d1
+    return UniPoly([Fraction(c, scale) for c in _newton_interpolate(values, 0)])
 
 
 def real_roots_with_multiplicity(r: UniPoly) -> list[tuple[float, int]]:
@@ -156,23 +154,15 @@ def _x1_candidates(polys: list[Poly], x2val, real: bool) -> list:
 def _eliminate(f: Poly, g: Poly) -> UniPoly:
     """Eliminant in x2 of the system {f = 0, g = 0}, handling the cases where
     one equation does not involve x1."""
-    fc = _x1_coefficients(f)
-    gc = _x1_coefficients(g)
-    d1 = max(fc, default=0)
-    d2 = max(gc, default=0)
-    if d1 == 0 and d2 == 0:
-        # both univariate in x2: common roots come from the gcd
-        f2 = fc.get(0, UniPoly())
-        g2 = gc.get(0, UniPoly())
-        gcd = f2.gcd(g2)
-        if gcd.degree < 1:
-            return UniPoly([1])  # no common root
-        return gcd
-    if d1 == 0:
-        return fc.get(0, UniPoly())
-    if d2 == 0:
-        return gc.get(0, UniPoly())
-    return resultant_elim_x1(f, g)
+    d1, d2 = (max((a for a, _b in p.coeffs), default=0) for p in (f, g))
+    if d1 and d2:
+        return resultant_elim_x1(f, g)
+    f2, g2 = (UniPoly([p.coeff((0, b)) for b in range(p.degree + 1)]) for p in (f, g))
+    if d1 or d2:
+        return g2 if d1 else f2
+    # both univariate in x2: common roots come from the gcd
+    gcd = f2.gcd(g2)
+    return gcd if gcd.degree >= 1 else UniPoly([1])  # [1]: no common root
 
 
 def _solve_system(f: Poly, g: Poly, real: bool = True) -> list[tuple]:

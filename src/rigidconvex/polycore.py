@@ -18,13 +18,17 @@ Representations:
 Coefficients stay exact (``Fraction``) end to end; floats only appear after
 explicitly numeric steps such as congruence scaling or cube roots.
 
-Exact elimination has one kernel, the fraction-free ``_bareiss`` (square or
-augmented integer matrices; sine-carrying TrigMatrix determinants take the
-Gaussian-integer ``_bareiss_det_gauss``), and exact interpolation one, the
-integer Newton ``_newton_interpolate`` (``interpolate_exact`` for rationals).
+Exact elimination runs on integers: operands are cleared of denominators
+once and Fractions are built only for results.  Determinants and solves take
+the fraction-free ``_bareiss`` (sine-carrying TrigMatrix determinants the
+Gaussian-integer ``_bareiss_det_gauss``), interpolation the integer Newton
+``_newton_interpolate`` (``interpolate_exact`` for rationals; its divided
+differences serve lattices too), and univariate gcds and square-free parts a
+primitive pseudo-remainder sequence in Z[x] (``_pdivmod``, ``_int_gcd``).
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -318,11 +322,24 @@ def _tokenize(expr: str):
 
 
 MAX_DEGREE = 32  # largest total degree parse_poly expands; inputs today reach 12
+# parse_poly keeps every |numerator| and denominator <= 2^MAX_COEFF_BITS: it
+# checks each power of a constant before it expands (size times exponent) and
+# the parsed result, so every literal; inputs today stay under 2^20, and far
+# larger constants overflow the float stages
+MAX_COEFF_BITS = 256
 
 
-def _check_degree(degree: int, off: int) -> None:
+def _bits(values) -> int:
+    return (max([max(abs(v.numerator), v.denominator) for v in values], default=1)
+            - 1).bit_length()
+
+
+def _check_size(off: int, degree: int, bits: int = 0) -> None:
     if degree > MAX_DEGREE:
         raise PolyParseError(f"total degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}", off)
+    if bits > MAX_COEFF_BITS:
+        raise PolyParseError(f"constant up to 2^{bits} exceeds MAX_COEFF_BITS = "
+                             f"{MAX_COEFF_BITS}", off)
 
 
 class _Parser:
@@ -369,7 +386,7 @@ class _Parser:
             if kind == "op" and val == "*":
                 self.take()
                 factor = self.parse_factor()
-                _check_degree(out.degree + factor.degree, off)
+                _check_size(off, out.degree + factor.degree)
                 out = out * factor
             else:
                 return out
@@ -382,8 +399,11 @@ class _Parser:
             kind, val, off = self.take()
             if kind != "num" or "." in val:
                 raise PolyParseError("exponent must be a nonnegative integer", off)
-            _check_degree(base.degree * int(val), off)
-            return base ** int(val)
+            e = int(val)
+            # MAX_DEGREE bounds the exponent of any base but a constant
+            _check_size(off, base.degree * e, _bits(base.coeffs.values()) * e
+                        if base.degree <= 0 else 0)
+            return base ** e
         return base
 
     def parse_base(self) -> Poly:
@@ -427,6 +447,7 @@ def parse_poly(expr: str, nvars: int | None = None) -> Poly:
     kind, val, off = parser.peek()
     if kind != "end":
         raise PolyParseError(f"trailing input {val!r}", off)
+    _check_size(0, 0, _bits(poly.coeffs.values()))
     return poly
 
 
@@ -531,31 +552,29 @@ class UniPoly:
         return UniPoly(quo), UniPoly(rem)
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Exact monic gcd (Euclid); requires rational coefficients."""
-        a, b = self, other
-        while not b.is_zero():
-            _, r = a.divmod(b)
-            a, b = b, r
-        return a.monic()
+        """Exact monic gcd by a primitive PRS in Z[x] (rational coefficients)."""
+        return UniPoly(_int_gcd(_primitive(self.coeffs), _primitive(other.coeffs))).monic()
 
     def squarefree_decomposition(self) -> list[tuple["UniPoly", int]]:
-        """Yun's algorithm: list of (squarefree factor, multiplicity)."""
+        """Yun's algorithm over Z[x]: list of (monic squarefree factor,
+        multiplicity).  b and c are always divided by the same primitive
+        gcd, so every quotient is exact and c - b' is Yun's remainder."""
         if self.degree < 1:
             return []
-        f = self.monic()
-        d = f.derivative()
-        a = f.gcd(d)
-        b, _ = f.divmod(a)
-        c, _ = d.divmod(a)
-        out = []
-        mult = 1
-        while b.degree >= 1:
-            diff = c - b.derivative()
-            g = b.gcd(diff)
-            if g.degree >= 1:
-                out.append((g, mult))
-            b, _ = b.divmod(g)
-            c, _ = diff.divmod(g)
+        f = _primitive(self.coeffs)
+        d = [k * x for k, x in enumerate(f)][1:]
+        a = _int_gcd(f, d)
+        (b, _), (c, _) = _pdivmod(f, a), _pdivmod(d, a)
+        out, mult = [], 1
+        while len(b) > 1:
+            db = [k * x for k, x in enumerate(b)][1:]
+            diff = [x - y for x, y in itertools.zip_longest(c, db, fillvalue=0)]
+            while diff and diff[-1] == 0:
+                diff.pop()
+            g = _int_gcd(b, diff)
+            if len(g) > 1:
+                out.append((UniPoly(g).monic(), mult))
+            (b, _), (c, _) = _pdivmod(b, g), _pdivmod(diff, g)
             mult += 1
         return out
 
@@ -902,16 +921,21 @@ def _bareiss_det_gauss(re, im) -> tuple[int, int]:
     return sign * re[-1][-1], sign * im[-1][-1]
 
 
-def _newton_interpolate(values, x0: int) -> list:
-    """Ascending integer coefficients of the integer polynomial of degree
-    < len(values) that takes ``values`` at x0, x0+1, ....  Divided differences
-    of an integer polynomial on consecutive integers are integers, so each
+def _divided_differences(values) -> list:
+    """Divided differences f[x0], f[x0, x0+1], ... of the values of an
+    integer polynomial at consecutive integers: all integers, so each
     division below is exact."""
     dd = list(values)
     n = len(dd) - 1
     for k in range(1, n + 1):
         for j in range(n, k - 1, -1):
             dd[j] = (dd[j] - dd[j - 1]) // k
+    return dd
+
+
+def _newton_to_monomial(dd, x0: int = 0) -> list:
+    """Ascending coefficients of sum_k dd[k] (x - x0) ... (x - x0 - k + 1)."""
+    n = len(dd) - 1
     coeffs = [dd[n]]
     for k in range(n - 1, -1, -1):  # coeffs <- coeffs * (x - x_k) + dd[k]
         xk = x0 + k
@@ -922,6 +946,51 @@ def _newton_interpolate(values, x0: int) -> list:
         nxt[-1] = coeffs[-1]
         coeffs = nxt
     return coeffs
+
+
+def _newton_interpolate(values, x0: int) -> list:
+    """Ascending integer coefficients of the integer polynomial of degree
+    < len(values) that takes ``values`` at x0, x0+1, ...."""
+    return _newton_to_monomial(_divided_differences(values), x0)
+
+
+def _primitive(coeffs) -> list:
+    """Primitive part in Z[x], leading coefficient > 0, of ascending rational
+    coefficients."""
+    den = math.lcm(*[c.denominator for c in coeffs])
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = (math.gcd(*ints) or 1) * (-1 if ints and ints[-1] < 0 else 1)
+    return [x // g for x in ints]
+
+
+def _pdivmod(a: list, b: list) -> tuple[list, list]:
+    """Pseudo-division in Z[x] of ascending integer lists, b nonzero.  Each
+    step multiplies the running remainder by lc(b)/g, g = gcd(lc(b), lc(r)),
+    so r is a constant multiple of a mod b.  When b is primitive with
+    lc(b) > 0 and divides a, no step scales (Gauss's lemma) and q = a / b."""
+    r, n, q = list(a), len(b) - 1, []
+    while len(r) > n:
+        g = math.gcd(b[-1], r[-1])
+        p, c = b[-1] // g, r.pop() // g
+        if p != 1:
+            r = [p * x for x in r]
+        q.append(c)
+        if c:
+            for k in range(n):
+                r[len(r) - n + k] -= c * b[k]
+    while r and r[-1] == 0:
+        r.pop()
+    return q[::-1], r
+
+
+def _int_gcd(a: list, b: list) -> list:
+    """Primitive gcd in Z[x], leading coefficient > 0, of ascending integer
+    lists ([] is zero), by the primitive pseudo-remainder sequence."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_pdivmod(a, b)[1])
+    return _primitive(a)
 
 
 def interpolate_exact(values, x0: int) -> list:
@@ -1151,16 +1220,6 @@ class Pencil:
         out = np.array([[float(v) for v in row] for row in self.mats[0]])
         for xi, mat in zip(x, self.mats[1:]):
             out += float(xi) * np.array([[float(v) for v in row] for row in mat])
-        return out
-
-    def eval_exact(self, *x: Scalar) -> list:
-        """Exact matrix F(x) as nested lists of Fractions (exact pencils only)."""
-        point = [to_exact(v) for v in x]
-        out = [list(row) for row in self.mats[0]]
-        for xi, mat in zip(point, self.mats[1:]):
-            for i in range(self.m):
-                for j in range(self.m):
-                    out[i][j] = out[i][j] + xi * mat[i][j]
         return out
 
     # -- JSON ------------------------------------------------------------------

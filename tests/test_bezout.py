@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +23,7 @@ from rigidconvex.bezout import (
     rigid_at_origin,
     verify_pencil_det,
 )
-from rigidconvex.polycore import det_exact
+from rigidconvex.polycore import Poly, det_exact, solve_exact
 
 CAPRICORN_P = parse_poly("x1^2*(x1^2+x2^2)-2*(x1^2+x2^2-x2)^2")
 CAPRICORN = Parametrization(
@@ -285,6 +287,67 @@ def test_signature_equals_cauchy_index():
     assert asserted >= 40
 
 
+def reference_signature(rows) -> tuple[int, int, int]:
+    """The Fraction congruence diagonalization signature_exact used before
+    its integer characteristic polynomial (Sylvester's law of inertia)."""
+    A = [[Fraction(x) for x in r] for r in rows]
+    n = len(A)
+    active = list(range(n))
+    pos = neg = 0
+    while active:
+        piv = next((k for k in active if A[k][k] != 0), None)
+        if piv is None:
+            pair = next(((i, j) for i in active for j in active
+                         if i != j and A[i][j] != 0), None)
+            if pair is None:
+                break  # remaining block is zero
+            i, j = pair
+            # congruence by (I + e_i e_j^T) makes A[i][i] = 2 A[i][j] != 0
+            for k in range(n):
+                A[i][k] = A[i][k] + A[j][k]
+            for k in range(n):
+                A[k][i] = A[k][i] + A[k][j]
+            continue
+        a = A[piv][piv]
+        if a > 0:
+            pos += 1
+        else:
+            neg += 1
+        active.remove(piv)
+        for i in active:
+            if A[i][piv] != 0:
+                f = A[i][piv] / a
+                for j in active:
+                    A[i][j] = A[i][j] - f * A[piv][j]
+        for i in active:
+            A[i][piv] = A[piv][i] = Fraction(0)
+    return pos, neg, n - pos - neg
+
+
+def test_signature_matches_congruence_reference():
+    from rigidconvex.bezout import signature_exact
+
+    rng = random.Random(37)
+    cases = [[], [[0]], [[Fraction(-1, 3)]], [[0, 1], [1, 0]], [[0, 0], [0, 0]]]
+    for _ in range(150):
+        m = rng.randint(1, 6)
+        # low rank, zero diagonals and mixed denominators
+        rank = rng.randint(0, m)
+        vecs = [[Fraction(rng.randint(-3, 3), rng.choice([1, 2, 5])) for _ in range(m)]
+                for _ in range(rank)]
+        signs = [rng.choice([-1, 1]) for _ in range(rank)]
+        cases.append([[sum([s * v[i] * v[j] for s, v in zip(signs, vecs)], Fraction(0))
+                       for j in range(m)] for i in range(m)])
+        cases.append([[0] * m] + [[0] + [rng.randint(-2, 2) for _ in range(m - 1)]
+                                  for _ in range(m - 1)])
+    for q1, q2 in ((CAPRICORN.q1, CAPRICORN.q2), (BEAN.q1, BEAN.q2)):
+        cases.append(bezout_matrix(q1, q2, max(q1.degree, q2.degree)))
+    for rows in cases:
+        rows = [[rows[j][i] if j < i else rows[i][j] for j in range(len(rows))]
+                for i in range(len(rows))]  # symmetrise
+        assert signature_exact(rows) == reference_signature(rows)
+
+
 # ---------------------------------------------------------------------------
 # determinant verification
 # ---------------------------------------------------------------------------
@@ -313,6 +376,58 @@ def test_interpolate_det_exact_values():
     F = pencil_from_param(CIRCLE)
     det = interpolate_det(F)
     assert det == parse_poly("4-4*x1^2-4*x2^2")
+
+
+def reference_interpolate_det(pencil: Pencil) -> Poly:
+    """The Vandermonde solve interpolate_det used before the Newton lattice:
+    exact determinants at the principal-lattice points, one dense exact solve
+    for the monomial coefficients."""
+    m, nvars = pencil.m, pencil.nvars
+    monos = [e for e in itertools.product(range(m + 1), repeat=nvars) if sum(e) <= m]
+    points = [tuple(Fraction(e) for e in mono) for mono in monos]
+    rows = [[math.prod([x**e for x, e in zip(pt, mono)]) for mono in monos] for pt in points]
+    rhs = [det_exact([[sum([x * F[i][j] for x, F in zip((1,) + pt, pencil.mats)])
+                       for j in range(m)] for i in range(m)]) for pt in points]
+    return Poly(dict(zip(monos, solve_exact(rows, rhs))), nvars)
+
+
+def _random_symmetric(rng, m, rank=None):
+    # mixed denominators; rank < m gives every matrix the same kernel
+    size = m if rank is None else rank
+    mat = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(size):
+        for j in range(i, size):
+            mat[i][j] = mat[j][i] = Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 5, 12]))
+    return mat
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_interpolate_det_matches_vandermonde_reference(nvars):
+    rng = random.Random(80 + nvars)
+    for m in range(6):
+        for singular in (False, True):
+            if singular and m == 0:
+                continue
+            rank = m - 1 if singular else None
+            pencil = Pencil.from_rows(*[_random_symmetric(rng, m, rank)
+                                        for _ in range(nvars + 1)])
+            det = interpolate_det(pencil)
+            ref = reference_interpolate_det(pencil)
+            # same coefficients in the same order, so later float sums agree
+            assert list(det.coeffs.items()) == list(ref.coeffs.items())
+            assert all(type(c) is Fraction for c in det.coeffs.values())
+            assert det.is_zero() == singular
+    # sparse integer pencils: zero pivots and zero lattice values
+    for _ in range(20):
+        m = rng.randint(1, 4)
+        mats = [[[Fraction(0)] * m for _ in range(m)] for _ in range(nvars + 1)]
+        for mat in mats:
+            for _ in range(m):
+                i, j = rng.randrange(m), rng.randrange(m)
+                mat[i][j] = mat[j][i] = Fraction(rng.choice([-1, 1, 2]))
+        pencil = Pencil.from_rows(*mats)
+        assert list(interpolate_det(pencil).coeffs.items()) == \
+            list(reference_interpolate_det(pencil).coeffs.items())
 
 
 def test_verify_float_pencil_path():

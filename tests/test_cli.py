@@ -64,6 +64,16 @@ def test_check_rigid_degree_bound_fails_fast(capsys):
     assert err.startswith("error:") and "MAX_DEGREE" in err
 
 
+@pytest.mark.parametrize("poly", ["1-x1^2-x2^2+x1^3*2^100000", "1+x1*2^10000000"])
+def test_check_rigid_coeff_bound(capsys, poly):
+    # the first reached the float stage and exited 2, the second expanded a
+    # 10^7-bit constant
+    code, out, err = run(capsys, "check-rigid", "--poly", poly)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "MAX_COEFF_BITS" in err
+
+
 def test_check_rigid_origin_on_curve_recenters(capsys):
     code, rep, _ = run_json(capsys, "check-rigid", "--poly", CAPRICORN)
     assert code == 0

@@ -1,3 +1,8 @@
+import math
+import random
+import time
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,8 +12,9 @@ from rigidconvex import (
     UniPoly,
     parse_poly,
 )
-from rigidconvex.bezout import Parametrization, pencil_from_param
+from rigidconvex.bezout import Parametrization, interpolate_det, pencil_from_param
 from rigidconvex.locate import (
+    _eliminate,
     boundary_points,
     certify_psd_point,
     critical_points,
@@ -16,6 +22,7 @@ from rigidconvex.locate import (
     real_roots_with_multiplicity,
     resultant_elim_x1,
 )
+from rigidconvex.polycore import Poly, det_exact, interpolate_exact
 
 CAPRICORN_P = parse_poly("x1^2*(x1^2+x2^2)-2*(x1^2+x2^2-x2)^2")
 CAPRICORN_PENCIL = pencil_from_param(Parametrization(
@@ -88,6 +95,78 @@ def test_resultant_agrees_with_product_formula():
         expected = float(fu[-1]) ** 2 * prod  # lc_f^{deg_x1 g}
         got = float(r(x2val))
         assert got == pytest.approx(expected.real, rel=1e-8, abs=1e-6)
+
+
+def reference_resultant(f: Poly, g: Poly) -> UniPoly:
+    """The Fraction path resultant_elim_x1 took before its integer columns:
+    Sylvester determinants over Fraction at x2 = 0..N, rational Newton
+    interpolation."""
+    def columns(p):
+        cols: dict = {}
+        for (a, b), v in p.coeffs.items():
+            cols.setdefault(a, {})[b] = v
+        return {a: UniPoly([vals.get(k, 0) for k in range(max(vals) + 1)])
+                for a, vals in cols.items()}
+    fc, gc = columns(f), columns(g)
+    d1, d2 = max(fc, default=0), max(gc, default=0)
+    if d1 == 0 or d2 == 0:
+        raise ValueError("both inputs need positive degree in x1")
+    bound = (d2 * max(q.degree for q in fc.values())
+             + d1 * max(q.degree for q in gc.values()))
+    values = []
+    for k in range(bound + 1):
+        frow = [fc.get(i, UniPoly())(Fraction(k)) for i in range(d1, -1, -1)]
+        grow = [gc.get(i, UniPoly())(Fraction(k)) for i in range(d2, -1, -1)]
+        rows = [[0] * r + frow + [0] * (d2 - 1 - r) for r in range(d2)]
+        rows += [[0] * r + grow + [0] * (d1 - 1 - r) for r in range(d1)]
+        values.append(det_exact(rows))
+    if all(v == 0 for v in values):
+        raise IdenticallyZeroResultantError("common factor in x1")
+    return UniPoly(interpolate_exact(values, 0))
+
+
+def _random_bivariate(rng, dx1, dx2):
+    # mixed denominators, gaps, and a leading x1 coefficient of either sign
+    coeffs = {(a, b): Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 12]))
+              for a in range(dx1 + 1) for b in range(dx2 + 1) if rng.random() < 0.6}
+    coeffs[(dx1, rng.randint(0, dx2))] = Fraction(rng.choice([-3, -1, 2]), rng.choice([1, 7]))
+    return Poly(coeffs)
+
+
+def test_resultant_matches_fraction_sylvester_reference_random():
+    rng = random.Random(71)
+    for _ in range(80):
+        f = _random_bivariate(rng, rng.randint(1, 3), rng.randint(0, 3))
+        g = _random_bivariate(rng, rng.randint(1, 3), rng.randint(0, 3))
+        r = resultant_elim_x1(f, g)
+        assert r == reference_resultant(f, g)
+        assert all(type(c) is Fraction for c in r.coeffs)
+
+
+def test_resultant_reference_errors():
+    rng = random.Random(73)
+    for _ in range(10):
+        h = _random_bivariate(rng, rng.randint(1, 2), rng.randint(0, 2))
+        f = h * _random_bivariate(rng, rng.randint(0, 2), rng.randint(0, 2))
+        g = h * _random_bivariate(rng, rng.randint(0, 2), rng.randint(0, 2))
+        for fn in (resultant_elim_x1, reference_resultant):
+            with pytest.raises(IdenticallyZeroResultantError):
+                fn(f, g)
+    x1_free = parse_poly("x2^2-1/3")
+    for fn in (resultant_elim_x1, reference_resultant):
+        for pair in ((x1_free, CAPRICORN_P), (CAPRICORN_P, x1_free),
+                     (Poly.zero(), CAPRICORN_P)):
+            with pytest.raises(ValueError, match="positive degree"):
+                fn(*pair)
+
+
+def test_eliminate_x1_free_equations():
+    x1_free = parse_poly("2*x2^2-1/2")
+    assert _eliminate(x1_free, CAPRICORN_P) == UniPoly([Fraction(-1, 2), 0, 2])
+    assert _eliminate(CAPRICORN_P, x1_free) == UniPoly([Fraction(-1, 2), 0, 2])
+    # both x1-free: their gcd, or the constant 1 when coprime
+    assert _eliminate(x1_free, parse_poly("(x2-1/2)*(x2+3)")) == UniPoly([Fraction(-1, 2), 1])
+    assert _eliminate(x1_free, parse_poly("x2-1")) == UniPoly([1])
 
 
 def test_real_roots_with_multiplicity_exact_triple():
@@ -228,6 +307,24 @@ def test_find_interior_point_none():
     res = find_interior_point(neg, parse_poly("1-x1^2-x2^2"))
     assert res.status == "none"
     assert res.point is None
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_find_component_runtime(m):
+    # seeded interlacing q1, q2 (the benchmark's origin-locate generator), so
+    # F(0) = B(q1, q2) is definite; the eliminants reach degree 5m
+    rng = random.Random(m)
+    roots = sorted(rng.sample(range(-m - 1, m + 2), 2 * m))
+    u = UniPoly([0, 1])
+    q1 = math.prod([u - r for r in roots[0::2]], start=UniPoly([1]))
+    q2 = math.prod([u - r for r in roots[1::2]], start=UniPoly([rng.choice([1, -1, 2, -2])]))
+    q0 = UniPoly([rng.randint(1, 4)] + [rng.randint(-2, 2) for _ in range(m - 1)]
+                 + [rng.randint(1, 3)])
+    pencil = pencil_from_param(Parametrization(q0, q1, q2))
+    started = time.perf_counter()
+    result = find_interior_point(pencil, interpolate_det(pencil))
+    assert time.perf_counter() - started < 30.0
+    assert result.status in ("PD", "PSD") and result.point is not None
 
 
 def test_critical_points_degenerate_gradient_returns_empty():

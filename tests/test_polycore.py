@@ -163,6 +163,25 @@ def test_parse_degree_bound():
             parse_poly(text)
 
 
+def test_parse_coeff_bound():
+    from rigidconvex.polycore import MAX_COEFF_BITS
+
+    big, half = 2 ** MAX_COEFF_BITS, MAX_COEFF_BITS // 2
+    assert parse_poly(f"{big}*x1").coeff((1, 0)) == big
+    assert parse_poly(f"-1/{big}*x1").coeff((1, 0)) == Fraction(-1, big)
+    assert parse_poly(f"2^{MAX_COEFF_BITS}*x1").coeff((1, 0)) == big
+    assert parse_poly(f"2^{half}*x1*2^{half}").coeff((1, 0)) == big
+    for text in ("1-x1^2-x2^2+x1^3*2^100000", "1+x1*2^10000000", f"{big + 1}*x1",
+                 f"1/{big + 1}", f"x1*2^{MAX_COEFF_BITS + 1}", f"x1*2^{half}*2^{half + 1}",
+                 f"(1+{big}*x1)^2"):
+        with pytest.raises(PolyParseError, match="MAX_COEFF_BITS"):
+            parse_poly(text)
+    # a power is refused at its exponent, before it is built
+    with pytest.raises(PolyParseError) as err:
+        parse_poly("1+x1*2^10000000")
+    assert err.value.offset == 7
+
+
 # ---------------------------------------------------------------------------
 # ring axioms
 # ---------------------------------------------------------------------------
@@ -338,6 +357,102 @@ def test_unipoly_squarefree_decomposition():
     assert by_mult[3] == UniPoly([0, 1]).monic()
     assert by_mult[2] == UniPoly([4, -6, 1]).monic()
     assert by_mult[1] == ((x - Fraction(1, 2)) * (x - 1)).monic()
+
+
+def reference_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """The Fraction Euclid that UniPoly.gcd used before its integer PRS."""
+    while not b.is_zero():
+        _, r = a.divmod(b)
+        a, b = b, r
+    return a.monic()
+
+
+def reference_squarefree(f: UniPoly) -> list:
+    """The Fraction Yun that squarefree_decomposition used before Z[x]."""
+    if f.degree < 1:
+        return []
+    f = f.monic()
+    d = f.derivative()
+    a = reference_gcd(f, d)
+    b, _ = f.divmod(a)
+    c, _ = d.divmod(a)
+    out = []
+    mult = 1
+    while b.degree >= 1:
+        diff = c - b.derivative()
+        g = reference_gcd(b, diff)
+        if g.degree >= 1:
+            out.append((g, mult))
+        b, _ = b.divmod(g)
+        c, _ = diff.divmod(g)
+        mult += 1
+    return out
+
+
+def _random_factor(rng, degree):
+    # mixed denominators, negative leading coefficients
+    coeffs = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 12])) for _ in range(degree)]
+    coeffs.append(Fraction(rng.choice([-5, -2, -1, 1, 3, 4]), rng.choice([1, 2, 9])))
+    return UniPoly(coeffs)
+
+
+def _random_with_multiplicities(rng, max_mult=4):
+    f = UniPoly([Fraction(rng.choice([-7, -1, 2, 5]), rng.choice([1, 3, 4]))])
+    for mult in range(1, max_mult + 1):
+        for _ in range(rng.randint(0, 2)):
+            f = f * _random_factor(rng, rng.randint(1, 2)) ** mult
+    return f
+
+
+def _assert_exact(q: UniPoly):
+    assert all(type(c) is Fraction for c in q.coeffs)
+
+
+def test_gcd_and_squarefree_match_fraction_references_random():
+    rng = random.Random(61)
+    for _ in range(150):
+        f = _random_with_multiplicities(rng)
+        parts = f.squarefree_decomposition()
+        assert parts == reference_squarefree(f)
+        for g, _mult in parts:
+            _assert_exact(g)
+        for other in (f.derivative(), _random_factor(rng, rng.randint(0, 4)),
+                      _random_with_multiplicities(rng, 2), f * _random_factor(rng, 1)):
+            assert f.gcd(other) == reference_gcd(f, other)
+            assert other.gcd(f) == reference_gcd(other, f)
+            _assert_exact(f.gcd(other))
+
+
+def test_gcd_and_squarefree_edge_operands():
+    x = UniPoly([0, 1])
+    operands = [UniPoly(), UniPoly([3]), UniPoly([Fraction(-1, 2)]), x, -x + Fraction(1, 3),
+                (x - 1) * (x - 2), (x - 1) ** 4 * (x + Fraction(2, 5)), UniPoly([1, 0, 1])]
+    for a in operands:
+        assert a.squarefree_decomposition() == reference_squarefree(a)
+        for b in operands:
+            assert a.gcd(b) == reference_gcd(a, b)
+    # coprime pairs have gcd 1, zero with zero stays zero
+    assert ((x - 1) * (x - 2)).gcd(UniPoly([1, 0, 1])) == UniPoly([1])
+    assert UniPoly().gcd(UniPoly()) == UniPoly()
+    assert UniPoly().gcd(x * -4 + 2) == x - Fraction(1, 2)
+    assert ((x - 1) ** 4).squarefree_decomposition() == [(x - 1, 4)]
+
+
+def test_squarefree_matches_sympy_sqf_list():
+    sympy = pytest.importorskip("sympy")
+    u = sympy.Symbol("u")
+    rng = random.Random(67)
+    for _ in range(40):
+        f = _random_with_multiplicities(rng)
+        if f.degree < 1:
+            continue
+        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(f.coeffs)], u, domain="QQ")
+        _, factors = sympy.sqf_list(poly)
+        expected = {(tuple(Fraction(int(c.p), int(c.q))
+                           for c in reversed(g.monic().all_coeffs())), mult)
+                    for g, mult in factors}
+        assert {(g.coeffs, mult) for g, mult in f.squarefree_decomposition()} == expected
 
 
 def test_unipoly_real_roots():
