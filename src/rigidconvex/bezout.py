@@ -205,11 +205,11 @@ def interpolate_det(pencil: Pencil) -> Poly:
     return Poly({mono: Fraction(vals[mono], den**m) for mono in monos}, nvars)
 
 
-def verify_pencil_det(pencil: Pencil, p: Poly, rel_tol: float = 1e-8):
+def verify_pencil_det(pencil: Pencil, p: Poly):
     """Scale c with det F(x) = c p(x); raises DeterminantMismatchError.
 
     Exact pencils are interpolated and compared exactly; floating pencils are
-    compared coefficientwise within ``rel_tol`` relative to the largest
+    compared coefficientwise within 1e-8 relative to the largest
     coefficient.
     """
     if p.is_zero():
@@ -243,7 +243,7 @@ def verify_pencil_det(pencil: Pencil, p: Poly, rel_tol: float = 1e-8):
     scale = max(1.0, max(abs(v) for v in det.values()))
     for mono in monos:
         expected = c * float(p.coeff(mono))
-        if abs(det[mono] - expected) > rel_tol * scale:
+        if abs(det[mono] - expected) > 1e-8 * scale:
             raise DeterminantMismatchError(
                 f"det F != c*p at monomial {mono}", monomial=mono,
                 got=det[mono], expected=expected)

@@ -59,7 +59,7 @@ def _structural_shortcut(H: TrigMatrix) -> int | None:
     return None
 
 
-def circle_roots_of(det: TrigPoly, tol: float = CIRCLE_ROOT_TOL) -> list[float]:
+def circle_roots_of(det: TrigPoly) -> list[float]:
     """Angles theta where det(e^{i theta}) = 0, from companion eigenvalues
     of the ordinary polynomial z^d * det(z)."""
     if det.is_zero() or det.half_degree == 0:
@@ -67,7 +67,7 @@ def circle_roots_of(det: TrigPoly, tol: float = CIRCLE_ROOT_TOL) -> list[float]:
     coeffs = det.laurent_coeffs()  # ascending in z
     roots = np.roots(coeffs[::-1])
     angles = sorted(float(np.angle(r)) % (2 * np.pi)
-                    for r in roots if abs(abs(r) - 1.0) < tol)
+                    for r in roots if abs(abs(r) - 1.0) < CIRCLE_ROOT_TOL)
     return angles
 
 
@@ -81,26 +81,23 @@ def _sample_angles(roots: list[float], grid_size: int) -> np.ndarray:
     return np.unique(np.concatenate([grid, rts, mids]))
 
 
-def psd_on_circle(H: TrigMatrix, tol: float | None = None, *,
-                  grid_size: int = GRID_SIZE,
-                  root_tol: float = CIRCLE_ROOT_TOL) -> CircleVerdict:
+def psd_on_circle(H: TrigMatrix) -> CircleVerdict:
     """Classify H(z) on |z| = 1 as PD / marginal PSD / not PSD / inconclusive."""
-    if tol is None:
-        tol = default_tolerance(H)
+    tol = default_tolerance(H)
 
     bad_row = _structural_shortcut(H)
     if bad_row is not None:
         # a PSD matrix with a zero diagonal entry has a zero row; pick the
         # witness where the violation is largest so min_eig < -tol holds there
-        grid = np.linspace(0.0, 2 * np.pi, grid_size, endpoint=False)
+        grid = np.linspace(0.0, 2 * np.pi, GRID_SIZE, endpoint=False)
         eigs = np.linalg.eigvalsh(H.eval_thetas(grid))[:, 0]
         k = int(np.argmin(eigs))
         return CircleVerdict(CircleVerdict.NOT_PSD, float(grid[k]),
                              float(eigs[k]), tol, shortcut=True)
 
     det = H.det()
-    roots = [] if det.is_zero() else circle_roots_of(det, root_tol)
-    angles = _sample_angles(roots, grid_size)
+    roots = [] if det.is_zero() else circle_roots_of(det)
+    angles = _sample_angles(roots, GRID_SIZE)
     eigs = np.linalg.eigvalsh(H.eval_thetas(angles))[:, 0]
     k = int(np.argmin(eigs))
     min_eig, witness = float(eigs[k]), float(angles[k])
@@ -123,13 +120,13 @@ def psd_on_circle(H: TrigMatrix, tol: float | None = None, *,
 # congruence scaling
 # ---------------------------------------------------------------------------
 
-def scale_congruence(H: TrigMatrix, theta0: float = 0.0,
-                     cond_limit: float = 1e8) -> tuple[TrigMatrix, np.ndarray, str]:
+def scale_congruence(H: TrigMatrix,
+                     theta0: float = 0.0) -> tuple[TrigMatrix, np.ndarray, str]:
     """Rescale H so that H0(e^{i theta0}) is the identity (mode 'full') or at
     least diagonal (mode 'diag'); returns (H0, W, mode) with H0 = W H W^T."""
     A = H.eval_theta(theta0)
     evals, vecs = np.linalg.eigh(A)
-    if evals.min() > 0 and evals.max() / evals.min() <= cond_limit:
+    if evals.min() > 0 and evals.max() / evals.min() <= 1e8:
         w = np.diag(1.0 / np.sqrt(evals)) @ vecs.T
         return H.congruence(w), w, "full"
     w = vecs.T
@@ -290,13 +287,13 @@ class FactorReport:
 
 
 def verify_spectral_factor(H: TrigMatrix, U: MatrixPoly,
-                           tol: float = 1e-2, grid: int = 256) -> FactorReport:
+                           tol: float = 1e-2) -> FactorReport:
     """Check H(e^{i theta}) = U(e^{-i theta})^T U(e^{i theta}) on a grid."""
     if U.m != H.m:
         raise DimensionMismatchError(f"factor size {U.m} != matrix size {H.m}")
     max_res = 0.0
     max_h = 0.0
-    thetas = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
+    thetas = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
     for theta, Hval in zip(thetas, H.eval_thetas(thetas)):
         z = np.exp(1j * theta)
         prod = U.eval(1 / z).T @ U.eval(z)

@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 = computed (whatever the verdict), 1 = input error,
-2 = internal numerical failure.  ``--json`` switches every subcommand to a
-schema-stable machine-readable report; the env var RIGIDCONVEX_TOL overrides
-the default decision tolerances.
+Each subcommand returns the body of its report; ``main`` times the call and
+emits ``{"command", "inputs", **body, "timing_seconds"}``, where ``inputs``
+holds every option of the subcommand except ``--json``.
+
+Exit codes: 0 = computed (whatever the verdict), 1 = input error, usage
+errors included, 2 = internal numerical failure.  ``--json`` switches every
+subcommand to a schema-stable machine-readable report; the env var
+RIGIDCONVEX_TOL overrides the default decision tolerances.
 """
 from __future__ import annotations
 
@@ -36,21 +40,14 @@ from .hermite import hermite_matrix
 from .locate import certify_psd_point, critical_points, find_interior_point
 from .polycore import Pencil, UniPoly, format_scalar, parse_poly, parse_scalar
 
+MAX_PLOT_GRID = 151  # samples per axis; a dense degree-32 plot stays within 30 s
+
 _STATUS_TO_VERDICT = {
     CircleVerdict.PD: "rigidly-convex",
     CircleVerdict.MARGINAL: "marginal",
     CircleVerdict.NOT_PSD: "not-rigidly-convex",
     CircleVerdict.INCONCLUSIVE: "inconclusive",
 }
-
-
-def _report(command: str, inputs: dict, started: float, **body) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        **body,
-        "timing_seconds": round(time.perf_counter() - started, 6),
-    }
 
 
 def _emit(report: dict, as_json: bool) -> None:
@@ -67,8 +64,11 @@ def _emit(report: dict, as_json: bool) -> None:
             print(f"{key}: {val}")
 
 
-def _parse_unipoly(text: str) -> UniPoly:
-    return UniPoly([parse_scalar(tok.strip()) for tok in text.split(",")])
+def _parametrization(args) -> Parametrization:
+    """q0, q1, q2 from the comma-separated ascending coefficients of --q0..--q2."""
+    qs = [UniPoly([parse_scalar(tok.strip()) for tok in text.split(",")])
+          for text in (args.q0, args.q1, args.q2)]
+    return Parametrization(*qs)
 
 
 def _load_pencil(path: str) -> Pencil:
@@ -84,26 +84,12 @@ def _hermite_entries(H) -> list:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_check_rigid(args) -> int:
-    started = time.perf_counter()
+def cmd_check_rigid(args) -> dict:
     p = parse_poly(args.poly)
-    inputs = {"poly": args.poly}
     body: dict = {}
-
     p0 = p(0, 0)
-    if p0 != 0:
-        H = hermite_matrix(p)
-        verdict = psd_on_circle(H)
-        body["verdict"] = _STATUS_TO_VERDICT[verdict.status]
-        body["normalization"] = format_scalar(p0)
-        body["min_eigenvalue"] = verdict.min_eig
-        body["tolerance"] = verdict.tolerance
-        if verdict.status == CircleVerdict.NOT_PSD:
-            body["witness_theta"] = verdict.witness_theta
-            body["shortcut"] = verdict.shortcut
-        if args.emit_hermite:
-            body["hermite"] = _hermite_entries(H)
-    else:
+    recentred = p0 == 0
+    if recentred:
         # origin sits on the curve: recentre at a critical point with p != 0
         body["origin_on_curve"] = True
         cands = critical_points(p) if p.degree >= 2 else []
@@ -114,51 +100,49 @@ def cmd_check_rigid(args) -> int:
             body["verdict"] = "inconclusive"
             body["note"] = ("p(0) = 0 and no interior critical point found; "
                             "supply a parametrization (bezout-pencil) instead")
-        else:
-            shift = [Fraction(v) for v in pivot.x]
-            recentred = p.shifted(*shift)
-            H = hermite_matrix(recentred)
-            verdict = psd_on_circle(H)
-            body["recentered_at"] = [float(v) for v in shift]
-            body["verdict"] = _STATUS_TO_VERDICT[verdict.status]
-            body["min_eigenvalue"] = verdict.min_eig
-            body["note"] = ("verdict applies to the component containing the "
-                            "recentering point")
-            if args.emit_hermite:
-                body["hermite"] = _hermite_entries(H)
-    _emit(_report("check-rigid", inputs, started, **body), args.json)
-    return 0
+            return body
+        shift = [Fraction(v) for v in pivot.x]
+        p = p.shifted(*shift)
+        body["recentered_at"] = [float(v) for v in shift]
+
+    H = hermite_matrix(p)
+    verdict = psd_on_circle(H)
+    body["verdict"] = _STATUS_TO_VERDICT[verdict.status]
+    if recentred:
+        body["min_eigenvalue"] = verdict.min_eig
+        body["note"] = ("verdict applies to the component containing the "
+                        "recentering point")
+    else:
+        body["normalization"] = format_scalar(p0)
+        body["min_eigenvalue"] = verdict.min_eig
+        body["tolerance"] = verdict.tolerance
+        if verdict.status == CircleVerdict.NOT_PSD:
+            body["witness_theta"] = verdict.witness_theta
+            body["shortcut"] = verdict.shortcut
+    if args.emit_hermite:
+        body["hermite"] = _hermite_entries(H)
+    return body
 
 
-def cmd_hermite(args) -> int:
-    started = time.perf_counter()
+def cmd_hermite(args) -> dict:
     p = parse_poly(args.poly)
     H = hermite_matrix(p)
-    body = {
+    return {
         "m": H.m,
         "half_degree": H.d,
         "normalization": format_scalar(p(0, 0)),
         "hermite": _hermite_entries(H),
     }
-    _emit(_report("hermite", {"poly": args.poly}, started, **body), args.json)
-    return 0
 
 
-def _pencil_body(pencil: Pencil) -> dict:
+def cmd_bezout_pencil(args) -> dict:
+    pencil = pencil_from_param(_parametrization(args))
     verdict = rigid_at_origin(pencil)
-    return {
+    body = {
         "pencil": pencil.to_json_dict(),
         "rigid_at_origin": verdict.status,
         "f0_eigenvalues": list(verdict.eigenvalues),
     }
-
-
-def cmd_bezout_pencil(args) -> int:
-    started = time.perf_counter()
-    par = Parametrization(_parse_unipoly(args.q0), _parse_unipoly(args.q1),
-                          _parse_unipoly(args.q2))
-    pencil = pencil_from_param(par)
-    body = _pencil_body(pencil)
     if args.poly:
         p = parse_poly(args.poly)
         try:
@@ -173,29 +157,23 @@ def cmd_bezout_pencil(args) -> int:
         with open(args.out, "w") as handle:
             handle.write(pencil.dumps() + "\n")
         body["written"] = args.out
-    _emit(_report("bezout-pencil",
-                  {"q0": args.q0, "q1": args.q1, "q2": args.q2,
-                   "poly": args.poly}, started, **body), args.json)
-    return 0
+    return body
 
 
-def cmd_find_component(args) -> int:
-    started = time.perf_counter()
+def cmd_find_component(args) -> dict:
     if args.pencil:
         pencil = _load_pencil(args.pencil)
     elif args.q0 and args.q1 and args.q2:
-        pencil = pencil_from_param(Parametrization(
-            _parse_unipoly(args.q0), _parse_unipoly(args.q1),
-            _parse_unipoly(args.q2)))
+        pencil = pencil_from_param(_parametrization(args))
     else:
-        raise SystemExit("find-component needs --pencil or --q0/--q1/--q2")
+        raise ValueError("find-component needs --pencil or --q0/--q1/--q2")
     if args.poly:
         p = parse_poly(args.poly)
         verify_pencil_det(pencil, p)  # mismatch surfaces with context
     elif pencil.is_exact():
         p = interpolate_det(pencil)
     else:
-        raise SystemExit("find-component needs --poly for pencils with "
+        raise ValueError("find-component needs --poly for pencils with "
                          "floating-point entries")
     result = find_interior_point(pencil, p)
     body = {
@@ -210,139 +188,125 @@ def cmd_find_component(args) -> int:
     if result.point is not None:
         best = certify_psd_point(pencil, result.point)
         body["certificate"] = list(best.cert)
-    _emit(_report("find-component",
-                  {"pencil": args.pencil, "poly": args.poly}, started, **body),
-          args.json)
-    return 0
+    return body
 
 
-def cmd_cubic_repr(args) -> int:
-    started = time.perf_counter()
+def cmd_cubic_repr(args) -> dict:
     p = parse_poly(args.poly)
-    body: dict = {}
     try:
         reps = cubic_representations(p)
     except SingularCubicError as err:
-        body["verdict"] = "singular-cubic"
-        body["note"] = str(err)
-        _emit(_report("cubic-repr", {"poly": args.poly}, started, **body),
-              args.json)
-        return 0
+        return {"verdict": "singular-cubic", "note": str(err)}
     except NoRealSolutionError as err:
-        body["verdict"] = "no-real-solution"
-        body["note"] = str(err)
-        _emit(_report("cubic-repr", {"poly": args.poly}, started, **body),
-              args.json)
-        return 0
-    body["verdict"] = "computed"
-    body["representations"] = [
-        {"t": format_scalar(rep.t_star), "c": format_scalar(rep.c),
-         "pencil": rep.pencil.to_json_dict()}
-        for rep in reps
-    ]
-    _emit(_report("cubic-repr", {"poly": args.poly}, started, **body), args.json)
-    return 0
+        return {"verdict": "no-real-solution", "note": str(err)}
+    return {
+        "verdict": "computed",
+        "representations": [
+            {"t": format_scalar(rep.t_star), "c": format_scalar(rep.c),
+             "pencil": rep.pencil.to_json_dict()}
+            for rep in reps
+        ],
+    }
 
 
-def cmd_export_sdp(args) -> int:
-    started = time.perf_counter()
+def cmd_export_sdp(args) -> dict:
     p = parse_poly(args.poly)
     H = hermite_matrix(p)
     prob = build_sdp(H)
     write_sdpa(prob, args.out)
-    body = {
+    return {
         "written": args.out,
         "block_size": prob.block_size,
         "num_vars": prob.num_vars,
     }
-    _emit(_report("export-sdp", {"poly": args.poly}, started, **body), args.json)
-    return 0
 
 
-def cmd_verify_factor(args) -> int:
-    started = time.perf_counter()
+def cmd_verify_factor(args) -> dict:
     p = parse_poly(args.poly)
     H = hermite_matrix(p)
     with open(args.factor) as handle:
         U = MatrixPoly.from_json_dict(json.load(handle))
     report = verify_spectral_factor(H, U, tol=args.tol)
-    body = {
+    return {
         "verdict": "pass" if report.passed else "fail",
         "max_residual": report.max_residual,
         "relative_residual": report.relative,
         "tolerance": report.tolerance,
     }
-    _emit(_report("verify-factor", {"poly": args.poly, "factor": args.factor},
-                  started, **body), args.json)
-    return 0
 
 
-def cmd_verify_det(args) -> int:
-    started = time.perf_counter()
+def cmd_verify_det(args) -> dict:
     pencil = _load_pencil(args.pencil)
     p = parse_poly(args.poly)
-    body: dict = {}
     try:
         c = verify_pencil_det(pencil, p)
-        body["verdict"] = "proportional"
-        body["c"] = format_scalar(c)
     except DeterminantMismatchError as err:
-        body["verdict"] = "mismatch"
-        body["monomial"] = list(err.monomial) if err.monomial else None
-        body["got"] = str(err.got)
-        body["expected"] = str(err.expected)
-    _emit(_report("verify-det", {"pencil": args.pencil, "poly": args.poly},
-                  started, **body), args.json)
-    return 0
+        return {
+            "verdict": "mismatch",
+            "monomial": list(err.monomial) if err.monomial else None,
+            "got": str(err.got),
+            "expected": str(err.expected),
+        }
+    return {"verdict": "proportional", "c": format_scalar(c)}
 
 
-def cmd_fixture(args) -> int:
-    started = time.perf_counter()
+def cmd_fixture(args) -> dict:
     report = verify_fixture(args.name)
-    body = {
+    return {
         "verdict": "pass" if report.passed else "fail",
         "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
                    for c in report.checks],
     }
-    _emit(_report("fixture", {"name": args.name}, started, **body), args.json)
-    return 0
 
 
-def cmd_plot_data(args) -> int:
-    started = time.perf_counter()
+def cmd_plot_data(args) -> dict | None:
+    """CSV samples to ``--out`` or stdout; a report only for ``--out --json``."""
+    if args.grid > MAX_PLOT_GRID:
+        raise ValueError(f"--grid {args.grid} exceeds MAX_PLOT_GRID = {MAX_PLOT_GRID}")
     p = parse_poly(args.poly)
-    parts = [float(v) for v in args.range.split(":")]
+    try:
+        parts = [float(v) for v in args.range.split(":")]
+    except ValueError:
+        parts = []
     if len(parts) == 2:
         x1lo, x1hi = parts
         x2lo, x2hi = parts
     elif len(parts) == 4:
         x1lo, x1hi, x2lo, x2hi = parts
     else:
-        raise PolyParseError("range must be lo:hi or x1lo:x1hi:x2lo:x2hi", 0)
+        raise ValueError(f"--range {args.range!r} must be lo:hi or "
+                         "x1lo:x1hi:x2lo:x2hi")
     lines = ["x1,x2,p"]
     for x2 in np.linspace(x2lo, x2hi, args.grid):
         for x1 in np.linspace(x1lo, x1hi, args.grid):
             lines.append(f"{x1:.12g},{x2:.12g},{float(p(x1, x2)):.12g}")
     text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        if not args.json:
-            print(f"wrote {args.out} ({args.grid * args.grid} samples)")
-        else:
-            _emit(_report("plot-data", {"poly": args.poly}, started,
-                          written=args.out, samples=args.grid * args.grid), True)
-    else:
+    if not args.out:
         sys.stdout.write(text)
-    return 0
+        return None
+    with open(args.out, "w") as handle:
+        handle.write(text)
+    if not args.json:
+        print(f"wrote {args.out} ({args.grid * args.grid} samples)")
+        return None
+    return {"written": args.out, "samples": args.grid * args.grid}
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so ``main`` reports them with exit 1
+    like every other input error; argparse alone would exit 2.  Subparsers
+    inherit the class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rigidconvex",
         description="Rigid convexity detection and LMI representations of "
                     "plane curves",
@@ -421,9 +385,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        started = time.perf_counter()
+        body = args.func(args)
+        if body is not None:
+            inputs = {key: val for key, val in vars(args).items()
+                      if key not in ("command", "func", "json")}
+            _emit({"command": args.command, "inputs": inputs, **body,
+                   "timing_seconds": round(time.perf_counter() - started, 6)},
+                  args.json)
+        return 0
     except (PolyParseError, OriginOnCurveError, UnknownFixtureError,
             DimensionMismatchError, FileNotFoundError,
             json.JSONDecodeError, ValueError, KeyError) as err:

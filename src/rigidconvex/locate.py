@@ -22,6 +22,7 @@ from .polycore import Pencil, Poly, UniPoly, _bareiss, _horner, _newton_interpol
 RESIDUAL_TOL = 1e-7
 MERGE_TOL = 1e-8
 ROOT_CLUSTER_TOL = 1e-7
+CERT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -247,12 +248,11 @@ def boundary_points(p: Poly) -> list[CandidatePoint]:
 # certification
 # ---------------------------------------------------------------------------
 
-def certify_psd_point(pencil: Pencil, x, tol: float = 1e-9,
-                      source: str = "query") -> CandidatePoint:
+def certify_psd_point(pencil: Pencil, x, source: str = "query") -> CandidatePoint:
     """Sign test on the characteristic polynomial det(tI + F(x)).
 
     All of p_0 .. p_{m-1} strictly positive certifies F(x) PD; all
-    nonnegative (within tol, after eigenvalue normalisation) certifies PSD.
+    nonnegative (within CERT_TOL, after eigenvalue normalisation) certifies PSD.
     """
     mat = pencil.eval(*x)
     eigs = np.linalg.eigvalsh(mat)
@@ -263,9 +263,9 @@ def certify_psd_point(pencil: Pencil, x, tol: float = 1e-9,
     for lam in scaled:
         coeffs = np.convolve(coeffs, [1.0, lam])
     normalised = coeffs[1:][::-1]  # p_0 .. p_{m-1} of the scaled matrix
-    if np.all(normalised > tol):
+    if np.all(normalised > CERT_TOL):
         verdict = "PD"
-    elif np.all(normalised >= -tol):
+    elif np.all(normalised >= -CERT_TOL):
         verdict = "PSD"
     else:
         verdict = "rejected"

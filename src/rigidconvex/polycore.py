@@ -584,11 +584,11 @@ class UniPoly:
             return np.array([], dtype=complex)
         return np.roots([float(c) for c in reversed(self.coeffs)])
 
-    def real_roots(self, tol: float = 1e-8) -> list[float]:
+    def real_roots(self) -> list[float]:
         rts = self.roots()
         scale = np.maximum(1.0, np.abs(rts))
         return sorted(float(r.real) for r, s in zip(rts, scale)
-                      if abs(r.imag) < tol * s)
+                      if abs(r.imag) < 1e-8 * s)
 
     def __str__(self):
         if self.is_zero():

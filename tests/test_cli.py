@@ -1,10 +1,15 @@
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rigidconvex
 from rigidconvex import SingularCubicError, cubic_representations, parse_poly
-from rigidconvex.cli import main
+from rigidconvex.cli import MAX_PLOT_GRID, main
 
 CAPRICORN = "x1^2*(x1^2+x2^2)-2*(x1^2+x2^2-x2)^2"
 Q0 = "45,-8,10,0,1"
@@ -369,3 +374,122 @@ def test_check_rigid_squared_conic_inconclusive(capsys):
     code, rep, _ = run_json(capsys, "check-rigid", "--poly", "(1-x1^2-x2^2)^2")
     assert code == 0
     assert rep["verdict"] == "inconclusive"
+
+
+# ---------------------------------------------------------------------------
+# one report path: every subcommand, usage errors
+# ---------------------------------------------------------------------------
+
+DISC = "1-x1^2-x2^2"
+CUBIC = "1-x1-4*x1^2-x2^2+4*x1^3"
+
+# each subcommand with every option but --json, as its report's "inputs" must
+# hold them; None and False are left off the command line, so they check that
+# unset options are reported too.  Paths are relative to a directory that
+# holds pencil.json and U.json.
+REPORT_CASES = [
+    ("check-rigid", {"poly": DISC, "emit_hermite": False}),
+    ("hermite", {"poly": DISC}),
+    ("bezout-pencil", {"q0": Q0, "q1": Q1, "q2": Q2, "poly": None, "out": None}),
+    ("find-component", {"pencil": "pencil.json", "q0": None, "q1": None,
+                        "q2": None, "poly": DISC}),
+    ("cubic-repr", {"poly": "x1^3-x2^2-x1"}),
+    ("export-sdp", {"poly": CUBIC, "out": "cubic.dat-s"}),
+    ("verify-factor", {"poly": CUBIC, "factor": "U.json", "tol": 0.01}),
+    ("verify-det", {"pencil": "pencil.json", "poly": DISC}),
+    ("fixture", {"name": "fermat-pencil"}),
+    ("plot-data", {"poly": DISC, "range": "-1:1", "grid": 3, "out": "plot.csv"}),
+]
+
+
+@pytest.mark.parametrize("command, options", REPORT_CASES,
+                         ids=[case[0] for case in REPORT_CASES])
+def test_report_frame(tmp_path, monkeypatch, capsys, command, options):
+    from rigidconvex.fixtures import load_fixture
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pencil.json").write_text(json.dumps(_DISC_PENCIL))
+    U = load_fixture("cubic-curve")["expect"]["spectral_factor"]["U"]
+    (tmp_path / "U.json").write_text(json.dumps(
+        {"m": 3, "degree": 4,
+         "U": [[[str(x) for x in row] for row in mat] for mat in U]}))
+    argv = [command]
+    for key, val in options.items():
+        flag = "--" + key.replace("_", "-")
+        if val is True:
+            argv.append(flag)
+        elif val not in (None, False):
+            argv.append(f"{flag}={val}")
+    code, rep, err = run_json(capsys, *argv)
+    assert code == 0, err
+    assert rep["command"] == command
+    assert rep["inputs"] == options
+    assert list(rep)[:2] == ["command", "inputs"]
+    assert list(rep)[-1] == "timing_seconds"
+    assert len(rep) > 3
+
+
+_FLOAT_PENCIL = {**_DISC_PENCIL, "F0": [[1.5, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-rigid", "--json"],
+    ["check-rigid", "--poly", DISC, "--bogus"],
+    ["fixture", "--name", "nope"],
+    ["plot-data", "--poly=x1", "--range=0:1", "--grid=abc"],
+    ["no-such-command"],
+    [],
+    ["find-component", "--poly", DISC],
+    ["find-component", "--q0", "1,0,1", "--poly", DISC],
+    ["find-component", "--pencil", "float.json"],
+], ids=["missing-option", "unknown-option", "bad-choice", "bad-int",
+        "unknown-command", "no-command", "find-component-no-pencil",
+        "find-component-partial-q", "find-component-float-no-poly"])
+def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
+    # argparse's own error() exits 2, the code for numerical failures, and
+    # raises SystemExit out of main
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "float.json").write_text(json.dumps(_FLOAT_PENCIL))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-rigid", "--help"])
+    assert exc.value.code == 0
+    assert "--poly" in capsys.readouterr().out
+
+
+def test_console_path_exits_1_on_usage_error():
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(rigidconvex.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "rigidconvex.cli", "check-rigid"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "--poly" in proc.stderr
+
+
+@pytest.mark.parametrize("bad", ["0:1:2", "0:abc", "1"])
+def test_plot_data_bad_range_names_option(capsys, bad):
+    code, out, err = run(capsys, "plot-data", "--poly", "x1+x2", f"--range={bad}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --range") and "offset" not in err
+
+
+def test_plot_data_grid_bound(tmp_path, capsys):
+    import time
+
+    out = tmp_path / "plot.csv"
+    started = time.perf_counter()
+    code, stdout, err = run(capsys, "plot-data", "--poly", "x1+x2", "--range=0:1",
+                            "--grid", str(MAX_PLOT_GRID + 1), "--out", str(out))
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error:") and "MAX_PLOT_GRID" in err
+    assert not out.exists()
