@@ -10,7 +10,11 @@ q1 - x1 q0 = q2 - x2 q0 = 0 gives the symmetric pencil
 
 whose determinant is proportional to the implicit equation p(x).  Positive
 semidefiniteness of F(0) = B(q1, q2) decides rigid convexity around the
-origin and is equivalent to the roots of q1 and q2 interlacing.
+origin and is equivalent to the roots of q1 and q2 interlacing.  Every
+decision here is exact: det F and the characteristic polynomials behind
+``signature_exact`` both come from the integer lattice of
+``interpolate_det``, which reads float entries as the binary rationals they
+are.  Float eigenvalues and roots are reported only as diagnostics.
 """
 from __future__ import annotations
 
@@ -23,9 +27,7 @@ import numpy as np
 
 from .errors import DegreeZeroError, DeterminantMismatchError, DimensionMismatchError
 from .polycore import Pencil, Poly, Scalar, UniPoly, _bareiss, _divided_differences, \
-    _newton_interpolate, _newton_to_monomial
-
-ROOT_REALITY_TOL = 1e-8
+    _newton_to_monomial
 
 
 def bezout_matrix(g: UniPoly, h: UniPoly, m: int | None = None) -> list:
@@ -103,96 +105,61 @@ class InterlaceReport:
 
 
 def signature_exact(rows) -> tuple[int, int, int]:
-    """(n_pos, n_neg, n_zero) of an exact symmetric rational matrix A.  Its
-    characteristic polynomial det(tI - D A), D the lcm of the denominators,
-    is interpolated from integer Bareiss determinants at t = 0..n; it has
-    only real roots, so Descartes' rule counts the positive ones exactly as
-    the sign changes of its coefficients."""
-    den = math.lcm(*[x.denominator for row in rows for x in row])
-    mat = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-    n = len(mat)
-    values = [_bareiss([[t * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(mat)])
-              for t in range(n + 1)]
-    char = _newton_interpolate(values, 0)
+    """(n_pos, n_neg, n_zero) of a symmetric matrix A with rational or float
+    entries.  Its characteristic polynomial det(tI - A) is the determinant of
+    the one-variable pencil -A + t I, taken exactly by ``interpolate_det``;
+    it has only real roots, so Descartes' rule counts the positive ones
+    exactly as the sign changes of its coefficients."""
+    n = len(rows)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    det = interpolate_det(Pencil.from_rows([[-x for x in row] for row in rows], identity))
+    char = [det.coeff((k,)) for k in range(n + 1)]
     signs = [c > 0 for c in char if c]
     pos = sum(a != b for a, b in zip(signs, signs[1:]))
     zero = next(k for k, c in enumerate(char) if c)  # multiplicity of the root 0
     return pos, n - pos - zero, zero
 
 
-def _real_roots_or_none(q: UniPoly):
-    roots = q.roots()
-    out = []
-    for r in roots:
-        if abs(r.imag) >= ROOT_REALITY_TOL * max(1.0, abs(r)):
-            return None
-        out.append(float(r.real))
-    return sorted(out)
-
-
 def interlace_check(q1: UniPoly, q2: UniPoly) -> InterlaceReport:
-    """Definite iff the roots of q1 and q2 are all real and strictly alternate.
-
-    Borderline coincident roots give 'semidefinite'; complex roots or a
-    broken alternation give 'indefinite'.  The exact signature of B(q1, q2)
-    is reported alongside as a cross-check.
+    """Decided by the exact inertia of B(q1, q2): 'definite' when it has one
+    sign and no kernel (the roots of q1 and q2 are real and strictly
+    interlace), 'semidefinite' when it has one sign and a kernel (q1 and q2
+    have a common root, possibly at infinity), else 'indefinite'.  The float
+    real roots of q1 and q2, and whether all their roots are real, are
+    reported as diagnostics.
     """
     if q1.is_zero() or q2.is_zero():
         raise ValueError("interlace_check needs two nonzero polynomials")
     m = max(q1.degree, q2.degree)
-    pos, neg, _ = signature_exact(bezout_matrix(q1, q2, m))
-    signature = pos - neg
-
-    r1 = _real_roots_or_none(q1)
-    r2 = _real_roots_or_none(q2)
-    if r1 is None or r2 is None:
-        return InterlaceReport("indefinite", tuple(r1 or ()), tuple(r2 or ()),
-                               False, signature)
-
-    events = sorted([(v, 0) for v in r1] + [(v, 1) for v in r2])
-    coincident = False
-    ordered = True
-    for k in range(1, len(events)):
-        val, label = events[k]
-        gap = abs(val - events[k - 1][0])
-        if gap <= 1e-7 * max(1.0, abs(val)):
-            coincident = True
-        elif events[k - 1][1] == label:
-            ordered = False
-    if abs(len(r1) - len(r2)) > 1:
-        ordered = False
-    if ordered and not coincident:
-        verdict = "definite"
-    elif ordered:
-        verdict = "semidefinite"
-    else:
+    pos, neg, zero = signature_exact(bezout_matrix(q1, q2, m))
+    if pos and neg:
         verdict = "indefinite"
-    return InterlaceReport(verdict, tuple(r1), tuple(r2), True, signature)
+    else:
+        verdict = "semidefinite" if zero else "definite"
+    r1, r2 = q1.real_roots(), q2.real_roots()
+    all_real = len(r1) == q1.degree and len(r2) == q2.degree
+    return InterlaceReport(verdict, tuple(r1), tuple(r2), all_real, pos - neg)
 
 
 # ---------------------------------------------------------------------------
 # determinant verification
 # ---------------------------------------------------------------------------
 
-def _monomials(degree: int, nvars: int) -> list[tuple]:
-    return [e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) <= degree]
-
-
 def interpolate_det(pencil: Pencil) -> Poly:
     """det F(x) as an exact polynomial (total degree <= m) by Newton
-    interpolation on the principal lattice {x in N^n : |x| <= m}; requires an
-    exact pencil.  F is cleared by one lcm D, and det(D F) is evaluated at
-    every lattice point with integer multiply-adds and Bareiss.  Divided
-    differences along each axis give its coefficients in the falling-factorial
-    basis, the one of index a using only the points <= a; converting back
-    along each axis gives its integer monomial coefficients, divided by D^m."""
-    if not pencil.is_exact():
-        raise ValueError("exact interpolation needs rational pencil entries")
+    interpolation on the principal lattice {x in N^n : |x| <= m}; float
+    entries count as the binary rationals they are.  F is cleared by one lcm
+    D, and det(D F) is evaluated at every lattice point with integer
+    multiply-adds and Bareiss.  Divided differences along each axis give its
+    coefficients in the falling-factorial basis, the one of index a using only
+    the points <= a; converting back along each axis gives its integer
+    monomial coefficients, divided by D^m."""
     m, nvars = pencil.m, pencil.nvars
-    den = math.lcm(*[x.denominator for mat in pencil.mats for row in mat for x in row])
-    ints = [[[x.numerator * (den // x.denominator) for x in row] for row in mat]
+    mats = [[[Fraction(x) if isinstance(x, float) else x for x in row] for row in mat]
             for mat in pencil.mats]
-    monos = _monomials(m, nvars)
+    den = math.lcm(*[x.denominator for mat in mats for row in mat for x in row])
+    ints = [[[x.numerator * (den // x.denominator) for x in row] for row in mat] for mat in mats]
+    monos = [e for e in itertools.product(range(m + 1), repeat=nvars) if sum(e) <= m]
     vals = {mono: _bareiss([[sum([e * G[i][j] for e, G in zip((1,) + mono, ints)])
                              for j in range(m)] for i in range(m)]) for mono in monos}
     for convert in (_divided_differences, _newton_to_monomial):
@@ -208,9 +175,9 @@ def interpolate_det(pencil: Pencil) -> Poly:
 def verify_pencil_det(pencil: Pencil, p: Poly):
     """Scale c with det F(x) = c p(x); raises DeterminantMismatchError.
 
-    Exact pencils are interpolated and compared exactly; floating pencils are
-    compared coefficientwise within 1e-8 relative to the largest
-    coefficient.
+    det F is interpolated exactly.  An exact pencil must match c p exactly
+    and gives an exact c; a pencil with float entries may differ by 1e-8
+    times its largest determinant coefficient and gives a float c.
     """
     if p.is_zero():
         raise ValueError("cannot verify against the zero polynomial")
@@ -220,34 +187,18 @@ def verify_pencil_det(pencil: Pencil, p: Poly):
         raise DimensionMismatchError(
             f"deg p = {p.degree} exceeds pencil size {pencil.m}")
     anchor = max(p.coeffs, key=lambda e: abs(p.coeffs[e]))
-
-    if pencil.is_exact():
-        det = interpolate_det(pencil)
-        c = det.coeff(anchor) / p.coeff(anchor)
-        if det != p * c:
-            diff = det - p * c
-            mono = next(iter(diff.coeffs))
+    det = interpolate_det(pencil)
+    c = det.coeff(anchor) / p.coeff(anchor)
+    cp = p * c
+    exact = pencil.is_exact()
+    tol = 0 if exact else 1e-8 * max([1, *map(abs, det.coeffs.values())])
+    cast = Fraction if exact else float  # the type of every reported number
+    for mono, gap in (det - cp).coeffs.items():
+        if abs(gap) > tol:
             raise DeterminantMismatchError(
                 f"det F != c*p at monomial {mono}", monomial=mono,
-                got=det.coeff(mono), expected=(p * c).coeff(mono))
-        return c
-
-    monos = _monomials(pencil.m, pencil.nvars)
-    points = [tuple(float(e) for e in mono) for mono in monos]
-    rows = np.array([[math.prod([x**e for x, e in zip(pt, mono)]) for mono in monos]
-                     for pt in points])
-    rhs = np.array([float(np.linalg.det(pencil.eval(*pt))) for pt in points])
-    coeffs = np.linalg.solve(rows, rhs)
-    det = {mono: val for mono, val in zip(monos, coeffs)}
-    c = det[anchor] / float(p.coeff(anchor))
-    scale = max(1.0, max(abs(v) for v in det.values()))
-    for mono in monos:
-        expected = c * float(p.coeff(mono))
-        if abs(det[mono] - expected) > 1e-8 * scale:
-            raise DeterminantMismatchError(
-                f"det F != c*p at monomial {mono}", monomial=mono,
-                got=det[mono], expected=expected)
-    return c
+                got=cast(det.coeff(mono)), expected=cast(cp.coeff(mono)))
+    return cast(c)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +208,7 @@ def verify_pencil_det(pencil: Pencil, p: Poly):
 @dataclass(frozen=True)
 class RigidVerdict:
     status: str  # StrictlyRigid | Marginal | No
-    eigenvalues: tuple[float, ...]
-    tolerance: float
+    eigenvalues: tuple[float, ...]  # float eigenvalues of F0, diagnostics only
 
     STRICT = "StrictlyRigid"
     MARGINAL = "Marginal"
@@ -266,15 +216,12 @@ class RigidVerdict:
 
 
 def rigid_at_origin(pencil: Pencil) -> RigidVerdict:
-    """Classify F(0) = F0: PD, PSD-with-kernel, or not PSD."""
-    F0 = np.array([[float(x) for x in row] for row in pencil.mats[0]])
-    eigs = np.linalg.eigvalsh(F0)
-    tol = 1e-9 * max(1.0, float(np.linalg.norm(F0)))
-    low = float(eigs.min())
-    if low > tol:
-        status = RigidVerdict.STRICT
-    elif low >= -tol:
-        status = RigidVerdict.MARGINAL
-    else:
+    """Classify F(0) = F0 by its exact inertia: PD, PSD-with-kernel, or not
+    PSD."""
+    _pos, neg, zero = signature_exact(pencil.mats[0])
+    if neg:
         status = RigidVerdict.NO
-    return RigidVerdict(status, tuple(float(e) for e in eigs), tol)
+    else:
+        status = RigidVerdict.MARGINAL if zero else RigidVerdict.STRICT
+    eigs = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in pencil.mats[0]]))
+    return RigidVerdict(status, tuple(float(e) for e in eigs))

@@ -276,10 +276,23 @@ def cmd_plot_data(args) -> dict | None:
     else:
         raise ValueError(f"--range {args.range!r} must be lo:hi or "
                          "x1lo:x1hi:x2lo:x2hi")
+    # Poly.__call__'s float operations, in its order and with its scalar
+    # powers x**e (x**0 = 1 is exact), over the whole grid at once
+    values = np.zeros((args.grid, args.grid))  # rows x2, columns x1
+    with np.errstate(all="ignore"):  # non-finite samples are refused below
+        x1s, x2s = np.linspace(x1lo, x1hi, args.grid), np.linspace(x2lo, x2hi, args.grid)
+        for (a, b), v in p.coeffs.items():
+            values = values + (float(v) * np.array([x**a for x in x1s])
+                               * np.array([x**b for x in x2s])[:, None])
+    finite = np.isfinite(values) & np.isfinite(x1s) & np.isfinite(x2s)[:, None]
+    bad = values.size - int(np.count_nonzero(finite))
+    if bad:
+        raise ValueError(f"{bad} of {values.size} samples are not finite; "
+                         "narrow --range")
     lines = ["x1,x2,p"]
-    for x2 in np.linspace(x2lo, x2hi, args.grid):
-        for x1 in np.linspace(x1lo, x1hi, args.grid):
-            lines.append(f"{x1:.12g},{x2:.12g},{float(p(x1, x2)):.12g}")
+    for x2, row in zip(x2s, values):
+        for x1, val in zip(x1s, row):
+            lines.append(f"{x1:.12g},{x2:.12g},{val:.12g}")
     text = "\n".join(lines) + "\n"
     if not args.out:
         sys.stdout.write(text)

@@ -201,14 +201,8 @@ def cubic_representations(p: Poly) -> list[CubicRepresentation]:
         c = gpoly[anchor](t) / P.coeff(anchor)
         if c == 0:
             continue
-        if isinstance(c, Fraction):
-            mu = _cube_root_exact(c)
-            if mu is not None:
-                mu = 1 / mu
-            else:
-                mu = float(np.sign(float(c)) * abs(float(c)) ** (-1.0 / 3.0))
-        else:
-            mu = float(np.sign(c) * abs(c) ** (-1.0 / 3.0))
+        root = _cube_root_exact(c) if isinstance(c, Fraction) else None
+        mu = 1 / root if root is not None else float(np.sign(float(c)) * abs(float(c)) ** (-1 / 3))
         pencil = hessian(h + P * t).scaled(mu).with_scale(1)
         reps.append(CubicRepresentation(t, c, mu, pencil))
     if not reps:

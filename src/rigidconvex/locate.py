@@ -3,7 +3,8 @@
 The search is purely algebraic: candidate points come from the critical
 equations grad p = 0 and from the boundary systems {p = 0, dp/dx_i = 0},
 both reduced to univariate root extraction through exact integer resultants
-and integer square-free parts (see ``polycore``).  Candidates
+and integer square-free parts (see ``polycore``), whose multiplicities are
+exact: coprime factors share no root, so nothing is merged.  Candidates
 are then certified through the sign pattern of the characteristic
 polynomial of F(x), det(tI + F(x)) = p_0(x) + p_1(x) t + ... + t^m, which is
 entrywise nonnegative exactly on the LMI set.
@@ -21,7 +22,6 @@ from .polycore import Pencil, Poly, UniPoly, _bareiss, _horner, _newton_interpol
 
 RESIDUAL_TOL = 1e-7
 MERGE_TOL = 1e-8
-ROOT_CLUSTER_TOL = 1e-7
 CERT_TOL = 1e-9
 
 
@@ -92,24 +92,14 @@ def resultant_elim_x1(f: Poly, g: Poly) -> UniPoly:
 
 
 def real_roots_with_multiplicity(r: UniPoly) -> list[tuple[float, int]]:
-    """Real roots of an exact polynomial with exact multiplicities.
+    """Real roots of an exact polynomial with exact multiplicities, sorted.
 
-    Square-free decomposition isolates each multiplicity class, so the
-    numeric root extraction only ever sees simple roots; clusters closer
-    than 1e-7 are then merged with multiplicities added.
+    The square-free decomposition splits r into coprime square-free factors,
+    one per multiplicity, so no two factors share a root and the numeric
+    root extraction only ever sees simple roots.
     """
-    found: list[tuple[float, int]] = []
-    for factor, mult in r.squarefree_decomposition():
-        for root in factor.real_roots():
-            found.append((root, mult))
-    found.sort()
-    merged: list[list] = []
-    for root, mult in found:
-        if merged and abs(root - merged[-1][0]) <= ROOT_CLUSTER_TOL * max(1.0, abs(root)):
-            merged[-1][1] += mult
-        else:
-            merged.append([root, mult])
-    return [(r0, m0) for r0, m0 in merged]
+    return sorted((root, mult) for factor, mult in r.squarefree_decomposition()
+                  for root in factor.real_roots())
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,97 @@ def test_interlace_signature_matches_verdict_random():
     assert found > 200
 
 
+def reference_interlace_check(q1: UniPoly, q2: UniPoly) -> str:
+    """The float decision interlace_check made before the exact inertia: all
+    roots real (imaginary part below 1e-8 relative), then strict alternation
+    of the sorted roots, with gaps below 1e-7 counted as coincident."""
+    def real_or_none(q):
+        out = []
+        for r in q.roots():
+            if abs(r.imag) >= 1e-8 * max(1.0, abs(r)):
+                return None
+            out.append(float(r.real))
+        return sorted(out)
+
+    r1, r2 = real_or_none(q1), real_or_none(q2)
+    if r1 is None or r2 is None:
+        return "indefinite"
+    events = sorted([(v, 0) for v in r1] + [(v, 1) for v in r2])
+    coincident, ordered = False, abs(len(r1) - len(r2)) <= 1
+    for k in range(1, len(events)):
+        val, label = events[k]
+        if abs(val - events[k - 1][0]) <= 1e-7 * max(1.0, abs(val)):
+            coincident = True
+        elif events[k - 1][1] == label:
+            ordered = False
+    if ordered and not coincident:
+        return "definite"
+    return "semidefinite" if ordered else "indefinite"
+
+
+def _from_roots(roots, lead=1, quadratics=()):
+    q = UniPoly([lead])
+    for r in roots:
+        q = q * UniPoly([-r, 1])
+    for a, b in quadratics:  # (u - a)^2 + b^2, a complex pair when b != 0
+        q = q * UniPoly([a * a + b * b, -2 * a, 1])
+    return q
+
+
+def test_interlace_matches_float_reference_random():
+    """On well-separated roots (gaps >= 1/2, complex pairs >= 1/2 off the real
+    axis, no shared root) the exact inertia and the old float alternation
+    give the same verdict."""
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        points = [Fraction(rng.randint(-40, -30), 7)]
+        for _ in range(n - 1):
+            points.append(points[-1] + Fraction(rng.randint(4, 14), 8))
+        if rng.random() < 0.5:
+            labels = [k % 2 for k in range(n)]  # strict alternation
+        else:
+            labels = [rng.randint(0, 1) for _ in range(n)]
+        roots1 = [x for x, lab in zip(points, labels) if lab == 0]
+        roots2 = [x for x, lab in zip(points, labels) if lab == 1]
+        if not roots1 or abs(len(roots1) - len(roots2)) > 1:
+            continue
+        pairs = []
+        if rng.random() < 0.3 and len(roots2) >= 2:  # two real roots become a complex pair
+            del roots2[rng.randrange(len(roots2))]
+            del roots2[rng.randrange(len(roots2))]
+            pairs.append((Fraction(rng.randint(-8, 8), 3), Fraction(rng.randint(2, 6), 4)))
+        q1 = _from_roots(roots1, Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 5])))
+        q2 = _from_roots(roots2, Fraction(rng.choice([-2, 1, 7]), rng.choice([1, 3])), pairs)
+        report = interlace_check(q1, q2)
+        assert report.verdict == reference_interlace_check(q1, q2)
+        assert report.all_real == (not pairs)
+        seen.add(report.verdict)
+    assert seen == {"definite", "indefinite"}
+
+
+def test_interlace_shared_complex_factor_semidefinite():
+    """q1 = (u^2+1)(u-1), q2 = (u^2+1)(u+1): the roots are not all real, so
+    the float alternation said 'indefinite'.  But B(g r, h r) is
+    r(u) r(v) B(g, h) and B(u - 1, u + 1) = 2, so B(q1, q2) is the coefficient
+    matrix of 2 (u^2+1)(v^2+1), which is 2 c c^T with c = (1, 0, 1): positive
+    semidefinite of rank one, inertia (1, 0, 2)."""
+    from rigidconvex.bezout import signature_exact
+
+    q1 = UniPoly([1, 0, 1]) * UniPoly([-1, 1])
+    q2 = UniPoly([1, 0, 1]) * UniPoly([1, 1])
+    B = bezout_matrix(q1, q2, 3)
+    assert B == [[2, 0, 2], [0, 0, 0], [2, 0, 2]]
+    assert signature_exact(B) == (1, 0, 2)
+    report = interlace_check(q1, q2)
+    assert report.verdict == "semidefinite"
+    assert report.signature == 1
+    assert not report.all_real
+    assert report.roots1 == pytest.approx((1.0,)) and report.roots2 == pytest.approx((-1.0,))
+    assert reference_interlace_check(q1, q2) == "indefinite"
+
+
 def _cauchy_index(num: UniPoly, den: UniPoly) -> int:
     """Signed count of -inf -> +inf jumps of num/den along the real line.
 
@@ -430,6 +521,78 @@ def test_interpolate_det_matches_vandermonde_reference(nvars):
             list(reference_interpolate_det(pencil).coeffs.items())
 
 
+def reference_float_verify(pencil: Pencil, p: Poly) -> float:
+    """The float path verify_pencil_det took before it interpolated float
+    pencils exactly: numpy determinants at the principal-lattice points, one
+    dense numpy solve for the monomial coefficients, then a coefficientwise
+    comparison within 1e-8 of the largest one."""
+    m, nvars = pencil.m, pencil.nvars
+    monos = [e for e in itertools.product(range(m + 1), repeat=nvars) if sum(e) <= m]
+    points = [tuple(float(e) for e in mono) for mono in monos]
+    rows = np.array([[math.prod([x**e for x, e in zip(pt, mono)]) for mono in monos]
+                     for pt in points])
+    rhs = np.array([float(np.linalg.det(pencil.eval(*pt))) for pt in points])
+    det = dict(zip(monos, np.linalg.solve(rows, rhs)))
+    anchor = max(p.coeffs, key=lambda e: abs(p.coeffs[e]))
+    c = det[anchor] / float(p.coeff(anchor))
+    scale = max(1.0, max(abs(v) for v in det.values()))
+    for mono in monos:
+        if abs(det[mono] - c * float(p.coeff(mono))) > 1e-8 * scale:
+            raise DeterminantMismatchError(f"det F != c*p at monomial {mono}")
+    return c
+
+
+def _float_pencils():
+    """The float pencils of the elliptic-cubic homotopy (t* = -24 and 24)
+    and exact random pencils scaled by an irrational float."""
+    from rigidconvex.cubicrepr import cubic_representations
+
+    elliptic = parse_poly("x1^3-x2^2-x1")
+    out = [(rep.pencil, elliptic) for rep in cubic_representations(elliptic)
+           if not rep.pencil.is_exact()]
+    assert len(out) == 2
+    rng = random.Random(61)
+    for _ in range(12):
+        m = rng.randint(1, 4)
+        exact = Pencil.from_rows(*[_random_symmetric(rng, m) for _ in range(3)])
+        p = interpolate_det(exact)
+        if p.is_zero():
+            continue
+        out.append((exact.scaled(math.sqrt(2) / 3), p))
+    return out
+
+
+def test_verify_float_pencils_match_lattice_solve_reference():
+    for pencil, p in _float_pencils():
+        c = verify_pencil_det(pencil, p)
+        assert type(c) is float
+        assert c == pytest.approx(reference_float_verify(pencil, p), rel=1e-9)
+
+
+def test_verify_float_pencil_perturbed_raises():
+    for pencil, p in _float_pencils()[:6]:
+        rows = [[list(row) for row in mat] for mat in pencil.mats]
+        rows[1][0][0] += 1e-6
+        with pytest.raises(DeterminantMismatchError) as err:
+            verify_pencil_det(Pencil.from_rows(*rows), p)
+        assert type(err.value.got) is float and type(err.value.expected) is float
+
+
+def test_interpolate_det_reads_floats_as_binary_rationals():
+    rng = random.Random(67)
+    for _ in range(20):
+        m = rng.randint(1, 4)
+        mats = [[[rng.uniform(-3, 3) for _ in range(m)] for _ in range(m)] for _ in range(3)]
+        mats = [[[row[j] if i <= j else mat[j][i] for j, _ in enumerate(row)]
+                 for i, row in enumerate(mat)] for mat in mats]  # symmetrise
+        floats = Pencil.from_rows(*mats)
+        rationals = Pencil.from_rows(*[[[Fraction(x) for x in row] for row in mat]
+                                       for mat in mats])
+        assert not floats.is_exact()
+        assert list(interpolate_det(floats).coeffs.items()) == \
+            list(interpolate_det(rationals).coeffs.items())
+
+
 def test_verify_float_pencil_path():
     mu = 0.5
     F = Pencil.from_rows(
@@ -462,6 +625,67 @@ def test_rigid_at_origin_bean_marginal():
 def test_rigid_at_origin_negative():
     F = Pencil.from_rows([[-1, 0], [0, 1]], [[0, 0], [0, 0]], [[0, 0], [0, 0]])
     assert rigid_at_origin(F).status == RigidVerdict.NO
+
+
+def reference_rigid_at_origin(pencil: Pencil) -> str:
+    """The float decision rigid_at_origin made before the exact inertia:
+    eigvalsh of F0 against 1e-9 times its Frobenius norm."""
+    F0 = np.array([[float(x) for x in row] for row in pencil.mats[0]])
+    low = float(np.linalg.eigvalsh(F0).min())
+    tol = 1e-9 * max(1.0, float(np.linalg.norm(F0)))
+    if low > tol:
+        return RigidVerdict.STRICT
+    return RigidVerdict.MARGINAL if low >= -tol else RigidVerdict.NO
+
+
+def test_rigid_at_origin_matches_float_reference_random():
+    """F0 = P^T D P with P unimodular, so its exact inertia is that of the
+    integer diagonal D.  Where every nonzero eigenvalue is at least 1e-6 of
+    the norm, the float decision agrees with the exact one."""
+    rng = random.Random(71)
+    seen = set()
+    asserted = 0
+    for _ in range(300):
+        m = rng.randint(1, 5)
+        P = [[int(i == j) for j in range(m)] for i in range(m)]
+        for _ in range(2 * m):  # row operations keep det P = 1
+            i, j = rng.sample(range(m), 2) if m > 1 else (0, 0)
+            if i != j:
+                k = rng.choice([-2, -1, 1, 2])
+                P[i] = [a + k * b for a, b in zip(P[i], P[j])]
+        D = [rng.choice([-2, -1, 0, 0, 1, 1, 2, 3]) * Fraction(1, rng.choice([1, 3]))
+             for _ in range(m)]
+        F0 = [[sum(P[k][i] * D[k] * P[k][j] for k in range(m)) for j in range(m)]
+              for i in range(m)]
+        zeros = [[0] * m for _ in range(m)]
+        pencil = Pencil.from_rows(F0, zeros, zeros)
+        verdict = rigid_at_origin(pencil)
+        want = (RigidVerdict.NO if any(d < 0 for d in D) else
+                RigidVerdict.MARGINAL if 0 in D else RigidVerdict.STRICT)
+        assert verdict.status == want
+        eigs = np.abs(np.array(verdict.eigenvalues))
+        norm = max(1.0, float(np.linalg.norm(pencil.eval(0, 0))))
+        if all(e < 1e-12 * norm or e > 1e-6 * norm for e in eigs):
+            assert reference_rigid_at_origin(pencil) == want
+            asserted += 1
+        seen.add(want)
+    assert asserted >= 250
+    assert seen == {RigidVerdict.STRICT, RigidVerdict.MARGINAL, RigidVerdict.NO}
+
+
+def test_rigid_at_origin_tiny_positive_eigenvalue_is_strict():
+    """F0 = diag(1, 10^-12) is exactly positive definite, inertia (2, 0, 0).
+    The float decision called it Marginal: its smallest eigenvalue, 1e-12,
+    is below the tolerance 1e-9 * max(1, |F0|)."""
+    from rigidconvex.bezout import signature_exact
+
+    F0 = [[1, 0], [0, Fraction(1, 10**12)]]
+    pencil = Pencil.from_rows(F0, [[0, 0], [0, 0]], [[0, 0], [0, 0]])
+    assert signature_exact(F0) == (2, 0, 0)
+    verdict = rigid_at_origin(pencil)
+    assert verdict.status == RigidVerdict.STRICT
+    assert sorted(verdict.eigenvalues) == pytest.approx([1e-12, 1.0], rel=1e-12)
+    assert reference_rigid_at_origin(pencil) == RigidVerdict.MARGINAL
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,52 @@ def test_plot_data_stdout(capsys):
     assert out.splitlines()[0] == "x1,x2,p"
 
 
+def reference_plot_csv(poly: str, lo: float, hi: float, grid: int) -> str:
+    """The per-sample loop plot-data ran before its grid evaluation."""
+    import numpy as np
+
+    p = parse_poly(poly)
+    lines = ["x1,x2,p"]
+    for x2 in np.linspace(lo, hi, grid):
+        for x1 in np.linspace(lo, hi, grid):
+            lines.append(f"{x1:.12g},{x2:.12g},{float(p(x1, x2)):.12g}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("poly,lo,hi,grid", [
+    ("1-x1^2-x2^2", -1.5, 1.5, 11),
+    (CAPRICORN, -2.0, 2.0, 17),
+    ("3/7-x1+1/11*x2^3*x1^4-2^90*x1^5*x2^2", -7.25, 3.0, 23),
+    ("x2^5+1/3", -1e3, 1e4, 5),
+    ("0", -1.0, 1.0, 3),
+])
+def test_plot_data_matches_per_sample_reference(capsys, poly, lo, hi, grid):
+    code, out, err = run(capsys, "plot-data", "--poly", poly, f"--range={lo}:{hi}",
+                         "--grid", str(grid))
+    assert code == 0 and err == ""
+    assert out == reference_plot_csv(poly, lo, hi, grid)
+
+
+def test_plot_data_refuses_non_finite_samples(tmp_path, capsys):
+    import warnings
+
+    out = tmp_path / "plot.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings stay silent
+        code, stdout, err = run(capsys, "plot-data", "--poly", "1-x1^2-x2^2",
+                                "--range=-1e300:1e300", "--grid", "3", "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    # every sample but the origin overflows
+    assert err == "error: 8 of 9 samples are not finite; narrow --range\n"
+    assert not out.exists()
+    # a constant is finite everywhere, but the coordinates of this grid are not
+    code, stdout, err = run(capsys, "plot-data", "--poly", "1", "--range=-1e309:1",
+                            "--grid", "2")
+    assert code == 1 and stdout == ""
+    assert err == "error: 3 of 4 samples are not finite; narrow --range\n"
+
+
 def test_missing_file_exit_1(capsys):
     code, _, err = run(capsys, "verify-det", "--pencil", "/nonexistent.json",
                        "--poly", "1-x1^2-x2^2")

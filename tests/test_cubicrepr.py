@@ -242,3 +242,27 @@ def test_gcd_degree_at_most_three():
         except (SingularCubicError, NoRealSolutionError):
             continue
         assert len(reps) <= 3
+
+
+def reference_mu(c):
+    """mu as cubic_representations chose it with one branch for rational and
+    one for float c."""
+    from rigidconvex.cubicrepr import _cube_root_exact
+
+    if isinstance(c, Fraction):
+        root = _cube_root_exact(c)
+        if root is not None:
+            return 1 / root
+        return float(np.sign(float(c)) * abs(float(c)) ** (-1.0 / 3.0))
+    return float(np.sign(c) * abs(c) ** (-1.0 / 3.0))
+
+
+def test_mu_matches_two_branch_reference():
+    # c = 110592 = 48^3 (exact root), 442368 (no rational root) and float c
+    kinds = set()
+    for expr in ("x1^3-x2^2-x1", "x1^3+x2^3+1", "x1^3-x2^2-x1+1/5"):
+        for rep in cubic_representations(parse_poly(expr)):
+            want = reference_mu(rep.c)
+            assert rep.mu == want and type(rep.mu) is type(want)
+            kinds.add((type(rep.c).__name__, type(rep.mu).__name__))
+    assert kinds == {("Fraction", "Fraction"), ("Fraction", "float"), ("float", "float")}

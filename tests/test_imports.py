@@ -1,5 +1,7 @@
 """The package imports only the standard library, numpy and itself."""
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,3 +28,14 @@ def test_runtime_imports_are_stdlib_numpy_or_package():
         if roots - ALLOWED:
             foreign[path.name] = sorted(roots - ALLOWED)
     assert foreign == {}
+
+
+def test_plain_pytest_finds_the_package():
+    """pyproject.toml puts src/ on the path, so ``python -m pytest`` from the
+    repository root collects without PYTHONPATH."""
+    root = Path(__file__).resolve().parents[1]
+    env = {key: val for key, val in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q",
+                           "-p", "no:cacheprovider", "tests/test_imports.py"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -176,6 +176,18 @@ def test_real_roots_with_multiplicity_exact_triple():
     assert [m for _, m in roots] == [3, 2, 1, 2]  # at 0, 3-sqrt5, 2, 3+sqrt5
 
 
+def test_real_roots_with_multiplicity_keeps_close_roots_apart():
+    """(u - 1)^2 (u - 1 - 10^-9): the square-free factors u - 1 (twice) and
+    u - 1 - 10^-9 (once) are coprime, so their roots are distinct although
+    closer than 1e-7, and each keeps its own exact multiplicity."""
+    u = UniPoly([0, 1])
+    eps = Fraction(1, 10**9)
+    f = (u - 1) ** 2 * (u - 1 - eps)
+    roots = real_roots_with_multiplicity(f)
+    assert [m for _, m in roots] == [2, 1]
+    assert roots[0][0] == 1.0 and roots[1][0] == float(1 + eps)
+
+
 # ---------------------------------------------------------------------------
 # critical and boundary points
 # ---------------------------------------------------------------------------
