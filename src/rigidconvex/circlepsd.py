@@ -85,26 +85,20 @@ def psd_on_circle(H: TrigMatrix) -> CircleVerdict:
     """Classify H(z) on |z| = 1 as PD / marginal PSD / not PSD / inconclusive."""
     tol = default_tolerance(H)
 
-    bad_row = _structural_shortcut(H)
-    if bad_row is not None:
-        # a PSD matrix with a zero diagonal entry has a zero row; pick the
-        # witness where the violation is largest so min_eig < -tol holds there
-        grid = np.linspace(0.0, 2 * np.pi, GRID_SIZE, endpoint=False)
-        eigs = np.linalg.eigvalsh(H.eval_thetas(grid))[:, 0]
-        k = int(np.argmin(eigs))
-        return CircleVerdict(CircleVerdict.NOT_PSD, float(grid[k]),
-                             float(eigs[k]), tol, shortcut=True)
-
-    det = H.det()
-    roots = [] if det.is_zero() else circle_roots_of(det)
+    # a PSD matrix with a zero diagonal entry has a zero row, so a structural
+    # zero decides NOT_PSD without the determinant; the scan still picks the
+    # witness where the violation is largest
+    shortcut = _structural_shortcut(H) is not None
+    det = None if shortcut else H.det()
+    roots = [] if shortcut else circle_roots_of(det)
     angles = _sample_angles(roots, GRID_SIZE)
     eigs = np.linalg.eigvalsh(H.eval_thetas(angles))[:, 0]
     k = int(np.argmin(eigs))
     min_eig, witness = float(eigs[k]), float(angles[k])
 
-    if min_eig < -tol:
+    if shortcut or min_eig < -tol:
         return CircleVerdict(CircleVerdict.NOT_PSD, witness, min_eig, tol,
-                             tuple(roots))
+                             tuple(roots), shortcut=shortcut)
     if det.is_zero():
         return CircleVerdict(CircleVerdict.INCONCLUSIVE, witness, min_eig, tol)
     if roots:

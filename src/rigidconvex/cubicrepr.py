@@ -9,9 +9,9 @@ to three real solutions) each yield a symmetric pencil
 
     F(x) = mu * H(s(x, t*))|_{x0 = 1},   mu = c^{-1/3},
 
-with det F(x) = p(x) exactly.  Proportionality is found by matching
-coefficients pairwise instead of evaluating at a flex, which avoids
-computing flexes altogether.
+with det F(x) = p(x) exactly.  Proportionality is found by matching every
+coefficient against one anchor coefficient instead of evaluating at a flex,
+which avoids computing flexes altogether.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import numpy as np
 from .bezout import interpolate_det
 from .errors import IdenticallyZeroResultantError, NoRealSolutionError, SingularCubicError
 from .locate import _solve_system, real_roots_with_multiplicity
-from .polycore import Pencil, Poly, Scalar, UniPoly, interpolate_exact
+from .polycore import Pencil, Poly, Scalar, UniPoly, det_exact, interpolate_exact
 
 
 # ---------------------------------------------------------------------------
@@ -75,48 +75,31 @@ def _affine_singular_point(p: Poly):
     return None
 
 
-def _singular_at_infinity(P: Poly) -> bool:
-    """Common projective zero of the three partials restricted to x0 = 0.
+def check_smooth_cubic(p: Poly, h: Poly) -> None:
+    """Raise SingularCubicError when the projective cubic of p is singular.
 
-    Each restricted partial is a binary quadratic form in (x1, x2); the
-    direction (1 : 0) is tested separately, the rest through an exact gcd of
-    the dehomogenisations at x2 = 1.
+    P = homogenize(p) is smooth exactly when its partials P_0, P_1, P_2, three
+    ternary quadrics, have no common projective zero.  By Sylvester's formula
+    that resultant is, up to a nonzero constant, the determinant of the
+    coefficients of P_0, P_1, P_2 and of the partials of their Jacobian
+    h = det H(P) over the six quadratic monomials.  Only a singular cubic is
+    searched for an affine singular point, to name it in the message.
     """
-    forms = []
-    for i in range(3):
-        q = P.partial(i)
-        binary = {(a1, a2): v for (a0, a1, a2), v in q.coeffs.items() if a0 == 0}
-        if binary:
-            forms.append(binary)
-    if not forms:
-        return True
-    if all(form.get((2, 0), Fraction(0)) == 0 for form in forms):
-        return True  # common zero in direction (1 : 0)
-    gcd = None
-    for form in forms:
-        uni = UniPoly([form.get((k, 2 - k), Fraction(0)) for k in range(3)])
-        gcd = uni if gcd is None else gcd.gcd(uni)
-        if gcd.degree < 1:
-            return False
-    return gcd is not None and gcd.degree >= 1
-
-
-def check_smooth_cubic(p: Poly) -> None:
-    """Raise SingularCubicError when the projective cubic is singular."""
-    if p.degree != 3:
-        raise ValueError("expected a cubic")
+    P = homogenize(p)
+    quadrics = [P.partial(i) for i in range(3)] + [h.partial(i) for i in range(3)]
+    monos = [(a, b, 2 - a - b) for a in range(3) for b in range(3 - a)]
+    if det_exact([[q.coeff(mono) for mono in monos] for q in quadrics]) != 0:
+        return
     point = _affine_singular_point(p)
-    if point is not None:
-        # numpy.roots splits a double root by about sqrt(eps), so a cusp's
-        # real coordinate can carry an imaginary part near 1e-8
-        display = tuple(round(v.real, 12) if abs(v.imag) <= 1e-6 * max(1.0, abs(v))
-                        else v for v in point)
-        raise SingularCubicError(
-            f"cubic is singular near {display}; use the parametrization route "
-            "for genus-zero cubics", singular_point=display)
-    if _singular_at_infinity(homogenize(p)):
-        raise SingularCubicError("cubic is singular at infinity",
-                                 singular_point=None)
+    if point is None:
+        raise SingularCubicError("cubic is singular at infinity", singular_point=None)
+    # numpy.roots splits a double root by about sqrt(eps), so a cusp's
+    # real coordinate can carry an imaginary part near 1e-8
+    display = tuple(round(v.real, 12) if abs(v.imag) <= 1e-6 * max(1.0, abs(v))
+                    else v for v in point)
+    raise SingularCubicError(
+        f"cubic is singular near {display}; use the parametrization route "
+        "for genus-zero cubics", singular_point=display)
 
 
 # ---------------------------------------------------------------------------
@@ -131,19 +114,25 @@ class CubicRepresentation:
     pencil: Pencil      # dehomogenised, det F(x) = p(x)
 
 
+def _icbrt(n: int) -> int:
+    """Floor of the cube root of n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
 def _cube_root_exact(c: Fraction):
     """Rational cube root of c, or None."""
     if c == 0:
         return None
-    sign = 1 if c > 0 else -1
     num, den = abs(c.numerator), c.denominator
-    rn = round(num ** (1 / 3))
-    rd = round(den ** (1 / 3))
-    for n in (rn - 1, rn, rn + 1):
-        for d in (rd - 1, rd, rd + 1):
-            if n > 0 and d > 0 and n**3 == num and d**3 == den:
-                return Fraction(sign * n, d)
-    return None
+    n, d = _icbrt(num), _icbrt(den)
+    if n**3 != num or d**3 != den:
+        return None
+    return Fraction(n if c > 0 else -n, d)
 
 
 def _monomial_t_polys(P: Poly, h: Poly) -> dict[tuple, UniPoly]:
@@ -163,23 +152,18 @@ def cubic_representations(p: Poly) -> list[CubicRepresentation]:
     """
     if p.nvars != 2 or p.degree != 3:
         raise ValueError("expected a bivariate cubic")
-    check_smooth_cubic(p)
-
     P = homogenize(p)
     h = hessian_det(P)
+    check_smooth_cubic(p, h)
     gpoly = _monomial_t_polys(P, h)
 
-    # eliminate the proportionality constant: g_a(t) P_b - g_b(t) P_a = 0
-    monos = sorted(gpoly)
-    constraints = []
-    for i, a in enumerate(monos):
-        for b in monos[i + 1:]:
-            pa, pb = P.coeff(a), P.coeff(b)
-            if pa == 0 and pb == 0:
-                continue
-            r = gpoly[a] * pb - gpoly[b] * pa
-            if not r.is_zero():
-                constraints.append(r)
+    # det H(h + t P) = c P exactly when g_b(t) P_A = g_A(t) P_b for every
+    # monomial b, A the anchor of largest |P_A|; with P_A != 0 these generate
+    # every pairwise condition g_a P_b - g_b P_a = 0
+    anchor = max(P.coeffs, key=lambda e: abs(P.coeffs[e]))
+    pa = P.coeff(anchor)
+    constraints = [r for r in (gpoly[b] * pa - gpoly[anchor] * P.coeff(b)
+                               for b in sorted(gpoly)) if not r.is_zero()]
     if not constraints:
         raise NoRealSolutionError("proportionality constraints are vacuous")
     gcd = constraints[0]
@@ -191,14 +175,13 @@ def cubic_representations(p: Poly) -> list[CubicRepresentation]:
         raise NoRealSolutionError("no homotopy parameter matches the cubic")
     assert gcd.degree <= 3
 
-    anchor = max(P.coeffs, key=lambda e: abs(P.coeffs[e]))
     reps = []
     for tval, _mult in real_roots_with_multiplicity(gcd):
         t: Scalar = tval
         snapped = Fraction(tval).limit_denominator(10**9)
         if all(r(snapped) == 0 for r in constraints):
             t = snapped
-        c = gpoly[anchor](t) / P.coeff(anchor)
+        c = gpoly[anchor](t) / pa
         if c == 0:
             continue
         root = _cube_root_exact(c) if isinstance(c, Fraction) else None

@@ -195,6 +195,21 @@ def _dedupe_sorted(points: list[CandidatePoint]) -> list[CandidatePoint]:
     return out
 
 
+def _real_points(p: Poly, f: Poly, g: Poly, source: str) -> list[CandidatePoint]:
+    """Real solutions of {f = 0, g = 0} whose residuals pass RESIDUAL_TOL at
+    p's gradient scale; [] when the system has a continuum of solutions."""
+    try:
+        raw = _solve_system(f, g)
+    except IdenticallyZeroResultantError:
+        return []
+    out = []
+    for x in raw:
+        tol = RESIDUAL_TOL * _grad_scale(p, x)
+        if abs(f(*x)) <= tol and abs(g(*x)) <= tol:
+            out.append(CandidatePoint(x, source))
+    return out
+
+
 def critical_points(p: Poly) -> list[CandidatePoint]:
     """Real solutions of grad p = 0, sorted by (x2, x1).
 
@@ -204,34 +219,15 @@ def critical_points(p: Poly) -> list[CandidatePoint]:
     """
     if p.degree < 2:
         raise ValueError("need total degree >= 2")
-    g1, g2 = p.partial(0), p.partial(1)
-    try:
-        raw = _solve_system(g1, g2)
-    except IdenticallyZeroResultantError:
-        return []
-    out = []
-    for x1val, x2val in raw:
-        tol = RESIDUAL_TOL * _grad_scale(p, (x1val, x2val))
-        if abs(g1(x1val, x2val)) <= tol and abs(g2(x1val, x2val)) <= tol:
-            out.append(CandidatePoint((x1val, x2val), "critical"))
-    return _dedupe_sorted(out)
+    return _dedupe_sorted(_real_points(p, p.partial(0), p.partial(1), "critical"))
 
 
 def boundary_points(p: Poly) -> list[CandidatePoint]:
     """Real solutions of {p = 0, dp/dx1 = 0} and {p = 0, dp/dx2 = 0}."""
     if p.degree < 2:
         raise ValueError("need total degree >= 2")
-    out = []
-    for partial in (p.partial(0), p.partial(1)):
-        try:
-            raw = _solve_system(p, partial)
-        except IdenticallyZeroResultantError:
-            continue
-        for x1val, x2val in raw:
-            tol = RESIDUAL_TOL * _grad_scale(p, (x1val, x2val))
-            if abs(p(x1val, x2val)) <= tol and abs(partial(x1val, x2val)) <= tol:
-                out.append(CandidatePoint((x1val, x2val), "boundary"))
-    return _dedupe_sorted(out)
+    return _dedupe_sorted([cand for i in (0, 1)
+                           for cand in _real_points(p, p, p.partial(i), "boundary")])
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +243,9 @@ def certify_psd_point(pencil: Pencil, x, source: str = "query") -> CandidatePoin
     mat = pencil.eval(*x)
     eigs = np.linalg.eigvalsh(mat)
     scale = max(1.0, float(np.abs(eigs).max()))
-    scaled = eigs / scale
-    # coefficients of prod (t + lambda_i) for normalised eigenvalues
-    coeffs = np.array([1.0])
-    for lam in scaled:
-        coeffs = np.convolve(coeffs, [1.0, lam])
-    normalised = coeffs[1:][::-1]  # p_0 .. p_{m-1} of the scaled matrix
+    # coefficients of prod (t + lambda_i), for the normalised eigenvalues
+    # p_0 .. p_{m-1} first
+    normalised = np.poly(-eigs / scale)[1:][::-1]
     if np.all(normalised > CERT_TOL):
         verdict = "PD"
     elif np.all(normalised >= -CERT_TOL):
@@ -260,10 +253,7 @@ def certify_psd_point(pencil: Pencil, x, source: str = "query") -> CandidatePoin
     else:
         verdict = "rejected"
     # unscaled certificate entries, constant term first
-    cert = np.array([1.0])
-    for lam in eigs:
-        cert = np.convolve(cert, [1.0, lam])
-    cert = tuple(float(c) for c in cert[1:][::-1])
+    cert = tuple(float(c) for c in np.poly(-eigs)[1:][::-1])
     return CandidatePoint((float(x[0]), float(x[1])), source, cert, verdict,
                           float(eigs.min()))
 

@@ -215,22 +215,9 @@ class Poly:
         return _power(self, n, Poly.constant(1, self.nvars))
 
     def shifted(self, *offset: Scalar) -> "Poly":
-        """p(x + offset), expanded exactly via binomials."""
-        if len(offset) != self.nvars:
-            raise DimensionMismatchError(
-                f"expected {self.nvars} offsets, got {len(offset)}")
-        offset = [to_exact(x) for x in offset]
-        vars_shifted = [Poly({tuple(1 if i == k else 0 for k in range(self.nvars)): 1},
-                             self.nvars) + off
-                        for i, off in enumerate(offset)]
-        out = Poly.zero(self.nvars)
-        for expo, val in self.coeffs.items():
-            term = Poly.constant(val, self.nvars)
-            for var, e in zip(vars_shifted, expo):
-                if e:
-                    term = term * var**e
-            out = out + term
-        return out
+        """p(x + offset), expanded exactly by evaluating p at x_i + offset_i."""
+        return Poly.zero(self.nvars) + self(*[Poly.variable(i, self.nvars) + off
+                                              for i, off in enumerate(offset)])
 
     def partial(self, index: int) -> "Poly":
         """Exact partial derivative with respect to variable ``index``."""
@@ -244,7 +231,8 @@ class Poly:
         return Poly(out, self.nvars)
 
     def __call__(self, *point: Scalar):
-        """Exact evaluation when all inputs are rational; float otherwise."""
+        """Exact evaluation when all inputs are rational; float otherwise.
+        Poly inputs compose: the result is then a Poly, or a constant."""
         if len(point) != self.nvars:
             raise DimensionMismatchError(
                 f"expected {self.nvars} coordinates, got {len(point)}")
@@ -644,10 +632,6 @@ class TrigPoly:
 
     # -- constructors ---------------------------------------------------------
     @classmethod
-    def constant(cls, value: Scalar) -> "TrigPoly":
-        return cls([value])
-
-    @classmethod
     def cos_basis(cls, k: int) -> "TrigPoly":
         """z^k + z^-k (equals the constant 2 when k = 0)."""
         if k == 0:
@@ -671,9 +655,6 @@ class TrigPoly:
 
     def is_cosine(self) -> bool:
         return not self.s
-
-    def is_constant(self) -> bool:
-        return len(self.c) <= 1 and not self.s
 
     def cos_coeff(self, k: int):
         return self.c[k] if 0 <= k < len(self.c) else Fraction(0)

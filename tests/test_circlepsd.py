@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,16 @@ def test_tv_screen_not_psd_via_shortcut():
     verdict = psd_on_circle(TV_H)
     assert verdict.status == CircleVerdict.NOT_PSD
     assert verdict.shortcut
+
+
+def test_structural_zero_decides_below_tolerance():
+    # [[0, e], [e, 1]] with e = 10^-6 is not PSD, but its least eigenvalue,
+    # about -e^2, lies inside the tolerance: the zero diagonal entry decides
+    e = TrigPoly([Fraction(1, 10**6)])
+    verdict = psd_on_circle(TrigMatrix([[TrigPoly(), e], [e, TrigPoly([1])]]))
+    assert verdict.status == CircleVerdict.NOT_PSD and verdict.shortcut
+    assert -verdict.tolerance < verdict.min_eig < 0
+    assert verdict.circle_roots == ()
 
 
 def test_disc_is_pd():

@@ -285,6 +285,14 @@ def test_cubic_repr_singular(capsys):
     assert "np." not in rep["note"]
 
 
+def test_cubic_repr_smooth_close_to_a_node(capsys):
+    # y^2 = x^3 + x^2 - 10^-7 has three distinct roots: smooth, not nodal
+    code, rep, _ = run_json(capsys, "cubic-repr", "--poly=-x1^3-x1^2+x2^2+1/10^7")
+    assert code == 0
+    assert rep["verdict"] == "computed"
+    assert len(rep["representations"]) == 3
+
+
 @pytest.mark.parametrize("poly", [
     # node at (1/2, 1/2) whose x2 another critical point shares, so it is a
     # double root of the eliminant

@@ -8,13 +8,16 @@ import pytest
 from rigidconvex import NoRealSolutionError, SingularCubicError, parse_poly
 from rigidconvex.bezout import verify_pencil_det
 from rigidconvex.cubicrepr import (
+    _affine_singular_point,
+    _monomial_t_polys,
+    check_smooth_cubic,
     cubic_representations,
     hessian,
     hessian_det,
     homogenize,
 )
 from rigidconvex.locate import certify_psd_point
-from rigidconvex.polycore import Poly
+from rigidconvex.polycore import Poly, UniPoly, det_exact
 
 ELLIPTIC = parse_poly("x1^3-x2^2-x1")
 # the published size-3 representation with t* = 0
@@ -266,3 +269,193 @@ def test_mu_matches_two_branch_reference():
             assert rep.mu == want and type(rep.mu) is type(want)
             kinds.add((type(rep.c).__name__, type(rep.mu).__name__))
     assert kinds == {("Fraction", "Fraction"), ("Fraction", "float"), ("float", "float")}
+
+
+# ---------------------------------------------------------------------------
+# exact smoothness, anchor constraints and the integer cube root
+# ---------------------------------------------------------------------------
+
+def test_smooth_cubic_close_to_a_node_is_represented():
+    # y^2 = x^3 + x^2 - 10^-7 has three distinct roots, so the cubic is smooth;
+    # a residual test of 1e-7 took the nearby node for a singular point
+    p = parse_poly("-x1^3-x1^2+x2^2+1/10^7")
+    reps = cubic_representations(p)
+    assert len(reps) == 3
+    for rep in reps:
+        assert float(verify_pencil_det(rep.pencil, p)) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_cube_root_exact_beyond_float_range():
+    from rigidconvex.cubicrepr import _cube_root_exact
+
+    big = 10**30 + 7
+    assert _cube_root_exact(Fraction(big**3, 8)) == Fraction(big, 2)
+    huge = 10**130 + 7  # huge^3 is beyond the float range
+    assert _cube_root_exact(Fraction(-huge**3, 27)) == Fraction(-huge, 3)
+    assert _cube_root_exact(Fraction(huge**3 + 1)) is None
+    assert _cube_root_exact(Fraction(huge**3, 9)) is None
+    assert _cube_root_exact(Fraction(110592)) == 48
+    assert _cube_root_exact(Fraction(442368)) is None
+    assert _cube_root_exact(Fraction(0)) is None
+
+
+def test_integer_cube_root_is_the_floor():
+    from rigidconvex.cubicrepr import _icbrt
+
+    rng = random.Random(9)
+    values = list(range(1, 200))
+    for _ in range(300):
+        r = rng.randint(1, 2**rng.randint(1, 1200))
+        values += [r**3 - 1, r**3, r**3 + 1, rng.randint(1, r**3)]
+    for n in filter(None, values):
+        r = _icbrt(n)
+        assert r**3 <= n < (r + 1) ** 3
+
+
+def _reference_singular_at_infinity(P: Poly) -> bool:
+    """The former test at infinity: a common zero of the three partials on
+    x0 = 0, the direction (1 : 0) separately, the rest by a gcd at x2 = 1."""
+    forms = []
+    for i in range(3):
+        binary = {(a1, a2): v for (a0, a1, a2), v in P.partial(i).coeffs.items()
+                  if a0 == 0}
+        if binary:
+            forms.append(binary)
+    if not forms:
+        return True
+    if all(form.get((2, 0), Fraction(0)) == 0 for form in forms):
+        return True
+    gcd = None
+    for form in forms:
+        uni = UniPoly([form.get((k, 2 - k), Fraction(0)) for k in range(3)])
+        gcd = uni if gcd is None else gcd.gcd(uni)
+        if gcd.degree < 1:
+            return False
+    return gcd is not None and gcd.degree >= 1
+
+
+def _reference_is_singular(p: Poly) -> bool:
+    """The former float decision: a complex affine singular point within a
+    residual of 1e-7, else the exact test at infinity."""
+    return (_affine_singular_point(p) is not None
+            or _reference_singular_at_infinity(homogenize(p)))
+
+
+def _is_singular(p: Poly) -> bool:
+    try:
+        check_smooth_cubic(p, hessian_det(homogenize(p)))
+    except SingularCubicError:
+        return True
+    return False
+
+
+def _linear(rng, lo=-3, hi=3) -> Poly:
+    return Poly({(1, 0): rng.randint(lo, hi), (0, 1): rng.randint(lo, hi),
+                 (0, 0): rng.randint(lo, hi)})
+
+
+def _weierstrass(rng, a, b, first_column=None) -> Poly:
+    """Y^2 Z - X^3 - a X Z^2 - b Z^3 at (X, Y, Z) = M (x1, x2, 1), M a random
+    invertible integer matrix, optionally with a given first column (the
+    image of the point (1 : 0 : 0) at infinity)."""
+    while True:
+        M = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+        if first_column is not None:
+            for row, v in zip(M, first_column):
+                row[0] = v
+        if det_exact([[Fraction(v) for v in row] for row in M]) != 0:
+            break
+    X, Y, Z = (Poly({(1, 0): r[0], (0, 1): r[1], (0, 0): r[2]}) for r in M)
+    return Y**2 * Z - X**3 - X * Z**2 * a - Z**3 * b
+
+
+def _cubic_zoo(rng):
+    """(kind, cubic) pairs: random dense, nodal, cuspidal, line x conic, three
+    lines, line x conic without real points, and node or cusp at infinity."""
+    out = []
+    for _ in range(40):
+        p = Poly({(a, b): rng.randint(-5, 5) for a in range(4) for b in range(4 - a)})
+        out.append(("random", p))
+    for k in (1, 2):
+        out += [("nodal", _weierstrass(rng, -3 * k * k, 2 * k**3)) for _ in range(10)]
+        out += [("node-at-infinity", _weierstrass(rng, -3 * k * k, 2 * k**3, (k, 0, 1)))
+                for _ in range(5)]
+    out += [("cuspidal", _weierstrass(rng, 0, 0)) for _ in range(10)]
+    out += [("cusp-at-infinity", _weierstrass(rng, 0, 0, (0, 0, 1))) for _ in range(5)]
+    for _ in range(15):
+        conic = Poly({(2, 0): rng.randint(-3, 3), (1, 1): rng.randint(-3, 3),
+                      (0, 2): rng.randint(-3, 3), (1, 0): rng.randint(-3, 3),
+                      (0, 1): rng.randint(-3, 3), (0, 0): rng.randint(-3, 3)})
+        out.append(("line-conic", _linear(rng) * conic))
+        out.append(("three-lines", _linear(rng) * _linear(rng) * _linear(rng)))
+        empty = Poly({(2, 0): 1, (0, 2): rng.randint(1, 3), (0, 0): rng.randint(1, 3)})
+        out.append(("complex-singular", _linear(rng) * empty))
+    return [(kind, p) for kind, p in out if p.degree == 3]
+
+
+def test_exact_smoothness_matches_reference_decision():
+    rng = random.Random(12)
+    kinds = {}
+    for kind, p in _cubic_zoo(rng):
+        singular = _is_singular(p)
+        assert singular == _reference_is_singular(p), (kind, p)
+        kinds.setdefault(kind, set()).add(singular)
+    assert kinds["random"] == {False}
+    for kind in ("nodal", "cuspidal", "line-conic", "three-lines", "complex-singular",
+                 "node-at-infinity", "cusp-at-infinity"):
+        assert kinds[kind] == {True}, kind
+
+
+def test_smoothness_of_moved_weierstrass_cubics_is_the_discriminant():
+    rng = random.Random(13)
+    seen = set()
+    pairs = [(a, b) for a in range(-3, 4) for b in range(-3, 4)] + [(-12, 16), (-12, -16)]
+    for a, b in pairs:
+        for _ in range(3):
+            p = _weierstrass(rng, a, b)
+            if p.degree != 3:
+                continue
+            singular = 4 * a**3 + 27 * b**2 == 0
+            assert _is_singular(p) == singular, (a, b, p)
+            seen.add(singular)
+    assert seen == {True, False}
+
+
+def _reference_pairwise_gcd(P: Poly, gpoly) -> UniPoly:
+    """The former elimination: gcd of g_a P_b - g_b P_a over all pairs."""
+    monos = sorted(gpoly)
+    gcd = UniPoly()
+    for i, a in enumerate(monos):
+        for b in monos[i + 1:]:
+            gcd = gcd.gcd(gpoly[a] * P.coeff(b) - gpoly[b] * P.coeff(a))
+    return gcd
+
+
+def test_anchor_constraints_give_the_pairwise_gcd(monkeypatch):
+    import rigidconvex.cubicrepr as cubicrepr
+
+    seen = []
+    original = cubicrepr.real_roots_with_multiplicity
+    monkeypatch.setattr(cubicrepr, "real_roots_with_multiplicity",
+                        lambda r: seen.append(r) or original(r))
+    rng = random.Random(14)
+    cubics = [ELLIPTIC, parse_poly("x1^3+x2^3+1"), parse_poly("x1^3-x2^2-x1+1/5")]
+    cubics += [p for kind, p in _cubic_zoo(rng) if kind == "random"]
+    cubics += [_weierstrass(rng, 1, 1) for _ in range(10)]
+    compared = 0
+    for p in cubics:
+        if p.degree != 3 or _is_singular(p):
+            continue
+        P = homogenize(p)
+        want = _reference_pairwise_gcd(P, _monomial_t_polys(P, hessian_det(P)))
+        seen.clear()
+        try:
+            cubic_representations(p)
+        except NoRealSolutionError:
+            assert not seen and want.degree < 1
+            continue
+        # one nonzero constraint is passed on as it is; the roots come from
+        # monic square-free factors
+        assert [r.monic() for r in seen] == [want]
+        compared += 1
+    assert compared >= 30

@@ -1,5 +1,7 @@
 """The package imports only the standard library, numpy and itself."""
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -39,3 +41,24 @@ def test_plain_pytest_finds_the_package():
                            "-p", "no:cacheprovider", "tests/test_imports.py"],
                           cwd=root, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_traced_layer_names_resolve():
+    """Every function bench/tracer.py wraps exists, so deleting or renaming
+    one fails here and not only in a traced benchmark run."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for mod_name, names in tracer.LAYERS.items():
+        module = importlib.import_module(f"rigidconvex.{mod_name}")
+        for name in names:
+            if "." in name:  # Class.method, wrapped on the class
+                cls_name, meth = name.split(".")
+                found = meth in vars(getattr(module, cls_name, object))
+            else:
+                found = callable(getattr(module, name, None))
+            if not found:
+                missing.append(f"{mod_name}.{name}")
+    assert missing == []

@@ -285,6 +285,42 @@ def test_certificate_matches_eigen_crosscheck():
             assert eigs.min() < 0
 
 
+def _reference_char_coeffs(eigs):
+    """The former convolution loop: coefficients of prod (t + lambda_i),
+    constant term first, leading 1 dropped."""
+    coeffs = np.array([1.0])
+    for lam in eigs:
+        coeffs = np.convolve(coeffs, [1.0, lam])
+    return coeffs[1:][::-1]
+
+
+def test_certificate_matches_convolution_reference_bitwise():
+    from rigidconvex.locate import CERT_TOL
+
+    rng = np.random.default_rng(8)
+    verdicts = set()
+    for _ in range(400):
+        m = int(rng.integers(1, 7))
+        mats = [rng.normal(size=(m, m)) * 10.0 ** rng.integers(-3, 4) for _ in range(3)]
+        mats[0] = mats[0] @ mats[0].T if rng.random() < 0.5 else mats[0] + mats[0].T
+        pencil = Pencil.from_rows(*[(M + M.T).tolist() if k else M.tolist()
+                                    for k, M in enumerate(mats)])
+        x = tuple(rng.normal(size=2) * 0.1)
+        cand = certify_psd_point(pencil, x)
+        eigs = np.linalg.eigvalsh(pencil.eval(*x))
+        normalised = _reference_char_coeffs(eigs / max(1.0, float(np.abs(eigs).max())))
+        if np.all(normalised > CERT_TOL):
+            verdict = "PD"
+        elif np.all(normalised >= -CERT_TOL):
+            verdict = "PSD"
+        else:
+            verdict = "rejected"
+        assert cand.cert == tuple(float(c) for c in _reference_char_coeffs(eigs))
+        assert cand.verdict == verdict
+        verdicts.add(verdict)
+    assert verdicts == {"PD", "PSD", "rejected"}
+
+
 # ---------------------------------------------------------------------------
 # find_interior_point
 # ---------------------------------------------------------------------------

@@ -139,6 +139,31 @@ def test_eval_on_curve_point():
     assert p(1, 0) == 0
 
 
+def _reference_shifted(p: Poly, *offset) -> Poly:
+    """The former expansion: each term times (x_i + offset_i)^e_i."""
+    shifted = [Poly.variable(i, p.nvars) + off for i, off in enumerate(offset)]
+    out = Poly.zero(p.nvars)
+    for expo, val in p.coeffs.items():
+        term = Poly.constant(val, p.nvars)
+        for var, e in zip(shifted, expo):
+            if e:
+                term = term * var**e
+        out = out + term
+    return out
+
+
+def test_shifted_matches_reference_expansion():
+    rng = random.Random(11)
+    for k in range(300):
+        nvars = 2 if k % 3 else 3
+        p = _random_poly(rng, degree=6, nvars=nvars)
+        offset = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(nvars)]
+        q = p.shifted(*offset)
+        assert type(q) is Poly and q == _reference_shifted(p, *offset)
+    assert Poly.constant(3).shifted(1, 2) == Poly.constant(3)
+    assert Poly.zero().shifted(1, 2) == Poly.zero()
+
+
 def test_eval_matches_unexpanded_expression():
     # independent oracle: evaluate the raw expression tree without expanding
     rng = random.Random(11)
