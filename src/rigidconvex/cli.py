@@ -87,7 +87,7 @@ def _hermite_entries(H) -> list:
 def cmd_check_rigid(args) -> dict:
     p = parse_poly(args.poly)
     body: dict = {}
-    p0 = p(0, 0)
+    p0 = p.coeff((0, 0))
     recentred = p0 == 0
     if recentred:
         # origin sits on the curve: recentre at a critical point with p != 0
@@ -130,7 +130,7 @@ def cmd_hermite(args) -> dict:
     return {
         "m": H.m,
         "half_degree": H.d,
-        "normalization": format_scalar(p(0, 0)),
+        "normalization": format_scalar(p.coeff((0, 0))),
         "hermite": _hermite_entries(H),
     }
 

@@ -7,16 +7,19 @@ A line through the origin hits the curve p(x) = 0 where the monic polynomial
 vanishes, with z on the unit circle and m = deg p.  The sublevel set around
 the origin is rigidly convex exactly when q(t) has m real roots for every z,
 i.e. when the Hankel matrix of Newton power sums of q is positive
-semidefinite along the circle.  Everything here is computed exactly in the
-TrigPoly ring.
+semidefinite along the circle.  Everything here is exact and runs on
+integers: p and q are cleared of denominators once, and TrigPolys with
+Fraction coefficients are built only for the results.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OriginOnCurveError
-from .polycore import Poly, TrigMatrix, TrigPoly
+from .polycore import (Poly, TrigMatrix, TrigPoly, _add_into, _clear_rows, _int_halves,
+                       _laurent_mul)
 
 
 @dataclass(frozen=True)
@@ -41,56 +44,75 @@ class LinePoly:
 def line_substitute(p: Poly) -> LinePoly:
     """Restrict p to the line family and clear denominators.
 
+    p's coefficients are cleared to integers P_ab once (floats read exactly).
+    With w = x1 t = z + 1/z and v = x2 t = -i(z - 1/z), P_00 t^m q_(m-j) sums
+    P_ab w^a v^b over a + b = j; the powers of w and v and their products are
+    integer Laurent lists, and the TrigPolys of q are built once, at the end.
+
     Raises OriginOnCurveError when p(0,0) = 0, since the construction divides
     by the constant term; the locate module handles that situation.
     """
     if p.nvars != 2:
         raise ValueError("line substitution is defined for bivariate input")
-    p0 = p(0, 0)
+    p0 = p.coeff((0, 0))
     if p0 == 0:
         raise OriginOnCurveError("p(0,0) = 0; cannot normalise p(0) = 1")
     m = p.degree
     if m < 1:
         raise ValueError("need total degree >= 1")
 
-    # x1*t = z + z^-1 and x2*t = i(z^-1 - z) = -i(z - z^-1)
-    w = TrigPoly.cos_basis(1)
-    v = -TrigPoly.sin_basis(1)
-
-    # powers cached up to degree m
-    w_pow = [TrigPoly([1])]
-    v_pow = [TrigPoly([1])]
+    (ints,), _ = _clear_rows([[Fraction(v) for v in p.coeffs.values()]])
+    w = _int_halves(TrigPoly([0, 1]))[1:]
+    v = _int_halves(TrigPoly([], [0, -1]))[1:]
+    w_pow = [_int_halves(TrigPoly([1]))[1:]]
+    v_pow = w_pow[:]
     for _ in range(m):
-        w_pow.append(w_pow[-1] * w)
-        v_pow.append(v_pow[-1] * v)
-
-    q = [TrigPoly() for _ in range(m + 1)]
-    for (a, b), coeff in p.coeffs.items():
-        q[m - a - b] = q[m - a - b] + (w_pow[a] * v_pow[b]) * (coeff / p0)
-    q[m] = TrigPoly([1])
+        w_pow.append(_laurent_mul(*w_pow[-1], *w))
+        v_pow.append(_laurent_mul(*v_pow[-1], *v))
+    re = [[] for _ in range(m + 1)]
+    im = [[] for _ in range(m + 1)]
+    for (a, b), coeff in zip(p.coeffs, ints):
+        wr, wi = _laurent_mul(*w_pow[a], *v_pow[b])
+        _add_into(re[a + b], wr, coeff)
+        _add_into(im[a + b], wi, coeff)
+    lead = re[0][0]
+    q = [TrigPoly([Fraction(x, lead) for x in re[m - k]],
+                  [Fraction(x, lead) for x in im[m - k]]) for k in range(m + 1)]
     return LinePoly(m, tuple(q), scale=p0)
 
 
 def newton_sums(line: LinePoly, count: int) -> list[TrigPoly]:
     """Power sums N_0 ... N_count of the roots of q(t), by Newton's identities.
 
-    N_0 = m; for 1 <= k <= m,
-        N_k = -k q_{m-k} - sum_{j=1}^{k-1} q_{m-j} N_{k-j};
+    With L the lcm of the denominators of q, the roots times L are the roots
+    of the monic Q(t) = L^m q(t/L), whose coefficients Q_(m-j) = L^j q_(m-j)
+    lie in Z[z, 1/z].  Their power sums S_k = L^k N_k are integers:
+    S_0 = m; for 1 <= k <= m,
+        S_k = -k Q_{m-k} - sum_{j=1}^{k-1} Q_{m-j} S_{k-j};
     for k > m,
-        N_k = -sum_{j=1}^{m} q_{m-j} N_{k-j}.
+        S_k = -sum_{j=1}^{m} Q_{m-j} S_{k-j},
+    each product one integer Laurent convolution; N_k = S_k / L^k.
     """
     m, q = line.m, line.q
-    sums = [TrigPoly([m])]
+    parts = [_int_halves(e) for e in q]
+    den = math.lcm(*[d for d, _, _ in parts])
+    sums = [_int_halves(TrigPoly([m]))[1:]]
     for k in range(1, count + 1):
-        acc = TrigPoly()
+        re, im = [], []
         for j in range(1, min(k, m) + 1):
-            if j == k:
+            if not q[m - j]:
                 continue
-            acc = acc + q[m - j] * sums[k - j]
-        if k <= m:
-            acc = acc + q[m - k] * k
-        sums.append(-acc)
-    return sums
+            d, qr, qi = parts[m - j]
+            f = den**j // d  # Q_(m-j) = f * (qr, qi)
+            if j < k:
+                qr, qi = _laurent_mul(qr, qi, *sums[k - j])
+            else:
+                f *= k
+            _add_into(re, qr, -f)
+            _add_into(im, qi, -f)
+        sums.append((re, im))
+    return [TrigPoly([Fraction(x, den**k) for x in re], [Fraction(x, den**k) for x in im])
+            for k, (re, im) in enumerate(sums)]
 
 
 def hermite_matrix(p: Poly) -> TrigMatrix:

@@ -10,16 +10,18 @@ Representations:
                    (rarely needed) sine coefficients ``s[k]`` on i(z^k - z^-k).
 * ``TrigMatrix``-- symmetric matrix of TrigPoly entries; its exact determinant
                    is taken by integer evaluation, fraction-free Bareiss
-                   elimination and integer Newton interpolation.
+                   elimination and integer Newton interpolation, in
+                   u = z + 1/z when every entry is cosine-only.
 * ``Pencil``    -- constant symmetric matrices (F0, ..., Fn) with
                    F(x) = F0 + x1 F1 + ... + xn Fn; the Bezout and Hessian
                    routes build n = 2, pencil files may add F3 (n = 3).
 
-Coefficients stay exact (``Fraction``) end to end; floats only appear after
+Values are exact rationals (``Fraction``); floats only appear after
 explicitly numeric steps such as congruence scaling or cube roots.
 
-Exact elimination runs on integers: operands are cleared of denominators
-once and Fractions are built only for results.  Determinants and solves take
+Exact arithmetic runs on integers: operands are cleared of denominators
+once and Fractions are built only for results.  TrigPoly products take the
+Laurent convolution ``_laurent_mul``.  Determinants and solves take
 the fraction-free ``_bareiss`` (sine-carrying TrigMatrix determinants the
 Gaussian-integer ``_bareiss_det_gauss``), interpolation the integer Newton
 ``_newton_interpolate`` (``interpolate_exact`` for rationals; its divided
@@ -43,6 +45,7 @@ from .errors import DimensionMismatchError, PolyParseError, UnknownVariableError
 Scalar = Union[int, Fraction, float]
 
 _TEN = Fraction(10)
+_ZERO = Fraction(0)
 
 
 def to_exact(x: Scalar) -> Scalar:
@@ -158,7 +161,9 @@ class Poly:
         return not self.coeffs
 
     def coeff(self, expo: tuple) -> Fraction:
-        return self.coeffs.get(tuple(expo), Fraction(0))
+        expo = tuple(expo)
+        self._check_arity(len(expo))
+        return self.coeffs.get(expo, _ZERO)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Poly) and self.nvars == other.nvars
@@ -175,6 +180,10 @@ class Poly:
         if self.nvars != other.nvars:
             raise DimensionMismatchError(
                 f"mixed arities {self.nvars} and {other.nvars}")
+
+    def _check_arity(self, n: int):
+        if n != self.nvars:
+            raise DimensionMismatchError(f"expected {self.nvars} coordinates, got {n}")
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, float)):
@@ -233,9 +242,7 @@ class Poly:
     def __call__(self, *point: Scalar):
         """Exact evaluation when all inputs are rational; float otherwise.
         Poly inputs compose: the result is then a Poly, or a constant."""
-        if len(point) != self.nvars:
-            raise DimensionMismatchError(
-                f"expected {self.nvars} coordinates, got {len(point)}")
+        self._check_arity(len(point))
         point = [to_exact(x) for x in point]
         total = Fraction(0)
         for expo, val in self.coeffs.items():
@@ -630,21 +637,6 @@ class TrigPoly:
         self.c = tuple(cs)
         self.s = tuple(ss)
 
-    # -- constructors ---------------------------------------------------------
-    @classmethod
-    def cos_basis(cls, k: int) -> "TrigPoly":
-        """z^k + z^-k (equals the constant 2 when k = 0)."""
-        if k == 0:
-            return cls([2])
-        return cls([0] * k + [1])
-
-    @classmethod
-    def sin_basis(cls, k: int) -> "TrigPoly":
-        """i(z^k - z^-k), value -2 sin(k theta) on the circle."""
-        if k == 0:
-            return cls()
-        return cls([], [0] * k + [1])
-
     # -- queries ----------------------------------------------------------------
     @property
     def half_degree(self) -> int:
@@ -702,36 +694,14 @@ class TrigPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, float)):
             return TrigPoly([x * other for x in self.c], [x * other for x in self.s])
-        # Laurent convolution on coefficient pairs l_k = (re, im), l_-k = conj,
-        # keeping only the powers k >= 0 of the product (the rest mirror them)
-        da, db = self.half_degree, other.half_degree
-        d = da + db
-        ra, ia = self._laurent(da)
-        rb, ib = other._laurent(db)
-        re = [Fraction(0)] * (d + 1)
-        im = [Fraction(0)] * (d + 1)
-        if not (self.s or other.s):
-            for a, x in enumerate(ra):
-                if x:
-                    for b in range(max(0, d - a), 2 * db + 1):
-                        if rb[b]:
-                            re[a + b - d] += x * rb[b]
-            return TrigPoly(re)
-        for a, (x, y) in enumerate(zip(ra, ia)):
-            if x or y:
-                for b in range(max(0, d - a), 2 * db + 1):
-                    u, v = rb[b], ib[b]
-                    if u or v:
-                        re[a + b - d] += x * u - y * v
-                        im[a + b - d] += x * v + y * u
-        im[0] = Fraction(0)  # z^0's coefficient is real; float sums can leave a residue
-        return TrigPoly(re, im)
+        return TrigPoly(*_laurent_mul(*self._halves(), *other._halves()))
 
-    def _laurent(self, d: int) -> tuple[list, list]:
-        """Real and imaginary parts of the coefficients of z^-d .. z^d."""
-        re = list(self.c) + [Fraction(0)] * (d + 1 - len(self.c))
-        im = list(self.s) + [Fraction(0)] * (d + 1 - len(self.s))
-        return re[:0:-1] + re, [-x for x in im[:0:-1]] + im
+    def _halves(self) -> tuple[list, list]:
+        """Real and imaginary parts of the coefficients of z^0 .. z^h, h the
+        half-degree; the imaginary part is empty when the sine part is."""
+        n = self.half_degree + 1
+        re = list(self.c) + [0] * (n - len(self.c))
+        return re, (list(self.s) + [0] * (n - len(self.s)) if self.s else [])
 
     __rmul__ = __mul__
 
@@ -753,8 +723,10 @@ class TrigPoly:
 
     def laurent_coeffs(self) -> np.ndarray:
         """Complex coefficients [l_-d, ..., l_0, ..., l_d]."""
-        re, im = self._laurent(self.half_degree)
-        return np.array([complex(float(x), float(y)) for x, y in zip(re, im)])
+        re, im = self._halves()
+        im = im or [0] * len(re)
+        return np.array([complex(float(x), float(y)) for x, y in
+                         zip(re[:0:-1] + re, [-y for y in im[:0:-1]] + im)])
 
     def __str__(self):
         if self.is_zero():
@@ -849,21 +821,90 @@ def solve_exact(rows, rhs) -> list:
     return [Fraction(v, det) for v in y]
 
 
-def _gauss_int_coeffs(e: TrigPoly):
-    """(den, re, im): den * z^h * e(z), h the half-degree, as ascending integer
-    coefficient lists of length 2h+1; den is the lcm of e's denominators."""
-    c = [Fraction(x) for x in e.c]
-    s = [Fraction(x) for x in e.s]
-    den = math.lcm(*[x.denominator for x in c + s])
-    h = e.half_degree
-    re = [0] * (2 * h + 1)
-    im = [0] * (2 * h + 1)
-    for k, x in enumerate(c):
-        re[h + k] = re[h - k] = x.numerator * (den // x.denominator)
-    for k, x in enumerate(s):
-        v = x.numerator * (den // x.denominator)
-        im[h + k], im[h - k] = v, -v
-    return den, re, im
+def _laurent_mul(ra, ia, rb, ib) -> tuple[list, list]:
+    """Product of two Laurent polynomials with l_-k = conj(l_k), each given by
+    the real and imaginary parts of its l_0 .. l_h (an imaginary part may be
+    shorter, missing entries are zero, and is empty when that factor is real).
+    Returns the same halves of the product, the imaginary part empty when both
+    factors are real.
+
+    Entries may be ints, Fractions or floats: every coefficient sums its terms
+    in the same order whatever their type, so integer operands give exact
+    integers and float operands the same floats in every caller.
+    """
+    if not ra or not rb:
+        return [], []
+    da, db = len(ra) - 1, len(rb) - 1
+    d = da + db
+    fa, fb = ra[:0:-1] + ra, rb[:0:-1] + rb
+    re = [0] * (d + 1)
+    if not (ia or ib):
+        for a, x in enumerate(fa):
+            if x:
+                lo = max(0, d - a)
+                for k, y in enumerate(fb[lo:], a + lo - d):
+                    if y:
+                        re[k] += x * y
+        return re, []
+    ia = list(ia) + [0] * (da + 1 - len(ia))
+    ib = list(ib) + [0] * (db + 1 - len(ib))
+    ga, gb = [-x for x in ia[:0:-1]] + ia, [-x for x in ib[:0:-1]] + ib
+    im = [0] * (d + 1)
+    for a, (x, y) in enumerate(zip(fa, ga)):
+        if x or y:
+            for b in range(max(0, d - a), 2 * db + 1):
+                u, v = fb[b], gb[b]
+                if u or v:
+                    re[a + b - d] += x * u - y * v
+                    im[a + b - d] += x * v + y * u
+    im[0] = 0  # z^0's coefficient is real; float sums can leave a residue
+    return re, im
+
+
+def _add_into(acc: list, xs: list, f: int = 1) -> None:
+    """acc += f * xs entrywise, acc padded with zeros to the length of xs; one
+    half of a running sum of ``_laurent_mul`` products."""
+    acc.extend([0] * (len(xs) - len(acc)))
+    for i, x in enumerate(xs):
+        acc[i] += f * x
+
+
+def _int_halves(e: TrigPoly) -> tuple[int, list, list]:
+    """(den, re, im): den * e's halves (``TrigPoly._halves``) as integers, den
+    the lcm of the denominators; floats are read exactly."""
+    re, im = e._halves()
+    re = [Fraction(x) if isinstance(x, float) else x for x in re]
+    im = [Fraction(x) if isinstance(x, float) else x for x in im]
+    den = math.lcm(*[x.denominator for x in re + im])
+    return (den, [x.numerator * (den // x.denominator) for x in re],
+            [x.numerator * (den // x.denominator) for x in im])
+
+
+def _cos_to_u(c: list) -> list:
+    """Ascending coefficients in u = z + 1/z of c[0] + sum c[k] (z^k + z^-k),
+    by z^k + z^-k = D_k(u): D_1 = u, D_2 = u^2 - 2, D_k = u D_(k-1) - D_(k-2)
+    (Dickson polynomials, integer coefficients)."""
+    out = list(c[:1]) + [0] * (len(c) - 1)
+    prev, cur = [2], [0, 1]
+    for ck in c[1:]:
+        for i, x in enumerate(cur):
+            out[i] += ck * x
+        nxt = [0] + cur
+        for i, x in enumerate(prev):
+            nxt[i] -= x
+        prev, cur = cur, nxt
+    return out
+
+
+def _u_to_cos(coeffs: list) -> list:
+    """Cosine coefficients (as in ``TrigPoly``) of sum coeffs[k] u^k,
+    u = z + 1/z, by u^k = sum_j C(k, j) z^(k-2j)."""
+    cos = [0] * len(coeffs)
+    for k, x in enumerate(coeffs):
+        if x:
+            for j in range(k // 2 + 1):
+                cos[k - 2 * j] += x * math.comb(k, j)
+    return cos
 
 
 def _horner(coeffs, x: int) -> int:
@@ -1025,8 +1066,16 @@ class TrigMatrix:
     def is_cosine(self) -> bool:
         return all(e.is_cosine() for row in self.entries for e in row)
 
+    def _distinct(self) -> tuple[list, list]:
+        """(entries, index): the distinct entries by identity, in row-major
+        order of first occurrence, and the m x m matrix of their places in
+        that list; a Hankel matrix repeats 2m-1 objects over its m^2 places."""
+        slot: dict = {}
+        index = [[slot.setdefault(id(e), len(slot)) for e in row] for row in self.entries]
+        return list({id(e): e for row in self.entries for e in row}.values()), index
+
     def max_abs_coeff(self) -> float:
-        return max((e.max_abs_coeff() for row in self.entries for e in row), default=0.0)
+        return max((e.max_abs_coeff() for e in self._distinct()[0]), default=0.0)
 
     def eval_thetas(self, thetas) -> np.ndarray:
         """H(e^{i theta}) at every angle, shape (N, m, m): the cosine and sine
@@ -1074,57 +1123,77 @@ class TrigMatrix:
     def det(self) -> TrigPoly:
         """Exact determinant in the TrigPoly ring, by evaluation and interpolation.
 
-        Each entry is cleared to integers on its own (floats exactly, through
-        ``Fraction(float)``).  Column j is then multiplied by z^b_j c_j and row i
-        by z^a_i r_i, where b_j and c_j are the least half-degree and the gcd of
-        the denominators in column j, and a_i and r_i the largest half-degree
-        and the lcm of the denominators left in row i.  The scaled entries
-        M_ij(z) are polynomials with Gaussian-integer coefficients (real ones
-        when H is cosine-only), so
+        Each distinct entry is cleared to integers once (floats exactly,
+        through ``Fraction(float)``).  Row i and column j are then scaled by
+        r_i and c_j, where c_j is the gcd of the denominators in column j and
+        r_i the lcm of those left in row i, so every scaled entry has integer
+        coefficients.  With b_j the least half-degree in column j and a_i the
+        largest excess over it in row i, every term of the determinant has
+        half-degree at most n = sum(a) + sum(b).  n <= m*d; a Hermite matrix,
+        whose entry (i, j) has half-degree at most i + j, usually gets
+        n = m(m-1), half of m*d.
 
-            D(z) = det M(z) = z^n prod(r_i c_j) det H(z),  n = sum(a) + sum(b),
+        Cosine-only H: each entry is an integer polynomial in u = z + 1/z
+        (``_cos_to_u``), so D(u) = prod(r_i c_j) det H has degree at most n.
+        D is evaluated at the n+1 integers around 0 (Horner once per distinct
+        entry, a fraction-free Bareiss determinant per point), recovered by
+        integer Newton interpolation and mapped back to cosine coefficients
+        (``_u_to_cos``).
 
-        has degree at most 2n.  n <= m*d; a Hermite matrix, whose entry (i, j)
-        has half-degree at most i + j, usually gets n = m(m-1), half of m*d.
-        D is evaluated at the integers -n..n (Horner once per distinct entry,
-        a fraction-free Bareiss determinant per point) and recovered by integer
-        Newton interpolation.  The only Fractions built are the final
-        coefficients.
+        Otherwise row i and column j are also multiplied by z^a_i and z^b_j,
+        which makes the entries polynomials in z with Gaussian-integer
+        coefficients and D(z) = z^n prod(r_i c_j) det H of degree at most 2n;
+        D is evaluated at -n..n by the Gaussian-integer Bareiss.
+
+        The only Fractions built are the final coefficients.
         """
-        m, rows = self.m, self.entries
-        cols = [[row[j] for row in rows] for j in range(m)]
-        ints = {e: _gauss_int_coeffs(e) for row in rows for e in row}
-        # lists, not generator expressions, here and in _gauss_int_coeffs: with
+        m = self.m
+        distinct, index = self._distinct()
+        parts = [_int_halves(e) for e in distinct]
+        den = [p[0] for p in parts]
+        half = [e.half_degree for e in distinct]
+        cols = [[row[j] for row in index] for j in range(m)]
+        # lists, not generator expressions, here and in _int_halves: with
         # generators the process's peak RSS grew with every call on CPython 3.11
-        b = [min([e.half_degree for e in col]) for col in cols]
-        c = [math.gcd(*[ints[e][0] for e in col]) for col in cols]
-        a = [max([e.half_degree - b[j] for j, e in enumerate(row)]) for row in rows]
-        r = [math.lcm(*[ints[e][0] // c[j] for j, e in enumerate(row)]) for row in rows]
+        b = [min([half[k] for k in col]) for col in cols]
+        c = [math.gcd(*[den[k] for k in col]) for col in cols]
+        a = [max([half[k] - b[j] for j, k in enumerate(row)]) for row in index]
+        r = [math.lcm(*[den[k] // c[j] for j, k in enumerate(row)]) for row in index]
         n = sum(a) + sum(b)
-        index = {e: k for k, e in enumerate(ints)}
-        polys = list(ints.values())
-        # M_ij(x) = factor * x^shift * P_e(x), P_e = den_e z^h e(z)
-        plan = [[(r[i] * c[j] // ints[e][0], a[i] + b[j] - e.half_degree, index[e])
-                 for j, e in enumerate(row)] for i, row in enumerate(rows)]
-        gauss = not self.is_cosine()
+        scale = math.prod(r) * math.prod(c)
 
+        if self.is_cosine():
+            # M_ij(u) = factor * P_k(u), P_k = den_k e_k(u) in u = z + 1/z
+            polys = [_cos_to_u(re) for _, re, _ in parts]
+            plan = [[(r[i] * c[j] // den[k], k) for j, k in enumerate(row)]
+                    for i, row in enumerate(index)]
+            lo = -(n // 2)
+            vals = []
+            for x in range(lo, lo + n + 1):
+                at = [_horner(p, x) for p in polys]
+                vals.append(_bareiss([[f * at[k] for f, k in row] for row in plan]))
+            cos = _u_to_cos(_newton_interpolate(vals, lo))
+            return TrigPoly([Fraction(v, scale) for v in cos])
+
+        # M_ij(z) = factor * z^shift * P_k(z), P_k = den_k z^h e_k(z)
+        polys = []
+        for _, re, im in parts:
+            im = im or [0] * len(re)
+            polys.append((re[:0:-1] + re, [-y for y in im[:0:-1]] + im))
+        plan = [[(r[i] * c[j] // den[k], a[i] + b[j] - half[k], k) for j, k in enumerate(row)]
+                for i, row in enumerate(index)]
         re_vals, im_vals = [], []
         for x in range(-n, n + 1):
-            re_at = [_horner(re, x) for _, re, _ in polys]
-            re_mat = [[f * x**s * re_at[k] for f, s, k in row] for row in plan]
-            if not gauss:
-                re_vals.append(_bareiss(re_mat))
-                continue
-            im_at = [_horner(im, x) for _, _, im in polys]
-            im_mat = [[f * x**s * im_at[k] for f, s, k in row] for row in plan]
-            vr, vi = _bareiss_det_gauss(re_mat, im_mat)
+            re_at = [_horner(re, x) for re, _ in polys]
+            im_at = [_horner(im, x) for _, im in polys]
+            vr, vi = _bareiss_det_gauss(
+                [[f * x**s * re_at[k] for f, s, k in row] for row in plan],
+                [[f * x**s * im_at[k] for f, s, k in row] for row in plan])
             re_vals.append(vr)
             im_vals.append(vi)
-
         # D_j is the Laurent coefficient of z^(j-n): cos[k] = Re D_{n+k}, sin[k] = Im D_{n+k}
-        scale = math.prod(r) * math.prod(c)
         cos = [Fraction(v, scale) for v in _newton_interpolate(re_vals, -n)[n:]]
-        sin = [Fraction(v, scale) for v in _newton_interpolate(im_vals, -n)[n:]] if gauss else []
+        sin = [Fraction(v, scale) for v in _newton_interpolate(im_vals, -n)[n:]]
         return TrigPoly(cos, sin)
 
     def __eq__(self, other):

@@ -430,6 +430,78 @@ def test_det_of_recentred_hermite_matrix():
         assert H.det() == subset_recursion_det(H)
 
 
+def z_form_det(H: TrigMatrix) -> TrigPoly:
+    """Reference det of a cosine-only H, by the real z-form: row i and column
+    j scaled by z^a_i r_i and z^b_j c_j make integer polynomials in z, and
+    D(z) = z^n prod(r_i c_j) det H, of degree at most 2n, is taken by Bareiss
+    at the 2n+1 integers -n..n and Newton interpolation."""
+    import math
+
+    from rigidconvex.polycore import _bareiss, _horner, _newton_interpolate
+
+    def ints(e):
+        c = [Fraction(x) for x in e.c]
+        den = math.lcm(*[x.denominator for x in c])
+        h = e.half_degree
+        full = [0] * (2 * h + 1)
+        for k, x in enumerate(c):
+            full[h + k] = full[h - k] = x.numerator * (den // x.denominator)
+        return den, full
+
+    m, rows = H.m, H.entries
+    cols = [[row[j] for row in rows] for j in range(m)]
+    b = [min(e.half_degree for e in col) for col in cols]
+    c = [math.gcd(*[ints(e)[0] for e in col]) for col in cols]
+    a = [max(e.half_degree - b[j] for j, e in enumerate(row)) for row in rows]
+    r = [math.lcm(*[ints(e)[0] // c[j] for j, e in enumerate(row)]) for row in rows]
+    n = sum(a) + sum(b)
+    vals = []
+    for x in range(-n, n + 1):
+        mat = [[r[i] * c[j] // ints(e)[0] * x**(a[i] + b[j] - e.half_degree)
+                * _horner(ints(e)[1], x) for j, e in enumerate(row)]
+               for i, row in enumerate(rows)]
+        vals.append(_bareiss(mat))
+    scale = math.prod(r) * math.prod(c)
+    return TrigPoly([Fraction(v, scale) for v in _newton_interpolate(vals, -n)[n:]])
+
+
+def test_cosine_det_matches_z_form_reference():
+    import random
+
+    from rigidconvex.polycore import Poly
+
+    rng = random.Random(83)
+    matrices = [CUBIC_H, TV_H, DISC_H]
+    matrices += [_random_trig_matrix(rng, m, False) for m in range(6) for _ in range(4)]
+    for deg in (2, 3, 4, 5, 6):
+        for _ in range(3):
+            terms = {(i, j): Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                     for i in range(deg + 1) for j in range(0, deg + 1 - i, 2)}
+            terms[(deg, 0)] = Fraction(1)
+            terms[(0, 0)] = Fraction(rng.choice([1, -2, 3]), rng.randint(1, 4))
+            matrices.append(hermite_matrix(Poly(terms)))
+    for H in matrices[:3] + matrices[-6:]:
+        for theta0 in (0.0, 1.0):
+            matrices.append(scale_congruence(H, theta0)[0])
+    assert any(isinstance(x, float) for H in matrices for row in H.entries
+               for e in row for x in e.c)
+    for H in matrices:
+        assert H.is_cosine()
+        assert H.det() == z_form_det(H)
+
+
+def test_cosine_det_takes_n_plus_one_points(monkeypatch):
+    # CUBIC_H has entry half-degrees i + j, so n = m(m-1) = 6: the u-form
+    # takes 7 Bareiss points where the z-form took 2n+1 = 13
+    from rigidconvex import polycore
+
+    calls = []
+    bareiss = polycore._bareiss
+    monkeypatch.setattr(polycore, "_bareiss", lambda mat: calls.append(1) or bareiss(mat))
+    assert CUBIC_H.det() == z_form_det(CUBIC_H)
+    assert len(calls) == 7 + 13
+
+
 # ---------------------------------------------------------------------------
 # batched evaluation against the per-angle, per-entry loop it replaced
 # ---------------------------------------------------------------------------
@@ -536,7 +608,7 @@ def test_scale_congruence_nonzero_theta0():
     assert np.allclose(H0.eval_theta(1.0), np.eye(3), atol=1e-9)
 
 
-@pytest.mark.parametrize("degree", [8, 10, 12])
+@pytest.mark.parametrize("degree", [8, 10, 12, 16, 20])
 def test_degree_runtime(degree):
     import random
     import time

@@ -79,6 +79,15 @@ def test_check_rigid_coeff_bound(capsys, poly):
     assert err.startswith("error:") and "MAX_COEFF_BITS" in err
 
 
+@pytest.mark.parametrize("poly", ["1-x1^2-x3^2", "x1-x3^2"])
+def test_check_rigid_refuses_three_variables(capsys, poly):
+    # p(0) is read as the coefficient of x1^0 x2^0, which a trivariate p lacks;
+    # the arity error must come before the origin test, as evaluation gave it
+    code, out, err = run(capsys, "check-rigid", "--poly", poly)
+    assert (code, out) == (1, "")
+    assert err == "error: expected 3 coordinates, got 2\n"
+
+
 def test_check_rigid_origin_on_curve_recenters(capsys):
     code, rep, _ = run_json(capsys, "check-rigid", "--poly", CAPRICORN)
     assert code == 0

@@ -253,3 +253,114 @@ def test_psd_verdict_equals_real_root_condition():
             checked_not += 1
     assert checked_pd >= 4
     assert checked_not >= 10
+
+
+# ---------------------------------------------------------------------------
+# integer line restriction and Newton sums against the Fraction versions
+# ---------------------------------------------------------------------------
+
+def reference_line_substitute(p: Poly) -> tuple[list, Fraction]:
+    """q and p(0) by TrigPoly arithmetic over Fractions: q_(m-a-b) collects
+    (coeff / p(0)) w^a v^b with w = z + 1/z and v = -i(z - 1/z)."""
+    p0 = p(0, 0)
+    m = p.degree
+    w, v = TrigPoly([0, 1]), TrigPoly([], [0, -1])
+    w_pow, v_pow = [TrigPoly([1])], [TrigPoly([1])]
+    for _ in range(m):
+        w_pow.append(w_pow[-1] * w)
+        v_pow.append(v_pow[-1] * v)
+    q = [TrigPoly() for _ in range(m + 1)]
+    for (a, b), coeff in p.coeffs.items():
+        q[m - a - b] = q[m - a - b] + (w_pow[a] * v_pow[b]) * (coeff / p0)
+    q[m] = TrigPoly([1])
+    return q, p0
+
+
+def reference_newton_sums(q: list, count: int) -> list:
+    """Newton's identities over Fractions, one TrigPoly product per term."""
+    m = len(q) - 1
+    sums = [TrigPoly([m])]
+    for k in range(1, count + 1):
+        acc = TrigPoly()
+        for j in range(1, min(k, m) + 1):
+            if j != k:
+                acc = acc + q[m - j] * sums[k - j]
+        if k <= m:
+            acc = acc + q[m - k] * k
+        sums.append(-acc)
+    return sums
+
+
+def _random_line_inputs(seed, count):
+    """Rational coefficients, odd x2-terms, negative or non-unit p(0), and
+    shifts by Fraction(float) as check-rigid recentres."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        deg = rng.randint(1, 6)
+        odd, rational = rng.random() < 0.5, rng.random() < 0.5
+        coeffs = {}
+        for a in range(deg + 1):
+            for b in range(0, deg + 1 - a, 1 if odd else 2):
+                if rng.random() < 0.6:
+                    num = rng.choice([-9, -4, -1, 1, 2, 3, 7])
+                    coeffs[(a, b)] = Fraction(num, rng.randint(1, 12) if rational else 1)
+        coeffs[(deg, 0)] = Fraction(rng.choice([-3, 1, 2]))
+        coeffs[(0, 0)] = rng.choice([Fraction(1), Fraction(-3), Fraction(5, 7),
+                                     Fraction(rng.uniform(-2, 2))])
+        p = Poly(coeffs)
+        if rng.random() < 0.25:
+            p = p.shifted(Fraction(rng.uniform(-1, 1)), Fraction(rng.uniform(-1, 1)))
+        if p.coeff((0, 0)) != 0:
+            out.append(p)
+    return out
+
+
+def test_line_substitute_matches_fraction_reference():
+    inputs = _random_line_inputs(61, 120)
+    assert any(p.coeff((0, 0)) < 0 for p in inputs)
+    assert any(p.coeff((0, 0)).denominator.bit_length() > 50 for p in inputs)
+    odd = 0
+    for p in inputs:
+        line = line_substitute(p)
+        q, p0 = reference_line_substitute(p)
+        assert line.q == tuple(q)
+        assert line.scale == p0
+        assert all(type(x) is Fraction for e in line.q for x in e.c + e.s)
+        odd += any(not e.is_cosine() for e in line.q)
+    assert odd >= 20
+
+
+def test_newton_sums_match_fraction_reference():
+    for p in _random_line_inputs(67, 80):
+        line = line_substitute(p)
+        count = 2 * line.m + 1
+        sums = newton_sums(line, count)
+        assert sums == reference_newton_sums(list(line.q), count)
+        assert all(type(x) is Fraction for e in sums for x in e.c + e.s)
+
+
+def test_hermite_matrix_shares_one_object_per_hankel_diagonal():
+    H = hermite_matrix(parse_poly("1+x1-x2^2+x1*x2+3*x1^3+x2^4"))
+    assert len({id(e) for row in H.entries for e in row}) == 2 * H.m - 1
+
+
+def test_hermite_determinant_is_the_discriminant():
+    # det of the Hankel matrix of power sums of a monic q is
+    # prod_{i<j} (t_i - t_j)^2 = Disc_t(q); checked exactly at rational z
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+
+    def at(e, z):
+        return (e.cos_coeff(0)
+                + sum(e.cos_coeff(k) * (z**k + z**-k) for k in range(1, len(e.c)))
+                + sum(e.sin_coeff(k) * sympy.I * (z**k - z**-k) for k in range(1, len(e.s))))
+
+    cases = [CUBIC, TV, DISC] + _random_line_inputs(71, 12)
+    for p in cases:
+        line = line_substitute(p)
+        det = hermite_matrix(p).det()
+        for z in (sympy.Rational(2), sympy.Rational(-3), sympy.Rational(5, 7)):
+            q = sum(at(line.q[k], z) * t**k for k in range(line.m + 1))
+            disc = sympy.discriminant(sympy.expand(q), t)
+            assert sympy.expand(at(det, z) - disc) == 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rigidconvex import (
+    DimensionMismatchError,
     Pencil,
     Poly,
     PolyParseError,
@@ -281,9 +282,34 @@ def test_cosine_mul_matches_pointwise_values():
 
 def test_trig_eval_sine_part():
     # i(z - z^-1) has value -2 sin(theta)
-    s = TrigPoly.sin_basis(1)
+    s = TrigPoly([], [0, 1])
     for theta in (0.0, 0.5, 1.7, 3.9):
         assert abs(s.eval_theta(theta) + 2 * np.sin(theta)) < 1e-14
+
+
+def test_cosine_u_form_round_trip():
+    # c[0] + sum c[k](z^k + z^-k) as a polynomial in u = z + 1/z and back
+    from rigidconvex.polycore import _cos_to_u, _u_to_cos
+
+    assert _cos_to_u([5, 0, 1]) == [3, 0, 1]        # 5 + (u^2 - 2)
+    assert _cos_to_u([0, 0, 0, 1]) == [0, -3, 0, 1]  # z^3 + z^-3 = u^3 - 3u
+    assert _u_to_cos([0, 0, 0, 0, 1]) == [6, 0, 4, 0, 1]
+    rng = random.Random(13)
+    for _ in range(100):
+        c = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, 12))]
+        assert _u_to_cos(_cos_to_u(c)) == c
+        for theta in (0.3, 2.0):
+            u = 2 * np.cos(theta)
+            lhs = sum(x * u**k for k, x in enumerate(_cos_to_u(c)))
+            rhs = TrigPoly(c).eval_theta(theta)
+            assert abs(lhs - rhs) <= 1e-6 * max(1.0, sum(abs(x) for x in c))
+
+
+def test_coeff_checks_arity():
+    p = parse_poly("1-x1^2-x3^2")
+    assert p.coeff((0, 0, 0)) == 1
+    with pytest.raises(DimensionMismatchError, match="expected 3 coordinates, got 2"):
+        p.coeff((0, 0))
 
 
 # ---------------------------------------------------------------------------
