@@ -18,8 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OriginOnCurveError
-from .polycore import (Poly, TrigMatrix, TrigPoly, _add_into, _clear_rows, _int_halves,
-                       _laurent_mul)
+from .polycore import Poly, TrigMatrix, TrigPoly, laurent_mul
+
+
+def _add_into(acc: list, xs: list, f: int = 1) -> None:
+    """acc += f * xs entrywise, acc padded with zeros to the length of xs; one
+    half of a running sum of ``laurent_mul`` products."""
+    acc.extend([0] * (len(xs) - len(acc)))
+    for i, x in enumerate(xs):
+        acc[i] += f * x
 
 
 @dataclass(frozen=True)
@@ -61,23 +68,23 @@ def line_substitute(p: Poly) -> LinePoly:
     if m < 1:
         raise ValueError("need total degree >= 1")
 
-    (ints,), _ = _clear_rows([[Fraction(v) for v in p.coeffs.values()]])
-    w = _int_halves(TrigPoly([0, 1]))[1:]
-    v = _int_halves(TrigPoly([], [0, -1]))[1:]
-    w_pow = [_int_halves(TrigPoly([1]))[1:]]
+    coeffs = [Fraction(v) for v in p.coeffs.values()]
+    den = math.lcm(*[v.denominator for v in coeffs])
+    ints = [v.numerator * (den // v.denominator) for v in coeffs]
+    w, v = ([0, 1], []), ([0, 0], [0, -1])  # halves of z + 1/z and -i(z - 1/z)
+    w_pow = [([1], [])]
     v_pow = w_pow[:]
     for _ in range(m):
-        w_pow.append(_laurent_mul(*w_pow[-1], *w))
-        v_pow.append(_laurent_mul(*v_pow[-1], *v))
+        w_pow.append(laurent_mul(*w_pow[-1], *w))
+        v_pow.append(laurent_mul(*v_pow[-1], *v))
     re = [[] for _ in range(m + 1)]
     im = [[] for _ in range(m + 1)]
     for (a, b), coeff in zip(p.coeffs, ints):
-        wr, wi = _laurent_mul(*w_pow[a], *v_pow[b])
+        wr, wi = laurent_mul(*w_pow[a], *v_pow[b])
         _add_into(re[a + b], wr, coeff)
         _add_into(im[a + b], wi, coeff)
     lead = re[0][0]
-    q = [TrigPoly([Fraction(x, lead) for x in re[m - k]],
-                  [Fraction(x, lead) for x in im[m - k]]) for k in range(m + 1)]
+    q = [TrigPoly.from_int_halves(re[m - k], im[m - k], lead) for k in range(m + 1)]
     return LinePoly(m, tuple(q), scale=p0)
 
 
@@ -94,25 +101,24 @@ def newton_sums(line: LinePoly, count: int) -> list[TrigPoly]:
     each product one integer Laurent convolution; N_k = S_k / L^k.
     """
     m, q = line.m, line.q
-    parts = [_int_halves(e) for e in q]
-    den = math.lcm(*[d for d, _, _ in parts])
-    sums = [_int_halves(TrigPoly([m]))[1:]]
+    parts = [e.int_halves() for e in q]
+    den = math.lcm(*[d for _, _, d in parts])
+    sums = [([m], [])]
     for k in range(1, count + 1):
         re, im = [], []
         for j in range(1, min(k, m) + 1):
             if not q[m - j]:
                 continue
-            d, qr, qi = parts[m - j]
+            qr, qi, d = parts[m - j]
             f = den**j // d  # Q_(m-j) = f * (qr, qi)
             if j < k:
-                qr, qi = _laurent_mul(qr, qi, *sums[k - j])
+                qr, qi = laurent_mul(qr, qi, *sums[k - j])
             else:
                 f *= k
             _add_into(re, qr, -f)
             _add_into(im, qi, -f)
         sums.append((re, im))
-    return [TrigPoly([Fraction(x, den**k) for x in re], [Fraction(x, den**k) for x in im])
-            for k, (re, im) in enumerate(sums)]
+    return [TrigPoly.from_int_halves(re, im, den**k) for k, (re, im) in enumerate(sums)]
 
 
 def hermite_matrix(p: Poly) -> TrigMatrix:

@@ -11,7 +11,8 @@ Representations:
 * ``TrigMatrix``-- symmetric matrix of TrigPoly entries; its exact determinant
                    is taken by integer evaluation, fraction-free Bareiss
                    elimination and integer Newton interpolation, in
-                   u = z + 1/z when every entry is cosine-only.
+                   u = z + 1/z when every entry is cosine-only and in
+                   t = tan(theta/2) otherwise.
 * ``Pencil``    -- constant symmetric matrices (F0, ..., Fn) with
                    F(x) = F0 + x1 F1 + ... + xn Fn; the Bezout and Hessian
                    routes build n = 2, pencil files may add F3 (n = 3).
@@ -20,10 +21,10 @@ Values are exact rationals (``Fraction``); floats only appear after
 explicitly numeric steps such as congruence scaling or cube roots.
 
 Exact arithmetic runs on integers: operands are cleared of denominators
-once and Fractions are built only for results.  TrigPoly products take the
-Laurent convolution ``_laurent_mul``.  Determinants and solves take
-the fraction-free ``_bareiss`` (sine-carrying TrigMatrix determinants the
-Gaussian-integer ``_bareiss_det_gauss``), interpolation the integer Newton
+once (``TrigPoly.int_halves``, back by ``TrigPoly.from_int_halves``) and
+Fractions are built only for results.  Laurent products take ``laurent_mul``,
+determinants and solves the one elimination kernel, the fraction-free
+``_bareiss``, interpolation the integer Newton
 ``_newton_interpolate`` (``interpolate_exact`` for rationals; its divided
 differences serve lattices too), and univariate gcds and square-free parts a
 primitive pseudo-remainder sequence in Z[x] (``_pdivmod``, ``_int_gcd``).
@@ -88,6 +89,8 @@ def parse_scalar(text: Union[str, int, float]) -> Scalar:
     text = text.strip()
     if "/" in text:
         num, den = text.split("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     if any(ch in text for ch in ".eE") and not text.lstrip("+-").isdigit():
         return Fraction(text)
@@ -412,6 +415,8 @@ class _Parser:
                 kind3, val3, off3 = self.take()
                 if kind3 != "num" or "." in val3:
                     raise PolyParseError("denominator must be an integer", off3)
+                if int(val3) == 0:
+                    raise PolyParseError("zero denominator", off3)
                 numer = numer / Fraction(val3)
             return Poly.constant(numer, self.nvars)
         if kind == "name":
@@ -694,7 +699,7 @@ class TrigPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, float)):
             return TrigPoly([x * other for x in self.c], [x * other for x in self.s])
-        return TrigPoly(*_laurent_mul(*self._halves(), *other._halves()))
+        return TrigPoly(*laurent_mul(*self._halves(), *other._halves()))
 
     def _halves(self) -> tuple[list, list]:
         """Real and imaginary parts of the coefficients of z^0 .. z^h, h the
@@ -702,6 +707,19 @@ class TrigPoly:
         n = self.half_degree + 1
         re = list(self.c) + [0] * (n - len(self.c))
         return re, (list(self.s) + [0] * (n - len(self.s)) if self.s else [])
+
+    def int_halves(self) -> tuple[list, list, int]:
+        """(re, im, den): the halves (``_halves``) times den, the lcm of their
+        denominators, as integers; floats are read exactly."""
+        re, im = [[Fraction(x) if isinstance(x, float) else x for x in h] for h in self._halves()]
+        den = math.lcm(*[x.denominator for x in re + im])
+        ints = [x.numerator * (den // x.denominator) for x in re + im]
+        return ints[:len(re)], ints[len(re):], den
+
+    @classmethod
+    def from_int_halves(cls, re: Sequence[int], im: Sequence[int], den: int = 1) -> "TrigPoly":
+        """The TrigPoly with halves re / den and im / den; inverts ``int_halves``."""
+        return cls([Fraction(x, den) for x in re], [Fraction(x, den) for x in im])
 
     __rmul__ = __mul__
 
@@ -734,20 +752,11 @@ class TrigPoly:
         parts = []
         if self.c and self.c[0] != 0:
             parts.append(("-" if self.c[0] < 0 else "+") + format_scalar(abs(self.c[0])))
-        for k in range(1, len(self.c)):
-            ck = self.c[k]
-            if ck == 0:
-                continue
-            mag = format_scalar(abs(ck))
-            coef = "" if abs(ck) == 1 else f"{mag}*"
-            parts.append(("-" if ck < 0 else "+") + f"{coef}(z^{k}+z^-{k})")
-        for k in range(1, len(self.s)):
-            sk = self.s[k]
-            if sk == 0:
-                continue
-            mag = format_scalar(abs(sk))
-            coef = "" if abs(sk) == 1 else f"{mag}*"
-            parts.append(("-" if sk < 0 else "+") + f"{coef}i*(z^{k}-z^-{k})")
+        for coeffs, form in ((self.c, "(z^{k}+z^-{k})"), (self.s, "i*(z^{k}-z^-{k})")):
+            for k, x in enumerate(coeffs[1:], 1):
+                if x != 0:
+                    coef = "" if abs(x) == 1 else f"{format_scalar(abs(x))}*"
+                    parts.append(("-" if x < 0 else "+") + coef + form.format(k=k))
         text = "".join(parts)
         return text[1:] if text.startswith("+") else text
 
@@ -821,7 +830,7 @@ def solve_exact(rows, rhs) -> list:
     return [Fraction(v, det) for v in y]
 
 
-def _laurent_mul(ra, ia, rb, ib) -> tuple[list, list]:
+def laurent_mul(ra, ia, rb, ib) -> tuple[list, list]:
     """Product of two Laurent polynomials with l_-k = conj(l_k), each given by
     the real and imaginary parts of its l_0 .. l_h (an imaginary part may be
     shorter, missing entries are zero, and is empty when that factor is real).
@@ -861,25 +870,6 @@ def _laurent_mul(ra, ia, rb, ib) -> tuple[list, list]:
     return re, im
 
 
-def _add_into(acc: list, xs: list, f: int = 1) -> None:
-    """acc += f * xs entrywise, acc padded with zeros to the length of xs; one
-    half of a running sum of ``_laurent_mul`` products."""
-    acc.extend([0] * (len(xs) - len(acc)))
-    for i, x in enumerate(xs):
-        acc[i] += f * x
-
-
-def _int_halves(e: TrigPoly) -> tuple[int, list, list]:
-    """(den, re, im): den * e's halves (``TrigPoly._halves``) as integers, den
-    the lcm of the denominators; floats are read exactly."""
-    re, im = e._halves()
-    re = [Fraction(x) if isinstance(x, float) else x for x in re]
-    im = [Fraction(x) if isinstance(x, float) else x for x in im]
-    den = math.lcm(*[x.denominator for x in re + im])
-    return (den, [x.numerator * (den // x.denominator) for x in re],
-            [x.numerator * (den // x.denominator) for x in im])
-
-
 def _cos_to_u(c: list) -> list:
     """Ascending coefficients in u = z + 1/z of c[0] + sum c[k] (z^k + z^-k),
     by z^k + z^-k = D_k(u): D_1 = u, D_2 = u^2 - 2, D_k = u D_(k-1) - D_(k-2)
@@ -914,33 +904,48 @@ def _horner(coeffs, x: int) -> int:
     return acc
 
 
-def _bareiss_det_gauss(re, im) -> tuple[int, int]:
-    """Bareiss determinant over the Gaussian integers, the matrix given as
-    real and imaginary integer parts; returns (real, imaginary)."""
-    n = len(re)
-    sign, qr, qi, qn = 1, 1, 0, 1  # previous pivot and its norm
-    for k in range(n - 1):
-        if re[k][k] == 0 and im[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if re[r][k] or im[r][k]), None)
-            if piv is None:
-                return 0, 0
-            re[k], re[piv] = re[piv], re[k]
-            im[k], im[piv] = im[piv], im[k]
-            sign = -sign
-        pr, pi, rk, ik = re[k][k], im[k][k], re[k], im[k]
-        for ri, ii in zip(re[k + 1:], im[k + 1:]):
-            fr, fi = ri[k], ii[k]
-            for j in range(k + 1, n):
-                ar, ai, br, bi = ri[j], ii[j], rk[j], ik[j]
-                tr = pr * ar - pi * ai - fr * br + fi * bi
-                ti = pr * ai + pi * ar - fr * bi - fi * br
-                # exact division by the previous pivot q: t * conj(q) / |q|^2
-                ri[j] = (tr * qr + ti * qi) // qn
-                ii[j] = (ti * qr - tr * qi) // qn
-        qr, qi, qn = pr, pi, pr * pr + pi * pi
-    if n == 0:
-        return 1, 0
-    return sign * re[-1][-1], sign * im[-1][-1]
+def _halves_to_t(re: list, im: list, table: list) -> list:
+    """Ascending integer coefficients in t = tan(theta/2) of (1+t^2)^h e, e of
+    half-degree h given by integer halves.  z^k = (1+it)^(2k) / (1+t^2)^k, so
+    (1+t^2)^h e = c_0 (1+t^2)^h + sum 2 Re((c_k + i s_k)(1+it)^(2k)) (1+t^2)^(h-k),
+    summed by Horner in 1+t^2.  ``table[k][j]`` is C(2k, j) (-1)^(j//2), k <= h:
+    the real part of (1+it)^(2k) at even j, the imaginary part at odd j."""
+    out = [re[0]]
+    for k in range(1, len(re)):
+        out += [0, 0]
+        for j in range(len(out) - 1, 1, -1):  # out *= 1 + t^2
+            out[j] += out[j - 2]
+        ck, sk = 2 * re[k], -2 * im[k] if im else 0
+        if ck or sk:
+            for j, x in enumerate(table[k]):
+                out[j] += (sk if j & 1 else ck) * x
+    return out
+
+
+def _taylor_shift(coeffs) -> list:
+    """Ascending coefficients of p(x + 1), by n(n+1)/2 additions."""
+    a = list(coeffs)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def _t_to_halves(coeffs: list) -> tuple[list, list]:
+    """Integer halves of l, sum l_k z^k over |k| <= n, from the 2n+1 ascending
+    coefficients of D(t) = (1+t^2)^n l: t = -i(z-1)/(z+1) gives
+    (z+1)^(2n) D(t) = 4^n sum l_k z^(n+k).  (-i)^j is (-1)^ceil(j/2), times i
+    for odd j, so even j make Re l and odd j Im l, each by
+    (z+1)^N P((z-1)/(z+1)) = V^N G(-2/V), G(x) = P(1+x), V = z + 1."""
+    n = (len(coeffs) - 1) // 2
+    halves = []
+    for odd in (0, 1):
+        part = [x * (-1) ** ((j + 1) // 2) if j & 1 == odd else 0
+                for j, x in enumerate(coeffs)]
+        g = _taylor_shift(part)
+        full = _taylor_shift([x * (-2) ** j for j, x in enumerate(g)][::-1])
+        halves.append([x >> 2 * n for x in full[n:]])  # / 4^n, exact
+    return halves[0], halves[1]
 
 
 def _divided_differences(values) -> list:
@@ -989,7 +994,8 @@ def _pdivmod(a: list, b: list) -> tuple[list, list]:
     """Pseudo-division in Z[x] of ascending integer lists, b nonzero.  Each
     step multiplies the running remainder by lc(b)/g, g = gcd(lc(b), lc(r)),
     so r is a constant multiple of a mod b.  When b is primitive with
-    lc(b) > 0 and divides a, no step scales (Gauss's lemma) and q = a / b."""
+    lc(b) > 0 and divides a, no step scales (a / b is then in Z[x], as
+    primitive polynomials have primitive products) and q = a / b."""
     r, n, q = list(a), len(b) - 1, []
     while len(r) > n:
         g = math.gcd(b[-1], r[-1])
@@ -1123,37 +1129,31 @@ class TrigMatrix:
     def det(self) -> TrigPoly:
         """Exact determinant in the TrigPoly ring, by evaluation and interpolation.
 
-        Each distinct entry is cleared to integers once (floats exactly,
-        through ``Fraction(float)``).  Row i and column j are then scaled by
-        r_i and c_j, where c_j is the gcd of the denominators in column j and
-        r_i the lcm of those left in row i, so every scaled entry has integer
-        coefficients.  With b_j the least half-degree in column j and a_i the
-        largest excess over it in row i, every term of the determinant has
-        half-degree at most n = sum(a) + sum(b).  n <= m*d; a Hermite matrix,
-        whose entry (i, j) has half-degree at most i + j, usually gets
-        n = m(m-1), half of m*d.
+        Each distinct entry is cleared to integers once (``int_halves``).  Row
+        i and column j are scaled by r_i and c_j, c_j the gcd of the
+        denominators in column j and r_i the lcm of those left in row i, so
+        every entry becomes integral.  With b_j the least half-degree in column
+        j and a_i the largest excess over it in row i, det H has half-degree at
+        most n = sum(a) + sum(b) <= m*d; a Hermite matrix, entry (i, j) of
+        half-degree at most i + j, usually gets n = m(m-1).
 
-        Cosine-only H: each entry is an integer polynomial in u = z + 1/z
-        (``_cos_to_u``), so D(u) = prod(r_i c_j) det H has degree at most n.
-        D is evaluated at the n+1 integers around 0 (Horner once per distinct
-        entry, a fraction-free Bareiss determinant per point), recovered by
-        integer Newton interpolation and mapped back to cosine coefficients
-        (``_u_to_cos``).
-
-        Otherwise row i and column j are also multiplied by z^a_i and z^b_j,
-        which makes the entries polynomials in z with Gaussian-integer
-        coefficients and D(z) = z^n prod(r_i c_j) det H of degree at most 2n;
-        D is evaluated at -n..n by the Gaussian-integer Bareiss.
-
-        The only Fractions built are the final coefficients.
+        Every entry becomes a real integer polynomial: in u = z + 1/z when H is
+        cosine-only (``_cos_to_u``), so D(u) = prod(r_i c_j) det H has degree
+        <= n; otherwise in t = tan(theta/2), as (1+t^2)^(a_i+b_j) e
+        (``_halves_to_t``), so D(t) = prod(r_i c_j) (1+t^2)^n det H has degree
+        <= 2n, its real roots the circle roots but theta = pi, where D loses
+        degree.  D is evaluated at n+1 or 2n+1 consecutive integers around 0
+        (Horner per polynomial, one ``_bareiss`` per point), recovered by
+        integer Newton interpolation and mapped back (``_u_to_cos``,
+        ``_t_to_halves``); the only Fractions built are the final coefficients.
         """
         m = self.m
         distinct, index = self._distinct()
-        parts = [_int_halves(e) for e in distinct]
-        den = [p[0] for p in parts]
+        parts = [e.int_halves() for e in distinct]
+        den = [p[2] for p in parts]
         half = [e.half_degree for e in distinct]
         cols = [[row[j] for row in index] for j in range(m)]
-        # lists, not generator expressions, here and in _int_halves: with
+        # lists, not generator expressions, here and in int_halves: with
         # generators the process's peak RSS grew with every call on CPython 3.11
         b = [min([half[k] for k in col]) for col in cols]
         c = [math.gcd(*[den[k] for k in col]) for col in cols]
@@ -1162,39 +1162,31 @@ class TrigMatrix:
         n = sum(a) + sum(b)
         scale = math.prod(r) * math.prod(c)
 
-        if self.is_cosine():
-            # M_ij(u) = factor * P_k(u), P_k = den_k e_k(u) in u = z + 1/z
-            polys = [_cos_to_u(re) for _, re, _ in parts]
-            plan = [[(r[i] * c[j] // den[k], k) for j, k in enumerate(row)]
-                    for i, row in enumerate(index)]
-            lo = -(n // 2)
-            vals = []
-            for x in range(lo, lo + n + 1):
-                at = [_horner(p, x) for p in polys]
-                vals.append(_bareiss([[f * at[k] for f, k in row] for row in plan]))
-            cos = _u_to_cos(_newton_interpolate(vals, lo))
-            return TrigPoly([Fraction(v, scale) for v in cos])
-
-        # M_ij(z) = factor * z^shift * P_k(z), P_k = den_k z^h e_k(z)
-        polys = []
-        for _, re, im in parts:
-            im = im or [0] * len(re)
-            polys.append((re[:0:-1] + re, [-y for y in im[:0:-1]] + im))
-        plan = [[(r[i] * c[j] // den[k], a[i] + b[j] - half[k], k) for j, k in enumerate(row)]
-                for i, row in enumerate(index)]
-        re_vals, im_vals = [], []
-        for x in range(-n, n + 1):
-            re_at = [_horner(re, x) for re, _ in polys]
-            im_at = [_horner(im, x) for _, im in polys]
-            vr, vi = _bareiss_det_gauss(
-                [[f * x**s * re_at[k] for f, s, k in row] for row in plan],
-                [[f * x**s * im_at[k] for f, s, k in row] for row in plan])
-            re_vals.append(vr)
-            im_vals.append(vi)
-        # D_j is the Laurent coefficient of z^(j-n): cos[k] = Re D_{n+k}, sin[k] = Im D_{n+k}
-        cos = [Fraction(v, scale) for v in _newton_interpolate(re_vals, -n)[n:]]
-        sin = [Fraction(v, scale) for v in _newton_interpolate(im_vals, -n)[n:]]
-        return TrigPoly(cos, sin)
+        # M_ij(x) = factor * P(x), one P per distinct (entry k, padding s):
+        # den_k e_k in u, or den_k (1+t^2)^(a_i+b_j) e_k in t, where
+        # s = a_i + b_j - h_k zero halves appended to e_k's raise h_k to a_i + b_j
+        cosine = self.is_cosine()
+        key: dict = {}
+        plan = [[(r[i] * c[j] // den[k],
+                  key.setdefault((k, 0 if cosine else a[i] + b[j] - half[k]), len(key)))
+                 for j, k in enumerate(row)] for i, row in enumerate(index)]
+        if cosine:
+            polys, count = [_cos_to_u(parts[k][0]) for k, _ in key], n + 1
+        else:
+            table = [[math.comb(2 * k, j) * (-1) ** (j // 2) for j in range(2 * k + 1)]
+                     for k in range(max(half) + 1)]
+            polys = [_halves_to_t(parts[k][0] + [0] * s, parts[k][1] and parts[k][1] + [0] * s,
+                                  table) for k, s in key]
+            count = 2 * n + 1
+        lo = -((count - 1) // 2)
+        vals = []
+        for x in range(lo, lo + count):
+            at = [_horner(p, x) for p in polys]
+            vals.append(_bareiss([[f * at[q] for f, q in row] for row in plan]))
+        coeffs = _newton_interpolate(vals, lo)
+        if cosine:
+            return TrigPoly.from_int_halves(_u_to_cos(coeffs), [], scale)
+        return TrigPoly.from_int_halves(*_t_to_halves(coeffs), scale)
 
     def __eq__(self, other):
         return (isinstance(other, TrigMatrix) and self.m == other.m

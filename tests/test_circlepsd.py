@@ -503,6 +503,119 @@ def test_cosine_det_takes_n_plus_one_points(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# sine-carrying determinants in t = tan(theta/2)
+# ---------------------------------------------------------------------------
+
+CAP_H = hermite_matrix(parse_poly("x1^2*(x1^2+x2^2)-2*(x1^2+x2^2-x2)^2")
+                       .shifted(Fraction(0), Fraction(1, 2)))
+
+
+def test_sine_det_takes_two_n_plus_one_integer_points(monkeypatch):
+    # CAP_H has column minima b = (0, 0, 2, 3) of its half-degrees and row
+    # excesses a = (0, 2, 3, 4), so n = 14: D(t) takes 2n+1 = 29 points
+    from rigidconvex import polycore
+
+    calls = []
+    bareiss = polycore._bareiss
+
+    def counted(mat):
+        assert all(type(x) is int for row in mat for x in row)
+        calls.append(1)
+        return bareiss(mat)
+
+    monkeypatch.setattr(polycore, "_bareiss", counted)
+    assert not CAP_H.is_cosine()
+    assert CAP_H.det() == subset_recursion_det(CAP_H)
+    assert len(calls) == 29
+
+
+def _general_pencil_poly(rng, m):
+    """det(I + x1 A + x2 B) for random symmetric A, B, of degree m and with
+    odd x2-terms, so its Hermite matrix carries sine parts."""
+    from rigidconvex.bezout import interpolate_det
+    from rigidconvex.polycore import Pencil
+
+    def sym():
+        A = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                A[i][j] = A[j][i] = rng.randint(-2, 2)
+        return A
+
+    eye = [[int(i == j) for j in range(m)] for i in range(m)]
+    while True:
+        p = interpolate_det(Pencil.from_rows(eye, sym(), sym()))
+        if p.degree == m and any(b % 2 for _, b in p.coeffs):
+            return p
+
+
+@pytest.mark.parametrize("m", [5, 6, 7])
+def test_sine_det_of_general_pencil_equals_subset_recursion(m):
+    import random
+
+    H = hermite_matrix(_general_pencil_poly(random.Random(90 + m), m))
+    assert H.m == m and not H.is_cosine()
+    assert H.det() == subset_recursion_det(H)
+
+
+def test_sine_det_of_float_congruence_is_exact():
+    import random
+
+    for H in (CAP_H, hermite_matrix(_general_pencil_poly(random.Random(7), 3))):
+        assert not H.is_cosine()
+        for theta0 in (0.0, 1.0):
+            H0 = scale_congruence(H, theta0)[0]
+            assert any(isinstance(x, float) for e in H0.entries[0] for x in e.s)
+            assert H0.det() == subset_recursion_det(H0)
+
+
+def test_sine_det_vanishing_at_pi():
+    # 1 + cos(theta) is zero at theta = pi, where t is infinite and D(t)
+    # loses degree; once as a 1 x 1 block, twice through a scaled row and column
+    import random
+
+    g = TrigPoly([1, Fraction(1, 2)])
+    rng = random.Random(29)
+    for m in (2, 3, 4):
+        H = _random_trig_matrix(rng, m, True)
+        zero = TrigPoly()
+        block = TrigMatrix([[g] + [zero] * m]
+                           + [[zero] + list(row) for row in H.entries])
+        scaled = TrigMatrix([[e * g ** ((i == 0) + (j == 0)) for j, e in enumerate(row)]
+                             for i, row in enumerate(H.entries)])
+        for K in (block, scaled):
+            assert not K.is_cosine()
+            det = K.det()
+            assert det == subset_recursion_det(K)
+            assert not det.is_zero()
+            assert det.c[0] + 2 * sum((-1) ** k * x for k, x in enumerate(det.c) if k) == 0
+
+
+def test_t_form_round_trip():
+    # (1+t^2)^h e in t = tan(theta/2), and back to e's integer halves
+    import math
+    import random
+
+    from rigidconvex.polycore import _halves_to_t, _t_to_halves
+
+    rng = random.Random(17)
+    for h in range(9):
+        # (1+it)^(2k) = sum C(2k, j) i^j t^j
+        table = [[math.comb(2 * k, j) * (-1) ** (j // 2) for j in range(2 * k + 1)]
+                 for k in range(h + 1)]
+        for _ in range(20):
+            re = [rng.randint(-10**9, 10**9) for _ in range(h + 1)]
+            im = [0] + [rng.randint(-10**9, 10**9) for _ in range(h)]
+            t = _halves_to_t(re, im, table)
+            assert len(t) == 2 * h + 1
+            assert _t_to_halves(t) == (re, im)
+            for theta in (0.4, 2.5):
+                lhs = sum(x * np.tan(theta / 2) ** j for j, x in enumerate(t))
+                rhs = (1 + np.tan(theta / 2) ** 2) ** h * TrigPoly(re, im).eval_theta(theta)
+                assert abs(lhs - rhs) <= 1e-9 * max(abs(rhs), sum(map(abs, t)))
+
+
+# ---------------------------------------------------------------------------
 # batched evaluation against the per-angle, per-entry loop it replaced
 # ---------------------------------------------------------------------------
 

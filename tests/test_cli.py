@@ -259,6 +259,19 @@ def test_verify_det_declared_size_must_match_exit_1(tmp_path, capsys):
     assert "m = 5" in err
 
 
+def test_zero_denominators_exit_1(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**_DISC_PENCIL, "F0": [["1/0", "0"], ["0", "1"]]}))
+    for argv in (["check-rigid", "--poly=1/0+x1^2"],
+                 ["bezout-pencil", "--q0=1", "--q1=1/0,1", "--q2=0,0,1"],
+                 ["verify-det", "--pencil", str(path), "--poly", "1-x1^2-x2^2"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "zero denominator" in err
+
+
 @pytest.mark.parametrize("name, c", [("fermat-pencil", "-1"), ("cayley-cubic", "1")])
 def test_verify_det_stored_pencils(tmp_path, capsys, name, c):
     # fermat-pencil has F0..F2; cayley-cubic adds F3 for a third variable

@@ -280,6 +280,20 @@ def test_cosine_mul_matches_pointwise_values():
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
+def test_trig_int_halves_round_trip():
+    e = TrigPoly([Fraction(1, 6), 0, Fraction(-3, 4)], [0, Fraction(5, 2)])
+    assert e.int_halves() == ([2, 0, -9], [0, 30, 0], 12)
+    assert TrigPoly([0.5, -0.25]).int_halves() == ([2, -1], [], 4)  # floats exactly
+    rng = random.Random(19)
+    for _ in range(50):
+        c = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, 5))]
+        s = [0] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, 4))]
+        e = TrigPoly(c, s)
+        re, im, den = e.int_halves()
+        assert all(type(x) is int for x in re + im)
+        assert TrigPoly.from_int_halves(re, im, den) == e
+
+
 def test_trig_eval_sine_part():
     # i(z - z^-1) has value -2 sin(theta)
     s = TrigPoly([], [0, 1])
