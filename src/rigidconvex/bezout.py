@@ -26,8 +26,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegreeZeroError, DeterminantMismatchError, DimensionMismatchError
+from .locate import real_roots_with_multiplicity
 from .polycore import Pencil, Poly, Scalar, UniPoly, _bareiss, _divided_differences, \
-    _newton_to_monomial
+    _newton_to_monomial, _variations
 
 
 def bezout_matrix(g: UniPoly, h: UniPoly, m: int | None = None) -> list:
@@ -114,8 +115,7 @@ def signature_exact(rows) -> tuple[int, int, int]:
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     det = interpolate_det(Pencil.from_rows([[-x for x in row] for row in rows], identity))
     char = [det.coeff((k,)) for k in range(n + 1)]
-    signs = [c > 0 for c in char if c]
-    pos = sum(a != b for a, b in zip(signs, signs[1:]))
+    pos = _variations(char)
     zero = next(k for k, c in enumerate(char) if c)  # multiplicity of the root 0
     return pos, n - pos - zero, zero
 
@@ -136,7 +136,9 @@ def interlace_check(q1: UniPoly, q2: UniPoly) -> InterlaceReport:
         verdict = "indefinite"
     else:
         verdict = "semidefinite" if zero else "definite"
-    r1, r2 = q1.real_roots(), q2.real_roots()
+    # floats are read as the binary rationals they are, as in signature_exact
+    r1, r2 = ([x for x, mult in real_roots_with_multiplicity(UniPoly(map(Fraction, q.coeffs)))
+               for _ in range(mult)] for q in (q1, q2))
     all_real = len(r1) == q1.degree and len(r2) == q2.degree
     return InterlaceReport(verdict, tuple(r1), tuple(r2), all_real, pos - neg)
 

@@ -1,9 +1,9 @@
 """Positive semidefiniteness of a TrigMatrix along the unit circle.
 
-The decision procedure is eigenvalue-based: locate the circle zeros of
-det H(z) exactly-in-coefficients / numerically-in-roots, then take the minimum
-eigenvalue at the sample angles (a uniform grid, the zeros and the midpoints
-between consecutive zeros) from one batched ``eigvalsh`` over the stack that
+The decision is exact: the circle zeros of det H are isolated exactly
+(``polycore.real_roots``) and Sylvester's criterion at rational points
+decides (``psd_on_circle``).  Floats only propose a witness and report the
+least eigenvalue, from a batched ``eigvalsh`` over the stack that
 ``TrigMatrix.eval_thetas`` evaluates in one product.  The
 equivalent semidefinite feasibility problem is exported in SDPA sparse
 format for external solvers; candidate spectral factors can be verified
@@ -11,6 +11,7 @@ against H on a grid.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,10 +19,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .polycore import TrigMatrix, TrigPoly, parse_scalar
+from .polycore import TrigMatrix, TrigPoly, _squarefree_part, parse_scalar, real_roots
 
 GRID_SIZE = 512
-CIRCLE_ROOT_TOL = 1e-6
 
 
 def default_tolerance(H: TrigMatrix) -> float:
@@ -59,55 +59,74 @@ def _structural_shortcut(H: TrigMatrix) -> int | None:
     return None
 
 
-def circle_roots_of(det: TrigPoly) -> list[float]:
-    """Angles theta where det(e^{i theta}) = 0, from companion eigenvalues
-    of the ordinary polynomial z^d * det(z)."""
-    if det.is_zero() or det.half_degree == 0:
-        return []
-    coeffs = det.laurent_coeffs()  # ascending in z
-    roots = np.roots(coeffs[::-1])
-    angles = sorted(float(np.angle(r)) % (2 * np.pi)
-                    for r in roots if abs(abs(r) - 1.0) < CIRCLE_ROOT_TOL)
-    return angles
+def circle_roots_of(det: TrigPoly, cosine: bool | None = None) -> tuple[list, list]:
+    """(roots, points) of a nonzero det: the distinct angles in [0, 2 pi) where
+    det(e^{i theta}) = 0, sorted, and (x, theta) inside each arc between them,
+    x exact.  The roots of D = ``det.int_poly(cosine)`` are isolated exactly:
+    when ``cosine`` (det's form by default), those of D(u) in [-2, 2], u = 2 cos
+    theta = x; else those of D(t), t = tan(theta/2) = x, and theta = pi where
+    D loses degree."""
+    cosine = det.is_cosine() if cosine is None else cosine
+    D = det.int_poly(cosine)[0]
+    if cosine:
+        roots = real_roots(_squarefree_part(D), pm2=True)
+        xs = [Fraction(e) for e in (-2, 2) if (e, e) not in roots]  # theta = pi and 0
+        xs += [(a[1] + b[0]) / 2 for a, b in zip(roots, roots[1:])]
+        angles = [s * math.acos(float(lo + hi) / 4) for lo, hi in roots for s in (1, -1)]
+        return sorted({th % (2 * math.pi) for th in angles}), [(x, math.acos(x / 2)) for x in xs]
+    at_pi = not D[-1]
+    roots = real_roots(_squarefree_part(D[:len(D) - next(i for i, x in enumerate(reversed(D)) if x)]))
+    xs = [(a[1] + b[0]) / 2 for a, b in zip(roots, roots[1:])]
+    # the arc through or next to theta = pi, and the other one next to it
+    if roots:
+        xs += [Fraction(math.floor(roots[0][0]) - 1)] + [Fraction(math.ceil(roots[-1][1]) + 1)] * at_pi
+    else:
+        xs.append(Fraction(0))
+    angles = [2 * math.atan(float(lo + hi) / 2) for lo, hi in roots] + [math.pi] * at_pi
+    return (sorted({th % (2 * math.pi) for th in angles}),
+            [(x, 2 * math.atan(x) % (2 * math.pi)) for x in xs])
 
 
-def _sample_angles(roots: list[float], grid_size: int) -> np.ndarray:
-    grid = np.linspace(0.0, 2 * np.pi, grid_size, endpoint=False)
-    if not roots:
-        return grid
-    rts = np.asarray(sorted(roots))
-    mids = (rts + np.roll(rts, -1)) / 2.0
-    mids[-1] = ((rts[-1] + rts[0] + 2 * np.pi) / 2.0) % (2 * np.pi)
-    return np.unique(np.concatenate([grid, rts, mids]))
+def _scan(H: TrigMatrix, thetas) -> tuple[float, float]:
+    """(least eigenvalue, its angle) over the angles, by one batched eigvalsh."""
+    eigs = np.linalg.eigvalsh(H.eval_thetas(thetas))[:, 0]
+    k = int(np.argmin(eigs))
+    return float(eigs[k]), float(thetas[k])
 
 
 def psd_on_circle(H: TrigMatrix) -> CircleVerdict:
-    """Classify H(z) on |z| = 1 as PD / marginal PSD / not PSD / inconclusive."""
+    """Classify H(z) on |z| = 1 as PD / marginal PSD / not PSD / inconclusive,
+    exactly; the float scan only proposes a witness and reports the least
+    eigenvalue.  NOT_PSD: a structural zero, or a negative leading minor of H
+    at a rational point next to the scan's minimum.  Else, det H = 0 is
+    INCONCLUSIVE; otherwise H's inertia is constant on each arc between the
+    circle roots of det H, and Sylvester's criterion at one point per arc
+    decides: NOT_PSD where it fails, else MARGINAL with roots and PD without."""
     tol = default_tolerance(H)
-
+    min_eig, witness = _scan(H, np.linspace(0.0, 2 * np.pi, GRID_SIZE, endpoint=False))
     # a PSD matrix with a zero diagonal entry has a zero row, so a structural
-    # zero decides NOT_PSD without the determinant; the scan still picks the
-    # witness where the violation is largest
-    shortcut = _structural_shortcut(H) is not None
-    det = None if shortcut else H.det()
-    roots = [] if shortcut else circle_roots_of(det)
-    angles = _sample_angles(roots, GRID_SIZE)
-    eigs = np.linalg.eigvalsh(H.eval_thetas(angles))[:, 0]
-    k = int(np.argmin(eigs))
-    min_eig, witness = float(eigs[k]), float(angles[k])
-
-    if shortcut or min_eig < -tol:
-        return CircleVerdict(CircleVerdict.NOT_PSD, witness, min_eig, tol,
-                             tuple(roots), shortcut=shortcut)
+    # zero decides NOT_PSD without the determinant
+    if _structural_shortcut(H) is not None:
+        return CircleVerdict(CircleVerdict.NOT_PSD, witness, min_eig, tol, shortcut=True)
+    cosine = H.is_cosine()
+    sign = H.pd_sign(cosine)
+    # the witness and a quarter grid step on: a grid angle can lie on a
+    # symmetry axis, where H is singular
+    near = [2 * math.cos(th) if cosine else math.tan(th / 2)
+            for th in (witness, witness + np.pi / (2 * GRID_SIZE))]
+    if min_eig < 0 and any(sign(Fraction(x).limit_denominator(2**20)) < 0 for x in near):
+        return CircleVerdict(CircleVerdict.NOT_PSD, witness, min_eig, tol)
+    det = H.det()
     if det.is_zero():
         return CircleVerdict(CircleVerdict.INCONCLUSIVE, witness, min_eig, tol)
-    if roots:
-        return CircleVerdict(CircleVerdict.MARGINAL, witness, min_eig, tol,
-                             tuple(roots))
-    if min_eig > tol:
-        return CircleVerdict(CircleVerdict.PD, witness, min_eig, tol)
-    # no detected circle root but the eigenvalue scan grazes zero
-    return CircleVerdict(CircleVerdict.MARGINAL, witness, min_eig, tol)
+    roots, points = circle_roots_of(det, cosine)
+    min_eig, witness = min((min_eig, witness), _scan(H, roots + [th for _, th in points]))
+    status = CircleVerdict.MARGINAL if roots else CircleVerdict.PD
+    for x, theta in points:
+        if sign(x) < 1:
+            status, witness = CircleVerdict.NOT_PSD, theta
+            break
+    return CircleVerdict(status, witness, min_eig, tol, tuple(roots))
 
 
 # ---------------------------------------------------------------------------

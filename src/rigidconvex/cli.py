@@ -7,7 +7,7 @@ holds every option of the subcommand except ``--json``.
 Exit codes: 0 = computed (whatever the verdict), 1 = input error, usage
 errors included, 2 = internal numerical failure.  ``--json`` switches every
 subcommand to a schema-stable machine-readable report; the env var
-RIGIDCONVEX_TOL overrides the default decision tolerances.
+RIGIDCONVEX_TOL sets the reported check-rigid tolerance, which decides nothing.
 """
 from __future__ import annotations
 
@@ -324,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rigid convexity detection and LMI representations of "
                     "plane curves",
         epilog="Values starting with '-' need the --option=value form, "
-               "e.g. --poly=-x1^3+x2^2.  RIGIDCONVEX_TOL overrides the "
-               "default decision tolerance.",
+               "e.g. --poly=-x1^3+x2^2.  RIGIDCONVEX_TOL sets the reported "
+               "tolerance; verdicts are exact.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -18,7 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import IdenticallyZeroResultantError
-from .polycore import Pencil, Poly, UniPoly, _bareiss, _horner, _newton_interpolate
+from .polycore import Pencil, Poly, UniPoly, _bareiss, _horner, _newton_interpolate, _primitive, \
+    real_roots
 
 RESIDUAL_TOL = 1e-7
 MERGE_TOL = 1e-8
@@ -95,11 +96,12 @@ def real_roots_with_multiplicity(r: UniPoly) -> list[tuple[float, int]]:
     """Real roots of an exact polynomial with exact multiplicities, sorted.
 
     The square-free decomposition splits r into coprime square-free factors,
-    one per multiplicity, so no two factors share a root and the numeric
-    root extraction only ever sees simple roots.
+    one per multiplicity, so no two factors share a root; each root is
+    isolated exactly (``polycore.real_roots``) and reported as the float its
+    interval rounds to.
     """
-    return sorted((root, mult) for factor, mult in r.squarefree_decomposition()
-                  for root in factor.real_roots())
+    return sorted((float((lo + hi) / 2), mult) for factor, mult in r.squarefree_decomposition()
+                  for lo, hi in real_roots(_primitive(factor.coeffs)))
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,10 @@ Fractions are built only for results.  Laurent products take ``laurent_mul``,
 determinants and solves the one elimination kernel, the fraction-free
 ``_bareiss``, interpolation the integer Newton
 ``_newton_interpolate`` (``interpolate_exact`` for rationals; its divided
-differences serve lattices too), and univariate gcds and square-free parts a
-primitive pseudo-remainder sequence in Z[x] (``_pdivmod``, ``_int_gcd``).
+differences serve lattices too), univariate gcds and square-free parts a
+primitive pseudo-remainder sequence in Z[x] (``_pdivmod``, ``_int_gcd``), and
+real roots one exact isolator, ``real_roots`` (Descartes' rule with
+bisection, then bisection on exact signs).
 """
 from __future__ import annotations
 
@@ -81,20 +83,25 @@ def format_scalar(x: Scalar) -> str:
 
 
 def parse_scalar(text: Union[str, int, float]) -> Scalar:
-    """Inverse of format_scalar; accepts ints/floats passed through JSON."""
-    if isinstance(text, int):
-        return Fraction(text)
+    """Inverse of format_scalar; accepts ints/floats passed through JSON.  Like
+    a polynomial literal, the value must be within MAX_COEFF_BITS: a float by
+    its magnitude (and finite), whatever its binary denominator."""
     if isinstance(text, float):
+        if not math.isfinite(text):
+            raise ValueError(f"non-finite number {text!r}")
+        _check_size(0, 0, _bits([int(text)]))
         return text
-    text = text.strip()
-    if "/" in text:
+    if isinstance(text, int):
+        value = Fraction(text)
+    elif "/" in text:
         num, den = text.split("/")
         if int(den) == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    if any(ch in text for ch in ".eE") and not text.lstrip("+-").isdigit():
-        return Fraction(text)
-    return Fraction(int(text))
+        value = Fraction(int(num), int(den))
+    else:
+        value = Fraction(text.strip())
+    _check_size(0, 0, _bits([value]))
+    return value
 
 
 def _power(base, n: int, one):
@@ -584,12 +591,6 @@ class UniPoly:
             return np.array([], dtype=complex)
         return np.roots([float(c) for c in reversed(self.coeffs)])
 
-    def real_roots(self) -> list[float]:
-        rts = self.roots()
-        scale = np.maximum(1.0, np.abs(rts))
-        return sorted(float(r.real) for r, s in zip(rts, scale)
-                      if abs(r.imag) < 1e-8 * s)
-
     def __str__(self):
         if self.is_zero():
             return "0"
@@ -721,6 +722,19 @@ class TrigPoly:
         """The TrigPoly with halves re / den and im / den; inverts ``int_halves``."""
         return cls([Fraction(x, den) for x in re], [Fraction(x, den) for x in im])
 
+    def int_poly(self, cosine: bool, h: int | None = None) -> tuple[list, int]:
+        """(P, den) with integer P of formal degree h or 2h, h >= the
+        half-degree (default): den e = P(u), u = z + 1/z, when ``cosine``, else
+        den (1+t^2)^h e = P(t), t = tan(theta/2); theta = pi drops its degree."""
+        re, im, den = self.int_halves()
+        h = self.half_degree if h is None else h
+        re, im = (x + [0] * (h + 1 - len(x)) if x else [] for x in (re, im))
+        if cosine:
+            return _cos_to_u(re), den
+        table = [[math.comb(2 * k, j) * (-1) ** (j // 2) for j in range(2 * k + 1)]
+                 for k in range(h + 1)]
+        return _halves_to_t(re, im, table), den
+
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
@@ -738,13 +752,6 @@ class TrigPoly:
             ss = np.array([float(x) for x in self.s[1:]])
             total -= 2.0 * float(ss @ np.sin(ks[: len(ss)] * theta))
         return total
-
-    def laurent_coeffs(self) -> np.ndarray:
-        """Complex coefficients [l_-d, ..., l_0, ..., l_d]."""
-        re, im = self._halves()
-        im = im or [0] * len(re)
-        return np.array([complex(float(x), float(y)) for x, y in
-                         zip(re[:0:-1] + re, [-y for y in im[:0:-1]] + im)])
 
     def __str__(self):
         if self.is_zero():
@@ -768,11 +775,13 @@ class TrigPoly:
 # Exact elimination and interpolation
 # ---------------------------------------------------------------------------
 
-def _bareiss(mat) -> int:
+def _bareiss(mat, swap: bool = True) -> int:
     """Fraction-free (Bareiss) elimination, in place, of an integer matrix with
     n rows and at least n columns; each division by the previous pivot is exact.
     Returns the determinant of the leading n x n block, 0 when it is singular;
     otherwise mat[i][j], j >= i, is now an upper-triangular equivalent system.
+    With ``swap=False`` it stops at the first zero pivot instead of swapping
+    rows, and pivot k is the leading principal minor of order k + 1.
     """
     n = len(mat)
     if n == 0:
@@ -781,7 +790,7 @@ def _bareiss(mat) -> int:
     sign, prev = 1, 1
     for k in range(n - 1):
         if mat[k][k] == 0:
-            piv = [r for r in range(k + 1, n) if mat[r][k] != 0]
+            piv = [r for r in range(k + 1, n) if mat[r][k] != 0] if swap else []
             if not piv:
                 return 0
             mat[k], mat[piv[0]] = mat[piv[0]], mat[k]
@@ -1021,6 +1030,101 @@ def _int_gcd(a: list, b: list) -> list:
     return _primitive(a)
 
 
+_PRIME = 2**31 - 1
+
+
+def _squarefree_part(f: list) -> list:
+    """f / gcd(f, f') for a nonzero integer polynomial, x^k split off first.
+    Euclid modulo _PRIME, which must not divide lc(f), proves a gcd of 1 (the
+    true gcd keeps its degree mod p); only otherwise does the PRS run."""
+    k = next(i for i, x in enumerate(f) if x)
+    f = f[k:]
+    df = [i * x for i, x in enumerate(f)][1:]
+    a, b = ([x % _PRIME for x in g] for g in (f, df))
+    while a[-1] and b:
+        if b[-1]:
+            inv = pow(b[-1], -1, _PRIME)
+            while len(a) >= len(b):
+                c = a.pop() * inv % _PRIME
+                for j in range(1, len(b)):
+                    a[-j] -= c * b[-1 - j]
+            a, b = b, [x % _PRIME for x in a]
+        else:
+            b.pop()
+    return [0] * (k > 0) + (f if len(a) == 1 else _pdivmod(f, _int_gcd(f, df))[0])
+
+
+def _variations(coeffs) -> int:
+    """Sign changes in a sequence, zeros skipped (Descartes' rule of signs)."""
+    signs = [x > 0 for x in coeffs if x]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _hom(f: list, a: int, b: int) -> int:
+    """b^n f(a/b), n = len(f) - 1."""
+    acc, bk = 0, 1
+    for c in reversed(f):
+        acc, bk = acc * a + c * bk, bk * b
+    return acc
+
+
+def _roots01(f: list) -> list:
+    """The roots in [0, 1] of a square-free integer polynomial, sorted: (r, r)
+    for a root r met exactly, else an interval around one root whose ends are
+    not roots, at most 2^-53 of its upper end wide.
+
+    Vincent-Collins-Akritas bisection: g = 2^(kn) f((x + c) / 2^k) stands for
+    (c/2^k, (c+1)/2^k), and the sign variations of (x + 1)^n g(1 / (x + 1))
+    bound its roots there (Descartes): 0 means none, 1 exactly one, which
+    bisection on exact signs of f at dyadic midpoints then narrows."""
+    out, todo = [(Fraction(1),) * 2] * (not sum(f)), [(f, 0, 0)]
+    while todo:
+        g, c, k = todo.pop()
+        ends = [not g[0], not sum(g)]  # whether c/2^k and (c+1)/2^k are roots
+        if ends[0]:
+            out.append((Fraction(c, 1 << k),) * 2)
+            g = g[1:]
+        v = _variations(_taylor_shift(g[::-1]))
+        if v > 1:
+            left = [x << (len(g) - 1 - i) for i, x in enumerate(g)]  # 2^n g(x/2)
+            todo += [(_taylor_shift(left), 2 * c + 1, k + 1), (left, 2 * c, k + 1)]
+        elif v == 1:  # f has g[0]'s sign right of lo; ends that are roots move
+            lo, hi, den = c, c + 1, 1 << k
+            while any(ends) or (hi - lo) << 53 > hi:
+                mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
+                s = _hom(f, mid, den)
+                if not s:
+                    out.append((Fraction(mid, den),) * 2)
+                    break
+                right = (s > 0) == (g[0] > 0)
+                lo, hi = (mid, hi) if right else (lo, mid)
+                ends[not right] = False
+            else:
+                out.append((Fraction(lo, den), Fraction(hi, den)))
+    return sorted(out)
+
+
+def real_roots(f: list, pm2: bool = False) -> list:
+    """Sorted ``_roots01`` intervals of the distinct real roots of a
+    square-free integer polynomial (ascending, no trailing zero), or with
+    ``pm2`` of those in [-2, 2], from f(2 - 4y), y in [0, 1].  Else, for s = 1
+    and -1, the roots of f(s x) in [0, 1], and the reciprocals of those of its
+    reversal."""
+    if pm2:
+        g = _taylor_shift(_taylor_shift(f))
+        return [(2 - 4 * hi, 2 - 4 * lo)
+                for lo, hi in reversed(_roots01([x * (-4) ** k for k, x in enumerate(g)]))]
+    out = set()
+    for s in (1, -1):
+        g = [x * s**k for k, x in enumerate(f)]
+        if g[0] and not _variations(g):  # no root in [0, inf), by Descartes
+            continue
+        out.update(tuple(sorted((s * lo, s * hi))) for lo, hi in _roots01(g))
+        out.update(tuple(sorted((s / hi, s / lo)))
+                   for lo, hi in _roots01((g if g[0] else g[1:])[::-1]))
+    return sorted(out)
+
+
 def interpolate_exact(values, x0: int) -> list:
     """Ascending Fraction coefficients of the polynomial P of degree
     < len(values) that takes the rational ``values`` at x0, x0+1, ....  With L
@@ -1101,6 +1205,24 @@ class TrigMatrix:
 
     def eval_theta(self, theta: float) -> np.ndarray:
         return self.eval_thetas([theta])[0]
+
+    def pd_sign(self, cosine: bool):
+        """x -> 1 if H is positive definite at u = x when ``cosine``, else at
+        t = x, otherwise the sign of its first leading minor there that is not
+        positive (Sylvester: the pivots of ``_bareiss`` without swaps); -1
+        proves a negative eigenvalue.  H is exact there, up to a positive
+        factor: the entries' ``int_poly`` homogenised at x."""
+        (distinct, index), d = self._distinct(), self.d
+        parts = [e.int_poly(cosine, d) for e in distinct]
+        lcm = math.lcm(*[den for _, den in parts])
+        polys = [[x * (lcm // den) for x in poly] for poly, den in parts]
+
+        def sign(x) -> int:
+            vals = [_hom(p, x.numerator, x.denominator) for p in polys]
+            mat = [[vals[k] for k in row] for row in index]
+            _bareiss(mat, swap=False)
+            return next((-1 if row[k] else 0 for k, row in enumerate(mat) if row[k] <= 0), 1)
+        return sign
 
     def cos_block_exact(self, k: int) -> list:
         return [[e.cos_coeff(k) for e in row] for row in self.entries]

@@ -23,6 +23,7 @@ from rigidconvex.bezout import (
     rigid_at_origin,
     verify_pencil_det,
 )
+from rigidconvex.locate import real_roots_with_multiplicity
 from rigidconvex.polycore import Poly, det_exact, solve_exact
 
 CAPRICORN_P = parse_poly("x1^2*(x1^2+x2^2)-2*(x1^2+x2^2-x2)^2")
@@ -195,6 +196,13 @@ def test_interlace_definite():
     assert abs(report.signature) == 2
 
 
+def test_interlace_float_coefficients():
+    # float coefficients are read exactly, for the diagnostics too
+    report = interlace_check(UniPoly([0.5, 1.0]), UniPoly([1, 1]))
+    assert report.verdict == "definite"
+    assert (report.roots1, report.roots2, report.all_real) == ((-0.5,), (-1.0,), True)
+
+
 def test_interlace_complex_roots_indefinite():
     report = interlace_check(UniPoly([1, 0, 1]), UniPoly([0, 1]))
     assert report.verdict == "indefinite"
@@ -334,7 +342,7 @@ def _cauchy_index(num: UniPoly, den: UniPoly) -> int:
     num(r) * den'(r)."""
     dden = den.derivative()
     index = 0
-    for r in den.real_roots():
+    for r, _mult in real_roots_with_multiplicity(den):
         nv = float(num(r))
         dv = float(dden(r))
         if abs(nv) < 1e-9 or abs(dv) < 1e-9:

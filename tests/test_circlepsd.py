@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,13 @@ from rigidconvex.hermite import hermite_matrix
 CUBIC_H = hermite_matrix(parse_poly("1-x1-4*x1^2-x2^2+4*x1^3"))
 TV_H = hermite_matrix(parse_poly("1-x1^4-x2^4"))
 DISC_H = hermite_matrix(parse_poly("1-x1^2-x2^2"))
+# a product of two ellipses, each tangent to the other's axis; det H has a
+# quadruple root at u = 2 cos theta = 0
+ELLIPSES = ("1-6*x2^2+9*x2^4-2*x1^1+6*x1^1*x2^2-7*x1^2+21*x1^2*x2^2+6*x1^3+12*x1^4")
+# det(I + x1 A + x2 B) of degree 6, even in x2: rigidly convex, PD on the circle
+EVEN_PENCIL = ("1-21*x2^2+76*x2^4-16*x2^6-3*x1^1+56*x1^1*x2^2-168*x1^1*x2^4-10*x1^2"
+               "+74*x1^2*x2^2+80*x1^2*x2^4+26*x1^3-249*x1^3*x2^2+18*x1^4+140*x1^4*x2^2"
+               "-60*x1^5+24*x1^6")
 
 # the published 4-decimal spectral factor for the cubic-curve Hermite matrix
 PAPER_U = MatrixPoly.from_lists([
@@ -73,6 +81,23 @@ def test_marginal_scalar():
     assert verdict.min_eig == pytest.approx(0.0, abs=1e-9)
 
 
+def test_even_pencil_is_pd():
+    # the scan's least eigenvalue, 0.0091, is far below 1e-9 times H's largest
+    # coefficient (1.14); D(u) has no root in [-2, 2] and H(1) is PD exactly
+    verdict = psd_on_circle(hermite_matrix(parse_poly(EVEN_PENCIL)))
+    assert verdict.status == CircleVerdict.PD
+    assert 0 < verdict.min_eig < verdict.tolerance
+
+
+def test_ellipse_product_is_marginal_at_a_quadruple_root():
+    H = hermite_matrix(parse_poly(ELLIPSES))
+    D, _ = H.det().int_poly(True)
+    assert D[:4] == [0, 0, 0, 0] and D[4]  # u^4 divides D(u), u^5 does not
+    verdict = psd_on_circle(H)
+    assert verdict.status == CircleVerdict.MARGINAL
+    assert verdict.circle_roots == pytest.approx((np.pi / 2, 3 * np.pi / 2), abs=1e-12)
+
+
 def test_negative_scalar():
     H = TrigMatrix([[TrigPoly([-1, 1])]])  # -1 + 2cos(theta)
     verdict = psd_on_circle(H)
@@ -118,9 +143,57 @@ def test_notpsd_witness_consistent_with_det_sign_or_shortcut():
 
 
 def test_circle_roots_of_marginal_case():
-    roots = circle_roots_of(TrigPoly([2, 1]))
-    assert len(roots) == 2  # double zero of z + 2 + z^-1 at theta = pi
-    assert all(abs(r - np.pi) < 1e-5 for r in roots)
+    # the double zero of z + 2 + z^-1 is one distinct root, at theta = pi
+    # (u = -2); the one arc left gets one point
+    roots, points = circle_roots_of(TrigPoly([2, 1]))
+    assert roots == [np.pi]
+    assert len(points) == 1
+    for cosine in (True, False):  # in t = tan(theta/2) it is a drop in degree
+        assert circle_roots_of(TrigPoly([2, 1]), cosine)[0] == [np.pi]
+
+
+def laurent_coeffs(det: TrigPoly) -> np.ndarray:
+    """Complex coefficients [l_-d, ..., l_0, ..., l_d] of det."""
+    re, im = det._halves()
+    im = im or [0] * len(re)
+    return np.array([complex(float(x), float(y)) for x, y in
+                     zip(re[:0:-1] + re, [-y for y in im[:0:-1]] + im)])
+
+
+def numpy_circle_roots(det: TrigPoly, tol: float = 1e-6) -> list[float]:
+    """Reference circle roots: the companion-matrix roots of z^d det(z) within
+    tol of the unit circle, a multiple root once per copy."""
+    if det.is_zero() or det.half_degree == 0:
+        return []
+    roots = np.roots(laurent_coeffs(det)[::-1])
+    return sorted(float(np.angle(r)) % (2 * np.pi) for r in roots if abs(abs(r) - 1.0) < tol)
+
+
+def _cos_product(angles, sine_shift=None) -> TrigPoly:
+    """prod_j (2 cos theta - 2 cos a_j), simple zeros at +-a_j, times
+    1 + sin(theta - sine_shift) / 2 (no zero) when sine_shift is given."""
+    out = TrigPoly([1])
+    for a in angles:
+        out = out * TrigPoly([Fraction(-2 * np.cos(a)), 1])
+    if sine_shift is not None:
+        c, s = Fraction(np.cos(sine_shift)), Fraction(np.sin(sine_shift))
+        out = out * TrigPoly([1, -s / 4], [0, -c / 4])
+    return out
+
+
+def test_circle_roots_match_numpy_reference_on_simple_roots():
+    import random
+
+    rng = random.Random(5)
+    for trial in range(12):
+        angles = sorted(rng.uniform(0.2, 2.9) for _ in range(rng.randint(1, 4)))
+        det = _cos_product(angles, rng.uniform(0, 6) if trial % 2 else None)
+        roots, points = circle_roots_of(det)
+        assert roots == pytest.approx(numpy_circle_roots(det), abs=1e-7)
+        assert roots == pytest.approx(sorted(angles + [2 * np.pi - a for a in angles]),
+                                      abs=1e-12)
+        # one point per arc; in u = 2 cos theta an interval stands for two arcs
+        assert len(points) == (len(roots) // 2 + 1 if trial % 2 == 0 else len(roots))
 
 
 # ---------------------------------------------------------------------------
@@ -628,32 +701,77 @@ def per_angle_eval(H: TrigMatrix, theta: float) -> np.ndarray:
     return out
 
 
-def per_angle_scan(H: TrigMatrix) -> tuple[str, float]:
-    """Reference psd_on_circle status and min eigenvalue, one eigvalsh per angle."""
-    from rigidconvex.circlepsd import (
-        GRID_SIZE,
-        _sample_angles,
-        _structural_shortcut,
-        default_tolerance,
-    )
+def _cos_sin_tables(t, h):
+    """Exact (cos k theta, sin k theta), k <= h, at t = tan(theta/2); None for
+    t is theta = pi."""
+    c, s = (Fraction(-1), Fraction(0)) if t is None else ((1 - t * t) / (1 + t * t),
+                                                         2 * t / (1 + t * t))
+    out = [(Fraction(1), Fraction(0))]
+    for _ in range(h):
+        ck, sk = out[-1]
+        out.append((ck * c - sk * s, sk * c + ck * s))
+    return out
 
-    def min_eig(angles):
-        return min(float(np.linalg.eigvalsh(per_angle_eval(H, t)).min()) for t in angles)
 
-    tol = default_tolerance(H)
-    if _structural_shortcut(H) is not None:
-        return CircleVerdict.NOT_PSD, min_eig(np.linspace(0, 2 * np.pi, GRID_SIZE,
-                                                          endpoint=False))
+def _exact_entry(e: TrigPoly, table) -> Fraction:
+    return Fraction(e.cos_coeff(0)) + 2 * sum(Fraction(e.cos_coeff(k)) * ck - Fraction(e.sin_coeff(k)) * sk
+                                              for k, (ck, sk) in enumerate(table) if k)
+
+
+def _leading_minors_positive(rows) -> bool:
+    """Gaussian elimination without pivoting: pivot k is the ratio of the
+    leading minors of orders k + 1 and k, so all are positive exactly when
+    every pivot is."""
+    a = [list(r) for r in rows]
+    for k in range(len(a)):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return True
+
+
+def sympy_circle_reference(H: TrigMatrix):
+    """(status, root angles) decided independently of polycore's kernel:
+    sympy builds (1+t^2)^h det H in t = tan(theta/2) from the cosine and
+    sine coefficients and isolates its distinct real roots (theta =
+    pi is a root when det H vanishes there), and the leading minors of H at
+    one rational point inside every arc between them decide."""
+    sympy = pytest.importorskip("sympy")
     det = H.det()
-    roots = [] if det.is_zero() else circle_roots_of(det)
-    low = min_eig(_sample_angles(roots, GRID_SIZE))
-    if low < -tol:
-        return CircleVerdict.NOT_PSD, low
     if det.is_zero():
-        return CircleVerdict.INCONCLUSIVE, low
-    if roots or low <= tol:
-        return CircleVerdict.MARGINAL, low
-    return CircleVerdict.PD, low
+        return CircleVerdict.INCONCLUSIVE, []
+    t = sympy.Symbol("t")
+    h = det.half_degree
+
+    def poly(coeffs):  # ascending
+        return sympy.Poly(list(reversed(coeffs)), t, domain="QQ")
+    D = poly([sympy.Rational(det.cos_coeff(0))]) * poly([1, 0, 1]) ** h
+    for k in range(1, h + 1):
+        # (1 + i t)^(2k) = re + i im by the binomial theorem
+        re = poly([math.comb(2 * k, j) * (-1) ** (j // 2) * (1 - j % 2) for j in range(2 * k + 1)])
+        im = poly([math.comb(2 * k, j) * (-1) ** (j // 2) * (j % 2) for j in range(2 * k + 1)])
+        D += (re * (2 * sympy.Rational(det.cos_coeff(k))) - im * (2 * sympy.Rational(det.sin_coeff(k)))) \
+            * poly([1, 0, 1]) ** (h - k)
+    at_pi = _exact_entry(det, _cos_sin_tables(None, h)) == 0
+    # sympy's own isolation; its Sturm count_roots took 14 s at degree 34
+    ivs = sympy.Poly(D.sqf_part(), t).intervals(eps=sympy.Rational(1, 10**9)) if D.degree() > 0 else []
+    ivs = [(Fraction(str(a)), Fraction(str(b))) for (a, b), _ in ivs]
+    points = [(b + c) / 2 for (_, b), (c, _) in zip(ivs, ivs[1:])]
+    assert all(b < c for (_, b), (c, _) in zip(ivs, ivs[1:]))
+    if not at_pi:
+        points.append(None)
+    elif ivs:
+        points += [ivs[0][0] - 1, ivs[-1][1] + 1]
+    else:
+        points.append(Fraction(0))
+    for pt in points:
+        table = _cos_sin_tables(pt, H.d)
+        if not _leading_minors_positive([[_exact_entry(e, table) for e in row] for row in H.entries]):
+            return CircleVerdict.NOT_PSD, None
+    roots = sorted([2 * np.arctan(float((a + b) / 2)) % (2 * np.pi) for a, b in ivs] + [np.pi] * at_pi)
+    return (CircleVerdict.MARGINAL if roots else CircleVerdict.PD), roots
 
 
 def _eval_test_matrices():
@@ -705,12 +823,36 @@ def test_eval_thetas_of_scale_congruence_output():
 
 
 def test_psd_on_circle_matches_per_angle_scan():
+    from rigidconvex.circlepsd import GRID_SIZE
+
+    def min_eig(angles):
+        return min([float(np.linalg.eigvalsh(per_angle_eval(H, t)).min()) for t in angles],
+                   default=np.inf)
+
+    # tangencies: a strip, two ellipses, and a sine-carrying marginal matrix
+    tangent = [hermite_matrix(parse_poly(p)) for p in (
+        "1-x1^2", ELLIPSES, "(1-x1^2-x1*x2-2*x2^2)*(1-3*x1^2+x1*x2-1/2*x2^2)")]
+    # (2 - sin theta)(1 + cos theta)^2: a double root at theta = pi only
+    pi_zero = TrigPoly([2], [0, Fraction(1, 2)]) * TrigPoly([1, Fraction(1, 2)]) ** 2
     seen = set()
-    for H in _eval_test_matrices():
+    for H in _eval_test_matrices() + tangent + [CAP_H, TrigMatrix([[pi_zero]])]:
         verdict = psd_on_circle(H)
-        status, low = per_angle_scan(H)
+        if verdict.shortcut:
+            status, roots = CircleVerdict.NOT_PSD, None
+        else:
+            status, roots = sympy_circle_reference(H)
         assert verdict.status == status
-        assert abs(verdict.min_eig - low) <= 1e-12 * max(1.0, H.max_abs_coeff())
+        if roots and verdict.circle_roots:
+            assert verdict.circle_roots == pytest.approx(roots, abs=1e-7)
+        # the grid, and unless a negative minor there decided, the roots and
+        # one point per arc
+        low = min_eig(np.linspace(0, 2 * np.pi, GRID_SIZE, endpoint=False))
+        det = H.det()
+        if not det.is_zero():
+            found, points = circle_roots_of(det, H.is_cosine())
+            low_all = min(low, min_eig(found + [theta for _, theta in points]))
+        bound = 1e-12 * max(1.0, H.max_abs_coeff())
+        assert abs(verdict.min_eig - low) <= bound or abs(verdict.min_eig - low_all) <= bound
         seen.add(status)
     assert seen >= {CircleVerdict.PD, CircleVerdict.NOT_PSD, CircleVerdict.MARGINAL}
 

@@ -104,6 +104,18 @@ def test_check_rigid_bean_not_rigid(capsys):
     assert rep["verdict"] == "not-rigidly-convex"
 
 
+def test_check_rigid_recentres_on_an_exact_x2_root(capsys):
+    # the gradient eliminant has the exact root x2 = 1, which numpy.roots put
+    # at 0.999993, so no critical point passed the residual test
+    poly = ("28*x2^1-40*x2^2+30*x2^3-12*x2^4+2*x2^5-3*x1^1+7*x1^1*x2^1-5*x1^1*x2^2"
+            "+1*x1^1*x2^3-1*x1^2+2*x1^2*x2^1-3*x1^2*x2^2+1*x1^2*x2^3-3*x1^3"
+            "+5*x1^3*x2^1-2*x1^3*x2^2+3*x1^4-1*x1^4*x2^1-2*x1^5")
+    code, rep, _ = run_json(capsys, "check-rigid", "--poly", poly)
+    assert code == 0 and rep["origin_on_curve"] is True
+    assert rep["verdict"] == "not-rigidly-convex"
+    assert len(rep["recentered_at"]) == 2
+
+
 def test_check_rigid_emit_hermite(capsys):
     code, rep, _ = run_json(capsys, "check-rigid", "--poly", "1-x1^2-x2^2",
                             "--emit-hermite")
@@ -270,6 +282,22 @@ def test_zero_denominators_exit_1(tmp_path, capsys):
         assert out == ""
         assert err.startswith("error:")
         assert "zero denominator" in err
+
+
+def test_out_of_range_scalars_exit_1(tmp_path, capsys):
+    # a pencil file's JSON number 1e400 reads as inf, and the literal 1e400
+    # exceeds MAX_COEFF_BITS: both are input errors, like in a polynomial
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**_DISC_PENCIL, "F0": [[0.5, 0], [0, 1]]}).replace("0.5", "1e400"))
+    for argv, why in ((["verify-det", "--pencil", str(path), "--poly", "1-x1^2-x2^2"], "non-finite"),
+                      (["bezout-pencil", "--q0=1", "--q1=1e400,1", "--q2=0,0,1"], "MAX_COEFF_BITS")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and why in err
+    # a float is bounded by its magnitude, not by its binary denominator
+    for number, expected in (("1e-70", 0), ("1e300", 1)):
+        path.write_text(json.dumps({**_DISC_PENCIL, "F0": [[0.5, 0], [0, 1]]}).replace("0.5", number))
+        assert run(capsys, "verify-det", "--pencil", str(path), "--poly", "1-x1^2-x2^2")[0] == expected
 
 
 @pytest.mark.parametrize("name, c", [("fermat-pencil", "-1"), ("cayley-cubic", "1")])

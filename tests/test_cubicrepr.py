@@ -285,6 +285,16 @@ def test_smooth_cubic_close_to_a_node_is_represented():
         assert float(verify_pencil_det(rep.pencil, p)) == pytest.approx(1.0, abs=1e-8)
 
 
+def test_close_homotopy_roots_give_exact_pencils():
+    # two of the three t* lie near -8.0008 and -7.9992; numpy.roots left them
+    # too inexact for det F = p, the isolated roots round correctly
+    p = parse_poly("-x1^3-x1^2+x2^2+1/10^9")
+    reps = cubic_representations(p)
+    assert [round(float(rep.t_star), 4) for rep in reps] == [-8.0008, -7.9992, 16.0]
+    for rep in reps:
+        assert float(verify_pencil_det(rep.pencil, p)) == pytest.approx(1.0, abs=1e-8)
+
+
 def test_cube_root_exact_beyond_float_range():
     from rigidconvex.cubicrepr import _cube_root_exact
 

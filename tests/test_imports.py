@@ -62,3 +62,28 @@ def test_traced_layer_names_resolve():
             if not found:
                 missing.append(f"{mod_name}.{name}")
     assert missing == []
+
+
+def test_numpy_roots_only_for_complex_points_and_x1_slices():
+    """Float root finding decides nothing: numpy's ``roots`` is called only
+    for the complex singular-point note (``UniPoly.roots``) and the x1
+    slices of ``locate._x1_candidates``."""
+    calls = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and child.func.attr == "roots" and isinstance(child.func.value, ast.Name)
+                  and child.func.value.id in ("np", "numpy")):
+                calls.add(f"{path.stem}.{scope}")
+            visit(child, inner)
+
+    for path in sorted(Path(rigidconvex.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        assert not any(isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                       for node in ast.walk(tree)), path.name
+        visit(tree, "")
+    assert calls == {"polycore.UniPoly.roots", "locate._x1_candidates"}

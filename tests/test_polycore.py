@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,10 +16,12 @@ from rigidconvex import (
     parse_poly,
 )
 from rigidconvex.polycore import (
+    _squarefree_part,
     det_exact,
     format_scalar,
     interpolate_exact,
     parse_scalar,
+    real_roots,
     solve_exact,
 )
 
@@ -520,10 +523,64 @@ def test_squarefree_matches_sympy_sqf_list():
         assert {(g.coeffs, mult) for g, mult in f.squarefree_decomposition()} == expected
 
 
+def numpy_real_roots(q: UniPoly) -> list[float]:
+    """Reference real roots: companion-matrix roots whose imaginary part is
+    below 1e-8 relative, a multiple root once per copy."""
+    return sorted(float(r.real) for r in q.roots() if abs(r.imag) < 1e-8 * max(1.0, abs(r)))
+
+
+def _mid(iv) -> float:
+    return float((iv[0] + iv[1]) / 2)
+
+
 def test_unipoly_real_roots():
-    q = UniPoly([-4, 0, 1])  # roots +-2
-    assert q.real_roots() == pytest.approx([-2.0, 2.0])
-    assert UniPoly([1, 0, 1]).real_roots() == []
+    """The exact kernel against the numpy reference that UniPoly.real_roots was."""
+    assert [_mid(iv) for iv in real_roots([-4, 0, 1])] == [-2.0, 2.0]
+    assert real_roots([1, 0, 1]) == []
+    rng = random.Random(13)
+    for _ in range(30):
+        # well separated rational roots and one complex pair
+        roots = [Fraction(x, rng.choice([1, 3, 7])) for x in rng.sample(range(-40, 40, 3), rng.randint(1, 6))]
+        q = math.prod([UniPoly([-r, 1]) for r in roots], start=UniPoly([rng.randint(1, 5), 1, 1]))
+        den = math.lcm(*[c.denominator for c in q.coeffs])
+        got = [_mid(iv) for iv in real_roots([int(c * den) for c in q.coeffs])]
+        assert got == pytest.approx(numpy_real_roots(q), rel=1e-9, abs=1e-9)
+        assert all(abs(g - float(r)) <= 2 * math.ulp(float(r)) for g, r in zip(got, sorted(roots)))
+
+
+def _random_factored(rng) -> list:
+    """An integer polynomial with multiple roots, roots at dyadic points, at
+    0, +-1 and +-2, and random integer factors."""
+    f = [rng.choice([-3, -1, 1, 2])]
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            g = [rng.randint(-6, 6) for _ in range(rng.randint(2, 5))] + [rng.choice([-2, 1, 3])]
+        elif kind == 1:  # a dyadic root a / 2^k
+            g = [-rng.randint(-16, 16), 2 ** rng.randint(0, 4)]
+        else:
+            g = [-rng.choice([0, 1, -1, 2, -2]), 1]
+        for _ in range(rng.choice([1, 1, 2, 4])):
+            f = [sum(f[i] * g[k - i] for i in range(len(f)) if 0 <= k - i < len(g))
+                 for k in range(len(f) + len(g) - 1)]
+    return f
+
+
+def test_real_roots_match_sympy_count_random():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(31)
+    for _ in range(200):
+        f = _random_factored(rng)
+        P = sympy.Poly(list(reversed(f)), x)
+        sqf = _squarefree_part(f)
+        for found, (lo, hi) in ((real_roots(sqf), (None, None)), (real_roots(sqf, pm2=True), (-2, 2))):
+            assert len(found) == P.count_roots(lo, hi)  # distinct roots
+            for a, b in found:
+                assert P.count_roots(a, b) == 1
+                assert (P.eval(a) == 0) == (a == b)  # exact roots exact, no root at an end
+                assert b - a <= Fraction(1, 2**49) * max(1, abs(a))
+            assert all(b1 <= a2 for (_, b1), (a2, _) in zip(found, found[1:]))
 
 
 def test_power_matches_repeated_product():
