@@ -12,7 +12,6 @@ against H on a grid.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,19 +23,11 @@ from .polycore import TrigMatrix, TrigPoly, _squarefree_part, parse_scalar, real
 GRID_SIZE = 512
 
 
-def default_tolerance(H: TrigMatrix) -> float:
-    env = os.environ.get("RIGIDCONVEX_TOL")
-    if env:
-        return float(env)
-    return 1e-9 * max(1.0, H.max_abs_coeff())
-
-
 @dataclass(frozen=True)
 class CircleVerdict:
     status: str  # PositiveDefinite | PositiveSemidefiniteMarginal | NotPSD | Inconclusive
     witness_theta: float | None
     min_eig: float
-    tolerance: float
     circle_roots: tuple[float, ...] = ()
     shortcut: bool = False
 
@@ -102,12 +93,11 @@ def psd_on_circle(H: TrigMatrix) -> CircleVerdict:
     INCONCLUSIVE; otherwise H's inertia is constant on each arc between the
     circle roots of det H, and Sylvester's criterion at one point per arc
     decides: NOT_PSD where it fails, else MARGINAL with roots and PD without."""
-    tol = default_tolerance(H)
     min_eig, witness = _scan(H, np.linspace(0.0, 2 * np.pi, GRID_SIZE, endpoint=False))
     # a PSD matrix with a zero diagonal entry has a zero row, so a structural
     # zero decides NOT_PSD without the determinant
     if _structural_shortcut(H) is not None:
-        return CircleVerdict(CircleVerdict.NOT_PSD, witness, min_eig, tol, shortcut=True)
+        return CircleVerdict(CircleVerdict.NOT_PSD, witness, min_eig, shortcut=True)
     cosine = H.is_cosine()
     sign = H.pd_sign(cosine)
     # the witness and a quarter grid step on: a grid angle can lie on a
@@ -115,10 +105,10 @@ def psd_on_circle(H: TrigMatrix) -> CircleVerdict:
     near = [2 * math.cos(th) if cosine else math.tan(th / 2)
             for th in (witness, witness + np.pi / (2 * GRID_SIZE))]
     if min_eig < 0 and any(sign(Fraction(x).limit_denominator(2**20)) < 0 for x in near):
-        return CircleVerdict(CircleVerdict.NOT_PSD, witness, min_eig, tol)
+        return CircleVerdict(CircleVerdict.NOT_PSD, witness, min_eig)
     det = H.det()
     if det.is_zero():
-        return CircleVerdict(CircleVerdict.INCONCLUSIVE, witness, min_eig, tol)
+        return CircleVerdict(CircleVerdict.INCONCLUSIVE, witness, min_eig)
     roots, points = circle_roots_of(det, cosine)
     min_eig, witness = min((min_eig, witness), _scan(H, roots + [th for _, th in points]))
     status = CircleVerdict.MARGINAL if roots else CircleVerdict.PD
@@ -126,7 +116,7 @@ def psd_on_circle(H: TrigMatrix) -> CircleVerdict:
         if sign(x) < 1:
             status, witness = CircleVerdict.NOT_PSD, theta
             break
-    return CircleVerdict(status, witness, min_eig, tol, tuple(roots))
+    return CircleVerdict(status, witness, min_eig, tuple(roots))
 
 
 # ---------------------------------------------------------------------------

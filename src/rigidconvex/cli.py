@@ -6,8 +6,7 @@ holds every option of the subcommand except ``--json``.
 
 Exit codes: 0 = computed (whatever the verdict), 1 = input error, usage
 errors included, 2 = internal numerical failure.  ``--json`` switches every
-subcommand to a schema-stable machine-readable report; the env var
-RIGIDCONVEX_TOL sets the reported check-rigid tolerance, which decides nothing.
+subcommand to a schema-stable machine-readable report.
 """
 from __future__ import annotations
 
@@ -115,7 +114,6 @@ def cmd_check_rigid(args) -> dict:
     else:
         body["normalization"] = format_scalar(p0)
         body["min_eigenvalue"] = verdict.min_eig
-        body["tolerance"] = verdict.tolerance
         if verdict.status == CircleVerdict.NOT_PSD:
             body["witness_theta"] = verdict.witness_theta
             body["shortcut"] = verdict.shortcut
@@ -324,8 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rigid convexity detection and LMI representations of "
                     "plane curves",
         epilog="Values starting with '-' need the --option=value form, "
-               "e.g. --poly=-x1^3+x2^2.  RIGIDCONVEX_TOL sets the reported "
-               "tolerance; verdicts are exact.",
+               "e.g. --poly=-x1^3+x2^2.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

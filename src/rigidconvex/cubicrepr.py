@@ -60,19 +60,15 @@ def hessian_det(P: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 def _affine_singular_point(p: Poly):
-    """Common (complex) zero of {p, dp/dx1, dp/dx2}, or None."""
-    g1, g2 = p.partial(0), p.partial(1)
+    """Common (complex) zero of {p, dp/dx1, dp/dx2}, or None: the complex
+    solutions of the gradient system, the first on which p vanishes."""
     norm = max(abs(float(v)) for v in p.coeffs.values())
     try:
-        raw = _solve_system(g1, g2, real=False)
+        raw = _solve_system(p.partial(0), p.partial(1), real=False)
     except IdenticallyZeroResultantError:
         return None
-    for x1v, x2v in raw:
-        tol = 1e-7 * (1.0 + norm * max(1.0, abs(x1v), abs(x2v)) ** p.degree)
-        vals = [abs(q(x1v, x2v)) for q in (p, g1, g2)]
-        if all(v <= tol for v in vals):
-            return (x1v, x2v)
-    return None
+    return next(((x1v, x2v) for x1v, x2v in raw if abs(p(x1v, x2v))
+                 <= 1e-7 * (1.0 + norm * max(1.0, abs(x1v), abs(x2v)) ** p.degree)), None)
 
 
 def check_smooth_cubic(p: Poly, h: Poly) -> None:
@@ -93,9 +89,9 @@ def check_smooth_cubic(p: Poly, h: Poly) -> None:
     point = _affine_singular_point(p)
     if point is None:
         raise SingularCubicError("cubic is singular at infinity", singular_point=None)
-    # numpy.roots splits a double root by about sqrt(eps), so a cusp's
-    # real coordinate can carry an imaginary part near 1e-8
-    display = tuple(round(v.real, 12) if abs(v.imag) <= 1e-6 * max(1.0, abs(v))
+    # complex float roots carry rounding-level imaginary parts; + 0.0 turns
+    # a rounded -0.0 into 0.0
+    display = tuple(round(v.real, 12) + 0.0 if abs(v.imag) <= 1e-6 * max(1.0, abs(v))
                     else v for v in point)
     raise SingularCubicError(
         f"cubic is singular near {display}; use the parametrization route "

@@ -1,16 +1,19 @@
 """Locate a point certifying F(x) >= 0 when the origin is not interior.
 
-The search is purely algebraic: candidate points come from the critical
-equations grad p = 0 and from the boundary systems {p = 0, dp/dx_i = 0},
-both reduced to univariate root extraction through exact integer resultants
-and integer square-free parts (see ``polycore``), whose multiplicities are
-exact: coprime factors share no root, so nothing is merged.  Candidates
+The search is purely algebraic: candidate points are the real solutions of
+the critical equations grad p = 0 and of the boundary systems
+{p = 0, dp/dx_i = 0}, found by one exact solver.  The subresultants in x1,
+taken on integers (see ``polycore``), give the eliminant in x2, whose
+square-free pieces are isolated exactly, and x1 as a rational function of x2
+on each piece, once a shear x2 -> x2 + k x1 has made the solutions' x2
+distinct; no residual test and no float x1 root is needed.  Candidates
 are then certified through the sign pattern of the characteristic
 polynomial of F(x), det(tI + F(x)) = p_0(x) + p_1(x) t + ... + t^m, which is
 entrywise nonnegative exactly on the LMI set.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -18,10 +21,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import IdenticallyZeroResultantError
-from .polycore import Pencil, Poly, UniPoly, _bareiss, _horner, _newton_interpolate, _primitive, \
-    real_roots
+from .polycore import Pencil, Poly, UniPoly, _bareiss, _hom, _horner, _int_gcd, \
+    _newton_interpolate, _pdivmod, _primitive, real_roots
 
-RESIDUAL_TOL = 1e-7
 MERGE_TOL = 1e-8
 CERT_TOL = 1e-9
 
@@ -61,35 +63,47 @@ def _x1_columns(p: Poly) -> tuple[int, dict[int, list]]:
     return den, cols
 
 
-def resultant_elim_x1(f: Poly, g: Poly) -> UniPoly:
-    """Exact resultant of f and g with respect to x1, as a polynomial in x2.
-
-    f and g are cleared once to integer x1-columns (denominators cf, cg).  The
-    integer Sylvester matrix is evaluated at x2 = 0, 1, ..., N by Horner, its
-    determinant taken by fraction-free Bareiss, and the integer resultant
-    recovered by Newton interpolation, then divided by cf^d2 cg^d1.  Raises
-    IdenticallyZeroResultantError when f and g share a factor involving x1.
-    """
-    cf, fc = _x1_columns(f)
-    cg, gc = _x1_columns(g)
-    d1 = max(fc, default=0)
-    d2 = max(gc, default=0)
-    if d1 == 0 or d2 == 0:
-        raise ValueError("both inputs need positive degree in x1")
-    deg_bound = d2 * (max(len(c) for c in fc.values()) - 1) \
-        + d1 * (max(len(c) for c in gc.values()) - 1)
+def _subresultant(fc: dict, gc: dict, j: int) -> list[list]:
+    """s_j,j .. s_j,0, the coefficients in x1 of the j-th subresultant S_j of
+    the integer polynomials f, g with x1-columns fc, gc (degrees d1, d2 >= j),
+    as ascending integer lists in x2 ([] is zero).  s_j,i is the minor, on
+    the first d1 + d2 - 2j - 1 columns and the column of x1^i, of the rows
+    x1^i f (i < d2 - j) and x1^i g (i < d1 - j) over x1^(d1+d2-j-1) .. 1: the
+    last row ``_bareiss`` leaves, at x2 = 0, 1, ..., N, then Newton
+    interpolation.  S_0 is the resultant; S_j for j = d1 = d2 is f."""
+    d1, d2 = max(fc), max(gc)
+    if j == d1 == d2:
+        return [fc.get(i, []) for i in range(j, -1, -1)]
+    n = d1 + d2 - 2 * j
+    bound = (d2 - j) * (max(len(c) for c in fc.values()) - 1) \
+        + (d1 - j) * (max(len(c) for c in gc.values()) - 1)
     values = []
-    for x in range(deg_bound + 1):
+    for x in range(bound + 1):
         frow = [_horner(fc.get(i, ()), x) for i in range(d1, -1, -1)]
         grow = [_horner(gc.get(i, ()), x) for i in range(d2, -1, -1)]
-        rows = [[0] * r + frow + [0] * (d2 - 1 - r) for r in range(d2)]
-        rows += [[0] * r + grow + [0] * (d1 - 1 - r) for r in range(d1)]
-        values.append(_bareiss(rows))
-    if not any(values):
+        rows = [[0] * r + frow + [0] * (d2 - j - 1 - r) for r in range(d2 - j)]
+        rows += [[0] * r + grow + [0] * (d1 - j - 1 - r) for r in range(d1 - j)]
+        _bareiss(rows)
+        values.append(rows[-1][n - 1:])
+    out = [_newton_interpolate(col, 0) for col in zip(*values)]
+    return [c[:max((i + 1 for i, x in enumerate(c) if x), default=0)] for c in out]
+
+
+def resultant_elim_x1(f: Poly, g: Poly) -> UniPoly:
+    """Exact resultant of f and g with respect to x1, as a polynomial in x2:
+    the subresultant S_0 of their integer x1-columns (denominators cf, cg),
+    divided by cf^d2 cg^d1.  Raises IdenticallyZeroResultantError when f and
+    g share a factor involving x1."""
+    (cf, fc), (cg, gc) = _x1_columns(f), _x1_columns(g)
+    d1, d2 = max(fc, default=0), max(gc, default=0)
+    if d1 == 0 or d2 == 0:
+        raise ValueError("both inputs need positive degree in x1")
+    res = _subresultant(fc, gc, 0)[0]
+    if not res:
         raise IdenticallyZeroResultantError(
             "resultant vanishes identically; common factor in x1")
     scale = cf**d2 * cg**d1
-    return UniPoly([Fraction(c, scale) for c in _newton_interpolate(values, 0)])
+    return UniPoly([Fraction(c, scale) for c in res])
 
 
 def real_roots_with_multiplicity(r: UniPoly) -> list[tuple[float, int]]:
@@ -108,108 +122,109 @@ def real_roots_with_multiplicity(r: UniPoly) -> list[tuple[float, int]]:
 # candidate generation
 # ---------------------------------------------------------------------------
 
-def _poly_norm(p: Poly) -> float:
-    return max((abs(float(v)) for v in p.coeffs.values()), default=0.0)
-
-
-def _grad_scale(p: Poly, x: tuple[float, float]) -> float:
-    r = max(1.0, float(np.hypot(*x)))
-    return 1.0 + _poly_norm(p) * r ** max(p.degree - 1, 0)
-
-
-def _univariate_in_x1(p: Poly, x2val: float | complex) -> np.ndarray:
-    """Float or complex coefficients (ascending) of x1 -> p(x1, x2val)."""
-    top = max((a for (a, _b) in p.coeffs), default=0)
-    out = np.zeros(top + 1, dtype=type(x2val))
+def _sheared(p: Poly, k: int) -> Poly:
+    """p(x1, y - k x1) as a polynomial in (x1, y)."""
+    out: dict = {}
     for (a, b), v in p.coeffs.items():
-        out[a] += float(v) * x2val**b
-    return out
+        for t in range(b + 1 if k else 1):
+            out[a + t, b - t] = out.get((a + t, b - t), 0) + v * math.comb(b, t) * (-k) ** t
+    return Poly(out)
 
 
-def _x1_candidates(polys: list[Poly], x2val, real: bool) -> list:
-    """x1 roots of each p(x1, x2val): the real ones, or all of them as complex."""
-    cands: list = []
-    for p in polys:
-        coeffs = _univariate_in_x1(p, x2val)
-        scale = max(1.0, np.abs(coeffs).max())
-        trimmed = np.trim_zeros(np.where(np.abs(coeffs) > 1e-12 * scale, coeffs, 0.0), "b")
-        if len(trimmed) <= 1:
-            continue
-        roots = np.roots(trimmed[::-1])
-        if real:
-            cands.extend(float(r.real) for r in roots
-                         if abs(r.imag) < 1e-7 * max(1.0, abs(r)))
-        else:
-            cands.extend([complex(r) for r in roots])
-    return cands
+def _one_root(s: list, h: list, mu: int) -> bool:
+    """Whether S = s[0] x1^mu + s[1] x1^(mu-1) + ... is s[0] (x1 - beta)^mu
+    modulo h, beta = -s[1] / (mu s[0]): the coefficient of x1^i must be
+    s[0] C(mu, i) (-beta)^(mu-i), multiplied out by (mu s[0])^(mu-i) / s[0]."""
+    c, a, hp = UniPoly(s[0]), UniPoly(s[1]), UniPoly(h)
+    return not any((UniPoly(s[mu - i]) * mu ** (mu - i) * c ** (mu - i - 1)
+                    - a ** (mu - i) * math.comb(mu, i)).divmod(hp)[1]
+                   for i in range(mu - 1))
 
 
-def _eliminate(f: Poly, g: Poly) -> UniPoly:
-    """Eliminant in x2 of the system {f = 0, g = 0}, handling the cases where
-    one equation does not involve x1."""
-    d1, d2 = (max((a for a, _b in p.coeffs), default=0) for p in (f, g))
-    if d1 and d2:
-        return resultant_elim_x1(f, g)
-    f2, g2 = (UniPoly([p.coeff((0, b)) for b in range(p.degree + 1)]) for p in (f, g))
-    if d1 or d2:
-        return g2 if d1 else f2
-    # both univariate in x2: common roots come from the gcd
-    gcd = f2.gcd(g2)
-    return gcd if gcd.degree >= 1 else UniPoly([1])  # [1]: no common root
+def _sheared_solutions(f: Poly, g: Poly, k: int, real: bool) -> list | None:
+    """The solutions of {f = 0, g = 0} through y = x2 + k x1, or None unless
+    the sheared equations both involve x1, one with a constant leading
+    coefficient, and one solution lies over each root of S_0.  The square-free
+    factors of S_0 split, by gcds with s_11, s_22, ..., into pieces h whose
+    roots first leave s_mu,mu nonzero: there gcd(f, g) is S_mu up to a factor,
+    which must be s_mu,mu (x1 - beta)^mu modulo h (``_one_root``), and x1 =
+    beta = -s_mu,mu-1 / (mu s_mu,mu) at each real root y of h (the exact
+    midpoint of its interval) and, with ``real=False``, in complex floats at
+    the others."""
+    (_, fc), (_, gc) = _x1_columns(_sheared(f, k)), _x1_columns(_sheared(g, k))
+    d1, d2 = max(fc), max(gc)
+    if not (d1 and d2 and (len(fc[d1]) == 1 or len(gc[d2]) == 1)):
+        return None
+    sub = functools.cache(lambda j: _subresultant(fc, gc, j))
+    res = sub(0)[0]
+    if not res:
+        raise IdenticallyZeroResultantError("system has a continuum of solutions")
+    pieces = []
+    for factor, _mult in UniPoly(res).squarefree_decomposition():
+        rest, mu = _primitive(factor.coeffs), 0
+        while len(rest) > 1:
+            mu += 1
+            if mu > min(d1, d2):  # an equation vanishes on a line y = const
+                return None
+            common = _int_gcd(rest, sub(mu)[0])
+            piece = _pdivmod(rest, common)[0]
+            if len(piece) > 1:
+                if mu > 1 and not _one_root(sub(mu), piece, mu):
+                    return None
+                pieces.append((piece, mu))
+            rest = common
+    points = []
+    for h, mu in pieces:
+        c, a = sub(mu)[:2]
+        ys = [(lo + hi) / 2 for lo, hi in real_roots(h)]
+        for y in ys:
+            num, den = y.numerator, y.denominator
+            x1 = Fraction(-_hom(a, num, den) * den ** (len(c) - 1),
+                          mu * _hom(c, num, den) * den ** max(len(a) - 1, 0))
+            points.append((float(x1), float(y - k * x1)))
+        if not real:  # the float roots of h, less the nearest to each real one
+            others = list(map(complex, UniPoly(h).roots()))
+            for y in ys:
+                others.remove(min(others, key=lambda z: abs(z - float(y))))
+            for y in others:
+                x1 = -_horner(a, y) / (mu * _horner(c, y))
+                points.append((x1, y - k * x1))
+    return points
 
 
 def _solve_system(f: Poly, g: Poly, real: bool = True) -> list[tuple]:
-    """Approximate real solutions of {f = 0, g = 0}, or with ``real=False``
-    all complex ones (as Python complex numbers).  x2 runs over the roots of
-    the square-free factors of the exact eliminant, so numeric root extraction
-    only sees simple roots, and x1 over the roots of f and g at each x2."""
-    elim = _eliminate(f, g)
-    if elim.is_zero():
+    """Real solutions of {f = 0, g = 0} as float pairs, or with ``real=False``
+    all complex ones (the non-real as complex pairs); raises
+    IdenticallyZeroResultantError for a continuum.  The least good shear k of
+    ``_sheared_solutions`` is in range: at most deg f + deg g values of k drop
+    a leading coefficient, as many are directions of linear factors, and each
+    pair of the at most N = deg f deg g solutions lines up for one k."""
+    if f.is_zero() or g.is_zero():
         raise IdenticallyZeroResultantError("system has a continuum of solutions")
-    if real:
-        x2vals = [x2val for x2val, _mult in real_roots_with_multiplicity(elim)]
-    else:
-        x2vals = [complex(x2val) for factor, _mult in elim.squarefree_decomposition()
-                  for x2val in factor.roots()]
-    points = []
-    for x2val in x2vals:
-        x1vals = _x1_candidates([f, g], x2val, real)
-        if x1vals:
-            points.extend((x1val, x2val) for x1val in x1vals)
-        else:
-            # both polynomials are x1-free at this slice
-            points.append((0.0, x2val))
-    return points
+    if f.degree == 0 or g.degree == 0:
+        return []
+    d, n = f.degree + g.degree, f.degree * g.degree
+    return next(points for k in range(2 * d + n * (n - 1) // 2 + 1)
+                if (points := _sheared_solutions(f, g, k, real)) is not None)
 
 
 def _dedupe_sorted(points: list[CandidatePoint]) -> list[CandidatePoint]:
     points = sorted(points, key=lambda c: (c.x[1], c.x[0], c.source))
     out: list[CandidatePoint] = []
     for cand in points:
-        dup = False
-        for kept in out:
-            if (abs(cand.x[0] - kept.x[0]) <= MERGE_TOL * (1 + abs(cand.x[0]))
-                    and abs(cand.x[1] - kept.x[1]) <= MERGE_TOL * (1 + abs(cand.x[1]))):
-                dup = True
-                break
-        if not dup:
+        if not any(abs(cand.x[0] - kept.x[0]) <= MERGE_TOL * (1 + abs(cand.x[0]))
+                   and abs(cand.x[1] - kept.x[1]) <= MERGE_TOL * (1 + abs(cand.x[1]))
+                   for kept in out):
             out.append(cand)
     return out
 
 
-def _real_points(p: Poly, f: Poly, g: Poly, source: str) -> list[CandidatePoint]:
-    """Real solutions of {f = 0, g = 0} whose residuals pass RESIDUAL_TOL at
-    p's gradient scale; [] when the system has a continuum of solutions."""
+def _real_points(f: Poly, g: Poly, source: str) -> list[CandidatePoint]:
+    """Real solutions of {f = 0, g = 0}; [] when they form a continuum."""
     try:
-        raw = _solve_system(f, g)
+        return [CandidatePoint(x, source) for x in _solve_system(f, g)]
     except IdenticallyZeroResultantError:
         return []
-    out = []
-    for x in raw:
-        tol = RESIDUAL_TOL * _grad_scale(p, x)
-        if abs(f(*x)) <= tol and abs(g(*x)) <= tol:
-            out.append(CandidatePoint(x, source))
-    return out
 
 
 def critical_points(p: Poly) -> list[CandidatePoint]:
@@ -221,7 +236,7 @@ def critical_points(p: Poly) -> list[CandidatePoint]:
     """
     if p.degree < 2:
         raise ValueError("need total degree >= 2")
-    return _dedupe_sorted(_real_points(p, p.partial(0), p.partial(1), "critical"))
+    return _dedupe_sorted(_real_points(p.partial(0), p.partial(1), "critical"))
 
 
 def boundary_points(p: Poly) -> list[CandidatePoint]:
@@ -229,7 +244,7 @@ def boundary_points(p: Poly) -> list[CandidatePoint]:
     if p.degree < 2:
         raise ValueError("need total degree >= 2")
     return _dedupe_sorted([cand for i in (0, 1)
-                           for cand in _real_points(p, p, p.partial(i), "boundary")])
+                           for cand in _real_points(p, p.partial(i), "boundary")])
 
 
 # ---------------------------------------------------------------------------

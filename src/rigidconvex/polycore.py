@@ -23,13 +23,13 @@ explicitly numeric steps such as congruence scaling or cube roots.
 Exact arithmetic runs on integers: operands are cleared of denominators
 once (``TrigPoly.int_halves``, back by ``TrigPoly.from_int_halves``) and
 Fractions are built only for results.  Laurent products take ``laurent_mul``,
-determinants and solves the one elimination kernel, the fraction-free
-``_bareiss``, interpolation the integer Newton
-``_newton_interpolate`` (``interpolate_exact`` for rationals; its divided
-differences serve lattices too), univariate gcds and square-free parts a
-primitive pseudo-remainder sequence in Z[x] (``_pdivmod``, ``_int_gcd``), and
-real roots one exact isolator, ``real_roots`` (Descartes' rule with
-bisection, then bisection on exact signs).
+determinants, solves and bordered minors (``locate``'s subresultants) the
+one elimination kernel, the fraction-free ``_bareiss``, interpolation the
+integer Newton ``_newton_interpolate`` (``interpolate_exact`` for rationals;
+its divided differences serve lattices too), univariate gcds and square-free
+parts ``_int_gcd`` (a gcd of 1 proved modulo 2^31 - 1, else a primitive
+pseudo-remainder sequence in Z[x]), and real roots one exact isolator,
+``real_roots`` (Descartes' rule with bisection, then bisection on exact signs).
 """
 from __future__ import annotations
 
@@ -660,10 +660,6 @@ class TrigPoly:
     def sin_coeff(self, k: int):
         return self.s[k] if 0 <= k < len(self.s) else Fraction(0)
 
-    def max_abs_coeff(self) -> float:
-        vals = [abs(float(x)) for x in self.c] + [abs(float(x)) for x in self.s]
-        return max(vals, default=0.0)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, float)):
             other = TrigPoly([other])
@@ -780,8 +776,11 @@ def _bareiss(mat, swap: bool = True) -> int:
     n rows and at least n columns; each division by the previous pivot is exact.
     Returns the determinant of the leading n x n block, 0 when it is singular;
     otherwise mat[i][j], j >= i, is now an upper-triangular equivalent system.
-    With ``swap=False`` it stops at the first zero pivot instead of swapping
-    rows, and pivot k is the leading principal minor of order k + 1.
+    The last row then holds, at each column c >= n - 1, the determinant of the
+    first n - 1 columns bordered by column c (the row swaps' sign is applied
+    to the whole row, and the row is zero when those n - 1 columns are
+    dependent).  With ``swap=False`` it stops at the first zero pivot instead
+    of swapping rows, and pivot k is the leading principal minor of order k + 1.
     """
     n = len(mat)
     if n == 0:
@@ -792,6 +791,7 @@ def _bareiss(mat, swap: bool = True) -> int:
         if mat[k][k] == 0:
             piv = [r for r in range(k + 1, n) if mat[r][k] != 0] if swap else []
             if not piv:
+                mat[n - 1][n - 1:] = [0] * (width - n + 1)
                 return 0
             mat[k], mat[piv[0]] = mat[piv[0]], mat[k]
             sign = -sign
@@ -801,7 +801,9 @@ def _bareiss(mat, swap: bool = True) -> int:
             for j in range(k + 1, width):
                 rowi[j] = (pk * rowi[j] - f * rowk[j]) // prev
         prev = pk
-    return sign * mat[n - 1][n - 1]
+    if sign < 0:
+        mat[n - 1][n - 1:] = [-x for x in mat[n - 1][n - 1:]]
+    return mat[n - 1][n - 1]
 
 
 def _clear_rows(rows):
@@ -1020,38 +1022,39 @@ def _pdivmod(a: list, b: list) -> tuple[list, list]:
     return q[::-1], r
 
 
+_PRIME = 2**31 - 1
+
+
 def _int_gcd(a: list, b: list) -> list:
     """Primitive gcd in Z[x], leading coefficient > 0, of ascending integer
-    lists ([] is zero), by the primitive pseudo-remainder sequence."""
+    lists ([] is zero).  Euclid modulo _PRIME, which must not divide lc(a),
+    proves a gcd of 1 (the true gcd keeps its degree mod p); only otherwise
+    does the primitive pseudo-remainder sequence run."""
     if len(a) < len(b):
         a, b = b, a
+    u, v = ([x % _PRIME for x in g] for g in (a, b))
+    while u and u[-1] and v:
+        if v[-1]:
+            inv = pow(v[-1], -1, _PRIME)
+            while len(u) >= len(v):
+                c = u.pop() * inv % _PRIME
+                for j in range(1, len(v)):
+                    u[-j] -= c * v[-1 - j]
+            u, v = v, [x % _PRIME for x in u]
+        else:
+            v.pop()
+    if len(u) == 1:
+        return [1]
     while b:
         a, b = b, _primitive(_pdivmod(a, b)[1])
     return _primitive(a)
 
 
-_PRIME = 2**31 - 1
-
-
 def _squarefree_part(f: list) -> list:
-    """f / gcd(f, f') for a nonzero integer polynomial, x^k split off first.
-    Euclid modulo _PRIME, which must not divide lc(f), proves a gcd of 1 (the
-    true gcd keeps its degree mod p); only otherwise does the PRS run."""
+    """f / gcd(f, f') for a nonzero integer polynomial, x^k split off first."""
     k = next(i for i, x in enumerate(f) if x)
     f = f[k:]
-    df = [i * x for i, x in enumerate(f)][1:]
-    a, b = ([x % _PRIME for x in g] for g in (f, df))
-    while a[-1] and b:
-        if b[-1]:
-            inv = pow(b[-1], -1, _PRIME)
-            while len(a) >= len(b):
-                c = a.pop() * inv % _PRIME
-                for j in range(1, len(b)):
-                    a[-j] -= c * b[-1 - j]
-            a, b = b, [x % _PRIME for x in a]
-        else:
-            b.pop()
-    return [0] * (k > 0) + (f if len(a) == 1 else _pdivmod(f, _int_gcd(f, df))[0])
+    return [0] * (k > 0) + _pdivmod(f, _int_gcd(f, [i * x for i, x in enumerate(f)][1:]))[0]
 
 
 def _variations(coeffs) -> int:
@@ -1183,9 +1186,6 @@ class TrigMatrix:
         slot: dict = {}
         index = [[slot.setdefault(id(e), len(slot)) for e in row] for row in self.entries]
         return list({id(e): e for row in self.entries for e in row}.values()), index
-
-    def max_abs_coeff(self) -> float:
-        return max((e.max_abs_coeff() for e in self._distinct()[0]), default=0.0)
 
     def eval_thetas(self, thetas) -> np.ndarray:
         """H(e^{i theta}) at every angle, shape (N, m, m): the cosine and sine

@@ -38,6 +38,18 @@ PAPER_U = MatrixPoly.from_lists([
 ])
 
 
+def max_abs_coeff(H: TrigMatrix) -> float:
+    """Largest |coefficient|, cosine or sine, over H's entries."""
+    return max((abs(float(x)) for row in H.entries for e in row for x in e.c + e.s),
+               default=0.0)
+
+
+def tolerance(H: TrigMatrix) -> float:
+    """1e-9 max(1, largest |coefficient| of H): the scale at which the tests
+    compare a verdict's least eigenvalue with zero."""
+    return 1e-9 * max(1.0, max_abs_coeff(H))
+
+
 def brute_force_min_eig(H, samples=10000):
     thetas = np.linspace(0, 2 * np.pi, samples, endpoint=False)
     return min(float(np.linalg.eigvalsh(H.eval_theta(t)).min()) for t in thetas)
@@ -63,9 +75,10 @@ def test_structural_zero_decides_below_tolerance():
     # [[0, e], [e, 1]] with e = 10^-6 is not PSD, but its least eigenvalue,
     # about -e^2, lies inside the tolerance: the zero diagonal entry decides
     e = TrigPoly([Fraction(1, 10**6)])
-    verdict = psd_on_circle(TrigMatrix([[TrigPoly(), e], [e, TrigPoly([1])]]))
+    H = TrigMatrix([[TrigPoly(), e], [e, TrigPoly([1])]])
+    verdict = psd_on_circle(H)
     assert verdict.status == CircleVerdict.NOT_PSD and verdict.shortcut
-    assert -verdict.tolerance < verdict.min_eig < 0
+    assert -tolerance(H) < verdict.min_eig < 0
     assert verdict.circle_roots == ()
 
 
@@ -84,9 +97,10 @@ def test_marginal_scalar():
 def test_even_pencil_is_pd():
     # the scan's least eigenvalue, 0.0091, is far below 1e-9 times H's largest
     # coefficient (1.14); D(u) has no root in [-2, 2] and H(1) is PD exactly
-    verdict = psd_on_circle(hermite_matrix(parse_poly(EVEN_PENCIL)))
+    H = hermite_matrix(parse_poly(EVEN_PENCIL))
+    verdict = psd_on_circle(H)
     assert verdict.status == CircleVerdict.PD
-    assert 0 < verdict.min_eig < verdict.tolerance
+    assert 0 < verdict.min_eig < tolerance(H)
 
 
 def test_ellipse_product_is_marginal_at_a_quadruple_root():
@@ -122,9 +136,9 @@ def test_brute_force_agreement_on_fixtures():
         if verdict.status == CircleVerdict.PD:
             assert brute > 0
         elif verdict.status == CircleVerdict.NOT_PSD:
-            assert brute < verdict.tolerance
+            assert brute < tolerance(H)
         else:
-            assert abs(brute) <= 10 * verdict.tolerance
+            assert abs(brute) <= 10 * tolerance(H)
 
 
 def test_congruence_invariance_of_classification():
@@ -804,7 +818,7 @@ def test_eval_thetas_matches_per_angle_loop():
     assert {H.m for H in matrices} == set(range(1, 7))
     assert any(not H.is_cosine() for H in matrices)
     for H in matrices:
-        bound = 1e-12 * max(1.0, H.max_abs_coeff())
+        bound = 1e-12 * max(1.0, max_abs_coeff(H))
         batch = H.eval_thetas(thetas)
         assert batch.shape == (len(thetas), H.m, H.m)
         for theta, got in zip(thetas, batch):
@@ -817,7 +831,7 @@ def test_eval_thetas_of_scale_congruence_output():
         for theta0 in (0.0, 1.0):
             H0, _, _ = scale_congruence(H, theta0)
             thetas = np.linspace(0, 2 * np.pi, 29)
-            bound = 1e-12 * max(1.0, H0.max_abs_coeff())
+            bound = 1e-12 * max(1.0, max_abs_coeff(H0))
             for theta, got in zip(thetas, H0.eval_thetas(thetas)):
                 assert np.abs(got - per_angle_eval(H0, theta)).max() <= bound
 
@@ -851,7 +865,7 @@ def test_psd_on_circle_matches_per_angle_scan():
         if not det.is_zero():
             found, points = circle_roots_of(det, H.is_cosine())
             low_all = min(low, min_eig(found + [theta for _, theta in points]))
-        bound = 1e-12 * max(1.0, H.max_abs_coeff())
+        bound = 1e-12 * max(1.0, max_abs_coeff(H))
         assert abs(verdict.min_eig - low) <= bound or abs(verdict.min_eig - low_all) <= bound
         seen.add(status)
     assert seen >= {CircleVerdict.PD, CircleVerdict.NOT_PSD, CircleVerdict.MARGINAL}
@@ -894,7 +908,7 @@ def test_shortcut_witness_carries_violation():
     verdict = psd_on_circle(H)
     assert verdict.status == CircleVerdict.NOT_PSD
     assert verdict.shortcut
-    assert verdict.min_eig < -verdict.tolerance
+    assert verdict.min_eig < -tolerance(H)
     direct = np.linalg.eigvalsh(H.eval_theta(verdict.witness_theta)).min()
     assert direct == pytest.approx(verdict.min_eig, rel=1e-12)
 
@@ -902,4 +916,4 @@ def test_shortcut_witness_carries_violation():
 def test_tv_shortcut_witness_violation():
     verdict = psd_on_circle(TV_H)
     assert verdict.shortcut
-    assert verdict.min_eig < -verdict.tolerance
+    assert verdict.min_eig < -tolerance(TV_H)

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import rigidconvex
-from rigidconvex import SingularCubicError, cubic_representations, parse_poly
+from rigidconvex import SingularCubicError, UniPoly, cubic_representations, parse_poly
+from rigidconvex.bezout import Parametrization, interpolate_det, pencil_from_param
 from rigidconvex.cli import MAX_PLOT_GRID, main
 
 CAPRICORN = "x1^2*(x1^2+x2^2)-2*(x1^2+x2^2-x2)^2"
@@ -218,6 +220,21 @@ def test_find_component_without_poly(tmp_path, capsys):
     code, rep, _ = run_json(capsys, "find-component", "--pencil", str(out))
     assert code == 0
     assert rep["status"] == "PD"
+
+
+def test_find_component_point_is_a_critical_point(capsys):
+    """Float x1 slices proposed (-0.3207, -0.3953) here, where p = 1.2e-5 and
+    dp/dx2 = 7.79: neither a critical point nor on the curve.  The reported
+    PD point must be critical, its gradient zero to 1e-9 relative."""
+    q = ("4,1,1,3", "-3,-1,3,1", "0,-4,0,1")
+    code, rep, _ = run_json(capsys, "find-component", *(f"--q{i}={v}" for i, v in enumerate(q)))
+    assert code == 0 and rep["status"] == "PD"
+    p = interpolate_det(pencil_from_param(Parametrization(
+        *(UniPoly([int(c) for c in v.split(",")]) for v in q))))
+    x = [Fraction(v) for v in rep["point"]]
+    for grad in (p.partial(0), p.partial(1)):
+        scale = sum(abs(v) * abs(x[0]) ** a * abs(x[1]) ** b for (a, b), v in grad.coeffs.items())
+        assert abs(grad(*x)) <= 1e-9 * scale
 
 
 def test_verify_det_mismatch_is_exit_zero(tmp_path, capsys):

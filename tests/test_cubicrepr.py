@@ -215,6 +215,15 @@ def test_nodal_cubic_rejected():
     assert all(type(v) is float for v in err.value.singular_point)
 
 
+def test_singular_note_never_prints_negative_zero():
+    # the node's x1 = 0 is computed at the midpoint of x2's interval around
+    # 1/3, as -4.6e-18, which rounds to -0.0
+    with pytest.raises(SingularCubicError) as err:
+        cubic_representations(parse_poly("(x2-1/3)^2-x1^2*(x1+1)"))
+    assert err.value.singular_point == (0.0, 0.333333333333)
+    assert "-0.0" not in str(err.value) and str(err.value.singular_point[0]) == "0.0"
+
+
 def test_cuspidal_cubic_rejected():
     with pytest.raises(SingularCubicError):
         cubic_representations(parse_poly("x1^3-x2^2"))

@@ -64,10 +64,9 @@ def test_traced_layer_names_resolve():
     assert missing == []
 
 
-def test_numpy_roots_only_for_complex_points_and_x1_slices():
+def test_numpy_roots_only_for_complex_points():
     """Float root finding decides nothing: numpy's ``roots`` is called only
-    for the complex singular-point note (``UniPoly.roots``) and the x1
-    slices of ``locate._x1_candidates``."""
+    in ``UniPoly.roots``, for the complex singular-point note."""
     calls = set()
 
     def visit(node, scope):
@@ -86,4 +85,4 @@ def test_numpy_roots_only_for_complex_points_and_x1_slices():
         assert not any(isinstance(node, ast.ImportFrom) and node.module == "numpy"
                        for node in ast.walk(tree)), path.name
         visit(tree, "")
-    assert calls == {"polycore.UniPoly.roots", "locate._x1_candidates"}
+    assert calls == {"polycore.UniPoly.roots"}

@@ -14,7 +14,10 @@ from rigidconvex import (
 )
 from rigidconvex.bezout import Parametrization, interpolate_det, pencil_from_param
 from rigidconvex.locate import (
-    _eliminate,
+    _sheared_solutions,
+    _solve_system,
+    _subresultant,
+    _x1_columns,
     boundary_points,
     certify_psd_point,
     critical_points,
@@ -160,13 +163,165 @@ def test_resultant_reference_errors():
                 fn(*pair)
 
 
-def test_eliminate_x1_free_equations():
+def reference_subresultant(f: Poly, g: Poly, j: int) -> list:
+    """s_j,j .. s_j,0 from Fraction determinants of Sylvester submatrices: the
+    rows x1^s f (s < d2 - j) and x1^s g (s < d1 - j), highest shift first,
+    over x1^(d1+d2-j-1) .. 1, restricted to their first d1 + d2 - 2j - 1
+    columns and the column of x1^i, at x2 = 0..N, rationally interpolated."""
+    d1, d2 = (max(a for a, _b in p.coeffs) for p in (f, g))
+    if j == d1 == d2:
+        return [UniPoly([f.coeff((i, b)) for b in range(f.degree + 1)]) for i in range(j, -1, -1)]
+    width, n = d1 + d2 - j, d1 + d2 - 2 * j
+    bound = (d2 - j) * max(b for _a, b in f.coeffs) + (d1 - j) * max(b for _a, b in g.coeffs)
+
+    def row(p, shift, x):
+        return [sum(v * x**b for (a, b), v in p.coeffs.items() if a + shift == e)
+                for e in range(width - 1, -1, -1)]
+    out = []
+    for i in range(j, -1, -1):
+        values = []
+        for x in range(bound + 1):
+            rows = [row(f, s, Fraction(x)) for s in range(d2 - j - 1, -1, -1)]
+            rows += [row(g, s, Fraction(x)) for s in range(d1 - j - 1, -1, -1)]
+            values.append(det_exact([r[:n - 1] + [r[width - 1 - i]] for r in rows]))
+        out.append(UniPoly(interpolate_exact(values, 0)))
+    return out
+
+
+def test_subresultants_match_fraction_sylvester_reference_random():
+    rng = random.Random(79)
+    for _ in range(40):
+        f = _random_bivariate(rng, rng.randint(1, 3), rng.randint(0, 2))
+        g = _random_bivariate(rng, rng.randint(1, 3), rng.randint(0, 2))
+        (cf, fc), (cg, gc) = _x1_columns(f), _x1_columns(g)
+        for j in range(min(max(fc), max(gc)) + 1):
+            got = [UniPoly(c) for c in _subresultant(fc, gc, j)]
+            assert got == reference_subresultant(f * cf, g * cg, j)
+    # S_0 is the resultant up to the clearing factors
+    (cf, fc), (cg, gc) = _x1_columns(f), _x1_columns(g)
+    scale = cf ** max(gc) * cg ** max(fc)
+    assert UniPoly(_subresultant(fc, gc, 0)[0]) == resultant_elim_x1(f, g) * scale
+
+
+def reference_solutions(f: Poly, g: Poly) -> list:
+    """Every complex solution of {f = 0, g = 0} at 60 digits: the pairs of
+    roots of the square-free factors of sympy's resultants in x1 and in x2
+    (``nroots``) at which f and g vanish, below 1e-25 of their scale."""
+    sympy = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+    x1, x2 = sympy.symbols("x1 x2")
+
+    def expr(p):
+        return sum(sympy.Rational(v.numerator, v.denominator) * x1**a * x2**b
+                   for (a, b), v in p.coeffs.items())
+
+    def roots(var, other):
+        res = sympy.Poly(sympy.resultant(expr(f), expr(g), other), var)
+        return [mpmath.mpc(*(mpmath.mpf(str(part)) for part in sympy.sympify(r).as_real_imag()))
+                for factor, _mult in res.sqf_list()[1]
+                for r in factor.nroots(n=60, maxsteps=500)]
+
+    def small(p, a1, a2):
+        terms = [mpmath.mpf(v.numerator) / v.denominator * a1**a * a2**b
+                 for (a, b), v in p.coeffs.items()]
+        return abs(mpmath.fsum(terms)) <= mpmath.mpf(10) ** -25 * mpmath.fsum(abs(t) for t in terms)
+    with mpmath.workdps(60):
+        return [(complex(a1), complex(a2)) for a1 in roots(x1, x2) for a2 in roots(x2, x1)
+                if small(f, a1, a2) and small(g, a1, a2)]
+
+
+def _match(got, want):
+    """Assert that got and want pair off one to one within 1e-9 relative."""
+    assert len(got) == len(want), (got, want)
+    left = list(got)
+    for w in want:
+        near = min(left, key=lambda z: abs(z[0] - w[0]) + abs(z[1] - w[1]))
+        for a, b in zip(near, w):
+            assert abs(a - b) <= 1e-9 * max(1.0, abs(b)), (near, w)
+        left.remove(near)
+
+
+def _random_system(rng, kind):
+    """A random pair: generic, even in x1 (solutions in +-x1 pairs share x2),
+    or both tangent at (a, b) to the line x2 = b, where gcd(f, g) has degree
+    mu = 2 or 3 in x1."""
+    def rand(dx1, total):
+        coeffs = {(a, b): rng.randint(-4, 4) for a in range(dx1) for b in range(total + 1 - a)}
+        coeffs[(dx1, 0)] = rng.choice([-2, -1, 1, 3])
+        return Poly(coeffs)
+    if kind == "generic":
+        return rand(rng.randint(1, 3), 3), rand(rng.randint(1, 3), 3)
+    if kind == "even":
+        return tuple(Poly({(2 * a, b): v for (a, b), v in rand(rng.randint(1, 2), 2).coeffs.items()})
+                     for _ in range(2))
+    mu, a, b = rng.choice([2, 3]), rng.randint(-2, 2), rng.randint(-2, 2)
+    base = parse_poly(f"(x1-({a}))^{mu}")
+    line = parse_poly(f"x2-({b})")
+    return base + line * rand(1, 1), base + line * rand(1, 1)
+
+
+def test_solve_system_matches_high_precision_reference_random():
+    rng = random.Random(83)
+    for kind in ("generic", "even", "tangent"):
+        for _ in range(8):
+            f, g = _random_system(rng, kind)
+            try:
+                got = _solve_system(f, g, real=False)
+            except IdenticallyZeroResultantError:
+                continue
+            want = reference_solutions(f, g)
+            _match([(complex(a), complex(b)) for a, b in got], want)
+            real = [(w[0].real, w[1].real) for w in want
+                    if abs(w[0].imag) + abs(w[1].imag) <= 1e-20]
+            points = _solve_system(f, g)
+            _match(points, real)
+            assert all(type(v) is float for pt in points for v in pt)
+            if kind == "even" and len(real) > 1 and any(x[0] for x in real):
+                assert _sheared_solutions(f, g, 0, True) is None  # +-x1 share x2
+    # the capricorn and bean critical and boundary systems: shears, and
+    # pieces with mu = 2 that pass or fail the one-root test
+    for p in (CAPRICORN_P, BEAN_P):
+        for f, g in ((p.partial(0), p.partial(1)), (p, p.partial(0)), (p, p.partial(1))):
+            real = [(w[0].real, w[1].real) for w in reference_solutions(f, g)
+                    if abs(w[0].imag) + abs(w[1].imag) <= 1e-20]
+            _match(_solve_system(f, g), real)
+
+
+def test_boundary_points_list_a_double_root_once():
+    """A boundary point is a double x1 root of p on its x2 line.  Float x1
+    slices split it by about 3e-8, more than MERGE_TOL, and so listed
+    (-0.3203066, 1.6720277) three times."""
+    pencil = pencil_from_param(Parametrization(
+        UniPoly([1, 2, 2, 2]), UniPoly([0, -6, -1, 1]), UniPoly([4, -1, -4, 1])))
+    cands = boundary_points(interpolate_det(pencil))
+    assert _has_point(cands, -0.3203066, 1.6720277)
+    points = _points(cands)
+    for i, a in enumerate(points):
+        for b in points[:i]:
+            assert max(abs(a[0] - b[0]), abs(a[1] - b[1])) > 1e-6
+
+
+def test_solve_system_x1_free_equations():
+    # x2 = +-1/2 against the capricorn: four real points on x2 = 1/2, where
+    # x1^2 = (5 +- sqrt 17) / 8, and none on x2 = -1/2
     x1_free = parse_poly("2*x2^2-1/2")
-    assert _eliminate(x1_free, CAPRICORN_P) == UniPoly([Fraction(-1, 2), 0, 2])
-    assert _eliminate(CAPRICORN_P, x1_free) == UniPoly([Fraction(-1, 2), 0, 2])
-    # both x1-free: their gcd, or the constant 1 when coprime
-    assert _eliminate(x1_free, parse_poly("(x2-1/2)*(x2+3)")) == UniPoly([Fraction(-1, 2), 1])
-    assert _eliminate(x1_free, parse_poly("x2-1")) == UniPoly([1])
+    expected = sorted(s * math.sqrt((5 + t * math.sqrt(17)) / 8)
+                      for s in (1, -1) for t in (1, -1))
+    for pair in ((x1_free, CAPRICORN_P), (CAPRICORN_P, x1_free)):
+        points = sorted(_solve_system(*pair))
+        assert [x2 for _x1, x2 in points] == [0.5] * 4
+        assert [x1 for x1, _x2 in points] == pytest.approx(expected, rel=1e-14)
+    # two x1-free equations: no common root, or a common root, which is a
+    # whole line of solutions
+    assert _solve_system(x1_free, parse_poly("x2-1")) == []
+    with pytest.raises(IdenticallyZeroResultantError):
+        _solve_system(x1_free, parse_poly("(x2-1/2)*(x2+3)"))
+    line = parse_poly("(x2-1/2)^2*(x2+3)")  # dp/dx1 = 0, p and dp/dx2 share x2 - 1/2
+    assert critical_points(line) == [] and boundary_points(line) == []
+    # a nonzero constant equation has no solution, a zero one a continuum
+    assert _solve_system(Poly.constant(3), CAPRICORN_P) == []
+    with pytest.raises(IdenticallyZeroResultantError):
+        _solve_system(CAPRICORN_P, Poly.zero())
 
 
 def test_real_roots_with_multiplicity_exact_triple():

@@ -16,6 +16,7 @@ from rigidconvex import (
     parse_poly,
 )
 from rigidconvex.polycore import (
+    _bareiss,
     _squarefree_part,
     det_exact,
     format_scalar,
@@ -707,6 +708,40 @@ def test_det_and_solve_return_fractions_for_integer_input():
     assert x == [Fraction(1, 2)] and _exact_types(x)
     x = solve_exact([[2, 1], [0, 4]], [1, 2])
     assert x == reference_solve([[2, 1], [0, 4]], [1, 2]) and _exact_types(x)
+
+
+def test_bareiss_last_row_holds_bordered_minors():
+    """For n rows and width >= n, the last row after elimination holds, at
+    each column c >= n - 1, det(first n - 1 columns + column c): through row
+    swaps (sign on the whole row) and a singular leading block (row zeroed)."""
+    rng = random.Random(43)
+
+    def check(mat):
+        n, width = len(mat), len(mat[0])
+        minors = [det_exact([row[:n - 1] + [row[c]] for row in mat]) for c in range(n - 1, width)]
+        work = [list(row) for row in mat]
+        assert _bareiss(work) == minors[0]
+        assert work[-1][n - 1:] == minors
+        return minors
+
+    swapped = singular = 0
+    for _ in range(150):
+        n, extra = rng.randint(1, 6), rng.randint(0, 4)
+        mat = [[rng.randint(-3, 3) for _ in range(n + extra)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:  # zero leading pivot: a row swap
+            mat[0][0] = 0
+            swapped += 1
+        if n > 2 and rng.random() < 0.3:  # first n - 1 columns dependent
+            for row in mat:
+                row[1] = 2 * row[0]
+            singular += 1
+            assert not any(check(mat))
+        else:
+            check(mat)
+    assert swapped and singular
+    # the swap sign reaches every bordered minor, not only the determinant
+    mat = [[0, 1, 5, 7], [1, 0, 2, 3]]
+    assert check(mat) == [-1, -5, -7]
 
 
 @pytest.mark.parametrize("npts", [1, 2, 20])
