@@ -1,9 +1,12 @@
 """Determinantal representations of smooth plane cubics via Hessian homotopy.
 
 Homogenise the cubic p to P(x0, x1, x2).  Its Hessian matrix at x0 = 1 is
-a ``Pencil``, H(P)(1, x1, x2) = F0 + x1 F1 + x2 F2, whose exact lattice
-determinant (``bezout.interpolate_det``), homogenised, is h = det H(P).
-Follow the family s(x, t) = h(x) + t P(x).  The values t*
+a ``Pencil``, H(P)(1, x1, x2) = F0 + x1 F1 + x2 F2, read off P's
+coefficients: entry (i, j) of F_k is the third partial of P in x_i, x_j,
+x_k.  Its exact lattice determinant (``bezout.interpolate_det``),
+homogenised, is h = det H(P).  Follow the family s(x, t) = h(x) + t P(x).
+H is linear, so det H(s(x, t)) is a cubic in t whose t^3 coefficient is
+h; three determinants give the rest.  The values t*
 for which det H(s(x, t*)) is proportional to P(x) (a cubic condition, so up
 to three real solutions) each yield a symmetric pencil
 
@@ -15,6 +18,7 @@ which avoids computing flexes altogether.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +27,7 @@ import numpy as np
 from .bezout import interpolate_det
 from .errors import IdenticallyZeroResultantError, NoRealSolutionError, SingularCubicError
 from .locate import _solve_system, real_roots_with_multiplicity
-from .polycore import Pencil, Poly, Scalar, UniPoly, det_exact, interpolate_exact
+from .polycore import _ZERO, Pencil, Poly, Scalar, UniPoly, det_exact, interpolate_exact
 
 
 # ---------------------------------------------------------------------------
@@ -37,16 +41,21 @@ def homogenize(p: Poly) -> Poly:
     return Poly({(3 - a - b, a, b): v for (a, b), v in p.coeffs.items()}, nvars=3)
 
 
+# entry (i, j) of F_k is the third partial of P in x_i, x_j, x_k: P's
+# coefficient at e = e_i + e_j + e_k times e0! e1! e2!
+_TENSOR_EXPONENTS = tuple(tuple(tuple(tuple((i == v) + (j == v) + (k == v) for v in range(3))
+                                      for j in range(3)) for i in range(3)) for k in range(3))
+
+
 def hessian(P: Poly) -> Pencil:
     """The Hessian matrix of a homogeneous cubic at x0 = 1, as the pencil
-    F(x1, x2) = H(P)(1, x1, x2): F0, F1, F2 are the x0, x1, x2 coefficient
-    matrices of H(P), whose entries are linear forms."""
+    F(x1, x2) = H(P)(1, x1, x2).  H(P) is linear in x, so F0, F1, F2 are
+    P's coefficients read as its third-derivative tensor."""
     if P.nvars != 3:
         raise ValueError("expected a homogeneous cubic in x0, x1, x2")
-    second = [[P.partial(i).partial(j) for j in range(3)] for i in range(3)]
-    units = [tuple(int(k == var) for k in range(3)) for var in range(3)]
-    return Pencil.from_rows(*([[second[i][j].coeff(unit) for j in range(3)]
-                               for i in range(3)] for unit in units))
+    third = {e: v * math.prod(map(math.factorial, e)) for e, v in P.coeffs.items()}
+    return Pencil(3, tuple(tuple(tuple(third.get(e, _ZERO) for e in row) for row in mat)
+                           for mat in _TENSOR_EXPONENTS))
 
 
 def hessian_det(P: Poly) -> Poly:
@@ -82,9 +91,11 @@ def check_smooth_cubic(p: Poly, h: Poly) -> None:
     searched for an affine singular point, to name it in the message.
     """
     P = homogenize(p)
-    quadrics = [P.partial(i) for i in range(3)] + [h.partial(i) for i in range(3)]
+    # the coefficient of dF/dx_i at the quadratic monomial m is (m_i + 1) F[m + e_i]
     monos = [(a, b, 2 - a - b) for a in range(3) for b in range(3 - a)]
-    if det_exact([[q.coeff(mono) for mono in monos] for q in quadrics]) != 0:
+    rows = [[(m[i] + 1) * F.coeff(m[:i] + (m[i] + 1,) + m[i + 1:])
+             for m in monos] for F in (P, h) for i in range(3)]
+    if det_exact(rows) != 0:
         return
     point = _affine_singular_point(p)
     if point is None:
@@ -132,11 +143,15 @@ def _cube_root_exact(c: Fraction):
 
 
 def _monomial_t_polys(P: Poly, h: Poly) -> dict[tuple, UniPoly]:
-    """Coefficients of det H(h + t P) as exact polynomials in t (degree <= 3),
-    recovered by exact Newton interpolation at t = -1, 0, 1, 2."""
-    dets = [hessian_det(h + P * t) for t in (-1, 0, 1, 2)]
-    monos = sorted(set().union(*(set(d.coeffs) for d in dets)) | set(P.coeffs))
-    return {mono: UniPoly(interpolate_exact([d.coeff(mono) for d in dets], -1))
+    """Coefficients of det H(h + t P) as exact polynomials in t (degree <= 3).
+    H is linear, so the t^3 coefficient is det H(P) = h; the rest is
+    interpolated exactly at t = -1, 0, 1, where t^3 = t.  h's support joins
+    the monomials explicitly: h_m (t^3 - t) vanishes at all three points."""
+    dets = [hessian_det(h + P * t) for t in (-1, 0, 1)]
+    monos = sorted(set().union(*(d.coeffs for d in dets), P.coeffs, h.coeffs))
+    return {mono: UniPoly(interpolate_exact([d.coeff(mono) - h.coeff(mono) * t
+                                             for d, t in zip(dets, (-1, 0, 1))], -1)
+                          + [h.coeff(mono)])
             for mono in monos}
 
 
@@ -182,6 +197,8 @@ def cubic_representations(p: Poly) -> list[CubicRepresentation]:
             continue
         root = _cube_root_exact(c) if isinstance(c, Fraction) else None
         mu = 1 / root if root is not None else float(np.sign(float(c)) * abs(float(c)) ** (-1 / 3))
+        # h + t P is formed before the factorial factors of hessian, not as
+        # H(h) + t H(P): with a float t* the two round differently
         pencil = hessian(h + P * t).scaled(mu).with_scale(1)
         reps.append(CubicRepresentation(t, c, mu, pencil))
     if not reps:

@@ -1,12 +1,15 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rigidconvex import NoRealSolutionError, SingularCubicError, parse_poly
-from rigidconvex.bezout import verify_pencil_det
+from rigidconvex.bezout import interpolate_det, verify_pencil_det
+from rigidconvex.cli import main
 from rigidconvex.cubicrepr import (
     _affine_singular_point,
     _monomial_t_polys,
@@ -16,8 +19,9 @@ from rigidconvex.cubicrepr import (
     hessian_det,
     homogenize,
 )
+from rigidconvex.fixtures import load_fixture
 from rigidconvex.locate import certify_psd_point
-from rigidconvex.polycore import Poly, UniPoly, det_exact
+from rigidconvex.polycore import Pencil, Poly, UniPoly, det_exact, interpolate_exact
 
 ELLIPTIC = parse_poly("x1^3-x2^2-x1")
 # the published size-3 representation with t* = 0
@@ -127,6 +131,94 @@ def test_hessian_det_matches_reference_on_random_cubics():
     cubics = [Poly({(3, 0, 0): 1}, nvars=3)] + [_random_cubic3(rng) for _ in range(50)]
     for P in cubics:
         assert hessian_det(P) == _reference_hessian_det(P)
+
+
+# the former Hessian and t-polynomials, kept as the references: second
+# partials as polynomials read at each unit vector, and det H(h + t P) at four
+# points instead of three plus the known t^3 term
+
+def _reference_hessian(P: Poly) -> Pencil:
+    second = [[P.partial(i).partial(j) for j in range(3)] for i in range(3)]
+    units = [tuple(int(k == var) for k in range(3)) for var in range(3)]
+    return Pencil.from_rows(*([[second[i][j].coeff(unit) for j in range(3)]
+                               for i in range(3)] for unit in units))
+
+
+def _reference_monomial_t_polys(P: Poly, h: Poly) -> dict:
+    dets = [homogenize(interpolate_det(_reference_hessian(h + P * t))) for t in (-1, 0, 1, 2)]
+    monos = sorted(set().union(*(set(d.coeffs) for d in dets)) | set(P.coeffs))
+    return {mono: UniPoly(interpolate_exact([d.coeff(mono) for d in dets], -1))
+            for mono in monos}
+
+
+def _typed_entries(pencil: Pencil) -> list:
+    """Every entry with its type, so 1.0 and Fraction(1) differ."""
+    return [(type(x), x) for mat in pencil.mats for row in mat for x in row]
+
+
+def _assert_matches_references(P: Poly, float_ts=()) -> None:
+    assert _typed_entries(hessian(P)) == _typed_entries(_reference_hessian(P))
+    h = hessian_det(P)
+    assert _monomial_t_polys(P, h) == _reference_monomial_t_polys(P, h)
+    for t in float_ts:
+        s = h + P * t
+        assert _typed_entries(hessian(s)) == _typed_entries(_reference_hessian(s))
+
+
+def test_tensor_hessian_and_t_polys_match_references_on_random_cubics():
+    rng = random.Random(4)
+    cubics = [Poly({(3, 0, 0): 1}, nvars=3)] + [_random_cubic3(rng) for _ in range(60)]
+    floats = 0
+    for P in cubics:
+        ts = [rng.uniform(-30, 30), rng.choice([-1, 1]) * rng.uniform(1e-3, 1e3)]
+        _assert_matches_references(P, ts)
+        floats += any(isinstance(x, float) for t in ts
+                      for _, x in _typed_entries(hessian(hessian_det(P) + P * t)))
+    assert floats >= 50
+
+
+@pytest.mark.parametrize("name", ["cubic-curve", "elliptic-cubic"])
+def test_tensor_hessian_and_t_polys_match_references_on_fixtures(name):
+    p = parse_poly(load_fixture(name)["poly"])
+    P, reps = homogenize(p), cubic_representations(p)
+    # both fixtures have rational t*, so float t are taken next to them
+    _assert_matches_references(P, [float(rep.t_star) + 0.1 for rep in reps])
+    # the final pencils at each t*, before the scaling by mu
+    h = hessian_det(P)
+    for rep in reps:
+        s = h + P * rep.t_star
+        assert _typed_entries(hessian(s)) == _typed_entries(_reference_hessian(s))
+
+
+def test_smooth_cubic_makes_no_partials_and_four_determinants(monkeypatch):
+    import rigidconvex.cubicrepr as cubicrepr
+
+    counts = {"partial": 0, "interpolate_det": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Poly, "partial", counted("partial", Poly.partial))
+    monkeypatch.setattr(cubicrepr, "interpolate_det",
+                        counted("interpolate_det", cubicrepr.interpolate_det))
+    assert len(cubic_representations(ELLIPTIC)) == 3
+    assert counts == {"partial": 0, "interpolate_det": 4}
+
+
+_GOLDEN = json.loads((Path(__file__).parent / "data" / "cubic_repr_golden.json").read_text())
+
+
+@pytest.mark.parametrize("poly", sorted(_GOLDEN))
+def test_cubic_repr_report_matches_golden(capsys, poly):
+    # the cubic-curve and elliptic-cubic fixtures and a cubic whose t* are
+    # floats; timing_seconds is the one field that varies between runs
+    assert main(["cubic-repr", "--poly", poly, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["timing_seconds"]
+    assert json.dumps(report, sort_keys=True) == json.dumps(_GOLDEN[poly], sort_keys=True)
 
 
 def test_root_constant_matches_reference_determinant():
