@@ -5,7 +5,6 @@ from .errors import (
     DeterminantMismatchError,
     DimensionMismatchError,
     IdenticallyZeroResultantError,
-    NoRealSolutionError,
     OriginOnCurveError,
     PolyParseError,
     RigidConvexError,
@@ -67,6 +66,6 @@ __all__ = [
     "RigidConvexError", "PolyParseError", "UnknownVariableError",
     "OriginOnCurveError", "DegreeZeroError", "DimensionMismatchError",
     "DeterminantMismatchError", "IdenticallyZeroResultantError",
-    "SingularCubicError", "NoRealSolutionError", "UnknownFixtureError",
+    "SingularCubicError", "UnknownFixtureError",
     "__version__",
 ]

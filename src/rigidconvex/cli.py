@@ -27,7 +27,6 @@ from .cubicrepr import cubic_representations
 from .errors import (
     DeterminantMismatchError,
     DimensionMismatchError,
-    NoRealSolutionError,
     OriginOnCurveError,
     PolyParseError,
     RigidConvexError,
@@ -36,7 +35,7 @@ from .errors import (
 )
 from .fixtures import FIXTURE_NAMES, verify_fixture
 from .hermite import hermite_matrix
-from .locate import certify_psd_point, critical_points, find_interior_point
+from .locate import critical_points, find_interior_point
 from .polycore import Pencil, UniPoly, format_scalar, parse_poly, parse_scalar
 
 MAX_PLOT_GRID = 151  # samples per axis; a dense degree-32 plot stays within 30 s
@@ -184,8 +183,7 @@ def cmd_find_component(args) -> dict:
     if result.note:
         body["note"] = result.note
     if result.point is not None:
-        best = certify_psd_point(pencil, result.point)
-        body["certificate"] = list(best.cert)
+        body["certificate"] = list(next(c.cert for c in result.candidates if c.x == result.point))
     return body
 
 
@@ -195,8 +193,6 @@ def cmd_cubic_repr(args) -> dict:
         reps = cubic_representations(p)
     except SingularCubicError as err:
         return {"verdict": "singular-cubic", "note": str(err)}
-    except NoRealSolutionError as err:
-        return {"verdict": "no-real-solution", "note": str(err)}
     return {
         "verdict": "computed",
         "representations": [

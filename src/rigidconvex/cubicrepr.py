@@ -5,19 +5,20 @@ a ``Pencil``, H(P)(1, x1, x2) = F0 + x1 F1 + x2 F2, read off P's
 coefficients: entry (i, j) of F_k is the third partial of P in x_i, x_j,
 x_k.  Its exact lattice determinant (``bezout.interpolate_det``),
 homogenised, is h = det H(P).  Follow the family s(x, t) = h(x) + t P(x).
-H is linear, so det H(s(x, t)) is a cubic in t whose t^3 coefficient is
-h; three determinants give the rest.  The values t*
-for which det H(s(x, t*)) is proportional to P(x) (a cubic condition, so up
-to three real solutions) each yield a symmetric pencil
+For a smooth P the Hessian maps the Hesse pencil spanned by P and h into
+itself, so det H(s(x, t)) = A(t) P(x) + B(t) h(x) with B a monic cubic; the
+determinants of two 3 x 3 one-variable pencils, at lattice points that
+separate P and h, give A and B.  Each real root t* of B (at least one, at
+most three) yields a symmetric pencil
 
-    F(x) = mu * H(s(x, t*))|_{x0 = 1},   mu = c^{-1/3},
+    F(x) = mu * H(s(x, t*))|_{x0 = 1},   mu = c^{-1/3},   c = A(t*),
 
-with det F(x) = p(x) exactly.  Proportionality is found by matching every
-coefficient against one anchor coefficient instead of evaluating at a flex,
-which avoids computing flexes altogether.
+with det F(x) = p(x) exactly.  No flex is computed.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,9 +26,9 @@ from fractions import Fraction
 import numpy as np
 
 from .bezout import interpolate_det
-from .errors import IdenticallyZeroResultantError, NoRealSolutionError, SingularCubicError
+from .errors import IdenticallyZeroResultantError, SingularCubicError
 from .locate import _solve_system, real_roots_with_multiplicity
-from .polycore import _ZERO, Pencil, Poly, Scalar, UniPoly, det_exact, interpolate_exact
+from .polycore import _ZERO, Pencil, Poly, Scalar, UniPoly, det_exact
 
 
 # ---------------------------------------------------------------------------
@@ -142,66 +143,64 @@ def _cube_root_exact(c: Fraction):
     return Fraction(n if c > 0 else -n, d)
 
 
-def _monomial_t_polys(P: Poly, h: Poly) -> dict[tuple, UniPoly]:
-    """Coefficients of det H(h + t P) as exact polynomials in t (degree <= 3).
-    H is linear, so the t^3 coefficient is det H(P) = h; the rest is
-    interpolated exactly at t = -1, 0, 1, where t^3 = t.  h's support joins
-    the monomials explicitly: h_m (t^3 - t) vanishes at all three points."""
-    dets = [hessian_det(h + P * t) for t in (-1, 0, 1)]
-    monos = sorted(set().union(*(d.coeffs for d in dets), P.coeffs, h.coeffs))
-    return {mono: UniPoly(interpolate_exact([d.coeff(mono) - h.coeff(mono) * t
-                                             for d, t in zip(dets, (-1, 0, 1))], -1)
-                          + [h.coeff(mono)])
-            for mono in monos}
+def _hesse_coordinates(P: Poly, h: Poly) -> tuple[UniPoly, UniPoly]:
+    """(A, B) with det H(h + t P) = A(t) P + B(t) h, B monic of degree 3.
+
+    A smooth P is, in some coordinates, a (x^3 + y^3 + z^3) + b xyz, whose
+    Hessian -6ab^2 (x^3 + y^3 + z^3) + (216a^3 + 2b^3) xyz is again in that
+    Hesse pencil.  At a point x, g_x(t) = det(H(h)(x) + t H(P)(x)) is
+    A(t) P(x) + B(t) h(x).  The principal lattice of order 3 is unisolvent for
+    cubics, so two of its points separate P and h, which are independent; the
+    first such pair gives A and B by Cramer's rule."""
+    @functools.cache
+    def value(x):  # (P(x), h(x)) at an integer point
+        return tuple(sum(c * math.prod(map(pow, x, e)) for e, c in F.coeffs.items())
+                     for F in (P, h))
+
+    lattice = ((3 - a - b, a, b) for a in range(4) for b in range(4 - a))
+    x, y = next((x, y) for x, y in itertools.combinations(lattice, 2)
+                if value(x)[0] * value(y)[1] != value(y)[0] * value(x)[1])
+    (px, hx), (py, hy) = value(x), value(y)
+    mats = hessian(h).mats, hessian(P).mats
+
+    def g(x) -> UniPoly:  # det(H(h)(x) + t H(P)(x)), H(x) = x0 F0 + x1 F1 + x2 F2
+        at = tuple(tuple(tuple(sum(xk * F[i][j] for xk, F in zip(x, pencil) if xk)
+                               for j in range(3)) for i in range(3)) for pencil in mats)
+        det = interpolate_det(Pencil(3, at))
+        return UniPoly(det.coeff((k,)) for k in range(4))
+
+    gx, gy, delta = g(x), g(y), px * hy - py * hx
+    return (gx * hy - gy * hx) * (1 / delta), (gy * px - gx * py) * (1 / delta)
 
 
 def cubic_representations(p: Poly) -> list[CubicRepresentation]:
     """All real symmetric pencils from the Hessian homotopy, sorted by t*.
 
-    Raises SingularCubicError for genus-zero input and NoRealSolutionError
-    when no real homotopy parameter works.
-    """
+    Raises SingularCubicError for genus-zero input.  B has odd degree, so at
+    least one t* is real.  The roots come sorted, so the pencils do too."""
     if p.nvars != 2 or p.degree != 3:
         raise ValueError("expected a bivariate cubic")
     P = homogenize(p)
     h = hessian_det(P)
     check_smooth_cubic(p, h)
-    gpoly = _monomial_t_polys(P, h)
+    A, B = _hesse_coordinates(P, h)
 
-    # det H(h + t P) = c P exactly when g_b(t) P_A = g_A(t) P_b for every
-    # monomial b, A the anchor of largest |P_A|; with P_A != 0 these generate
-    # every pairwise condition g_a P_b - g_b P_a = 0
+    # det H(h + t* P) = A(t*) P exactly when B(t*) = 0; c is its coefficient
+    # at the anchor a of largest |P_a|, over P_a: A(t*) alone would round
+    # differently at a float t*
     anchor = max(P.coeffs, key=lambda e: abs(P.coeffs[e]))
     pa = P.coeff(anchor)
-    constraints = [r for r in (gpoly[b] * pa - gpoly[anchor] * P.coeff(b)
-                               for b in sorted(gpoly)) if not r.is_zero()]
-    if not constraints:
-        raise NoRealSolutionError("proportionality constraints are vacuous")
-    gcd = constraints[0]
-    for r in constraints[1:]:
-        gcd = gcd.gcd(r)
-        if gcd.degree == 0:
-            break
-    if gcd.degree < 1:
-        raise NoRealSolutionError("no homotopy parameter matches the cubic")
-    assert gcd.degree <= 3
+    g_anchor = A * pa + B * h.coeff(anchor)
 
     reps = []
-    for tval, _mult in real_roots_with_multiplicity(gcd):
-        t: Scalar = tval
+    for tval, _mult in real_roots_with_multiplicity(B):
         snapped = Fraction(tval).limit_denominator(10**9)
-        if all(r(snapped) == 0 for r in constraints):
-            t = snapped
-        c = gpoly[anchor](t) / pa
-        if c == 0:
-            continue
+        t: Scalar = snapped if B(snapped) == 0 else tval
+        c = g_anchor(t) / pa
         root = _cube_root_exact(c) if isinstance(c, Fraction) else None
         mu = 1 / root if root is not None else float(np.sign(float(c)) * abs(float(c)) ** (-1 / 3))
         # h + t P is formed before the factorial factors of hessian, not as
         # H(h) + t H(P): with a float t* the two round differently
         pencil = hessian(h + P * t).scaled(mu).with_scale(1)
         reps.append(CubicRepresentation(t, c, mu, pencil))
-    if not reps:
-        raise NoRealSolutionError("no real homotopy parameter found")
-    reps.sort(key=lambda r: float(r.t_star))
     return reps

@@ -51,9 +51,5 @@ class SingularCubicError(RigidConvexError, ValueError):
         self.singular_point = singular_point
 
 
-class NoRealSolutionError(RigidConvexError, ValueError):
-    """No real homotopy parameter reproduces the target polynomial."""
-
-
 class UnknownFixtureError(RigidConvexError, KeyError):
     """Requested fixture name is not in the registry."""

@@ -141,6 +141,15 @@ def _one_root(s: list, h: list, mu: int) -> bool:
                    for i in range(mu - 1))
 
 
+def _root_in(h: list, lo: Fraction, hi: Fraction) -> Fraction:
+    """The root of the integer polynomial h in [lo, hi]: n / lc(h) when that
+    is one (a rational root's denominator divides lc(h)), else the midpoint."""
+    mid, lead = (lo + hi) / 2, h[-1]
+    n = round(mid * lead)
+    y = Fraction(n, lead)
+    return y if lo <= y <= hi and not _hom(h, n, lead) else mid
+
+
 def _sheared_solutions(f: Poly, g: Poly, k: int, real: bool) -> list | None:
     """The solutions of {f = 0, g = 0} through y = x2 + k x1, or None unless
     the sheared equations both involve x1, one with a constant leading
@@ -148,9 +157,9 @@ def _sheared_solutions(f: Poly, g: Poly, k: int, real: bool) -> list | None:
     factors of S_0 split, by gcds with s_11, s_22, ..., into pieces h whose
     roots first leave s_mu,mu nonzero: there gcd(f, g) is S_mu up to a factor,
     which must be s_mu,mu (x1 - beta)^mu modulo h (``_one_root``), and x1 =
-    beta = -s_mu,mu-1 / (mu s_mu,mu) at each real root y of h (the exact
-    midpoint of its interval) and, with ``real=False``, in complex floats at
-    the others."""
+    beta = -s_mu,mu-1 / (mu s_mu,mu) at each real root y of h (``_root_in``:
+    exact when rational, else the midpoint of its interval) and, with
+    ``real=False``, in complex floats at the others."""
     (_, fc), (_, gc) = _x1_columns(_sheared(f, k)), _x1_columns(_sheared(g, k))
     d1, d2 = max(fc), max(gc)
     if not (d1 and d2 and (len(fc[d1]) == 1 or len(gc[d2]) == 1)):
@@ -176,7 +185,7 @@ def _sheared_solutions(f: Poly, g: Poly, k: int, real: bool) -> list | None:
     points = []
     for h, mu in pieces:
         c, a = sub(mu)[:2]
-        ys = [(lo + hi) / 2 for lo, hi in real_roots(h)]
+        ys = [_root_in(h, lo, hi) for lo, hi in real_roots(h)]
         for y in ys:
             num, den = y.numerator, y.denominator
             x1 = Fraction(-_hom(a, num, den) * den ** (len(c) - 1),

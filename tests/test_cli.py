@@ -118,6 +118,15 @@ def test_check_rigid_recentres_on_an_exact_x2_root(capsys):
     assert len(rep["recentered_at"]) == 2
 
 
+def test_check_rigid_recentres_on_a_rational_critical_point(capsys):
+    # the critical point is (0, -5/3); x1 read at the midpoint of x2's
+    # interval around -5/3, not at -5/3 itself, came out as -3.47e-17
+    code, rep, _ = run_json(capsys, "check-rigid",
+                            "--poly=-x1^3-2*x1^2*x2-x2^3-4*x1^2-4*x2^2-5*x2")
+    assert code == 0 and rep["origin_on_curve"] is True
+    assert rep["recentered_at"] == [0.0, -5 / 3]
+
+
 def test_check_rigid_emit_hermite(capsys):
     code, rep, _ = run_json(capsys, "check-rigid", "--poly", "1-x1^2-x2^2",
                             "--emit-hermite")
@@ -235,6 +244,28 @@ def test_find_component_point_is_a_critical_point(capsys):
     for grad in (p.partial(0), p.partial(1)):
         scale = sum(abs(v) * abs(x[0]) ** a * abs(x[1]) ** b for (a, b), v in grad.coeffs.items())
         assert abs(grad(*x)) <= 1e-9 * scale
+
+
+def test_find_component_certifies_each_candidate_once(capsys, monkeypatch):
+    import rigidconvex.cli as cli
+    import rigidconvex.locate as locate
+
+    points, original = [], locate.certify_psd_point
+
+    def counted(pencil, x, *args):
+        points.append(tuple(x))
+        return original(pencil, x, *args)
+
+    monkeypatch.setattr(locate, "certify_psd_point", counted)
+    # a second certification of the chosen point would go through this name
+    monkeypatch.setattr(cli, "certify_psd_point", counted, raising=False)
+    q = ("4,1,1,3", "-3,-1,3,1", "0,-4,0,1")
+    code, rep, _ = run_json(capsys, "find-component", *(f"--q{i}={v}" for i, v in enumerate(q)))
+    assert code == 0 and rep["status"] == "PD"
+    assert len(points) == len(set(points)) == rep["candidates_examined"]
+    pencil = pencil_from_param(Parametrization(
+        *(UniPoly([int(c) for c in v.split(",")]) for v in q)))
+    assert rep["certificate"] == list(original(pencil, tuple(rep["point"])).cert)
 
 
 def test_verify_det_mismatch_is_exit_zero(tmp_path, capsys):

@@ -7,12 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rigidconvex import NoRealSolutionError, SingularCubicError, parse_poly
+from rigidconvex import SingularCubicError, parse_poly
 from rigidconvex.bezout import interpolate_det, verify_pencil_det
 from rigidconvex.cli import main
 from rigidconvex.cubicrepr import (
     _affine_singular_point,
-    _monomial_t_polys,
+    _hesse_coordinates,
     check_smooth_cubic,
     cubic_representations,
     hessian,
@@ -134,8 +134,8 @@ def test_hessian_det_matches_reference_on_random_cubics():
 
 
 # the former Hessian and t-polynomials, kept as the references: second
-# partials as polynomials read at each unit vector, and det H(h + t P) at four
-# points instead of three plus the known t^3 term
+# partials as polynomials read at each unit vector, and each coefficient of
+# det H(h + t P) interpolated from four points
 
 def _reference_hessian(P: Poly) -> Pencil:
     second = [[P.partial(i).partial(j) for j in range(3)] for i in range(3)]
@@ -156,25 +156,41 @@ def _typed_entries(pencil: Pencil) -> list:
     return [(type(x), x) for mat in pencil.mats for row in mat for x in row]
 
 
-def _assert_matches_references(P: Poly, float_ts=()) -> None:
+def _is_smooth3(P: Poly) -> bool:
+    """Whether the ternary cubic P is smooth; x0 | P makes it reducible."""
+    p = Poly({(a, b): v for (_, a, b), v in P.coeffs.items()})
+    return p.degree == 3 and not _is_singular(p)
+
+
+def _assert_matches_references(P: Poly, float_ts=()) -> bool:
+    """The Hessian at P and at h + t P for each float t; for a smooth P also
+    A(t) P_m + B(t) h_m against every coefficient's t-polynomial, B monic
+    of degree 3.  Returns whether P was smooth."""
     assert _typed_entries(hessian(P)) == _typed_entries(_reference_hessian(P))
     h = hessian_det(P)
-    assert _monomial_t_polys(P, h) == _reference_monomial_t_polys(P, h)
     for t in float_ts:
         s = h + P * t
         assert _typed_entries(hessian(s)) == _typed_entries(_reference_hessian(s))
+    if not _is_smooth3(P):  # the identity is a fact about smooth cubics
+        return False
+    A, B = _hesse_coordinates(P, h)
+    assert B.degree == 3 and B[3] == 1
+    ref = _reference_monomial_t_polys(P, h)
+    for mono in _CUBIC_MONOS:
+        assert A * P.coeff(mono) + B * h.coeff(mono) == ref.get(mono, UniPoly()), mono
+    return True
 
 
 def test_tensor_hessian_and_t_polys_match_references_on_random_cubics():
     rng = random.Random(4)
     cubics = [Poly({(3, 0, 0): 1}, nvars=3)] + [_random_cubic3(rng) for _ in range(60)]
-    floats = 0
+    floats = smooth = 0
     for P in cubics:
         ts = [rng.uniform(-30, 30), rng.choice([-1, 1]) * rng.uniform(1e-3, 1e3)]
-        _assert_matches_references(P, ts)
+        smooth += _assert_matches_references(P, ts)
         floats += any(isinstance(x, float) for t in ts
                       for _, x in _typed_entries(hessian(hessian_det(P) + P * t)))
-    assert floats >= 50
+    assert floats >= 50 and smooth >= 25
 
 
 @pytest.mark.parametrize("name", ["cubic-curve", "elliptic-cubic"])
@@ -182,7 +198,7 @@ def test_tensor_hessian_and_t_polys_match_references_on_fixtures(name):
     p = parse_poly(load_fixture(name)["poly"])
     P, reps = homogenize(p), cubic_representations(p)
     # both fixtures have rational t*, so float t are taken next to them
-    _assert_matches_references(P, [float(rep.t_star) + 0.1 for rep in reps])
+    assert _assert_matches_references(P, [float(rep.t_star) + 0.1 for rep in reps])
     # the final pencils at each t*, before the scaling by mu
     h = hessian_det(P)
     for rep in reps:
@@ -190,7 +206,7 @@ def test_tensor_hessian_and_t_polys_match_references_on_fixtures(name):
         assert _typed_entries(hessian(s)) == _typed_entries(_reference_hessian(s))
 
 
-def test_smooth_cubic_makes_no_partials_and_four_determinants(monkeypatch):
+def test_smooth_cubic_makes_no_partials_and_three_determinants(monkeypatch):
     import rigidconvex.cubicrepr as cubicrepr
 
     counts = {"partial": 0, "interpolate_det": 0}
@@ -205,7 +221,8 @@ def test_smooth_cubic_makes_no_partials_and_four_determinants(monkeypatch):
     monkeypatch.setattr(cubicrepr, "interpolate_det",
                         counted("interpolate_det", cubicrepr.interpolate_det))
     assert len(cubic_representations(ELLIPTIC)) == 3
-    assert counts == {"partial": 0, "interpolate_det": 4}
+    # h = det H(P), then the one-variable pencils at two lattice points
+    assert counts == {"partial": 0, "interpolate_det": 3}
 
 
 _GOLDEN = json.loads((Path(__file__).parent / "data" / "cubic_repr_golden.json").read_text())
@@ -234,7 +251,7 @@ def test_root_constant_matches_reference_determinant():
     for p in polys:
         try:
             reps = cubic_representations(p)
-        except (SingularCubicError, NoRealSolutionError):
+        except SingularCubicError:
             continue
         P = homogenize(p)
         h = _reference_hessian_det(P)
@@ -343,7 +360,7 @@ def test_gcd_degree_at_most_three():
         p = parse_poly(expr)
         try:
             reps = cubic_representations(p)
-        except (SingularCubicError, NoRealSolutionError):
+        except SingularCubicError:
             continue
         assert len(reps) <= 3
 
@@ -542,7 +559,7 @@ def _reference_pairwise_gcd(P: Poly, gpoly) -> UniPoly:
     return gcd
 
 
-def test_anchor_constraints_give_the_pairwise_gcd(monkeypatch):
+def test_hesse_b_is_the_pairwise_gcd(monkeypatch):
     import rigidconvex.cubicrepr as cubicrepr
 
     seen = []
@@ -557,16 +574,12 @@ def test_anchor_constraints_give_the_pairwise_gcd(monkeypatch):
     for p in cubics:
         if p.degree != 3 or _is_singular(p):
             continue
-        P = homogenize(p)
-        want = _reference_pairwise_gcd(P, _monomial_t_polys(P, hessian_det(P)))
+        P, h = homogenize(p), hessian_det(homogenize(p))
+        want = _reference_pairwise_gcd(P, _reference_monomial_t_polys(P, h))
         seen.clear()
-        try:
-            cubic_representations(p)
-        except NoRealSolutionError:
-            assert not seen and want.degree < 1
-            continue
-        # one nonzero constraint is passed on as it is; the roots come from
-        # monic square-free factors
-        assert [r.monic() for r in seen] == [want]
+        cubic_representations(p)
+        # every pairwise condition is B (h_a P_b - h_b P_a), so their gcd is B
+        assert seen == [_hesse_coordinates(P, h)[1]] == [want]
+        assert want.degree == 3
         compared += 1
     assert compared >= 30

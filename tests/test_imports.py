@@ -32,6 +32,26 @@ def test_runtime_imports_are_stdlib_numpy_or_package():
     assert foreign == {}
 
 
+def test_every_imported_name_is_used():
+    """No linter runs offline, so unused imports are caught here: each name a
+    module imports is read in it, or listed in its ``__all__``."""
+    unused = {}
+    for path in sorted(Path(rigidconvex.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Import)
+                    or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {elt.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+                 for elt in node.value.elts}
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert unused == {}
+
+
 def test_plain_pytest_finds_the_package():
     """pyproject.toml puts src/ on the path, so ``python -m pytest`` from the
     repository root collects without PYTHONPATH."""

@@ -364,6 +364,14 @@ def test_critical_points_tv():
     assert cands[0].x == pytest.approx((0.0, 0.0), abs=1e-9)
 
 
+def test_rational_eliminant_roots_come_out_exact():
+    # x2 = -5/3 is not dyadic, so the midpoint of its isolating interval is
+    # not the root, and x1 read there came out as -3.47e-17 instead of 0
+    p = parse_poly("-x1^3-2*x1^2*x2-x2^3-4*x1^2-4*x2^2-5*x2")
+    xs = [cand.x for cand in critical_points(p)]
+    assert (0.0, -5 / 3) in xs and (0.0, -1.0) in xs
+
+
 def test_critical_points_residual_bound():
     for p in (CAPRICORN_P, BEAN_P, parse_poly("1-x1^4-x2^4")):
         g1, g2 = p.partial(0), p.partial(1)
