@@ -26,7 +26,6 @@ from .circlepsd import (
     SdpProblem,
     build_sdp,
     psd_on_circle,
-    scale_congruence,
     verify_spectral_factor,
     write_sdpa,
 )
@@ -55,7 +54,7 @@ __all__ = [
     "Poly", "UniPoly", "TrigPoly", "TrigMatrix", "Pencil",
     "parse_poly",
     "hermite_matrix", "line_substitute", "newton_sums",
-    "psd_on_circle", "scale_congruence", "build_sdp", "write_sdpa",
+    "psd_on_circle", "build_sdp", "write_sdpa",
     "verify_spectral_factor", "CircleVerdict", "SdpProblem", "MatrixPoly",
     "Parametrization", "bezout_matrix", "pencil_from_param",
     "interlace_check", "verify_pencil_det", "rigid_at_origin",

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import DegreeZeroError, DeterminantMismatchError, DimensionMismatchError
 from .locate import real_roots_with_multiplicity
-from .polycore import Pencil, Poly, Scalar, UniPoly, _bareiss, _divided_differences, \
-    _newton_to_monomial, _variations
+from .polycore import Pencil, Poly, Scalar, UniPoly, _add_ints, _bareiss, \
+    _divided_differences, _newton_to_monomial, _variations
 
 
 def bezout_matrix(g: UniPoly, h: UniPoly, m: int | None = None) -> list:
@@ -157,10 +157,9 @@ def interpolate_det(pencil: Pencil) -> Poly:
     the points <= a; converting back along each axis gives its integer
     monomial coefficients, divided by D^m."""
     m, nvars = pencil.m, pencil.nvars
-    mats = [[[Fraction(x) if isinstance(x, float) else x for x in row] for row in mat]
-            for mat in pencil.mats]
-    den = math.lcm(*[x.denominator for mat in mats for row in mat for x in row])
-    ints = [[[x.numerator * (den // x.denominator) for x in row] for row in mat] for mat in mats]
+    mats = [[[x.as_integer_ratio() for x in row] for row in mat] for mat in pencil.mats]
+    den = math.lcm(*[d for mat in mats for row in mat for _, d in row])
+    ints = [[[n * (den // d) for n, d in row] for row in mat] for mat in mats]
     monos = [e for e in itertools.product(range(m + 1), repeat=nvars) if sum(e) <= m]
     vals = {mono: _bareiss([[sum([e * G[i][j] for e, G in zip((1,) + mono, ints)])
                              for j in range(m)] for i in range(m)]) for mono in monos}
@@ -171,7 +170,7 @@ def interpolate_det(pencil: Pencil) -> Poly:
                     line = [start[:axis] + (k,) + start[axis + 1:]
                             for k in range(m + 1 - sum(start))]
                     vals.update(zip(line, convert([vals[pt] for pt in line])))
-    return Poly({mono: Fraction(vals[mono], den**m) for mono in monos}, nvars)
+    return Poly._make({mono: vals[mono] for mono in monos if vals[mono]}, den**m, nvars)
 
 
 def verify_pencil_det(pencil: Pencil, p: Poly):
@@ -188,19 +187,24 @@ def verify_pencil_det(pencil: Pencil, p: Poly):
     if p.degree > pencil.m:
         raise DimensionMismatchError(
             f"deg p = {p.degree} exceeds pencil size {pencil.m}")
-    anchor = max(p.coeffs, key=lambda e: abs(p.coeffs[e]))
+    anchor = max(p.ints, key=lambda e: abs(p.ints[e]))
     det = interpolate_det(pencil)
-    c = det.coeff(anchor) / p.coeff(anchor)
-    cp = p * c
+    # with det = D / dd and p = P / dp, c = D_a dp / (dd P_a) and det - c p is
+    # (D P_a - D_a P) / (dd P_a): integer gaps, keyed in the order of det, then p
+    pa, da, dd = p.ints[anchor], det.ints.get(anchor, 0), det.den
+    gaps = {e: v * pa for e, v in det.ints.items()}
+    _add_ints(gaps, p.ints, -da)
     exact = pencil.is_exact()
-    tol = 0 if exact else 1e-8 * max([1, *map(abs, det.coeffs.values())])
+    tol = 0.0 if exact else 1e-8 * max([1, *[abs(v) / dd for v in det.ints.values()]])
+    tn, td = tol.as_integer_ratio()  # |gap| > tol, exactly
     cast = Fraction if exact else float  # the type of every reported number
-    for mono, gap in (det - cp).coeffs.items():
-        if abs(gap) > tol:
+    for mono, gap in gaps.items():
+        if abs(gap) * td > tn * abs(dd * pa):
             raise DeterminantMismatchError(
                 f"det F != c*p at monomial {mono}", monomial=mono,
-                got=cast(det.coeff(mono)), expected=cast(cp.coeff(mono)))
-    return cast(c)
+                got=cast(det.coeff(mono)),
+                expected=cast(Fraction(da * p.ints.get(mono, 0), dd * pa)))
+    return cast(Fraction(da * p.den, dd * pa))
 
 
 # ---------------------------------------------------------------------------

@@ -120,23 +120,6 @@ def psd_on_circle(H: TrigMatrix) -> CircleVerdict:
 
 
 # ---------------------------------------------------------------------------
-# congruence scaling
-# ---------------------------------------------------------------------------
-
-def scale_congruence(H: TrigMatrix,
-                     theta0: float = 0.0) -> tuple[TrigMatrix, np.ndarray, str]:
-    """Rescale H so that H0(e^{i theta0}) is the identity (mode 'full') or at
-    least diagonal (mode 'diag'); returns (H0, W, mode) with H0 = W H W^T."""
-    A = H.eval_theta(theta0)
-    evals, vecs = np.linalg.eigh(A)
-    if evals.min() > 0 and evals.max() / evals.min() <= 1e8:
-        w = np.diag(1.0 / np.sqrt(evals)) @ vecs.T
-        return H.congruence(w), w, "full"
-    w = vecs.T
-    return H.congruence(w), w, "diag"
-
-
-# ---------------------------------------------------------------------------
 # SDP export
 # ---------------------------------------------------------------------------
 

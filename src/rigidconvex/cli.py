@@ -91,7 +91,7 @@ def cmd_check_rigid(args) -> dict:
         # origin sits on the curve: recentre at a critical point with p != 0
         body["origin_on_curve"] = True
         cands = critical_points(p) if p.degree >= 2 else []
-        norm = max((abs(float(v)) for v in p.coeffs.values()), default=1.0)
+        norm = max((abs(v / p.den) for v in p.ints.values()), default=1.0)
         pivot = next((c for c in cands
                       if abs(float(p(*c.x))) > 1e-9 * norm), None)
         if pivot is None:
@@ -275,8 +275,8 @@ def cmd_plot_data(args) -> dict | None:
     values = np.zeros((args.grid, args.grid))  # rows x2, columns x1
     with np.errstate(all="ignore"):  # non-finite samples are refused below
         x1s, x2s = np.linspace(x1lo, x1hi, args.grid), np.linspace(x2lo, x2hi, args.grid)
-        for (a, b), v in p.coeffs.items():
-            values = values + (float(v) * np.array([x**a for x in x1s])
+        for (a, b), v in p.ints.items():
+            values = values + (v / p.den * np.array([x**a for x in x1s])
                                * np.array([x**b for x in x2s])[:, None])
     finite = np.isfinite(values) & np.isfinite(x1s) & np.isfinite(x2s)[:, None]
     bad = values.size - int(np.count_nonzero(finite))

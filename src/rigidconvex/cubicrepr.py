@@ -28,7 +28,7 @@ import numpy as np
 from .bezout import interpolate_det
 from .errors import IdenticallyZeroResultantError, SingularCubicError
 from .locate import _solve_system, real_roots_with_multiplicity
-from .polycore import _ZERO, Pencil, Poly, Scalar, UniPoly, det_exact
+from .polycore import _ZERO, Pencil, Poly, Scalar, UniPoly, _bareiss
 
 
 # ---------------------------------------------------------------------------
@@ -39,13 +39,20 @@ def homogenize(p: Poly) -> Poly:
     """P(x0, x1, x2) = x0^3 p(x1/x0, x2/x0) for a bivariate cubic."""
     if p.nvars != 2 or p.degree > 3:
         raise ValueError("expected a bivariate polynomial of degree <= 3")
-    return Poly({(3 - a - b, a, b): v for (a, b), v in p.coeffs.items()}, nvars=3)
+    return Poly._make({(3 - a - b, a, b): v for (a, b), v in p.ints.items()}, p.den, 3)
 
 
 # entry (i, j) of F_k is the third partial of P in x_i, x_j, x_k: P's
 # coefficient at e = e_i + e_j + e_k times e0! e1! e2!
 _TENSOR_EXPONENTS = tuple(tuple(tuple(tuple((i == v) + (j == v) + (k == v) for v in range(3))
                                       for j in range(3)) for i in range(3)) for k in range(3))
+_WEIGHT = {e: math.prod(map(math.factorial, e)) for e in itertools.product(range(4), repeat=3)}
+
+
+def _tensor(coeffs: dict, zero=_ZERO) -> tuple:
+    """(F0, F1, F2) of the cubic with these coefficients, ``zero`` off its keys."""
+    return tuple(tuple(tuple(coeffs[e] * _WEIGHT[e] if e in coeffs else zero for e in row)
+                       for row in mat) for mat in _TENSOR_EXPONENTS)
 
 
 def hessian(P: Poly) -> Pencil:
@@ -54,9 +61,7 @@ def hessian(P: Poly) -> Pencil:
     P's coefficients read as its third-derivative tensor."""
     if P.nvars != 3:
         raise ValueError("expected a homogeneous cubic in x0, x1, x2")
-    third = {e: v * math.prod(map(math.factorial, e)) for e, v in P.coeffs.items()}
-    return Pencil(3, tuple(tuple(tuple(third.get(e, _ZERO) for e in row) for row in mat)
-                           for mat in _TENSOR_EXPONENTS))
+    return Pencil(3, _tensor({e: Fraction(v, P.den) for e, v in P.ints.items()}))
 
 
 def hessian_det(P: Poly) -> Poly:
@@ -72,7 +77,7 @@ def hessian_det(P: Poly) -> Poly:
 def _affine_singular_point(p: Poly):
     """Common (complex) zero of {p, dp/dx1, dp/dx2}, or None: the complex
     solutions of the gradient system, the first on which p vanishes."""
-    norm = max(abs(float(v)) for v in p.coeffs.values())
+    norm = max(abs(v / p.den) for v in p.ints.values())
     try:
         raw = _solve_system(p.partial(0), p.partial(1), real=False)
     except IdenticallyZeroResultantError:
@@ -92,11 +97,11 @@ def check_smooth_cubic(p: Poly, h: Poly) -> None:
     searched for an affine singular point, to name it in the message.
     """
     P = homogenize(p)
-    # the coefficient of dF/dx_i at the quadratic monomial m is (m_i + 1) F[m + e_i]
+    # dF/dx_i has (m_i + 1) F[m + e_i] at the quadratic monomial m; den F scales a row
     monos = [(a, b, 2 - a - b) for a in range(3) for b in range(3 - a)]
-    rows = [[(m[i] + 1) * F.coeff(m[:i] + (m[i] + 1,) + m[i + 1:])
+    rows = [[(m[i] + 1) * F.ints.get(m[:i] + (m[i] + 1,) + m[i + 1:], 0)
              for m in monos] for F in (P, h) for i in range(3)]
-    if det_exact(rows) != 0:
+    if _bareiss(rows) != 0:
         return
     point = _affine_singular_point(p)
     if point is None:
@@ -151,26 +156,44 @@ def _hesse_coordinates(P: Poly, h: Poly) -> tuple[UniPoly, UniPoly]:
     Hesse pencil.  At a point x, g_x(t) = det(H(h)(x) + t H(P)(x)) is
     A(t) P(x) + B(t) h(x).  The principal lattice of order 3 is unisolvent for
     cubics, so two of its points separate P and h, which are independent; the
-    first such pair gives A and B by Cramer's rule."""
+    first such pair gives A and B by Cramer's rule.  On the integers, with dP
+    and dh the denominators of P and h, value(x) is (dP P(x), dh h(x)) and g(x)
+    is (dP dh)^3 g_x, the determinant of dP H(dh h)(x) + t dh H(dP P)(x)."""
     @functools.cache
-    def value(x):  # (P(x), h(x)) at an integer point
-        return tuple(sum(c * math.prod(map(pow, x, e)) for e, c in F.coeffs.items())
+    def value(x):  # (dP P(x), dh h(x)) at an integer point
+        return tuple(sum([v * math.prod(map(pow, x, e)) for e, v in F.ints.items()])
                      for F in (P, h))
 
     lattice = ((3 - a - b, a, b) for a in range(4) for b in range(4 - a))
     x, y = next((x, y) for x, y in itertools.combinations(lattice, 2)
                 if value(x)[0] * value(y)[1] != value(y)[0] * value(x)[1])
     (px, hx), (py, hy) = value(x), value(y)
-    mats = hessian(h).mats, hessian(P).mats
+    scaled = (P.den, _tensor(h.ints, 0)), (h.den, _tensor(P.ints, 0))
 
-    def g(x) -> UniPoly:  # det(H(h)(x) + t H(P)(x)), H(x) = x0 F0 + x1 F1 + x2 F2
-        at = tuple(tuple(tuple(sum(xk * F[i][j] for xk, F in zip(x, pencil) if xk)
-                               for j in range(3)) for i in range(3)) for pencil in mats)
-        det = interpolate_det(Pencil(3, at))
-        return UniPoly(det.coeff((k,)) for k in range(4))
+    def g(x) -> list:  # H(x) = x0 F0 + x1 F1 + x2 F2; an integer pencil has den 1
+        at = tuple(tuple(tuple(f * sum([xk * F[i][j] for xk, F in zip(x, mats) if xk])
+                               for j in range(3)) for i in range(3)) for f, mats in scaled)
+        det = interpolate_det(Pencil(3, at)).ints
+        return [det.get((k,), 0) for k in range(4)]
 
-    gx, gy, delta = g(x), g(y), px * hy - py * hx
-    return (gx * hy - gy * hx) * (1 / delta), (gy * px - gx * py) * (1 / delta)
+    # Cramer's rule in the scaled values: A = (g_x h(y) - g_y h(x)) / delta,
+    # B = (g_y P(x) - g_x P(y)) / delta, delta = P(x) h(y) - P(y) h(x)
+    gx, gy, s, delta = g(x), g(y), P.den * h.den, px * hy - py * hx
+    return (UniPoly([Fraction(a * hy - b * hx, s * s * h.den * delta) for a, b in zip(gx, gy)]),
+            UniPoly([Fraction(b * px - a * py, s * s * P.den * delta) for a, b in zip(gx, gy)]))
+
+
+def _hessian_at(P: Poly, h: Poly, t: Scalar) -> Pencil:
+    """``hessian(h + t P)``.  At a float t* this is the one float step:
+    float(h_m) + float(P_m) t* on P's support, formed before the factorial
+    factors of ``hessian`` (H(h) + t H(P) would round differently), while h's
+    other monomials stay exact until the pencil is scaled."""
+    if not isinstance(t, float):
+        return hessian(h + P * t)
+    coeffs = {e: Fraction(v, h.den) for e, v in h.ints.items()}
+    for e, v in P.ints.items():
+        coeffs[e] = h.ints.get(e, 0) / h.den + v / P.den * t
+    return Pencil(3, _tensor({e: v for e, v in coeffs.items() if v}))  # as a Poly drops zeros
 
 
 def cubic_representations(p: Poly) -> list[CubicRepresentation]:
@@ -188,7 +211,7 @@ def cubic_representations(p: Poly) -> list[CubicRepresentation]:
     # det H(h + t* P) = A(t*) P exactly when B(t*) = 0; c is its coefficient
     # at the anchor a of largest |P_a|, over P_a: A(t*) alone would round
     # differently at a float t*
-    anchor = max(P.coeffs, key=lambda e: abs(P.coeffs[e]))
+    anchor = max(P.ints, key=lambda e: abs(P.ints[e]))
     pa = P.coeff(anchor)
     g_anchor = A * pa + B * h.coeff(anchor)
 
@@ -199,8 +222,5 @@ def cubic_representations(p: Poly) -> list[CubicRepresentation]:
         c = g_anchor(t) / pa
         root = _cube_root_exact(c) if isinstance(c, Fraction) else None
         mu = 1 / root if root is not None else float(np.sign(float(c)) * abs(float(c)) ** (-1 / 3))
-        # h + t P is formed before the factorial factors of hessian, not as
-        # H(h) + t H(P): with a float t* the two round differently
-        pencil = hessian(h + P * t).scaled(mu).with_scale(1)
-        reps.append(CubicRepresentation(t, c, mu, pencil))
+        reps.append(CubicRepresentation(t, c, mu, _hessian_at(P, h, t).scaled(mu).with_scale(1)))
     return reps

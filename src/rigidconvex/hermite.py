@@ -8,8 +8,9 @@ vanishes, with z on the unit circle and m = deg p.  The sublevel set around
 the origin is rigidly convex exactly when q(t) has m real roots for every z,
 i.e. when the Hankel matrix of Newton power sums of q is positive
 semidefinite along the circle.  Everything here is exact and runs on
-integers: p and q are cleared of denominators once, and TrigPolys with
-Fraction coefficients are built only for the results.
+integers: p's integer numerators are read as they are, q is cleared of
+denominators once, and TrigPolys with Fraction coefficients are built only
+for the results.
 """
 from __future__ import annotations
 
@@ -51,10 +52,9 @@ class LinePoly:
 def line_substitute(p: Poly) -> LinePoly:
     """Restrict p to the line family and clear denominators.
 
-    p's coefficients are cleared to integers P_ab once (floats read exactly).
-    With w = x1 t = z + 1/z and v = x2 t = -i(z - 1/z), P_00 t^m q_(m-j) sums
-    P_ab w^a v^b over a + b = j; the powers of w and v and their products are
-    integer Laurent lists, and the TrigPolys of q are built once, at the end.
+    With w = x1 t = z + 1/z and v = x2 t = -i(z - 1/z), P_00 t^m q_(m-j) sums P_ab w^a v^b
+    over a + b = j, P_ab p's integer numerators (``Poly.ints``); the powers of w and v and
+    their products are integer Laurent lists, and the TrigPolys of q are built once, at the end.
 
     Raises OriginOnCurveError when p(0,0) = 0, since the construction divides
     by the constant term; the locate module handles that situation.
@@ -68,9 +68,6 @@ def line_substitute(p: Poly) -> LinePoly:
     if m < 1:
         raise ValueError("need total degree >= 1")
 
-    coeffs = [Fraction(v) for v in p.coeffs.values()]
-    den = math.lcm(*[v.denominator for v in coeffs])
-    ints = [v.numerator * (den // v.denominator) for v in coeffs]
     w, v = ([0, 1], []), ([0, 0], [0, -1])  # halves of z + 1/z and -i(z - 1/z)
     w_pow = [([1], [])]
     v_pow = w_pow[:]
@@ -79,7 +76,7 @@ def line_substitute(p: Poly) -> LinePoly:
         v_pow.append(laurent_mul(*v_pow[-1], *v))
     re = [[] for _ in range(m + 1)]
     im = [[] for _ in range(m + 1)]
-    for (a, b), coeff in zip(p.coeffs, ints):
+    for (a, b), coeff in p.ints.items():
         wr, wi = laurent_mul(*w_pow[a], *v_pow[b])
         _add_into(re[a + b], wr, coeff)
         _add_into(im[a + b], wi, coeff)

@@ -52,15 +52,13 @@ class LocateResult:
 
 def _x1_columns(p: Poly) -> tuple[int, dict[int, list]]:
     """(den, cols): den * p as a polynomial in x1 whose coefficient of x1^a is
-    cols[a], an ascending integer list in x2; den is the lcm of p's
-    denominators."""
-    den = math.lcm(*[v.denominator for v in p.coeffs.values()])
+    cols[a], an ascending integer list in x2; den is p's denominator."""
     cols: dict[int, list] = {}
-    for (a, b), v in p.coeffs.items():
+    for (a, b), v in p.ints.items():
         col = cols.setdefault(a, [])
         col.extend([0] * (b + 1 - len(col)))
-        col[b] = v.numerator * (den // v.denominator)
-    return den, cols
+        col[b] = v
+    return p.den, cols
 
 
 def _subresultant(fc: dict, gc: dict, j: int) -> list[list]:
@@ -123,12 +121,12 @@ def real_roots_with_multiplicity(r: UniPoly) -> list[tuple[float, int]]:
 # ---------------------------------------------------------------------------
 
 def _sheared(p: Poly, k: int) -> Poly:
-    """p(x1, y - k x1) as a polynomial in (x1, y)."""
+    """p(x1, y - k x1) as a polynomial in (x1, y), on p's integers."""
     out: dict = {}
-    for (a, b), v in p.coeffs.items():
+    for (a, b), v in p.ints.items():
         for t in range(b + 1 if k else 1):
             out[a + t, b - t] = out.get((a + t, b - t), 0) + v * math.comb(b, t) * (-k) ** t
-    return Poly(out)
+    return Poly._make({e: v for e, v in out.items() if v}, p.den, 2)
 
 
 def _one_root(s: list, h: list, mu: int) -> bool:

@@ -2,8 +2,9 @@
 
 Representations:
 
-* ``Poly``      -- multivariate polynomial, sparse map from exponent tuples to
-                   ``Fraction``; two variables (x1, x2) unless stated otherwise.
+* ``Poly``      -- multivariate polynomial, a sparse map from exponent tuples
+                   to integers over one positive denominator, in lowest terms;
+                   two variables (x1, x2) unless stated otherwise.
 * ``UniPoly``   -- univariate polynomial, ascending dense coefficient tuple.
 * ``TrigPoly``  -- Laurent polynomial that is real-valued on the unit circle,
                    stored as cosine coefficients ``c[k]`` on z^k + z^-k plus
@@ -17,16 +18,18 @@ Representations:
                    F(x) = F0 + x1 F1 + ... + xn Fn; the Bezout and Hessian
                    routes build n = 2, pencil files may add F3 (n = 3).
 
-Values are exact rationals (``Fraction``); floats only appear after
-explicitly numeric steps such as congruence scaling or cube roots.
+Values are exact rationals; floats only appear after explicitly numeric
+steps such as cube roots, and in pencil files.
 
-Exact arithmetic runs on integers: operands are cleared of denominators
-once (``TrigPoly.int_halves``, back by ``TrigPoly.from_int_halves``) and
-Fractions are built only for results.  Laurent products take ``laurent_mul``,
+Exact arithmetic runs on integers: ``parse_poly`` and ``Poly`` keep integer
+numerators over one denominator from parse to report, other operands are
+cleared of denominators once (``TrigPoly.int_halves``, back by
+``TrigPoly.from_int_halves``), and Fractions are built only for results.
+Laurent products take ``laurent_mul``,
 determinants, solves and bordered minors (``locate``'s subresultants) the
 one elimination kernel, the fraction-free ``_bareiss``, interpolation the
-integer Newton ``_newton_interpolate`` (``interpolate_exact`` for rationals;
-its divided differences serve lattices too), univariate gcds and square-free
+integer Newton ``_newton_interpolate`` (its divided differences serve
+lattices too), univariate gcds and square-free
 parts ``_int_gcd`` (a gcd of 1 proved modulo 2^31 - 1, else a primitive
 pseudo-remainder sequence in Z[x]), and real roots one exact isolator,
 ``real_roots`` (Descartes' rule with bisection, then bisection on exact signs).
@@ -36,6 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,10 +86,15 @@ def format_scalar(x: Scalar) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# a decimal literal's exponent, read before the literal is expanded
+_EXPONENT = re.compile(r"(.*)[eE]([-+]?\d+(?:_\d+)*)\s*\Z", re.S)
+
+
 def parse_scalar(text: Union[str, int, float]) -> Scalar:
     """Inverse of format_scalar; accepts ints/floats passed through JSON.  Like
     a polynomial literal, the value must be within MAX_COEFF_BITS: a float by
-    its magnitude (and finite), whatever its binary denominator."""
+    its magnitude (and finite), whatever its binary denominator; a literal
+    whose exponent alone rules it out is refused before it is expanded."""
     if isinstance(text, float):
         if not math.isfinite(text):
             raise ValueError(f"non-finite number {text!r}")
@@ -94,13 +103,24 @@ def parse_scalar(text: Union[str, int, float]) -> Scalar:
     if isinstance(text, int):
         value = Fraction(text)
     elif "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
+        parts = text.split("/")
+        if len(parts) != 2 or not all(x.strip() for x in parts):
+            raise ValueError(f"malformed rational literal {text!r}")
+        num, den = map(int, parts)
+        if den == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        value = Fraction(int(num), int(den))
+        value = Fraction(num, den)
     else:
+        m = _EXPONENT.match(text)
+        # M 10^k with M != 0 of at most len(text) digits has |M 10^k| or its
+        # denominator past 10^(|k| - len(text)) > 2^MAX_COEFF_BITS
+        if m and abs(int(m.group(2))) > len(text) + MAX_COEFF_BITS:
+            if Fraction(m.group(1)):
+                raise PolyParseError(f"literal {text.strip()!r} exceeds MAX_COEFF_BITS = "
+                                     f"{MAX_COEFF_BITS}", 0)
+            return Fraction(0)
         value = Fraction(text.strip())
-    _check_size(0, 0, _bits([value]))
+    _check_size(0, 0, _bits([value.numerator], value.denominator))
     return value
 
 
@@ -118,23 +138,50 @@ def _power(base, n: int, one):
     return out
 
 
+def _mul_ints(a: dict, b: dict) -> dict:
+    """Product of {exponent: int} maps, keys in order of first occurrence."""
+    out: dict = {}
+    for ea, va in a.items():
+        for eb, vb in b.items():
+            key = tuple(map(operator.add, ea, eb))
+            out[key] = out.get(key, 0) + va * vb
+    if len(a) > 1 and len(b) > 1:  # else no two products meet
+        return {e: v for e, v in out.items() if v}
+    return out
+
+
+def _add_ints(a: dict, b: dict, f: int) -> None:
+    """a += f * b in place; new keys go last, zero sums leave."""
+    for e, v in b.items():
+        s = a.get(e, 0) + f * v
+        if s:
+            a[e] = s
+        else:
+            a.pop(e, None)
+
+
 # ---------------------------------------------------------------------------
 # Multivariate polynomials with exact coefficients
 # ---------------------------------------------------------------------------
 
 class Poly:
-    """Sparse exact polynomial in ``nvars`` variables.
+    """Sparse exact polynomial in ``nvars`` variables, sum ints[e] x^e / den.
 
-    ``coeffs`` maps exponent tuples to nonzero Fractions; the zero polynomial
-    has an empty map and degree -1.
+    ``ints`` maps exponent tuples to nonzero integers over one positive
+    ``den``, in lowest terms, so equal polynomials have equal fields; zero is
+    {} over 1, of degree -1.  Arithmetic, ``shifted``, ``partial`` and
+    evaluation run on the integers and build results unchecked (``_make``);
+    only ``coeff``, the read-only ``coeffs`` view and ``to_expr`` make Fractions.
     """
 
-    __slots__ = ("nvars", "coeffs")
+    __slots__ = ("nvars", "ints", "den")
 
     def __init__(self, coeffs: Mapping[tuple, Scalar] | None = None, nvars: int = 2):
+        """From a map of exponent tuples to ints and Fractions."""
         clean = {}
         for expo, val in (coeffs or {}).items():
-            val = to_exact(val)
+            if not isinstance(val, (int, Fraction)):
+                raise TypeError(f"coefficient {val!r} is not rational")
             if val == 0:
                 continue
             expo = tuple(int(e) for e in expo)
@@ -142,8 +189,21 @@ class Poly:
                 raise DimensionMismatchError(
                     f"exponent {expo} has arity {len(expo)}, expected {nvars}")
             clean[expo] = val
+        # the lcm of reduced denominators leaves no common factor
+        den = math.lcm(*[v.denominator for v in clean.values()])
         self.nvars = nvars
-        self.coeffs = clean
+        self.ints = {e: v.numerator * (den // v.denominator) for e, v in clean.items()}
+        self.den = den
+
+    @classmethod
+    def _make(cls, ints: dict, den: int, nvars: int) -> "Poly":
+        """The polynomial ints / den, no value zero, brought to lowest terms."""
+        g = math.gcd(den, *ints.values()) if den != 1 else 1
+        out = object.__new__(cls)
+        out.nvars, out.ints, out.den = nvars, ints, den
+        if g != 1:
+            out.ints, out.den = {e: v // g for e, v in ints.items()}, den // g
+        return out
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -163,27 +223,31 @@ class Poly:
     @property
     def degree(self) -> int:
         """Max total degree; -1 for the zero polynomial."""
-        if not self.coeffs:
-            return -1
-        return max(sum(e) for e in self.coeffs)
+        return max(map(sum, self.ints), default=-1)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
+
+    @property
+    def coeffs(self) -> dict:
+        """The coefficients as Fractions, a fresh map in the order of ``ints``."""
+        return {e: Fraction(v, self.den) for e, v in self.ints.items()}
 
     def coeff(self, expo: tuple) -> Fraction:
         expo = tuple(expo)
         self._check_arity(len(expo))
-        return self.coeffs.get(expo, _ZERO)
+        v = self.ints.get(expo)
+        return _ZERO if v is None else Fraction(v, self.den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Poly) and self.nvars == other.nvars
-                and self.coeffs == other.coeffs)
+                and self.den == other.den and self.ints == other.ints)
 
     def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self.coeffs.items()))))
+        return hash((self.nvars, self.den, tuple(sorted(self.ints.items()))))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     # -- arithmetic ----------------------------------------------------------
     def _check(self, other: "Poly"):
@@ -196,21 +260,22 @@ class Poly:
             raise DimensionMismatchError(f"expected {self.nvars} coordinates, got {n}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, float)):
+        if not isinstance(other, Poly):
             other = Poly.constant(other, self.nvars)
         self._check(other)
-        out = dict(self.coeffs)
-        for expo, val in other.coeffs.items():
-            out[expo] = out.get(expo, Fraction(0)) + val
-        return Poly(out, self.nvars)
+        den = math.lcm(self.den, other.den)
+        f = den // self.den
+        out = {e: v * f for e, v in self.ints.items()} if f != 1 else dict(self.ints)
+        _add_ints(out, other.ints, den // other.den)
+        return Poly._make(out, den, self.nvars)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({e: -v for e, v in self.coeffs.items()}, self.nvars)
+        return Poly._make({e: -v for e, v in self.ints.items()}, self.den, self.nvars)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, float)):
+        if not isinstance(other, Poly):
             other = Poly.constant(other, self.nvars)
         return self + (-other)
 
@@ -218,15 +283,10 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, float)):
-            return Poly({e: v * other for e, v in self.coeffs.items()}, self.nvars)
+        if not isinstance(other, Poly):
+            other = Poly.constant(other, self.nvars)
         self._check(other)
-        out: dict = {}
-        for ea, va in self.coeffs.items():
-            for eb, vb in other.coeffs.items():
-                key = tuple(a + b for a, b in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + va * vb
-        return Poly(out, self.nvars)
+        return Poly._make(_mul_ints(self.ints, other.ints), self.den * other.den, self.nvars)
 
     __rmul__ = __mul__
 
@@ -234,29 +294,42 @@ class Poly:
         return _power(self, n, Poly.constant(1, self.nvars))
 
     def shifted(self, *offset: Scalar) -> "Poly":
-        """p(x + offset), expanded exactly by evaluating p at x_i + offset_i."""
-        return Poly.zero(self.nvars) + self(*[Poly.variable(i, self.nvars) + off
-                                              for i, off in enumerate(offset)])
+        """p(x + offset), offset rational, expanded one variable at a time: with
+        x_i -> x_i + a/b and t the degree in x_i, b^t v x_i^k becomes
+        v sum_s C(k, s) a^(k-s) b^(t-k+s) x_i^s."""
+        self._check_arity(len(offset))
+        ints, den = self.ints, self.den
+        for i, off in enumerate(offset):
+            a, b, t = off.numerator, off.denominator, max([e[i] for e in ints], default=0)
+            out: dict = {}
+            for expo, v in ints.items():
+                k = expo[i]
+                for s in range(k + 1) if a else (k,):
+                    key = expo[:i] + (s,) + expo[i + 1:]
+                    out[key] = out.get(key, 0) + v * math.comb(k, s) * a**(k - s) * b**(t - k + s)
+            ints, den = {e: v for e, v in out.items() if v}, den * b**t
+        return Poly._make(ints, den, self.nvars)
 
     def partial(self, index: int) -> "Poly":
         """Exact partial derivative with respect to variable ``index``."""
         out = {}
-        for expo, val in self.coeffs.items():
-            if expo[index] == 0:
-                continue
-            e = list(expo)
-            e[index] -= 1
-            out[tuple(e)] = val * expo[index]
-        return Poly(out, self.nvars)
+        for expo, val in self.ints.items():
+            k = expo[index]
+            if k:
+                out[expo[:index] + (k - 1,) + expo[index + 1:]] = val * k
+        return Poly._make(out, self.den, self.nvars)
 
-    def __call__(self, *point: Scalar):
-        """Exact evaluation when all inputs are rational; float otherwise.
-        Poly inputs compose: the result is then a Poly, or a constant."""
+    def __call__(self, *point):
+        """Exact value (a Fraction) at a rational point: the constant term of
+        ``shifted``.  At a float or complex point each term is its coefficient,
+        correctly rounded to a float, times the powers x**e, summed in the
+        order of ``ints``."""
         self._check_arity(len(point))
-        point = [to_exact(x) for x in point]
-        total = Fraction(0)
-        for expo, val in self.coeffs.items():
-            term = val
+        if all(isinstance(x, (int, Fraction)) for x in point):
+            return self.shifted(*point).coeff((0,) * self.nvars)
+        total = 0
+        for expo, v in self.ints.items():
+            term = v / self.den
             for x, e in zip(point, expo):
                 if e:
                     term = term * x**e
@@ -266,7 +339,7 @@ class Poly:
     # -- printing -------------------------------------------------------------
     def to_expr(self) -> str:
         """Expression string that parse_poly maps back to this polynomial."""
-        if not self.coeffs:
+        if not self.ints:
             return "0"
         items = sorted(self.coeffs.items(),
                        key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
@@ -334,8 +407,9 @@ MAX_DEGREE = 32  # largest total degree parse_poly expands; inputs today reach 1
 MAX_COEFF_BITS = 256
 
 
-def _bits(values) -> int:
-    return (max([max(abs(v.numerator), v.denominator) for v in values], default=1)
+def _bits(values, den: int = 1) -> int:
+    """Bit length of (the largest |num| or den of values / den in lowest terms) - 1."""
+    return (max([max(abs(v), den) // math.gcd(v, den) for v in values], default=1)
             - 1).bit_length()
 
 
@@ -348,6 +422,11 @@ def _check_size(off: int, degree: int, bits: int = 0) -> None:
 
 
 class _Parser:
+    """Recursive descent to (ints, den, degree): ints / den as in ``Poly``,
+    with its total degree (-1 for zero).  Terms are added and multiplied on
+    the integers, keys in the order ``Poly`` arithmetic keeps them; a sum, and
+    so every base of a power, comes out in lowest terms."""
+
     def __init__(self, expr: str, nvars: int):
         self.tokens = _tokenize(expr)
         self.pos = 0
@@ -366,66 +445,75 @@ class _Parser:
         if kind != "op" or val != op:
             raise PolyParseError(f"expected {op!r}", off)
 
-    def parse_expr(self) -> Poly:
+    def parse_expr(self) -> tuple[dict, int, int]:
         kind, val, _ = self.peek()
-        negate = False
+        sign = 1
         if kind == "op" and val in "+-":
             self.take()
-            negate = val == "-"
-        out = self.parse_term()
-        if negate:
-            out = -out
+            sign = -1 if val == "-" else 1
+        out, den = {}, 1
         while True:
+            ints, tden, _ = self.parse_term()
+            if den % tden:
+                lcm = math.lcm(den, tden)
+                out = {e: v * (lcm // den) for e, v in out.items()}
+                den = lcm
+            _add_ints(out, ints, sign * (den // tden))
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                term = self.parse_term()
-                out = out - term if val == "-" else out + term
-            else:
-                return out
+            if kind != "op" or val not in "+-":
+                total = Poly._make(out, den, self.nvars)
+                return total.ints, total.den, total.degree
+            self.take()
+            sign = -1 if val == "-" else 1
 
-    def parse_term(self) -> Poly:
-        out = self.parse_factor()
+    def parse_term(self) -> tuple[dict, int, int]:
+        ints, den, degree = self.parse_factor()
         while True:
             kind, val, off = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                factor = self.parse_factor()
-                _check_size(off, out.degree + factor.degree)
-                out = out * factor
-            else:
-                return out
+            if kind != "op" or val != "*":
+                return ints, den, degree
+            self.take()
+            fints, fden, fdegree = self.parse_factor()
+            _check_size(off, degree + fdegree)
+            ints, den = _mul_ints(ints, fints), den * fden
+            degree = degree + fdegree if ints else -1
 
-    def parse_factor(self) -> Poly:
+    def parse_factor(self) -> tuple[dict, int, int]:
         base = self.parse_base()
         kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            kind, val, off = self.take()
-            if kind != "num" or "." in val:
-                raise PolyParseError("exponent must be a nonnegative integer", off)
-            e = int(val)
-            # MAX_DEGREE bounds the exponent of any base but a constant
-            _check_size(off, base.degree * e, _bits(base.coeffs.values()) * e
-                        if base.degree <= 0 else 0)
-            return base ** e
-        return base
+        if kind != "op" or val != "^":
+            return base
+        self.take()
+        kind, val, off = self.take()
+        if kind != "num" or "." in val:
+            raise PolyParseError("exponent must be a nonnegative integer", off)
+        e = int(val)
+        ints, den, degree = base
+        # MAX_DEGREE bounds the exponent of any base but a constant
+        _check_size(off, degree * e, _bits(ints.values(), den) * e if degree <= 0 else 0)
+        if len(ints) != 1:  # a sum in lowest terms, or zero
+            power = Poly._make(ints, den, self.nvars) ** e
+            return power.ints, power.den, power.degree
+        ((expo, v),) = ints.items()
+        return {tuple([x * e for x in expo]): v**e}, den**e, degree * e
 
-    def parse_base(self) -> Poly:
+    def parse_base(self) -> tuple[dict, int, int]:
         kind, val, off = self.take()
         if kind == "num":
-            numer = Fraction(val)
-            # rational literal p/q
-            kind2, val2, _ = self.peek()
-            if kind2 == "op" and val2 == "/":
+            # read as Fraction(val) reads it: the integer part, then the decimals
+            whole, _, frac = val.partition(".")
+            den = 10 ** len(frac)
+            num = int(whole) * den + int(frac or 0)
+            if self.peek()[:2] == ("op", "/"):  # rational literal p/q
                 self.take()
                 kind3, val3, off3 = self.take()
                 if kind3 != "num" or "." in val3:
                     raise PolyParseError("denominator must be an integer", off3)
                 if int(val3) == 0:
                     raise PolyParseError("zero denominator", off3)
-                numer = numer / Fraction(val3)
-            return Poly.constant(numer, self.nvars)
+                den *= int(val3)
+            g = math.gcd(num, den)
+            return ({(0,) * self.nvars: num // g}, den // g, 0) if num else ({}, 1, -1)
         if kind == "name":
             m = re.fullmatch(r"x([123])", val)
             if not m:
@@ -434,7 +522,7 @@ class _Parser:
             if index >= self.nvars:
                 raise UnknownVariableError(
                     f"variable {val!r} exceeds arity {self.nvars}", off)
-            return Poly.variable(index, self.nvars)
+            return {tuple([int(i == index) for i in range(self.nvars)]): 1}, 1, 1
         if kind == "op" and val == "(":
             inner = self.parse_expr()
             self.expect_op(")")
@@ -450,12 +538,12 @@ def parse_poly(expr: str, nvars: int | None = None) -> Poly:
     if nvars is None:
         nvars = 3 if re.search(r"\bx3\b", expr) else 2
     parser = _Parser(expr, nvars)
-    poly = parser.parse_expr()
+    ints, den, _ = parser.parse_expr()
     kind, val, off = parser.peek()
     if kind != "end":
         raise PolyParseError(f"trailing input {val!r}", off)
-    _check_size(0, 0, _bits(poly.coeffs.values()))
-    return poly
+    _check_size(0, 0, _bits(ints.values(), den))
+    return Poly._make(ints, den, nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -591,24 +679,6 @@ class UniPoly:
             return np.array([], dtype=complex)
         return np.roots([float(c) for c in reversed(self.coeffs)])
 
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self[k]
-            if c == 0:
-                continue
-            mag = format_scalar(abs(c))
-            if k == 0:
-                body = mag
-            else:
-                var = "u" if k == 1 else f"u^{k}"
-                body = var if abs(c) == 1 else f"{mag}*{var}"
-            parts.append(("-" if c < 0 else "+") + body)
-        text = "".join(parts)
-        return text[1:] if text.startswith("+") else text
-
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)!r})"
 
@@ -671,33 +741,6 @@ class TrigPoly:
     def __bool__(self):
         return not self.is_zero()
 
-    # -- arithmetic ---------------------------------------------------------------
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, float)):
-            other = TrigPoly([other])
-        n = max(len(self.c), len(other.c))
-        m = max(len(self.s), len(other.s))
-        return TrigPoly([self.cos_coeff(k) + other.cos_coeff(k) for k in range(n)],
-                        [self.sin_coeff(k) + other.sin_coeff(k) for k in range(m)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TrigPoly([-x for x in self.c], [-x for x in self.s])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, float)):
-            other = TrigPoly([other])
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, float)):
-            return TrigPoly([x * other for x in self.c], [x * other for x in self.s])
-        return TrigPoly(*laurent_mul(*self._halves(), *other._halves()))
-
     def _halves(self) -> tuple[list, list]:
         """Real and imaginary parts of the coefficients of z^0 .. z^h, h the
         half-degree; the imaginary part is empty when the sine part is."""
@@ -707,8 +750,8 @@ class TrigPoly:
 
     def int_halves(self) -> tuple[list, list, int]:
         """(re, im, den): the halves (``_halves``) times den, the lcm of their
-        denominators, as integers; floats are read exactly."""
-        re, im = [[Fraction(x) if isinstance(x, float) else x for x in h] for h in self._halves()]
+        denominators, as integers."""
+        re, im = self._halves()
         den = math.lcm(*[x.denominator for x in re + im])
         ints = [x.numerator * (den // x.denominator) for x in re + im]
         return ints[:len(re)], ints[len(re):], den
@@ -730,11 +773,6 @@ class TrigPoly:
         table = [[math.comb(2 * k, j) * (-1) ** (j // 2) for j in range(2 * k + 1)]
                  for k in range(h + 1)]
         return _halves_to_t(re, im, table), den
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        return _power(self, n, TrigPoly([1]))
 
     # -- evaluation ------------------------------------------------------------------
     def eval_theta(self, theta: float) -> float:
@@ -847,10 +885,6 @@ def laurent_mul(ra, ia, rb, ib) -> tuple[list, list]:
     shorter, missing entries are zero, and is empty when that factor is real).
     Returns the same halves of the product, the imaginary part empty when both
     factors are real.
-
-    Entries may be ints, Fractions or floats: every coefficient sums its terms
-    in the same order whatever their type, so integer operands give exact
-    integers and float operands the same floats in every caller.
     """
     if not ra or not rb:
         return [], []
@@ -877,7 +911,6 @@ def laurent_mul(ra, ia, rb, ib) -> tuple[list, list]:
                 if u or v:
                     re[a + b - d] += x * u - y * v
                     im[a + b - d] += x * v + y * u
-    im[0] = 0  # z^0's coefficient is real; float sums can leave a residue
     return re, im
 
 
@@ -1128,16 +1161,6 @@ def real_roots(f: list, pm2: bool = False) -> list:
     return sorted(out)
 
 
-def interpolate_exact(values, x0: int) -> list:
-    """Ascending Fraction coefficients of the polynomial P of degree
-    < len(values) that takes the rational ``values`` at x0, x0+1, ....  With L
-    the lcm of their denominators, L P is integer-valued at n+1 consecutive
-    integers, so n! L P has integer coefficients."""
-    scale = math.lcm(*[v.denominator for v in values]) * math.factorial(len(values) - 1)
-    ints = [v.numerator * (scale // v.denominator) for v in values]
-    return [Fraction(c, scale) for c in _newton_interpolate(ints, x0)]
-
-
 # ---------------------------------------------------------------------------
 # Symmetric matrices of TrigPoly
 # ---------------------------------------------------------------------------
@@ -1227,27 +1250,6 @@ class TrigMatrix:
     def cos_block_exact(self, k: int) -> list:
         return [[e.cos_coeff(k) for e in row] for row in self.entries]
 
-    def congruence(self, w: np.ndarray) -> "TrigMatrix":
-        """W H W^T for a constant real matrix W (float coefficients)."""
-        m = self.m
-        if w.shape != (m, m):
-            raise DimensionMismatchError("congruence matrix has wrong shape")
-        out = [[TrigPoly() for _ in range(m)] for _ in range(m)]
-        for i in range(m):
-            for j in range(i, m):
-                acc = TrigPoly()
-                for a in range(m):
-                    wia = float(w[i, a])
-                    if wia == 0.0:
-                        continue
-                    for b in range(m):
-                        wjb = float(w[j, b])
-                        if wjb == 0.0:
-                            continue
-                        acc = acc + self.entries[a][b] * (wia * wjb)
-                out[i][j] = out[j][i] = acc
-        return TrigMatrix(out)
-
     def det(self) -> TrigPoly:
         """Exact determinant in the TrigPoly ring, by evaluation and interpolation.
 
@@ -1313,10 +1315,6 @@ class TrigMatrix:
     def __eq__(self, other):
         return (isinstance(other, TrigMatrix) and self.m == other.m
                 and self.entries == other.entries)
-
-    def __str__(self):
-        return "\n".join("[" + ", ".join(str(e) for e in row) + "]"
-                         for row in self.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,11 @@ from rigidconvex.circlepsd import (
     build_sdp,
     circle_roots_of,
     psd_on_circle,
-    scale_congruence,
     verify_spectral_factor,
     write_sdpa,
 )
 from rigidconvex.hermite import hermite_matrix
+from trig_helpers import tadd, tmul, tpow, tscale
 
 CUBIC_H = hermite_matrix(parse_poly("1-x1-4*x1^2-x2^2+4*x1^3"))
 TV_H = hermite_matrix(parse_poly("1-x1^4-x2^4"))
@@ -36,6 +36,32 @@ PAPER_U = MatrixPoly.from_lists([
     [[0.0, 0.2027, 0.0], [0.0, 0.0, -0.5411], [0.0, 0.1579, 0.0]],
     [[0.0, 0.0, -1.5201], [0.0, 0.0, 0.0], [0.0, 0.0, -1.1844]],
 ])
+
+
+def congruence(H: TrigMatrix, w) -> TrigMatrix:
+    """W H W^T exactly, W's float entries read as the binary rationals they are."""
+    W = [[Fraction(float(x)) for x in row] for row in w]
+    out = [[None] * H.m for _ in range(H.m)]
+    for i in range(H.m):
+        for j in range(i, H.m):
+            acc = TrigPoly()
+            for a in range(H.m):
+                for b in range(H.m):
+                    if W[i][a] and W[j][b]:
+                        acc = tadd(acc, tscale(H.entries[a][b], W[i][a] * W[j][b]))
+            out[i][j] = out[j][i] = acc
+    return TrigMatrix(out)
+
+
+def scaling(H: TrigMatrix, theta0: float) -> np.ndarray:
+    """W with W H(e^{i theta0}) W^T = I, for H positive definite there."""
+    evals, vecs = np.linalg.eigh(H.eval_theta(theta0))
+    return np.diag(1.0 / np.sqrt(evals)) @ vecs.T
+
+
+def binary(H: TrigMatrix) -> bool:
+    """Whether some entry of H carries a long binary denominator."""
+    return any(x.denominator > 2**40 for row in H.entries for e in row for x in e.c + e.s)
 
 
 def max_abs_coeff(H: TrigMatrix) -> float:
@@ -148,7 +174,7 @@ def test_congruence_invariance_of_classification():
         for _ in range(3):
             w = rng.normal(size=(H.m, H.m))
             w += H.m * np.eye(H.m)  # keep well-conditioned
-            assert psd_on_circle(H.congruence(w)).is_psd == base
+            assert psd_on_circle(congruence(H, w)).is_psd == base
 
 
 def test_notpsd_witness_consistent_with_det_sign_or_shortcut():
@@ -188,10 +214,10 @@ def _cos_product(angles, sine_shift=None) -> TrigPoly:
     1 + sin(theta - sine_shift) / 2 (no zero) when sine_shift is given."""
     out = TrigPoly([1])
     for a in angles:
-        out = out * TrigPoly([Fraction(-2 * np.cos(a)), 1])
+        out = tmul(out, TrigPoly([Fraction(-2 * np.cos(a)), 1]))
     if sine_shift is not None:
         c, s = Fraction(np.cos(sine_shift)), Fraction(np.sin(sine_shift))
-        out = out * TrigPoly([1, -s / 4], [0, -c / 4])
+        out = tmul(out, TrigPoly([1, -s / 4], [0, -c / 4]))
     return out
 
 
@@ -208,41 +234,6 @@ def test_circle_roots_match_numpy_reference_on_simple_roots():
                                       abs=1e-12)
         # one point per arc; in u = 2 cos theta an interval stands for two arcs
         assert len(points) == (len(roots) // 2 + 1 if trial % 2 == 0 else len(roots))
-
-
-# ---------------------------------------------------------------------------
-# scale_congruence
-# ---------------------------------------------------------------------------
-
-def test_scale_cubic_full_mode():
-    H0, w, mode = scale_congruence(CUBIC_H, 0.0)
-    assert mode == "full"
-    assert np.allclose(H0.eval_theta(0.0), np.eye(3), atol=1e-10)
-    # transform maps back: H0 = W H W^T
-    assert np.allclose(w @ CUBIC_H.eval_theta(0.0) @ w.T, np.eye(3), atol=1e-10)
-
-
-def test_scale_identity_unchanged():
-    one = TrigPoly([1])
-    zero = TrigPoly()
-    H = TrigMatrix([[one, zero], [zero, one]])
-    H0, w, mode = scale_congruence(H, 0.0)
-    assert mode == "full"
-    assert np.allclose(np.abs(w), np.eye(2), atol=1e-12)
-    assert np.allclose(H0.eval_theta(1.234), np.eye(2), atol=1e-12)
-
-
-def test_scale_tv_diag_mode():
-    H0, w, mode = scale_congruence(TV_H, 0.0)
-    assert mode == "diag"
-    val = H0.eval_theta(0.0)
-    off = val - np.diag(np.diag(val))
-    assert np.allclose(off, 0, atol=1e-8)
-
-
-def test_scale_preserves_verdict():
-    H0, _, _ = scale_congruence(CUBIC_H, 0.0)
-    assert psd_on_circle(H0).status == CircleVerdict.PD
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +437,11 @@ def subset_recursion_det(H: TrigMatrix) -> TrigPoly:
                 e = rows[row][col]
                 if e.is_zero():
                     continue
-                term = val * e
+                term = tmul(val, e)
                 # sign flips once per used column to the right of col
                 if (row - seen) & 1:
-                    term = -term
-                nxt[mask | bit] = nxt.get(mask | bit, TrigPoly()) + term
+                    term = tscale(term, -1)
+                nxt[mask | bit] = tadd(nxt.get(mask | bit, TrigPoly()), term)
         minors = nxt
     return minors.get((1 << m) - 1, TrigPoly())
 
@@ -488,7 +479,7 @@ def test_det_of_singular_matrix_is_zero():
 
     u = [TrigPoly([1, Fraction(1, 2)]), TrigPoly([Fraction(-2, 3), 0, 1], [0, 3]),
          TrigPoly([5])]
-    rank_one = TrigMatrix([[a * b for b in u] for a in u])
+    rank_one = TrigMatrix([[tmul(a, b) for b in u] for a in u])
     assert rank_one.det() == subset_recursion_det(rank_one) == TrigPoly()
     zero_row = TrigMatrix([[TrigPoly(), TrigPoly()], [TrigPoly(), TrigPoly([1, 1])]])
     assert zero_row.det() == TrigPoly()
@@ -496,9 +487,8 @@ def test_det_of_singular_matrix_is_zero():
 
 def test_det_of_float_congruence_is_exact():
     for theta0 in (0.0, 1.0):
-        H0, _, mode = scale_congruence(CUBIC_H, theta0)
-        assert mode == "full"
-        assert any(isinstance(x, float) for e in H0.entries[0] for x in e.c)
+        H0 = congruence(CUBIC_H, scaling(CUBIC_H, theta0))
+        assert binary(H0)
         assert H0.det() == subset_recursion_det(H0)
 
 
@@ -569,9 +559,9 @@ def test_cosine_det_matches_z_form_reference():
             matrices.append(hermite_matrix(Poly(terms)))
     for H in matrices[:3] + matrices[-6:]:
         for theta0 in (0.0, 1.0):
-            matrices.append(scale_congruence(H, theta0)[0])
-    assert any(isinstance(x, float) for H in matrices for row in H.entries
-               for e in row for x in e.c)
+            if min(np.linalg.eigvalsh(H.eval_theta(theta0))) > 0:
+                matrices.append(congruence(H, scaling(H, theta0)))
+    assert any(binary(H) for H in matrices)
     for H in matrices:
         assert H.is_cosine()
         assert H.det() == z_form_det(H)
@@ -651,8 +641,8 @@ def test_sine_det_of_float_congruence_is_exact():
     for H in (CAP_H, hermite_matrix(_general_pencil_poly(random.Random(7), 3))):
         assert not H.is_cosine()
         for theta0 in (0.0, 1.0):
-            H0 = scale_congruence(H, theta0)[0]
-            assert any(isinstance(x, float) for e in H0.entries[0] for x in e.s)
+            H0 = congruence(H, scaling(H, theta0))
+            assert binary(H0) and not H0.is_cosine()
             assert H0.det() == subset_recursion_det(H0)
 
 
@@ -668,7 +658,7 @@ def test_sine_det_vanishing_at_pi():
         zero = TrigPoly()
         block = TrigMatrix([[g] + [zero] * m]
                            + [[zero] + list(row) for row in H.entries])
-        scaled = TrigMatrix([[e * g ** ((i == 0) + (j == 0)) for j, e in enumerate(row)]
+        scaled = TrigMatrix([[tmul(e, tpow(g, (i == 0) + (j == 0))) for j, e in enumerate(row)]
                              for i, row in enumerate(H.entries)])
         for K in (block, scaled):
             assert not K.is_cosine()
@@ -801,7 +791,8 @@ def _eval_test_matrices():
                 out.append(H)
                 # a dominant constant diagonal makes it positive definite
                 shift = Fraction(4 * m * m * 10)
-                out.append(TrigMatrix([[e + (shift if i == j else 0) for j, e in enumerate(row)]
+                out.append(TrigMatrix([[tadd(e, TrigPoly([shift if i == j else 0]))
+                                        for j, e in enumerate(row)]
                                        for i, row in enumerate(H.entries)]))
             const = [[TrigPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 4))])
                       for _ in range(m)] for _ in range(m)]
@@ -826,10 +817,14 @@ def test_eval_thetas_matches_per_angle_loop():
 
 
 def test_eval_thetas_of_scale_congruence_output():
-    # m = 3: random, shifted positive definite, constant and CUBIC_H; cosine and sine
+    # m = 3: random, shifted positive definite, constant and CUBIC_H; cosine and
+    # sine; scaled to the identity at theta0 where H is positive definite there,
+    # else by its eigenvectors, as the float congruence scaling did
     for H in [DISC_H] + [H for H in _eval_test_matrices() if H.m == 3]:
         for theta0 in (0.0, 1.0):
-            H0, _, _ = scale_congruence(H, theta0)
+            evals, vecs = np.linalg.eigh(H.eval_theta(theta0))
+            full = evals.min() > 0 and evals.max() / evals.min() <= 1e8
+            H0 = congruence(H, scaling(H, theta0) if full else vecs.T)
             thetas = np.linspace(0, 2 * np.pi, 29)
             bound = 1e-12 * max(1.0, max_abs_coeff(H0))
             for theta, got in zip(thetas, H0.eval_thetas(thetas)):
@@ -847,7 +842,7 @@ def test_psd_on_circle_matches_per_angle_scan():
     tangent = [hermite_matrix(parse_poly(p)) for p in (
         "1-x1^2", ELLIPSES, "(1-x1^2-x1*x2-2*x2^2)*(1-3*x1^2+x1*x2-1/2*x2^2)")]
     # (2 - sin theta)(1 + cos theta)^2: a double root at theta = pi only
-    pi_zero = TrigPoly([2], [0, Fraction(1, 2)]) * TrigPoly([1, Fraction(1, 2)]) ** 2
+    pi_zero = tmul(TrigPoly([2], [0, Fraction(1, 2)]), tpow(TrigPoly([1, Fraction(1, 2)]), 2))
     seen = set()
     for H in _eval_test_matrices() + tangent + [CAP_H, TrigMatrix([[pi_zero]])]:
         verdict = psd_on_circle(H)
@@ -869,12 +864,6 @@ def test_psd_on_circle_matches_per_angle_scan():
         assert abs(verdict.min_eig - low) <= bound or abs(verdict.min_eig - low_all) <= bound
         seen.add(status)
     assert seen >= {CircleVerdict.PD, CircleVerdict.NOT_PSD, CircleVerdict.MARGINAL}
-
-
-def test_scale_congruence_nonzero_theta0():
-    H0, w, mode = scale_congruence(CUBIC_H, 1.0)
-    assert mode == "full"
-    assert np.allclose(H0.eval_theta(1.0), np.eye(3), atol=1e-9)
 
 
 @pytest.mark.parametrize("degree", [8, 10, 12, 16, 20])

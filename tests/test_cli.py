@@ -1,17 +1,21 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import rigidconvex
-from rigidconvex import SingularCubicError, UniPoly, cubic_representations, parse_poly
+from rigidconvex import PolyParseError, SingularCubicError, UniPoly, cubic_representations, \
+    parse_poly
 from rigidconvex.bezout import Parametrization, interpolate_det, pencil_from_param
 from rigidconvex.cli import MAX_PLOT_GRID, main
+from rigidconvex.polycore import parse_scalar
 
 CAPRICORN = "x1^2*(x1^2+x2^2)-2*(x1^2+x2^2-x2)^2"
 Q0 = "45,-8,10,0,1"
@@ -346,6 +350,52 @@ def test_out_of_range_scalars_exit_1(tmp_path, capsys):
     for number, expected in (("1e-70", 0), ("1e300", 1)):
         path.write_text(json.dumps({**_DISC_PENCIL, "F0": [[0.5, 0], [0, 1]]}).replace("0.5", number))
         assert run(capsys, "verify-det", "--pencil", str(path), "--poly", "1-x1^2-x2^2")[0] == expected
+
+
+def test_exponent_literals_refused_before_expansion(capsys):
+    # 1e100000000 would expand to a 332-million-bit integer; its exponent
+    # alone puts it past MAX_COEFF_BITS, so it is refused at once
+    start = time.perf_counter()
+    code, out, err = run(capsys, "find-component", "--q0=1e100000000,1", "--q1=0,1",
+                         "--q2=0,0,1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "") and "'1e100000000' exceeds MAX_COEFF_BITS" in err
+    for literal in ("1e-100000000", "-2.5E+99999999", "7e1_000_000_000"):
+        start = time.perf_counter()
+        with pytest.raises(PolyParseError, match="exceeds MAX_COEFF_BITS"):
+            parse_scalar(literal)
+        assert time.perf_counter() - start < 1.0
+    # a zero mantissa is zero whatever the exponent; exponents in range expand
+    assert parse_scalar("0e100000000") == parse_scalar("0.000E-99999999") == 0
+    assert parse_scalar("25e-3") == Fraction(1, 40) and parse_scalar("1e77") == 10**77
+    with pytest.raises(PolyParseError, match="MAX_COEFF_BITS"):
+        parse_scalar("1e78")
+
+
+def test_malformed_rational_literals_named(capsys):
+    for literal in ("1/2/3", "1/", "/2"):
+        with pytest.raises(ValueError, match=f"malformed rational literal {literal!r}"):
+            parse_scalar(literal)
+        code, out, err = run(capsys, "bezout-pencil", "--q0=1", f"--q1={literal},1", "--q2=0,0,1")
+        assert (code, out) == (1, "") and repr(literal) in err
+
+
+_ROUTES = json.loads((Path(__file__).parent / "data" / "route_golden.json").read_text())
+
+
+@pytest.mark.parametrize("run_", _ROUTES["runs"], ids=[
+    "check-rigid-rational", "check-rigid-recentred", "check-rigid-sine", "hermite", "plot-data",
+    "verify-det-float-cubic"])
+def test_route_report_matches_golden(capsys, tmp_path, run_):
+    # reports as the Fraction Poly printed them, byte for byte; timing_seconds
+    # is the one field that varies between runs, and the pencil file (a
+    # cubic-repr pencil at a float t*) is named PENCIL
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps(_ROUTES["pencil"]))
+    code, out, _ = run(capsys, *[str(path) if a == "PENCIL" else a for a in run_["argv"]])
+    assert code == run_["exit"]
+    out = re.sub(r',\n  "timing_seconds": [^\n]*', "", out)
+    assert out.replace(str(path), "PENCIL") == run_["stdout"]
 
 
 @pytest.mark.parametrize("name, c", [("fermat-pencil", "-1"), ("cayley-cubic", "1")])

@@ -13,15 +13,17 @@ from rigidconvex.cli import main
 from rigidconvex.cubicrepr import (
     _affine_singular_point,
     _hesse_coordinates,
+    _hessian_at,
     check_smooth_cubic,
     cubic_representations,
     hessian,
     hessian_det,
     homogenize,
 )
+from reference_poly import RefPoly, interpolate_exact
 from rigidconvex.fixtures import load_fixture
 from rigidconvex.locate import certify_psd_point
-from rigidconvex.polycore import Pencil, Poly, UniPoly, det_exact, interpolate_exact
+from rigidconvex.polycore import Pencil, Poly, UniPoly, det_exact
 
 ELLIPTIC = parse_poly("x1^3-x2^2-x1")
 # the published size-3 representation with t* = 0
@@ -110,7 +112,7 @@ _PERMS = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
 
 def _reference_hessian_det(P: Poly) -> Poly:
     mat = [[P.partial(i).partial(j) for j in range(3)] for i in range(3)]
-    out = Poly.zero(3)
+    out = P.zero(3)
     for perm, sign in _PERMS:
         out = out + mat[0][perm[0]] * mat[1][perm[1]] * mat[2][perm[2]] * sign
     return out
@@ -156,6 +158,11 @@ def _typed_entries(pencil: Pencil) -> list:
     return [(type(x), x) for mat in pencil.mats for row in mat for x in row]
 
 
+def _ref(P: Poly) -> RefPoly:
+    """P as the Fraction reference Poly, which takes float scalars."""
+    return RefPoly(P.coeffs, P.nvars)
+
+
 def _is_smooth3(P: Poly) -> bool:
     """Whether the ternary cubic P is smooth; x0 | P makes it reducible."""
     p = Poly({(a, b): v for (_, a, b), v in P.coeffs.items()})
@@ -169,8 +176,8 @@ def _assert_matches_references(P: Poly, float_ts=()) -> bool:
     assert _typed_entries(hessian(P)) == _typed_entries(_reference_hessian(P))
     h = hessian_det(P)
     for t in float_ts:
-        s = h + P * t
-        assert _typed_entries(hessian(s)) == _typed_entries(_reference_hessian(s))
+        assert _typed_entries(_hessian_at(P, h, t)) == \
+            _typed_entries(_reference_hessian(_ref(h) + _ref(P) * t))
     if not _is_smooth3(P):  # the identity is a fact about smooth cubics
         return False
     A, B = _hesse_coordinates(P, h)
@@ -189,7 +196,7 @@ def test_tensor_hessian_and_t_polys_match_references_on_random_cubics():
         ts = [rng.uniform(-30, 30), rng.choice([-1, 1]) * rng.uniform(1e-3, 1e3)]
         smooth += _assert_matches_references(P, ts)
         floats += any(isinstance(x, float) for t in ts
-                      for _, x in _typed_entries(hessian(hessian_det(P) + P * t)))
+                      for _, x in _typed_entries(_hessian_at(P, hessian_det(P), t)))
     assert floats >= 50 and smooth >= 25
 
 
@@ -202,8 +209,8 @@ def test_tensor_hessian_and_t_polys_match_references_on_fixtures(name):
     # the final pencils at each t*, before the scaling by mu
     h = hessian_det(P)
     for rep in reps:
-        s = h + P * rep.t_star
-        assert _typed_entries(hessian(s)) == _typed_entries(_reference_hessian(s))
+        assert _typed_entries(_hessian_at(P, h, rep.t_star)) == \
+            _typed_entries(_reference_hessian(h + P * rep.t_star))
 
 
 def test_smooth_cubic_makes_no_partials_and_three_determinants(monkeypatch):
@@ -257,7 +264,8 @@ def test_root_constant_matches_reference_determinant():
         h = _reference_hessian_det(P)
         anchor = max(P.coeffs, key=lambda e: abs(P.coeffs[e]))
         for rep in reps:
-            want = _reference_hessian_det(h + P * rep.t_star).coeff(anchor) / P.coeff(anchor)
+            s = _ref(h) + _ref(P) * rep.t_star
+            want = _reference_hessian_det(s).coeff(anchor) / P.coeff(anchor)
             if isinstance(rep.t_star, Fraction):
                 assert rep.c == want
                 exact += 1

@@ -6,6 +6,7 @@ import pytest
 
 from rigidconvex import OriginOnCurveError, Poly, TrigPoly, parse_poly
 from rigidconvex.hermite import hermite_matrix, line_substitute, newton_sums
+from trig_helpers import tadd, tmul, tscale
 
 CUBIC = parse_poly("1-x1-4*x1^2-x2^2+4*x1^3")
 TV = parse_poly("1-x1^4-x2^4")
@@ -267,11 +268,11 @@ def reference_line_substitute(p: Poly) -> tuple[list, Fraction]:
     w, v = TrigPoly([0, 1]), TrigPoly([], [0, -1])
     w_pow, v_pow = [TrigPoly([1])], [TrigPoly([1])]
     for _ in range(m):
-        w_pow.append(w_pow[-1] * w)
-        v_pow.append(v_pow[-1] * v)
+        w_pow.append(tmul(w_pow[-1], w))
+        v_pow.append(tmul(v_pow[-1], v))
     q = [TrigPoly() for _ in range(m + 1)]
     for (a, b), coeff in p.coeffs.items():
-        q[m - a - b] = q[m - a - b] + (w_pow[a] * v_pow[b]) * (coeff / p0)
+        q[m - a - b] = tadd(q[m - a - b], tscale(tmul(w_pow[a], v_pow[b]), coeff / p0))
     q[m] = TrigPoly([1])
     return q, p0
 
@@ -284,10 +285,10 @@ def reference_newton_sums(q: list, count: int) -> list:
         acc = TrigPoly()
         for j in range(1, min(k, m) + 1):
             if j != k:
-                acc = acc + q[m - j] * sums[k - j]
+                acc = tadd(acc, tmul(q[m - j], sums[k - j]))
         if k <= m:
-            acc = acc + q[m - k] * k
-        sums.append(-acc)
+            acc = tadd(acc, tscale(q[m - k], k))
+        sums.append(tscale(acc, -1))
     return sums
 
 

@@ -25,7 +25,8 @@ from rigidconvex.locate import (
     real_roots_with_multiplicity,
     resultant_elim_x1,
 )
-from rigidconvex.polycore import Poly, det_exact, interpolate_exact
+from rigidconvex.polycore import Poly, det_exact
+from reference_poly import interpolate_exact
 
 CAPRICORN_P = parse_poly("x1^2*(x1^2+x2^2)-2*(x1^2+x2^2-x2)^2")
 CAPRICORN_PENCIL = pencil_from_param(Parametrization(

@@ -1,0 +1,24 @@
+"""TrigPoly ring operations for the tests.  TrigPoly itself has none: the
+package multiplies Laurent halves through ``laurent_mul`` directly."""
+from rigidconvex.polycore import TrigPoly, laurent_mul
+
+
+def tadd(a: TrigPoly, b: TrigPoly) -> TrigPoly:
+    n, m = max(len(a.c), len(b.c)), max(len(a.s), len(b.s))
+    return TrigPoly([a.cos_coeff(k) + b.cos_coeff(k) for k in range(n)],
+                    [a.sin_coeff(k) + b.sin_coeff(k) for k in range(m)])
+
+
+def tscale(a: TrigPoly, f) -> TrigPoly:
+    return TrigPoly([x * f for x in a.c], [x * f for x in a.s])
+
+
+def tmul(a: TrigPoly, b: TrigPoly) -> TrigPoly:
+    return TrigPoly(*laurent_mul(*a._halves(), *b._halves()))
+
+
+def tpow(a: TrigPoly, n: int) -> TrigPoly:
+    out = TrigPoly([1])
+    for _ in range(n):
+        out = tmul(out, a)
+    return out
