@@ -184,15 +184,14 @@ def _hesse_coordinates(P: Poly, h: Poly) -> tuple[UniPoly, UniPoly]:
 
 
 def _hessian_at(P: Poly, h: Poly, t: Scalar) -> Pencil:
-    """``hessian(h + t P)``.  At a float t* this is the one float step:
-    float(h_m) + float(P_m) t* on P's support, formed before the factorial
-    factors of ``hessian`` (H(h) + t H(P) would round differently), while h's
-    other monomials stay exact until the pencil is scaled."""
-    if not isinstance(t, float):
-        return hessian(h + P * t)
+    """``hessian(h + t P)``, exact at an exact t.  At a float t* this is the
+    one float step: Fraction + Fraction * float gives float(h_m) + float(P_m) t*
+    on P's support, formed before the factorial factors of ``hessian``
+    (H(h) + t H(P) would round differently), while h's other monomials stay
+    exact until the pencil is scaled."""
     coeffs = {e: Fraction(v, h.den) for e, v in h.ints.items()}
     for e, v in P.ints.items():
-        coeffs[e] = h.ints.get(e, 0) / h.den + v / P.den * t
+        coeffs[e] = coeffs.get(e, _ZERO) + Fraction(v, P.den) * t
     return Pencil(3, _tensor({e: v for e, v in coeffs.items() if v}))  # as a Poly drops zeros
 
 

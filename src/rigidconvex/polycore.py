@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import operator
 import re
 from dataclasses import dataclass
@@ -86,8 +87,10 @@ def format_scalar(x: Scalar) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-# a decimal literal's exponent, read before the literal is expanded
-_EXPONENT = re.compile(r"(.*)[eE]([-+]?\d+(?:_\d+)*)\s*\Z", re.S)
+# a decimal literal's exponent, read before it is expanded; the mantissa is in
+# Fraction's grammar, so a malformed literal such as 1e9e9 is never expanded
+_EXPONENT = re.compile(r"\s*([-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?)"
+                       r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def parse_scalar(text: Union[str, int, float]) -> Scalar:
@@ -323,8 +326,10 @@ class Poly:
         """Exact value (a Fraction) at a rational point: the constant term of
         ``shifted``.  At a float or complex point each term is its coefficient,
         correctly rounded to a float, times the powers x**e, summed in the
-        order of ``ints``."""
+        order of ``ints``.  The point is numbers: a Poly does not compose."""
         self._check_arity(len(point))
+        if not all(isinstance(x, numbers.Number) for x in point):
+            raise TypeError(f"a Poly is evaluated at numbers, not at {point!r}")
         if all(isinstance(x, (int, Fraction)) for x in point):
             return self.shifted(*point).coeff((0,) * self.nvars)
         total = 0
@@ -351,14 +356,9 @@ class Poly:
                     factors.append(f"x{i + 1}")
                 elif e > 1:
                     factors.append(f"x{i + 1}^{e}")
-            mag = format_scalar(abs(val))
-            if factors and abs(val) == 1:
-                body = "*".join(factors)
-            elif factors:
-                body = "*".join([mag] + factors)
-            else:
-                body = mag
-            parts.append(("-" if val < 0 else "+") + body)
+            if abs(val) != 1 or not factors:
+                factors.insert(0, format_scalar(abs(val)))
+            parts.append(("-" if val < 0 else "+") + "*".join(factors))
         text = "".join(parts)
         return text[1:] if text.startswith("+") else text
 
@@ -382,8 +382,7 @@ _TOKEN = re.compile(r"(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*^
 
 
 def _tokenize(expr: str):
-    pos = 0
-    n = len(expr)
+    pos, n = 0, len(expr)
     tokens = []
     while pos < n:
         if expr[pos].isspace():

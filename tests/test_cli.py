@@ -365,6 +365,17 @@ def test_exponent_literals_refused_before_expansion(capsys):
         with pytest.raises(PolyParseError, match="exceeds MAX_COEFF_BITS"):
             parse_scalar(literal)
         assert time.perf_counter() - start < 1.0
+    # a malformed literal is refused as it stands, its mantissa never expanded
+    for literal in ("1e100000000e1000", "-3e99999999 e999"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            parse_scalar(literal)
+        assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    code, out, err = run(capsys, "find-component", "--q0=1e100000000e1000,1", "--q1=0,1",
+                         "--q2=0,0,1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "") and "literal for Fraction: '1e100000000e1000'" in err
     # a zero mantissa is zero whatever the exponent; exponents in range expand
     assert parse_scalar("0e100000000") == parse_scalar("0.000E-99999999") == 0
     assert parse_scalar("25e-3") == Fraction(1, 40) and parse_scalar("1e77") == 10**77

@@ -169,13 +169,13 @@ def _is_smooth3(P: Poly) -> bool:
     return p.degree == 3 and not _is_singular(p)
 
 
-def _assert_matches_references(P: Poly, float_ts=()) -> bool:
-    """The Hessian at P and at h + t P for each float t; for a smooth P also
+def _assert_matches_references(P: Poly, ts=()) -> bool:
+    """The Hessian at P and at h + t P for each float or exact t; for a smooth P also
     A(t) P_m + B(t) h_m against every coefficient's t-polynomial, B monic
     of degree 3.  Returns whether P was smooth."""
     assert _typed_entries(hessian(P)) == _typed_entries(_reference_hessian(P))
     h = hessian_det(P)
-    for t in float_ts:
+    for t in ts:
         assert _typed_entries(_hessian_at(P, h, t)) == \
             _typed_entries(_reference_hessian(_ref(h) + _ref(P) * t))
     if not _is_smooth3(P):  # the identity is a fact about smooth cubics
@@ -193,7 +193,8 @@ def test_tensor_hessian_and_t_polys_match_references_on_random_cubics():
     cubics = [Poly({(3, 0, 0): 1}, nvars=3)] + [_random_cubic3(rng) for _ in range(60)]
     floats = smooth = 0
     for P in cubics:
-        ts = [rng.uniform(-30, 30), rng.choice([-1, 1]) * rng.uniform(1e-3, 1e3)]
+        ts = [rng.uniform(-30, 30), rng.choice([-1, 1]) * rng.uniform(1e-3, 1e3),
+              Fraction(rng.randint(-90, 90), rng.randint(1, 9))]
         smooth += _assert_matches_references(P, ts)
         floats += any(isinstance(x, float) for t in ts
                       for _, x in _typed_entries(_hessian_at(P, hessian_det(P), t)))

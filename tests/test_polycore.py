@@ -145,6 +145,14 @@ def test_eval_on_curve_point():
     assert p(1, 0) == 0
 
 
+def test_eval_at_a_poly_is_refused():
+    # a point is numbers (numpy scalars included); a Poly does not compose
+    p = parse_poly("1-x1^4-x2^4")
+    assert p(np.float64(0.5), np.int64(1)) == 1 - 0.5**4 - 1
+    with pytest.raises(TypeError, match="a Poly is evaluated at numbers"):
+        p(Poly.variable(0), 0)
+
+
 def _reference_shifted(p: Poly, *offset) -> Poly:
     """The former expansion: each term times (x_i + offset_i)^e_i."""
     shifted = [Poly.variable(i, p.nvars) + off for i, off in enumerate(offset)]
