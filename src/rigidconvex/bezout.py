@@ -137,8 +137,8 @@ def interlace_check(q1: UniPoly, q2: UniPoly) -> InterlaceReport:
     else:
         verdict = "semidefinite" if zero else "definite"
     # floats are read as the binary rationals they are, as in signature_exact
-    r1, r2 = ([x for x, mult in real_roots_with_multiplicity(UniPoly(map(Fraction, q.coeffs)))
-               for _ in range(mult)] for q in (q1, q2))
+    r1, r2 = ([x for x, mult in real_roots_with_multiplicity(q) for _ in range(mult)]
+              for q in (q1, q2))
     all_real = len(r1) == q1.degree and len(r2) == q2.degree
     return InterlaceReport(verdict, tuple(r1), tuple(r2), all_real, pos - neg)
 

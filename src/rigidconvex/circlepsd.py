@@ -50,14 +50,13 @@ def _structural_shortcut(H: TrigMatrix) -> int | None:
     return None
 
 
-def circle_roots_of(det: TrigPoly, cosine: bool | None = None) -> tuple[list, list]:
+def circle_roots_of(det: TrigPoly, cosine: bool) -> tuple[list, list]:
     """(roots, points) of a nonzero det: the distinct angles in [0, 2 pi) where
     det(e^{i theta}) = 0, sorted, and (x, theta) inside each arc between them,
     x exact.  The roots of D = ``det.int_poly(cosine)`` are isolated exactly:
-    when ``cosine`` (det's form by default), those of D(u) in [-2, 2], u = 2 cos
-    theta = x; else those of D(t), t = tan(theta/2) = x, and theta = pi where
-    D loses degree."""
-    cosine = det.is_cosine() if cosine is None else cosine
+    when ``cosine`` (the form of the matrix det came from), those of D(u) in
+    [-2, 2], u = 2 cos theta = x; else those of D(t), t = tan(theta/2) = x,
+    and theta = pi where D loses degree."""
     D = det.int_poly(cosine)[0]
     if cosine:
         roots = real_roots(_squarefree_part(D), pm2=True)

@@ -106,10 +106,10 @@ def check_smooth_cubic(p: Poly, h: Poly) -> None:
     point = _affine_singular_point(p)
     if point is None:
         raise SingularCubicError("cubic is singular at infinity", singular_point=None)
-    # complex float roots carry rounding-level imaginary parts; + 0.0 turns
-    # a rounded -0.0 into 0.0
+    # complex float roots carry rounding-level parts: each part is rounded to
+    # 12 digits, and + 0.0 turns a rounded -0.0 into 0.0
     display = tuple(round(v.real, 12) + 0.0 if abs(v.imag) <= 1e-6 * max(1.0, abs(v))
-                    else v for v in point)
+                    else complex(round(v.real, 12) + 0.0, round(v.imag, 12) + 0.0) for v in point)
     raise SingularCubicError(
         f"cubic is singular near {display}; use the parametrization route "
         "for genus-zero cubics", singular_point=display)

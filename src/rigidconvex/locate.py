@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import IdenticallyZeroResultantError
 from .polycore import Pencil, Poly, UniPoly, _bareiss, _hom, _horner, _int_gcd, \
-    _newton_interpolate, _pdivmod, _primitive, real_roots
+    _newton_interpolate, _pdivmod, _primitive, _squarefree_factors, real_roots
 
 MERGE_TOL = 1e-8
 CERT_TOL = 1e-9
@@ -107,13 +107,13 @@ def resultant_elim_x1(f: Poly, g: Poly) -> UniPoly:
 def real_roots_with_multiplicity(r: UniPoly) -> list[tuple[float, int]]:
     """Real roots of an exact polynomial with exact multiplicities, sorted.
 
-    The square-free decomposition splits r into coprime square-free factors,
-    one per multiplicity, so no two factors share a root; each root is
-    isolated exactly (``polycore.real_roots``) and reported as the float its
-    interval rounds to.
+    Yun's algorithm (``polycore._squarefree_factors``) splits r into
+    square-free integer factors, one per multiplicity, no two sharing a root;
+    each root is isolated exactly (``polycore.real_roots``) and reported as
+    the float its interval rounds to.
     """
-    return sorted((float((lo + hi) / 2), mult) for factor, mult in r.squarefree_decomposition()
-                  for lo, hi in real_roots(_primitive(factor.coeffs)))
+    return sorted((float((lo + hi) / 2), mult) for factor, mult in _squarefree_factors(r.coeffs)
+                  for lo, hi in real_roots(factor))
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +133,9 @@ def _one_root(s: list, h: list, mu: int) -> bool:
     """Whether S = s[0] x1^mu + s[1] x1^(mu-1) + ... is s[0] (x1 - beta)^mu
     modulo h, beta = -s[1] / (mu s[0]): the coefficient of x1^i must be
     s[0] C(mu, i) (-beta)^(mu-i), multiplied out by (mu s[0])^(mu-i) / s[0]."""
-    c, a, hp = UniPoly(s[0]), UniPoly(s[1]), UniPoly(h)
-    return not any((UniPoly(s[mu - i]) * mu ** (mu - i) * c ** (mu - i - 1)
-                    - a ** (mu - i) * math.comb(mu, i)).divmod(hp)[1]
+    c, a = UniPoly(s[0]), UniPoly(s[1])
+    return not any(_pdivmod(_primitive((UniPoly(s[mu - i]) * mu ** (mu - i) * c ** (mu - i - 1)
+                                        - a ** (mu - i) * math.comb(mu, i)).coeffs), h)[1]
                    for i in range(mu - 1))
 
 
@@ -167,8 +167,9 @@ def _sheared_solutions(f: Poly, g: Poly, k: int, real: bool) -> list | None:
     if not res:
         raise IdenticallyZeroResultantError("system has a continuum of solutions")
     pieces = []
-    for factor, _mult in UniPoly(res).squarefree_decomposition():
-        rest, mu = _primitive(factor.coeffs), 0
+    # in Yun's order, which a singular-cubic note reads: it names the first point
+    for rest, _mult in _squarefree_factors(res):
+        mu = 0
         while len(rest) > 1:
             mu += 1
             if mu > min(d1, d2):  # an equation vanishes on a line y = const

@@ -25,14 +25,15 @@ Exact arithmetic runs on integers: ``parse_poly`` and ``Poly`` keep integer
 numerators over one denominator from parse to report, other operands are
 cleared of denominators once (``TrigPoly.int_halves``, back by
 ``TrigPoly.from_int_halves``), and Fractions are built only for results.
-Laurent products take ``laurent_mul``,
-determinants, solves and bordered minors (``locate``'s subresultants) the
-one elimination kernel, the fraction-free ``_bareiss``, interpolation the
-integer Newton ``_newton_interpolate`` (its divided differences serve
-lattices too), univariate gcds and square-free
-parts ``_int_gcd`` (a gcd of 1 proved modulo 2^31 - 1, else a primitive
-pseudo-remainder sequence in Z[x]), and real roots one exact isolator,
-``real_roots`` (Descartes' rule with bisection, then bisection on exact signs).
+Each job has one kernel.  Laurent products take ``laurent_mul``; the u- or
+t-polynomial of a TrigPoly (``TrigMatrix.det``, ``pd_sign``, ``circlepsd``)
+``TrigPoly.int_poly``; determinants, solves and bordered minors (``locate``'s
+subresultants) the fraction-free ``_bareiss``; interpolation the integer
+Newton ``_newton_interpolate``.  Univariate jobs run on ascending integer
+lists: ``_primitive`` clears rationals, ``_pdivmod`` pseudo-divides, ``_int_gcd``
+takes gcds (1 proved modulo 2^31 - 1, else a primitive pseudo-remainder
+sequence), ``_squarefree_factors`` is Yun's algorithm, and ``real_roots``
+isolates real roots (Descartes' rule with bisection, then exact signs).
 """
 from __future__ import annotations
 
@@ -550,7 +551,8 @@ def parse_poly(expr: str, nvars: int | None = None) -> Poly:
 # ---------------------------------------------------------------------------
 
 class UniPoly:
-    """Dense univariate polynomial, coefficients ascending by degree."""
+    """Dense univariate polynomial, coefficients ascending by degree; a ring
+    with evaluation and float ``roots``, its exact jobs in the integer kernels."""
 
     __slots__ = ("coeffs",)
 
@@ -620,58 +622,6 @@ class UniPoly:
             total = total * x + c
         return total
 
-    def derivative(self) -> "UniPoly":
-        return UniPoly([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return UniPoly([c / lead for c in self.coeffs])
-
-    def divmod(self, other: "UniPoly"):
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        dlead = other.coeffs[-1]
-        while len(rem) >= len(other.coeffs) and rem:
-            f = rem[-1] / dlead
-            shift = len(rem) - len(other.coeffs)
-            quo[shift] = f
-            for k, c in enumerate(other.coeffs):
-                rem[shift + k] -= f * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return UniPoly(quo), UniPoly(rem)
-
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Exact monic gcd by a primitive PRS in Z[x] (rational coefficients)."""
-        return UniPoly(_int_gcd(_primitive(self.coeffs), _primitive(other.coeffs))).monic()
-
-    def squarefree_decomposition(self) -> list[tuple["UniPoly", int]]:
-        """Yun's algorithm over Z[x]: list of (monic squarefree factor,
-        multiplicity).  b and c are always divided by the same primitive
-        gcd, so every quotient is exact and c - b' is Yun's remainder."""
-        if self.degree < 1:
-            return []
-        f = _primitive(self.coeffs)
-        d = [k * x for k, x in enumerate(f)][1:]
-        a = _int_gcd(f, d)
-        (b, _), (c, _) = _pdivmod(f, a), _pdivmod(d, a)
-        out, mult = [], 1
-        while len(b) > 1:
-            db = [k * x for k, x in enumerate(b)][1:]
-            diff = [x - y for x, y in itertools.zip_longest(c, db, fillvalue=0)]
-            while diff and diff[-1] == 0:
-                diff.pop()
-            g = _int_gcd(b, diff)
-            if len(g) > 1:
-                out.append((UniPoly(g).monic(), mult))
-            (b, _), (c, _) = _pdivmod(b, g), _pdivmod(diff, g)
-            mult += 1
-        return out
-
     def roots(self) -> np.ndarray:
         """All complex roots via the companion-matrix eigenvalues."""
         if self.degree < 1:
@@ -740,17 +690,13 @@ class TrigPoly:
     def __bool__(self):
         return not self.is_zero()
 
-    def _halves(self) -> tuple[list, list]:
-        """Real and imaginary parts of the coefficients of z^0 .. z^h, h the
-        half-degree; the imaginary part is empty when the sine part is."""
+    def int_halves(self) -> tuple[list, list, int]:
+        """(re, im, den): the real and imaginary parts of the coefficients of
+        z^0 .. z^h, h the half-degree, times den, the lcm of their
+        denominators, as integers; im is empty when the sine part is."""
         n = self.half_degree + 1
         re = list(self.c) + [0] * (n - len(self.c))
-        return re, (list(self.s) + [0] * (n - len(self.s)) if self.s else [])
-
-    def int_halves(self) -> tuple[list, list, int]:
-        """(re, im, den): the halves (``_halves``) times den, the lcm of their
-        denominators, as integers."""
-        re, im = self._halves()
+        im = list(self.s) + [0] * (n - len(self.s)) if self.s else []
         den = math.lcm(*[x.denominator for x in re + im])
         ints = [x.numerator * (den // x.denominator) for x in re + im]
         return ints[:len(re)], ints[len(re):], den
@@ -769,9 +715,7 @@ class TrigPoly:
         re, im = (x + [0] * (h + 1 - len(x)) if x else [] for x in (re, im))
         if cosine:
             return _cos_to_u(re), den
-        table = [[math.comb(2 * k, j) * (-1) ** (j // 2) for j in range(2 * k + 1)]
-                 for k in range(h + 1)]
-        return _halves_to_t(re, im, table), den
+        return _halves_to_t(re, im), den
 
     # -- evaluation ------------------------------------------------------------------
     def eval_theta(self, theta: float) -> float:
@@ -947,12 +891,12 @@ def _horner(coeffs, x: int) -> int:
     return acc
 
 
-def _halves_to_t(re: list, im: list, table: list) -> list:
+def _halves_to_t(re: list, im: list) -> list:
     """Ascending integer coefficients in t = tan(theta/2) of (1+t^2)^h e, e of
     half-degree h given by integer halves.  z^k = (1+it)^(2k) / (1+t^2)^k, so
     (1+t^2)^h e = c_0 (1+t^2)^h + sum 2 Re((c_k + i s_k)(1+it)^(2k)) (1+t^2)^(h-k),
-    summed by Horner in 1+t^2.  ``table[k][j]`` is C(2k, j) (-1)^(j//2), k <= h:
-    the real part of (1+it)^(2k) at even j, the imaginary part at odd j."""
+    summed by Horner in 1+t^2.  C(2k, j) (-1)^(j//2) is the real part of
+    (1+it)^(2k) at even j, the imaginary part at odd j."""
     out = [re[0]]
     for k in range(1, len(re)):
         out += [0, 0]
@@ -960,8 +904,8 @@ def _halves_to_t(re: list, im: list, table: list) -> list:
             out[j] += out[j - 2]
         ck, sk = 2 * re[k], -2 * im[k] if im else 0
         if ck or sk:
-            for j, x in enumerate(table[k]):
-                out[j] += (sk if j & 1 else ck) * x
+            for j in range(2 * k + 1):
+                out[j] += (sk if j & 1 else ck) * math.comb(2 * k, j) * (-1) ** (j // 2)
     return out
 
 
@@ -1026,9 +970,11 @@ def _newton_interpolate(values, x0: int) -> list:
 
 def _primitive(coeffs) -> list:
     """Primitive part in Z[x], leading coefficient > 0, of ascending rational
-    coefficients."""
-    den = math.lcm(*[c.denominator for c in coeffs])
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    coefficients: ints, Fractions, or floats read as the binary rationals
+    they are."""
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    den = math.lcm(*[d for _, d in ratios])
+    ints = [n * (den // d) for n, d in ratios]
     g = (math.gcd(*ints) or 1) * (-1 if ints and ints[-1] < 0 else 1)
     return [x // g for x in ints]
 
@@ -1080,6 +1026,32 @@ def _int_gcd(a: list, b: list) -> list:
     while b:
         a, b = b, _primitive(_pdivmod(a, b)[1])
     return _primitive(a)
+
+
+def _squarefree_factors(f) -> list:
+    """Yun's algorithm in Z[x] on ascending rationals f (``_primitive``, no
+    trailing zero): (factor, multiplicity) pairs by increasing multiplicity,
+    the factors primitive, square-free, lc > 0 and pairwise coprime; [] for a
+    constant or zero.  b and c are always divided by the same primitive gcd,
+    so every quotient is exact and c - b' is Yun's remainder."""
+    f = _primitive(f)
+    if len(f) < 2:
+        return []
+    d = [k * x for k, x in enumerate(f)][1:]
+    a = _int_gcd(f, d)
+    (b, _), (c, _) = _pdivmod(f, a), _pdivmod(d, a)
+    out, mult = [], 1
+    while len(b) > 1:
+        db = [k * x for k, x in enumerate(b)][1:]
+        diff = [x - y for x, y in itertools.zip_longest(c, db, fillvalue=0)]
+        while diff and diff[-1] == 0:
+            diff.pop()
+        g = _int_gcd(b, diff)
+        if len(g) > 1:
+            out.append((g, mult))
+        (b, _), (c, _) = _pdivmod(b, g), _pdivmod(diff, g)
+        mult += 1
+    return out
 
 
 def _squarefree_part(f: list) -> list:
@@ -1252,32 +1224,32 @@ class TrigMatrix:
     def det(self) -> TrigPoly:
         """Exact determinant in the TrigPoly ring, by evaluation and interpolation.
 
-        Each distinct entry is cleared to integers once (``int_halves``).  Row
-        i and column j are scaled by r_i and c_j, c_j the gcd of the
-        denominators in column j and r_i the lcm of those left in row i, so
-        every entry becomes integral.  With b_j the least half-degree in column
-        j and a_i the largest excess over it in row i, det H has half-degree at
-        most n = sum(a) + sum(b) <= m*d; a Hermite matrix, entry (i, j) of
-        half-degree at most i + j, usually gets n = m(m-1).
+        Row i and column j are scaled by r_i and c_j, c_j the gcd of the
+        denominators of the distinct entries in column j and r_i the lcm of
+        those left in row i, so every entry becomes integral.  With b_j the
+        least half-degree in column j and a_i the largest excess over it in
+        row i, det H has half-degree at most n = sum(a) + sum(b) <= m*d; a
+        Hermite matrix, entry (i, j) of half-degree at most i + j, usually
+        gets n = m(m-1).
 
-        Every entry becomes a real integer polynomial: in u = z + 1/z when H is
-        cosine-only (``_cos_to_u``), so D(u) = prod(r_i c_j) det H has degree
-        <= n; otherwise in t = tan(theta/2), as (1+t^2)^(a_i+b_j) e
-        (``_halves_to_t``), so D(t) = prod(r_i c_j) (1+t^2)^n det H has degree
-        <= 2n, its real roots the circle roots but theta = pi, where D loses
-        degree.  D is evaluated at n+1 or 2n+1 consecutive integers around 0
-        (Horner per polynomial, one ``_bareiss`` per point), recovered by
-        integer Newton interpolation and mapped back (``_u_to_cos``,
-        ``_t_to_halves``); the only Fractions built are the final coefficients.
+        Every entry becomes a real integer polynomial, its ``int_poly``: in
+        u = z + 1/z when H is cosine-only, so D(u) = prod(r_i c_j) det H has
+        degree <= n; otherwise in t = tan(theta/2), as (1+t^2)^(a_i+b_j) e, so
+        D(t) = prod(r_i c_j) (1+t^2)^n det H has degree <= 2n, its real roots
+        the circle roots but theta = pi, where D loses degree.  D is evaluated
+        at n+1 or 2n+1 consecutive integers around 0 (Horner per polynomial,
+        one ``_bareiss`` per point), recovered by integer Newton interpolation
+        and mapped back (``_u_to_cos``, ``_t_to_halves``); the only Fractions
+        built are the final coefficients.
         """
         m = self.m
         distinct, index = self._distinct()
-        parts = [e.int_halves() for e in distinct]
-        den = [p[2] for p in parts]
         half = [e.half_degree for e in distinct]
         cols = [[row[j] for row in index] for j in range(m)]
         # lists, not generator expressions, here and in int_halves: with
-        # generators the process's peak RSS grew with every call on CPython 3.11
+        # generators the process's peak RSS grew with every call on CPython 3.11;
+        # den_k is int_poly's, read without clearing e_k a second time
+        den = [math.lcm(*[x.denominator for x in e.c + e.s]) for e in distinct]
         b = [min([half[k] for k in col]) for col in cols]
         c = [math.gcd(*[den[k] for k in col]) for col in cols]
         a = [max([half[k] - b[j] for j, k in enumerate(row)]) for row in index]
@@ -1286,21 +1258,15 @@ class TrigMatrix:
         scale = math.prod(r) * math.prod(c)
 
         # M_ij(x) = factor * P(x), one P per distinct (entry k, padding s):
-        # den_k e_k in u, or den_k (1+t^2)^(a_i+b_j) e_k in t, where
-        # s = a_i + b_j - h_k zero halves appended to e_k's raise h_k to a_i + b_j
+        # den_k e_k in u, or den_k (1+t^2)^(a_i+b_j) e_k in t, the int_poly of
+        # e_k at half-degree h_k + s, s = a_i + b_j - h_k
         cosine = self.is_cosine()
         key: dict = {}
         plan = [[(r[i] * c[j] // den[k],
                   key.setdefault((k, 0 if cosine else a[i] + b[j] - half[k]), len(key)))
                  for j, k in enumerate(row)] for i, row in enumerate(index)]
-        if cosine:
-            polys, count = [_cos_to_u(parts[k][0]) for k, _ in key], n + 1
-        else:
-            table = [[math.comb(2 * k, j) * (-1) ** (j // 2) for j in range(2 * k + 1)]
-                     for k in range(max(half) + 1)]
-            polys = [_halves_to_t(parts[k][0] + [0] * s, parts[k][1] and parts[k][1] + [0] * s,
-                                  table) for k, s in key]
-            count = 2 * n + 1
+        polys = [distinct[k].int_poly(cosine, half[k] + s)[0] for k, s in key]
+        count = n + 1 if cosine else 2 * n + 1
         lo = -((count - 1) // 2)
         vals = []
         for x in range(lo, lo + count):

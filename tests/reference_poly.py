@@ -6,7 +6,9 @@ before ``Poly`` moved to integers: the tests compare the integer ``Poly`` and
 float.  Coefficients are Fractions (floats stay floats), every result is
 re-built through the validating constructor and the parser builds one Poly
 per token.  ``interpolate_exact`` is the rational interpolation the package
-no longer calls.
+no longer calls.  ``ref_gcd`` and ``ref_squarefree`` are Euclid and Yun over
+the rationals, on ``UniPoly`` with their own ``ref_monic``, ``ref_derivative``
+and ``ref_divmod``: the package runs those jobs in the integer kernels.
 """
 from __future__ import annotations
 
@@ -16,8 +18,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from rigidconvex.errors import DimensionMismatchError, PolyParseError, UnknownVariableError
-from rigidconvex.polycore import MAX_COEFF_BITS, MAX_DEGREE, Scalar, _newton_interpolate, _power, \
-    _tokenize, format_scalar, to_exact
+from rigidconvex.polycore import MAX_COEFF_BITS, MAX_DEGREE, Scalar, UniPoly, _newton_interpolate, \
+    _power, _tokenize, format_scalar, to_exact
 
 _ZERO = Fraction(0)
 
@@ -328,3 +330,52 @@ def interpolate_exact(values, x0: int) -> list:
     scale = math.lcm(*[v.denominator for v in values]) * math.factorial(len(values) - 1)
     ints = [v.numerator * (scale // v.denominator) for v in values]
     return [Fraction(c, scale) for c in _newton_interpolate(ints, x0)]
+
+
+def ref_derivative(f: UniPoly) -> UniPoly:
+    return UniPoly([k * c for k, c in enumerate(f.coeffs)][1:])
+
+
+def ref_monic(f: UniPoly) -> UniPoly:
+    return UniPoly([c / f.coeffs[-1] for c in f.coeffs]) if f.coeffs else f
+
+
+def ref_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """Quotient and remainder over the rationals, b nonzero."""
+    rem = list(a.coeffs)
+    quo = [_ZERO] * max(0, len(rem) - len(b.coeffs) + 1)
+    while len(rem) >= len(b.coeffs) and rem:
+        f = rem[-1] / b.coeffs[-1]
+        shift = len(rem) - len(b.coeffs)
+        quo[shift] = f
+        for k, c in enumerate(b.coeffs):
+            rem[shift + k] -= f * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return UniPoly(quo), UniPoly(rem)
+
+
+def ref_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Monic gcd by Euclid over the rationals; zero for two zeros."""
+    while not b.is_zero():
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a)
+
+
+def ref_squarefree(f: UniPoly) -> list:
+    """Yun's algorithm over the rationals: (monic factor, multiplicity) pairs."""
+    if f.degree < 1:
+        return []
+    f = ref_monic(f)
+    d = ref_derivative(f)
+    a = ref_gcd(f, d)
+    (b, _), (c, _) = ref_divmod(f, a), ref_divmod(d, a)
+    out, mult = [], 1
+    while b.degree >= 1:
+        diff = c - ref_derivative(b)
+        g = ref_gcd(b, diff)
+        if g.degree >= 1:
+            out.append((g, mult))
+        (b, _), (c, _) = ref_divmod(b, g), ref_divmod(diff, g)
+        mult += 1
+    return out

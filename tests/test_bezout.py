@@ -25,6 +25,7 @@ from rigidconvex.bezout import (
 )
 from rigidconvex.locate import real_roots_with_multiplicity
 from rigidconvex.polycore import Poly, det_exact, solve_exact
+from reference_poly import ref_derivative
 
 CAPRICORN_P = parse_poly("x1^2*(x1^2+x2^2)-2*(x1^2+x2^2-x2)^2")
 CAPRICORN = Parametrization(
@@ -340,7 +341,7 @@ def _cauchy_index(num: UniPoly, den: UniPoly) -> int:
 
     At a simple real pole r of den, the jump direction is the sign of
     num(r) * den'(r)."""
-    dden = den.derivative()
+    dden = ref_derivative(den)
     index = 0
     for r, _mult in real_roots_with_multiplicity(den):
         nv = float(num(r))

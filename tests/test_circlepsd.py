@@ -185,7 +185,8 @@ def test_notpsd_witness_consistent_with_det_sign_or_shortcut():
 def test_circle_roots_of_marginal_case():
     # the double zero of z + 2 + z^-1 is one distinct root, at theta = pi
     # (u = -2); the one arc left gets one point
-    roots, points = circle_roots_of(TrigPoly([2, 1]))
+    det = TrigPoly([2, 1])
+    roots, points = circle_roots_of(det, det.is_cosine())
     assert roots == [np.pi]
     assert len(points) == 1
     for cosine in (True, False):  # in t = tan(theta/2) it is a drop in degree
@@ -194,9 +195,9 @@ def test_circle_roots_of_marginal_case():
 
 def laurent_coeffs(det: TrigPoly) -> np.ndarray:
     """Complex coefficients [l_-d, ..., l_0, ..., l_d] of det."""
-    re, im = det._halves()
+    re, im, den = det.int_halves()
     im = im or [0] * len(re)
-    return np.array([complex(float(x), float(y)) for x, y in
+    return np.array([complex(x / den, y / den) for x, y in
                      zip(re[:0:-1] + re, [-y for y in im[:0:-1]] + im)])
 
 
@@ -228,7 +229,7 @@ def test_circle_roots_match_numpy_reference_on_simple_roots():
     for trial in range(12):
         angles = sorted(rng.uniform(0.2, 2.9) for _ in range(rng.randint(1, 4)))
         det = _cos_product(angles, rng.uniform(0, 6) if trial % 2 else None)
-        roots, points = circle_roots_of(det)
+        roots, points = circle_roots_of(det, det.is_cosine())
         assert roots == pytest.approx(numpy_circle_roots(det), abs=1e-7)
         assert roots == pytest.approx(sorted(angles + [2 * np.pi - a for a in angles]),
                                       abs=1e-12)
@@ -670,20 +671,16 @@ def test_sine_det_vanishing_at_pi():
 
 def test_t_form_round_trip():
     # (1+t^2)^h e in t = tan(theta/2), and back to e's integer halves
-    import math
     import random
 
     from rigidconvex.polycore import _halves_to_t, _t_to_halves
 
     rng = random.Random(17)
     for h in range(9):
-        # (1+it)^(2k) = sum C(2k, j) i^j t^j
-        table = [[math.comb(2 * k, j) * (-1) ** (j // 2) for j in range(2 * k + 1)]
-                 for k in range(h + 1)]
         for _ in range(20):
             re = [rng.randint(-10**9, 10**9) for _ in range(h + 1)]
             im = [0] + [rng.randint(-10**9, 10**9) for _ in range(h)]
-            t = _halves_to_t(re, im, table)
+            t = _halves_to_t(re, im)
             assert len(t) == 2 * h + 1
             assert _t_to_halves(t) == (re, im)
             for theta in (0.4, 2.5):

@@ -20,7 +20,7 @@ from rigidconvex.cubicrepr import (
     hessian_det,
     homogenize,
 )
-from reference_poly import RefPoly, interpolate_exact
+from reference_poly import RefPoly, interpolate_exact, ref_gcd
 from rigidconvex.fixtures import load_fixture
 from rigidconvex.locate import certify_psd_point
 from rigidconvex.polycore import Pencil, Poly, UniPoly, det_exact
@@ -342,6 +342,18 @@ def test_singular_note_never_prints_negative_zero():
     assert "-0.0" not in str(err.value) and str(err.value.singular_point[0]) == "0.0"
 
 
+@pytest.mark.parametrize("text, shown", [("(x1^2+x2^2+1)*(x1-2)", "(2.0, 2.2360679775j)"),
+                                         ("(x1-1)*(x2^2+1)", "(1.0, 1j)")])
+def test_complex_singular_note_prints_no_rounding_noise(text, shown):
+    # the complex singular points (2, +-i sqrt 5) and (1, +-i) come out of the
+    # float root finder with parts such as -4.4e-16 and 1.0000000000000002;
+    # each part is rounded to 12 digits, and a rounded -0.0 is printed as 0.0
+    with pytest.raises(SingularCubicError) as err:
+        cubic_representations(parse_poly(text))
+    assert str(err.value.singular_point) == shown
+    assert f"singular near {shown};" in str(err.value)
+
+
 def test_cuspidal_cubic_rejected():
     with pytest.raises(SingularCubicError):
         cubic_representations(parse_poly("x1^3-x2^2"))
@@ -465,7 +477,7 @@ def _reference_singular_at_infinity(P: Poly) -> bool:
     gcd = None
     for form in forms:
         uni = UniPoly([form.get((k, 2 - k), Fraction(0)) for k in range(3)])
-        gcd = uni if gcd is None else gcd.gcd(uni)
+        gcd = uni if gcd is None else ref_gcd(gcd, uni)
         if gcd.degree < 1:
             return False
     return gcd is not None and gcd.degree >= 1
@@ -564,7 +576,7 @@ def _reference_pairwise_gcd(P: Poly, gpoly) -> UniPoly:
     gcd = UniPoly()
     for i, a in enumerate(monos):
         for b in monos[i + 1:]:
-            gcd = gcd.gcd(gpoly[a] * P.coeff(b) - gpoly[b] * P.coeff(a))
+            gcd = ref_gcd(gcd, gpoly[a] * P.coeff(b) - gpoly[b] * P.coeff(a))
     return gcd
 
 

@@ -52,6 +52,26 @@ def test_every_imported_name_is_used():
     assert unused == {}
 
 
+def test_every_private_function_has_a_caller():
+    """A module-level ``_private`` function of the package is read somewhere
+    in the package outside its own body, so a dead helper does not linger;
+    a test that still needs one keeps its own copy."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(Path(rigidconvex.__file__).parent.glob("*.py"))}
+    private = {(mod, node.name) for mod, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+               and not node.name.startswith("__")}
+    read = set()
+    for tree in trees.values():
+        for top in tree.body:
+            owner = top.name if isinstance(top, ast.FunctionDef) else None
+            read |= {(node.id if isinstance(node, ast.Name) else node.attr, owner)
+                     for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute))}
+    uncalled = sorted(f"{mod}.{name}" for mod, name in private
+                      if not any(used == name and owner != name for used, owner in read))
+    assert len(private) >= 20 and uncalled == []
+
+
 def test_plain_pytest_finds_the_package():
     """pyproject.toml puts src/ on the path, so ``python -m pytest`` from the
     repository root collects without PYTHONPATH."""

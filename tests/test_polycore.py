@@ -17,6 +17,10 @@ from rigidconvex import (
 )
 from rigidconvex.polycore import (
     _bareiss,
+    _int_gcd,
+    _pdivmod,
+    _primitive,
+    _squarefree_factors,
     _squarefree_part,
     det_exact,
     format_scalar,
@@ -24,7 +28,8 @@ from rigidconvex.polycore import (
     real_roots,
     solve_exact,
 )
-from reference_poly import interpolate_exact
+from reference_poly import interpolate_exact, ref_derivative, ref_divmod, ref_gcd, ref_monic, \
+    ref_squarefree
 from trig_helpers import tadd, tmul, tpow
 
 
@@ -399,53 +404,59 @@ def test_unipoly_trims_leading_zeros():
 
 
 def test_unipoly_divmod_and_gcd():
-    a = UniPoly([-1, 0, 1])     # u^2 - 1
-    b = UniPoly([1, 1])         # u + 1
-    quo, rem = a.divmod(b)
-    assert rem.is_zero() and quo == UniPoly([-1, 1])
-    g = a.gcd(UniPoly([-1, 1]))  # gcd(u^2-1, u-1) = u-1
-    assert g == UniPoly([-1, 1])
+    """Division and gcds run in the integer kernels; the Fraction reference
+    agrees."""
+    a, b = UniPoly([-1, 0, 1]), UniPoly([1, 1])  # u^2 - 1, u + 1
+    assert _pdivmod([-1, 0, 1], [1, 1]) == ([-1, 1], [])
+    assert ref_divmod(a, b) == (UniPoly([-1, 1]), UniPoly())
+    assert _int_gcd([-1, 0, 1], [-1, 1]) == [-1, 1]  # gcd(u^2-1, u-1) = u-1
+    assert ref_gcd(a, UniPoly([-1, 1])) == UniPoly([-1, 1])
+    # (u^2 + 1) mod (2u + 1) is 5/4; the pseudo-remainder is 4 times that
+    assert _pdivmod([1, 0, 1], [1, 2])[1] == [5]
+    assert ref_divmod(UniPoly([1, 0, 1]), UniPoly([1, 2]))[1] == UniPoly([Fraction(5, 4)])
 
 
-def test_unipoly_squarefree_decomposition():
+def test_unipoly_squarefree_decomposition(monkeypatch):
     # u^3 (u-1/2) (u-1) (u^2-6u+4)^2
     x = UniPoly([0, 1])
     f = x * x * x * (x - Fraction(1, 2)) * (x - 1) * (UniPoly([4, -6, 1]) ** 2)
-    parts = f.squarefree_decomposition()
-    by_mult = {mult: g for g, mult in parts}
-    assert by_mult[3] == UniPoly([0, 1]).monic()
-    assert by_mult[2] == UniPoly([4, -6, 1]).monic()
-    assert by_mult[1] == ((x - Fraction(1, 2)) * (x - 1)).monic()
+    assert _squarefree_factors(f.coeffs) == [([1, -3, 2], 1), ([4, -6, 1], 2), ([0, 1], 3)]
+    assert _kernel_squarefree(f) == ref_squarefree(f)
+    # zero and constants have no factor, x^k is one, floats are read as the
+    # binary rationals they are
+    assert _squarefree_factors([]) == [] == _squarefree_factors([Fraction(-7, 3)])
+    assert _squarefree_factors([0, 0, 0, 0, -2]) == [([0, 1], 4)]
+    assert _squarefree_factors([0, 0, 3, 3]) == [([1, 1], 1), ([0, 1], 2)]
+    assert _squarefree_factors([0.25, -1.0, 1.0]) == [([-1, 2], 2)]
+    n, d = (0.1).as_integer_ratio()
+    assert _squarefree_factors([-0.1, 1.0]) == [([-n, d], 1)] and d == 2**55
+    # on integers no Fraction is made
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    ints = [c.numerator for c in (f * 4).coeffs]
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    parts = _squarefree_factors(ints)
+    monkeypatch.undo()
+    assert made == [] and parts == _squarefree_factors(f.coeffs)
 
 
-def reference_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """The Fraction Euclid that UniPoly.gcd used before its integer PRS."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic()
+def _kernel_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """The monic gcd from the integer kernels, to compare with ``ref_gcd``."""
+    return ref_monic(UniPoly(_int_gcd(_primitive(a.coeffs), _primitive(b.coeffs))))
 
 
-def reference_squarefree(f: UniPoly) -> list:
-    """The Fraction Yun that squarefree_decomposition used before Z[x]."""
-    if f.degree < 1:
-        return []
-    f = f.monic()
-    d = f.derivative()
-    a = reference_gcd(f, d)
-    b, _ = f.divmod(a)
-    c, _ = d.divmod(a)
-    out = []
-    mult = 1
-    while b.degree >= 1:
-        diff = c - b.derivative()
-        g = reference_gcd(b, diff)
-        if g.degree >= 1:
-            out.append((g, mult))
-        b, _ = b.divmod(g)
-        c, _ = diff.divmod(g)
-        mult += 1
-    return out
+def _kernel_squarefree(f: UniPoly) -> list:
+    """``_squarefree_factors`` made monic, to compare with ``ref_squarefree``;
+    every factor is primitive in Z[x] with a positive leading coefficient."""
+    parts = _squarefree_factors(f.coeffs)
+    for g, _mult in parts:
+        assert all(type(c) is int for c in g) and g[-1] > 0 and math.gcd(*g) == 1
+    return [(ref_monic(UniPoly(g)), mult) for g, mult in parts]
 
 
 def _random_factor(rng, degree):
@@ -463,23 +474,15 @@ def _random_with_multiplicities(rng, max_mult=4):
     return f
 
 
-def _assert_exact(q: UniPoly):
-    assert all(type(c) is Fraction for c in q.coeffs)
-
-
 def test_gcd_and_squarefree_match_fraction_references_random():
     rng = random.Random(61)
     for _ in range(150):
         f = _random_with_multiplicities(rng)
-        parts = f.squarefree_decomposition()
-        assert parts == reference_squarefree(f)
-        for g, _mult in parts:
-            _assert_exact(g)
-        for other in (f.derivative(), _random_factor(rng, rng.randint(0, 4)),
+        assert _kernel_squarefree(f) == ref_squarefree(f)
+        for other in (ref_derivative(f), _random_factor(rng, rng.randint(0, 4)),
                       _random_with_multiplicities(rng, 2), f * _random_factor(rng, 1)):
-            assert f.gcd(other) == reference_gcd(f, other)
-            assert other.gcd(f) == reference_gcd(other, f)
-            _assert_exact(f.gcd(other))
+            assert _kernel_gcd(f, other) == ref_gcd(f, other)
+            assert _kernel_gcd(other, f) == ref_gcd(other, f)
 
 
 def test_gcd_and_squarefree_edge_operands():
@@ -487,14 +490,14 @@ def test_gcd_and_squarefree_edge_operands():
     operands = [UniPoly(), UniPoly([3]), UniPoly([Fraction(-1, 2)]), x, -x + Fraction(1, 3),
                 (x - 1) * (x - 2), (x - 1) ** 4 * (x + Fraction(2, 5)), UniPoly([1, 0, 1])]
     for a in operands:
-        assert a.squarefree_decomposition() == reference_squarefree(a)
+        assert _kernel_squarefree(a) == ref_squarefree(a)
         for b in operands:
-            assert a.gcd(b) == reference_gcd(a, b)
+            assert _kernel_gcd(a, b) == ref_gcd(a, b)
     # coprime pairs have gcd 1, zero with zero stays zero
-    assert ((x - 1) * (x - 2)).gcd(UniPoly([1, 0, 1])) == UniPoly([1])
-    assert UniPoly().gcd(UniPoly()) == UniPoly()
-    assert UniPoly().gcd(x * -4 + 2) == x - Fraction(1, 2)
-    assert ((x - 1) ** 4).squarefree_decomposition() == [(x - 1, 4)]
+    assert _int_gcd([2, -3, 1], [1, 0, 1]) == [1]
+    assert _int_gcd([], []) == []
+    assert _int_gcd([], [2, -4]) == [-1, 2]
+    assert _squarefree_factors(((x - 1) ** 4).coeffs) == [([-1, 1], 4)]
 
 
 def test_squarefree_matches_sympy_sqf_list():
@@ -511,7 +514,7 @@ def test_squarefree_matches_sympy_sqf_list():
         expected = {(tuple(Fraction(int(c.p), int(c.q))
                            for c in reversed(g.monic().all_coeffs())), mult)
                     for g, mult in factors}
-        assert {(g.coeffs, mult) for g, mult in f.squarefree_decomposition()} == expected
+        assert {(g.coeffs, mult) for g, mult in _kernel_squarefree(f)} == expected
 
 
 def numpy_real_roots(q: UniPoly) -> list[float]:

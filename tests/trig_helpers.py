@@ -14,7 +14,8 @@ def tscale(a: TrigPoly, f) -> TrigPoly:
 
 
 def tmul(a: TrigPoly, b: TrigPoly) -> TrigPoly:
-    return TrigPoly(*laurent_mul(*a._halves(), *b._halves()))
+    (ra, ia, da), (rb, ib, db) = a.int_halves(), b.int_halves()
+    return TrigPoly.from_int_halves(*laurent_mul(ra, ia, rb, ib), da * db)
 
 
 def tpow(a: TrigPoly, n: int) -> TrigPoly:
