@@ -1,7 +1,7 @@
 """Positive semidefiniteness of a TrigMatrix along the unit circle.
 
 The decision is exact: the circle zeros of det H are isolated exactly
-(``polycore.real_roots``) and Sylvester's criterion at rational points
+(``realroots.real_roots``) and Sylvester's criterion at rational points
 decides (``psd_on_circle``).  Floats only propose a witness and report the
 least eigenvalue, from a batched ``eigvalsh`` over the stack that
 ``TrigMatrix.eval_thetas`` evaluates in one product.  The
@@ -18,7 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .polycore import TrigMatrix, TrigPoly, _squarefree_part, parse_scalar, real_roots
+from .polycore import TrigMatrix, TrigPoly, _squarefree_part, parse_scalar
+from .realroots import real_roots
 
 GRID_SIZE = 512
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import IdenticallyZeroResultantError
 from .polycore import Pencil, Poly, UniPoly, _bareiss, _hom, _horner, _int_gcd, \
-    _newton_interpolate, _pdivmod, _primitive, _squarefree_factors, real_roots
+    _newton_interpolate, _pdivmod, _primitive, _squarefree_factors
+from .realroots import real_roots
 
 MERGE_TOL = 1e-8
 CERT_TOL = 1e-9
@@ -68,13 +69,17 @@ def _subresultant(fc: dict, gc: dict, j: int) -> list[list]:
     the first d1 + d2 - 2j - 1 columns and the column of x1^i, of the rows
     x1^i f (i < d2 - j) and x1^i g (i < d1 - j) over x1^(d1+d2-j-1) .. 1: the
     last row ``_bareiss`` leaves, at x2 = 0, 1, ..., N, then Newton
-    interpolation.  S_0 is the resultant; S_j for j = d1 = d2 is f."""
+    interpolation.  S_0 is the resultant; S_j for j = d1 = d2 is f.  Entry
+    (x1^r f, column x1^c) has degree <= D1 - c + r in x2, D1 = deg f, and a
+    minor's terms take one entry per row over distinct columns, so s_j,i has
+    degree <= N - i: N sums D + r over the rows less c over the n-1 columns."""
     d1, d2 = max(fc), max(gc)
     if j == d1 == d2:
         return [fc.get(i, []) for i in range(j, -1, -1)]
     n = d1 + d2 - 2 * j
-    bound = (d2 - j) * (max(len(c) for c in fc.values()) - 1) \
-        + (d1 - j) * (max(len(c) for c in gc.values()) - 1)
+    D1, D2 = (max(a + len(c) - 1 for a, c in cols.items()) for cols in (fc, gc))
+    bound = max((d2 - j) * D1 + (d1 - j) * D2 + math.comb(d2 - j, 2) + math.comb(d1 - j, 2)
+                - (n - 1) * (d1 + d2) // 2, 0)
     values = []
     for x in range(bound + 1):
         frow = [_horner(fc.get(i, ()), x) for i in range(d1, -1, -1)]
@@ -109,7 +114,7 @@ def real_roots_with_multiplicity(r: UniPoly) -> list[tuple[float, int]]:
 
     Yun's algorithm (``polycore._squarefree_factors``) splits r into
     square-free integer factors, one per multiplicity, no two sharing a root;
-    each root is isolated exactly (``polycore.real_roots``) and reported as
+    each root is isolated exactly (``realroots.real_roots``) and reported as
     the float its interval rounds to.
     """
     return sorted((float((lo + hi) / 2), mult) for factor, mult in _squarefree_factors(r.coeffs)

@@ -32,11 +32,12 @@ subresultants) the fraction-free ``_bareiss``; interpolation the integer
 Newton ``_newton_interpolate``.  Univariate jobs run on ascending integer
 lists: ``_primitive`` clears rationals, ``_pdivmod`` pseudo-divides, ``_int_gcd``
 takes gcds (1 proved modulo 2^31 - 1, else a primitive pseudo-remainder
-sequence), ``_squarefree_factors`` is Yun's algorithm, and ``real_roots``
-isolates real roots (Descartes' rule with bisection, then exact signs).
+sequence) and ``_squarefree_factors`` is Yun's algorithm; ``_variations``,
+``_taylor_shift`` and ``_hom`` serve the real-root kernel in ``realroots``.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -891,12 +892,17 @@ def _horner(coeffs, x: int) -> int:
     return acc
 
 
+@functools.cache
+def _one_plus_it(k: int) -> tuple:
+    """C(2k, j) (-1)^(j//2), j = 0 .. 2k: t^j in (1+it)^(2k), real at even j."""
+    return tuple(math.comb(2 * k, j) * (-1) ** (j // 2) for j in range(2 * k + 1))
+
+
 def _halves_to_t(re: list, im: list) -> list:
     """Ascending integer coefficients in t = tan(theta/2) of (1+t^2)^h e, e of
     half-degree h given by integer halves.  z^k = (1+it)^(2k) / (1+t^2)^k, so
     (1+t^2)^h e = c_0 (1+t^2)^h + sum 2 Re((c_k + i s_k)(1+it)^(2k)) (1+t^2)^(h-k),
-    summed by Horner in 1+t^2.  C(2k, j) (-1)^(j//2) is the real part of
-    (1+it)^(2k) at even j, the imaginary part at odd j."""
+    summed by Horner in 1+t^2."""
     out = [re[0]]
     for k in range(1, len(re)):
         out += [0, 0]
@@ -904,8 +910,8 @@ def _halves_to_t(re: list, im: list) -> list:
             out[j] += out[j - 2]
         ck, sk = 2 * re[k], -2 * im[k] if im else 0
         if ck or sk:
-            for j in range(2 * k + 1):
-                out[j] += (sk if j & 1 else ck) * math.comb(2 * k, j) * (-1) ** (j // 2)
+            for j, b in enumerate(_one_plus_it(k)):
+                out[j] += (sk if j & 1 else ck) * b
     return out
 
 
@@ -1073,63 +1079,6 @@ def _hom(f: list, a: int, b: int) -> int:
     for c in reversed(f):
         acc, bk = acc * a + c * bk, bk * b
     return acc
-
-
-def _roots01(f: list) -> list:
-    """The roots in [0, 1] of a square-free integer polynomial, sorted: (r, r)
-    for a root r met exactly, else an interval around one root whose ends are
-    not roots, at most 2^-53 of its upper end wide.
-
-    Vincent-Collins-Akritas bisection: g = 2^(kn) f((x + c) / 2^k) stands for
-    (c/2^k, (c+1)/2^k), and the sign variations of (x + 1)^n g(1 / (x + 1))
-    bound its roots there (Descartes): 0 means none, 1 exactly one, which
-    bisection on exact signs of f at dyadic midpoints then narrows."""
-    out, todo = [(Fraction(1),) * 2] * (not sum(f)), [(f, 0, 0)]
-    while todo:
-        g, c, k = todo.pop()
-        ends = [not g[0], not sum(g)]  # whether c/2^k and (c+1)/2^k are roots
-        if ends[0]:
-            out.append((Fraction(c, 1 << k),) * 2)
-            g = g[1:]
-        v = _variations(_taylor_shift(g[::-1]))
-        if v > 1:
-            left = [x << (len(g) - 1 - i) for i, x in enumerate(g)]  # 2^n g(x/2)
-            todo += [(_taylor_shift(left), 2 * c + 1, k + 1), (left, 2 * c, k + 1)]
-        elif v == 1:  # f has g[0]'s sign right of lo; ends that are roots move
-            lo, hi, den = c, c + 1, 1 << k
-            while any(ends) or (hi - lo) << 53 > hi:
-                mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
-                s = _hom(f, mid, den)
-                if not s:
-                    out.append((Fraction(mid, den),) * 2)
-                    break
-                right = (s > 0) == (g[0] > 0)
-                lo, hi = (mid, hi) if right else (lo, mid)
-                ends[not right] = False
-            else:
-                out.append((Fraction(lo, den), Fraction(hi, den)))
-    return sorted(out)
-
-
-def real_roots(f: list, pm2: bool = False) -> list:
-    """Sorted ``_roots01`` intervals of the distinct real roots of a
-    square-free integer polynomial (ascending, no trailing zero), or with
-    ``pm2`` of those in [-2, 2], from f(2 - 4y), y in [0, 1].  Else, for s = 1
-    and -1, the roots of f(s x) in [0, 1], and the reciprocals of those of its
-    reversal."""
-    if pm2:
-        g = _taylor_shift(_taylor_shift(f))
-        return [(2 - 4 * hi, 2 - 4 * lo)
-                for lo, hi in reversed(_roots01([x * (-4) ** k for k, x in enumerate(g)]))]
-    out = set()
-    for s in (1, -1):
-        g = [x * s**k for k, x in enumerate(f)]
-        if g[0] and not _variations(g):  # no root in [0, inf), by Descartes
-            continue
-        out.update(tuple(sorted((s * lo, s * hi))) for lo, hi in _roots01(g))
-        out.update(tuple(sorted((s / hi, s / lo)))
-                   for lo, hi in _roots01((g if g[0] else g[1:])[::-1]))
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

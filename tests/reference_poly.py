@@ -9,6 +9,8 @@ per token.  ``interpolate_exact`` is the rational interpolation the package
 no longer calls.  ``ref_gcd`` and ``ref_squarefree`` are Euclid and Yun over
 the rationals, on ``UniPoly`` with their own ``ref_monic``, ``ref_derivative``
 and ``ref_divmod``: the package runs those jobs in the integer kernels.
+``ref_roots01`` is the real-root kernel with plain bisection on exact signs,
+whose intervals quadratic interval refinement must reproduce.
 """
 from __future__ import annotations
 
@@ -18,8 +20,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from rigidconvex.errors import DimensionMismatchError, PolyParseError, UnknownVariableError
-from rigidconvex.polycore import MAX_COEFF_BITS, MAX_DEGREE, Scalar, UniPoly, _newton_interpolate, \
-    _power, _tokenize, format_scalar, to_exact
+from rigidconvex.polycore import MAX_COEFF_BITS, MAX_DEGREE, Scalar, UniPoly, _hom, \
+    _newton_interpolate, _power, _taylor_shift, _tokenize, _variations, format_scalar, to_exact
 
 _ZERO = Fraction(0)
 
@@ -379,3 +381,39 @@ def ref_squarefree(f: UniPoly) -> list:
         (b, _), (c, _) = ref_divmod(b, g), ref_divmod(diff, g)
         mult += 1
     return out
+
+
+def ref_roots01(f: list) -> list:
+    """The roots in [0, 1] of a square-free integer polynomial, sorted: (r, r)
+    for a root r met exactly, else an interval around one root whose ends are
+    not roots, at most 2^-53 of its upper end wide.
+
+    Vincent-Collins-Akritas bisection: g = 2^(kn) f((x + c) / 2^k) stands for
+    (c/2^k, (c+1)/2^k), and the sign variations of (x + 1)^n g(1 / (x + 1))
+    bound its roots there (Descartes): 0 means none, 1 exactly one, which
+    bisection on exact signs of f at dyadic midpoints then narrows."""
+    out, todo = [(Fraction(1),) * 2] * (not sum(f)), [(f, 0, 0)]
+    while todo:
+        g, c, k = todo.pop()
+        ends = [not g[0], not sum(g)]  # whether c/2^k and (c+1)/2^k are roots
+        if ends[0]:
+            out.append((Fraction(c, 1 << k),) * 2)
+            g = g[1:]
+        v = _variations(_taylor_shift(g[::-1]))
+        if v > 1:
+            left = [x << (len(g) - 1 - i) for i, x in enumerate(g)]  # 2^n g(x/2)
+            todo += [(_taylor_shift(left), 2 * c + 1, k + 1), (left, 2 * c, k + 1)]
+        elif v == 1:  # f has g[0]'s sign right of lo; ends that are roots move
+            lo, hi, den = c, c + 1, 1 << k
+            while any(ends) or (hi - lo) << 53 > hi:
+                mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
+                s = _hom(f, mid, den)
+                if not s:
+                    out.append((Fraction(mid, den),) * 2)
+                    break
+                right = (s > 0) == (g[0] > 0)
+                lo, hi = (mid, hi) if right else (lo, mid)
+                ends[not right] = False
+            else:
+                out.append((Fraction(lo, den), Fraction(hi, den)))
+    return sorted(out)

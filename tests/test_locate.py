@@ -13,7 +13,9 @@ from rigidconvex import (
     parse_poly,
 )
 from rigidconvex.bezout import Parametrization, interpolate_det, pencil_from_param
+from rigidconvex import locate
 from rigidconvex.locate import (
+    _sheared,
     _sheared_solutions,
     _solve_system,
     _subresultant,
@@ -25,7 +27,7 @@ from rigidconvex.locate import (
     real_roots_with_multiplicity,
     resultant_elim_x1,
 )
-from rigidconvex.polycore import Poly, det_exact
+from rigidconvex.polycore import Poly, _bareiss, _horner, _newton_interpolate, det_exact
 from reference_poly import interpolate_exact
 
 CAPRICORN_P = parse_poly("x1^2*(x1^2+x2^2)-2*(x1^2+x2^2-x2)^2")
@@ -202,6 +204,88 @@ def test_subresultants_match_fraction_sylvester_reference_random():
     (cf, fc), (cg, gc) = _x1_columns(f), _x1_columns(g)
     scale = cf ** max(gc) * cg ** max(fc)
     assert UniPoly(_subresultant(fc, gc, 0)[0]) == resultant_elim_x1(f, g) * scale
+
+
+def x2_bound_subresultant(fc: dict, gc: dict, j: int) -> list:
+    """``_subresultant`` with the interpolation bound it had before the
+    weighted one: (d2-j) deg_x2 f + (d1-j) deg_x2 g + 1 points."""
+    d1, d2 = max(fc), max(gc)
+    if j == d1 == d2:
+        return [fc.get(i, []) for i in range(j, -1, -1)]
+    n = d1 + d2 - 2 * j
+    bound = (d2 - j) * (max(len(c) for c in fc.values()) - 1) \
+        + (d1 - j) * (max(len(c) for c in gc.values()) - 1)
+    values = []
+    for x in range(bound + 1):
+        frow = [_horner(fc.get(i, ()), x) for i in range(d1, -1, -1)]
+        grow = [_horner(gc.get(i, ()), x) for i in range(d2, -1, -1)]
+        rows = [[0] * r + frow + [0] * (d2 - j - 1 - r) for r in range(d2 - j)]
+        rows += [[0] * r + grow + [0] * (d1 - j - 1 - r) for r in range(d1 - j)]
+        _bareiss(rows)
+        values.append(rows[-1][n - 1:])
+    out = [_newton_interpolate(col, 0) for col in zip(*values)]
+    return [c[:max((i + 1 for i, x in enumerate(c) if x), default=0)] for c in out]
+
+
+def _weighted_bound(fc: dict, gc: dict, j: int) -> int:
+    """Sum over the rows x1^r f and x1^r g of their total degree plus r,
+    less the exponents c of the d1 + d2 - 2j - 1 leading columns."""
+    d1, d2 = max(fc), max(gc)
+    D1, D2 = (max(a + len(c) - 1 for a, c in cols.items()) for cols in (fc, gc))
+    rows = sum(D1 + r for r in range(d2 - j)) + sum(D2 + r for r in range(d1 - j))
+    return rows - sum(range(j + 1, d1 + d2 - j))
+
+
+def _random_pair(rng, kind):
+    """Dense or sparse integer pairs of total degree <= 4, x1-degree below
+    the total degree, or a pair sheared by k = 1..3."""
+    def rand(dx1, total, density):
+        coeffs = {(a, b): rng.randint(-5, 5) for a in range(dx1 + 1)
+                  for b in range(total + 1 - a) if rng.random() < density}
+        coeffs[(dx1, rng.randint(0, total - dx1))] = rng.choice([-2, 1, 3])
+        return Poly(coeffs)
+    if kind == "dense":
+        return [rand(d, d, 1.0) for d in (rng.randint(1, 4), rng.randint(1, 3))]
+    if kind == "sparse":
+        return [rand(d, d + rng.randint(0, 1), 0.3) for d in (rng.randint(1, 4), rng.randint(1, 3))]
+    if kind == "low-x1":
+        return [rand(d, d + rng.randint(1, 2), 0.7) for d in (rng.randint(1, 3), rng.randint(1, 2))]
+    k = rng.randint(1, 3)
+    return [_sheared(rand(d, d, 0.8), k) for d in (rng.randint(1, 3), rng.randint(1, 3))]
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "low-x1", "sheared"])
+def test_subresultant_weighted_bound_matches_x2_bound(kind):
+    """The weighted bound is a true degree bound: the subresultants equal
+    those interpolated over the x2-degree bound, and s_j,i has degree at
+    most the bound less i."""
+    rng = random.Random(f"subres-{kind}")
+    for _ in range(25):
+        f, g = _random_pair(rng, kind)
+        (_, fc), (_, gc) = _x1_columns(f), _x1_columns(g)
+        for j in range(min(max(fc), max(gc))):
+            got = _subresultant(fc, gc, j)
+            assert got == x2_bound_subresultant(fc, gc, j)
+            bound = _weighted_bound(fc, gc, j)
+            assert all(len(s) - 1 <= bound - i for i, s in zip(range(j, -1, -1), got))
+
+
+def test_dense_quartic_cubic_resultant_takes_bezout_many_points(monkeypatch):
+    """A generic dense quartic and cubic reach the bound: their resultant in
+    x1 has degree 4 * 3 = 12 in x2, from 13 evaluations, not 25."""
+    rng = random.Random(97)
+    f, g = (Poly({(a, b): rng.choice([-3, -2, -1, 1, 2, 3]) for a in range(d + 1)
+                  for b in range(d + 1 - a)}) for d in (4, 3))
+    (_, fc), (_, gc) = _x1_columns(f), _x1_columns(g)
+    calls = []
+
+    def counting(mat, *args):
+        calls.append(len(mat))
+        return _bareiss(mat, *args)
+    monkeypatch.setattr(locate, "_bareiss", counting)
+    res = _subresultant(fc, gc, 0)[0]
+    assert len(res) - 1 == 12 == _weighted_bound(fc, gc, 0)
+    assert calls == [7] * 13
 
 
 def reference_solutions(f: Poly, g: Poly) -> list:

@@ -25,9 +25,9 @@ from rigidconvex.polycore import (
     det_exact,
     format_scalar,
     parse_scalar,
-    real_roots,
     solve_exact,
 )
+from rigidconvex.realroots import real_roots
 from reference_poly import interpolate_exact, ref_derivative, ref_divmod, ref_gcd, ref_monic, \
     ref_squarefree
 from trig_helpers import tadd, tmul, tpow
