@@ -7,10 +7,8 @@ A line through the origin hits the curve p(x) = 0 where the monic polynomial
 vanishes, with z on the unit circle and m = deg p.  The sublevel set around
 the origin is rigidly convex exactly when q(t) has m real roots for every z,
 i.e. when the Hankel matrix of Newton power sums of q is positive
-semidefinite along the circle.  Everything here is exact and runs on
-integers: p's integer numerators are read as they are, q is cleared of
-denominators once, and TrigPolys with Fraction coefficients are built only
-for the results.
+semidefinite along the circle.  Everything here is exact and runs on the
+integer fields of ``Poly`` and ``TrigPoly``, read and built as they are.
 """
 from __future__ import annotations
 
@@ -81,7 +79,7 @@ def line_substitute(p: Poly) -> LinePoly:
         _add_into(re[a + b], wr, coeff)
         _add_into(im[a + b], wi, coeff)
     lead = re[0][0]
-    q = [TrigPoly.from_int_halves(re[m - k], im[m - k], lead) for k in range(m + 1)]
+    q = [TrigPoly._make(re[m - k], im[m - k], lead) for k in range(m + 1)]
     return LinePoly(m, tuple(q), scale=p0)
 
 
@@ -98,16 +96,15 @@ def newton_sums(line: LinePoly, count: int) -> list[TrigPoly]:
     each product one integer Laurent convolution; N_k = S_k / L^k.
     """
     m, q = line.m, line.q
-    parts = [e.int_halves() for e in q]
-    den = math.lcm(*[d for _, _, d in parts])
+    den = math.lcm(*[e.den for e in q])
     sums = [([m], [])]
     for k in range(1, count + 1):
         re, im = [], []
         for j in range(1, min(k, m) + 1):
-            if not q[m - j]:
+            e = q[m - j]
+            if not e:
                 continue
-            qr, qi, d = parts[m - j]
-            f = den**j // d  # Q_(m-j) = f * (qr, qi)
+            qr, qi, f = e.re, e.im, den**j // e.den  # Q_(m-j) = f * (qr, qi)
             if j < k:
                 qr, qi = laurent_mul(qr, qi, *sums[k - j])
             else:
@@ -115,7 +112,7 @@ def newton_sums(line: LinePoly, count: int) -> list[TrigPoly]:
             _add_into(re, qr, -f)
             _add_into(im, qi, -f)
         sums.append((re, im))
-    return [TrigPoly.from_int_halves(re, im, den**k) for k, (re, im) in enumerate(sums)]
+    return [TrigPoly._make(re, im, den**k) for k, (re, im) in enumerate(sums)]
 
 
 def hermite_matrix(p: Poly) -> TrigMatrix:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -299,10 +299,7 @@ def find_interior_point(pencil: Pencil, p: Poly) -> LocateResult:
         cands = [CandidatePoint((0.0, 0.0), "critical")]
     else:
         cands = _dedupe_sorted(list(critical_points(p)) + list(boundary_points(p)))
-    certified = []
-    for cand in cands:
-        cert = certify_psd_point(pencil, cand.x)
-        certified.append(replace(cert, source=cand.source))
+    certified = [certify_psd_point(pencil, cand.x, cand.source) for cand in cands]
     for cand in certified:
         if cand.verdict == "PD":
             return LocateResult(cand.x, "PD", False, tuple(certified))

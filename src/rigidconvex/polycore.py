@@ -6,9 +6,9 @@ Representations:
                    to integers over one positive denominator, in lowest terms;
                    two variables (x1, x2) unless stated otherwise.
 * ``UniPoly``   -- univariate polynomial, ascending dense coefficient tuple.
-* ``TrigPoly``  -- Laurent polynomial that is real-valued on the unit circle,
-                   stored as cosine coefficients ``c[k]`` on z^k + z^-k plus
-                   (rarely needed) sine coefficients ``s[k]`` on i(z^k - z^-k).
+* ``TrigPoly``  -- Laurent polynomial that is real-valued on the unit circle:
+                   cosine (on z^k + z^-k) and sine (on i(z^k - z^-k)) integer
+                   coefficients over one positive denominator, in lowest terms.
 * ``TrigMatrix``-- symmetric matrix of TrigPoly entries; its exact determinant
                    is taken by integer evaluation, fraction-free Bareiss
                    elimination and integer Newton interpolation, in
@@ -21,10 +21,10 @@ Representations:
 Values are exact rationals; floats only appear after explicitly numeric
 steps such as cube roots, and in pencil files.
 
-Exact arithmetic runs on integers: ``parse_poly`` and ``Poly`` keep integer
-numerators over one denominator from parse to report, other operands are
-cleared of denominators once (``TrigPoly.int_halves``, back by
-``TrigPoly.from_int_halves``), and Fractions are built only for results.
+Exact arithmetic runs on integers: ``Poly`` from ``parse_poly`` on and
+``TrigPoly`` from the line substitution to the circle verdict keep integer
+numerators over one denominator, other operands are cleared of denominators
+once, and Fractions are built only as views of results.
 Each job has one kernel.  Laurent products take ``laurent_mul``; the u- or
 t-polynomial of a TrigPoly (``TrigMatrix.det``, ``pd_sign``, ``circlepsd``)
 ``TrigPoly.int_poly``; determinants, solves and bordered minors (``locate``'s
@@ -637,6 +637,11 @@ class UniPoly:
 # Trigonometric (Laurent-on-the-circle) polynomials
 # ---------------------------------------------------------------------------
 
+def _nonzero_len(xs: list) -> int:
+    """1 + the index of the last nonzero entry of xs; 0 if there is none."""
+    return max([k + 1 for k, x in enumerate(xs) if x], default=0)
+
+
 class TrigPoly:
     """Real-on-the-circle Laurent polynomial.
 
@@ -647,103 +652,100 @@ class TrigPoly:
     where ``c[k]`` multiplies z^k + z^-k and ``s[k]`` multiplies i(z^k - z^-k).
     The sine part is zero for every polynomial even in x2; it only appears for
     line substitutions of polynomials with odd x2-terms.
+
+    Stored as integer lists ``re`` = den c and ``im`` = den s of length
+    half-degree + 1 (``im`` empty when cosine-only) over one positive ``den``,
+    in lowest terms; zero is [0], [] over 1.  Results are built unchecked
+    (``_make``); only the read-only views ``c`` and ``s`` make Fractions.
     """
 
-    __slots__ = ("c", "s")
+    __slots__ = ("re", "im", "den")
 
     def __init__(self, c: Iterable[Scalar] = (), s: Iterable[Scalar] = ()):
-        cs = [to_exact(x) for x in c]
-        ss = [to_exact(x) for x in s]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        while ss and ss[-1] == 0:
-            ss.pop()
-        if ss and ss[0] != 0:
+        """From cosine and sine coefficients given as ints and Fractions."""
+        c, s = list(c), list(s)
+        for x in c + s:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"coefficient {x!r} is not rational")
+        if any(s[:1]):
             raise ValueError("sine coefficient s[0] must be zero")
-        self.c = tuple(cs)
-        self.s = tuple(ss)
+        den = math.lcm(*[x.denominator for x in c + s])
+        ints = [x.numerator * (den // x.denominator) for x in c + s]
+        out = self._make(ints[:len(c)], ints[len(c):], den)
+        self.re, self.im, self.den = out.re, out.im, out.den
+
+    @classmethod
+    def _make(cls, re: list, im: list, den: int) -> "TrigPoly":
+        """The TrigPoly with halves re / den and im / den (im shorter or empty
+        when its tail is zero), padded, trimmed and brought to lowest terms."""
+        n = max(_nonzero_len(re), _nonzero_len(im), 1)
+        re = re[:n] + [0] * (n - len(re))
+        im = im[:n] + [0] * (n - len(im)) if any(im) else []
+        g = math.gcd(den, *re, *im) * (1 if den > 0 else -1)
+        out = object.__new__(cls)
+        out.re, out.im, out.den = re, im, den
+        if g != 1:
+            out.re, out.im, out.den = [x // g for x in re], [x // g for x in im], den // g
+        return out
 
     # -- queries ----------------------------------------------------------------
     @property
+    def c(self) -> tuple:
+        return tuple([Fraction(x, self.den) for x in self.re[:_nonzero_len(self.re)]])
+
+    @property
+    def s(self) -> tuple:
+        return tuple([Fraction(x, self.den) for x in self.im[:_nonzero_len(self.im)]])
+
+    @property
     def half_degree(self) -> int:
-        return max(len(self.c), len(self.s)) - 1 if (self.c or self.s) else 0
+        return len(self.re) - 1
 
     def is_zero(self) -> bool:
-        return not self.c and not self.s
+        return self.re == [0]
 
     def is_cosine(self) -> bool:
-        return not self.s
+        return not self.im
 
-    def cos_coeff(self, k: int):
-        return self.c[k] if 0 <= k < len(self.c) else Fraction(0)
+    def cos_coeff(self, k: int) -> Fraction:
+        return Fraction(self.re[k], self.den) if 0 <= k < len(self.re) else _ZERO
 
-    def sin_coeff(self, k: int):
-        return self.s[k] if 0 <= k < len(self.s) else Fraction(0)
+    def sin_coeff(self, k: int) -> Fraction:
+        return Fraction(self.im[k], self.den) if 0 <= k < len(self.im) else _ZERO
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, float)):
+        if isinstance(other, (int, Fraction)):
             other = TrigPoly([other])
-        return isinstance(other, TrigPoly) and self.c == other.c and self.s == other.s
+        return (isinstance(other, TrigPoly) and self.den == other.den
+                and self.re == other.re and self.im == other.im)
 
     def __hash__(self):
-        return hash((self.c, self.s))
+        return hash((self.den, tuple(self.re), tuple(self.im)))
 
     def __bool__(self):
         return not self.is_zero()
-
-    def int_halves(self) -> tuple[list, list, int]:
-        """(re, im, den): the real and imaginary parts of the coefficients of
-        z^0 .. z^h, h the half-degree, times den, the lcm of their
-        denominators, as integers; im is empty when the sine part is."""
-        n = self.half_degree + 1
-        re = list(self.c) + [0] * (n - len(self.c))
-        im = list(self.s) + [0] * (n - len(self.s)) if self.s else []
-        den = math.lcm(*[x.denominator for x in re + im])
-        ints = [x.numerator * (den // x.denominator) for x in re + im]
-        return ints[:len(re)], ints[len(re):], den
-
-    @classmethod
-    def from_int_halves(cls, re: Sequence[int], im: Sequence[int], den: int = 1) -> "TrigPoly":
-        """The TrigPoly with halves re / den and im / den; inverts ``int_halves``."""
-        return cls([Fraction(x, den) for x in re], [Fraction(x, den) for x in im])
 
     def int_poly(self, cosine: bool, h: int | None = None) -> tuple[list, int]:
         """(P, den) with integer P of formal degree h or 2h, h >= the
         half-degree (default): den e = P(u), u = z + 1/z, when ``cosine``, else
         den (1+t^2)^h e = P(t), t = tan(theta/2); theta = pi drops its degree."""
-        re, im, den = self.int_halves()
         h = self.half_degree if h is None else h
-        re, im = (x + [0] * (h + 1 - len(x)) if x else [] for x in (re, im))
-        if cosine:
-            return _cos_to_u(re), den
-        return _halves_to_t(re, im), den
+        re, im = (x + [0] * (h + 1 - len(x)) if x else [] for x in (self.re, self.im))
+        return (_cos_to_u(re) if cosine else _halves_to_t(re, im)), self.den
 
     # -- evaluation ------------------------------------------------------------------
     def eval_theta(self, theta: float) -> float:
         """Value at z = e^{i theta} (always real)."""
-        ks = np.arange(1, max(len(self.c), len(self.s)))
-        total = float(self.c[0]) if self.c else 0.0
-        if len(self.c) > 1:
-            cs = np.array([float(x) for x in self.c[1:]])
-            total += 2.0 * float(cs @ np.cos(ks[: len(cs)] * theta))
-        if len(self.s) > 1:
-            ss = np.array([float(x) for x in self.s[1:]])
-            total -= 2.0 * float(ss @ np.sin(ks[: len(ss)] * theta))
-        return total
+        return float(TrigMatrix([[self]]).eval_thetas([theta])[0, 0, 0])
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        if self.c and self.c[0] != 0:
-            parts.append(("-" if self.c[0] < 0 else "+") + format_scalar(abs(self.c[0])))
+        parts = [("-" if x < 0 else "+") + format_scalar(abs(x)) for x in self.c[:1] if x]
         for coeffs, form in ((self.c, "(z^{k}+z^-{k})"), (self.s, "i*(z^{k}-z^-{k})")):
             for k, x in enumerate(coeffs[1:], 1):
                 if x != 0:
                     coef = "" if abs(x) == 1 else f"{format_scalar(abs(x))}*"
                     parts.append(("-" if x < 0 else "+") + coef + form.format(k=k))
-        text = "".join(parts)
-        return text[1:] if text.startswith("+") else text
+        return "".join(parts).removeprefix("+") or "0"
 
     def __repr__(self):
         return f"TrigPoly({list(self.c)!r}, {list(self.s)!r})"
@@ -1139,8 +1141,8 @@ class TrigMatrix:
         blocks = np.zeros((2, d + 1, m, m))
         for i, row in enumerate(self.entries):
             for j, e in enumerate(row):
-                blocks[0, :len(e.c), i, j] = [float(x) for x in e.c]
-                blocks[1, :len(e.s), i, j] = [float(x) for x in e.s]
+                blocks[0, :len(e.re), i, j] = [x / e.den for x in e.re]
+                blocks[1, :len(e.im), i, j] = [x / e.den for x in e.im]
         blocks[:, 1:] *= 2.0
         kt = np.multiply.outer(np.asarray(thetas, dtype=float), np.arange(d + 1))
         table = np.concatenate([np.cos(kt), -np.sin(kt)], axis=1)
@@ -1188,21 +1190,17 @@ class TrigMatrix:
         the circle roots but theta = pi, where D loses degree.  D is evaluated
         at n+1 or 2n+1 consecutive integers around 0 (Horner per polynomial,
         one ``_bareiss`` per point), recovered by integer Newton interpolation
-        and mapped back (``_u_to_cos``, ``_t_to_halves``); the only Fractions
-        built are the final coefficients.
+        and mapped back (``_u_to_cos``, ``_t_to_halves``) to the halves of the
+        result over prod(r_i c_j); no Fraction is built.
         """
         m = self.m
         distinct, index = self._distinct()
         half = [e.half_degree for e in distinct]
         cols = [[row[j] for row in index] for j in range(m)]
-        # lists, not generator expressions, here and in int_halves: with
-        # generators the process's peak RSS grew with every call on CPython 3.11;
-        # den_k is int_poly's, read without clearing e_k a second time
-        den = [math.lcm(*[x.denominator for x in e.c + e.s]) for e in distinct]
         b = [min([half[k] for k in col]) for col in cols]
-        c = [math.gcd(*[den[k] for k in col]) for col in cols]
+        c = [math.gcd(*[distinct[k].den for k in col]) for col in cols]
         a = [max([half[k] - b[j] for j, k in enumerate(row)]) for row in index]
-        r = [math.lcm(*[den[k] // c[j] for j, k in enumerate(row)]) for row in index]
+        r = [math.lcm(*[distinct[k].den // c[j] for j, k in enumerate(row)]) for row in index]
         n = sum(a) + sum(b)
         scale = math.prod(r) * math.prod(c)
 
@@ -1211,7 +1209,7 @@ class TrigMatrix:
         # e_k at half-degree h_k + s, s = a_i + b_j - h_k
         cosine = self.is_cosine()
         key: dict = {}
-        plan = [[(r[i] * c[j] // den[k],
+        plan = [[(r[i] * c[j] // distinct[k].den,
                   key.setdefault((k, 0 if cosine else a[i] + b[j] - half[k]), len(key)))
                  for j, k in enumerate(row)] for i, row in enumerate(index)]
         polys = [distinct[k].int_poly(cosine, half[k] + s)[0] for k, s in key]
@@ -1223,8 +1221,8 @@ class TrigMatrix:
             vals.append(_bareiss([[f * at[q] for f, q in row] for row in plan]))
         coeffs = _newton_interpolate(vals, lo)
         if cosine:
-            return TrigPoly.from_int_halves(_u_to_cos(coeffs), [], scale)
-        return TrigPoly.from_int_halves(*_t_to_halves(coeffs), scale)
+            return TrigPoly._make(_u_to_cos(coeffs), [], scale)
+        return TrigPoly._make(*_t_to_halves(coeffs), scale)
 
     def __eq__(self, other):
         return (isinstance(other, TrigMatrix) and self.m == other.m

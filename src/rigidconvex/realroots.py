@@ -86,18 +86,19 @@ def _roots01(f: list) -> list:
     bound its roots there (Descartes): 0 means none, 1 exactly one, which
     ``_refine`` narrows.  A root at c/2^k is divided out of g, which keeps
     its signs on the cell but not its values."""
-    out, todo = [(Fraction(1),) * 2] * (not sum(f)), [(f, 0, 0)]
+    out, todo = [(Fraction(1),) * 2] * (not sum(f)), [(f, 0, 0, False)]
     while todo:
-        g, c, k = todo.pop()
+        g, c, k, at_c = todo.pop()  # at_c: c/2^k is a root already divided out
         fa, fb = g[0], sum(g)
-        ends = [not fa, not fb]  # whether c/2^k and (c+1)/2^k are roots
-        if ends[0]:
+        ends = [at_c or not fa, not fb]  # whether c/2^k and (c+1)/2^k are roots
+        if not fa:
             out.append((Fraction(c, 1 << k),) * 2)
             g = g[1:]
         v = _descartes(g)
         if v > 1:
             left = [x << (len(g) - 1 - i) for i, x in enumerate(g)]  # 2^n g(x/2)
-            todo += [(_taylor_shift(left), 2 * c + 1, k + 1), (left, 2 * c, k + 1)]
+            todo += [(_taylor_shift(left), 2 * c + 1, k + 1, False),
+                     (left, 2 * c, k + 1, ends[0])]
         elif v == 1:
             out.append(_refine(f, c, k, ends, g[0] > 0, fa, fb))
     return sorted(out)

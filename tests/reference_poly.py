@@ -392,17 +392,18 @@ def ref_roots01(f: list) -> list:
     (c/2^k, (c+1)/2^k), and the sign variations of (x + 1)^n g(1 / (x + 1))
     bound its roots there (Descartes): 0 means none, 1 exactly one, which
     bisection on exact signs of f at dyadic midpoints then narrows."""
-    out, todo = [(Fraction(1),) * 2] * (not sum(f)), [(f, 0, 0)]
+    out, todo = [(Fraction(1),) * 2] * (not sum(f)), [(f, 0, 0, False)]
     while todo:
-        g, c, k = todo.pop()
-        ends = [not g[0], not sum(g)]  # whether c/2^k and (c+1)/2^k are roots
-        if ends[0]:
+        g, c, k, at_c = todo.pop()  # at_c: c/2^k is a root already divided out
+        ends = [at_c or not g[0], not sum(g)]  # whether c/2^k and (c+1)/2^k are roots
+        if not g[0]:
             out.append((Fraction(c, 1 << k),) * 2)
             g = g[1:]
         v = _variations(_taylor_shift(g[::-1]))
         if v > 1:
             left = [x << (len(g) - 1 - i) for i, x in enumerate(g)]  # 2^n g(x/2)
-            todo += [(_taylor_shift(left), 2 * c + 1, k + 1), (left, 2 * c, k + 1)]
+            todo += [(_taylor_shift(left), 2 * c + 1, k + 1, False),
+                     (left, 2 * c, k + 1, ends[0])]
         elif v == 1:  # f has g[0]'s sign right of lo; ends that are roots move
             lo, hi, den = c, c + 1, 1 << k
             while any(ends) or (hi - lo) << 53 > hi:

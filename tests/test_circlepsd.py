@@ -195,8 +195,7 @@ def test_circle_roots_of_marginal_case():
 
 def laurent_coeffs(det: TrigPoly) -> np.ndarray:
     """Complex coefficients [l_-d, ..., l_0, ..., l_d] of det."""
-    re, im, den = det.int_halves()
-    im = im or [0] * len(re)
+    re, im, den = det.re, det.im or [0] * len(det.re), det.den
     return np.array([complex(x / den, y / den) for x, y in
                      zip(re[:0:-1] + re, [-y for y in im[:0:-1]] + im)])
 

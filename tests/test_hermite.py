@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rigidconvex import OriginOnCurveError, Poly, TrigPoly, parse_poly
+from rigidconvex import OriginOnCurveError, Poly, TrigMatrix, TrigPoly, parse_poly
 from rigidconvex.hermite import hermite_matrix, line_substitute, newton_sums
 from trig_helpers import tadd, tmul, tscale
 
@@ -339,6 +339,31 @@ def test_newton_sums_match_fraction_reference():
         sums = newton_sums(line, count)
         assert sums == reference_newton_sums(list(line.q), count)
         assert all(type(x) is Fraction for e in sums for x in e.c + e.s)
+
+
+@pytest.mark.parametrize("text, cosine", [
+    ("2-x1^2-3*x2^2+x1^3-x1*x2^2+5*x1^4", True),
+    ("2-x1^2-3*x2^2+x1^2*x2-2*x2^3+x1*x2", False),
+])
+def test_newton_sums_and_det_build_no_fraction(monkeypatch, text, cosine):
+    """Integer halves from the power sums to the determinant: for an
+    integer p (here with p(0,0) = 2, so q has a denominator), neither
+    ``newton_sums`` nor ``TrigMatrix.det`` makes a single Fraction."""
+    line = line_substitute(parse_poly(text))
+    made, new = [], Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    sums = newton_sums(line, 2 * line.m - 2)
+    H = TrigMatrix.from_hankel(sums, line.m)
+    det = H.det()
+    monkeypatch.undo()
+    assert made == []
+    assert H.is_cosine() == det.is_cosine() == cosine and det.half_degree > 0
+    assert sums[0] == line.m and sums[1] == tscale(line.q[line.m - 1], -1)
 
 
 def test_hermite_matrix_shares_one_object_per_hankel_diagonal():

@@ -83,13 +83,18 @@ def test_plain_pytest_finds_the_package():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_traced_layer_names_resolve():
-    """Every function bench/tracer.py wraps exists, so deleting or renaming
-    one fails here and not only in a traced benchmark run."""
+def _load_tracer():
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_traced_layer_names_resolve():
+    """Every function bench/tracer.py wraps exists, so deleting or renaming
+    one fails here and not only in a traced benchmark run."""
+    tracer = _load_tracer()
     missing = []
     for mod_name, names in tracer.LAYERS.items():
         module = importlib.import_module(f"rigidconvex.{mod_name}")
@@ -102,6 +107,33 @@ def test_traced_layer_names_resolve():
             if not found:
                 missing.append(f"{mod_name}.{name}")
     assert missing == []
+
+
+def test_tracer_size_counters_read_results(capsys):
+    """The tracer's size counters read what the package returns (a
+    determinant's ``.c + .s``, ``.candidates``, the representations), so a
+    change of those fails here and not only in a traced benchmark run."""
+    from rigidconvex import cli
+
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        for argv in (["check-rigid", "--poly", "1-x1^2-2*x2^2+1/4*x1^3"],
+                     ["check-rigid", "--poly", "1-x1^2-2*x2^2+1/2*x2-x1*x2^2"],
+                     ["find-component", "--q0=45,-8,10,0,1", "--q1=-7,44,-18,-4,1",
+                      "--q2=49,-28,-10,4,1"],
+                     ["cubic-repr", "--poly", "x1^3-x2^2-x1"]):
+            assert cli.main(argv + ["--json"]) == 0, argv
+            tracer.flush_counters()
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    counters = tracer.counters
+    for name in ("polycore.TrigMatrix.det.m_max", "polycore.TrigMatrix.det.d_max",
+                 "polycore.TrigMatrix.det.result_bits_max",
+                 "locate.find_interior_point.candidates", "cubicrepr.cubic_representations.reps"):
+        assert counters[name] > 0, name
+    assert tracer.layer_times()["polycore.TrigMatrix.det"][0] >= 2
 
 
 def test_numpy_roots_only_for_complex_points():

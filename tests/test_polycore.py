@@ -298,18 +298,66 @@ def test_cosine_mul_matches_pointwise_values():
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
+def _fields(e: TrigPoly) -> tuple:
+    return e.re, e.im, e.den
+
+
 def test_trig_int_halves_round_trip():
     e = TrigPoly([Fraction(1, 6), 0, Fraction(-3, 4)], [0, Fraction(5, 2)])
-    assert e.int_halves() == ([2, 0, -9], [0, 30, 0], 12)
-    assert TrigPoly([Fraction(1, 2), Fraction(-1, 4)]).int_halves() == ([2, -1], [], 4)
+    assert _fields(e) == ([2, 0, -9], [0, 30, 0], 12)
+    assert _fields(TrigPoly([Fraction(1, 2), Fraction(-1, 4)])) == ([2, -1], [], 4)
     rng = random.Random(19)
     for _ in range(50):
         c = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, 5))]
         s = [0] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, 4))]
         e = TrigPoly(c, s)
-        re, im, den = e.int_halves()
-        assert all(type(x) is int for x in re + im)
-        assert TrigPoly.from_int_halves(re, im, den) == e
+        re, im, den = _fields(e)
+        assert all(type(x) is int for x in re + im) and den > 0
+        assert len(re) == e.half_degree + 1 and len(im) in (0, len(re))
+        assert math.gcd(den, *re, *im) == 1
+        assert TrigPoly._make(re, im, den) == e
+        assert TrigPoly(e.c, e.s) == e
+        while c and not c[-1]:
+            c.pop()
+        while s and not s[-1]:
+            s.pop()
+        assert e.c == tuple(c) and e.s == tuple(s)
+
+
+def test_trig_poly_checks_outside_input():
+    with pytest.raises(TypeError, match="not rational"):
+        TrigPoly([0.5])
+    with pytest.raises(TypeError, match="not rational"):
+        TrigPoly([1], [0, 0.25])
+    with pytest.raises(ValueError, match="s\\[0\\]"):
+        TrigPoly([1], [2])
+    assert (TrigPoly([Fraction(1, 2)]) == 0.5) is False
+    assert TrigPoly([Fraction(1, 2)]) == Fraction(1, 2) and TrigPoly([3]) == 3
+    # the sine part sets the half-degree; an all-zero sine part is dropped
+    e = TrigPoly([1], [0, 0, Fraction(3, 2)])
+    assert _fields(e) == ([2, 0, 0], [0, 0, 3], 2) and e.c == (1,)
+    assert _fields(TrigPoly([1, 2], [0, 0, 0])) == ([1, 2], [], 1)
+
+
+def test_trig_make_normalises_like_the_constructor():
+    # negative den, a common factor, trailing zeros and an all-zero sine part
+    e = TrigPoly._make([-8, 12, 0, 0], [0, -4, 0], -12)
+    want = TrigPoly([Fraction(2, 3), -1], [0, Fraction(1, 3)])
+    assert e == want and hash(e) == hash(want)
+    assert _fields(e) == ([2, -3], [0, 1], 3)
+    e = TrigPoly._make([6, -9, 0], [0, 0, 0], -3)
+    assert e == TrigPoly([-2, 3]) and hash(e) == hash(TrigPoly([-2, 3]))
+    assert _fields(e) == ([-2, 3], [], 1)
+
+
+def test_trig_zero():
+    for z in (TrigPoly(), TrigPoly([0, 0], [0, 0]), TrigPoly._make([], [], 5),
+              TrigPoly._make([0, 0], [0, 0], -7)):
+        assert _fields(z) == ([0], [], 1)
+        assert z.is_zero() and not z and z == 0 and z == TrigPoly()
+        assert z.c == () and z.s == () and z.half_degree == 0 and z.is_cosine()
+        assert z.int_poly(True) == ([0], 1) and z.int_poly(False) == ([0], 1)
+        assert z.eval_theta(0.3) == 0.0 and str(z) == "0"
 
 
 def test_trig_eval_sine_part():

@@ -12,7 +12,7 @@ import pytest
 
 import reference_poly
 from rigidconvex import realroots
-from rigidconvex.polycore import _squarefree_part
+from rigidconvex.polycore import _hom, _squarefree_part
 from rigidconvex.realroots import _roots01, real_roots
 from reference_poly import ref_roots01
 
@@ -61,6 +61,13 @@ def _huge(rng) -> list:
             return _squarefree_part(f)
 
 
+def _open_ends_not_roots(f: list) -> bool:
+    """No interval of ``_roots01(f)`` that is not a point has a root of f at
+    either end; the arc points of ``circle_roots_of`` rely on it."""
+    return all(_hom(f, x.numerator, x.denominator)
+               for lo, hi in _roots01(f) if lo != hi for x in (lo, hi))
+
+
 FAMILIES = {"random": _random_squarefree, "dyadic": _dyadic, "close": _close_pair,
             "tiny": _tiny, "huge": _huge}
 
@@ -84,12 +91,14 @@ def test_roots01_equal_bisection_intervals(family):
         assert _roots01(f) == ref_roots01(f), f
         rev = f[::-1] if f[0] else f[1:][::-1]
         assert _roots01(rev) == ref_roots01(rev), rev
+        assert _open_ends_not_roots(f) and _open_ends_not_roots(rev), f
 
 
 def test_roots01_edge_cases():
     for f in EDGES:
         assert _roots01(f) == ref_roots01(f), f
         assert _roots01([-x for x in f]) == ref_roots01([-x for x in f]), f
+        assert _open_ends_not_roots(f), f
     assert _roots01([-1, 2]) == [(Fraction(1, 2),) * 2]
     assert _roots01([0, 1])[0] == (0, 0) and _roots01([-1, 1]) == [(1, 1)]
 

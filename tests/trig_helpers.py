@@ -14,8 +14,7 @@ def tscale(a: TrigPoly, f) -> TrigPoly:
 
 
 def tmul(a: TrigPoly, b: TrigPoly) -> TrigPoly:
-    (ra, ia, da), (rb, ib, db) = a.int_halves(), b.int_halves()
-    return TrigPoly.from_int_halves(*laurent_mul(ra, ia, rb, ib), da * db)
+    return TrigPoly._make(*laurent_mul(a.re, a.im, b.re, b.im), a.den * b.den)
 
 
 def tpow(a: TrigPoly, n: int) -> TrigPoly:
