@@ -11,10 +11,11 @@ q1 - x1 q0 = q2 - x2 q0 = 0 gives the symmetric pencil
 whose determinant is proportional to the implicit equation p(x).  Positive
 semidefiniteness of F(0) = B(q1, q2) decides rigid convexity around the
 origin and is equivalent to the roots of q1 and q2 interlacing.  Every
-decision here is exact: det F and the characteristic polynomials behind
-``signature_exact`` both come from the integer lattice of
-``interpolate_det``, which reads float entries as the binary rationals they
-are.  Float eigenvalues and roots are reported only as diagnostics.
+decision here is exact: det F comes from the integer lattice of
+``interpolate_det`` and the characteristic polynomials behind
+``signature_exact`` from the univariate loop ``polycore._interpolate_minors``,
+both reading float entries as the binary rationals they are.  Float
+eigenvalues and roots are reported only as diagnostics.
 """
 from __future__ import annotations
 
@@ -27,8 +28,8 @@ import numpy as np
 
 from .errors import DegreeZeroError, DeterminantMismatchError, DimensionMismatchError
 from .locate import real_roots_with_multiplicity
-from .polycore import Pencil, Poly, Scalar, UniPoly, _add_ints, _bareiss, \
-    _divided_differences, _newton_to_monomial, _variations
+from .polycore import Pencil, Poly, Scalar, UniPoly, _add_ints, _bareiss, _clear_rows, \
+    _divided_differences, _interpolate_minors, _newton_to_monomial, _variations
 
 
 def bezout_matrix(g: UniPoly, h: UniPoly, m: int | None = None) -> list:
@@ -107,14 +108,18 @@ class InterlaceReport:
 
 def signature_exact(rows) -> tuple[int, int, int]:
     """(n_pos, n_neg, n_zero) of a symmetric matrix A with rational or float
-    entries.  Its characteristic polynomial det(tI - A) is the determinant of
-    the one-variable pencil -A + t I, taken exactly by ``interpolate_det``;
-    it has only real roots, so Descartes' rule counts the positive ones
-    exactly as the sign changes of its coefficients."""
+    entries, floats read as the binary rationals they are.  With its rows
+    cleared by D = diag(d_i), det(tD - DA) = det D det(tI - A) is the
+    characteristic polynomial times det D > 0, taken by
+    ``_interpolate_minors`` at t = 0 .. n; it has only real roots, so
+    Descartes' rule counts the positive ones exactly as the sign changes of
+    its coefficients."""
     n = len(rows)
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    det = interpolate_det(Pencil.from_rows([[-x for x in row] for row in rows], identity))
-    char = [det.coeff((k,)) for k in range(n + 1)]
+    mat, dens = _clear_rows(rows)
+    polys = [[-x, d * (i == j)] for i, (row, d) in enumerate(zip(mat, dens))
+             for j, x in enumerate(row)]
+    plan = [[(1, i * n + j) for j in range(n)] for i in range(n)]
+    char = _interpolate_minors(plan, polys, 0, n + 1)[0]
     pos = _variations(char)
     zero = next(k for k, c in enumerate(char) if c)  # multiplicity of the root 0
     return pos, n - pos - zero, zero

@@ -99,7 +99,7 @@ def psd_on_circle(H: TrigMatrix) -> CircleVerdict:
     if _structural_shortcut(H) is not None:
         return CircleVerdict(CircleVerdict.NOT_PSD, witness, min_eig, shortcut=True)
     cosine = H.is_cosine()
-    sign = H.pd_sign(cosine)
+    sign = H.pd_sign()
     # the witness and a quarter grid step on: a grid angle can lie on a
     # symmetry axis, where H is singular
     near = [2 * math.cos(th) if cosine else math.tan(th / 2)
@@ -189,14 +189,13 @@ def build_sdp(H: TrigMatrix) -> SdpProblem:
     size = (d + 1) * m
     L0 = [[Fraction(0)] * size for _ in range(size)]
     for k in range(d + 1):
-        Hk = H.cos_block_exact(k)
         for i in range(m):
             for j in range(m):
                 if k == 0:
-                    L0[i][j] = Hk[i][j]
+                    L0[i][j] = H.entry(i, j).cos_coeff(k)
                 else:
-                    L0[i][k * m + j] = Hk[i][j]
-                    L0[k * m + i][j] = Hk[j][i]
+                    L0[i][k * m + j] = H.entry(i, j).cos_coeff(k)
+                    L0[k * m + i][j] = H.entry(j, i).cos_coeff(k)
     dm = d * m
     objective = tuple(-1 if i == j else 0
                       for i in range(dm) for j in range(i, dm))

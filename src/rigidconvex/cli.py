@@ -24,15 +24,7 @@ from .bezout import Parametrization, interpolate_det, pencil_from_param, \
 from .circlepsd import CircleVerdict, MatrixPoly, build_sdp, psd_on_circle, \
     verify_spectral_factor, write_sdpa
 from .cubicrepr import cubic_representations
-from .errors import (
-    DeterminantMismatchError,
-    DimensionMismatchError,
-    OriginOnCurveError,
-    PolyParseError,
-    RigidConvexError,
-    SingularCubicError,
-    UnknownFixtureError,
-)
+from .errors import DeterminantMismatchError, RigidConvexError, SingularCubicError
 from .fixtures import FIXTURE_NAMES, verify_fixture
 from .hermite import hermite_matrix
 from .locate import critical_points, find_interior_point
@@ -402,13 +394,10 @@ def main(argv=None) -> int:
                    "timing_seconds": round(time.perf_counter() - started, 6)},
                   args.json)
         return 0
-    except (PolyParseError, OriginOnCurveError, UnknownFixtureError,
-            DimensionMismatchError, FileNotFoundError,
-            json.JSONDecodeError, ValueError, KeyError) as err:
+    except (FileNotFoundError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (RigidConvexError, np.linalg.LinAlgError, ZeroDivisionError,
-            ArithmeticError) as err:
+    except (RigidConvexError, np.linalg.LinAlgError, ArithmeticError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
 

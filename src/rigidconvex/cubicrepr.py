@@ -6,10 +6,10 @@ coefficients: entry (i, j) of F_k is the third partial of P in x_i, x_j,
 x_k.  Its exact lattice determinant (``bezout.interpolate_det``),
 homogenised, is h = det H(P).  Follow the family s(x, t) = h(x) + t P(x).
 For a smooth P the Hessian maps the Hesse pencil spanned by P and h into
-itself, so det H(s(x, t)) = A(t) P(x) + B(t) h(x) with B a monic cubic; the
-determinants of two 3 x 3 one-variable pencils, at lattice points that
-separate P and h, give A and B.  Each real root t* of B (at least one, at
-most three) yields a symmetric pencil
+itself, so det H(s(x, t)) = A(t) P(x) + B(t) h(x) with B a monic cubic; two
+3 x 3 determinants in t alone (``polycore._interpolate_minors``), at lattice
+points that separate P and h, give A and B.  Each real root t* of B (at
+least one, at most three) yields a symmetric pencil
 
     F(x) = mu * H(s(x, t*))|_{x0 = 1},   mu = c^{-1/3},   c = A(t*),
 
@@ -28,7 +28,7 @@ import numpy as np
 from .bezout import interpolate_det
 from .errors import IdenticallyZeroResultantError, SingularCubicError
 from .locate import _solve_system, real_roots_with_multiplicity
-from .polycore import _ZERO, Pencil, Poly, Scalar, UniPoly, _bareiss
+from .polycore import _ZERO, Pencil, Poly, Scalar, UniPoly, _bareiss, _interpolate_minors
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +158,8 @@ def _hesse_coordinates(P: Poly, h: Poly) -> tuple[UniPoly, UniPoly]:
     cubics, so two of its points separate P and h, which are independent; the
     first such pair gives A and B by Cramer's rule.  On the integers, with dP
     and dh the denominators of P and h, value(x) is (dP P(x), dh h(x)) and g(x)
-    is (dP dh)^3 g_x, the determinant of dP H(dh h)(x) + t dh H(dP P)(x)."""
+    is (dP dh)^3 g_x, the determinant of dP H(dh h)(x) + t dh H(dP P)(x),
+    interpolated from t = 0 .. 3."""
     @functools.cache
     def value(x):  # (dP P(x), dh h(x)) at an integer point
         return tuple(sum([v * math.prod(map(pow, x, e)) for e, v in F.ints.items()])
@@ -170,11 +171,11 @@ def _hesse_coordinates(P: Poly, h: Poly) -> tuple[UniPoly, UniPoly]:
     (px, hx), (py, hy) = value(x), value(y)
     scaled = (P.den, _tensor(h.ints, 0)), (h.den, _tensor(P.ints, 0))
 
-    def g(x) -> list:  # H(x) = x0 F0 + x1 F1 + x2 F2; an integer pencil has den 1
-        at = tuple(tuple(tuple(f * sum([xk * F[i][j] for xk, F in zip(x, mats) if xk])
-                               for j in range(3)) for i in range(3)) for f, mats in scaled)
-        det = interpolate_det(Pencil(3, at)).ints
-        return [det.get((k,), 0) for k in range(4)]
+    def g(x) -> list:  # H(x) = x0 F0 + x1 F1 + x2 F2, entry (i, j) linear in t
+        polys = [[f * sum([xk * F[i][j] for xk, F in zip(x, mats) if xk]) for f, mats in scaled]
+                 for i in range(3) for j in range(3)]
+        plan = [[(1, 3 * i + j) for j in range(3)] for i in range(3)]
+        return _interpolate_minors(plan, polys, 0, 4)[0]
 
     # Cramer's rule in the scaled values: A = (g_x h(y) - g_y h(x)) / delta,
     # B = (g_y P(x) - g_x P(y)) / delta, delta = P(x) h(y) - P(y) h(x)

@@ -21,8 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import IdenticallyZeroResultantError
-from .polycore import Pencil, Poly, UniPoly, _bareiss, _hom, _horner, _int_gcd, \
-    _newton_interpolate, _pdivmod, _primitive, _squarefree_factors
+from .polycore import Pencil, Poly, UniPoly, _hom, _horner, _int_gcd, _interpolate_minors, \
+    _pdivmod, _primitive, _squarefree_factors
 from .realroots import real_roots
 
 MERGE_TOL = 1e-8
@@ -68,8 +68,8 @@ def _subresultant(fc: dict, gc: dict, j: int) -> list[list]:
     as ascending integer lists in x2 ([] is zero).  s_j,i is the minor, on
     the first d1 + d2 - 2j - 1 columns and the column of x1^i, of the rows
     x1^i f (i < d2 - j) and x1^i g (i < d1 - j) over x1^(d1+d2-j-1) .. 1: the
-    last row ``_bareiss`` leaves, at x2 = 0, 1, ..., N, then Newton
-    interpolation.  S_0 is the resultant; S_j for j = d1 = d2 is f.  Entry
+    last row ``_bareiss`` leaves, taken by ``_interpolate_minors`` at
+    x2 = 0, 1, ..., N.  S_0 is the resultant; S_j for j = d1 = d2 is f.  Entry
     (x1^r f, column x1^c) has degree <= D1 - c + r in x2, D1 = deg f, and a
     minor's terms take one entry per row over distinct columns, so s_j,i has
     degree <= N - i: N sums D + r over the rows less c over the n-1 columns."""
@@ -80,15 +80,13 @@ def _subresultant(fc: dict, gc: dict, j: int) -> list[list]:
     D1, D2 = (max(a + len(c) - 1 for a, c in cols.items()) for cols in (fc, gc))
     bound = max((d2 - j) * D1 + (d1 - j) * D2 + math.comb(d2 - j, 2) + math.comb(d1 - j, 2)
                 - (n - 1) * (d1 + d2) // 2, 0)
-    values = []
-    for x in range(bound + 1):
-        frow = [_horner(fc.get(i, ()), x) for i in range(d1, -1, -1)]
-        grow = [_horner(gc.get(i, ()), x) for i in range(d2, -1, -1)]
-        rows = [[0] * r + frow + [0] * (d2 - j - 1 - r) for r in range(d2 - j)]
-        rows += [[0] * r + grow + [0] * (d1 - j - 1 - r) for r in range(d1 - j)]
-        _bareiss(rows)
-        values.append(rows[-1][n - 1:])
-    out = [_newton_interpolate(col, 0) for col in zip(*values)]
+    # the Sylvester rows over f's x1-columns from x1^d1 down, g's, and zero
+    polys = [fc.get(i, []) for i in range(d1, -1, -1)] + [gc.get(i, []) for i in range(d2, -1, -1)]
+    frow, grow = [(1, q) for q in range(d1 + 1)], [(1, q) for q in range(d1 + 1, len(polys))]
+    zero = [(1, len(polys))]
+    plan = [zero * r + frow + zero * (d2 - j - 1 - r) for r in range(d2 - j)]
+    plan += [zero * r + grow + zero * (d1 - j - 1 - r) for r in range(d1 - j)]
+    out = _interpolate_minors(plan, polys + [[]], 0, bound + 1)
     return [c[:max((i + 1 for i, x in enumerate(c) if x), default=0)] for c in out]
 
 

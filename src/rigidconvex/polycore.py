@@ -26,13 +26,17 @@ Exact arithmetic runs on integers: ``Poly`` from ``parse_poly`` on and
 numerators over one denominator, other operands are cleared of denominators
 once, and Fractions are built only as views of results.
 Each job has one kernel.  Laurent products take ``laurent_mul``; the u- or
-t-polynomial of a TrigPoly (``TrigMatrix.det``, ``pd_sign``, ``circlepsd``)
-``TrigPoly.int_poly``; determinants, solves and bordered minors (``locate``'s
-subresultants) the fraction-free ``_bareiss``; interpolation the integer
-Newton ``_newton_interpolate``.  Univariate jobs run on ascending integer
-lists: ``_primitive`` clears rationals, ``_pdivmod`` pseudo-divides, ``_int_gcd``
-takes gcds (1 proved modulo 2^31 - 1, else a primitive pseudo-remainder
-sequence) and ``_squarefree_factors`` is Yun's algorithm; ``_variations``,
+t-polynomial of a TrigPoly ``TrigPoly.int_poly``, and the integer image of a
+TrigMatrix, which ``det`` interpolates and ``pd_sign`` evaluates,
+``TrigMatrix._image``; determinants, solves and bordered minors the
+fraction-free ``_bareiss``; every univariate determinant or bordered minor
+(``TrigMatrix.det``, ``locate``'s subresultants, ``bezout.signature_exact``,
+``cubicrepr``'s Hesse coordinates) the loop ``_interpolate_minors``: integer
+evaluation, ``_bareiss`` and the integer Newton ``_newton_interpolate``.
+Univariate jobs run on ascending integer lists: ``_primitive`` clears
+rationals, ``_pdivmod`` pseudo-divides, ``_int_gcd`` takes gcds (1 proved
+modulo 2^31 - 1, else a primitive pseudo-remainder sequence) and
+``_squarefree_factors`` is Yun's algorithm; ``_variations``,
 ``_taylor_shift`` and ``_hom`` serve the real-root kernel in ``realroots``.
 """
 from __future__ import annotations
@@ -733,11 +737,6 @@ class TrigPoly:
         re, im = (x + [0] * (h + 1 - len(x)) if x else [] for x in (self.re, self.im))
         return (_cos_to_u(re) if cosine else _halves_to_t(re, im)), self.den
 
-    # -- evaluation ------------------------------------------------------------------
-    def eval_theta(self, theta: float) -> float:
-        """Value at z = e^{i theta} (always real)."""
-        return float(TrigMatrix([[self]]).eval_thetas([theta])[0, 0, 0])
-
     def __str__(self):
         parts = [("-" if x < 0 else "+") + format_scalar(abs(x)) for x in self.c[:1] if x]
         for coeffs, form in ((self.c, "(z^{k}+z^-{k})"), (self.s, "i*(z^{k}-z^-{k})")):
@@ -791,21 +790,22 @@ def _bareiss(mat, swap: bool = True) -> int:
 
 
 def _clear_rows(rows):
-    """(mat, scale): each row times the lcm of its denominators, as integers,
-    and the product of those lcms."""
-    mat, scale = [], 1
+    """(mat, dens): each row of rationals (floats read as the binary rationals
+    they are) times the lcm of its denominators, as integers, and those lcms."""
+    mat, dens = [], []
     for row in rows:
-        den = math.lcm(*[x.denominator for x in row])
-        mat.append([x.numerator * (den // x.denominator) for x in row])
-        scale *= den
-    return mat, scale
+        ratios = [x.as_integer_ratio() for x in row]
+        den = math.lcm(*[d for _, d in ratios])
+        mat.append([n * (den // d) for n, d in ratios])
+        dens.append(den)
+    return mat, dens
 
 
 def det_exact(rows) -> Fraction:
     """Determinant of a square rational matrix: rows cleared to integers, one
     Bareiss elimination, then division by the clearing factors."""
-    mat, scale = _clear_rows(rows)
-    return Fraction(_bareiss(mat), scale)
+    mat, dens = _clear_rows(rows)
+    return Fraction(_bareiss(mat), math.prod(dens))
 
 
 def solve_exact(rows, rhs) -> list:
@@ -976,6 +976,23 @@ def _newton_interpolate(values, x0: int) -> list:
     return _newton_to_monomial(_divided_differences(values), x0)
 
 
+def _interpolate_minors(plan, polys, lo: int, count: int) -> list:
+    """The last row ``_bareiss`` leaves, from column n - 1 on, on the integer
+    polynomial matrix M with n rows and entry f * polys[q] at (f, q) =
+    plan[i][j], as ascending integer polynomials of degree < count: M is
+    evaluated at x = lo .. lo + count - 1 (Horner once per polynomial),
+    eliminated, and each entry Newton-interpolated.  For a square M the one
+    entry is det M (1 when n = 0).  The work is known before it runs: count
+    eliminations of n rows, on entries of the size of M at x."""
+    n, values = len(plan), []
+    for x in range(lo, lo + count):
+        at = [_horner(p, x) for p in polys]
+        mat = [[f * at[q] for f, q in row] for row in plan]
+        _bareiss(mat)
+        values.append(mat[-1][n - 1:] if n else [1])
+    return [_newton_interpolate(col, lo) for col in zip(*values)]
+
+
 def _primitive(coeffs) -> list:
     """Primitive part in Z[x], leading coefficient > 0, of ascending rational
     coefficients: ints, Fractions, or floats read as the binary rationals
@@ -1124,14 +1141,6 @@ class TrigMatrix:
     def is_cosine(self) -> bool:
         return all(e.is_cosine() for row in self.entries for e in row)
 
-    def _distinct(self) -> tuple[list, list]:
-        """(entries, index): the distinct entries by identity, in row-major
-        order of first occurrence, and the m x m matrix of their places in
-        that list; a Hankel matrix repeats 2m-1 objects over its m^2 places."""
-        slot: dict = {}
-        index = [[slot.setdefault(id(e), len(slot)) for e in row] for row in self.entries]
-        return list({id(e): e for row in self.entries for e in row}.values()), index
-
     def eval_thetas(self, thetas) -> np.ndarray:
         """H(e^{i theta}) at every angle, shape (N, m, m): the cosine and sine
         coefficients become (d+1, m, m) float blocks once, and one product with
@@ -1148,78 +1157,68 @@ class TrigMatrix:
         table = np.concatenate([np.cos(kt), -np.sin(kt)], axis=1)
         return (table @ blocks.reshape(2 * (d + 1), m * m)).reshape(-1, m, m)
 
-    def eval_theta(self, theta: float) -> np.ndarray:
-        return self.eval_thetas([theta])[0]
-
-    def pd_sign(self, cosine: bool):
-        """x -> 1 if H is positive definite at u = x when ``cosine``, else at
-        t = x, otherwise the sign of its first leading minor there that is not
-        positive (Sylvester: the pivots of ``_bareiss`` without swaps); -1
-        proves a negative eigenvalue.  H is exact there, up to a positive
-        factor: the entries' ``int_poly`` homogenised at x."""
-        (distinct, index), d = self._distinct(), self.d
-        parts = [e.int_poly(cosine, d) for e in distinct]
-        lcm = math.lcm(*[den for _, den in parts])
-        polys = [[x * (lcm // den) for x in poly] for poly, den in parts]
-
-        def sign(x) -> int:
-            vals = [_hom(p, x.numerator, x.denominator) for p in polys]
-            mat = [[vals[k] for k in row] for row in index]
-            _bareiss(mat, swap=False)
-            return next((-1 if row[k] else 0 for k, row in enumerate(mat) if row[k] <= 0), 1)
-        return sign
-
-    def cos_block_exact(self, k: int) -> list:
-        return [[e.cos_coeff(k) for e in row] for row in self.entries]
-
-    def det(self) -> TrigPoly:
-        """Exact determinant in the TrigPoly ring, by evaluation and interpolation.
-
-        Row i and column j are scaled by r_i and c_j, c_j the gcd of the
-        denominators of the distinct entries in column j and r_i the lcm of
-        those left in row i, so every entry becomes integral.  With b_j the
-        least half-degree in column j and a_i the largest excess over it in
-        row i, det H has half-degree at most n = sum(a) + sum(b) <= m*d; a
-        Hermite matrix, entry (i, j) of half-degree at most i + j, usually
-        gets n = m(m-1).
-
-        Every entry becomes a real integer polynomial, its ``int_poly``: in
-        u = z + 1/z when H is cosine-only, so D(u) = prod(r_i c_j) det H has
-        degree <= n; otherwise in t = tan(theta/2), as (1+t^2)^(a_i+b_j) e, so
-        D(t) = prod(r_i c_j) (1+t^2)^n det H has degree <= 2n, its real roots
-        the circle roots but theta = pi, where D loses degree.  D is evaluated
-        at n+1 or 2n+1 consecutive integers around 0 (Horner per polynomial,
-        one ``_bareiss`` per point), recovered by integer Newton interpolation
-        and mapped back (``_u_to_cos``, ``_t_to_halves``) to the halves of the
-        result over prod(r_i c_j); no Fraction is built.
-        """
-        m = self.m
-        distinct, index = self._distinct()
+    def _image(self) -> tuple:
+        """(plan, polys, n, scale, cosine): H as the integer polynomial matrix
+        M of ``_interpolate_minors``, in u = z + 1/z when ``cosine`` (every
+        entry cosine-only), else in t = tan(theta/2).  Row i and column j are
+        scaled by r_i and c_j, c_j the gcd of the denominators of the distinct
+        entries in column j and r_i the lcm of those left in row i, so each
+        entry is integral; scale = prod(r_i c_j).  With b_j the least
+        half-degree in column j and a_i the largest excess over it in row i,
+        det H has half-degree at most n = sum(a) + sum(b) <= m*d (a Hermite
+        matrix, entry (i, j) of half-degree at most i + j, usually gets
+        n = m(m-1)).  M_ij = r_i c_j H_ij in u, or r_i c_j (1+t^2)^(a_i+b_j)
+        H_ij in t, so M is H under positive row and column scalings; its
+        entries are ``int_poly``s at their own degrees, one per distinct
+        (entry, padding), and a Hankel H has only 2m-1 distinct entries."""
+        m, cosine = self.m, self.is_cosine()
+        slot: dict = {}
+        index = [[slot.setdefault(id(e), len(slot)) for e in row] for row in self.entries]
+        distinct = list({id(e): e for row in self.entries for e in row}.values())
         half = [e.half_degree for e in distinct]
         cols = [[row[j] for row in index] for j in range(m)]
         b = [min([half[k] for k in col]) for col in cols]
         c = [math.gcd(*[distinct[k].den for k in col]) for col in cols]
         a = [max([half[k] - b[j] for j, k in enumerate(row)]) for row in index]
         r = [math.lcm(*[distinct[k].den // c[j] for j, k in enumerate(row)]) for row in index]
-        n = sum(a) + sum(b)
-        scale = math.prod(r) * math.prod(c)
-
-        # M_ij(x) = factor * P(x), one P per distinct (entry k, padding s):
-        # den_k e_k in u, or den_k (1+t^2)^(a_i+b_j) e_k in t, the int_poly of
-        # e_k at half-degree h_k + s, s = a_i + b_j - h_k
-        cosine = self.is_cosine()
+        # (r_i c_j / den_k, P): P the int_poly of e_k, in t at half-degree a_i + b_j
         key: dict = {}
         plan = [[(r[i] * c[j] // distinct[k].den,
                   key.setdefault((k, 0 if cosine else a[i] + b[j] - half[k]), len(key)))
                  for j, k in enumerate(row)] for i, row in enumerate(index)]
         polys = [distinct[k].int_poly(cosine, half[k] + s)[0] for k, s in key]
+        return plan, polys, sum(a) + sum(b), math.prod(r) * math.prod(c), cosine
+
+    def pd_sign(self):
+        """x -> 1 if H is positive definite at u = x when H is cosine-only,
+        else at t = x, otherwise the sign of its first leading minor there that
+        is not positive (Sylvester: the pivots of ``_bareiss`` without swaps);
+        -1 proves a negative eigenvalue.  H is exact there, up to positive row
+        and column scalings, which keep every leading minor's sign: its
+        ``_image`` at x = a/b, each polynomial homogenised to one power of b."""
+        plan, polys, *_ = self._image()
+        e = max(map(len, polys), default=0)
+
+        def sign(x) -> int:
+            a, b = x.numerator, x.denominator
+            vals = [_hom(poly, a, b) * b ** (e - len(poly)) for poly in polys]
+            mat = [[f * vals[k] for f, k in row] for row in plan]
+            _bareiss(mat, swap=False)
+            return next((-1 if row[k] else 0 for k, row in enumerate(mat) if row[k] <= 0), 1)
+        return sign
+
+    def det(self) -> TrigPoly:
+        """Exact determinant in the TrigPoly ring.  The ``_image`` of H has
+        determinant D(u) = scale det H of degree <= n when H is cosine-only,
+        else D(t) = scale (1+t^2)^n det H of degree <= 2n, its real roots the
+        circle roots but theta = pi, where D loses degree.  D is interpolated
+        from n+1 or 2n+1 consecutive integers around 0 and mapped back
+        (``_u_to_cos``, ``_t_to_halves``) to the halves of the result over
+        scale; no Fraction is built."""
+        plan, polys, n, scale, cosine = self._image()
         count = n + 1 if cosine else 2 * n + 1
         lo = -((count - 1) // 2)
-        vals = []
-        for x in range(lo, lo + count):
-            at = [_horner(p, x) for p in polys]
-            vals.append(_bareiss([[f * at[q] for f, q in row] for row in plan]))
-        coeffs = _newton_interpolate(vals, lo)
+        coeffs = _interpolate_minors(plan, polys, lo, count)[0]
         if cosine:
             return TrigPoly._make(_u_to_cos(coeffs), [], scale)
         return TrigPoly._make(*_t_to_halves(coeffs), scale)

@@ -42,6 +42,7 @@ from rigidconvex.locate import (
     resultant_elim_x1,
 )
 from rigidconvex.polycore import TrigMatrix, TrigPoly, det_exact
+from trig_helpers import teval
 
 CUBIC = parse_poly("1-x1-4*x1^2-x2^2+4*x1^3")
 TV = parse_poly("1-x1^4-x2^4")
@@ -293,7 +294,7 @@ def test_acceptance_8_property_suites():
     for p in (CUBIC, TV, DISC):
         H = hermite_matrix(p)
         verdict = psd_on_circle(H)
-        brute = min(float(np.linalg.eigvalsh(H.eval_theta(t)).min())
+        brute = min(float(np.linalg.eigvalsh(H.eval_thetas([t])[0]).min())
                     for t in np.linspace(0, 2 * np.pi, 10000, endpoint=False))
         # 1e-9 max(1, largest |coefficient| of H)
         tol = 1e-9 * max(1.0, max(abs(float(x)) for row in H.entries
@@ -315,11 +316,11 @@ def test_acceptance_8_property_suites():
             comp = np.zeros((m, m))
             comp[1:, :-1] = np.eye(m - 1)
             for k in range(m):
-                comp[k, m - 1] = -line.q[k].eval_theta(theta)
+                comp[k, m - 1] = -teval(line.q[k], theta)
             power = np.eye(m)
             for k in range(2 * m - 1):
                 expected = np.trace(power)
-                got = sums[k].eval_theta(theta)
+                got = teval(sums[k], theta)
                 assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected))
                 power = power @ comp
 

@@ -6,6 +6,7 @@ import pytest
 
 from rigidconvex import DimensionMismatchError, TrigMatrix, TrigPoly, parse_poly
 from rigidconvex.circlepsd import (
+    GRID_SIZE,
     CircleVerdict,
     MatrixPoly,
     build_sdp,
@@ -15,7 +16,7 @@ from rigidconvex.circlepsd import (
     write_sdpa,
 )
 from rigidconvex.hermite import hermite_matrix
-from trig_helpers import tadd, tmul, tpow, tscale
+from trig_helpers import tadd, teval, tmul, tpow, tscale
 
 CUBIC_H = hermite_matrix(parse_poly("1-x1-4*x1^2-x2^2+4*x1^3"))
 TV_H = hermite_matrix(parse_poly("1-x1^4-x2^4"))
@@ -55,7 +56,7 @@ def congruence(H: TrigMatrix, w) -> TrigMatrix:
 
 def scaling(H: TrigMatrix, theta0: float) -> np.ndarray:
     """W with W H(e^{i theta0}) W^T = I, for H positive definite there."""
-    evals, vecs = np.linalg.eigh(H.eval_theta(theta0))
+    evals, vecs = np.linalg.eigh(H.eval_thetas([theta0])[0])
     return np.diag(1.0 / np.sqrt(evals)) @ vecs.T
 
 
@@ -78,7 +79,7 @@ def tolerance(H: TrigMatrix) -> float:
 
 def brute_force_min_eig(H, samples=10000):
     thetas = np.linspace(0, 2 * np.pi, samples, endpoint=False)
-    return min(float(np.linalg.eigvalsh(H.eval_theta(t)).min()) for t in thetas)
+    return min(float(np.linalg.eigvalsh(H.eval_thetas([t])[0]).min()) for t in thetas)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +350,24 @@ def test_notpsd_without_shortcut():
     assert verdict.min_eig == pytest.approx(-64.0, rel=1e-9)
 
 
+def test_notpsd_decided_on_an_arc():
+    # H = diag(1, f), f = (cos theta - 1/3)^2 - 10^-8, is negative only on two
+    # arcs of width 2.1e-4 around +-arccos(1/3), which fall between the scan's
+    # angles: its least eigenvalue there is +1.26e-5.  Only Sylvester's test on
+    # the arcs between the circle roots of det H = f decides, at the exact
+    # point u = 2/3 where f = -10^-8.
+    f = TrigPoly([Fraction(11, 18) - Fraction(1, 10**8), Fraction(-1, 3), Fraction(1, 4)])
+    H = TrigMatrix([[TrigPoly([1]), TrigPoly()], [TrigPoly(), f]])
+    grid = np.linspace(0.0, 2 * np.pi, GRID_SIZE, endpoint=False)
+    assert np.linalg.eigvalsh(H.eval_thetas(grid))[:, 0].min() > 1.2e-5
+    verdict = psd_on_circle(H)
+    assert verdict.status == CircleVerdict.NOT_PSD and not verdict.shortcut
+    roots = verdict.circle_roots
+    assert len(roots) == 4 and roots[0] < verdict.witness_theta < roots[1]
+    assert abs(math.cos(verdict.witness_theta) - 1 / 3) < 1e-4
+    assert verdict.min_eig == pytest.approx(-1e-8, rel=1e-6)
+
+
 def test_strip_is_marginal():
     # 1 - x1^2 >= 0 is a strip: PSD along the circle with kernel directions
     verdict = psd_on_circle(hermite_matrix(parse_poly("1-x1^2")))
@@ -375,8 +394,8 @@ def test_sine_carrying_matrix_psd_and_det():
     det = H.det()
     rng = np.random.default_rng(12)
     for theta in rng.uniform(0, 2 * np.pi, 25):
-        sym = det.eval_theta(theta)
-        num = float(np.linalg.det(H.eval_theta(theta)))
+        sym = teval(det, theta)
+        num = float(np.linalg.det(H.eval_thetas([theta])[0]))
         assert sym == pytest.approx(num, rel=1e-9, abs=1e-6)
 
 
@@ -405,8 +424,8 @@ def test_trigmatrix_det_matches_numeric_random():
         H = TrigMatrix(entries)
         det = H.det()
         for theta in (0.2, 1.9, 3.3):
-            sym = det.eval_theta(theta)
-            num = float(np.linalg.det(H.eval_theta(theta)))
+            sym = teval(det, theta)
+            num = float(np.linalg.det(H.eval_thetas([theta])[0]))
             assert sym == pytest.approx(num, rel=1e-9, abs=1e-9)
 
 
@@ -559,7 +578,7 @@ def test_cosine_det_matches_z_form_reference():
             matrices.append(hermite_matrix(Poly(terms)))
     for H in matrices[:3] + matrices[-6:]:
         for theta0 in (0.0, 1.0):
-            if min(np.linalg.eigvalsh(H.eval_theta(theta0))) > 0:
+            if min(np.linalg.eigvalsh(H.eval_thetas([theta0])[0])) > 0:
                 matrices.append(congruence(H, scaling(H, theta0)))
     assert any(binary(H) for H in matrices)
     for H in matrices:
@@ -684,7 +703,7 @@ def test_t_form_round_trip():
             assert _t_to_halves(t) == (re, im)
             for theta in (0.4, 2.5):
                 lhs = sum(x * np.tan(theta / 2) ** j for j, x in enumerate(t))
-                rhs = (1 + np.tan(theta / 2) ** 2) ** h * TrigPoly(re, im).eval_theta(theta)
+                rhs = (1 + np.tan(theta / 2) ** 2) ** h * teval(TrigPoly(re, im), theta)
                 assert abs(lhs - rhs) <= 1e-9 * max(abs(rhs), sum(map(abs, t)))
 
 
@@ -693,11 +712,11 @@ def test_t_form_round_trip():
 # ---------------------------------------------------------------------------
 
 def per_angle_eval(H: TrigMatrix, theta: float) -> np.ndarray:
-    """Reference H(e^{i theta}): one TrigPoly.eval_theta per upper entry."""
+    """Reference H(e^{i theta}): one 1 x 1 evaluation per upper entry."""
     out = np.empty((H.m, H.m))
     for i in range(H.m):
         for j in range(i, H.m):
-            out[i, j] = out[j, i] = H.entries[i][j].eval_theta(theta)
+            out[i, j] = out[j, i] = teval(H.entries[i][j], theta)
     return out
 
 
@@ -818,7 +837,7 @@ def test_eval_thetas_of_scale_congruence_output():
     # else by its eigenvectors, as the float congruence scaling did
     for H in [DISC_H] + [H for H in _eval_test_matrices() if H.m == 3]:
         for theta0 in (0.0, 1.0):
-            evals, vecs = np.linalg.eigh(H.eval_theta(theta0))
+            evals, vecs = np.linalg.eigh(H.eval_thetas([theta0])[0])
             full = evals.min() > 0 and evals.max() / evals.min() <= 1e8
             H0 = congruence(H, scaling(H, theta0) if full else vecs.T)
             thetas = np.linspace(0, 2 * np.pi, 29)
@@ -894,7 +913,7 @@ def test_shortcut_witness_carries_violation():
     assert verdict.status == CircleVerdict.NOT_PSD
     assert verdict.shortcut
     assert verdict.min_eig < -tolerance(H)
-    direct = np.linalg.eigvalsh(H.eval_theta(verdict.witness_theta)).min()
+    direct = np.linalg.eigvalsh(H.eval_thetas([verdict.witness_theta])[0]).min()
     assert direct == pytest.approx(verdict.min_eig, rel=1e-12)
 
 

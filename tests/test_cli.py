@@ -8,11 +8,14 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rigidconvex
 from rigidconvex import PolyParseError, SingularCubicError, UniPoly, cubic_representations, \
     parse_poly
+from rigidconvex.errors import DimensionMismatchError, OriginOnCurveError, RigidConvexError, \
+    UnknownFixtureError
 from rigidconvex.bezout import Parametrization, interpolate_det, pencil_from_param
 from rigidconvex.cli import MAX_PLOT_GRID, main
 from rigidconvex.polycore import parse_scalar
@@ -131,6 +134,16 @@ def test_check_rigid_recentres_on_a_rational_critical_point(capsys):
     assert rep["recentered_at"] == [0.0, -5 / 3]
 
 
+@pytest.mark.parametrize("poly", ["x1", "x1^2-x2^2"])
+def test_check_rigid_on_curve_without_critical_point_is_inconclusive(capsys, poly):
+    # x1 has no critical point, x1^2 - x2^2 only the origin, where p = 0
+    code, rep, _ = run_json(capsys, "check-rigid", f"--poly={poly}")
+    assert code == 0 and rep["origin_on_curve"] is True
+    assert rep["verdict"] == "inconclusive" and "recentered_at" not in rep
+    assert rep["note"] == ("p(0) = 0 and no interior critical point found; "
+                           "supply a parametrization (bezout-pencil) instead")
+
+
 def test_check_rigid_emit_hermite(capsys):
     code, rep, _ = run_json(capsys, "check-rigid", "--poly", "1-x1^2-x2^2",
                             "--emit-hermite")
@@ -206,6 +219,17 @@ def test_bezout_pencil_capricorn(tmp_path, capsys):
     assert rep["rigid_at_origin"] == "Marginal"
     assert rep["det_scale"] == "-1073741824"
     assert out.exists()
+
+
+def test_bezout_pencil_reports_a_mismatched_poly(capsys):
+    # det F = 4 (1 - x1^2 - x2^2) is not a multiple of 1 - x1^2 - 2 x2^2: the
+    # anchor x2^2 gives c = 2, and the constant terms then differ
+    code, rep, _ = run_json(capsys, "bezout-pencil", "--q0=1,0,1", "--q1=1,0,-1",
+                            "--q2=0,2", "--poly=1-x1^2-2*x2^2")
+    assert code == 0
+    assert rep["det_scale"] is None
+    assert rep["mismatch"] == "det F != c*p at monomial (0, 0)"
+    assert rep["pencil"]["c"] is None
 
 
 def test_pencil_roundtrip_through_files(tmp_path, capsys):
@@ -667,6 +691,36 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+# every class main's two except clauses named before they became base classes
+_RAISED = [
+    (PolyParseError("bad", 0), 1),
+    (OriginOnCurveError("on the curve"), 1),
+    (UnknownFixtureError("nope"), 1),
+    (DimensionMismatchError("sizes"), 1),
+    (FileNotFoundError("missing"), 1),
+    (json.JSONDecodeError("bad", "{", 0), 1),
+    (ValueError("value"), 1),
+    (KeyError("key"), 1),
+    (RigidConvexError("internal"), 2),
+    (np.linalg.LinAlgError("singular"), 1),  # numpy derives it from ValueError
+    (ZeroDivisionError("zero"), 2),
+    (ArithmeticError("arithmetic"), 2),
+]
+
+
+@pytest.mark.parametrize("error, code", _RAISED, ids=[type(e).__name__ for e, _ in _RAISED])
+def test_error_classes_exit_codes(capsys, monkeypatch, error, code):
+    # input errors exit 1 and numerical failures 2, whichever class is raised
+    import rigidconvex.cli as cli
+
+    def fail(p):
+        raise error
+    monkeypatch.setattr(cli, "hermite_matrix", fail)
+    got, out, err = run(capsys, "hermite", "--poly", DISC)
+    assert got == code and out == ""
+    assert err.startswith("error: " if code == 1 else "numerical failure: ")
 
 
 def test_help_still_exits_0(capsys):

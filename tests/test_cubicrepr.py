@@ -217,7 +217,7 @@ def test_tensor_hessian_and_t_polys_match_references_on_fixtures(name):
 def test_smooth_cubic_makes_no_partials_and_three_determinants(monkeypatch):
     import rigidconvex.cubicrepr as cubicrepr
 
-    counts = {"partial": 0, "interpolate_det": 0}
+    counts = {"partial": 0, "interpolate_det": 0, "_interpolate_minors": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -226,11 +226,11 @@ def test_smooth_cubic_makes_no_partials_and_three_determinants(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(Poly, "partial", counted("partial", Poly.partial))
-    monkeypatch.setattr(cubicrepr, "interpolate_det",
-                        counted("interpolate_det", cubicrepr.interpolate_det))
+    for name in ("interpolate_det", "_interpolate_minors"):
+        monkeypatch.setattr(cubicrepr, name, counted(name, getattr(cubicrepr, name)))
     assert len(cubic_representations(ELLIPTIC)) == 3
-    # h = det H(P), then the one-variable pencils at two lattice points
-    assert counts == {"partial": 0, "interpolate_det": 3}
+    # h = det H(P) on the lattice, then the determinants in t at two lattice points
+    assert counts == {"partial": 0, "interpolate_det": 1, "_interpolate_minors": 2}
 
 
 _GOLDEN = json.loads((Path(__file__).parent / "data" / "cubic_repr_golden.json").read_text())

@@ -6,7 +6,7 @@ import pytest
 
 from rigidconvex import OriginOnCurveError, Poly, TrigMatrix, TrigPoly, parse_poly
 from rigidconvex.hermite import hermite_matrix, line_substitute, newton_sums
-from trig_helpers import tadd, tmul, tscale
+from trig_helpers import tadd, teval, tmul, tscale
 
 CUBIC = parse_poly("1-x1-4*x1^2-x2^2+4*x1^3")
 TV = parse_poly("1-x1^4-x2^4")
@@ -83,7 +83,7 @@ def test_line_substitute_matches_direct_evaluation():
             x1 = (z + 1 / z).real / t
             x2 = (1j * (1 / z - z)).real / t
             direct = t ** line.m * float(p(x1, x2))
-            via_q = sum(line.q[k].eval_theta(theta) * t**k for k in range(line.m + 1))
+            via_q = sum(teval(line.q[k], theta) * t**k for k in range(line.m + 1))
             assert via_q == pytest.approx(direct, rel=1e-6, abs=1e-9)
 
 
@@ -123,11 +123,11 @@ def test_newton_sums_match_companion_traces():
             comp = np.zeros((m, m), dtype=complex)
             comp[1:, :-1] = np.eye(m - 1)
             for k in range(m):
-                comp[k, m - 1] = -line.q[k].eval_theta(theta)
+                comp[k, m - 1] = -teval(line.q[k], theta)
             power = np.eye(m, dtype=complex)
             for k in range(2 * m - 1):
                 expected = np.trace(power)
-                got = sums[k].eval_theta(theta)
+                got = teval(sums[k], theta)
                 scale = max(1.0, abs(expected))
                 assert abs(got - expected) <= 1e-9 * scale
                 power = power @ comp
@@ -198,11 +198,11 @@ def test_hermite_root_sum_oracle():
         m = line.m
         H = hermite_matrix(p)
         for theta in rng.uniform(0, 2 * np.pi, 200):
-            coeffs = [line.q[k].eval_theta(theta) for k in range(m + 1)]
+            coeffs = [teval(line.q[k], theta) for k in range(m + 1)]
             roots = np.roots(list(reversed(coeffs)))
             for s in range(2 * m - 1):
                 expected = np.sum(roots**s)
-                got = H.entry(min(s, m - 1), s - min(s, m - 1)).eval_theta(theta)
+                got = teval(H.entry(min(s, m - 1), s - min(s, m - 1)), theta)
                 assert abs(got - expected.real) <= 1e-8 * max(1.0, abs(expected))
                 assert abs(expected.imag) <= 1e-8 * max(1.0, abs(expected))
 
@@ -242,7 +242,7 @@ def test_psd_verdict_equals_real_root_condition():
         verdict = psd_on_circle(hermite_matrix(p))
         worst = 0.0
         for theta in np.linspace(0, 2 * np.pi, 400):
-            qc = [line.q[k].eval_theta(theta) for k in range(line.m + 1)]
+            qc = [teval(line.q[k], theta) for k in range(line.m + 1)]
             roots = np.roots(qc[::-1])
             for r in roots:
                 worst = max(worst, abs(r.imag) / max(1.0, abs(r)))

@@ -13,7 +13,7 @@ from rigidconvex import (
     parse_poly,
 )
 from rigidconvex.bezout import Parametrization, interpolate_det, pencil_from_param
-from rigidconvex import locate
+from rigidconvex import polycore
 from rigidconvex.locate import (
     _sheared,
     _sheared_solutions,
@@ -282,7 +282,7 @@ def test_dense_quartic_cubic_resultant_takes_bezout_many_points(monkeypatch):
     def counting(mat, *args):
         calls.append(len(mat))
         return _bareiss(mat, *args)
-    monkeypatch.setattr(locate, "_bareiss", counting)
+    monkeypatch.setattr(polycore, "_bareiss", counting)
     res = _subresultant(fc, gc, 0)[0]
     assert len(res) - 1 == 12 == _weighted_bound(fc, gc, 0)
     assert calls == [7] * 13

@@ -1,6 +1,6 @@
 """TrigPoly ring operations for the tests.  TrigPoly itself has none: the
 package multiplies Laurent halves through ``laurent_mul`` directly."""
-from rigidconvex.polycore import TrigPoly, laurent_mul
+from rigidconvex.polycore import TrigMatrix, TrigPoly, laurent_mul
 
 
 def tadd(a: TrigPoly, b: TrigPoly) -> TrigPoly:
@@ -22,3 +22,8 @@ def tpow(a: TrigPoly, n: int) -> TrigPoly:
     for _ in range(n):
         out = tmul(out, a)
     return out
+
+
+def teval(a: TrigPoly, theta: float) -> float:
+    """Value of a at z = e^{i theta} (always real), as a 1 x 1 TrigMatrix."""
+    return float(TrigMatrix([[a]]).eval_thetas([theta])[0, 0, 0])
