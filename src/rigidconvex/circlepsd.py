@@ -99,14 +99,14 @@ def psd_on_circle(H: TrigMatrix) -> CircleVerdict:
     if _structural_shortcut(H) is not None:
         return CircleVerdict(CircleVerdict.NOT_PSD, witness, min_eig, shortcut=True)
     cosine = H.is_cosine()
-    sign = H.pd_sign()
+    sign = H.pd_sign(image := H._image())
     # the witness and a quarter grid step on: a grid angle can lie on a
     # symmetry axis, where H is singular
     near = [2 * math.cos(th) if cosine else math.tan(th / 2)
             for th in (witness, witness + np.pi / (2 * GRID_SIZE))]
     if min_eig < 0 and any(sign(Fraction(x).limit_denominator(2**20)) < 0 for x in near):
         return CircleVerdict(CircleVerdict.NOT_PSD, witness, min_eig)
-    det = H.det()
+    det = H.det(image)  # the image the minors read
     if det.is_zero():
         return CircleVerdict(CircleVerdict.INCONCLUSIVE, witness, min_eig)
     roots, points = circle_roots_of(det, cosine)

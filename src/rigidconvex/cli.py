@@ -394,10 +394,13 @@ def main(argv=None) -> int:
                    "timing_seconds": round(time.perf_counter() - started, 6)},
                   args.json)
         return 0
+    except np.linalg.LinAlgError as err:  # before ValueError, which numpy derives it from
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return 2
     except (FileNotFoundError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (RigidConvexError, np.linalg.LinAlgError, ArithmeticError) as err:
+    except (RigidConvexError, ArithmeticError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
 

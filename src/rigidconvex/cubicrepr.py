@@ -1,19 +1,20 @@
 """Determinantal representations of smooth plane cubics via Hessian homotopy.
 
-Homogenise the cubic p to P(x0, x1, x2).  Its Hessian matrix at x0 = 1 is
-a ``Pencil``, H(P)(1, x1, x2) = F0 + x1 F1 + x2 F2, read off P's
-coefficients: entry (i, j) of F_k is the third partial of P in x_i, x_j,
-x_k.  Its exact lattice determinant (``bezout.interpolate_det``),
-homogenised, is h = det H(P).  Follow the family s(x, t) = h(x) + t P(x).
-For a smooth P the Hessian maps the Hesse pencil spanned by P and h into
-itself, so det H(s(x, t)) = A(t) P(x) + B(t) h(x) with B a monic cubic; two
-3 x 3 determinants in t alone (``polycore._interpolate_minors``), at lattice
-points that separate P and h, give A and B.  Each real root t* of B (at
-least one, at most three) yields a symmetric pencil
+Homogenise the cubic p to P(x0, x1, x2).  Its Hessian matrix is linear in
+x, H(P)(x) = x0 F0 + x1 F1 + x2 F2, read off P's integers: entry (i, j) of
+F_k is the third partial of P in x_i, x_j, x_k.  h = det H(P), again a
+cubic, is the cofactor expansion of these linear forms in ``Poly``'s ring.
+Follow the family s(x, t) = h(x) + t P(x).  For a smooth P the Hessian maps
+the Hesse pencil spanned by P and h into itself, so
+det H(s(x, t)) = A(t) P(x) + B(t) h(x) with B a monic cubic; two 3 x 3
+determinants in t alone (``polycore._interpolate_minors``), at lattice
+points that separate P and h, give A and B as integer lists.  Each real
+root t* of B (at least one, at most three) yields a symmetric pencil
 
     F(x) = mu * H(s(x, t*))|_{x0 = 1},   mu = c^{-1/3},   c = A(t*),
 
-with det F(x) = p(x) exactly.  No flex is computed.
+with det F(x) = p(x) exactly.  No flex is computed, and Fractions only at a
+rational t*.
 """
 from __future__ import annotations
 
@@ -25,10 +26,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bezout import interpolate_det
 from .errors import IdenticallyZeroResultantError, SingularCubicError
-from .locate import _solve_system, real_roots_with_multiplicity
-from .polycore import _ZERO, Pencil, Poly, Scalar, UniPoly, _bareiss, _interpolate_minors
+from .locate import _narrowed, _root_in, _solve_system
+from .polycore import _ZERO, Pencil, Poly, Scalar, _bareiss, _horner, _interpolate_minors, \
+    _squarefree_factors
+from .realroots import real_roots
 
 
 # ---------------------------------------------------------------------------
@@ -65,9 +67,15 @@ def hessian(P: Poly) -> Pencil:
 
 
 def hessian_det(P: Poly) -> Poly:
-    """h(x) = det H(P) for an exact P; again a homogeneous cubic, so it is
-    the homogenisation of the determinant of the pencil at x0 = 1."""
-    return homogenize(interpolate_det(hessian(P)))
+    """h(x) = det H(P), again a homogeneous cubic: den^3 h is det(den H(P)),
+    of integer linear forms, by its first row and three 2 x 2 cofactors."""
+    if P.nvars != 3:
+        raise ValueError("expected a homogeneous cubic in x0, x1, x2")
+    units, F = ((1, 0, 0), (0, 1, 0), (0, 0, 1)), _tensor(P.ints, 0)
+    a, b, c, e, f, m = (Poly._make({u: F_k[i][j] for u, F_k in zip(units, F) if F_k[i][j]}, 1, 3)
+                        for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)))
+    det = a * (e * m - f * f) - b * (b * m - c * f) + c * (b * f - c * e)  # H is symmetric
+    return Poly._make(det.ints, P.den**3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -148,18 +156,18 @@ def _cube_root_exact(c: Fraction):
     return Fraction(n if c > 0 else -n, d)
 
 
-def _hesse_coordinates(P: Poly, h: Poly) -> tuple[UniPoly, UniPoly]:
-    """(A, B) with det H(h + t P) = A(t) P + B(t) h, B monic of degree 3.
+def _hesse_coordinates(P: Poly, h: Poly) -> tuple[list, list, int]:
+    """(a, b, den), integer lists in t and an integer: det H(h + t P) = A(t) P + B(t) h
+    with A = dP a / den, B = dh b / den monic, dP and dh the denominators of P and h.
 
     A smooth P is, in some coordinates, a (x^3 + y^3 + z^3) + b xyz, whose
     Hessian -6ab^2 (x^3 + y^3 + z^3) + (216a^3 + 2b^3) xyz is again in that
     Hesse pencil.  At a point x, g_x(t) = det(H(h)(x) + t H(P)(x)) is
     A(t) P(x) + B(t) h(x).  The principal lattice of order 3 is unisolvent for
     cubics, so two of its points separate P and h, which are independent; the
-    first such pair gives A and B by Cramer's rule.  On the integers, with dP
-    and dh the denominators of P and h, value(x) is (dP P(x), dh h(x)) and g(x)
-    is (dP dh)^3 g_x, the determinant of dP H(dh h)(x) + t dh H(dP P)(x),
-    interpolated from t = 0 .. 3."""
+    first such pair gives A and B by Cramer's rule.  On the integers value(x)
+    is (dP P(x), dh h(x)) and g(x) is (dP dh)^3 g_x, the determinant of
+    dP H(dh h)(x) + t dh H(dP P)(x), interpolated from t = 0 .. 3."""
     @functools.cache
     def value(x):  # (dP P(x), dh h(x)) at an integer point
         return tuple(sum([v * math.prod(map(pow, x, e)) for e, v in F.ints.items()])
@@ -177,50 +185,56 @@ def _hesse_coordinates(P: Poly, h: Poly) -> tuple[UniPoly, UniPoly]:
         plan = [[(1, 3 * i + j) for j in range(3)] for i in range(3)]
         return _interpolate_minors(plan, polys, 0, 4)[0]
 
-    # Cramer's rule in the scaled values: A = (g_x h(y) - g_y h(x)) / delta,
-    # B = (g_y P(x) - g_x P(y)) / delta, delta = P(x) h(y) - P(y) h(x)
-    gx, gy, s, delta = g(x), g(y), P.den * h.den, px * hy - py * hx
-    return (UniPoly([Fraction(a * hy - b * hx, s * s * h.den * delta) for a, b in zip(gx, gy)]),
-            UniPoly([Fraction(b * px - a * py, s * s * P.den * delta) for a, b in zip(gx, gy)]))
+    # Cramer's rule in the scaled values, delta = dP P(x) dh h(y) - dP P(y) dh h(x):
+    # A = (g_x h(y) - g_y h(x)) / delta, B = (g_y P(x) - g_x P(y)) / delta
+    gx, gy, s = g(x), g(y), P.den * h.den
+    return ([u * hy - v * hx for u, v in zip(gx, gy)], [v * px - u * py for u, v in zip(gx, gy)],
+            s**3 * (px * hy - py * hx))
 
 
 def _hessian_at(P: Poly, h: Poly, t: Scalar) -> Pencil:
     """``hessian(h + t P)``, exact at an exact t.  At a float t* this is the
-    one float step: Fraction + Fraction * float gives float(h_m) + float(P_m) t*
-    on P's support, formed before the factorial factors of ``hessian``
-    (H(h) + t H(P) would round differently), while h's other monomials stay
-    exact until the pencil is scaled."""
-    coeffs = {e: Fraction(v, h.den) for e, v in h.ints.items()}
+    one float step: h_m + P_m t* on P's support, h_m and P_m each its
+    integers' correctly rounded quotient (as float(Fraction) rounds), before
+    the factorial factor w_m of ``hessian`` (H(h) + t H(P) would round
+    differently); h's other monomials round h_m w_m once."""
+    div, zero = (int.__truediv__, 0.0) if isinstance(t, float) else (Fraction, _ZERO)
+    out = {e: div(v * _WEIGHT[e], h.den) for e, v in h.ints.items()}
     for e, v in P.ints.items():
-        coeffs[e] = coeffs.get(e, _ZERO) + Fraction(v, P.den) * t
-    return Pencil(3, _tensor({e: v for e, v in coeffs.items() if v}))  # as a Poly drops zeros
+        x = div(h.ints.get(e, 0), h.den) + div(v, P.den) * t
+        out[e] = x * _WEIGHT[e] if x else zero  # as a Poly drops zeros
+    return Pencil(3, tuple(tuple(tuple(out.get(e, zero) for e in row) for row in mat)
+                           for mat in _TENSOR_EXPONENTS))
 
 
 def cubic_representations(p: Poly) -> list[CubicRepresentation]:
     """All real symmetric pencils from the Hessian homotopy, sorted by t*.
 
     Raises SingularCubicError for genus-zero input.  B has odd degree, so at
-    least one t* is real.  The roots come sorted, so the pencils do too."""
+    least one t* is real.  Each is read off its square-free factor of B
+    (``locate._root_in`` on the ``_narrowed`` interval): exact when rational,
+    else its isolating interval's midpoint."""
     if p.nvars != 2 or p.degree != 3:
         raise ValueError("expected a bivariate cubic")
     P = homogenize(p)
     h = hessian_det(P)
     check_smooth_cubic(p, h)
-    A, B = _hesse_coordinates(P, h)
+    a, b, den = _hesse_coordinates(P, h)
 
-    # det H(h + t* P) = A(t*) P exactly when B(t*) = 0; c is its coefficient
-    # at the anchor a of largest |P_a|, over P_a: A(t*) alone would round
-    # differently at a float t*
+    # det H(h + t* P) = A(t*) P exactly when B(t*) = 0; c is its coefficient at the
+    # anchor m of largest |P_m| over P_m, g(t*) dP / (den P.ints[m]) with
+    # g = a P.ints[m] + b h.ints[m] (A(t*) alone would round differently at a float t*)
     anchor = max(P.ints, key=lambda e: abs(P.ints[e]))
-    pa = P.coeff(anchor)
-    g_anchor = A * pa + B * h.coeff(anchor)
-
+    pa = P.ints[anchor]
+    g = [u * pa + v * h.ints.get(anchor, 0) for u, v in zip(a, b)]
     reps = []
-    for tval, _mult in real_roots_with_multiplicity(B):
-        snapped = Fraction(tval).limit_denominator(10**9)
-        t: Scalar = snapped if B(snapped) == 0 else tval
-        c = g_anchor(t) / pa
-        root = _cube_root_exact(c) if isinstance(c, Fraction) else None
+    for (y, exact), mid in sorted((_root_in(f, *_narrowed(f, lo, hi)), (lo + hi) / 2)
+                                  for f, _ in _squarefree_factors(b) for lo, hi in real_roots(f)):
+        # t* = y when rational, else the float its isolating interval rounds to,
+        # and then Horner on the correctly rounded g_k / den
+        div, t = (Fraction, y) if exact else (int.__truediv__, float(mid))
+        c = _horner([div(v, den) for v in g], t) / div(pa, P.den)
+        root = _cube_root_exact(c) if exact else None
         mu = 1 / root if root is not None else float(np.sign(float(c)) * abs(float(c)) ** (-1 / 3))
         reps.append(CubicRepresentation(t, c, mu, _hessian_at(P, h, t).scaled(mu).with_scale(1)))
     return reps

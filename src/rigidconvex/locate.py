@@ -142,13 +142,26 @@ def _one_root(s: list, h: list, mu: int) -> bool:
                    for i in range(mu - 1))
 
 
-def _root_in(h: list, lo: Fraction, hi: Fraction) -> Fraction:
-    """The root of the integer polynomial h in [lo, hi]: n / lc(h) when that
-    is one (a rational root's denominator divides lc(h)), else the midpoint."""
+def _narrowed(h: list, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """[lo, hi] around one root of the integer polynomial h, ends not roots,
+    bisected on exact signs until it is narrower than 1 / |lc(h)|."""
+    while (hi - lo) * abs(h[-1]) >= 1:
+        m = (lo + hi) / 2
+        s = _hom(h, m.numerator, m.denominator)
+        if not s:
+            return m, m
+        lo, hi = (m, hi) if (s > 0) == (_hom(h, lo.numerator, lo.denominator) > 0) else (lo, m)
+    return lo, hi
+
+
+def _root_in(h: list, lo: Fraction, hi: Fraction) -> tuple[Fraction, bool]:
+    """(n / lc(h), True) when that is the root of the integer polynomial h in
+    [lo, hi], else (the midpoint, False).  A rational root's denominator
+    divides lc(h), so this finds it on an interval ``_narrowed`` below 1 / |lc(h)|."""
     mid, lead = (lo + hi) / 2, h[-1]
     n = round(mid * lead)
     y = Fraction(n, lead)
-    return y if lo <= y <= hi and not _hom(h, n, lead) else mid
+    return (y, True) if lo <= y <= hi and not _hom(h, n, lead) else (mid, False)
 
 
 def _sheared_solutions(f: Poly, g: Poly, k: int, real: bool) -> list | None:
@@ -187,7 +200,7 @@ def _sheared_solutions(f: Poly, g: Poly, k: int, real: bool) -> list | None:
     points = []
     for h, mu in pieces:
         c, a = sub(mu)[:2]
-        ys = [_root_in(h, lo, hi) for lo, hi in real_roots(h)]
+        ys = [_root_in(h, lo, hi)[0] for lo, hi in real_roots(h)]
         for y in ys:
             num, den = y.numerator, y.denominator
             x1 = Fraction(-_hom(a, num, den) * den ** (len(c) - 1),

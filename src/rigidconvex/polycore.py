@@ -622,10 +622,7 @@ class UniPoly:
         return _power(self, n, UniPoly([1]))
 
     def __call__(self, x: Scalar):
-        total = 0
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
+        return _horner(self.coeffs, x)
 
     def roots(self) -> np.ndarray:
         """All complex roots via the companion-matrix eigenvalues."""
@@ -887,7 +884,7 @@ def _u_to_cos(coeffs: list) -> list:
     return cos
 
 
-def _horner(coeffs, x: int) -> int:
+def _horner(coeffs, x):
     acc = 0
     for a in reversed(coeffs):
         acc = acc * x + a
@@ -1189,14 +1186,14 @@ class TrigMatrix:
         polys = [distinct[k].int_poly(cosine, half[k] + s)[0] for k, s in key]
         return plan, polys, sum(a) + sum(b), math.prod(r) * math.prod(c), cosine
 
-    def pd_sign(self):
+    def pd_sign(self, image: tuple):
         """x -> 1 if H is positive definite at u = x when H is cosine-only,
         else at t = x, otherwise the sign of its first leading minor there that
         is not positive (Sylvester: the pivots of ``_bareiss`` without swaps);
         -1 proves a negative eigenvalue.  H is exact there, up to positive row
-        and column scalings, which keep every leading minor's sign: its
-        ``_image`` at x = a/b, each polynomial homogenised to one power of b."""
-        plan, polys, *_ = self._image()
+        and column scalings, which keep every leading minor's sign: ``image``, its
+        ``_image``, at x = a/b, each polynomial homogenised to one power of b."""
+        plan, polys, *_ = image
         e = max(map(len, polys), default=0)
 
         def sign(x) -> int:
@@ -1207,15 +1204,15 @@ class TrigMatrix:
             return next((-1 if row[k] else 0 for k, row in enumerate(mat) if row[k] <= 0), 1)
         return sign
 
-    def det(self) -> TrigPoly:
+    def det(self, image: tuple | None = None) -> TrigPoly:
         """Exact determinant in the TrigPoly ring.  The ``_image`` of H has
         determinant D(u) = scale det H of degree <= n when H is cosine-only,
         else D(t) = scale (1+t^2)^n det H of degree <= 2n, its real roots the
         circle roots but theta = pi, where D loses degree.  D is interpolated
         from n+1 or 2n+1 consecutive integers around 0 and mapped back
         (``_u_to_cos``, ``_t_to_halves``) to the halves of the result over
-        scale; no Fraction is built."""
-        plan, polys, n, scale, cosine = self._image()
+        scale; no Fraction is built.  ``image``: H's ``_image``, if built."""
+        plan, polys, n, scale, cosine = image or self._image()
         count = n + 1 if cosine else 2 * n + 1
         lo = -((count - 1) // 2)
         coeffs = _interpolate_minors(plan, polys, lo, count)[0]

@@ -113,6 +113,22 @@ def test_disc_is_pd():
     assert psd_on_circle(DISC_H).status == CircleVerdict.PD
 
 
+def test_psd_on_circle_builds_one_image_per_matrix(monkeypatch):
+    # pd_sign and det read the same integer image of H: one build per matrix
+    # that reaches the determinant (PD, marginal cosine and sine-carrying)
+    cap = parse_poly("x1^2*(x1^2+x2^2)-2*(x1^2+x2^2-x2)^2").shifted(Fraction(0), Fraction(1, 2))
+    cases = [(DISC_H, CircleVerdict.PD), (CUBIC_H, CircleVerdict.PD),
+             (hermite_matrix(parse_poly(ELLIPSES)), CircleVerdict.MARGINAL),
+             (hermite_matrix(cap), CircleVerdict.MARGINAL)]
+    built = []
+    image = TrigMatrix._image
+    monkeypatch.setattr(TrigMatrix, "_image", lambda H: built.append(H) or image(H))
+    for H, status in cases:
+        built.clear()
+        assert psd_on_circle(H).status == status
+        assert built == [H]
+
+
 def test_marginal_scalar():
     H = TrigMatrix([[TrigPoly([2, 1])]])  # 2 + (z+z^-1) = 2 + 2cos(theta)
     verdict = psd_on_circle(H)

@@ -704,7 +704,7 @@ _RAISED = [
     (ValueError("value"), 1),
     (KeyError("key"), 1),
     (RigidConvexError("internal"), 2),
-    (np.linalg.LinAlgError("singular"), 1),  # numpy derives it from ValueError
+    (np.linalg.LinAlgError("singular"), 2),  # caught before ValueError, its numpy base
     (ZeroDivisionError("zero"), 2),
     (ArithmeticError("arithmetic"), 2),
 ]

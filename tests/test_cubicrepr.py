@@ -169,18 +169,29 @@ def _is_smooth3(P: Poly) -> bool:
     return p.degree == 3 and not _is_singular(p)
 
 
+def _hesse_unipolys(P: Poly, h: Poly) -> tuple[UniPoly, UniPoly]:
+    """A and B from the integer lists of ``_hesse_coordinates``."""
+    a, b, den = _hesse_coordinates(P, h)
+    return (UniPoly([Fraction(v * P.den, den) for v in a]),
+            UniPoly([Fraction(v * h.den, den) for v in b]))
+
+
 def _assert_matches_references(P: Poly, ts=()) -> bool:
     """The Hessian at P and at h + t P for each float or exact t; for a smooth P also
     A(t) P_m + B(t) h_m against every coefficient's t-polynomial, B monic
-    of degree 3.  Returns whether P was smooth."""
+    of degree 3.  Returns whether P was smooth.  At a float t every entry is
+    a float: the reference's exact entries (h's monomials off P's support,
+    and zeros) rounded once."""
     assert _typed_entries(hessian(P)) == _typed_entries(_reference_hessian(P))
     h = hessian_det(P)
     for t in ts:
-        assert _typed_entries(_hessian_at(P, h, t)) == \
-            _typed_entries(_reference_hessian(_ref(h) + _ref(P) * t))
+        want = _typed_entries(_reference_hessian(_ref(h) + _ref(P) * t))
+        if isinstance(t, float):
+            want = [(float, float(x)) for _, x in want]
+        assert _typed_entries(_hessian_at(P, h, t)) == want
     if not _is_smooth3(P):  # the identity is a fact about smooth cubics
         return False
-    A, B = _hesse_coordinates(P, h)
+    A, B = _hesse_unipolys(P, h)
     assert B.degree == 3 and B[3] == 1
     ref = _reference_monomial_t_polys(P, h)
     for mono in _CUBIC_MONOS:
@@ -215,6 +226,7 @@ def test_tensor_hessian_and_t_polys_match_references_on_fixtures(name):
 
 
 def test_smooth_cubic_makes_no_partials_and_three_determinants(monkeypatch):
+    import rigidconvex.bezout as bezout
     import rigidconvex.cubicrepr as cubicrepr
 
     counts = {"partial": 0, "interpolate_det": 0, "_interpolate_minors": 0}
@@ -226,11 +238,13 @@ def test_smooth_cubic_makes_no_partials_and_three_determinants(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(Poly, "partial", counted("partial", Poly.partial))
-    for name in ("interpolate_det", "_interpolate_minors"):
-        monkeypatch.setattr(cubicrepr, name, counted(name, getattr(cubicrepr, name)))
+    for module, name in ((bezout, "interpolate_det"), (cubicrepr, "_interpolate_minors")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     assert len(cubic_representations(ELLIPTIC)) == 3
-    # h = det H(P) on the lattice, then the determinants in t at two lattice points
-    assert counts == {"partial": 0, "interpolate_det": 1, "_interpolate_minors": 2}
+    # h = det H(P) by cofactors, then the determinants in t at two lattice points;
+    # the lattice determinant and the Fraction polynomial stay out of the route
+    assert counts == {"partial": 0, "interpolate_det": 0, "_interpolate_minors": 2}
+    assert not {"interpolate_det", "UniPoly"} & set(vars(cubicrepr))
 
 
 _GOLDEN = json.loads((Path(__file__).parent / "data" / "cubic_repr_golden.json").read_text())
@@ -238,8 +252,11 @@ _GOLDEN = json.loads((Path(__file__).parent / "data" / "cubic_repr_golden.json")
 
 @pytest.mark.parametrize("poly", sorted(_GOLDEN))
 def test_cubic_repr_report_matches_golden(capsys, poly):
-    # the cubic-curve and elliptic-cubic fixtures and a cubic whose t* are
-    # floats; timing_seconds is the one field that varies between runs
+    # the cubic-curve and elliptic-cubic fixtures, a cubic whose t* are
+    # floats, seeded smooth cubics with one or three real t*, rational,
+    # irrational or mixed, two with 44-bit coefficients, the elliptic cubic
+    # over 7 and a nodal cubic; timing_seconds is the one field that varies
+    # between runs
     assert main(["cubic-repr", "--poly", poly, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     del report["timing_seconds"]
@@ -284,6 +301,53 @@ def test_elliptic_t_values():
     reps = cubic_representations(ELLIPTIC)
     assert [float(r.t_star) for r in reps] == pytest.approx([-24.0, 0.0, 24.0], abs=1e-6)
     assert [r.t_star for r in reps] == [Fraction(-24), Fraction(0), Fraction(24)]
+
+
+@pytest.mark.parametrize("q", [7, 49, 40009])
+def test_rational_t_star_is_exact_at_any_denominator(q):
+    # (x1^3 - x2^2 - x1) / q has t* = -24/q^2, 0, 24/q^2: Hessians scale by
+    # 1/q^3, so h by 1/q^3 and det H(h + t P) by 1/q^8 at t = t0 / q^2; the
+    # rational roots are read off B's square-free factor, and a snap to
+    # denominators below 10^9 left them floats at q = 40009
+    p = parse_poly(f"1/{q}*x1^3-1/{q}*x2^2-1/{q}*x1")
+    reps = cubic_representations(p)
+    assert [rep.t_star for rep in reps] == [Fraction(-24, q**2), 0, Fraction(24, q**2)]
+    assert all(type(rep.t_star) is Fraction and type(rep.c) is Fraction for rep in reps)
+    assert [rep.c for rep in reps] == [Fraction(c0, q**8) for c0 in (442368, 110592, 442368)]
+    P = homogenize(p)
+    h = _reference_hessian_det(P)
+    for rep in reps:
+        # the proof that t* and c are exact: det H(h + t* P) = c P
+        assert _reference_hessian_det(h + P * rep.t_star) == P * rep.c
+        assert float(verify_pencil_det(rep.pencil, p)) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("q", [3, 2**40 + 1, 3**40])
+def test_rational_t_star_is_exact_at_any_numerator(q):
+    # q (x1^3 - x2^2 - x1) has t* = -24 q^2, 0, 24 q^2: past 2^53 the float
+    # midpoint of the root's interval, times lc, rounded to the wrong numerator
+    p = parse_poly(f"{q}*x1^3-{q}*x2^2-{q}*x1")
+    reps = cubic_representations(p)
+    assert [rep.t_star for rep in reps] == [-24 * q**2, 0, 24 * q**2]
+    assert all(type(rep.t_star) is Fraction and type(rep.c) is Fraction for rep in reps)
+    P = homogenize(p)
+    h = _reference_hessian_det(P)
+    for rep in reps:
+        assert _reference_hessian_det(h + P * rep.t_star) == P * rep.c
+
+
+@pytest.mark.parametrize("q", [1409, 10007, 31622])
+def test_rational_t_star_is_exact_when_lc_b_outgrows_its_denominator(q):
+    # B of (11 x2^3 - 6 x1^2 - 16 x1^2 x2 - 9 x2) / q has a constant term, so its
+    # primitive leading coefficient grows like q^6 while t* = -2304/q^2 keeps
+    # the denominator q^2: the root's interval is narrowed below 1 / lc before
+    # rounding, where float width alone rounded it to the wrong numerator
+    p = parse_poly(f"11/{q}*x2^3-6/{q}*x1^2-16/{q}*x1^2*x2-9/{q}*x2")
+    reps = cubic_representations(p)
+    assert [type(rep.t_star) for rep in reps] == [Fraction, float, float]
+    assert reps[0].t_star == Fraction(-2304, q**2) and type(reps[0].c) is Fraction
+    P = homogenize(p)
+    assert _reference_hessian_det(_reference_hessian_det(P) + P * reps[0].t_star) == P * reps[0].c
 
 
 def test_elliptic_determinants_exact():
@@ -584,8 +648,8 @@ def test_hesse_b_is_the_pairwise_gcd(monkeypatch):
     import rigidconvex.cubicrepr as cubicrepr
 
     seen = []
-    original = cubicrepr.real_roots_with_multiplicity
-    monkeypatch.setattr(cubicrepr, "real_roots_with_multiplicity",
+    original = cubicrepr._squarefree_factors
+    monkeypatch.setattr(cubicrepr, "_squarefree_factors",
                         lambda r: seen.append(r) or original(r))
     rng = random.Random(14)
     cubics = [ELLIPTIC, parse_poly("x1^3+x2^3+1"), parse_poly("x1^3-x2^2-x1+1/5")]
@@ -599,8 +663,10 @@ def test_hesse_b_is_the_pairwise_gcd(monkeypatch):
         want = _reference_pairwise_gcd(P, _reference_monomial_t_polys(P, h))
         seen.clear()
         cubic_representations(p)
-        # every pairwise condition is B (h_a P_b - h_b P_a), so their gcd is B
-        assert seen == [_hesse_coordinates(P, h)[1]] == [want]
+        # every pairwise condition is B (h_a P_b - h_b P_a), so their gcd is B;
+        # the roots are taken from B's integer list
+        assert seen == [_hesse_coordinates(P, h)[1]]
+        assert _hesse_unipolys(P, h)[1] == want
         assert want.degree == 3
         compared += 1
     assert compared >= 30

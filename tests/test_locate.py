@@ -15,6 +15,8 @@ from rigidconvex import (
 from rigidconvex.bezout import Parametrization, interpolate_det, pencil_from_param
 from rigidconvex import polycore
 from rigidconvex.locate import (
+    _narrowed,
+    _root_in,
     _sheared,
     _sheared_solutions,
     _solve_system,
@@ -28,6 +30,7 @@ from rigidconvex.locate import (
     resultant_elim_x1,
 )
 from rigidconvex.polycore import Poly, _bareiss, _horner, _newton_interpolate, det_exact
+from rigidconvex.realroots import real_roots
 from reference_poly import interpolate_exact
 
 CAPRICORN_P = parse_poly("x1^2*(x1^2+x2^2)-2*(x1^2+x2^2-x2)^2")
@@ -455,6 +458,18 @@ def test_rational_eliminant_roots_come_out_exact():
     p = parse_poly("-x1^3-2*x1^2*x2-x2^3-4*x1^2-4*x2^2-5*x2")
     xs = [cand.x for cand in critical_points(p)]
     assert (0.0, -5 / 3) in xs and (0.0, -1.0) in xs
+
+
+def test_root_in_finds_a_rational_root_far_below_its_leading_coefficient():
+    # (q^2 y + 2304)(q^4 y^2 - 2): lc = q^6, but the rational root's denominator
+    # is q^2, so at float width its midpoint times lc misses the numerator;
+    # narrowed below 1 / lc it rounds to it
+    q = 10007
+    h = [-4608, -2 * q**2, 2304 * q**4, q**6]
+    found = [_root_in(h, *_narrowed(h, lo, hi)) for lo, hi in real_roots(h)]
+    assert [exact for _, exact in found] == [True, False, False]
+    assert found[0][0] == Fraction(-2304, q**2)
+    assert [float(y) for y, _ in found[1:]] == pytest.approx([-2**0.5 / q**2, 2**0.5 / q**2])
 
 
 def test_critical_points_residual_bound():
