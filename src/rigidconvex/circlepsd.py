@@ -1,10 +1,10 @@
 """Positive semidefiniteness of a TrigMatrix along the unit circle.
 
 The decision is exact: the circle zeros of det H are isolated exactly
-(``realroots.real_roots``) and Sylvester's criterion at rational points
-decides (``psd_on_circle``).  Floats only propose a witness and report the
-least eigenvalue, from a batched ``eigvalsh`` over the stack that
-``TrigMatrix.eval_thetas`` evaluates in one product.  The
+(``realroots``) and Sylvester's criterion at rational points decides
+(``psd_on_circle``), on one fundamental domain of H's symmetry.  Floats only
+propose a witness, in that domain, and report the least eigenvalue, from a
+batched ``eigvalsh`` over the stack of ``TrigMatrix.eval_thetas``.  The
 equivalent semidefinite feasibility problem is exported in SDPA sparse
 format for external solvers; candidate spectral factors can be verified
 against H on a grid.
@@ -18,16 +18,26 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .polycore import TrigMatrix, TrigPoly, _squarefree_part, parse_scalar
-from .realroots import real_roots
+from .polycore import TrigMatrix, TrigPoly, _nonzero_len, _squarefree_part, parse_scalar
+from .realroots import _roots_in, real_roots
 
 GRID_SIZE = 512
+GRID = np.linspace(0.0, 2 * np.pi, GRID_SIZE, endpoint=False)
+# H's symmetry groups by (cosine, graded): H(-theta) = H(theta), H(theta + pi) = S H(theta) S
+# with S = diag((-1)^i) (``TrigMatrix.is_graded``).  Each: the GRID prefix that meets every orbit,
+# the fundamental domain's end (u = 2 cos theta in [end, 2], or theta mod end), theta's orbit.
+_GROUPS = {
+    (True, True): (GRID_SIZE // 4 + 1, 0, lambda th: (th, -th, math.pi - th, math.pi + th)),
+    (True, False): (GRID_SIZE // 2 + 1, -2, lambda th: (th, -th)),
+    (False, True): (GRID_SIZE // 2, math.pi, lambda th: (th, th + math.pi)),
+    (False, False): (GRID_SIZE, 2 * math.pi, lambda th: (th,)),
+}
 
 
 @dataclass(frozen=True)
 class CircleVerdict:
     status: str  # PositiveDefinite | PositiveSemidefiniteMarginal | NotPSD | Inconclusive
-    witness_theta: float | None
+    witness_theta: float | None  # in the fundamental domain of H's symmetry (_GROUPS)
     min_eig: float
     circle_roots: tuple[float, ...] = ()
     shortcut: bool = False
@@ -51,31 +61,38 @@ def _structural_shortcut(H: TrigMatrix) -> int | None:
     return None
 
 
-def circle_roots_of(det: TrigPoly, cosine: bool) -> tuple[list, list]:
-    """(roots, points) of a nonzero det: the distinct angles in [0, 2 pi) where
-    det(e^{i theta}) = 0, sorted, and (x, theta) inside each arc between them,
-    x exact.  The roots of D = ``det.int_poly(cosine)`` are isolated exactly:
-    when ``cosine`` (the form of the matrix det came from), those of D(u) in
-    [-2, 2], u = 2 cos theta = x; else those of D(t), t = tan(theta/2) = x,
-    and theta = pi where D loses degree."""
+def _circle_roots(det: TrigPoly, cosine: bool, graded: bool) -> tuple[list, list, list]:
+    """(angles, roots, points) of a nonzero det of H with the symmetry (cosine,
+    graded): det's circle zeros in the fundamental domain, their orbits (all
+    zeros in [0, 2 pi), sorted) and (x, theta) inside each arc there, x exact.
+    D = ``det.int_poly(cosine)`` is isolated in u = 2 cos theta = x on [end, 2],
+    else in t = tan(theta/2) = x on [-1, 1] when graded (t -> -1/t is theta +
+    pi), or on all t with theta = pi where D loses degree."""
+    _, end, images = _GROUPS[cosine, graded]
     D = det.int_poly(cosine)[0]
+    at_pi = not (cosine or graded or D[-1])
     if cosine:
-        roots = real_roots(_squarefree_part(D), pm2=True)
-        xs = [Fraction(e) for e in (-2, 2) if (e, e) not in roots]  # theta = pi and 0
-        xs += [(a[1] + b[0]) / 2 for a, b in zip(roots, roots[1:])]
-        angles = [s * math.acos(float(lo + hi) / 4) for lo, hi in roots for s in (1, -1)]
-        return sorted({th % (2 * math.pi) for th in angles}), [(x, math.acos(x / 2)) for x in xs]
-    at_pi = not D[-1]
-    roots = real_roots(_squarefree_part(D[:len(D) - next(i for i, x in enumerate(reversed(D)) if x)]))
-    xs = [(a[1] + b[0]) / 2 for a, b in zip(roots, roots[1:])]
-    # the arc through or next to theta = pi, and the other one next to it
-    if roots:
-        xs += [Fraction(math.floor(roots[0][0]) - 1)] + [Fraction(math.ceil(roots[-1][1]) + 1)] * at_pi
+        roots = _roots_in(_squarefree_part(D), 2, 2 - end)
+        xs = [Fraction(e) for e in (end, 2) if (e, e) not in roots]  # theta = pi or pi/2, and 0
     else:
-        xs.append(Fraction(0))
-    angles = [2 * math.atan(float(lo + hi) / 2) for lo, hi in roots] + [math.pi] * at_pi
-    return (sorted({th % (2 * math.pi) for th in angles}),
-            [(x, 2 * math.atan(x) % (2 * math.pi)) for x in xs])
+        D = _squarefree_part(D[:_nonzero_len(D)])
+        roots = _roots_in(D, 1, 2) if graded else real_roots(D)
+        if graded:  # the arc through theta = pi/2
+            xs = [Fraction(1)] * ((1, 1) not in roots)
+        elif roots:  # the arc through or next to theta = pi, and the other one next to it
+            xs = [Fraction(math.floor(roots[0][0]) - 1)] + [Fraction(math.ceil(roots[-1][1]) + 1)] * at_pi
+        else:
+            xs = [Fraction(0)]
+    mids = [(a[1] + b[0]) / 2 for a, b in zip(roots, roots[1:])]
+    theta = (lambda x: math.acos(x / 2)) if cosine else (lambda x: 2 * math.atan(x) % end)
+    angles = [theta((lo + hi) / 2) for lo, hi in roots] + [math.pi] * at_pi
+    return (angles, sorted({th % (2 * math.pi) for a in angles for th in images(a)}),
+            [(x, theta(x)) for x in (xs + mids if cosine else mids + xs)])
+
+
+def circle_roots_of(det: TrigPoly, cosine: bool) -> tuple[list, list]:
+    """(roots, points) of ``_circle_roots`` under the cosine symmetry alone."""
+    return _circle_roots(det, cosine, False)[1:]
 
 
 def _scan(H: TrigMatrix, thetas) -> tuple[float, float]:
@@ -92,13 +109,14 @@ def psd_on_circle(H: TrigMatrix) -> CircleVerdict:
     at a rational point next to the scan's minimum.  Else, det H = 0 is
     INCONCLUSIVE; otherwise H's inertia is constant on each arc between the
     circle roots of det H, and Sylvester's criterion at one point per arc
-    decides: NOT_PSD where it fails, else MARGINAL with roots and PD without."""
-    min_eig, witness = _scan(H, np.linspace(0.0, 2 * np.pi, GRID_SIZE, endpoint=False))
+    decides: NOT_PSD where it fails, else MARGINAL with roots and PD without.
+    H's symmetries keep its inertia: scan, arcs and witness keep to one ``_GROUPS`` domain."""
+    cosine, graded = H.is_cosine(), H.is_graded()
+    min_eig, witness = _scan(H, GRID[:_GROUPS[cosine, graded][0]])
     # a PSD matrix with a zero diagonal entry has a zero row, so a structural
     # zero decides NOT_PSD without the determinant
     if _structural_shortcut(H) is not None:
         return CircleVerdict(CircleVerdict.NOT_PSD, witness, min_eig, shortcut=True)
-    cosine = H.is_cosine()
     sign = H.pd_sign(image := H._image())
     # the witness and a quarter grid step on: a grid angle can lie on a
     # symmetry axis, where H is singular
@@ -109,8 +127,8 @@ def psd_on_circle(H: TrigMatrix) -> CircleVerdict:
     det = H.det(image)  # the image the minors read
     if det.is_zero():
         return CircleVerdict(CircleVerdict.INCONCLUSIVE, witness, min_eig)
-    roots, points = circle_roots_of(det, cosine)
-    min_eig, witness = min((min_eig, witness), _scan(H, roots + [th for _, th in points]))
+    angles, roots, points = _circle_roots(det, cosine, graded)
+    min_eig, witness = min((min_eig, witness), _scan(H, angles + [th for _, th in points]))
     status = CircleVerdict.MARGINAL if roots else CircleVerdict.PD
     for x, theta in points:
         if sign(x) < 1:
@@ -190,12 +208,9 @@ def build_sdp(H: TrigMatrix) -> SdpProblem:
     L0 = [[Fraction(0)] * size for _ in range(size)]
     for k in range(d + 1):
         for i in range(m):
-            for j in range(m):
-                if k == 0:
-                    L0[i][j] = H.entry(i, j).cos_coeff(k)
-                else:
-                    L0[i][k * m + j] = H.entry(i, j).cos_coeff(k)
-                    L0[k * m + i][j] = H.entry(j, i).cos_coeff(k)
+            for j in range(m):  # k = 0 writes H0[i][j] twice, H being symmetric
+                L0[i][k * m + j] = H.entry(i, j).cos_coeff(k)
+                L0[k * m + i][j] = H.entry(j, i).cos_coeff(k)
     dm = d * m
     objective = tuple(-1 if i == j else 0
                       for i in range(dm) for j in range(i, dm))

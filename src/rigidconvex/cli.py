@@ -76,6 +76,8 @@ def _hermite_entries(H) -> list:
 
 def cmd_check_rigid(args) -> dict:
     p = parse_poly(args.poly)
+    if p.degree < 1:  # the zero polynomial is refused as a constant is
+        raise ValueError("need total degree >= 1")
     body: dict = {}
     p0 = p.coeff((0, 0))
     recentred = p0 == 0

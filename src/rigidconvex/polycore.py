@@ -973,21 +973,22 @@ def _newton_interpolate(values, x0: int) -> list:
     return _newton_to_monomial(_divided_differences(values), x0)
 
 
-def _interpolate_minors(plan, polys, lo: int, count: int) -> list:
+def _interpolate_minors(plan, polys, lo: int, count: int, even: bool = False) -> list:
     """The last row ``_bareiss`` leaves, from column n - 1 on, on the integer
     polynomial matrix M with n rows and entry f * polys[q] at (f, q) =
     plan[i][j], as ascending integer polynomials of degree < count: M is
     evaluated at x = lo .. lo + count - 1 (Horner once per polynomial),
     eliminated, and each entry Newton-interpolated.  For a square M the one
     entry is det M (1 when n = 0).  The work is known before it runs: count
-    eliminations of n rows, on entries of the size of M at x."""
+    eliminations of n rows, on entries of the size of M at x.  ``even``: M is
+    square, det M even and lo = -(count - 1) / 2, so x < 0 reuses -x."""
     n, values = len(plan), []
-    for x in range(lo, lo + count):
+    for x in range(0 if even else lo, lo + count):
         at = [_horner(p, x) for p in polys]
         mat = [[f * at[q] for f, q in row] for row in plan]
         _bareiss(mat)
         values.append(mat[-1][n - 1:] if n else [1])
-    return [_newton_interpolate(col, lo) for col in zip(*values)]
+    return [_newton_interpolate(col, lo) for col in zip(*values[:0:-1] * even, *values)]
 
 
 def _primitive(coeffs) -> list:
@@ -1138,6 +1139,11 @@ class TrigMatrix:
     def is_cosine(self) -> bool:
         return all(e.is_cosine() for row in self.entries for e in row)
 
+    def is_graded(self) -> bool:
+        """Whether every entry (i, j) has only harmonics = i + j mod 2, as a Hermite matrix."""
+        return not any(any(h[(i + j + 1) % 2::2]) for i, row in enumerate(self.entries)
+                       for j, e in enumerate(row) for h in (e.re, e.im))
+
     def eval_thetas(self, thetas) -> np.ndarray:
         """H(e^{i theta}) at every angle, shape (N, m, m): the cosine and sine
         coefficients become (d+1, m, m) float blocks once, and one product with
@@ -1211,11 +1217,13 @@ class TrigMatrix:
         circle roots but theta = pi, where D loses degree.  D is interpolated
         from n+1 or 2n+1 consecutive integers around 0 and mapped back
         (``_u_to_cos``, ``_t_to_halves``) to the halves of the result over
-        scale; no Fraction is built.  ``image``: H's ``_image``, if built."""
+        scale; no Fraction is built.  D(-u) = D(u) for a graded cosine H, so
+        only u >= 0 is eliminated.  ``image``: H's ``_image``, if built."""
         plan, polys, n, scale, cosine = image or self._image()
-        count = n + 1 if cosine else 2 * n + 1
+        even = cosine and self.is_graded()
+        count = (n - n % 2 * even if cosine else 2 * n) + 1
         lo = -((count - 1) // 2)
-        coeffs = _interpolate_minors(plan, polys, lo, count)[0]
+        coeffs = _interpolate_minors(plan, polys, lo, count, even)[0]
         if cosine:
             return TrigPoly._make(_u_to_cos(coeffs), [], scale)
         return TrigPoly._make(*_t_to_halves(coeffs), scale)

@@ -104,16 +104,20 @@ def _roots01(f: list) -> list:
     return sorted(out)
 
 
-def real_roots(f: list, pm2: bool = False) -> list:
+def _roots_in(f: list, b: int, w: int) -> list:
+    """Sorted ``_roots01`` intervals of the roots in [b - w, b], b >= 0, of a
+    square-free integer polynomial, from f(b - w y), y in [0, 1]."""
+    for _ in range(b):
+        f = _taylor_shift(f)
+    return [(b - w * hi, b - w * lo)
+            for lo, hi in reversed(_roots01([x * (-w) ** k for k, x in enumerate(f)]))]
+
+
+def real_roots(f: list) -> list:
     """Sorted ``_roots01`` intervals of the distinct real roots of a
-    square-free integer polynomial (ascending, no trailing zero), or with
-    ``pm2`` of those in [-2, 2], from f(2 - 4y), y in [0, 1].  Else, for s = 1
-    and -1, the roots of f(s x) in [0, 1], and the reciprocals of those of its
-    reversal.  The intervals are plain bisection's (``_refine``)."""
-    if pm2:
-        g = _taylor_shift(_taylor_shift(f))
-        return [(2 - 4 * hi, 2 - 4 * lo)
-                for lo, hi in reversed(_roots01([x * (-4) ** k for k, x in enumerate(g)]))]
+    square-free integer polynomial (ascending, no trailing zero): for s = 1
+    and -1, the roots of f(s x) in [0, 1], and the reciprocals of those of
+    its reversal.  The intervals are plain bisection's (``_refine``)."""
     out = set()
     for s in (1, -1):
         g = [x * s**k for k, x in enumerate(f)]

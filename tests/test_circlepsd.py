@@ -604,14 +604,15 @@ def test_cosine_det_matches_z_form_reference():
 
 def test_cosine_det_takes_n_plus_one_points(monkeypatch):
     # CUBIC_H has entry half-degrees i + j, so n = m(m-1) = 6: the u-form
-    # takes 7 Bareiss points where the z-form took 2n+1 = 13
+    # interpolates at the 7 points -3 .. 3 where the z-form took 2n+1 = 13,
+    # and as CUBIC_H is graded D(u) is even, so only u = 0 .. 3 are eliminated
     from rigidconvex import polycore
 
     calls = []
     bareiss = polycore._bareiss
     monkeypatch.setattr(polycore, "_bareiss", lambda mat: calls.append(1) or bareiss(mat))
     assert CUBIC_H.det() == z_form_det(CUBIC_H)
-    assert len(calls) == 7 + 13
+    assert len(calls) == 4 + 13
 
 
 # ---------------------------------------------------------------------------

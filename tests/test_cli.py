@@ -67,6 +67,13 @@ def test_check_rigid_parse_error_exit_1(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("poly", ["0", "x1-x1", "5", "2*x2^0"])
+def test_check_rigid_refuses_the_zero_polynomial_as_a_constant(capsys, poly):
+    # p = 0 is refused like a nonzero constant, with the same message
+    code, out, err = run(capsys, "check-rigid", f"--poly={poly}", "--json")
+    assert (code, out, err) == (1, "", "error: need total degree >= 1\n")
+
+
 def test_check_rigid_degree_bound_fails_fast(capsys):
     import time
 

@@ -27,7 +27,7 @@ from rigidconvex.polycore import (
     parse_scalar,
     solve_exact,
 )
-from rigidconvex.realroots import real_roots
+from rigidconvex.realroots import _roots_in, real_roots
 from reference_poly import interpolate_exact, ref_derivative, ref_divmod, ref_gcd, ref_monic, \
     ref_squarefree
 from trig_helpers import tadd, teval, tmul, tpow
@@ -616,7 +616,7 @@ def test_real_roots_match_sympy_count_random():
         f = _random_factored(rng)
         P = sympy.Poly(list(reversed(f)), x)
         sqf = _squarefree_part(f)
-        for found, (lo, hi) in ((real_roots(sqf), (None, None)), (real_roots(sqf, pm2=True), (-2, 2))):
+        for found, (lo, hi) in ((real_roots(sqf), (None, None)), (_roots_in(sqf, 2, 4), (-2, 2))):
             assert len(found) == P.count_roots(lo, hi)  # distinct roots
             for a, b in found:
                 assert P.count_roots(a, b) == 1

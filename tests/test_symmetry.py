@@ -1,0 +1,179 @@
+"""The symmetries of the Hermite matrix that ``psd_on_circle`` works under,
+proved exactly: every Hermite matrix is graded (entry (i, j) carries only
+harmonics = i + j mod 2, so H(theta + pi) = S H(theta) S, S = diag((-1)^i)),
+the scan's leading grid angles meet every orbit of the grid, the mirrored
+determinant is the unmirrored one, and Sylvester's signs agree across an
+orbit.  A unimodular congruence that breaks the grading runs the same
+routine with the trivial group, and must reach the same answers."""
+import functools
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from rigidconvex import TrigMatrix, TrigPoly, parse_poly, polycore
+from rigidconvex.circlepsd import _GROUPS, GRID, GRID_SIZE, _circle_roots, psd_on_circle
+from rigidconvex.fixtures import FIXTURE_NAMES, load_fixture
+from rigidconvex.hermite import hermite_matrix
+from rigidconvex.locate import critical_points
+from trig_helpers import tadd
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from bench import workloads  # noqa: E402
+
+
+def _recentred(p):
+    """p as check-rigid reads it: when p(0) = 0, shifted to its first critical
+    point off the curve (None without one)."""
+    if p.coeff((0, 0)):
+        return p
+    norm = max(abs(v / p.den) for v in p.ints.values())
+    pivot = next((c for c in (critical_points(p) if p.degree >= 2 else [])
+                  if abs(float(p(*c.x))) > 1e-9 * norm), None)
+    return pivot and p.shifted(*[Fraction(v) for v in pivot.x])
+
+
+@functools.cache
+def _hermite_matrices(seeds: tuple) -> list:
+    """The Hermite matrices of the fixture curves and of the check-rigid inputs
+    (every check-rigid family) of the benchmark workloads at these seeds,
+    recentred as check-rigid does."""
+    texts = [load_fixture(name).get("poly") for name in FIXTURE_NAMES]
+    for workload in ("hermite-ladder", "hermite-scan", "origin-locate"):
+        for seed in seeds:
+            texts += [case.argv[1].removeprefix("--poly=")
+                      for case in workloads.build(workload, seed, ROOT)
+                      if case.argv[0] == "check-rigid"]
+    polys = [_recentred(parse_poly(text)) for text in dict.fromkeys(texts) if text]
+    return [hermite_matrix(p) for p in polys if p is not None]
+
+
+def _sheared(H: TrigMatrix) -> TrigMatrix:
+    """W H W^T for W = I + E_10 (row and then column 1 += row and column 0):
+    W is unimodular and lower unitriangular, so H's inertia at every theta and
+    every leading principal minor stay, and det is unchanged; entry (0, 1)
+    gains H_00's constant, so the result is not graded."""
+    rows = [list(row) for row in H.entries]
+    rows[1] = [tadd(a, b) for a, b in zip(rows[1], rows[0])]
+    for row in rows:
+        row[1] = tadd(row[1], row[0])
+    return TrigMatrix(rows)
+
+
+def _orbit(k: int, cosine: bool, graded: bool) -> set:
+    """The grid indices of k's orbit: k -> -k when cosine, k -> k + N/2 when
+    graded, N = GRID_SIZE."""
+    return {(s * k + t * GRID_SIZE // 2) % GRID_SIZE
+            for s in ((1, -1) if cosine else (1,)) for t in ((0, 1) if graded else (0,))}
+
+
+def test_every_hermite_matrix_is_graded():
+    matrices = _hermite_matrices((1, 2))
+    assert len(matrices) > 150 and {H.is_cosine() for H in matrices} == {True, False}
+    for H in matrices:
+        for i, row in enumerate(H.entries):
+            for j, e in enumerate(row):
+                for half in (e.re, e.im):
+                    assert not any(x for k, x in enumerate(half) if (k - i - j) % 2)
+        assert H.is_graded()
+    # and the check sees a harmonic of the wrong parity, cosine or sine
+    for e in (TrigPoly([1, 1]), TrigPoly([1], [0, 1]), TrigPoly([0, 0, 1])):
+        assert not TrigMatrix([[TrigPoly([1]), e], [e, TrigPoly([1])]]).is_graded()
+
+
+@pytest.mark.parametrize("cosine, graded", list(_GROUPS))
+def test_scan_prefix_meets_every_orbit(cosine, graded):
+    count, _, images = _GROUPS[cosine, graded]
+    orbits = [_orbit(k, cosine, graded) for k in range(GRID_SIZE)]
+    assert all(min(orbit) < count for orbit in orbits)
+    assert min(orbits[count - 1]) == count - 1  # and no shorter prefix does
+    # the images of a grid angle are the grid angles of its orbit
+    step = GRID[1]
+    for k in range(GRID_SIZE):
+        assert {round(th / step) % GRID_SIZE for th in images(GRID[k])} == orbits[k]
+
+
+def _random_graded_cosine(rng) -> TrigMatrix:
+    """A symmetric matrix of up to 4 x 4 random cosine entries, entry (i, j)
+    of half-degree up to 4 and harmonics = i + j mod 2 only."""
+    m = rng.randint(1, 4)
+    rows = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            c = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if (k - i - j) % 2 == 0 else 0
+                 for k in range(rng.randint(0, 4) + 1)]
+            rows[i][j] = rows[j][i] = TrigPoly(c)
+    return TrigMatrix(rows)
+
+
+def test_mirrored_det_equals_the_unmirrored_one():
+    # the ladder's and fixtures' cosine Hermite matrices, and random graded
+    # ones, whose bound n on the half-degree of det is odd about one time in six
+    rng = random.Random(3)
+    cosine = [H for H in _hermite_matrices((1,)) if H.is_cosine() and H.m > 1]
+    randoms = [_random_graded_cosine(rng) for _ in range(120)]
+    assert len(cosine) > 30 and {H._image()[2] % 2 for H in randoms} == {0, 1}
+    for H in cosine + randoms:
+        assert H.is_graded()
+        plan, polys, n, scale, _ = image = H._image()
+        reference = polycore._interpolate_minors(plan, polys, -(n // 2), n + 1)[0]
+        det = H.det(image)
+        assert det == TrigPoly._make(polycore._u_to_cos(reference), [], scale)
+        D = det.int_poly(True)[0]
+        assert not any(D[1::2])  # D(u) is even
+
+
+def test_sylvester_signs_agree_across_an_orbit():
+    rng = random.Random(11)
+    xs = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 60), rng.randint(1, 23))
+          for _ in range(10)]
+    seen = set()
+    for H in _hermite_matrices((1,)):
+        sign = H.pd_sign(H._image())
+        for x in xs:  # x -> -x is theta -> pi - theta in u, theta + pi in t
+            s = sign(x)
+            assert s == sign(-x if H.is_cosine() else -1 / x)
+            seen.add((H.is_cosine(), s))
+    assert seen >= {(True, 1), (True, -1), (False, 1), (False, -1)}
+
+
+def test_trivial_group_path_agrees_on_a_congruent_matrix():
+    # the same status and circle roots from the graded domain and from the
+    # trivial group's whole circle; WHW^T has H's leading minors and det
+    for H in _hermite_matrices((1, 2)):
+        if H.m < 2:
+            continue
+        G = _sheared(H)
+        cosine = H.is_cosine()
+        assert G.is_cosine() == cosine and H.is_graded() and not G.is_graded()
+        det = H.det()
+        assert G.det() == det
+        assert psd_on_circle(G).status == psd_on_circle(H).status
+        if not det.is_zero():
+            roots = _circle_roots(det, cosine, True)[1]
+            assert roots == pytest.approx(_circle_roots(det, cosine, False)[1], abs=1e-9)
+
+
+def test_work_follows_the_symmetry(monkeypatch):
+    # the scan's angles per group, and the determinant's Bareiss points: a
+    # graded cosine H eliminates at u = 0 .. n/2 only
+    cubic = hermite_matrix(parse_poly("1-x1-4*x1^2-x2^2+4*x1^3"))  # n = 6
+    sine = hermite_matrix(parse_poly("1-x1^2-x2^2+x2^3"))  # m = 3, n = 6
+    scanned, eliminated = [], []
+    eval_thetas, bareiss = TrigMatrix.eval_thetas, polycore._bareiss
+    monkeypatch.setattr(TrigMatrix, "eval_thetas",
+                        lambda H, thetas: scanned.append(len(thetas)) or eval_thetas(H, thetas))
+    monkeypatch.setattr(polycore, "_bareiss",
+                        lambda mat, swap=True: eliminated.append(swap) or bareiss(mat, swap))
+    for H, grid, points in ((cubic, 129, 4), (_sheared(cubic), 257, 7),
+                            (sine, 256, 13), (_sheared(sine), 512, 13)):
+        scanned.clear()
+        psd_on_circle(H)
+        assert scanned[0] == grid
+        eliminated.clear()
+        H.det()
+        assert eliminated == [True] * points
