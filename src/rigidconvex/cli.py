@@ -167,17 +167,16 @@ def cmd_find_component(args) -> dict:
         raise ValueError("find-component needs --poly for pencils with "
                          "floating-point entries")
     result = find_interior_point(pencil, p)
+    chosen = result.chosen
     body = {
         "status": result.status,
-        "point": list(result.point) if result.point else None,
+        "point": list(chosen.x) if chosen else None,
         "degenerate": result.degenerate,
-        "certificate": None,
+        "certificate": list(chosen.cert) if chosen else None,
         "candidates_examined": len(result.candidates),
     }
     if result.note:
         body["note"] = result.note
-    if result.point is not None:
-        body["certificate"] = list(next(c.cert for c in result.candidates if c.x == result.point))
     return body
 
 

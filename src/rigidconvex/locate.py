@@ -9,13 +9,15 @@ on each piece, once a shear x2 -> x2 + k x1 has made the solutions' x2
 distinct; no residual test and no float x1 root is needed.  Candidates
 are then certified through the sign pattern of the characteristic
 polynomial of F(x), det(tI + F(x)) = p_0(x) + p_1(x) t + ... + t^m, which is
-entrywise nonnegative exactly on the LMI set.
+entrywise nonnegative exactly on the LMI set.  F is singular wherever
+p = 0, so only a critical point can certify PD: the critical points are
+certified first, and the boundary systems are solved only when none is PD.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -40,11 +42,15 @@ class CandidatePoint:
 
 @dataclass(frozen=True)
 class LocateResult:
-    point: tuple[float, float] | None
+    chosen: CandidatePoint | None  # the certified answer
     status: str  # "PD" | "PSD" | "none"
     degenerate: bool
-    candidates: tuple[CandidatePoint, ...]
+    candidates: tuple[CandidatePoint, ...]  # every candidate certified
     note: str = ""
+
+    @property
+    def point(self) -> tuple[float, float] | None:
+        return None if self.chosen is None else self.chosen.x
 
 
 # ---------------------------------------------------------------------------
@@ -300,24 +306,30 @@ def certify_psd_point(pencil: Pencil, x, source: str = "query") -> CandidatePoin
 
 
 def find_interior_point(pencil: Pencil, p: Poly) -> LocateResult:
-    """First PD candidate, else the best PSD candidate flagged degenerate.
+    """First PD critical point, else the best PSD candidate flagged degenerate.
 
-    Candidates are the critical and boundary points of p in deterministic
-    (x2, x1, source) order; every boundary point is singular for F so only
-    critical points can certify PD.
+    The critical points of p are certified in (x2, x1) order up to the first
+    PD one.  Every boundary point is singular for F, so only when no critical
+    point is PD are the boundary systems solved, merged with the critical
+    points in (x2, x1, source) order and certified.  ``candidates`` holds the
+    critical points certified up to a PD answer, else every merged candidate.
     """
-    if p.degree < 2:
-        cands = [CandidatePoint((0.0, 0.0), "critical")]
-    else:
-        cands = _dedupe_sorted(list(critical_points(p)) + list(boundary_points(p)))
-    certified = [certify_psd_point(pencil, cand.x, cand.source) for cand in cands]
-    for cand in certified:
-        if cand.verdict == "PD":
-            return LocateResult(cand.x, "PD", False, tuple(certified))
+    cands = critical_points(p) if p.degree >= 2 else [CandidatePoint((0.0, 0.0), "critical")]
+    certified = []
+    for cand in cands:
+        certified.append(cert := certify_psd_point(pencil, cand.x, cand.source))
+        if cert.verdict == "PD":
+            return LocateResult(cert, "PD", False, tuple(certified))
+    if p.degree >= 2:
+        # a singular point of the curve is also a boundary point, which the
+        # merge keeps in its place: at the same x its certificate is reused
+        done = {c.x: c for c in certified}
+        certified = [replace(done[c.x], source=c.source) if c.x in done
+                     else certify_psd_point(pencil, c.x, c.source)
+                     for c in _dedupe_sorted(cands + boundary_points(p))]
     psd = [c for c in certified if c.verdict == "PSD"]
     if psd:
-        best = max(psd, key=lambda c: c.min_eig)
-        return LocateResult(best.x, "PSD", True, tuple(certified),
+        return LocateResult(max(psd, key=lambda c: c.min_eig), "PSD", True, tuple(certified),
                             note="no strictly feasible candidate; the LMI set "
                                  "may degenerate to a single point")
     return LocateResult(None, "none", False, tuple(certified))

@@ -1,7 +1,9 @@
 import math
 import random
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,12 @@ from rigidconvex import (
     parse_poly,
 )
 from rigidconvex.bezout import Parametrization, interpolate_det, pencil_from_param
-from rigidconvex import polycore
+from rigidconvex import locate, polycore
 from rigidconvex.locate import (
+    MERGE_TOL,
+    CandidatePoint,
+    LocateResult,
+    _dedupe_sorted,
     _narrowed,
     _root_in,
     _sheared,
@@ -32,6 +38,11 @@ from rigidconvex.locate import (
 from rigidconvex.polycore import Poly, _bareiss, _horner, _newton_interpolate, det_exact
 from rigidconvex.realroots import real_roots
 from reference_poly import interpolate_exact
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from bench import workloads  # noqa: E402
 
 CAPRICORN_P = parse_poly("x1^2*(x1^2+x2^2)-2*(x1^2+x2^2-x2)^2")
 CAPRICORN_PENCIL = pencil_from_param(Parametrization(
@@ -618,6 +629,88 @@ def test_find_interior_point_none():
     res = find_interior_point(neg, parse_poly("1-x1^2-x2^2"))
     assert res.status == "none"
     assert res.point is None
+
+
+def _exhaustive_search(pencil, p):
+    """Every critical and boundary point, merged and certified, then the
+    first PD one, else the best PSD one: the search without its early stop."""
+    cands = (_dedupe_sorted(critical_points(p) + boundary_points(p)) if p.degree >= 2
+             else [CandidatePoint((0.0, 0.0), "critical")])
+    certified = tuple(certify_psd_point(pencil, c.x, c.source) for c in cands)
+    pd = [c for c in certified if c.verdict == "PD"]
+    psd = [c for c in certified if c.verdict == "PSD"]
+    if pd:
+        return LocateResult(pd[0], "PD", False, certified)
+    if psd:
+        return LocateResult(max(psd, key=lambda c: c.min_eig), "PSD", True, certified,
+                            note="no strictly feasible candidate; the LMI set "
+                                 "may degenerate to a single point")
+    return LocateResult(None, "none", False, certified)
+
+
+def _locate_inputs():
+    """The find-component inputs of the origin-locate benchmark at seeds 1-2,
+    the capricorn and the bean, the identity pencil and a nowhere-PSD one."""
+    eye = Pencil.from_rows(np.eye(2).tolist(), np.zeros((2, 2)).tolist(),
+                           np.zeros((2, 2)).tolist())
+    neg = Pencil.from_rows((-np.eye(2)).tolist(), np.zeros((2, 2)).tolist(),
+                           np.zeros((2, 2)).tolist())
+    inputs = [(CAPRICORN_PENCIL, CAPRICORN_P), (BEAN_PENCIL, BEAN_P),
+              (eye, parse_poly("1")), (neg, parse_poly("1-x1^2-x2^2"))]
+    for seed in (1, 2):
+        for case in workloads.build("origin-locate", seed, ROOT):
+            if case.argv[0] == "find-component":
+                pencil = pencil_from_param(Parametrization(*map(UniPoly, case.expect["q"])))
+                inputs.append((pencil, interpolate_det(pencil)))
+    return inputs
+
+
+def test_find_interior_point_matches_exhaustive_search():
+    """Only a critical point can certify PD, so stopping at the first PD one
+    answers as certifying every candidate does, and the candidates examined
+    are the exhaustive list's critical points up to the answer.  A critical
+    point on the curve (the capricorn's origin) lies within MERGE_TOL of a
+    boundary point, which the exhaustive merge keeps in its place."""
+    statuses, merged = set(), 0
+    for pencil, p in _locate_inputs():
+        got, ref = find_interior_point(pencil, p), _exhaustive_search(pencil, p)
+        assert (got.status, got.point, got.degenerate, got.note) == \
+            (ref.status, ref.point, ref.degenerate, ref.note)
+        assert (got.chosen and got.chosen.cert) == (ref.chosen and ref.chosen.cert)
+        if ref.status == "PD":
+            critical = [c for c in ref.candidates if c.source == "critical"]
+            assert [c for c in got.candidates if c in ref.candidates] == \
+                critical[:critical.index(ref.chosen) + 1]
+            for c in got.candidates:
+                if c not in ref.candidates:
+                    merged += 1
+                    assert c.verdict != "PD" and any(
+                        b.source == "boundary" and all(abs(u - v) <= MERGE_TOL * (1 + abs(u))
+                                                       for u, v in zip(c.x, b.x))
+                        for b in ref.candidates)
+        else:
+            assert got.candidates == ref.candidates
+        statuses.add(ref.status)
+    assert statuses == {"PD", "PSD", "none"} and merged
+
+
+def test_find_interior_point_solves_boundary_systems_only_without_pd(monkeypatch):
+    def refuse(p):
+        raise AssertionError("boundary systems solved for a PD answer")
+
+    monkeypatch.setattr(locate, "boundary_points", refuse)
+    assert find_interior_point(CAPRICORN_PENCIL, CAPRICORN_P).status == "PD"
+    solved, points = [], []
+
+    def counted(pencil, x, *args):
+        points.append(tuple(x))
+        return certify_psd_point(pencil, x, *args)
+
+    monkeypatch.setattr(locate, "boundary_points", lambda p: solved.append(p) or boundary_points(p))
+    monkeypatch.setattr(locate, "certify_psd_point", counted)
+    res = find_interior_point(BEAN_PENCIL, BEAN_P)
+    assert res.status == "PSD" and solved == [BEAN_P]
+    assert len(points) == len(set(points)) == len(res.candidates)
 
 
 @pytest.mark.parametrize("m", [5, 6])
