@@ -9,13 +9,11 @@ from .errors import (
     PolyParseError,
     RigidConvexError,
     SingularCubicError,
-    UnknownFixtureError,
     UnknownVariableError,
 )
 from .bezout import (
     Parametrization,
     bezout_matrix,
-    interlace_check,
     pencil_from_param,
     rigid_at_origin,
     verify_pencil_det,
@@ -30,7 +28,6 @@ from .circlepsd import (
     write_sdpa,
 )
 from .cubicrepr import cubic_representations, hessian, hessian_det, homogenize
-from .fixtures import FIXTURE_NAMES, verify_fixture
 from .hermite import hermite_matrix, line_substitute, newton_sums
 from .locate import (
     boundary_points,
@@ -57,14 +54,13 @@ __all__ = [
     "psd_on_circle", "build_sdp", "write_sdpa",
     "verify_spectral_factor", "CircleVerdict", "SdpProblem", "MatrixPoly",
     "Parametrization", "bezout_matrix", "pencil_from_param",
-    "interlace_check", "verify_pencil_det", "rigid_at_origin",
+    "verify_pencil_det", "rigid_at_origin",
     "resultant_elim_x1", "critical_points", "boundary_points",
     "certify_psd_point", "find_interior_point",
     "homogenize", "hessian", "hessian_det", "cubic_representations",
-    "FIXTURE_NAMES", "verify_fixture",
     "RigidConvexError", "PolyParseError", "UnknownVariableError",
     "OriginOnCurveError", "DegreeZeroError", "DimensionMismatchError",
     "DeterminantMismatchError", "IdenticallyZeroResultantError",
-    "SingularCubicError", "UnknownFixtureError",
+    "SingularCubicError",
     "__version__",
 ]

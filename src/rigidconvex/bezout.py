@@ -10,12 +10,11 @@ q1 - x1 q0 = q2 - x2 q0 = 0 gives the symmetric pencil
 
 whose determinant is proportional to the implicit equation p(x).  Positive
 semidefiniteness of F(0) = B(q1, q2) decides rigid convexity around the
-origin and is equivalent to the roots of q1 and q2 interlacing.  Every
-decision here is exact: det F comes from the integer lattice of
-``interpolate_det`` and the characteristic polynomials behind
+origin.  Every decision here is exact: det F comes from the integer lattice
+of ``interpolate_det`` and the characteristic polynomials behind
 ``signature_exact`` from the univariate loop ``polycore._interpolate_minors``,
 both reading float entries as the binary rationals they are.  Float
-eigenvalues and roots are reported only as diagnostics.
+eigenvalues are reported only as diagnostics.
 """
 from __future__ import annotations
 
@@ -27,7 +26,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegreeZeroError, DeterminantMismatchError, DimensionMismatchError
-from .locate import real_roots_with_multiplicity
 from .polycore import Pencil, Poly, Scalar, UniPoly, _add_ints, _bareiss, _clear_rows, \
     _divided_differences, _interpolate_minors, _newton_to_monomial, _variations
 
@@ -94,17 +92,8 @@ def pencil_from_param(par: Parametrization) -> Pencil:
 
 
 # ---------------------------------------------------------------------------
-# interlacing
+# exact inertia
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InterlaceReport:
-    verdict: str  # definite | semidefinite | indefinite
-    roots1: tuple[float, ...]
-    roots2: tuple[float, ...]
-    all_real: bool
-    signature: int  # exact signature of B(q1, q2)
-
 
 def signature_exact(rows) -> tuple[int, int, int]:
     """(n_pos, n_neg, n_zero) of a symmetric matrix A with rational or float
@@ -123,29 +112,6 @@ def signature_exact(rows) -> tuple[int, int, int]:
     pos = _variations(char)
     zero = next(k for k, c in enumerate(char) if c)  # multiplicity of the root 0
     return pos, n - pos - zero, zero
-
-
-def interlace_check(q1: UniPoly, q2: UniPoly) -> InterlaceReport:
-    """Decided by the exact inertia of B(q1, q2): 'definite' when it has one
-    sign and no kernel (the roots of q1 and q2 are real and strictly
-    interlace), 'semidefinite' when it has one sign and a kernel (q1 and q2
-    have a common root, possibly at infinity), else 'indefinite'.  The float
-    real roots of q1 and q2, and whether all their roots are real, are
-    reported as diagnostics.
-    """
-    if q1.is_zero() or q2.is_zero():
-        raise ValueError("interlace_check needs two nonzero polynomials")
-    m = max(q1.degree, q2.degree)
-    pos, neg, zero = signature_exact(bezout_matrix(q1, q2, m))
-    if pos and neg:
-        verdict = "indefinite"
-    else:
-        verdict = "semidefinite" if zero else "definite"
-    # floats are read as the binary rationals they are, as in signature_exact
-    r1, r2 = ([x for x, mult in real_roots_with_multiplicity(q) for _ in range(mult)]
-              for q in (q1, q2))
-    all_real = len(r1) == q1.degree and len(r2) == q2.degree
-    return InterlaceReport(verdict, tuple(r1), tuple(r2), all_real, pos - neg)
 
 
 # ---------------------------------------------------------------------------

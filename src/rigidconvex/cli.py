@@ -25,12 +25,9 @@ from .circlepsd import CircleVerdict, MatrixPoly, build_sdp, psd_on_circle, \
     verify_spectral_factor, write_sdpa
 from .cubicrepr import cubic_representations
 from .errors import DeterminantMismatchError, RigidConvexError, SingularCubicError
-from .fixtures import FIXTURE_NAMES, verify_fixture
 from .hermite import hermite_matrix
 from .locate import critical_points, find_interior_point
 from .polycore import Pencil, UniPoly, format_scalar, parse_poly, parse_scalar
-
-MAX_PLOT_GRID = 151  # samples per axis; a dense degree-32 plot stays within 30 s
 
 _STATUS_TO_VERDICT = {
     CircleVerdict.PD: "rigidly-convex",
@@ -237,61 +234,6 @@ def cmd_verify_det(args) -> dict:
     return {"verdict": "proportional", "c": format_scalar(c)}
 
 
-def cmd_fixture(args) -> dict:
-    report = verify_fixture(args.name)
-    return {
-        "verdict": "pass" if report.passed else "fail",
-        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                   for c in report.checks],
-    }
-
-
-def cmd_plot_data(args) -> dict | None:
-    """CSV samples to ``--out`` or stdout; a report only for ``--out --json``."""
-    if args.grid > MAX_PLOT_GRID:
-        raise ValueError(f"--grid {args.grid} exceeds MAX_PLOT_GRID = {MAX_PLOT_GRID}")
-    p = parse_poly(args.poly)
-    try:
-        parts = [float(v) for v in args.range.split(":")]
-    except ValueError:
-        parts = []
-    if len(parts) == 2:
-        x1lo, x1hi = parts
-        x2lo, x2hi = parts
-    elif len(parts) == 4:
-        x1lo, x1hi, x2lo, x2hi = parts
-    else:
-        raise ValueError(f"--range {args.range!r} must be lo:hi or "
-                         "x1lo:x1hi:x2lo:x2hi")
-    # Poly.__call__'s float operations, in its order and with its scalar
-    # powers x**e (x**0 = 1 is exact), over the whole grid at once
-    values = np.zeros((args.grid, args.grid))  # rows x2, columns x1
-    with np.errstate(all="ignore"):  # non-finite samples are refused below
-        x1s, x2s = np.linspace(x1lo, x1hi, args.grid), np.linspace(x2lo, x2hi, args.grid)
-        for (a, b), v in p.ints.items():
-            values = values + (v / p.den * np.array([x**a for x in x1s])
-                               * np.array([x**b for x in x2s])[:, None])
-    finite = np.isfinite(values) & np.isfinite(x1s) & np.isfinite(x2s)[:, None]
-    bad = values.size - int(np.count_nonzero(finite))
-    if bad:
-        raise ValueError(f"{bad} of {values.size} samples are not finite; "
-                         "narrow --range")
-    lines = ["x1,x2,p"]
-    for x2, row in zip(x2s, values):
-        for x1, val in zip(x1s, row):
-            lines.append(f"{x1:.12g},{x2:.12g},{val:.12g}")
-    text = "\n".join(lines) + "\n"
-    if not args.out:
-        sys.stdout.write(text)
-        return None
-    with open(args.out, "w") as handle:
-        handle.write(text)
-    if not args.json:
-        print(f"wrote {args.out} ({args.grid * args.grid} samples)")
-        return None
-    return {"written": args.out, "samples": args.grid * args.grid}
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -364,15 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pencil", required=True)
     p.add_argument("--poly", required=True)
 
-    p = add("fixture", cmd_fixture, help="run a named regression fixture")
-    p.add_argument("--name", required=True, choices=sorted(FIXTURE_NAMES))
-
-    p = add("plot-data", cmd_plot_data, help="emit curve samples as CSV")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--range", required=True, help="lo:hi or x1lo:x1hi:x2lo:x2hi")
-    p.add_argument("--grid", type=int, default=101)
-    p.add_argument("--out")
-
     return parser
 
 
@@ -388,12 +321,11 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
         started = time.perf_counter()
         body = args.func(args)
-        if body is not None:
-            inputs = {key: val for key, val in vars(args).items()
-                      if key not in ("command", "func", "json")}
-            _emit({"command": args.command, "inputs": inputs, **body,
-                   "timing_seconds": round(time.perf_counter() - started, 6)},
-                  args.json)
+        inputs = {key: val for key, val in vars(args).items()
+                  if key not in ("command", "func", "json")}
+        _emit({"command": args.command, "inputs": inputs, **body,
+               "timing_seconds": round(time.perf_counter() - started, 6)},
+              args.json)
         return 0
     except np.linalg.LinAlgError as err:  # before ValueError, which numpy derives it from
         print(f"numerical failure: {err}", file=sys.stderr)

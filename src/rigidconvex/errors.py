@@ -49,7 +49,3 @@ class SingularCubicError(RigidConvexError, ValueError):
     def __init__(self, message: str, singular_point=None):
         super().__init__(message)
         self.singular_point = singular_point
-
-
-class UnknownFixtureError(RigidConvexError, KeyError):
-    """Requested fixture name is not in the registry."""

@@ -20,6 +20,7 @@ from rigidconvex.bezout import (
     Parametrization,
     RigidVerdict,
     bezout_matrix,
+    interpolate_det,
     pencil_from_param,
     rigid_at_origin,
     verify_pencil_det,
@@ -33,7 +34,6 @@ from rigidconvex.circlepsd import (
     write_sdpa,
 )
 from rigidconvex.cubicrepr import cubic_representations
-from rigidconvex.fixtures import load_fixture, verify_fixture
 from rigidconvex.hermite import hermite_matrix, line_substitute, newton_sums
 from rigidconvex.locate import (
     certify_psd_point,
@@ -42,6 +42,7 @@ from rigidconvex.locate import (
     resultant_elim_x1,
 )
 from rigidconvex.polycore import TrigMatrix, TrigPoly, det_exact
+from fixture_data import load_fixture
 from trig_helpers import teval
 
 CUBIC = parse_poly("1-x1-4*x1^2-x2^2+4*x1^3")
@@ -237,10 +238,13 @@ def test_acceptance_6d_refutation():
 # -- 7: fixture determinants ---------------------------------------------------------
 
 def test_acceptance_7_fixture_determinants():
-    fermat = verify_fixture("fermat-pencil")
-    assert fermat.passed
-    cayley = verify_fixture("cayley-cubic")
-    assert cayley.passed
+    fermat = load_fixture("fermat-pencil")
+    assert verify_pencil_det(Pencil.from_json_dict(fermat["pencil"]),
+                             parse_poly(fermat["poly"])) == -1
+    cayley = load_fixture("cayley-cubic")
+    det = interpolate_det(Pencil.from_json_dict(cayley["pencil"]))
+    assert det == parse_poly(cayley["expect"]["det"]["poly"])
+    assert det != parse_poly(cayley["expect"]["det"]["printed_poly"])
     report("7", "Fermat 7x7 det scale -1 exact; Cayley oracle determinant")
 
 

@@ -17,10 +17,10 @@ from rigidconvex.bezout import (
     Parametrization,
     RigidVerdict,
     bezout_matrix,
-    interlace_check,
     interpolate_det,
     pencil_from_param,
     rigid_at_origin,
+    signature_exact,
     verify_pencil_det,
 )
 from rigidconvex.locate import real_roots_with_multiplicity
@@ -188,37 +188,45 @@ def test_pencil_rank_drops_on_curve():
 
 
 # ---------------------------------------------------------------------------
-# interlacing
+# interlacing: the exact inertia of B(q1, q2)
 # ---------------------------------------------------------------------------
 
+def _inertia(q1: UniPoly, q2: UniPoly) -> tuple:
+    return signature_exact(bezout_matrix(q1, q2, max(q1.degree, q2.degree)))
+
+
+def _interlace_verdict(q1: UniPoly, q2: UniPoly) -> str:
+    """'definite' when B(q1, q2) has one sign and no kernel (the roots of q1
+    and q2 are real and strictly interlace), 'semidefinite' when it has one
+    sign and a kernel (a common root, possibly at infinity), else
+    'indefinite'."""
+    pos, neg, zero = _inertia(q1, q2)
+    if pos and neg:
+        return "indefinite"
+    return "semidefinite" if zero else "definite"
+
+
 def test_interlace_definite():
-    report = interlace_check(UniPoly([1, 0, -1]), UniPoly([0, 2]))
-    assert report.verdict == "definite"
-    assert abs(report.signature) == 2
+    assert _inertia(UniPoly([1, 0, -1]), UniPoly([0, 2])) == (0, 2, 0)
 
 
 def test_interlace_float_coefficients():
-    # float coefficients are read exactly, for the diagnostics too
-    report = interlace_check(UniPoly([0.5, 1.0]), UniPoly([1, 1]))
-    assert report.verdict == "definite"
-    assert (report.roots1, report.roots2, report.all_real) == ((-0.5,), (-1.0,), True)
+    # float coefficients are read as the binary rationals they are
+    assert _inertia(UniPoly([0.5, 1.0]), UniPoly([1, 1])) == \
+        _inertia(UniPoly([Fraction(1, 2), 1]), UniPoly([1, 1])) == (1, 0, 0)
 
 
 def test_interlace_complex_roots_indefinite():
-    report = interlace_check(UniPoly([1, 0, 1]), UniPoly([0, 1]))
-    assert report.verdict == "indefinite"
-    assert not report.all_real
+    assert _inertia(UniPoly([1, 0, 1]), UniPoly([0, 1])) == (1, 1, 0)
 
 
 def test_interlace_nested_roots_indefinite():
-    report = interlace_check(UniPoly([-1, 0, 1]), UniPoly([-4, 0, 1]))
-    assert report.verdict == "indefinite"
-    assert report.signature == 0  # Cauchy index 0
+    # signature 0: Cauchy index 0
+    assert _inertia(UniPoly([-1, 0, 1]), UniPoly([-4, 0, 1])) == (1, 1, 0)
 
 
 def test_interlace_double_root_semidefinite():
-    report = interlace_check(UniPoly([0, 0, 1]), UniPoly([0, 1]))  # u^2 vs u
-    assert report.verdict == "semidefinite"
+    assert _inertia(UniPoly([0, 0, 1]), UniPoly([0, 1])) == (1, 0, 1)  # u^2 vs u
 
 
 def test_interlace_signature_matches_verdict_random():
@@ -238,15 +246,14 @@ def test_interlace_signature_matches_verdict_random():
         q2 = UniPoly([1])
         for r in roots2:
             q2 = q2 * UniPoly([Fraction(-r).limit_denominator(997), 1])
-        report = interlace_check(q1, q2)
-        if report.verdict == "definite":
-            assert abs(report.signature) == m
+        if _interlace_verdict(q1, q2) == "definite":
+            assert _inertia(q1, q2) in ((m, 0, 0), (0, m, 0))
             found += 1
     assert found > 200
 
 
 def reference_interlace_check(q1: UniPoly, q2: UniPoly) -> str:
-    """The float decision interlace_check made before the exact inertia: all
+    """The float decision on interlacing made before the exact inertia: all
     roots real (imaginary part below 1e-8 relative), then strict alternation
     of the sorted roots, with gaps below 1e-7 counted as coincident."""
     def real_or_none(q):
@@ -308,10 +315,9 @@ def test_interlace_matches_float_reference_random():
             pairs.append((Fraction(rng.randint(-8, 8), 3), Fraction(rng.randint(2, 6), 4)))
         q1 = _from_roots(roots1, Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 5])))
         q2 = _from_roots(roots2, Fraction(rng.choice([-2, 1, 7]), rng.choice([1, 3])), pairs)
-        report = interlace_check(q1, q2)
-        assert report.verdict == reference_interlace_check(q1, q2)
-        assert report.all_real == (not pairs)
-        seen.add(report.verdict)
+        verdict = _interlace_verdict(q1, q2)
+        assert verdict == reference_interlace_check(q1, q2)
+        seen.add(verdict)
     assert seen == {"definite", "indefinite"}
 
 
@@ -321,18 +327,12 @@ def test_interlace_shared_complex_factor_semidefinite():
     r(u) r(v) B(g, h) and B(u - 1, u + 1) = 2, so B(q1, q2) is the coefficient
     matrix of 2 (u^2+1)(v^2+1), which is 2 c c^T with c = (1, 0, 1): positive
     semidefinite of rank one, inertia (1, 0, 2)."""
-    from rigidconvex.bezout import signature_exact
-
     q1 = UniPoly([1, 0, 1]) * UniPoly([-1, 1])
     q2 = UniPoly([1, 0, 1]) * UniPoly([1, 1])
     B = bezout_matrix(q1, q2, 3)
     assert B == [[2, 0, 2], [0, 0, 0], [2, 0, 2]]
     assert signature_exact(B) == (1, 0, 2)
-    report = interlace_check(q1, q2)
-    assert report.verdict == "semidefinite"
-    assert report.signature == 1
-    assert not report.all_real
-    assert report.roots1 == pytest.approx((1.0,)) and report.roots2 == pytest.approx((-1.0,))
+    assert _interlace_verdict(q1, q2) == "semidefinite"
     assert reference_interlace_check(q1, q2) == "indefinite"
 
 
@@ -353,8 +353,6 @@ def _cauchy_index(num: UniPoly, den: UniPoly) -> int:
 
 
 def test_signature_equals_cauchy_index():
-    from rigidconvex.bezout import signature_exact
-
     pairs = [
         (UniPoly([1, 0, -1]), UniPoly([0, 2])),
         (CAPRICORN.q1, CAPRICORN.q2),
@@ -425,8 +423,6 @@ def reference_signature(rows) -> tuple[int, int, int]:
 
 
 def test_signature_matches_congruence_reference():
-    from rigidconvex.bezout import signature_exact
-
     rng = random.Random(37)
     cases = [[], [[0]], [[Fraction(-1, 3)]], [[0, 1], [1, 0]], [[0, 0], [0, 0]]]
     for _ in range(150):
@@ -686,8 +682,6 @@ def test_rigid_at_origin_tiny_positive_eigenvalue_is_strict():
     """F0 = diag(1, 10^-12) is exactly positive definite, inertia (2, 0, 0).
     The float decision called it Marginal: its smallest eigenvalue, 1e-12,
     is below the tolerance 1e-9 * max(1, |F0|)."""
-    from rigidconvex.bezout import signature_exact
-
     F0 = [[1, 0], [0, Fraction(1, 10**12)]]
     pencil = Pencil.from_rows(F0, [[0, 0], [0, 0]], [[0, 0], [0, 0]])
     assert signature_exact(F0) == (2, 0, 0)

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 import rigidconvex
+from fixture_data import load_fixture
 from rigidconvex import PolyParseError, SingularCubicError, UniPoly, cubic_representations, \
     parse_poly
-from rigidconvex.errors import DimensionMismatchError, OriginOnCurveError, RigidConvexError, \
-    UnknownFixtureError
+from rigidconvex.errors import DimensionMismatchError, OriginOnCurveError, RigidConvexError
 from rigidconvex.bezout import Parametrization, interpolate_det, pencil_from_param
-from rigidconvex.cli import MAX_PLOT_GRID, main
+from rigidconvex.cli import main
 from rigidconvex.polycore import parse_scalar
 
 CAPRICORN = "x1^2*(x1^2+x2^2)-2*(x1^2+x2^2-x2)^2"
@@ -199,8 +199,6 @@ def test_export_sdp(tmp_path, capsys):
 
 
 def test_verify_factor(tmp_path, capsys):
-    from rigidconvex.fixtures import load_fixture
-
     data = load_fixture("cubic-curve")
     factor = {"m": 3, "degree": 4,
               "U": [[[str(x) for x in row] for row in mat]
@@ -426,7 +424,7 @@ _ROUTES = json.loads((Path(__file__).parent / "data" / "route_golden.json").read
 
 
 @pytest.mark.parametrize("run_", _ROUTES["runs"], ids=[
-    "check-rigid-rational", "check-rigid-recentred", "check-rigid-sine", "hermite", "plot-data",
+    "check-rigid-rational", "check-rigid-recentred", "check-rigid-sine", "hermite",
     "verify-det-float-cubic"])
 def test_route_report_matches_golden(capsys, tmp_path, run_):
     # reports as the Fraction Poly printed them, byte for byte; timing_seconds
@@ -443,8 +441,6 @@ def test_route_report_matches_golden(capsys, tmp_path, run_):
 @pytest.mark.parametrize("name, c", [("fermat-pencil", "-1"), ("cayley-cubic", "1")])
 def test_verify_det_stored_pencils(tmp_path, capsys, name, c):
     # fermat-pencil has F0..F2; cayley-cubic adds F3 for a third variable
-    from rigidconvex.fixtures import load_fixture
-
     data = load_fixture(name)
     poly = data.get("poly") or data["expect"]["det"]["poly"]
     path = tmp_path / "pencil.json"
@@ -531,81 +527,6 @@ def test_repeated_calls_leave_little_cyclic_garbage(capsys):
     assert garbage < 100
 
 
-# ---------------------------------------------------------------------------
-# fixture / plot-data
-# ---------------------------------------------------------------------------
-
-def test_fixture_command(capsys):
-    code, rep, _ = run_json(capsys, "fixture", "--name", "fermat-pencil")
-    assert code == 0
-    assert rep["verdict"] == "pass"
-
-
-def test_plot_data(tmp_path, capsys):
-    out = tmp_path / "plot.csv"
-    code, _, _ = run(capsys, "plot-data", "--poly", "1-x1^2-x2^2",
-                     "--range=-1.5:1.5", "--grid", "11", "--out", str(out))
-    assert code == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "x1,x2,p"
-    assert len(lines) == 1 + 11 * 11
-    x1, x2, val = map(float, lines[1].split(","))
-    assert val == pytest.approx(1 - x1**2 - x2**2, rel=1e-9)
-
-
-def test_plot_data_stdout(capsys):
-    code, out, _ = run(capsys, "plot-data", "--poly", "x1+x2",
-                       "--range", "0:1", "--grid", "3")
-    assert code == 0
-    assert out.splitlines()[0] == "x1,x2,p"
-
-
-def reference_plot_csv(poly: str, lo: float, hi: float, grid: int) -> str:
-    """The per-sample loop plot-data ran before its grid evaluation."""
-    import numpy as np
-
-    p = parse_poly(poly)
-    lines = ["x1,x2,p"]
-    for x2 in np.linspace(lo, hi, grid):
-        for x1 in np.linspace(lo, hi, grid):
-            lines.append(f"{x1:.12g},{x2:.12g},{float(p(x1, x2)):.12g}")
-    return "\n".join(lines) + "\n"
-
-
-@pytest.mark.parametrize("poly,lo,hi,grid", [
-    ("1-x1^2-x2^2", -1.5, 1.5, 11),
-    (CAPRICORN, -2.0, 2.0, 17),
-    ("3/7-x1+1/11*x2^3*x1^4-2^90*x1^5*x2^2", -7.25, 3.0, 23),
-    ("x2^5+1/3", -1e3, 1e4, 5),
-    ("0", -1.0, 1.0, 3),
-])
-def test_plot_data_matches_per_sample_reference(capsys, poly, lo, hi, grid):
-    code, out, err = run(capsys, "plot-data", "--poly", poly, f"--range={lo}:{hi}",
-                         "--grid", str(grid))
-    assert code == 0 and err == ""
-    assert out == reference_plot_csv(poly, lo, hi, grid)
-
-
-def test_plot_data_refuses_non_finite_samples(tmp_path, capsys):
-    import warnings
-
-    out = tmp_path / "plot.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # numpy's overflow warnings stay silent
-        code, stdout, err = run(capsys, "plot-data", "--poly", "1-x1^2-x2^2",
-                                "--range=-1e300:1e300", "--grid", "3", "--out", str(out))
-    assert code == 1
-    assert stdout == ""
-    # every sample but the origin overflows
-    assert err == "error: 8 of 9 samples are not finite; narrow --range\n"
-    assert not out.exists()
-    # a constant is finite everywhere, but the coordinates of this grid are not
-    code, stdout, err = run(capsys, "plot-data", "--poly", "1", "--range=-1e309:1",
-                            "--grid", "2")
-    assert code == 1 and stdout == ""
-    assert err == "error: 3 of 4 samples are not finite; narrow --range\n"
-
-
 def test_missing_file_exit_1(capsys):
     code, _, err = run(capsys, "verify-det", "--pencil", "/nonexistent.json",
                        "--poly", "1-x1^2-x2^2")
@@ -641,16 +562,12 @@ REPORT_CASES = [
     ("export-sdp", {"poly": CUBIC, "out": "cubic.dat-s"}),
     ("verify-factor", {"poly": CUBIC, "factor": "U.json", "tol": 0.01}),
     ("verify-det", {"pencil": "pencil.json", "poly": DISC}),
-    ("fixture", {"name": "fermat-pencil"}),
-    ("plot-data", {"poly": DISC, "range": "-1:1", "grid": 3, "out": "plot.csv"}),
 ]
 
 
 @pytest.mark.parametrize("command, options", REPORT_CASES,
                          ids=[case[0] for case in REPORT_CASES])
 def test_report_frame(tmp_path, monkeypatch, capsys, command, options):
-    from rigidconvex.fixtures import load_fixture
-
     monkeypatch.chdir(tmp_path)
     (tmp_path / "pencil.json").write_text(json.dumps(_DISC_PENCIL))
     U = load_fixture("cubic-curve")["expect"]["spectral_factor"]["U"]
@@ -679,16 +596,18 @@ _FLOAT_PENCIL = {**_DISC_PENCIL, "F0": [[1.5, 0.0], [0.0, 1.0]]}
 @pytest.mark.parametrize("argv", [
     ["check-rigid", "--json"],
     ["check-rigid", "--poly", DISC, "--bogus"],
-    ["fixture", "--name", "nope"],
-    ["plot-data", "--poly=x1", "--range=0:1", "--grid=abc"],
+    ["verify-factor", "--poly", DISC, "--factor", "U.json", "--tol=abc"],
     ["no-such-command"],
     [],
     ["find-component", "--poly", DISC],
     ["find-component", "--q0", "1,0,1", "--poly", DISC],
     ["find-component", "--pencil", "float.json"],
-], ids=["missing-option", "unknown-option", "bad-choice", "bad-int",
+    ["fixture", "--name", "bean"],
+    ["plot-data", "--poly=x1", "--range=0:1"],
+], ids=["missing-option", "unknown-option", "bad-float",
         "unknown-command", "no-command", "find-component-no-pencil",
-        "find-component-partial-q", "find-component-float-no-poly"])
+        "find-component-partial-q", "find-component-float-no-poly",
+        "removed-fixture", "removed-plot-data"])
 def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
     # argparse's own error() exits 2, the code for numerical failures, and
     # raises SystemExit out of main
@@ -704,7 +623,6 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
 _RAISED = [
     (PolyParseError("bad", 0), 1),
     (OriginOnCurveError("on the curve"), 1),
-    (UnknownFixtureError("nope"), 1),
     (DimensionMismatchError("sizes"), 1),
     (FileNotFoundError("missing"), 1),
     (json.JSONDecodeError("bad", "{", 0), 1),
@@ -745,25 +663,3 @@ def test_console_path_exits_1_on_usage_error():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and "--poly" in proc.stderr
-
-
-@pytest.mark.parametrize("bad", ["0:1:2", "0:abc", "1"])
-def test_plot_data_bad_range_names_option(capsys, bad):
-    code, out, err = run(capsys, "plot-data", "--poly", "x1+x2", f"--range={bad}")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: --range") and "offset" not in err
-
-
-def test_plot_data_grid_bound(tmp_path, capsys):
-    import time
-
-    out = tmp_path / "plot.csv"
-    started = time.perf_counter()
-    code, stdout, err = run(capsys, "plot-data", "--poly", "x1+x2", "--range=0:1",
-                            "--grid", str(MAX_PLOT_GRID + 1), "--out", str(out))
-    assert time.perf_counter() - started < 1.0
-    assert code == 1
-    assert stdout == ""
-    assert err.startswith("error:") and "MAX_PLOT_GRID" in err
-    assert not out.exists()

@@ -20,8 +20,8 @@ from rigidconvex.cubicrepr import (
     hessian_det,
     homogenize,
 )
+from fixture_data import load_fixture
 from reference_poly import RefPoly, interpolate_exact, ref_gcd
-from rigidconvex.fixtures import load_fixture
 from rigidconvex.locate import certify_psd_point
 from rigidconvex.polycore import Pencil, Poly, UniPoly, det_exact
 

@@ -1,19 +1,12 @@
+"""The stored fixtures parse and carry provenance tags.  Their expectations
+are asserted by the acceptance gate and the module tests; the one no other
+test asserts, the bean's determinant scale, is asserted here."""
 import pytest
 
-from rigidconvex import UnknownFixtureError, parse_poly
-from rigidconvex.fixtures import FIXTURE_NAMES, load_fixture, verify_fixture
-
-
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_fixture_passes(name):
-    report = verify_fixture(name)
-    failed = [c for c in report.checks if not c.passed]
-    assert report.passed, f"{name}: {[(c.name, c.detail) for c in failed]}"
-
-
-def test_unknown_fixture():
-    with pytest.raises(UnknownFixtureError):
-        verify_fixture("moebius")
+from fixture_data import FIXTURE_NAMES, load_fixture
+from rigidconvex import parse_poly
+from rigidconvex.bezout import Parametrization, pencil_from_param, verify_pencil_det
+from rigidconvex.polycore import UniPoly, parse_scalar
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -35,3 +28,11 @@ def test_fixture_provenance_tags_present():
         assert blocks
         for block in blocks:
             assert block.get("provenance") in {"PAPER", "TRIVIAL", "DERIVED"}, block
+
+
+def test_bean_det_constant():
+    data = load_fixture("bean")
+    par = Parametrization(*(UniPoly([parse_scalar(s) for s in data["parametrization"][q]])
+                            for q in ("q0", "q1", "q2")))
+    c = verify_pencil_det(pencil_from_param(par), parse_poly(data["poly"]))
+    assert c == parse_scalar(data["expect"]["det_proportional"]["c"])  # 9, exactly

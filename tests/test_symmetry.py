@@ -15,9 +15,9 @@ import pytest
 
 from rigidconvex import TrigMatrix, TrigPoly, parse_poly, polycore
 from rigidconvex.circlepsd import _GROUPS, GRID, GRID_SIZE, _circle_roots, psd_on_circle
-from rigidconvex.fixtures import FIXTURE_NAMES, load_fixture
 from rigidconvex.hermite import hermite_matrix
 from rigidconvex.locate import critical_points
+from fixture_data import FIXTURE_NAMES, load_fixture
 from trig_helpers import tadd
 
 ROOT = Path(__file__).resolve().parents[1]
