@@ -2,7 +2,9 @@
 
 The decision is exact: the circle zeros of det H are isolated exactly
 (``realroots``) and Sylvester's criterion at rational points decides
-(``psd_on_circle``), on one fundamental domain of H's symmetry.  Floats only
+(``psd_on_circle``), on one fundamental domain of H's symmetry, in the
+coordinate of H's integer image: u = 2 cos theta, T = tan theta for a graded
+H with sine parts (theta mod pi), else t = tan(theta/2).  Floats only
 propose a witness, in that domain, and report the least eigenvalue, from a
 batched ``eigvalsh`` over the stack of ``TrigMatrix.eval_thetas``.  The
 equivalent semidefinite feasibility problem is exported in SDPA sparse
@@ -25,7 +27,8 @@ GRID_SIZE = 512
 GRID = np.linspace(0.0, 2 * np.pi, GRID_SIZE, endpoint=False)
 # H's symmetry groups by (cosine, graded): H(-theta) = H(theta), H(theta + pi) = S H(theta) S
 # with S = diag((-1)^i) (``TrigMatrix.is_graded``).  Each: the GRID prefix that meets every orbit,
-# the fundamental domain's end (u = 2 cos theta in [end, 2], or theta mod end), theta's orbit.
+# the fundamental domain's end (u = 2 cos theta in [end, 2], else theta mod end, so
+# T = tan theta or t = tan(theta/2) on the whole line), theta's orbit.
 _GROUPS = {
     (True, True): (GRID_SIZE // 4 + 1, 0, lambda th: (th, -th, math.pi - th, math.pi + th)),
     (True, False): (GRID_SIZE // 2 + 1, -2, lambda th: (th, -th)),
@@ -65,27 +68,23 @@ def _circle_roots(det: TrigPoly, cosine: bool, graded: bool) -> tuple[list, list
     """(angles, roots, points) of a nonzero det of H with the symmetry (cosine,
     graded): det's circle zeros in the fundamental domain, their orbits (all
     zeros in [0, 2 pi), sorted) and (x, theta) inside each arc there, x exact.
-    D = ``det.int_poly(cosine)`` is isolated in u = 2 cos theta = x on [end, 2],
-    else in t = tan(theta/2) = x on [-1, 1] when graded (t -> -1/t is theta +
-    pi), or on all t with theta = pi where D loses degree."""
+    D = ``det.int_poly(cosine, None, graded)`` is isolated in u = 2 cos theta
+    = x on [end, 2], else on all x = T = tan theta when graded (theta mod pi),
+    or x = t = tan(theta/2); theta = end/2 is a root where D loses degree."""
     _, end, images = _GROUPS[cosine, graded]
-    D = det.int_poly(cosine)[0]
-    at_pi = not (cosine or graded or D[-1])
+    D = det.int_poly(cosine, None, graded)[0]
+    at_pi = not (cosine or D[-1])
     if cosine:
         roots = _roots_in(_squarefree_part(D), 2, 2 - end)
         xs = [Fraction(e) for e in (end, 2) if (e, e) not in roots]  # theta = pi or pi/2, and 0
     else:
-        D = _squarefree_part(D[:_nonzero_len(D)])
-        roots = _roots_in(D, 1, 2) if graded else real_roots(D)
-        if graded:  # the arc through theta = pi/2
-            xs = [Fraction(1)] * ((1, 1) not in roots)
-        elif roots:  # the arc through or next to theta = pi, and the other one next to it
-            xs = [Fraction(math.floor(roots[0][0]) - 1)] + [Fraction(math.ceil(roots[-1][1]) + 1)] * at_pi
-        else:
-            xs = [Fraction(0)]
+        roots = real_roots(_squarefree_part(D[:_nonzero_len(D)]))
+        # the arc through or next to theta = end/2, and the other one next to it
+        xs = ([Fraction(math.floor(roots[0][0]) - 1)] + [Fraction(math.ceil(roots[-1][1]) + 1)] * at_pi
+              if roots else [Fraction(0)])
     mids = [(a[1] + b[0]) / 2 for a, b in zip(roots, roots[1:])]
-    theta = (lambda x: math.acos(x / 2)) if cosine else (lambda x: 2 * math.atan(x) % end)
-    angles = [theta((lo + hi) / 2) for lo, hi in roots] + [math.pi] * at_pi
+    theta = (lambda x: math.acos(x / 2)) if cosine else (lambda x: (2 - graded) * math.atan(x) % end)
+    angles = [theta((lo + hi) / 2) for lo, hi in roots] + [end / 2] * at_pi
     return (angles, sorted({th % (2 * math.pi) for a in angles for th in images(a)}),
             [(x, theta(x)) for x in (xs + mids if cosine else mids + xs)])
 
@@ -120,7 +119,7 @@ def psd_on_circle(H: TrigMatrix) -> CircleVerdict:
     sign = H.pd_sign(image := H._image())
     # the witness and a quarter grid step on: a grid angle can lie on a
     # symmetry axis, where H is singular
-    near = [2 * math.cos(th) if cosine else math.tan(th / 2)
+    near = [2 * math.cos(th) if cosine else math.tan(th / (2 - graded))
             for th in (witness, witness + np.pi / (2 * GRID_SIZE))]
     if min_eig < 0 and any(sign(Fraction(x).limit_denominator(2**20)) < 0 for x in near):
         return CircleVerdict(CircleVerdict.NOT_PSD, witness, min_eig)

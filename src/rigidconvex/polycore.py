@@ -12,8 +12,9 @@ Representations:
 * ``TrigMatrix``-- symmetric matrix of TrigPoly entries; its exact determinant
                    is taken by integer evaluation, fraction-free Bareiss
                    elimination and integer Newton interpolation, in
-                   u = z + 1/z when every entry is cosine-only and in
-                   t = tan(theta/2) otherwise.
+                   u = z + 1/z when every entry is cosine-only, else in
+                   T = tan theta when H is graded (as every Hermite matrix
+                   is) and in t = tan(theta/2) otherwise.
 * ``Pencil``    -- constant symmetric matrices (F0, ..., Fn) with
                    F(x) = F0 + x1 F1 + ... + xn Fn; the Bezout and Hessian
                    routes build n = 2, pencil files may add F3 (n = 3).
@@ -25,8 +26,8 @@ Exact arithmetic runs on integers: ``Poly`` from ``parse_poly`` on and
 ``TrigPoly`` from the line substitution to the circle verdict keep integer
 numerators over one denominator, other operands are cleared of denominators
 once, and Fractions are built only as views of results.
-Each job has one kernel.  Laurent products take ``laurent_mul``; the u- or
-t-polynomial of a TrigPoly ``TrigPoly.int_poly``, and the integer image of a
+Each job has one kernel.  Laurent products take ``laurent_mul``; the u-, T-
+or t-polynomial of a TrigPoly ``TrigPoly.int_poly``, and the integer image of a
 TrigMatrix, which ``det`` interpolates and ``pd_sign`` evaluates,
 ``TrigMatrix._image``; determinants, solves and bordered minors the
 fraction-free ``_bareiss``; every univariate determinant or bordered minor
@@ -726,13 +727,22 @@ class TrigPoly:
     def __bool__(self):
         return not self.is_zero()
 
-    def int_poly(self, cosine: bool, h: int | None = None) -> tuple[list, int]:
+    def int_poly(self, cosine: bool, h: int | None = None, graded: bool = False) -> tuple[list, int]:
         """(P, den) with integer P of formal degree h or 2h, h >= the
-        half-degree (default): den e = P(u), u = z + 1/z, when ``cosine``, else
-        den (1+t^2)^h e = P(t), t = tan(theta/2); theta = pi drops its degree."""
+        half-degree (default): den e = P(u), u = z + 1/z, when ``cosine``; else
+        den cos^-h(theta) e = P(T), T = tan theta, when ``graded`` (e carries
+        only harmonics of h's parity); else den (1+t^2)^h e = P(t),
+        t = tan(theta/2).  theta = pi/2 (T) or pi (t) drops the degree."""
         h = self.half_degree if h is None else h
-        re, im = (x + [0] * (h + 1 - len(x)) if x else [] for x in (self.re, self.im))
-        return (_cos_to_u(re) if cosine else _halves_to_t(re, im)), self.den
+        re, im = (x + [0] * (h + 1 - len(x)) if x or graded else [] for x in (self.re, self.im))
+        if cosine or not graded:
+            return (_cos_to_u(re) if cosine else _halves_to_t(re, im)), self.den
+        if h % 2 == 0:  # z^(2k) = (1+iT)^(2k) / (1+T^2)^k: the t form in z^2
+            return _halves_to_t(re[::2], im[::2]), self.den
+        # z^(2k+1) = cos theta (1+iT) z^(2k), and l (1+iT) = l - T (s - ic), l = c + is
+        a = _halves_to_t([2 * re[1]] + re[3::2], im[1::2])
+        b = _halves_to_t([2 * im[1]] + im[3::2], [-x for x in re[1::2]])
+        return [x - y for x, y in zip(a + [0], [0] + b)], self.den
 
     def __str__(self):
         parts = [("-" if x < 0 else "+") + format_scalar(abs(x)) for x in self.c[:1] if x]
@@ -1161,43 +1171,46 @@ class TrigMatrix:
         return (table @ blocks.reshape(2 * (d + 1), m * m)).reshape(-1, m, m)
 
     def _image(self) -> tuple:
-        """(plan, polys, n, scale, cosine): H as the integer polynomial matrix
-        M of ``_interpolate_minors``, in u = z + 1/z when ``cosine`` (every
-        entry cosine-only), else in t = tan(theta/2).  Row i and column j are
-        scaled by r_i and c_j, c_j the gcd of the denominators of the distinct
-        entries in column j and r_i the lcm of those left in row i, so each
-        entry is integral; scale = prod(r_i c_j).  With b_j the least
-        half-degree in column j and a_i the largest excess over it in row i,
-        det H has half-degree at most n = sum(a) + sum(b) <= m*d (a Hermite
-        matrix, entry (i, j) of half-degree at most i + j, usually gets
-        n = m(m-1)).  M_ij = r_i c_j H_ij in u, or r_i c_j (1+t^2)^(a_i+b_j)
-        H_ij in t, so M is H under positive row and column scalings; its
-        entries are ``int_poly``s at their own degrees, one per distinct
+        """(plan, polys, n, scale, (cosine, graded)): H as the integer
+        polynomial matrix M of ``_interpolate_minors``, in u = z + 1/z when
+        ``cosine`` (every entry cosine-only), else in T = tan theta when
+        ``graded``, else in t = tan(theta/2).  Row i and column j are scaled by
+        r_i and c_j, c_j the gcd of the denominators of the distinct entries in
+        column j and r_i the lcm of those left in row i, so each entry is
+        integral; scale = prod(r_i c_j).  With b_j the least half-degree in
+        column j and a_i the largest excess over it in row i (in T raised to
+        the parity of j and i), det H has half-degree at most n = sum(a) +
+        sum(b) (a Hermite matrix, entry (i, j) of half-degree at most i + j,
+        usually gets n = m(m-1)).  M_ij is r_i c_j H_ij in u, and that times
+        cos^-(a_i+b_j)(theta) in T or (1+t^2)^(a_i+b_j) in t: H under row and
+        column scalings with positive products r_i c_i cos^-(a_i+b_i)(theta).
+        Its entries are ``int_poly``s at their own degrees, one per distinct
         (entry, padding), and a Hankel H has only 2m-1 distinct entries."""
-        m, cosine = self.m, self.is_cosine()
+        m, cosine, graded = self.m, self.is_cosine(), self.is_graded()
         slot: dict = {}
         index = [[slot.setdefault(id(e), len(slot)) for e in row] for row in self.entries]
         distinct = list({id(e): e for row in self.entries for e in row}.values())
         half = [e.half_degree for e in distinct]
         cols = [[row[j] for row in index] for j in range(m)]
-        b = [min([half[k] for k in col]) for col in cols]
+        up = (lambda x, i: x + (x + i) % 2) if graded and not cosine else (lambda x, i: x)
+        b = [up(min([half[k] for k in col]), j) for j, col in enumerate(cols)]
         c = [math.gcd(*[distinct[k].den for k in col]) for col in cols]
-        a = [max([half[k] - b[j] for j, k in enumerate(row)]) for row in index]
+        a = [up(max([half[k] - b[j] for j, k in enumerate(row)]), i) for i, row in enumerate(index)]
         r = [math.lcm(*[distinct[k].den // c[j] for j, k in enumerate(row)]) for row in index]
-        # (r_i c_j / den_k, P): P the int_poly of e_k, in t at half-degree a_i + b_j
+        # (r_i c_j / den_k, P): P the int_poly of e_k, in T or t at half-degree a_i + b_j
         key: dict = {}
         plan = [[(r[i] * c[j] // distinct[k].den,
                   key.setdefault((k, 0 if cosine else a[i] + b[j] - half[k]), len(key)))
                  for j, k in enumerate(row)] for i, row in enumerate(index)]
-        polys = [distinct[k].int_poly(cosine, half[k] + s)[0] for k, s in key]
-        return plan, polys, sum(a) + sum(b), math.prod(r) * math.prod(c), cosine
+        polys = [distinct[k].int_poly(cosine, half[k] + s, graded)[0] for k, s in key]
+        return plan, polys, sum(a) + sum(b), math.prod(r) * math.prod(c), (cosine, graded)
 
     def pd_sign(self, image: tuple):
-        """x -> 1 if H is positive definite at u = x when H is cosine-only,
-        else at t = x, otherwise the sign of its first leading minor there that
-        is not positive (Sylvester: the pivots of ``_bareiss`` without swaps);
-        -1 proves a negative eigenvalue.  H is exact there, up to positive row
-        and column scalings, which keep every leading minor's sign: ``image``, its
+        """x -> 1 if H is positive definite at u, T or t = x (``_image``'s
+        form), otherwise the sign of its first leading minor there that is not
+        positive (Sylvester: the pivots of ``_bareiss`` without swaps); -1
+        proves a negative eigenvalue.  H is exact there, up to row and column
+        scalings that keep every leading minor's sign: ``image``, its
         ``_image``, at x = a/b, each polynomial homogenised to one power of b."""
         plan, polys, *_ = image
         e = max(map(len, polys), default=0)
@@ -1212,21 +1225,24 @@ class TrigMatrix:
 
     def det(self, image: tuple | None = None) -> TrigPoly:
         """Exact determinant in the TrigPoly ring.  The ``_image`` of H has
-        determinant D(u) = scale det H of degree <= n when H is cosine-only,
-        else D(t) = scale (1+t^2)^n det H of degree <= 2n, its real roots the
-        circle roots but theta = pi, where D loses degree.  D is interpolated
-        from n+1 or 2n+1 consecutive integers around 0 and mapped back
-        (``_u_to_cos``, ``_t_to_halves``) to the halves of the result over
-        scale; no Fraction is built.  D(-u) = D(u) for a graded cosine H, so
-        only u >= 0 is eliminated.  ``image``: H's ``_image``, if built."""
-        plan, polys, n, scale, cosine = image or self._image()
-        even = cosine and self.is_graded()
-        count = (n - n % 2 * even if cosine else 2 * n) + 1
+        determinant D(u) = scale det H of degree <= n when H is cosine-only;
+        else, when graded, D(T) = scale (1+T^2)^(n/2) det H of degree <= n, n
+        even; else D(t) = scale (1+t^2)^n det H of degree <= 2n.  The real
+        roots of D(T) or D(t) are the circle roots but theta = pi/2 or pi,
+        where D loses degree.  D is interpolated from n+1 or 2n+1 consecutive
+        integers around 0 and mapped back (``_u_to_cos``, ``_t_to_halves``) to
+        the halves of the result over scale; no Fraction is built.  A graded
+        det H has only even harmonics, and D(T) is its t form in z^2, so its
+        halves come back with every index doubled.  D(-u) = D(u) for a graded
+        cosine H, so only u >= 0 is eliminated.  ``image``: H's ``_image``."""
+        plan, polys, n, scale, (cosine, graded) = image or self._image()
+        count = (n - n % 2 * graded if cosine or graded else 2 * n) + 1
         lo = -((count - 1) // 2)
-        coeffs = _interpolate_minors(plan, polys, lo, count, even)[0]
+        coeffs = _interpolate_minors(plan, polys, lo, count, cosine and graded)[0]
         if cosine:
             return TrigPoly._make(_u_to_cos(coeffs), [], scale)
-        return TrigPoly._make(*_t_to_halves(coeffs), scale)
+        re, im = ([x for y in h for x in (y, 0)] if graded else h for h in _t_to_halves(coeffs))
+        return TrigPoly._make(re, im, scale)
 
     def __eq__(self, other):
         return (isinstance(other, TrigMatrix) and self.m == other.m

@@ -624,8 +624,11 @@ CAP_H = hermite_matrix(parse_poly("x1^2*(x1^2+x2^2)-2*(x1^2+x2^2-x2)^2")
 
 
 def test_sine_det_takes_two_n_plus_one_integer_points(monkeypatch):
-    # CAP_H has column minima b = (0, 0, 2, 3) of its half-degrees and row
-    # excesses a = (0, 2, 3, 4), so n = 14: D(t) takes 2n+1 = 29 points
+    # W CAP_H W^T, W = I + E_10, is not graded (entry (0, 1) gains the constant
+    # of entry (0, 0)), so its image is in t = tan(theta/2): column minima
+    # b = (0, 0, 2, 3) of its half-degrees and row excesses a = (0, 2, 3, 4),
+    # so n = 14 and D(t) takes 2n+1 = 29 points.  CAP_H itself is graded and
+    # takes n+1 points in T = tan theta (test_work_follows_the_symmetry)
     from rigidconvex import polycore
 
     calls = []
@@ -636,9 +639,10 @@ def test_sine_det_takes_two_n_plus_one_integer_points(monkeypatch):
         calls.append(1)
         return bareiss(mat)
 
+    H = congruence(CAP_H, [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     monkeypatch.setattr(polycore, "_bareiss", counted)
-    assert not CAP_H.is_cosine()
-    assert CAP_H.det() == subset_recursion_det(CAP_H)
+    assert not H.is_cosine() and not H.is_graded()
+    assert H.det() == subset_recursion_det(H)
     assert len(calls) == 29
 
 
@@ -722,6 +726,42 @@ def test_t_form_round_trip():
                 lhs = sum(x * np.tan(theta / 2) ** j for j, x in enumerate(t))
                 rhs = (1 + np.tan(theta / 2) ** 2) ** h * teval(TrigPoly(re, im), theta)
                 assert abs(lhs - rhs) <= 1e-9 * max(abs(rhs), sum(map(abs, t)))
+
+
+def _cos_scaled(e: TrigPoly, g: int, T: Fraction) -> Fraction:
+    """cos^-g(theta) e(theta) at T = tan theta, e's harmonics of g's parity,
+    exactly: z^k = cos^k(theta) (1+iT)^k and cos^-2(theta) = 1 + T^2."""
+    total, a, b = Fraction(0), Fraction(1), Fraction(0)  # (1+iT)^k = a + ib
+    for k in range(g + 1):
+        a, b = (a - b * T, b + a * T) if k else (a, b)
+        if (g - k) % 2 == 0:
+            re = (e.cos_coeff(k) * a - e.sin_coeff(k) * b) * (2 if k else 1)
+            total += re * (1 + T * T) ** ((g - k) // 2)
+    return total
+
+
+def test_tan_form_round_trip():
+    # the T = tan theta form of a TrigPoly with harmonics of one parity g only,
+    # in Z[T] of degree g, sine-carrying or cosine (then even in T); at even g
+    # it is the t form in z^2, and ``_t_to_halves`` gives the even halves back
+    import random
+
+    from rigidconvex.polycore import _t_to_halves
+
+    rng = random.Random(23)
+    for g in range(9):
+        for _ in range(20):
+            re = [rng.randint(-10**9, 10**9) * ((k - g) % 2 == 0) for k in range(g + 1)]
+            im = [rng.randint(-10**9, 10**9) * (k > 0 and (k - g) % 2 == 0) for k in range(g + 1)]
+            for e in (TrigPoly(re, im), TrigPoly(re)):
+                P, den = e.int_poly(False, g, True)
+                assert len(P) == g + 1 and all(type(x) is int for x in P)
+                assert e.im or not any(P[1::2])
+                for T in (Fraction(0), Fraction(3, 7), Fraction(-5, 2), Fraction(1000, 3)):
+                    assert Fraction(sum(x * T**j for j, x in enumerate(P)), den) == _cos_scaled(e, g, T)
+                if g % 2 == 0:
+                    halves = [(x + [0] * (g + 1))[:g + 1:2] for x in (e.re, e.im)]
+                    assert _t_to_halves(P) == tuple(halves)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ determinant is the unmirrored one, and Sylvester's signs agree across an
 orbit.  A unimodular congruence that breaks the grading runs the same
 routine with the trivial group, and must reach the same answers."""
 import functools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -14,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from rigidconvex import TrigMatrix, TrigPoly, parse_poly, polycore
-from rigidconvex.circlepsd import _GROUPS, GRID, GRID_SIZE, _circle_roots, psd_on_circle
+from rigidconvex.circlepsd import (_GROUPS, GRID, GRID_SIZE, CircleVerdict, _circle_roots,
+                                  psd_on_circle)
 from rigidconvex.hermite import hermite_matrix
 from rigidconvex.locate import critical_points
 from fixture_data import FIXTURE_NAMES, load_fixture
@@ -134,9 +136,16 @@ def test_sylvester_signs_agree_across_an_orbit():
     seen = set()
     for H in _hermite_matrices((1,)):
         sign = H.pd_sign(H._image())
-        for x in xs:  # x -> -x is theta -> pi - theta in u, theta + pi in t
-            s = sign(x)
-            assert s == sign(-x if H.is_cosine() else -1 / x)
+        if H.is_cosine():  # x -> -x is theta -> pi - theta in u
+            orbits = [(sign(x), sign(-x)) for x in xs]
+        else:  # theta and theta + pi share T = 2t/(1-t^2); the sheared
+            # matrix, not graded, has H's leading minors and tells them apart
+            # in t = tan(theta/2), at t and -1/t
+            G = _sheared(H)
+            other = G.pd_sign(G._image())
+            orbits = [(sign(2 * x / (1 - x * x)), other(x), other(-1 / x)) for x in xs]
+        for s, *rest in orbits:
+            assert rest == [s] * len(rest)
             seen.add((H.is_cosine(), s))
     assert seen >= {(True, 1), (True, -1), (False, 1), (False, -1)}
 
@@ -160,9 +169,15 @@ def test_trivial_group_path_agrees_on_a_congruent_matrix():
 
 def test_work_follows_the_symmetry(monkeypatch):
     # the scan's angles per group, and the determinant's Bareiss points: a
-    # graded cosine H eliminates at u = 0 .. n/2 only
+    # graded cosine H eliminates at u = 0 .. n/2 only, a graded sine H at n+1
+    # points in T = tan theta, and a matrix without the grading at n+1 in u
+    # or 2n+1 in t = tan(theta/2).  The shifted capricorn's entry (0, 1) is
+    # zero, so its column minima b = (0, 0, 2, 3) are raised to the parity of
+    # the column in T: b = (0, 1, 2, 3), a = (0, 1, 2, 3) and n = 12
     cubic = hermite_matrix(parse_poly("1-x1-4*x1^2-x2^2+4*x1^3"))  # n = 6
     sine = hermite_matrix(parse_poly("1-x1^2-x2^2+x2^3"))  # m = 3, n = 6
+    cap = hermite_matrix(parse_poly("x1^2*(x1^2+x2^2)-2*(x1^2+x2^2-x2)^2")
+                         .shifted(Fraction(0), Fraction(1, 2)))
     scanned, eliminated = [], []
     eval_thetas, bareiss = TrigMatrix.eval_thetas, polycore._bareiss
     monkeypatch.setattr(TrigMatrix, "eval_thetas",
@@ -170,10 +185,43 @@ def test_work_follows_the_symmetry(monkeypatch):
     monkeypatch.setattr(polycore, "_bareiss",
                         lambda mat, swap=True: eliminated.append(swap) or bareiss(mat, swap))
     for H, grid, points in ((cubic, 129, 4), (_sheared(cubic), 257, 7),
-                            (sine, 256, 13), (_sheared(sine), 512, 13)):
+                            (sine, 256, 7), (_sheared(sine), 512, 13), (cap, 256, 13)):
         scanned.clear()
         psd_on_circle(H)
         assert scanned[0] == grid
         eliminated.clear()
         H.det()
         assert eliminated == [True] * points
+
+
+def test_degree_loss_at_a_right_angle():
+    # p(0, s) = (1-s)^2 (1+2s): the vertical line through the origin touches
+    # the curve at x2 = 1, so det H vanishes at theta = pi/2, where T = tan theta
+    # is infinite and D(T) loses its top coefficient; the sheared matrix reads
+    # the same root at t = tan(theta/2) = 1
+    H = hermite_matrix(parse_poly("1-x1^2-3*x2^2+2*x2^3"))
+    assert H.is_graded() and not H.is_cosine()
+    D = H.det().int_poly(False, None, True)[0]
+    assert D[-1] == 0 and any(D)
+    verdict, sheared = psd_on_circle(H), psd_on_circle(_sheared(H))
+    assert verdict.status == CircleVerdict.MARGINAL
+    assert verdict.circle_roots == (math.pi / 2, 3 * math.pi / 2)
+    assert (sheared.status, sheared.circle_roots) == (verdict.status, verdict.circle_roots)
+
+
+def test_minor_probe_reads_tan_theta(monkeypatch):
+    # the scan's witness, a grid angle, and the leading minors at T = tan theta
+    # there, none of which reaches det: 1+x2^3 and 1-x1^2+x2^3 have theirs at
+    # theta = pi/2 exactly, where T is about 1.6e16; the first has a zero
+    # diagonal entry in a nonzero row, the second a negative minor.  The
+    # quadric's minor is negative at tan theta and not at tan(theta/2)
+    monkeypatch.setattr(TrigMatrix, "det", lambda H, image=None: pytest.fail("det reached"))
+    for text, k, shortcut in (("1+x2^3", GRID_SIZE // 4, True), ("1-x1^2+x2^3", GRID_SIZE // 4, False),
+                              ("1+2*x2+x2^2-x1-5*x1*x2+x1^2", 209, False)):
+        H = hermite_matrix(parse_poly(text))
+        verdict = psd_on_circle(H)
+        assert (verdict.status, verdict.shortcut) == (CircleVerdict.NOT_PSD, shortcut)
+        assert verdict.witness_theta == GRID[k]
+        x = Fraction(math.tan(GRID[k])).limit_denominator(2**20)
+        assert H.pd_sign(H._image())(x) == (0 if shortcut else -1)
+    assert GRID[GRID_SIZE // 4] == math.pi / 2 and math.tan(math.pi / 2) > 1e16
