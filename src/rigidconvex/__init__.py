@@ -23,6 +23,7 @@ from .circlepsd import (
     MatrixPoly,
     SdpProblem,
     build_sdp,
+    hermite_psd,
     psd_on_circle,
     verify_spectral_factor,
     write_sdpa,
@@ -51,7 +52,7 @@ __all__ = [
     "Poly", "UniPoly", "TrigPoly", "TrigMatrix", "Pencil",
     "parse_poly",
     "hermite_matrix", "line_substitute", "newton_sums",
-    "psd_on_circle", "build_sdp", "write_sdpa",
+    "psd_on_circle", "hermite_psd", "build_sdp", "write_sdpa",
     "verify_spectral_factor", "CircleVerdict", "SdpProblem", "MatrixPoly",
     "Parametrization", "bezout_matrix", "pencil_from_param",
     "verify_pencil_det", "rigid_at_origin",

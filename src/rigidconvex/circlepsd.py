@@ -1,15 +1,18 @@
-"""Positive semidefiniteness of a TrigMatrix along the unit circle.
+"""Positive semidefiniteness of a Hermite matrix H along the unit circle.
 
 The decision is exact: the circle zeros of det H are isolated exactly
 (``realroots``) and Sylvester's criterion at rational points decides
-(``psd_on_circle``), on one fundamental domain of H's symmetry, in the
+(``_decide``), on one fundamental domain of H's symmetry, in the
 coordinate of H's integer image: u = 2 cos theta, T = tan theta for a graded
 H with sine parts (theta mod pi), else t = tan(theta/2).  Floats only
 propose a witness, in that domain, and report the least eigenvalue, from a
-batched ``eigvalsh`` over the stack of ``TrigMatrix.eval_thetas``.  The
-equivalent semidefinite feasibility problem is exported in SDPA sparse
-format for external solvers; candidate spectral factors can be verified
-against H on a grid.
+batched ``eigvalsh`` over a stack of H's values at the angles.  Two front
+ends feed that one routine: ``psd_on_circle`` reads a TrigMatrix
+(``TrigMatrix._image``, ``eval_thetas``), and ``hermite_psd`` reads the image
+and the values of ``hermite_matrix(p)`` straight off p's power sums
+(``hermite.hermite_image``).  The equivalent semidefinite feasibility
+problem is exported in SDPA sparse format for external solvers; candidate
+spectral factors can be verified against H on a grid.
 """
 from __future__ import annotations
 
@@ -20,7 +23,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .polycore import TrigMatrix, TrigPoly, _nonzero_len, _squarefree_part, parse_scalar
+from .hermite import hermite_image
+from .polycore import (Poly, TrigMatrix, TrigPoly, _image_det, _image_sign, _nonzero_len,
+                       _squarefree_part, parse_scalar)
 from .realroots import _roots_in, real_roots
 
 GRID_SIZE = 512
@@ -55,15 +60,6 @@ class CircleVerdict:
         return self.status in (self.PD, self.MARGINAL)
 
 
-def _structural_shortcut(H: TrigMatrix) -> int | None:
-    """Index of a zero diagonal entry whose row is not identically zero."""
-    for i in range(H.m):
-        if H.entry(i, i).is_zero():
-            if any(not H.entry(i, j).is_zero() for j in range(H.m) if j != i):
-                return i
-    return None
-
-
 def _circle_roots(det: TrigPoly, cosine: bool, graded: bool) -> tuple[list, list, list]:
     """(angles, roots, points) of a nonzero det of H with the symmetry (cosine,
     graded): det's circle zeros in the fundamental domain, their orbits (all
@@ -94,46 +90,67 @@ def circle_roots_of(det: TrigPoly, cosine: bool) -> tuple[list, list]:
     return _circle_roots(det, cosine, False)[1:]
 
 
-def _scan(H: TrigMatrix, thetas) -> tuple[float, float]:
-    """(least eigenvalue, its angle) over the angles, by one batched eigvalsh."""
-    eigs = np.linalg.eigvalsh(H.eval_thetas(thetas))[:, 0]
+def _scan(eval_thetas, thetas) -> tuple[float, float]:
+    """(least eigenvalue, its angle) over the angles, by one batched eigvalsh
+    of the stack ``eval_thetas(thetas)``."""
+    eigs = np.linalg.eigvalsh(eval_thetas(thetas))[:, 0]
     k = int(np.argmin(eigs))
     return float(eigs[k]), float(thetas[k])
 
 
-def psd_on_circle(H: TrigMatrix) -> CircleVerdict:
-    """Classify H(z) on |z| = 1 as PD / marginal PSD / not PSD / inconclusive,
-    exactly; the float scan only proposes a witness and reports the least
-    eigenvalue.  NOT_PSD: a structural zero, or a negative leading minor of H
-    at a rational point next to the scan's minimum.  Else, det H = 0 is
+def _decide(image: tuple, eval_thetas, det_of) -> CircleVerdict:
+    """The circle verdict of a matrix H given by its integer image (the
+    format of ``TrigMatrix._image``), its float values at angles (the stack
+    of ``TrigMatrix.eval_thetas``) and the function that takes det H, up to
+    a positive factor, off the image.  The float scan only proposes a
+    witness and reports the least eigenvalue.  NOT_PSD: a structural zero (a
+    zero diagonal entry whose row is not identically zero; an entry is zero
+    where its image polynomial is), or a negative leading minor of H at a
+    rational point next to the scan's minimum.  Else, det H = 0 is
     INCONCLUSIVE; otherwise H's inertia is constant on each arc between the
     circle roots of det H, and Sylvester's criterion at one point per arc
     decides: NOT_PSD where it fails, else MARGINAL with roots and PD without.
-    H's symmetries keep its inertia: scan, arcs and witness keep to one ``_GROUPS`` domain."""
-    cosine, graded = H.is_cosine(), H.is_graded()
-    min_eig, witness = _scan(H, GRID[:_GROUPS[cosine, graded][0]])
+    H's symmetries keep its inertia: scan, arcs and witness keep to one
+    ``_GROUPS`` domain."""
+    plan, polys, _, _, (cosine, graded) = image
+    min_eig, witness = _scan(eval_thetas, GRID[:_GROUPS[cosine, graded][0]])
     # a PSD matrix with a zero diagonal entry has a zero row, so a structural
     # zero decides NOT_PSD without the determinant
-    if _structural_shortcut(H) is not None:
+    zero = [[not any(polys[k]) for _, k in row] for row in plan]
+    if any(row[i] and not all(row) for i, row in enumerate(zero)):
         return CircleVerdict(CircleVerdict.NOT_PSD, witness, min_eig, shortcut=True)
-    sign = H.pd_sign(image := H._image())
+    sign = _image_sign(image)
     # the witness and a quarter grid step on: a grid angle can lie on a
     # symmetry axis, where H is singular
     near = [2 * math.cos(th) if cosine else math.tan(th / (2 - graded))
             for th in (witness, witness + np.pi / (2 * GRID_SIZE))]
     if min_eig < 0 and any(sign(Fraction(x).limit_denominator(2**20)) < 0 for x in near):
         return CircleVerdict(CircleVerdict.NOT_PSD, witness, min_eig)
-    det = H.det(image)  # the image the minors read
+    det = det_of(image)
     if det.is_zero():
         return CircleVerdict(CircleVerdict.INCONCLUSIVE, witness, min_eig)
     angles, roots, points = _circle_roots(det, cosine, graded)
-    min_eig, witness = min((min_eig, witness), _scan(H, angles + [th for _, th in points]))
+    min_eig, witness = min((min_eig, witness),
+                           _scan(eval_thetas, angles + [th for _, th in points]))
     status = CircleVerdict.MARGINAL if roots else CircleVerdict.PD
     for x, theta in points:
         if sign(x) < 1:
             status, witness = CircleVerdict.NOT_PSD, theta
             break
     return CircleVerdict(status, witness, min_eig, tuple(roots))
+
+
+def psd_on_circle(H: TrigMatrix) -> CircleVerdict:
+    """Classify H(z) on |z| = 1 as PD / marginal PSD / not PSD / inconclusive,
+    exactly (``_decide``), from H's ``_image`` and ``eval_thetas``."""
+    return _decide(H._image(), H.eval_thetas, H.det)
+
+
+def hermite_psd(p: Poly) -> CircleVerdict:
+    """``psd_on_circle(hermite_matrix(p))``, decided on ``hermite_image(p)``:
+    the same status, shortcut, circle roots and witness, without building H;
+    the least eigenvalue is taken of the same matrices at the same angles."""
+    return _decide(*hermite_image(p), _image_det)
 
 
 # ---------------------------------------------------------------------------

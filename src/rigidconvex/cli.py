@@ -21,7 +21,7 @@ import numpy as np
 
 from .bezout import Parametrization, interpolate_det, pencil_from_param, \
     rigid_at_origin, verify_pencil_det
-from .circlepsd import CircleVerdict, MatrixPoly, build_sdp, psd_on_circle, \
+from .circlepsd import CircleVerdict, MatrixPoly, build_sdp, hermite_psd, \
     verify_spectral_factor, write_sdpa
 from .cubicrepr import cubic_representations
 from .errors import DeterminantMismatchError, RigidConvexError, SingularCubicError
@@ -94,8 +94,7 @@ def cmd_check_rigid(args) -> dict:
         p = p.shifted(*shift)
         body["recentered_at"] = [float(v) for v in shift]
 
-    H = hermite_matrix(p)
-    verdict = psd_on_circle(H)
+    verdict = hermite_psd(p)
     body["verdict"] = _STATUS_TO_VERDICT[verdict.status]
     if recentred:
         body["min_eigenvalue"] = verdict.min_eig
@@ -108,7 +107,7 @@ def cmd_check_rigid(args) -> dict:
             body["witness_theta"] = verdict.witness_theta
             body["shortcut"] = verdict.shortcut
     if args.emit_hermite:
-        body["hermite"] = _hermite_entries(H)
+        body["hermite"] = _hermite_entries(hermite_matrix(p))
     return body
 
 

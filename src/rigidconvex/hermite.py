@@ -9,6 +9,10 @@ the origin is rigidly convex exactly when q(t) has m real roots for every z,
 i.e. when the Hankel matrix of Newton power sums of q is positive
 semidefinite along the circle.  Everything here is exact and runs on the
 integer fields of ``Poly`` and ``TrigPoly``, read and built as they are.
+``hermite_matrix`` builds that matrix as a TrigMatrix; ``hermite_image``
+reads its integer image and its values at angles straight off the power
+sums of Q_T over Z[T], T = tan theta (``power_sums``), for the circle
+decision alone.
 """
 from __future__ import annotations
 
@@ -16,8 +20,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import OriginOnCurveError
-from .polycore import Poly, TrigMatrix, TrigPoly, laurent_mul
+from .polycore import Poly, TrigMatrix, TrigPoly, _nonzero_len, laurent_mul
 
 
 def _add_into(acc: list, xs: list, f: int = 1) -> None:
@@ -47,25 +53,27 @@ class LinePoly:
             raise ValueError("line restriction must be monic")
 
 
+def _line_degree(p: Poly) -> int:
+    """m = deg p, after checking that p is bivariate of degree >= 1 with
+    p(0,0) != 0 (OriginOnCurveError, since the line polynomials divide by
+    the constant term; the locate module handles that situation)."""
+    if p.nvars != 2:
+        raise ValueError("line substitution is defined for bivariate input")
+    if not p.ints.get((0, 0)):
+        raise OriginOnCurveError("p(0,0) = 0; cannot normalise p(0) = 1")
+    if p.degree < 1:
+        raise ValueError("need total degree >= 1")
+    return p.degree
+
+
 def line_substitute(p: Poly) -> LinePoly:
     """Restrict p to the line family and clear denominators.
 
     With w = x1 t = z + 1/z and v = x2 t = -i(z - 1/z), P_00 t^m q_(m-j) sums P_ab w^a v^b
     over a + b = j, P_ab p's integer numerators (``Poly.ints``); the powers of w and v and
     their products are integer Laurent lists, and the TrigPolys of q are built once, at the end.
-
-    Raises OriginOnCurveError when p(0,0) = 0, since the construction divides
-    by the constant term; the locate module handles that situation.
     """
-    if p.nvars != 2:
-        raise ValueError("line substitution is defined for bivariate input")
-    p0 = p.coeff((0, 0))
-    if p0 == 0:
-        raise OriginOnCurveError("p(0,0) = 0; cannot normalise p(0) = 1")
-    m = p.degree
-    if m < 1:
-        raise ValueError("need total degree >= 1")
-
+    m = _line_degree(p)
     w, v = ([0, 1], []), ([0, 0], [0, -1])  # halves of z + 1/z and -i(z - 1/z)
     w_pow = [([1], [])]
     v_pow = w_pow[:]
@@ -80,7 +88,7 @@ def line_substitute(p: Poly) -> LinePoly:
         _add_into(im[a + b], wi, coeff)
     lead = re[0][0]
     q = [TrigPoly._make(re[m - k], im[m - k], lead) for k in range(m + 1)]
-    return LinePoly(m, tuple(q), scale=p0)
+    return LinePoly(m, tuple(q), scale=p.coeff((0, 0)))
 
 
 def newton_sums(line: LinePoly, count: int) -> list[TrigPoly]:
@@ -120,3 +128,85 @@ def hermite_matrix(p: Poly) -> TrigMatrix:
     line = line_substitute(p)
     sums = newton_sums(line, 2 * line.m - 2)
     return TrigMatrix.from_hankel(sums, line.m)
+
+
+def power_sums(p: Poly) -> tuple[list, int]:
+    """(S, p0): the power sums S_0 .. S_(2m-2) of the roots of the monic
+
+        Q_T(mu) = mu^m + sum_(k>=1) p_k(1, T) p0^(k-1) mu^(m-k)
+
+    over Z[T], as ascending integer lists with S_k of length k + 1, p_k p's
+    form of degree k and p0 its constant term, both read off ``Poly.ints``.
+    On the line at angle theta, with T = tan theta, the roots of
+    ``line_substitute``'s q(t) are t = (2 cos theta / p0) mu, so its power
+    sums are N_k = (2 cos theta / p0)^k S_k(tan theta).  Newton's identities
+    as in ``newton_sums``, each product a convolution in T."""
+    m = _line_degree(p)
+    p0 = p.ints[(0, 0)]
+    c = [[0] * (k + 1) for k in range(m + 1)]  # c[k][b]: T^b in p_k(1, T) p0^(k-1)
+    for (a, b), x in p.ints.items():
+        if a + b:
+            c[a + b][b] += x * p0 ** (a + b - 1)
+    sums = [[m]]
+    for k in range(1, 2 * m - 1):
+        acc = [0] * (k + 1)
+        for j in range(1, min(k, m) + 1):
+            if j == k:
+                for b, x in enumerate(c[j]):
+                    acc[b] -= k * x
+                continue
+            s = sums[k - j]
+            for b, x in enumerate(c[j]):
+                if x:
+                    for e, y in enumerate(s, b):
+                        acc[e] -= x * y
+        sums.append(acc)
+    return sums, p0
+
+
+def hermite_image(p: Poly) -> tuple:
+    """(image, eval_thetas) of H = ``hermite_matrix(p)``, read off
+    ``power_sums`` without building H: H_ij = (2 cos theta / p0)^k S_k(tan theta),
+    k = i + j.
+
+    ``image`` is H's integer image in the form of ``TrigMatrix._image``, entry
+    (i, j) the polynomial k, a positive row and column scaling of that image
+    (every leading minor keeps its sign, det keeps its roots): 2^k S_k(T) in
+    T = tan theta, of degree <= k, so n = m(m-1); or, when every S_k is even
+    in T (H cosine-only, p even in x2), sum_b S_(k,2b) u^(k-2b) (4-u^2)^b in
+    u = 2 cos theta, with n from the entries' degrees as ``_image`` takes it.
+    Scale 1: det H is known up to a positive constant.  ``eval_thetas``: H
+    at each angle, from the forms sum_b S_(k,b) cos^(k-b) sin^b, each
+    coefficient the exact quotient 2^k S_(k,b) / p0^k rounded once."""
+    sums, p0 = power_sums(p)
+    m = (len(sums) + 1) // 2
+    cosine = not any(x for s in sums for x in s[1::2])
+    if cosine:
+        polys = []
+        for k, s in enumerate(sums):
+            g = []  # sum_b S_(k,2b) v^(k//2-b) (4-v)^b, v = u^2, by Horner in 4 - v
+            for b in range(k // 2, -1, -1):
+                g = [4 * x - y for x, y in zip(g + [0], [0] + g)]
+                g[k // 2 - b] += s[2 * b]
+            out = [0] * (k + 1)
+            out[k % 2::2] = g
+            polys.append(out)
+        deg = [max(_nonzero_len(P), 1) - 1 for P in polys]
+        low = [min(deg[i + j] for i in range(m)) for j in range(m)]
+        n = sum(low) + sum(max(deg[i + j] - low[j] for j in range(m)) for i in range(m))
+    else:
+        polys, n = [[x << k for x in s] for k, s in enumerate(sums)], m * (m - 1)
+    image = [[(1, i + j) for j in range(m)] for i in range(m)], polys, n, 1, (cosine, True)
+    # monomial r of the scan is cos^(k-b) sin^b, (k, b) in order; column k of
+    # ``forms`` holds 2^k S_(k,b) / p0^k at those of degree k
+    ks = [k for k in range(2 * m - 1) for _ in range(k + 1)]
+    bs = [b for k in range(2 * m - 1) for b in range(k + 1)]
+    forms = np.zeros((len(ks), 2 * m - 1))
+    forms[range(len(ks)), ks] = [(x << k) / p0**k for k, s in enumerate(sums) for x in s]
+    cos_exp, hankel = np.subtract(ks, bs), np.add.outer(np.arange(m), np.arange(m))
+
+    def eval_thetas(thetas) -> np.ndarray:
+        th = np.asarray(thetas, dtype=float)[:, None]
+        cos, sin = np.cos(th) ** np.arange(2 * m - 1), np.sin(th) ** np.arange(2 * m - 1)
+        return ((cos[:, cos_exp] * sin[:, bs]) @ forms)[:, hankel]
+    return image, eval_thetas

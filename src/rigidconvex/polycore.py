@@ -28,11 +28,12 @@ numerators over one denominator, other operands are cleared of denominators
 once, and Fractions are built only as views of results.
 Each job has one kernel.  Laurent products take ``laurent_mul``; the u-, T-
 or t-polynomial of a TrigPoly ``TrigPoly.int_poly``, and the integer image of a
-TrigMatrix, which ``det`` interpolates and ``pd_sign`` evaluates,
-``TrigMatrix._image``; determinants, solves and bordered minors the
-fraction-free ``_bareiss``; every univariate determinant or bordered minor
-(``TrigMatrix.det``, ``locate``'s subresultants, ``bezout.signature_exact``,
-``cubicrepr``'s Hesse coordinates) the loop ``_interpolate_minors``: integer
+TrigMatrix ``TrigMatrix._image``, which ``_image_det`` interpolates and
+``_image_sign`` evaluates (as they do ``hermite.hermite_image``'s);
+determinants, solves and bordered minors the fraction-free ``_bareiss``;
+every univariate determinant or bordered minor (``_image_det``,
+``locate``'s subresultants, ``bezout.signature_exact``, ``cubicrepr``'s
+Hesse coordinates) the loop ``_interpolate_minors``: integer
 evaluation, ``_bareiss`` and the integer Newton ``_newton_interpolate``.
 Univariate jobs run on ascending integer lists: ``_primitive`` clears
 rationals, ``_pdivmod`` pseudo-divides, ``_int_gcd`` takes gcds (1 proved
@@ -1108,6 +1109,49 @@ def _hom(f: list, a: int, b: int) -> int:
     return acc
 
 
+def _image_sign(image: tuple):
+    """x -> 1 if H is positive definite at u, T or t = x (the coordinate of
+    ``image``, H's integer image as ``TrigMatrix._image`` builds it),
+    otherwise the sign of its first leading minor there that is not positive
+    (Sylvester: the pivots of ``_bareiss`` without swaps); -1 proves a
+    negative eigenvalue.  H is exact there, up to row and column scalings that
+    keep every leading minor's sign: the image at x = a/b, each polynomial
+    homogenised to one power of b."""
+    plan, polys, *_ = image
+    e = max(map(len, polys), default=0)
+
+    def sign(x) -> int:
+        a, b = x.numerator, x.denominator
+        vals = [_hom(poly, a, b) * b ** (e - len(poly)) for poly in polys]
+        mat = [[f * vals[k] for f, k in row] for row in plan]
+        _bareiss(mat, swap=False)
+        return next((-1 if row[k] else 0 for k, row in enumerate(mat) if row[k] <= 0), 1)
+    return sign
+
+
+def _image_det(image: tuple) -> TrigPoly:
+    """det H in the TrigPoly ring, from H's integer image (plan, polys, n,
+    scale, (cosine, graded)) as ``TrigMatrix._image`` builds it.  The image
+    has determinant D(u) = scale det H of degree <= n when H is cosine-only;
+    else, when graded, D(T) = scale (1+T^2)^(n/2) det H of degree <= n, n
+    even; else D(t) = scale (1+t^2)^n det H of degree <= 2n.  The real roots
+    of D(T) or D(t) are the circle roots but theta = pi/2 or pi, where D loses
+    degree.  D is interpolated from n+1 or 2n+1 consecutive integers around 0
+    and mapped back (``_u_to_cos``, ``_t_to_halves``) to the halves of the
+    result over scale; no Fraction is built.  A graded det H has only even
+    harmonics, and D(T) is its t form in z^2, so its halves come back with
+    every index doubled.  D(-u) = D(u) for a graded cosine H, so only u >= 0
+    is eliminated."""
+    plan, polys, n, scale, (cosine, graded) = image
+    count = (n - n % 2 * graded if cosine or graded else 2 * n) + 1
+    lo = -((count - 1) // 2)
+    coeffs = _interpolate_minors(plan, polys, lo, count, cosine and graded)[0]
+    if cosine:
+        return TrigPoly._make(_u_to_cos(coeffs), [], scale)
+    re, im = ([x for y in h for x in (y, 0)] if graded else h for h in _t_to_halves(coeffs))
+    return TrigPoly._make(re, im, scale)
+
+
 # ---------------------------------------------------------------------------
 # Symmetric matrices of TrigPoly
 # ---------------------------------------------------------------------------
@@ -1205,44 +1249,12 @@ class TrigMatrix:
         polys = [distinct[k].int_poly(cosine, half[k] + s, graded)[0] for k, s in key]
         return plan, polys, sum(a) + sum(b), math.prod(r) * math.prod(c), (cosine, graded)
 
-    def pd_sign(self, image: tuple):
-        """x -> 1 if H is positive definite at u, T or t = x (``_image``'s
-        form), otherwise the sign of its first leading minor there that is not
-        positive (Sylvester: the pivots of ``_bareiss`` without swaps); -1
-        proves a negative eigenvalue.  H is exact there, up to row and column
-        scalings that keep every leading minor's sign: ``image``, its
-        ``_image``, at x = a/b, each polynomial homogenised to one power of b."""
-        plan, polys, *_ = image
-        e = max(map(len, polys), default=0)
-
-        def sign(x) -> int:
-            a, b = x.numerator, x.denominator
-            vals = [_hom(poly, a, b) * b ** (e - len(poly)) for poly in polys]
-            mat = [[f * vals[k] for f, k in row] for row in plan]
-            _bareiss(mat, swap=False)
-            return next((-1 if row[k] else 0 for k, row in enumerate(mat) if row[k] <= 0), 1)
-        return sign
+    pd_sign = staticmethod(_image_sign)  # x -> sign, from H's ``_image``
 
     def det(self, image: tuple | None = None) -> TrigPoly:
-        """Exact determinant in the TrigPoly ring.  The ``_image`` of H has
-        determinant D(u) = scale det H of degree <= n when H is cosine-only;
-        else, when graded, D(T) = scale (1+T^2)^(n/2) det H of degree <= n, n
-        even; else D(t) = scale (1+t^2)^n det H of degree <= 2n.  The real
-        roots of D(T) or D(t) are the circle roots but theta = pi/2 or pi,
-        where D loses degree.  D is interpolated from n+1 or 2n+1 consecutive
-        integers around 0 and mapped back (``_u_to_cos``, ``_t_to_halves``) to
-        the halves of the result over scale; no Fraction is built.  A graded
-        det H has only even harmonics, and D(T) is its t form in z^2, so its
-        halves come back with every index doubled.  D(-u) = D(u) for a graded
-        cosine H, so only u >= 0 is eliminated.  ``image``: H's ``_image``."""
-        plan, polys, n, scale, (cosine, graded) = image or self._image()
-        count = (n - n % 2 * graded if cosine or graded else 2 * n) + 1
-        lo = -((count - 1) // 2)
-        coeffs = _interpolate_minors(plan, polys, lo, count, cosine and graded)[0]
-        if cosine:
-            return TrigPoly._make(_u_to_cos(coeffs), [], scale)
-        re, im = ([x for y in h for x in (y, 0)] if graded else h for h in _t_to_halves(coeffs))
-        return TrigPoly._make(re, im, scale)
+        """Exact determinant in the TrigPoly ring (``_image_det``); ``image``:
+        H's ``_image``, built here when not given."""
+        return _image_det(image or self._image())
 
     def __eq__(self, other):
         return (isinstance(other, TrigMatrix) and self.m == other.m

@@ -11,6 +11,7 @@ from rigidconvex.circlepsd import (
     MatrixPoly,
     build_sdp,
     circle_roots_of,
+    hermite_psd,
     psd_on_circle,
     verify_spectral_factor,
     write_sdpa,
@@ -957,6 +958,10 @@ def test_degree_runtime(degree):
     assert time.perf_counter() - started < 30.0
     assert verdict.status in (CircleVerdict.PD, CircleVerdict.NOT_PSD,
                               CircleVerdict.MARGINAL)
+    # the route check-rigid runs, under the same limit
+    started = time.perf_counter()
+    assert hermite_psd(p).status == verdict.status
+    assert time.perf_counter() - started < 30.0
 
 
 def test_shortcut_witness_carries_violation():

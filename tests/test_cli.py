@@ -158,6 +158,46 @@ def test_check_rigid_emit_hermite(capsys):
     assert rep["hermite"] == [["2", "0"], ["0", "8"]]
 
 
+def test_check_rigid_builds_no_trig_matrix(capsys, monkeypatch):
+    # check-rigid reads H's integer image off p's power sums over Z[T]: no
+    # TrigMatrix on any verdict's path, recentred or not; --emit-hermite
+    # builds H for its block, which is the hermite subcommand's
+    from rigidconvex.polycore import TrigMatrix
+
+    built = []
+    init = TrigMatrix.__init__
+    monkeypatch.setattr(TrigMatrix, "__init__", lambda H, rows: built.append(H) or init(H, rows))
+    verdicts = set()
+    for poly in (CUBIC, "1-x1^4-x2^4", "(1-x1^2-2*x2^2)*(1-2*x1^2-x2^2)",
+                 "1-x1^2-2*x2^2+1/2*x2-x1*x2^2", "(1-x1^2-x2^2)^2",
+                 "1-17*x2^2+6*x2^3+36*x2^4+10*x1*x2-20*x1^2-6*x1^3+45*x1^4",
+                 "x1*(1-x1^2-x2^2)+x2^2*(x1-1/3)^2*x1^2"):
+        code, rep, _ = run_json(capsys, "check-rigid", "--poly", poly)
+        assert code == 0 and built == [], poly
+        verdicts.add(rep["verdict"])
+    assert verdicts == {"rigidly-convex", "marginal", "not-rigidly-convex", "inconclusive"}
+    for poly in (CUBIC, "1-x1^2-2*x2^2+1/2*x2-x1*x2^2"):
+        built.clear()
+        code, rep, _ = run_json(capsys, "check-rigid", "--poly", poly, "--emit-hermite")
+        assert code == 0 and len(built) == 1
+        assert rep["hermite"] == run_json(capsys, "hermite", "--poly", poly)[1]["hermite"]
+
+
+def test_check_rigid_big_constant_term(capsys):
+    # p0 = 2^100 + 1 and p even in x2 of degree 8: S_k carries p0^(k-1), so
+    # S_14 has about 1,400 bits, beyond a float; the scan's coefficients are
+    # the exact quotients 2^k S_(k,b) / p0^k, each rounded once
+    p = "1267650600228229401496703205377*(1-x1^2-2*x2^2)*(1-2*x1^2-x2^2)*(1-x1^2-3*x2^2)*(1-3*x1^2-x2^2)"
+    poly = parse_poly(p)
+    assert poly.degree == 8 and poly.coeff((0, 0)) == 2**100 + 1
+    verdict = rigidconvex.psd_on_circle(rigidconvex.hermite_matrix(poly))
+    code, rep, _ = run_json(capsys, "check-rigid", "--poly", p)
+    assert code == 0
+    assert rep["verdict"] == {"PositiveDefinite": "rigidly-convex",
+                              "PositiveSemidefiniteMarginal": "marginal"}[verdict.status]
+    assert np.isfinite(rep["min_eigenvalue"])
+
+
 def test_check_rigid_human_output_matches_json_verdict(capsys):
     code, out, _ = run(capsys, "check-rigid", "--poly", "1-x1^4-x2^4")
     assert code == 0

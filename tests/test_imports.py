@@ -112,15 +112,18 @@ def test_traced_layer_names_resolve():
 def test_tracer_size_counters_read_results(capsys):
     """The tracer's size counters read what the package returns (a
     determinant's ``.c + .s``, ``.candidates``, the representations), so a
-    change of those fails here and not only in a traced benchmark run."""
-    from rigidconvex import cli
+    change of those fails here and not only in a traced benchmark run.
+    ``check-rigid`` decides without a TrigMatrix, so the determinant counters
+    are driven through ``psd_on_circle`` on its Hermite matrices."""
+    from rigidconvex import circlepsd, cli, hermite, parse_poly
 
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
-        for argv in (["check-rigid", "--poly", "1-x1^2-2*x2^2+1/4*x1^3"],
-                     ["check-rigid", "--poly", "1-x1^2-2*x2^2+1/2*x2-x1*x2^2"],
-                     ["find-component", "--q0=45,-8,10,0,1", "--q1=-7,44,-18,-4,1",
+        for text in ("1-x1^2-2*x2^2+1/4*x1^3", "1-x1^2-2*x2^2+1/2*x2-x1*x2^2"):
+            circlepsd.psd_on_circle(hermite.hermite_matrix(parse_poly(text)))
+            tracer.flush_counters()
+        for argv in (["find-component", "--q0=45,-8,10,0,1", "--q1=-7,44,-18,-4,1",
                       "--q2=49,-28,-10,4,1"],
                      ["cubic-repr", "--poly", "x1^3-x2^2-x1"]):
             assert cli.main(argv + ["--json"]) == 0, argv
