@@ -3,14 +3,16 @@
 The decision is exact: the circle zeros of det H are isolated exactly
 (``realroots``) and Sylvester's criterion at rational points decides
 (``_decide``), on one fundamental domain of H's symmetry, in the
-coordinate of H's integer image: u = 2 cos theta, T = tan theta for a graded
-H with sine parts (theta mod pi), else t = tan(theta/2).  Floats only
-propose a witness, in that domain, and report the least eigenvalue, from a
-batched ``eigvalsh`` over a stack of H's values at the angles.  Two front
-ends feed that one routine: ``psd_on_circle`` reads a TrigMatrix
-(``TrigMatrix._image``, ``eval_thetas``), and ``hermite_psd`` reads the image
-and the values of ``hermite_matrix(p)`` straight off p's power sums
-(``hermite.hermite_image``).  The equivalent semidefinite feasibility
+coordinate of H's integer image.  Floats only propose a witness, in that
+domain, and report the least eigenvalue, from a batched ``eigvalsh`` over a
+stack of H's values at the angles.  Two front ends feed that one routine:
+``psd_on_circle`` reads a TrigMatrix (``TrigMatrix._image``,
+``eval_thetas``) in u = 2 cos theta when H is cosine-only, T = tan theta for
+a graded H with sine parts (theta mod pi), else t = tan(theta/2); and
+``hermite_psd`` reads the image and the values of ``hermite_matrix(p)``
+straight off p's power sums (``hermite.hermite_image``), in W = tan^2 theta
+when p is even in x2 (theta in [0, pi/2], at half the degree of the u
+form), else in T.  The equivalent semidefinite feasibility
 problem is exported in SDPA sparse format for external solvers; candidate
 spectral factors can be verified against H on a grid.
 """
@@ -24,16 +26,17 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .hermite import hermite_image
-from .polycore import (Poly, TrigMatrix, TrigPoly, _image_det, _image_sign, _nonzero_len,
-                       _squarefree_part, parse_scalar)
-from .realroots import _roots_in, real_roots
+from .polycore import (Poly, TrigMatrix, TrigPoly, _image_det, _image_sign, _interpolate_minors,
+                       _nonzero_len, _squarefree_part, parse_scalar)
+from .realroots import _roots01, _roots_in, real_roots
 
 GRID_SIZE = 512
 GRID = np.linspace(0.0, 2 * np.pi, GRID_SIZE, endpoint=False)
 # H's symmetry groups by (cosine, graded): H(-theta) = H(theta), H(theta + pi) = S H(theta) S
 # with S = diag((-1)^i) (``TrigMatrix.is_graded``).  Each: the GRID prefix that meets every orbit,
-# the fundamental domain's end (u = 2 cos theta in [end, 2], else theta mod end, so
-# T = tan theta or t = tan(theta/2) on the whole line), theta's orbit.
+# the fundamental domain's end (u = 2 cos theta in [end, 2], or W = tan^2 theta in [0, inf]
+# for ``hermite_image``'s (True, True); else theta mod end, so T = tan theta or
+# t = tan(theta/2) on the whole line), theta's orbit.
 _GROUPS = {
     (True, True): (GRID_SIZE // 4 + 1, 0, lambda th: (th, -th, math.pi - th, math.pi + th)),
     (True, False): (GRID_SIZE // 2 + 1, -2, lambda th: (th, -th)),
@@ -98,22 +101,50 @@ def _scan(eval_thetas, thetas) -> tuple[float, float]:
     return float(eigs[k]), float(thetas[k])
 
 
-def _decide(image: tuple, eval_thetas, det_of) -> CircleVerdict:
+def _w_circle_roots(image: tuple) -> tuple[list, list, list] | None:
+    """``_circle_roots`` of ``hermite_image``'s image in W = tan^2 theta, on
+    the domain theta in [0, pi/2], W in [0, inf]; None where det H = 0.
+    D(W) is interpolated at n + 1 points, and the roots of its square-free
+    part isolated on [0, 1] and, reversed, on [1, inf).  W = 0 is theta = 0,
+    a root where D(0) = 0, and theta = pi/2 a root where D has degree < n.
+    The arcs' points: W = 0 unless it is a root, a midpoint between
+    neighbouring roots, and an integer above the last one."""
+    plan, polys, n, *_ = image
+    D = _interpolate_minors(plan, polys, -(n // 2), n + 1)[0]
+    if not any(D):
+        return None
+    f = _squarefree_part(D[:_nonzero_len(D)])
+    above = _roots01((f if f[0] else f[1:])[::-1])  # 1/W, W >= 1
+    roots = sorted({*_roots01(f), *((1 / hi, 1 / lo) for lo, hi in above)})
+    xs = [Fraction(0)] * (not roots or roots[0][0] > 0)
+    xs += [(a[1] + b[0]) / 2 for a, b in zip(roots, roots[1:])]
+    xs += [Fraction(math.ceil(hi) + 1) for _, hi in roots[-1:]]
+
+    def theta(x) -> float:
+        return math.atan(math.sqrt(x))
+    angles = [theta((lo + hi) / 2) for lo, hi in roots] + [math.pi / 2] * (not D[n])
+    orbit = _GROUPS[True, True][2]
+    return (angles, sorted({th % (2 * math.pi) for a in angles for th in orbit(a)}),
+            [(x, theta(x)) for x in xs])
+
+
+def _decide(image: tuple, eval_thetas, coordinate, circle) -> CircleVerdict:
     """The circle verdict of a matrix H given by its integer image (the
     format of ``TrigMatrix._image``), its float values at angles (the stack
-    of ``TrigMatrix.eval_thetas``) and the function that takes det H, up to
-    a positive factor, off the image.  The float scan only proposes a
-    witness and reports the least eigenvalue.  NOT_PSD: a structural zero (a
-    zero diagonal entry whose row is not identically zero; an entry is zero
-    where its image polynomial is), or a negative leading minor of H at a
-    rational point next to the scan's minimum.  Else, det H = 0 is
-    INCONCLUSIVE; otherwise H's inertia is constant on each arc between the
-    circle roots of det H, and Sylvester's criterion at one point per arc
+    of ``TrigMatrix.eval_thetas``), the image's coordinate at an angle, as a
+    float, and the function that takes H's circle roots off the image as
+    ``_circle_roots`` does (None where det H = 0).  The float scan only
+    proposes a witness and reports the least eigenvalue.  NOT_PSD: a
+    structural zero (a zero diagonal entry whose row is not identically zero;
+    an entry is zero where its image polynomial is), or a negative leading
+    minor of H at a rational point next to the scan's minimum.  Else, det H =
+    0 is INCONCLUSIVE; otherwise H's inertia is constant on each arc between
+    the circle roots of det H, and Sylvester's criterion at one point per arc
     decides: NOT_PSD where it fails, else MARGINAL with roots and PD without.
     H's symmetries keep its inertia: scan, arcs and witness keep to one
     ``_GROUPS`` domain."""
-    plan, polys, _, _, (cosine, graded) = image
-    min_eig, witness = _scan(eval_thetas, GRID[:_GROUPS[cosine, graded][0]])
+    plan, polys, *_, group = image
+    min_eig, witness = _scan(eval_thetas, GRID[:_GROUPS[group][0]])
     # a PSD matrix with a zero diagonal entry has a zero row, so a structural
     # zero decides NOT_PSD without the determinant
     zero = [[not any(polys[k]) for _, k in row] for row in plan]
@@ -122,14 +153,13 @@ def _decide(image: tuple, eval_thetas, det_of) -> CircleVerdict:
     sign = _image_sign(image)
     # the witness and a quarter grid step on: a grid angle can lie on a
     # symmetry axis, where H is singular
-    near = [2 * math.cos(th) if cosine else math.tan(th / (2 - graded))
-            for th in (witness, witness + np.pi / (2 * GRID_SIZE))]
+    near = [coordinate(th) for th in (witness, witness + np.pi / (2 * GRID_SIZE))]
     if min_eig < 0 and any(sign(Fraction(x).limit_denominator(2**20)) < 0 for x in near):
         return CircleVerdict(CircleVerdict.NOT_PSD, witness, min_eig)
-    det = det_of(image)
-    if det.is_zero():
+    found = circle(image)
+    if found is None:
         return CircleVerdict(CircleVerdict.INCONCLUSIVE, witness, min_eig)
-    angles, roots, points = _circle_roots(det, cosine, graded)
+    angles, roots, points = found
     min_eig, witness = min((min_eig, witness),
                            _scan(eval_thetas, angles + [th for _, th in points]))
     status = CircleVerdict.MARGINAL if roots else CircleVerdict.PD
@@ -140,17 +170,35 @@ def _decide(image: tuple, eval_thetas, det_of) -> CircleVerdict:
     return CircleVerdict(status, witness, min_eig, tuple(roots))
 
 
+def _trig_decide(image: tuple, eval_thetas, det_of) -> CircleVerdict:
+    """``_decide`` in the coordinate ``_image_det`` reads (cosine, graded) as:
+    u = 2 cos theta, T = tan theta or t = tan(theta/2), det H from ``det_of``."""
+    cosine, graded = image[4]
+
+    def circle(image):
+        det = det_of(image)
+        return None if det.is_zero() else _circle_roots(det, cosine, graded)
+    return _decide(image, eval_thetas,
+                   lambda th: 2 * math.cos(th) if cosine else math.tan(th / (2 - graded)), circle)
+
+
 def psd_on_circle(H: TrigMatrix) -> CircleVerdict:
     """Classify H(z) on |z| = 1 as PD / marginal PSD / not PSD / inconclusive,
     exactly (``_decide``), from H's ``_image`` and ``eval_thetas``."""
-    return _decide(H._image(), H.eval_thetas, H.det)
+    return _trig_decide(H._image(), H.eval_thetas, H.det)
 
 
 def hermite_psd(p: Poly) -> CircleVerdict:
-    """``psd_on_circle(hermite_matrix(p))``, decided on ``hermite_image(p)``:
-    the same status, shortcut, circle roots and witness, without building H;
-    the least eigenvalue is taken of the same matrices at the same angles."""
-    return _decide(*hermite_image(p), _image_det)
+    """``psd_on_circle(hermite_matrix(p))``, decided on ``hermite_image(p)``
+    without building H: the same status and shortcut.  In T (p with odd
+    x2-terms) the circle roots and witness are the same too; in W
+    (``_w_circle_roots``) the roots agree to rounding, and a NOT_PSD witness
+    can lie on another arc.  The least eigenvalue is of the same matrices,
+    at the same angles but for those the roots and arcs give."""
+    image, eval_thetas = hermite_image(p)
+    if image[4][0]:  # keyed (True, True): the image in W
+        return _decide(image, eval_thetas, lambda th: math.tan(th) ** 2, _w_circle_roots)
+    return _trig_decide(image, eval_thetas, _image_det)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ integer fields of ``Poly`` and ``TrigPoly``, read and built as they are.
 ``hermite_matrix`` builds that matrix as a TrigMatrix; ``hermite_image``
 reads its integer image and its values at angles straight off the power
 sums of Q_T over Z[T], T = tan theta (``power_sums``), for the circle
-decision alone.
+decision alone: in T, or in W = T^2 when p is even in x2, as Q_T then is.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import OriginOnCurveError
-from .polycore import Poly, TrigMatrix, TrigPoly, _nonzero_len, laurent_mul
+from .polycore import Poly, TrigMatrix, TrigPoly, laurent_mul
 
 
 def _add_into(acc: list, xs: list, f: int = 1) -> None:
@@ -169,34 +169,24 @@ def hermite_image(p: Poly) -> tuple:
     ``power_sums`` without building H: H_ij = (2 cos theta / p0)^k S_k(tan theta),
     k = i + j.
 
-    ``image`` is H's integer image in the form of ``TrigMatrix._image``, entry
-    (i, j) the polynomial k, a positive row and column scaling of that image
-    (every leading minor keeps its sign, det keeps its roots): 2^k S_k(T) in
-    T = tan theta, of degree <= k, so n = m(m-1); or, when every S_k is even
-    in T (H cosine-only, p even in x2), sum_b S_(k,2b) u^(k-2b) (4-u^2)^b in
-    u = 2 cos theta, with n from the entries' degrees as ``_image`` takes it.
-    Scale 1: det H is known up to a positive constant.  ``eval_thetas``: H
-    at each angle, from the forms sum_b S_(k,b) cos^(k-b) sin^b, each
-    coefficient the exact quotient 2^k S_(k,b) / p0^k rounded once."""
+    ``image`` is an integer image of H in the form of ``TrigMatrix._image``,
+    entry (i, j) the polynomial k, a positive row and column scaling of H
+    (every leading minor keeps its sign, det keeps its roots), scale 1:
+    2^k S_k(T) in T = tan theta, of degree <= k, so n = m(m-1), keyed
+    (False, True); or, when every S_k is even in T (p even in x2), 2^k s_k(W)
+    in W = tan^2 theta, s_k = S_k's even-index coefficients, of degree <= k/2,
+    keyed (True, True) as H's symmetry group is: its det is D(W) = (1+W)^n
+    det H up to a positive constant, n = m(m-1)/2, of degree <= n, whose
+    W^n coefficient is det H at theta = pi/2 up to that constant.
+    ``eval_thetas``: H at each angle, from the forms sum_b S_(k,b)
+    cos^(k-b) sin^b, each coefficient the exact quotient 2^k S_(k,b) / p0^k
+    rounded once."""
     sums, p0 = power_sums(p)
     m = (len(sums) + 1) // 2
-    cosine = not any(x for s in sums for x in s[1::2])
-    if cosine:
-        polys = []
-        for k, s in enumerate(sums):
-            g = []  # sum_b S_(k,2b) v^(k//2-b) (4-v)^b, v = u^2, by Horner in 4 - v
-            for b in range(k // 2, -1, -1):
-                g = [4 * x - y for x, y in zip(g + [0], [0] + g)]
-                g[k // 2 - b] += s[2 * b]
-            out = [0] * (k + 1)
-            out[k % 2::2] = g
-            polys.append(out)
-        deg = [max(_nonzero_len(P), 1) - 1 for P in polys]
-        low = [min(deg[i + j] for i in range(m)) for j in range(m)]
-        n = sum(low) + sum(max(deg[i + j] - low[j] for j in range(m)) for i in range(m))
-    else:
-        polys, n = [[x << k for x in s] for k, s in enumerate(sums)], m * (m - 1)
-    image = [[(1, i + j) for j in range(m)] for i in range(m)], polys, n, 1, (cosine, True)
+    even = not any(x for s in sums for x in s[1::2])
+    polys = [[x << k for x in (s[::2] if even else s)] for k, s in enumerate(sums)]
+    image = ([[(1, i + j) for j in range(m)] for i in range(m)], polys, m * (m - 1) // (1 + even), 1,
+             (even, True))
     # monomial r of the scan is cos^(k-b) sin^b, (k, b) in order; column k of
     # ``forms`` holds 2^k S_(k,b) / p0^k at those of degree k
     ks = [k for k in range(2 * m - 1) for _ in range(k + 1)]

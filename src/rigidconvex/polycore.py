@@ -29,7 +29,7 @@ once, and Fractions are built only as views of results.
 Each job has one kernel.  Laurent products take ``laurent_mul``; the u-, T-
 or t-polynomial of a TrigPoly ``TrigPoly.int_poly``, and the integer image of a
 TrigMatrix ``TrigMatrix._image``, which ``_image_det`` interpolates and
-``_image_sign`` evaluates (as they do ``hermite.hermite_image``'s);
+``_image_sign`` evaluates (as it does ``hermite.hermite_image``'s);
 determinants, solves and bordered minors the fraction-free ``_bareiss``;
 every univariate determinant or bordered minor (``_image_det``,
 ``locate``'s subresultants, ``bezout.signature_exact``, ``cubicrepr``'s
@@ -1110,8 +1110,8 @@ def _hom(f: list, a: int, b: int) -> int:
 
 
 def _image_sign(image: tuple):
-    """x -> 1 if H is positive definite at u, T or t = x (the coordinate of
-    ``image``, H's integer image as ``TrigMatrix._image`` builds it),
+    """x -> 1 if H is positive definite at u, T, t or W = x (the coordinate
+    of ``image``, H's integer image in the format of ``TrigMatrix._image``),
     otherwise the sign of its first leading minor there that is not positive
     (Sylvester: the pivots of ``_bareiss`` without swaps); -1 proves a
     negative eigenvalue.  H is exact there, up to row and column scalings that
