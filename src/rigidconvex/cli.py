@@ -6,7 +6,7 @@ holds every option of the subcommand except ``--json``.
 
 Exit codes: 0 = computed (whatever the verdict), 1 = input error, usage
 errors included, 2 = internal numerical failure.  ``--json`` switches every
-subcommand to a schema-stable machine-readable report.
+subcommand to a schema-stable machine-readable report on one line.
 """
 from __future__ import annotations
 
@@ -39,16 +39,12 @@ _STATUS_TO_VERDICT = {
 
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2, default=str))
+        print(json.dumps(report, default=str))  # one line, by the C encoder
         return
     print(f"# {report['command']}")
     for key, val in report.items():
-        if key in ("command", "inputs"):
-            continue
-        if isinstance(val, (dict, list)):
-            print(f"{key}: {json.dumps(val, default=str)}")
-        else:
-            print(f"{key}: {val}")
+        if key not in ("command", "inputs"):
+            print(f"{key}:", json.dumps(val, default=str) if isinstance(val, (dict, list)) else val)
 
 
 def _parametrization(args) -> Parametrization:

@@ -2,14 +2,12 @@
 
 Homogenise the cubic p to P(x0, x1, x2).  Its Hessian matrix is linear in
 x, H(P)(x) = x0 F0 + x1 F1 + x2 F2, read off P's integers: entry (i, j) of
-F_k is the third partial of P in x_i, x_j, x_k.  h = det H(P), again a
-cubic, is the cofactor expansion of these linear forms in ``Poly``'s ring.
-Follow the family s(x, t) = h(x) + t P(x).  For a smooth P the Hessian maps
-the Hesse pencil spanned by P and h into itself, so
-det H(s(x, t)) = A(t) P(x) + B(t) h(x) with B a monic cubic; two 3 x 3
-determinants in t alone (``polycore._interpolate_minors``), at lattice
-points that separate P and h, give A and B as integer lists.  Each real
-root t* of B (at least one, at most three) yields a symmetric pencil
+F_k is the third partial of P in x_i, x_j, x_k.  Along s(x, t) = h(x) +
+t P(x), h = det H(P), a smooth P's Hessian maps the Hesse pencil of P and h
+into itself: det H(s(x, t)) = A(t) P(x) + B(t) h(x), B a monic cubic.  h,
+and det H(s) at two lattice points that separate P and h (A and B as integer
+lists), expand over columns into integer 3 x 3 determinants (``_det_form``).
+Each real root t* of B (at least one, at most three) yields a symmetric pencil
 
     F(x) = mu * H(s(x, t*))|_{x0 = 1},   mu = c^{-1/3},   c = A(t*),
 
@@ -28,8 +26,7 @@ import numpy as np
 
 from .errors import IdenticallyZeroResultantError, SingularCubicError
 from .locate import _narrowed, _root_in, _solve_system
-from .polycore import _ZERO, Pencil, Poly, Scalar, _bareiss, _horner, _interpolate_minors, \
-    _squarefree_factors
+from .polycore import _ZERO, Pencil, Poly, Scalar, _bareiss, _horner, _squarefree_factors
 from .realroots import real_roots
 
 
@@ -66,16 +63,31 @@ def hessian(P: Poly) -> Pencil:
     return Pencil(3, _tensor({e: Fraction(v, P.den) for e, v in P.ints.items()}))
 
 
+# each (k0, k1, k2) in {0, .., r-1}^3 with how often it picks each k
+_CHOICES = {r: [(ks, tuple(map(ks.count, range(r))))
+                for ks in itertools.product(range(r), repeat=3)] for r in (2, 3)}
+
+
+def _det_form(mats) -> dict:
+    """det(y_0 C_0 + ... + y_(r-1) C_(r-1)) for r = 2 or 3 integer symmetric 3 x 3
+    matrices C_k: a cubic form in y keyed by exponent, zeros kept.  det is linear in
+    each column, and column j of C_k is its row j, so y^e sums det(C_k0[0], C_k1[1],
+    C_k2[2]) over the choices (k0, k1, k2) that pick each k e_k times."""
+    out = {}
+    for (k0, k1, k2), e in _CHOICES[len(mats)]:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = mats[k0][0], mats[k1][1], mats[k2][2]
+        out[e] = out.get(e, 0) + (a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2)
+                                  + a2 * (b0 * c1 - b1 * c0))
+    return out
+
+
 def hessian_det(P: Poly) -> Poly:
-    """h(x) = det H(P), again a homogeneous cubic: den^3 h is det(den H(P)),
-    of integer linear forms, by its first row and three 2 x 2 cofactors."""
+    """h(x) = det H(P), again a homogeneous cubic: den^3 h is
+    det(x0 F0 + x1 F1 + x2 F2) on the integer tensor of den P (``_det_form``)."""
     if P.nvars != 3:
         raise ValueError("expected a homogeneous cubic in x0, x1, x2")
-    units, F = ((1, 0, 0), (0, 1, 0), (0, 0, 1)), _tensor(P.ints, 0)
-    a, b, c, e, f, m = (Poly._make({u: F_k[i][j] for u, F_k in zip(units, F) if F_k[i][j]}, 1, 3)
-                        for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)))
-    det = a * (e * m - f * f) - b * (b * m - c * f) + c * (b * f - c * e)  # H is symmetric
-    return Poly._make(det.ints, P.den**3, 3)
+    return Poly._make({e: v for e, v in _det_form(_tensor(P.ints, 0)).items() if v},
+                      P.den**3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +177,9 @@ def _hesse_coordinates(P: Poly, h: Poly) -> tuple[list, list, int]:
     Hesse pencil.  At a point x, g_x(t) = det(H(h)(x) + t H(P)(x)) is
     A(t) P(x) + B(t) h(x).  The principal lattice of order 3 is unisolvent for
     cubics, so two of its points separate P and h, which are independent; the
-    first such pair gives A and B by Cramer's rule.  On the integers value(x)
-    is (dP P(x), dh h(x)) and g(x) is (dP dh)^3 g_x, the determinant of
-    dP H(dh h)(x) + t dh H(dP P)(x), interpolated from t = 0 .. 3."""
+    first such pair gives A and B by Cramer's rule.  On the integers value(x) is
+    (dP P(x), dh h(x)) and g(x) = (dP dh)^3 g_x is det(M0 + t M1), M0 = dP H(dh h)(x),
+    M1 = dh H(dP P)(x): its t^s coefficient sums the column choices taking s from M1."""
     @functools.cache
     def value(x):  # (dP P(x), dh h(x)) at an integer point
         return tuple(sum([v * math.prod(map(pow, x, e)) for e, v in F.ints.items()])
@@ -179,11 +191,10 @@ def _hesse_coordinates(P: Poly, h: Poly) -> tuple[list, list, int]:
     (px, hx), (py, hy) = value(x), value(y)
     scaled = (P.den, _tensor(h.ints, 0)), (h.den, _tensor(P.ints, 0))
 
-    def g(x) -> list:  # H(x) = x0 F0 + x1 F1 + x2 F2, entry (i, j) linear in t
-        polys = [[f * sum([xk * F[i][j] for xk, F in zip(x, mats) if xk]) for f, mats in scaled]
-                 for i in range(3) for j in range(3)]
-        plan = [[(1, 3 * i + j) for j in range(3)] for i in range(3)]
-        return _interpolate_minors(plan, polys, 0, 4)[0]
+    def g(x) -> list:  # (M0, M1) at x as H(x) = x0 F0 + x1 F1 + x2 F2, then det(M0 + t M1)
+        form = _det_form([[[f * sum([xk * F[i][j] for xk, F in zip(x, mats) if xk])
+                            for j in range(3)] for i in range(3)] for f, mats in scaled])
+        return [form[3 - s, s] for s in range(4)]
 
     # Cramer's rule in the scaled values, delta = dP P(x) dh h(y) - dP P(y) dh h(x):
     # A = (g_x h(y) - g_y h(x)) / delta, B = (g_y P(x) - g_x P(y)) / delta

@@ -197,6 +197,7 @@ def hermite_image(p: Poly) -> tuple:
 
     def eval_thetas(thetas) -> np.ndarray:
         th = np.asarray(thetas, dtype=float)[:, None]
-        cos, sin = np.cos(th) ** np.arange(2 * m - 1), np.sin(th) ** np.arange(2 * m - 1)
-        return ((cos[:, cos_exp] * sin[:, bs]) @ forms)[:, hankel]
+        c, e = np.cos(th), np.arange(2 * m - 1)
+        cos = np.abs(c) ** e * np.where(e % 2, np.sign(c), 1.0)  # pow is slow on a negative base
+        return ((cos[:, cos_exp] * (np.sin(th) ** e)[:, bs]) @ forms)[:, hankel]
     return image, eval_thetas

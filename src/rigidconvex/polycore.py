@@ -31,10 +31,10 @@ or t-polynomial of a TrigPoly ``TrigPoly.int_poly``, and the integer image of a
 TrigMatrix ``TrigMatrix._image``, which ``_image_det`` interpolates and
 ``_image_sign`` evaluates (as it does ``hermite.hermite_image``'s);
 determinants, solves and bordered minors the fraction-free ``_bareiss``;
-every univariate determinant or bordered minor (``_image_det``,
-``locate``'s subresultants, ``bezout.signature_exact``, ``cubicrepr``'s
-Hesse coordinates) the loop ``_interpolate_minors``: integer
-evaluation, ``_bareiss`` and the integer Newton ``_newton_interpolate``.
+every univariate determinant or bordered minor (``_image_det``, ``locate``'s
+subresultants, ``bezout.signature_exact``) the loop ``_interpolate_minors``:
+integer evaluation, ``_bareiss``, the integer Newton ``_newton_interpolate``;
+the 3 x 3 ones of ``cubicrepr`` a column expansion (``cubicrepr._det_form``).
 Univariate jobs run on ascending integer lists: ``_primitive`` clears
 rationals, ``_pdivmod`` pseudo-divides, ``_int_gcd`` takes gcds (1 proved
 modulo 2^31 - 1, else a primitive pseudo-remainder sequence) and
@@ -66,9 +66,7 @@ _ZERO = Fraction(0)
 
 def to_exact(x: Scalar) -> Scalar:
     """Promote ints to Fraction; leave Fraction and float untouched."""
-    if isinstance(x, int):
-        return Fraction(x)
-    return x
+    return Fraction(x) if isinstance(x, int) else x
 
 
 def format_scalar(x: Scalar) -> str:
@@ -387,6 +385,7 @@ class Poly:
 # number := digits ("." digits)? | digits "/" digits
 
 _TOKEN = re.compile(r"(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*^()/])")
+_VARIABLES = {"x1": 0, "x2": 1, "x3": 2}  # name token -> variable index
 
 
 def _tokenize(expr: str):
@@ -522,13 +521,11 @@ class _Parser:
             g = math.gcd(num, den)
             return ({(0,) * self.nvars: num // g}, den // g, 0) if num else ({}, 1, -1)
         if kind == "name":
-            m = re.fullmatch(r"x([123])", val)
-            if not m:
+            index = _VARIABLES.get(val)
+            if index is None:
                 raise UnknownVariableError(f"unknown variable {val!r}", off)
-            index = int(m.group(1)) - 1
             if index >= self.nvars:
-                raise UnknownVariableError(
-                    f"variable {val!r} exceeds arity {self.nvars}", off)
+                raise UnknownVariableError(f"variable {val!r} exceeds arity {self.nvars}", off)
             return {tuple([int(i == index) for i in range(self.nvars)]): 1}, 1, 1
         if kind == "op" and val == "(":
             inner = self.parse_expr()
@@ -1332,15 +1329,10 @@ class Pencil:
     def to_json_dict(self) -> dict:
         # exact entries become strings; floats stay JSON numbers so a reload
         # does not silently promote an approximate pencil to the exact path
-        def enc1(x):
+        def enc(x):
             return x if isinstance(x, float) else format_scalar(x)
-
-        def enc(mat):
-            return [[enc1(x) for x in row] for row in mat]
-        out = {"m": self.m, "c": None if self.c is None else enc1(self.c)}
-        for k, mat in enumerate(self.mats):
-            out[f"F{k}"] = enc(mat)
-        return out
+        mats = {f"F{k}": [[enc(x) for x in row] for row in mat] for k, mat in enumerate(self.mats)}
+        return {"m": self.m, "c": None if self.c is None else enc(self.c), **mats}
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Pencil":

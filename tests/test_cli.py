@@ -474,7 +474,7 @@ def test_route_report_matches_golden(capsys, tmp_path, run_):
     path.write_text(json.dumps(_ROUTES["pencil"]))
     code, out, _ = run(capsys, *[str(path) if a == "PENCIL" else a for a in run_["argv"]])
     assert code == run_["exit"]
-    out = re.sub(r',\n  "timing_seconds": [^\n]*', "", out)
+    out = re.sub(r', "timing_seconds": [^}]*', "", out)
     assert out.replace(str(path), "PENCIL") == run_["stdout"]
 
 
@@ -605,9 +605,8 @@ REPORT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("command, options", REPORT_CASES,
-                         ids=[case[0] for case in REPORT_CASES])
-def test_report_frame(tmp_path, monkeypatch, capsys, command, options):
+def _report_argv(tmp_path, monkeypatch, command, options) -> list:
+    """The command line of a REPORT_CASES case, run in tmp_path with its files."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "pencil.json").write_text(json.dumps(_DISC_PENCIL))
     U = load_fixture("cubic-curve")["expect"]["spectral_factor"]["U"]
@@ -621,13 +620,31 @@ def test_report_frame(tmp_path, monkeypatch, capsys, command, options):
             argv.append(flag)
         elif val not in (None, False):
             argv.append(f"{flag}={val}")
-    code, rep, err = run_json(capsys, *argv)
+    return argv
+
+
+@pytest.mark.parametrize("command, options", REPORT_CASES,
+                         ids=[case[0] for case in REPORT_CASES])
+def test_report_frame(tmp_path, monkeypatch, capsys, command, options):
+    code, rep, err = run_json(capsys, *_report_argv(tmp_path, monkeypatch, command, options))
     assert code == 0, err
     assert rep["command"] == command
     assert rep["inputs"] == options
     assert list(rep)[:2] == ["command", "inputs"]
     assert list(rep)[-1] == "timing_seconds"
     assert len(rep) > 3
+
+
+@pytest.mark.parametrize("command, options", REPORT_CASES,
+                         ids=[case[0] for case in REPORT_CASES])
+def test_json_report_is_one_line(tmp_path, monkeypatch, capsys, command, options):
+    # --json prints each report as one JSON object on one line
+    code, out, err = run(capsys, *_report_argv(tmp_path, monkeypatch, command, options), "--json")
+    assert code == 0, err
+    line, end = out.split("\n", 1)
+    assert end == "" and line.startswith("{") and line.endswith("}")
+    keys = list(json.loads(line))
+    assert keys[:2] == ["command", "inputs"] and keys[-1] == "timing_seconds"
 
 
 _FLOAT_PENCIL = {**_DISC_PENCIL, "F0": [[1.5, 0.0], [0.0, 1.0]]}

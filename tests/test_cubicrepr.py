@@ -228,8 +228,9 @@ def test_tensor_hessian_and_t_polys_match_references_on_fixtures(name):
 def test_smooth_cubic_makes_no_partials_and_three_determinants(monkeypatch):
     import rigidconvex.bezout as bezout
     import rigidconvex.cubicrepr as cubicrepr
+    import rigidconvex.locate as locate
 
-    counts = {"partial": 0, "interpolate_det": 0, "_interpolate_minors": 0}
+    counts = {"partial": 0, "interpolate_det": 0, "_interpolate_minors": 0, "_det_form": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -238,13 +239,58 @@ def test_smooth_cubic_makes_no_partials_and_three_determinants(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(Poly, "partial", counted("partial", Poly.partial))
-    for module, name in ((bezout, "interpolate_det"), (cubicrepr, "_interpolate_minors")):
+    for module, name in ((bezout, "interpolate_det"), (locate, "_interpolate_minors"),
+                         (cubicrepr, "_det_form")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     assert len(cubic_representations(ELLIPTIC)) == 3
-    # h = det H(P) by cofactors, then the determinants in t at two lattice points;
-    # the lattice determinant and the Fraction polynomial stay out of the route
-    assert counts == {"partial": 0, "interpolate_det": 0, "_interpolate_minors": 2}
-    assert not {"interpolate_det", "UniPoly"} & set(vars(cubicrepr))
+    # h = det H(P), then det(M0 + t M1) at two lattice points, each one column
+    # expansion on integers; no Poly-ring product, interpolation or Fraction
+    # polynomial is left on the route
+    assert counts == {"partial": 0, "interpolate_det": 0, "_interpolate_minors": 0,
+                      "_det_form": 3}
+    assert not {"interpolate_det", "_interpolate_minors", "UniPoly"} & set(vars(cubicrepr))
+
+
+def _random_int_matrix(rng: random.Random) -> list:
+    """A random integer symmetric 3 x 3 matrix; one in three has a zero
+    column, and one in three two equal columns."""
+    i, j, k = rng.sample(range(3), 3)
+    mat = [[0] * 3 for _ in range(3)]
+    for a, b in ((i, i), (i, j), (i, k), (j, j), (j, k), (k, k)):
+        mat[a][b] = mat[b][a] = rng.randint(-50, 50)
+    kind = rng.randrange(3)
+    if kind == 0:
+        mat[i] = [0] * 3
+        mat[j][i] = mat[k][i] = 0
+    elif kind == 1:  # column i = column j: equal rows i and j, and so H_ii = H_ij = H_jj
+        mat[i][i] = mat[j][j] = mat[i][j]
+        mat[i][k] = mat[k][i] = mat[j][k]
+    return mat
+
+
+def test_t_cubic_columns_match_interpolated_determinant():
+    from rigidconvex.cubicrepr import _det_form
+    from rigidconvex.polycore import _interpolate_minors
+
+    rng = random.Random(28)
+    zero = [[0] * 3 for _ in range(3)]
+    pairs = [(zero, zero), (zero, _random_int_matrix(rng)), (_random_int_matrix(rng), zero)]
+    pairs += [(_random_int_matrix(rng), _random_int_matrix(rng)) for _ in range(200)]
+    for m0, m1 in pairs:
+        form = _det_form([m0, m1])
+        polys = [[m0[i][j], m1[i][j]] for i in range(3) for j in range(3)]
+        plan = [[(1, 3 * i + j) for j in range(3)] for i in range(3)]
+        assert set(form) == {(3 - s, s) for s in range(4)}
+        assert [form[3 - s, s] for s in range(4)] == _interpolate_minors(plan, polys, 0, 4)[0]
+
+
+@pytest.mark.parametrize("text", ["x1^3", "x1*x2*x3", "(x1+2*x2)*(x1^2-x2*x3+3*x3^2)",
+                                  "(x1-x2)^2*(x1+x3)", "x2^2*x3+1/3*x3^3"])
+def test_hessian_det_matches_reference_on_degenerate_cubics(text):
+    # x1, x2, x3 stand for x0, x1, x2: a triple line, a triangle, a line
+    # times a conic, a double line, and a cone over three points
+    P = parse_poly(text, 3)
+    assert hessian_det(P) == _reference_hessian_det(P)
 
 
 _GOLDEN = json.loads((Path(__file__).parent / "data" / "cubic_repr_golden.json").read_text())
