@@ -3,18 +3,19 @@
 The decision is exact: the circle zeros of det H are isolated exactly
 (``realroots``) and Sylvester's criterion at rational points decides
 (``_decide``), on one fundamental domain of H's symmetry, in the
-coordinate of H's integer image.  Floats only propose a witness, in that
-domain, and report the least eigenvalue, from a batched ``eigvalsh`` over a
-stack of H's values at the angles.  Two front ends feed that one routine:
-``psd_on_circle`` reads a TrigMatrix (``TrigMatrix._image``,
-``eval_thetas``) in u = 2 cos theta when H is cosine-only, T = tan theta for
-a graded H with sine parts (theta mod pi), else t = tan(theta/2); and
-``hermite_psd`` reads the image and the values of ``hermite_matrix(p)``
-straight off p's power sums (``hermite.hermite_image``), in W = tan^2 theta
-when p is even in x2 (theta in [0, pi/2], at half the degree of the u
-form), else in T.  The equivalent semidefinite feasibility
-problem is exported in SDPA sparse format for external solvers; candidate
-spectral factors can be verified against H on a grid.
+coordinate of H's integer image: T = tan(theta/f) (theta mod f pi), or
+W = tan^2(theta/f) (theta/f in [0, pi/2]) when H is even in theta, with
+f = 1 for a graded H and f = 2 otherwise.  One routine, ``_circle_roots``,
+takes the circle roots off any such image.  Floats only propose a witness,
+in that domain, and report the least eigenvalue, from a batched
+``eigvalsh`` over a stack of H's values at the angles.  Two front ends feed
+``_decide``: ``psd_on_circle`` reads a TrigMatrix (``TrigMatrix._image``,
+``eval_thetas``), in W when H is cosine-only; and ``hermite_psd`` reads the
+image and the values of ``hermite_matrix(p)`` straight off p's power sums
+(``hermite.hermite_image``), in W = tan^2 theta when p is even in x2, else
+in T = tan theta.  The equivalent semidefinite feasibility problem is
+exported in SDPA sparse format for external solvers; candidate spectral
+factors can be verified against H on a grid.
 """
 from __future__ import annotations
 
@@ -26,22 +27,20 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .hermite import hermite_image
-from .polycore import (Poly, TrigMatrix, TrigPoly, _image_det, _image_sign, _interpolate_minors,
-                       _nonzero_len, _squarefree_part, parse_scalar)
-from .realroots import _roots01, _roots_in, real_roots
+from .polycore import (Poly, TrigMatrix, TrigPoly, _image_sign, _interpolate_minors, _nonzero_len,
+                       _squarefree_part, parse_scalar)
+from .realroots import _nonnegative_roots, real_roots
 
 GRID_SIZE = 512
 GRID = np.linspace(0.0, 2 * np.pi, GRID_SIZE, endpoint=False)
-# H's symmetry groups by (cosine, graded): H(-theta) = H(theta), H(theta + pi) = S H(theta) S
-# with S = diag((-1)^i) (``TrigMatrix.is_graded``).  Each: the GRID prefix that meets every orbit,
-# the fundamental domain's end (u = 2 cos theta in [end, 2], or W = tan^2 theta in [0, inf]
-# for ``hermite_image``'s (True, True); else theta mod end, so T = tan theta or
-# t = tan(theta/2) on the whole line), theta's orbit.
+# H's symmetry groups by the image's key (even, graded): H(-theta) = H(theta) when even (the
+# image in W), H(theta + pi) = S H(theta) S with S = diag((-1)^i) when graded (f = 1, else
+# f = 2; ``TrigMatrix.is_graded``).  Each: the GRID prefix that meets every orbit, theta's orbit.
 _GROUPS = {
-    (True, True): (GRID_SIZE // 4 + 1, 0, lambda th: (th, -th, math.pi - th, math.pi + th)),
-    (True, False): (GRID_SIZE // 2 + 1, -2, lambda th: (th, -th)),
-    (False, True): (GRID_SIZE // 2, math.pi, lambda th: (th, th + math.pi)),
-    (False, False): (GRID_SIZE, 2 * math.pi, lambda th: (th,)),
+    (True, True): (GRID_SIZE // 4 + 1, lambda th: (th, -th, math.pi - th, math.pi + th)),
+    (True, False): (GRID_SIZE // 2 + 1, lambda th: (th, -th)),
+    (False, True): (GRID_SIZE // 2, lambda th: (th, th + math.pi)),
+    (False, False): (GRID_SIZE, lambda th: (th,)),
 }
 
 
@@ -63,34 +62,47 @@ class CircleVerdict:
         return self.status in (self.PD, self.MARGINAL)
 
 
-def _circle_roots(det: TrigPoly, cosine: bool, graded: bool) -> tuple[list, list, list]:
-    """(angles, roots, points) of a nonzero det of H with the symmetry (cosine,
-    graded): det's circle zeros in the fundamental domain, their orbits (all
-    zeros in [0, 2 pi), sorted) and (x, theta) inside each arc there, x exact.
-    D = ``det.int_poly(cosine, None, graded)`` is isolated in u = 2 cos theta
-    = x on [end, 2], else on all x = T = tan theta when graded (theta mod pi),
-    or x = t = tan(theta/2); theta = end/2 is a root where D loses degree."""
-    _, end, images = _GROUPS[cosine, graded]
-    D = det.int_poly(cosine, None, graded)[0]
-    at_pi = not (cosine or D[-1])
-    if cosine:
-        roots = _roots_in(_squarefree_part(D), 2, 2 - end)
-        xs = [Fraction(e) for e in (end, 2) if (e, e) not in roots]  # theta = pi or pi/2, and 0
+def _circle_roots(image: tuple) -> tuple[list, list, list] | None:
+    """(angles, roots, points) of H from its integer image (the format of
+    ``TrigMatrix._image``), None where det H = 0: the circle zeros of det H
+    in the fundamental domain, their orbits (all zeros in [0, 2 pi), sorted)
+    and (x, theta) inside each arc there, x exact.  D = det M is interpolated
+    at the image's n + 1 points and its square-free part isolated in
+    T = tan(theta/f) = x on the whole line (theta mod f pi), or in
+    W = tan^2(theta/f) = x on [0, inf) (theta/f in [0, pi/2]).  theta = f pi/2,
+    where T is infinite, is a root where D has degree below n; W = 0 is
+    theta = 0.  The arcs' points: a midpoint between neighbouring roots; in T
+    one more on the arc through theta = f pi/2, or one either side of it
+    when it is a root; in W, 0 unless it is a root, and an integer above the
+    last root."""
+    plan, polys, n, _, (even, graded) = image
+    D = _interpolate_minors(plan, polys, -(n // 2), n + 1)[0]
+    if not any(D):
+        return None
+    f, sqf = 2 - graded, _squarefree_part(D[:_nonzero_len(D)])
+    roots = _nonnegative_roots(sqf) if even else real_roots(sqf)
+    xs = [(a[1] + b[0]) / 2 for a, b in zip(roots, roots[1:])]
+    if even:
+        xs = [Fraction(0)] * (not roots or roots[0][0] > 0) + xs
+        xs += [Fraction(math.ceil(hi) + 1) for _, hi in roots[-1:]]
+    elif roots:  # the arc through theta = f pi/2, or the two beside it when it is a root
+        xs.append(Fraction(math.floor(roots[0][0]) - 1))
+        xs += [Fraction(math.ceil(roots[-1][1]) + 1)] * (not D[n])
     else:
-        roots = real_roots(_squarefree_part(D[:_nonzero_len(D)]))
-        # the arc through or next to theta = end/2, and the other one next to it
-        xs = ([Fraction(math.floor(roots[0][0]) - 1)] + [Fraction(math.ceil(roots[-1][1]) + 1)] * at_pi
-              if roots else [Fraction(0)])
-    mids = [(a[1] + b[0]) / 2 for a, b in zip(roots, roots[1:])]
-    theta = (lambda x: math.acos(x / 2)) if cosine else (lambda x: (2 - graded) * math.atan(x) % end)
-    angles = [theta((lo + hi) / 2) for lo, hi in roots] + [end / 2] * at_pi
-    return (angles, sorted({th % (2 * math.pi) for a in angles for th in images(a)}),
-            [(x, theta(x)) for x in (xs + mids if cosine else mids + xs)])
+        xs = [Fraction(0)]
+
+    def theta(x) -> float:
+        return f * math.atan(math.sqrt(x)) if even else f * math.atan(x) % (f * math.pi)
+    angles = [theta((lo + hi) / 2) for lo, hi in roots] + [f * math.pi / 2] * (not D[n])
+    orbit = _GROUPS[even, graded][1]
+    return (angles, sorted({th % (2 * math.pi) for a in angles for th in orbit(a)}),
+            [(x, theta(x)) for x in xs])
 
 
-def circle_roots_of(det: TrigPoly, cosine: bool) -> tuple[list, list]:
-    """(roots, points) of ``_circle_roots`` under the cosine symmetry alone."""
-    return _circle_roots(det, cosine, False)[1:]
+def circle_roots_of(det: TrigPoly) -> tuple[list, list]:
+    """(roots, points) of ``_circle_roots`` on the 1 x 1 image [[det]], det
+    nonzero."""
+    return _circle_roots(TrigMatrix([[det]])._image())[1:]
 
 
 def _scan(eval_thetas, thetas) -> tuple[float, float]:
@@ -101,40 +113,12 @@ def _scan(eval_thetas, thetas) -> tuple[float, float]:
     return float(eigs[k]), float(thetas[k])
 
 
-def _w_circle_roots(image: tuple) -> tuple[list, list, list] | None:
-    """``_circle_roots`` of ``hermite_image``'s image in W = tan^2 theta, on
-    the domain theta in [0, pi/2], W in [0, inf]; None where det H = 0.
-    D(W) is interpolated at n + 1 points, and the roots of its square-free
-    part isolated on [0, 1] and, reversed, on [1, inf).  W = 0 is theta = 0,
-    a root where D(0) = 0, and theta = pi/2 a root where D has degree < n.
-    The arcs' points: W = 0 unless it is a root, a midpoint between
-    neighbouring roots, and an integer above the last one."""
-    plan, polys, n, *_ = image
-    D = _interpolate_minors(plan, polys, -(n // 2), n + 1)[0]
-    if not any(D):
-        return None
-    f = _squarefree_part(D[:_nonzero_len(D)])
-    above = _roots01((f if f[0] else f[1:])[::-1])  # 1/W, W >= 1
-    roots = sorted({*_roots01(f), *((1 / hi, 1 / lo) for lo, hi in above)})
-    xs = [Fraction(0)] * (not roots or roots[0][0] > 0)
-    xs += [(a[1] + b[0]) / 2 for a, b in zip(roots, roots[1:])]
-    xs += [Fraction(math.ceil(hi) + 1) for _, hi in roots[-1:]]
-
-    def theta(x) -> float:
-        return math.atan(math.sqrt(x))
-    angles = [theta((lo + hi) / 2) for lo, hi in roots] + [math.pi / 2] * (not D[n])
-    orbit = _GROUPS[True, True][2]
-    return (angles, sorted({th % (2 * math.pi) for a in angles for th in orbit(a)}),
-            [(x, theta(x)) for x in xs])
-
-
-def _decide(image: tuple, eval_thetas, coordinate, circle) -> CircleVerdict:
+def _decide(image: tuple, eval_thetas) -> CircleVerdict:
     """The circle verdict of a matrix H given by its integer image (the
-    format of ``TrigMatrix._image``), its float values at angles (the stack
-    of ``TrigMatrix.eval_thetas``), the image's coordinate at an angle, as a
-    float, and the function that takes H's circle roots off the image as
-    ``_circle_roots`` does (None where det H = 0).  The float scan only
-    proposes a witness and reports the least eigenvalue.  NOT_PSD: a
+    format of ``TrigMatrix._image``) and its float values at angles (the
+    stack of ``TrigMatrix.eval_thetas``), in the coordinate the image's key
+    names, T = tan(theta/f) or W = T^2.  The float scan only proposes a
+    witness and reports the least eigenvalue.  NOT_PSD: a
     structural zero (a zero diagonal entry whose row is not identically zero;
     an entry is zero where its image polynomial is), or a negative leading
     minor of H at a rational point next to the scan's minimum.  Else, det H =
@@ -143,20 +127,22 @@ def _decide(image: tuple, eval_thetas, coordinate, circle) -> CircleVerdict:
     decides: NOT_PSD where it fails, else MARGINAL with roots and PD without.
     H's symmetries keep its inertia: scan, arcs and witness keep to one
     ``_GROUPS`` domain."""
-    plan, polys, *_, group = image
-    min_eig, witness = _scan(eval_thetas, GRID[:_GROUPS[group][0]])
+    plan, polys, *_, (even, graded) = image
+    min_eig, witness = _scan(eval_thetas, GRID[:_GROUPS[even, graded][0]])
     # a PSD matrix with a zero diagonal entry has a zero row, so a structural
     # zero decides NOT_PSD without the determinant
     zero = [[not any(polys[k]) for _, k in row] for row in plan]
     if any(row[i] and not all(row) for i, row in enumerate(zero)):
         return CircleVerdict(CircleVerdict.NOT_PSD, witness, min_eig, shortcut=True)
     sign = _image_sign(image)
-    # the witness and a quarter grid step on: a grid angle can lie on a
-    # symmetry axis, where H is singular
-    near = [coordinate(th) for th in (witness, witness + np.pi / (2 * GRID_SIZE))]
+    # the witness and a quarter grid step on, in the image's coordinate
+    # T = tan(theta/f) or W = T^2: a grid angle can lie on a symmetry axis,
+    # where H is singular
+    near = [math.tan(th / (2 - graded)) ** (1 + even)
+            for th in (witness, witness + np.pi / (2 * GRID_SIZE))]
     if min_eig < 0 and any(sign(Fraction(x).limit_denominator(2**20)) < 0 for x in near):
         return CircleVerdict(CircleVerdict.NOT_PSD, witness, min_eig)
-    found = circle(image)
+    found = _circle_roots(image)
     if found is None:
         return CircleVerdict(CircleVerdict.INCONCLUSIVE, witness, min_eig)
     angles, roots, points = found
@@ -170,35 +156,20 @@ def _decide(image: tuple, eval_thetas, coordinate, circle) -> CircleVerdict:
     return CircleVerdict(status, witness, min_eig, tuple(roots))
 
 
-def _trig_decide(image: tuple, eval_thetas, det_of) -> CircleVerdict:
-    """``_decide`` in the coordinate ``_image_det`` reads (cosine, graded) as:
-    u = 2 cos theta, T = tan theta or t = tan(theta/2), det H from ``det_of``."""
-    cosine, graded = image[4]
-
-    def circle(image):
-        det = det_of(image)
-        return None if det.is_zero() else _circle_roots(det, cosine, graded)
-    return _decide(image, eval_thetas,
-                   lambda th: 2 * math.cos(th) if cosine else math.tan(th / (2 - graded)), circle)
-
-
 def psd_on_circle(H: TrigMatrix) -> CircleVerdict:
     """Classify H(z) on |z| = 1 as PD / marginal PSD / not PSD / inconclusive,
     exactly (``_decide``), from H's ``_image`` and ``eval_thetas``."""
-    return _trig_decide(H._image(), H.eval_thetas, H.det)
+    return _decide(H._image(), H.eval_thetas)
 
 
 def hermite_psd(p: Poly) -> CircleVerdict:
     """``psd_on_circle(hermite_matrix(p))``, decided on ``hermite_image(p)``
-    without building H: the same status and shortcut.  In T (p with odd
-    x2-terms) the circle roots and witness are the same too; in W
-    (``_w_circle_roots``) the roots agree to rounding, and a NOT_PSD witness
-    can lie on another arc.  The least eigenvalue is of the same matrices,
-    at the same angles but for those the roots and arcs give."""
-    image, eval_thetas = hermite_image(p)
-    if image[4][0]:  # keyed (True, True): the image in W
-        return _decide(image, eval_thetas, lambda th: math.tan(th) ** 2, _w_circle_roots)
-    return _trig_decide(image, eval_thetas, _image_det)
+    without building H.  The two images share their coordinate and, up to a
+    positive factor, det H, so the status, shortcut and circle roots are the
+    same; so is the witness, unless the two float scans' minima fall on
+    different grid angles.  The least eigenvalue is of the same matrices, at
+    the same angles."""
+    return _decide(*hermite_image(p))
 
 
 # ---------------------------------------------------------------------------

@@ -173,11 +173,11 @@ def hermite_image(p: Poly) -> tuple:
     entry (i, j) the polynomial k, a positive row and column scaling of H
     (every leading minor keeps its sign, det keeps its roots), scale 1:
     2^k S_k(T) in T = tan theta, of degree <= k, so n = m(m-1), keyed
-    (False, True); or, when every S_k is even in T (p even in x2), 2^k s_k(W)
-    in W = tan^2 theta, s_k = S_k's even-index coefficients, of degree <= k/2,
-    keyed (True, True) as H's symmetry group is: its det is D(W) = (1+W)^n
-    det H up to a positive constant, n = m(m-1)/2, of degree <= n, whose
-    W^n coefficient is det H at theta = pi/2 up to that constant.
+    (even, graded) = (False, True); or, when every S_k is even in T (p even
+    in x2), 2^k s_k(W) in W = tan^2 theta, s_k = S_k's even-index
+    coefficients, of degree <= k/2, keyed (True, True): its det is
+    D(W) = (1+W)^n det H up to a positive constant, n = m(m-1)/2, of degree
+    <= n, whose W^n coefficient is det H at theta = pi/2 up to that constant.
     ``eval_thetas``: H at each angle, from the forms sum_b S_(k,b)
     cos^(k-b) sin^b, each coefficient the exact quotient 2^k S_(k,b) / p0^k
     rounded once."""

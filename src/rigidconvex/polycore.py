@@ -12,9 +12,9 @@ Representations:
 * ``TrigMatrix``-- symmetric matrix of TrigPoly entries; its exact determinant
                    is taken by integer evaluation, fraction-free Bareiss
                    elimination and integer Newton interpolation, in
-                   u = z + 1/z when every entry is cosine-only, else in
-                   T = tan theta when H is graded (as every Hermite matrix
-                   is) and in t = tan(theta/2) otherwise.
+                   T = tan(theta/f), f = 1 when H is graded (as every
+                   Hermite matrix is) and f = 2 otherwise, or in W = T^2
+                   when every entry is cosine-only.
 * ``Pencil``    -- constant symmetric matrices (F0, ..., Fn) with
                    F(x) = F0 + x1 F1 + ... + xn Fn; the Bezout and Hessian
                    routes build n = 2, pencil files may add F3 (n = 3).
@@ -26,12 +26,13 @@ Exact arithmetic runs on integers: ``Poly`` from ``parse_poly`` on and
 ``TrigPoly`` from the line substitution to the circle verdict keep integer
 numerators over one denominator, other operands are cleared of denominators
 once, and Fractions are built only as views of results.
-Each job has one kernel.  Laurent products take ``laurent_mul``; the u-, T-
-or t-polynomial of a TrigPoly ``TrigPoly.int_poly``, and the integer image of a
-TrigMatrix ``TrigMatrix._image``, which ``_image_det`` interpolates and
-``_image_sign`` evaluates (as it does ``hermite.hermite_image``'s);
+Each job has one kernel.  Laurent products take ``laurent_mul``; the
+polynomial in T = tan(theta/f) of a TrigPoly ``TrigPoly.int_poly``, and the
+integer image of a TrigMatrix, in T or W = T^2, ``TrigMatrix._image``, which
+``TrigMatrix.det`` interpolates and ``_image_sign`` evaluates (as it does
+``hermite.hermite_image``'s);
 determinants, solves and bordered minors the fraction-free ``_bareiss``;
-every univariate determinant or bordered minor (``_image_det``, ``locate``'s
+every univariate determinant or bordered minor (``TrigMatrix.det``, ``locate``'s
 subresultants, ``bezout.signature_exact``) the loop ``_interpolate_minors``:
 integer evaluation, ``_bareiss``, the integer Newton ``_newton_interpolate``;
 the 3 x 3 ones of ``cubicrepr`` a column expansion (``cubicrepr._det_form``).
@@ -725,16 +726,16 @@ class TrigPoly:
     def __bool__(self):
         return not self.is_zero()
 
-    def int_poly(self, cosine: bool, h: int | None = None, graded: bool = False) -> tuple[list, int]:
-        """(P, den) with integer P of formal degree h or 2h, h >= the
-        half-degree (default): den e = P(u), u = z + 1/z, when ``cosine``; else
-        den cos^-h(theta) e = P(T), T = tan theta, when ``graded`` (e carries
-        only harmonics of h's parity); else den (1+t^2)^h e = P(t),
-        t = tan(theta/2).  theta = pi/2 (T) or pi (t) drops the degree."""
+    def int_poly(self, graded: bool, h: int | None = None) -> tuple[list, int]:
+        """(P, den) with integer P of formal degree g, h >= the half-degree
+        (default): den cos^-g(theta/f) e = P(T), T = tan(theta/f), with f = 1
+        and g = h when ``graded`` (e carries only harmonics of h's parity),
+        else f = 2 and g = 2h, cos^-2(theta/2) = 1 + T^2.  P is even when e is
+        cosine-only; theta = f pi/2, where T is infinite, drops the degree."""
         h = self.half_degree if h is None else h
         re, im = (x + [0] * (h + 1 - len(x)) if x or graded else [] for x in (self.re, self.im))
-        if cosine or not graded:
-            return (_cos_to_u(re) if cosine else _halves_to_t(re, im)), self.den
+        if not graded:
+            return _halves_to_t(re, im), self.den
         if h % 2 == 0:  # z^(2k) = (1+iT)^(2k) / (1+T^2)^k: the t form in z^2
             return _halves_to_t(re[::2], im[::2]), self.den
         # z^(2k+1) = cos theta (1+iT) z^(2k), and l (1+iT) = l - T (s - ic), l = c + is
@@ -865,33 +866,6 @@ def laurent_mul(ra, ia, rb, ib) -> tuple[list, list]:
     return re, im
 
 
-def _cos_to_u(c: list) -> list:
-    """Ascending coefficients in u = z + 1/z of c[0] + sum c[k] (z^k + z^-k),
-    by z^k + z^-k = D_k(u): D_1 = u, D_2 = u^2 - 2, D_k = u D_(k-1) - D_(k-2)
-    (Dickson polynomials, integer coefficients)."""
-    out = list(c[:1]) + [0] * (len(c) - 1)
-    prev, cur = [2], [0, 1]
-    for ck in c[1:]:
-        for i, x in enumerate(cur):
-            out[i] += ck * x
-        nxt = [0] + cur
-        for i, x in enumerate(prev):
-            nxt[i] -= x
-        prev, cur = cur, nxt
-    return out
-
-
-def _u_to_cos(coeffs: list) -> list:
-    """Cosine coefficients (as in ``TrigPoly``) of sum coeffs[k] u^k,
-    u = z + 1/z, by u^k = sum_j C(k, j) z^(k-2j)."""
-    cos = [0] * len(coeffs)
-    for k, x in enumerate(coeffs):
-        if x:
-            for j in range(k // 2 + 1):
-                cos[k - 2 * j] += x * math.comb(k, j)
-    return cos
-
-
 def _horner(coeffs, x):
     acc = 0
     for a in reversed(coeffs):
@@ -981,22 +955,21 @@ def _newton_interpolate(values, x0: int) -> list:
     return _newton_to_monomial(_divided_differences(values), x0)
 
 
-def _interpolate_minors(plan, polys, lo: int, count: int, even: bool = False) -> list:
+def _interpolate_minors(plan, polys, lo: int, count: int) -> list:
     """The last row ``_bareiss`` leaves, from column n - 1 on, on the integer
     polynomial matrix M with n rows and entry f * polys[q] at (f, q) =
     plan[i][j], as ascending integer polynomials of degree < count: M is
     evaluated at x = lo .. lo + count - 1 (Horner once per polynomial),
     eliminated, and each entry Newton-interpolated.  For a square M the one
     entry is det M (1 when n = 0).  The work is known before it runs: count
-    eliminations of n rows, on entries of the size of M at x.  ``even``: M is
-    square, det M even and lo = -(count - 1) / 2, so x < 0 reuses -x."""
+    eliminations of n rows, on entries of the size of M at x."""
     n, values = len(plan), []
-    for x in range(0 if even else lo, lo + count):
+    for x in range(lo, lo + count):
         at = [_horner(p, x) for p in polys]
         mat = [[f * at[q] for f, q in row] for row in plan]
         _bareiss(mat)
         values.append(mat[-1][n - 1:] if n else [1])
-    return [_newton_interpolate(col, lo) for col in zip(*values[:0:-1] * even, *values)]
+    return [_newton_interpolate(col, lo) for col in zip(*values)]
 
 
 def _primitive(coeffs) -> list:
@@ -1107,8 +1080,8 @@ def _hom(f: list, a: int, b: int) -> int:
 
 
 def _image_sign(image: tuple):
-    """x -> 1 if H is positive definite at u, T, t or W = x (the coordinate
-    of ``image``, H's integer image in the format of ``TrigMatrix._image``),
+    """x -> 1 if H is positive definite at T or W = x (the coordinate of
+    ``image``, H's integer image in the format of ``TrigMatrix._image``),
     otherwise the sign of its first leading minor there that is not positive
     (Sylvester: the pivots of ``_bareiss`` without swaps); -1 proves a
     negative eigenvalue.  H is exact there, up to row and column scalings that
@@ -1124,29 +1097,6 @@ def _image_sign(image: tuple):
         _bareiss(mat, swap=False)
         return next((-1 if row[k] else 0 for k, row in enumerate(mat) if row[k] <= 0), 1)
     return sign
-
-
-def _image_det(image: tuple) -> TrigPoly:
-    """det H in the TrigPoly ring, from H's integer image (plan, polys, n,
-    scale, (cosine, graded)) as ``TrigMatrix._image`` builds it.  The image
-    has determinant D(u) = scale det H of degree <= n when H is cosine-only;
-    else, when graded, D(T) = scale (1+T^2)^(n/2) det H of degree <= n, n
-    even; else D(t) = scale (1+t^2)^n det H of degree <= 2n.  The real roots
-    of D(T) or D(t) are the circle roots but theta = pi/2 or pi, where D loses
-    degree.  D is interpolated from n+1 or 2n+1 consecutive integers around 0
-    and mapped back (``_u_to_cos``, ``_t_to_halves``) to the halves of the
-    result over scale; no Fraction is built.  A graded det H has only even
-    harmonics, and D(T) is its t form in z^2, so its halves come back with
-    every index doubled.  D(-u) = D(u) for a graded cosine H, so only u >= 0
-    is eliminated."""
-    plan, polys, n, scale, (cosine, graded) = image
-    count = (n - n % 2 * graded if cosine or graded else 2 * n) + 1
-    lo = -((count - 1) // 2)
-    coeffs = _interpolate_minors(plan, polys, lo, count, cosine and graded)[0]
-    if cosine:
-        return TrigPoly._make(_u_to_cos(coeffs), [], scale)
-    re, im = ([x for y in h for x in (y, 0)] if graded else h for h in _t_to_halves(coeffs))
-    return TrigPoly._make(re, im, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -1212,46 +1162,55 @@ class TrigMatrix:
         return (table @ blocks.reshape(2 * (d + 1), m * m)).reshape(-1, m, m)
 
     def _image(self) -> tuple:
-        """(plan, polys, n, scale, (cosine, graded)): H as the integer
-        polynomial matrix M of ``_interpolate_minors``, in u = z + 1/z when
-        ``cosine`` (every entry cosine-only), else in T = tan theta when
-        ``graded``, else in t = tan(theta/2).  Row i and column j are scaled by
-        r_i and c_j, c_j the gcd of the denominators of the distinct entries in
+        """(plan, polys, n, scale, (even, graded)): H as the integer
+        polynomial matrix M of ``_interpolate_minors``, in T = tan(theta/f),
+        f = 1 when ``graded`` and f = 2 otherwise, or in W = T^2 when ``even``
+        (every entry cosine-only, so each polynomial is even in T and keeps
+        its even-index coefficients).  Row i and column j are scaled by r_i
+        and c_j, c_j the gcd of the denominators of the distinct entries in
         column j and r_i the lcm of those left in row i, so each entry is
         integral; scale = prod(r_i c_j).  With b_j the least half-degree in
-        column j and a_i the largest excess over it in row i (in T raised to
-        the parity of j and i), det H has half-degree at most n = sum(a) +
-        sum(b) (a Hermite matrix, entry (i, j) of half-degree at most i + j,
-        usually gets n = m(m-1)).  M_ij is r_i c_j H_ij in u, and that times
-        cos^-(a_i+b_j)(theta) in T or (1+t^2)^(a_i+b_j) in t: H under row and
-        column scalings with positive products r_i c_i cos^-(a_i+b_i)(theta).
-        Its entries are ``int_poly``s at their own degrees, one per distinct
-        (entry, padding), and a Hankel H has only 2m-1 distinct entries."""
-        m, cosine, graded = self.m, self.is_cosine(), self.is_graded()
+        column j and a_i the largest excess over it in row i (raised to the
+        parity of j and i when graded), det H has half-degree at most N =
+        sum(a) + sum(b) (a Hermite matrix, entry (i, j) of half-degree at most
+        i + j, usually gets N = m(m-1)).  M_ij is r_i c_j H_ij times
+        cos^-g(theta/f), g = f (a_i + b_j): H under row and column scalings
+        with positive products, so det M = D = scale cos^-fN(theta/f) det H,
+        of degree at most n = fN in T, fN/2 in W.  Its entries are
+        ``int_poly``s at their own degrees, one per distinct (entry, degree),
+        and a Hankel H has only 2m-1 distinct entries."""
+        m, even, graded = self.m, self.is_cosine(), self.is_graded()
         slot: dict = {}
         index = [[slot.setdefault(id(e), len(slot)) for e in row] for row in self.entries]
         distinct = list({id(e): e for row in self.entries for e in row}.values())
         half = [e.half_degree for e in distinct]
         cols = [[row[j] for row in index] for j in range(m)]
-        up = (lambda x, i: x + (x + i) % 2) if graded and not cosine else (lambda x, i: x)
+        up = (lambda x, i: x + (x + i) % 2) if graded else (lambda x, i: x)
         b = [up(min([half[k] for k in col]), j) for j, col in enumerate(cols)]
         c = [math.gcd(*[distinct[k].den for k in col]) for col in cols]
         a = [up(max([half[k] - b[j] for j, k in enumerate(row)]), i) for i, row in enumerate(index)]
         r = [math.lcm(*[distinct[k].den // c[j] for j, k in enumerate(row)]) for row in index]
-        # (r_i c_j / den_k, P): P the int_poly of e_k, in T or t at half-degree a_i + b_j
+        # (r_i c_j / den_k, P): P the int_poly of e_k at half-degree a_i + b_j
         key: dict = {}
-        plan = [[(r[i] * c[j] // distinct[k].den,
-                  key.setdefault((k, 0 if cosine else a[i] + b[j] - half[k]), len(key)))
+        plan = [[(r[i] * c[j] // distinct[k].den, key.setdefault((k, a[i] + b[j]), len(key)))
                  for j, k in enumerate(row)] for i, row in enumerate(index)]
-        polys = [distinct[k].int_poly(cosine, half[k] + s, graded)[0] for k, s in key]
-        return plan, polys, sum(a) + sum(b), math.prod(r) * math.prod(c), (cosine, graded)
+        polys = [distinct[k].int_poly(graded, h)[0][::1 + even] for k, h in key]
+        n = (sum(a) + sum(b)) * (2 - graded) // (1 + even)
+        return plan, polys, n, math.prod(r) * math.prod(c), (even, graded)
 
-    pd_sign = staticmethod(_image_sign)  # x -> sign, from H's ``_image``
-
-    def det(self, image: tuple | None = None) -> TrigPoly:
-        """Exact determinant in the TrigPoly ring (``_image_det``); ``image``:
-        H's ``_image``, built here when not given."""
-        return _image_det(image or self._image())
+    def det(self) -> TrigPoly:
+        """Exact determinant in the TrigPoly ring: D = det M of ``_image``,
+        interpolated at n+1 consecutive integers around 0, read in T (D(W) as
+        D(T^2)) and mapped back (``_t_to_halves``) to the halves of the result
+        over scale; no Fraction is built.  A graded det H has only even
+        harmonics, and D(T) is its t form in z^2, so its halves come back with
+        every index doubled."""
+        plan, polys, n, scale, (even, graded) = self._image()
+        D = _interpolate_minors(plan, polys, -(n // 2), n + 1)[0]
+        if even:
+            D = [x for y in D for x in (y, 0)][:-1]
+        re, im = ([x for y in h for x in (y, 0)] if graded else h for h in _t_to_halves(D))
+        return TrigPoly._make(re, im, scale)
 
     def __eq__(self, other):
         return (isinstance(other, TrigMatrix) and self.m == other.m

@@ -104,26 +104,20 @@ def _roots01(f: list) -> list:
     return sorted(out)
 
 
-def _roots_in(f: list, b: int, w: int) -> list:
-    """Sorted ``_roots01`` intervals of the roots in [b - w, b], b >= 0, of a
-    square-free integer polynomial, from f(b - w y), y in [0, 1]."""
-    for _ in range(b):
-        f = _taylor_shift(f)
-    return [(b - w * hi, b - w * lo)
-            for lo, hi in reversed(_roots01([x * (-w) ** k for k, x in enumerate(f)]))]
+def _nonnegative_roots(f: list) -> list:
+    """Sorted ``_roots01`` intervals of the roots in [0, inf) of a square-free
+    integer polynomial (ascending, no trailing zero): those in [0, 1], then
+    the reciprocals of those of its reversal, a root at 0 divided out, but 1."""
+    if f[0] and not _variations(f):  # none, by Descartes
+        return []
+    above = _roots01((f if f[0] else f[1:])[::-1])
+    return _roots01(f) + [(1 / hi, 1 / lo) for lo, hi in reversed(above) if lo != 1]
 
 
 def real_roots(f: list) -> list:
     """Sorted ``_roots01`` intervals of the distinct real roots of a
-    square-free integer polynomial (ascending, no trailing zero): for s = 1
-    and -1, the roots of f(s x) in [0, 1], and the reciprocals of those of
-    its reversal.  The intervals are plain bisection's (``_refine``)."""
-    out = set()
-    for s in (1, -1):
-        g = [x * s**k for k, x in enumerate(f)]
-        if g[0] and not _variations(g):  # no root in [0, inf), by Descartes
-            continue
-        out.update(tuple(sorted((s * lo, s * hi))) for lo, hi in _roots01(g))
-        out.update(tuple(sorted((s / hi, s / lo)))
-                   for lo, hi in _roots01((g if g[0] else g[1:])[::-1]))
-    return sorted(out)
+    square-free integer polynomial (ascending, no trailing zero): the
+    ``_nonnegative_roots`` of f(-x), negated but for 0, and of f(x).  The
+    intervals are plain bisection's (``_refine``)."""
+    negative = _nonnegative_roots([-x if k & 1 else x for k, x in enumerate(f)])
+    return [(-hi, -lo) for lo, hi in reversed(negative) if hi] + _nonnegative_roots(f)

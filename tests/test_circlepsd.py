@@ -22,8 +22,8 @@ from trig_helpers import tadd, teval, tmul, tpow, tscale
 CUBIC_H = hermite_matrix(parse_poly("1-x1-4*x1^2-x2^2+4*x1^3"))
 TV_H = hermite_matrix(parse_poly("1-x1^4-x2^4"))
 DISC_H = hermite_matrix(parse_poly("1-x1^2-x2^2"))
-# a product of two ellipses, each tangent to the other's axis; det H has a
-# quadruple root at u = 2 cos theta = 0
+# a product of two ellipses, each tangent to the other's axis; cos^4 theta
+# divides det H
 ELLIPSES = ("1-6*x2^2+9*x2^4-2*x1^1+6*x1^1*x2^2-7*x1^2+21*x1^2*x2^2+6*x1^3+12*x1^4")
 # det(I + x1 A + x2 B) of degree 6, even in x2: rigidly convex, PD on the circle
 EVEN_PENCIL = ("1-21*x2^2+76*x2^4-16*x2^6-3*x1^1+56*x1^1*x2^2-168*x1^1*x2^4-10*x1^2"
@@ -115,7 +115,7 @@ def test_disc_is_pd():
 
 
 def test_psd_on_circle_builds_one_image_per_matrix(monkeypatch):
-    # pd_sign and det read the same integer image of H: one build per matrix
+    # the signs and the circle roots read the same integer image of H: one build per matrix
     # that reaches the determinant (PD, marginal cosine and sine-carrying)
     cap = parse_poly("x1^2*(x1^2+x2^2)-2*(x1^2+x2^2-x2)^2").shifted(Fraction(0), Fraction(1, 2))
     cases = [(DISC_H, CircleVerdict.PD), (CUBIC_H, CircleVerdict.PD),
@@ -140,7 +140,7 @@ def test_marginal_scalar():
 
 def test_even_pencil_is_pd():
     # the scan's least eigenvalue, 0.0091, is far below 1e-9 times H's largest
-    # coefficient (1.14); D(u) has no root in [-2, 2] and H(1) is PD exactly
+    # coefficient (1.14); D(W) has no root in [0, inf) and H(0) is PD exactly
     H = hermite_matrix(parse_poly(EVEN_PENCIL))
     verdict = psd_on_circle(H)
     assert verdict.status == CircleVerdict.PD
@@ -150,7 +150,7 @@ def test_even_pencil_is_pd():
 def test_ellipse_product_is_marginal_at_a_quadruple_root():
     H = hermite_matrix(parse_poly(ELLIPSES))
     D, _ = H.det().int_poly(True)
-    assert D[:4] == [0, 0, 0, 0] and D[4]  # u^4 divides D(u), u^5 does not
+    assert D[-4:] == [0, 0, 0, 0] and D[-5]  # in T = tan theta: cos^4 divides det H, cos^6 does not
     verdict = psd_on_circle(H)
     assert verdict.status == CircleVerdict.MARGINAL
     assert verdict.circle_roots == pytest.approx((np.pi / 2, 3 * np.pi / 2), abs=1e-12)
@@ -201,14 +201,12 @@ def test_notpsd_witness_consistent_with_det_sign_or_shortcut():
 
 
 def test_circle_roots_of_marginal_case():
-    # the double zero of z + 2 + z^-1 is one distinct root, at theta = pi
-    # (u = -2); the one arc left gets one point
-    det = TrigPoly([2, 1])
-    roots, points = circle_roots_of(det, det.is_cosine())
+    # the double zero of z + 2 + z^-1 is one distinct root, at theta = pi,
+    # where W = tan^2(theta/2) is infinite: D(W) = 4 drops its degree 1; the
+    # one arc left gets one point, W = 0
+    roots, points = circle_roots_of(TrigPoly([2, 1]))
     assert roots == [np.pi]
-    assert len(points) == 1
-    for cosine in (True, False):  # in t = tan(theta/2) it is a drop in degree
-        assert circle_roots_of(TrigPoly([2, 1]), cosine)[0] == [np.pi]
+    assert points == [(0, 0.0)]
 
 
 def laurent_coeffs(det: TrigPoly) -> np.ndarray:
@@ -246,11 +244,11 @@ def test_circle_roots_match_numpy_reference_on_simple_roots():
     for trial in range(12):
         angles = sorted(rng.uniform(0.2, 2.9) for _ in range(rng.randint(1, 4)))
         det = _cos_product(angles, rng.uniform(0, 6) if trial % 2 else None)
-        roots, points = circle_roots_of(det, det.is_cosine())
+        roots, points = circle_roots_of(det)
         assert roots == pytest.approx(numpy_circle_roots(det), abs=1e-7)
         assert roots == pytest.approx(sorted(angles + [2 * np.pi - a for a in angles]),
                                       abs=1e-12)
-        # one point per arc; in u = 2 cos theta an interval stands for two arcs
+        # one point per arc; in W = tan^2(theta/2) an interval stands for two arcs
         assert len(points) == (len(roots) // 2 + 1 if trial % 2 == 0 else len(roots))
 
 
@@ -371,8 +369,8 @@ def test_notpsd_decided_on_an_arc():
     # H = diag(1, f), f = (cos theta - 1/3)^2 - 10^-8, is negative only on two
     # arcs of width 2.1e-4 around +-arccos(1/3), which fall between the scan's
     # angles: its least eigenvalue there is +1.26e-5.  Only Sylvester's test on
-    # the arcs between the circle roots of det H = f decides, at the exact
-    # point u = 2/3 where f = -10^-8.
+    # the arcs between the circle roots of det H = f decides, at the rational
+    # point between two roots near W = tan^2(theta/2) = 1/2, where f is about -10^-8.
     f = TrigPoly([Fraction(11, 18) - Fraction(1, 10**8), Fraction(-1, 3), Fraction(1, 4)])
     H = TrigMatrix([[TrigPoly([1]), TrigPoly()], [TrigPoly(), f]])
     grid = np.linspace(0.0, 2 * np.pi, GRID_SIZE, endpoint=False)
@@ -510,6 +508,38 @@ def test_det_equals_subset_recursion_random(sine):
     assert any(not det.is_cosine() for det in dets) == sine
 
 
+def test_cosine_matrix_is_decided_in_w():
+    # a cosine-only H, graded (f = 1) or not (f = 2), has its image in
+    # W = tan^2(theta/f): its det equals the subset recursion exactly, and
+    # psd_on_circle the per-angle reference; a dominant constant diagonal
+    # makes a copy of each positive definite
+    import random
+
+    rng = random.Random(47)
+    seen = set()
+    for graded in (True, False):
+        for m in range(1, 5):
+            for _ in range(3):
+                rows = [[None] * m for _ in range(m)]
+                for i in range(m):
+                    for j in range(i, m):
+                        c = [Fraction(rng.randint(-6, 6), rng.randint(1, 9))
+                             * (not graded or (k - i - j) % 2 == 0)
+                             for k in range(rng.randint(0, 3) + 1)]
+                        rows[i][j] = rows[j][i] = TrigPoly(c)
+                H = TrigMatrix(rows)
+                shift = TrigPoly([4 * m * m * 10])
+                shifted = [[tadd(e, shift) if i == j else e for j, e in enumerate(row)]
+                           for i, row in enumerate(rows)]
+                for K in (H, TrigMatrix(shifted)):
+                    assert K.is_cosine() and K._image()[4] == (True, K.is_graded())
+                    assert K.det() == subset_recursion_det(K)
+                    seen.add((K.is_graded(), matches_per_angle_scan(K)))
+    assert {(g, CircleVerdict.PD) for g in (True, False)} <= seen
+    assert {(g, CircleVerdict.NOT_PSD) for g in (True, False)} <= seen
+    assert {g for g, _ in seen} == {True, False}
+
+
 def test_det_of_singular_matrix_is_zero():
     from fractions import Fraction
 
@@ -604,9 +634,9 @@ def test_cosine_det_matches_z_form_reference():
 
 
 def test_cosine_det_takes_n_plus_one_points(monkeypatch):
-    # CUBIC_H has entry half-degrees i + j, so n = m(m-1) = 6: the u-form
-    # interpolates at the 7 points -3 .. 3 where the z-form took 2n+1 = 13,
-    # and as CUBIC_H is graded D(u) is even, so only u = 0 .. 3 are eliminated
+    # CUBIC_H has entry half-degrees i + j, so n = m(m-1) = 6: D(T) in
+    # T = tan theta has degree 6, and as CUBIC_H is cosine-only it is even, so
+    # D(W) in W = T^2 takes the 4 points -1 .. 2 where the z-form took 2n+1 = 13
     from rigidconvex import polycore
 
     calls = []
@@ -755,7 +785,7 @@ def test_tan_form_round_trip():
             re = [rng.randint(-10**9, 10**9) * ((k - g) % 2 == 0) for k in range(g + 1)]
             im = [rng.randint(-10**9, 10**9) * (k > 0 and (k - g) % 2 == 0) for k in range(g + 1)]
             for e in (TrigPoly(re, im), TrigPoly(re)):
-                P, den = e.int_poly(False, g, True)
+                P, den = e.int_poly(True, g)
                 assert len(P) == g + 1 and all(type(x) is int for x in P)
                 assert e.im or not any(P[1::2])
                 for T in (Fraction(0), Fraction(3, 7), Fraction(-5, 2), Fraction(1000, 3)):
@@ -904,38 +934,44 @@ def test_eval_thetas_of_scale_congruence_output():
                 assert np.abs(got - per_angle_eval(H0, theta)).max() <= bound
 
 
-def test_psd_on_circle_matches_per_angle_scan():
-    from rigidconvex.circlepsd import GRID_SIZE
+def matches_per_angle_scan(H: TrigMatrix) -> str:
+    """``psd_on_circle(H)``'s status, after checking it against
+    ``sympy_circle_reference`` (or a shortcut), its circle roots against the
+    reference's, and its least eigenvalue against the per-angle values on the
+    grid and, unless a negative minor there decided, at the roots and the
+    arcs' points."""
+    from rigidconvex.circlepsd import _circle_roots
 
     def min_eig(angles):
         return min([float(np.linalg.eigvalsh(per_angle_eval(H, t)).min()) for t in angles],
                    default=np.inf)
 
+    verdict = psd_on_circle(H)
+    if verdict.shortcut:
+        status, roots = CircleVerdict.NOT_PSD, None
+    else:
+        status, roots = sympy_circle_reference(H)
+    assert verdict.status == status
+    if roots and verdict.circle_roots:
+        assert verdict.circle_roots == pytest.approx(roots, abs=1e-7)
+    low = low_all = min_eig(np.linspace(0, 2 * np.pi, GRID_SIZE, endpoint=False))
+    found = _circle_roots(H._image())
+    if found is not None:
+        angles, _, points = found
+        low_all = min(low, min_eig(angles + [theta for _, theta in points]))
+    bound = 1e-12 * max(1.0, max_abs_coeff(H))
+    assert abs(verdict.min_eig - low) <= bound or abs(verdict.min_eig - low_all) <= bound
+    return status
+
+
+def test_psd_on_circle_matches_per_angle_scan():
     # tangencies: a strip, two ellipses, and a sine-carrying marginal matrix
     tangent = [hermite_matrix(parse_poly(p)) for p in (
         "1-x1^2", ELLIPSES, "(1-x1^2-x1*x2-2*x2^2)*(1-3*x1^2+x1*x2-1/2*x2^2)")]
     # (2 - sin theta)(1 + cos theta)^2: a double root at theta = pi only
     pi_zero = tmul(TrigPoly([2], [0, Fraction(1, 2)]), tpow(TrigPoly([1, Fraction(1, 2)]), 2))
-    seen = set()
-    for H in _eval_test_matrices() + tangent + [CAP_H, TrigMatrix([[pi_zero]])]:
-        verdict = psd_on_circle(H)
-        if verdict.shortcut:
-            status, roots = CircleVerdict.NOT_PSD, None
-        else:
-            status, roots = sympy_circle_reference(H)
-        assert verdict.status == status
-        if roots and verdict.circle_roots:
-            assert verdict.circle_roots == pytest.approx(roots, abs=1e-7)
-        # the grid, and unless a negative minor there decided, the roots and
-        # one point per arc
-        low = min_eig(np.linspace(0, 2 * np.pi, GRID_SIZE, endpoint=False))
-        det = H.det()
-        if not det.is_zero():
-            found, points = circle_roots_of(det, H.is_cosine())
-            low_all = min(low, min_eig(found + [theta for _, theta in points]))
-        bound = 1e-12 * max(1.0, max_abs_coeff(H))
-        assert abs(verdict.min_eig - low) <= bound or abs(verdict.min_eig - low_all) <= bound
-        seen.add(status)
+    seen = {matches_per_angle_scan(H)
+            for H in _eval_test_matrices() + tangent + [CAP_H, TrigMatrix([[pi_zero]])]}
     assert seen >= {CircleVerdict.PD, CircleVerdict.NOT_PSD, CircleVerdict.MARGINAL}
 
 

@@ -1,19 +1,17 @@
 """Two front ends of one circle decision: ``check-rigid`` reads the Hermite
-matrix's integer image off p's power sums over Z[T] (``hermite_psd``), in
-W = tan^2 theta when p is even in x2, and ``psd_on_circle`` reads it off the
-TrigMatrix ``hermite_matrix`` builds, in u = 2 cos theta for such p.  On the
-benchmark's check-rigid inputs both must give one answer."""
+matrix's integer image off p's power sums over Z[T] (``hermite_psd``), and
+``psd_on_circle`` reads it off the TrigMatrix ``hermite_matrix`` builds; both
+in W = tan^2 theta when p is even in x2, else in T = tan theta.  On the
+benchmark's check-rigid inputs both must give one answer, bit for bit but
+for the least eigenvalue."""
 import importlib
 import importlib.util
-import math
 import random
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from rigidconvex import hermite_matrix, parse_poly, psd_on_circle
 from rigidconvex.circlepsd import CircleVerdict, hermite_psd
@@ -42,27 +40,10 @@ def max_abs_coeff(H) -> float:
                default=0.0)
 
 
-def certified_not_psd(p, theta: float) -> bool:
-    """Exactly, whether the line polynomial sum_k p_k(c, s) t^(m-k) of p in
-    the direction (c, s), the binary rationals of cos and sin theta, has
-    fewer than m real roots counted with multiplicity: then the Hermite
-    matrix of that direction has a negative eigenvalue (sympy, exact)."""
-    sympy = pytest.importorskip("sympy")
-    c, s = Fraction(math.cos(theta)), Fraction(math.sin(theta))
-    m = p.degree
-    forms = [Fraction(0)] * (m + 1)
-    for (a, b), x in p.coeffs.items():
-        forms[a + b] += x * c**a * s**b
-    t = sympy.Symbol("t")
-    q = sympy.Poly([sympy.Rational(x.numerator, x.denominator) for x in forms], t)
-    return len(q.real_roots()) < m
-
-
 def test_power_sum_decision_matches_psd_on_circle_on_workload_inputs():
-    # the same status and shortcut; in W, the circle roots to 1e-14 rad, as
-    # the u and W forms map their isolating intervals to angles apart, and a
-    # NotPSD witness equal or proved exactly, as the W form may test another
-    # arc first
+    # the same status, shortcut, circle roots and NotPSD witness, bit for bit:
+    # both images are in one coordinate and their determinants have the same
+    # real roots, so the roots' intervals and the arcs' points are the same
     workloads = _load_workloads()
     cases = [case for workload in ("hermite-scan", "hermite-ladder") for seed in (1, 2, 3, 4)
              for case in workloads.build(workload, seed, ROOT) if case.argv[0] == "check-rigid"]
@@ -75,15 +56,9 @@ def test_power_sum_decision_matches_psd_on_circle_on_workload_inputs():
         statuses.add(want.status)
         in_w = hermite_image(p)[0][4][0]
         forms.add(in_w)
-        wrong = [f for f in ("status", "shortcut") if getattr(want, f) != getattr(got, f)]
-        if in_w:
-            if len(want.circle_roots) != len(got.circle_roots) or any(
-                    abs(a - b) > 1e-14 for a, b in zip(want.circle_roots, got.circle_roots)):
-                wrong.append("circle_roots")
-        elif want.circle_roots != got.circle_roots:
-            wrong.append("circle_roots")
-        if (want.status == CircleVerdict.NOT_PSD and want.witness_theta != got.witness_theta
-                and not certified_not_psd(p, got.witness_theta)):
+        wrong = [f for f in ("status", "shortcut", "circle_roots")
+                 if getattr(want, f) != getattr(got, f)]
+        if want.status == CircleVerdict.NOT_PSD and want.witness_theta != got.witness_theta:
             wrong.append("witness_theta")
         bound = 1e-12 * max(1.0, max_abs_coeff(H))
         if abs(want.min_eig - got.min_eig) > bound:
@@ -115,19 +90,19 @@ def test_w_form_keeps_the_formal_degree():
         assert psd_on_circle(hermite_matrix(p)).status == CircleVerdict.PD
 
 
-def test_w_form_matches_the_u_form_at_degree_sixteen():
-    # even_pencil at degree 16 (generator seed deg/16), both routes under the
-    # 30 s of the runtime gates
+def test_both_routes_agree_in_w_at_degree_sixteen():
+    # even_pencil at degree 16 (generator seed deg/16), both routes in W and
+    # under the 30 s of the runtime gates
     workloads = _load_workloads()
     poly, _ = workloads.even_pencil(random.Random("deg/16"), 16)
     p = parse_poly(workloads.exact.to_expr(poly))
-    assert hermite_image(p)[0][4] == (True, True)
+    H = hermite_matrix(p)
+    assert hermite_image(p)[0][4] == H._image()[4] == (True, True)
     started = time.perf_counter()
-    want = psd_on_circle(hermite_matrix(p))
+    want = psd_on_circle(H)
     assert time.perf_counter() - started < 30.0
     started = time.perf_counter()
     got = hermite_psd(p)
     assert time.perf_counter() - started < 30.0
     assert got.status == want.status == CircleVerdict.PD
-    assert len(got.circle_roots) == len(want.circle_roots)
-    assert all(abs(a - b) <= 1e-14 for a, b in zip(got.circle_roots, want.circle_roots))
+    assert got.circle_roots == want.circle_roots

@@ -72,6 +72,25 @@ def test_every_private_function_has_a_caller():
     assert len(private) >= 20 and uncalled == []
 
 
+def test_every_private_constant_is_read():
+    """A module-level ``_PRIVATE`` name bound by assignment (a table, a
+    pattern, a constant) is read somewhere in the package, so a table or
+    constant whose last reader is gone fails here."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(Path(rigidconvex.__file__).parent.glob("*.py"))}
+    private = {(mod, target.id) for mod, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+               if isinstance(target, ast.Name) and target.id.startswith("_")
+               and not target.id.startswith("__")}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    unread = sorted(f"{mod}.{name}" for mod, name in private if name not in read)
+    assert len(private) >= 10 and unread == []
+
+
 def test_plain_pytest_finds_the_package():
     """pyproject.toml puts src/ on the path, so ``python -m pytest`` from the
     repository root collects without PYTHONPATH."""
@@ -113,15 +132,16 @@ def test_tracer_size_counters_read_results(capsys):
     """The tracer's size counters read what the package returns (a
     determinant's ``.c + .s``, ``.candidates``, the representations), so a
     change of those fails here and not only in a traced benchmark run.
-    ``check-rigid`` decides without a TrigMatrix, so the determinant counters
-    are driven through ``psd_on_circle`` on its Hermite matrices."""
-    from rigidconvex import circlepsd, cli, hermite, parse_poly
+    ``check-rigid`` decides without a TrigMatrix, and ``psd_on_circle``
+    without ``TrigMatrix.det``, so the determinant counters are driven by
+    ``det`` on Hermite matrices."""
+    from rigidconvex import cli, hermite, parse_poly
 
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
         for text in ("1-x1^2-2*x2^2+1/4*x1^3", "1-x1^2-2*x2^2+1/2*x2-x1*x2^2"):
-            circlepsd.psd_on_circle(hermite.hermite_matrix(parse_poly(text)))
+            hermite.hermite_matrix(parse_poly(text)).det()
             tracer.flush_counters()
         for argv in (["find-component", "--q0=45,-8,10,0,1", "--q1=-7,44,-18,-4,1",
                       "--q2=49,-28,-10,4,1"],

@@ -27,7 +27,7 @@ from rigidconvex.polycore import (
     parse_scalar,
     solve_exact,
 )
-from rigidconvex.realroots import _roots_in, real_roots
+from rigidconvex.realroots import _nonnegative_roots, real_roots
 from reference_poly import interpolate_exact, ref_derivative, ref_divmod, ref_gcd, ref_monic, \
     ref_squarefree
 from trig_helpers import tadd, teval, tmul, tpow
@@ -367,22 +367,22 @@ def test_trig_eval_sine_part():
         assert abs(teval(s, theta) + 2 * np.sin(theta)) < 1e-14
 
 
-def test_cosine_u_form_round_trip():
-    # c[0] + sum c[k](z^k + z^-k) as a polynomial in u = z + 1/z and back
-    from rigidconvex.polycore import _cos_to_u, _u_to_cos
-
-    assert _cos_to_u([5, 0, 1]) == [3, 0, 1]        # 5 + (u^2 - 2)
-    assert _cos_to_u([0, 0, 0, 1]) == [0, -3, 0, 1]  # z^3 + z^-3 = u^3 - 3u
-    assert _u_to_cos([0, 0, 0, 0, 1]) == [6, 0, 4, 0, 1]
+def test_cosine_t_form_is_even():
+    # c[0] + sum c[k](z^k + z^-k) in T = tan(theta/f): (1+T^2)^h e at f = 2,
+    # cos^-h(theta) e at f = 1 (harmonics of h's parity only), even in T
+    # either way, so W = T^2 keeps its even-index coefficients
     rng = random.Random(13)
     for _ in range(100):
-        c = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, 12))]
-        assert _u_to_cos(_cos_to_u(c)) == c
-        for theta in (0.3, 2.0):
-            u = 2 * np.cos(theta)
-            lhs = sum(x * u**k for k, x in enumerate(_cos_to_u(c)))
-            rhs = teval(TrigPoly(c), theta)
-            assert abs(lhs - rhs) <= 1e-6 * max(1.0, sum(abs(x) for x in c))
+        c = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(1, 12))]
+        h = len(c) - 1
+        graded = [x * ((k - h) % 2 == 0) for k, x in enumerate(c)]
+        for e, f in ((TrigPoly(c), 2), (TrigPoly(graded), 1)):
+            P, den = e.int_poly(f == 1, h)
+            assert den == 1 and len(P) == f * h + 1 and not any(P[1::2])
+            for theta in (0.3, 2.0):
+                lhs = sum(x * np.tan(theta / f) ** k for k, x in enumerate(P))
+                rhs = teval(e, theta) / np.cos(theta / f) ** (f * h)
+                assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs), sum(map(abs, P)))
 
 
 def test_coeff_checks_arity():
@@ -616,7 +616,8 @@ def test_real_roots_match_sympy_count_random():
         f = _random_factored(rng)
         P = sympy.Poly(list(reversed(f)), x)
         sqf = _squarefree_part(f)
-        for found, (lo, hi) in ((real_roots(sqf), (None, None)), (_roots_in(sqf, 2, 4), (-2, 2))):
+        for found, (lo, hi) in ((real_roots(sqf), (None, None)),
+                                (_nonnegative_roots(sqf), (0, None))):
             assert len(found) == P.count_roots(lo, hi)  # distinct roots
             for a, b in found:
                 assert P.count_roots(a, b) == 1

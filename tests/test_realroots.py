@@ -13,7 +13,7 @@ import pytest
 import reference_poly
 from rigidconvex import realroots
 from rigidconvex.polycore import _hom, _squarefree_part
-from rigidconvex.realroots import _roots01, _roots_in, real_roots
+from rigidconvex.realroots import _nonnegative_roots, _roots01, real_roots
 from reference_poly import ref_roots01
 
 
@@ -106,29 +106,22 @@ def test_roots01_edge_cases():
 def test_real_roots_equal_bisection_intervals(monkeypatch):
     rng = random.Random(83)
     polys = [FAMILIES[name](rng) for name in sorted(FAMILIES) for _ in range(8)] + EDGES
-    got = [(real_roots(f), _roots_in(f, 2, 4)) for f in polys]
+    got = [(real_roots(f), _nonnegative_roots(f)) for f in polys]
     monkeypatch.setattr(realroots, "_roots01", ref_roots01)
-    assert got == [(real_roots(f), _roots_in(f, 2, 4)) for f in polys]
+    assert got == [(real_roots(f), _nonnegative_roots(f)) for f in polys]
 
 
 def test_roots_in_an_interval_are_the_real_roots_there():
-    # the root domains [0, 2], [-1, 1] and [-2, 2] of the circle test: as
-    # many intervals as real roots in the closed interval, each meeting the
-    # same root's interval, a point a root and an interval's ends not roots
+    # the root domain [0, inf) of the circle test in W: the real roots there,
+    # the same intervals, a point a root and an interval's ends not roots
     rng = random.Random(89)
     polys = [FAMILIES[name](rng) for name in sorted(FAMILIES) for _ in range(6)] + EDGES
     polys += [_mul([-2, 1], [0, 1], [1, 1], [4, 3]), _mul([2, 1], [-1, 1], [1, 1], [1, -5])]
     for f in polys:
-        every = real_roots(f)
-        for b, w in ((2, 2), (1, 2), (2, 4)):
-            got = _roots_in(f, b, w)
-            inside = [(lo, hi) for lo, hi in every if b - w <= hi and lo <= b]
-            assert len(got) == len(inside), (f, b, w)
-            for (lo, hi), (a, c) in zip(got, inside):
-                assert b - w <= lo <= hi <= b and lo <= c and a <= hi
-                assert all((_hom(f, x.numerator, x.denominator) == 0) == (lo == hi)
-                           for x in (lo, hi))
-            assert all(h1 <= l2 for (_, h1), (l2, _) in zip(got, got[1:]))
+        got = _nonnegative_roots(f)
+        assert got == [(lo, hi) for lo, hi in real_roots(f) if lo >= 0], f
+        for lo, hi in got:
+            assert all((_hom(f, x.numerator, x.denominator) == 0) == (lo == hi) for x in (lo, hi))
 
 
 def test_refinement_needs_half_the_signs(monkeypatch):

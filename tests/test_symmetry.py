@@ -1,10 +1,11 @@
 """The symmetries of the Hermite matrix that ``psd_on_circle`` works under,
 proved exactly: every Hermite matrix is graded (entry (i, j) carries only
 harmonics = i + j mod 2, so H(theta + pi) = S H(theta) S, S = diag((-1)^i)),
-the scan's leading grid angles meet every orbit of the grid, the mirrored
-determinant is the unmirrored one, and Sylvester's signs agree across an
-orbit.  A unimodular congruence that breaks the grading runs the same
-routine with the trivial group, and must reach the same answers."""
+the scan's leading grid angles meet every orbit of the grid, the
+determinant in W = tan^2 theta takes one value on an orbit, and Sylvester's
+signs agree across an orbit.  A unimodular congruence that breaks the
+grading runs the same routine with a smaller group, in tan(theta/2), and
+must reach the same answers."""
 import functools
 import math
 import random
@@ -14,9 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from rigidconvex import TrigMatrix, TrigPoly, parse_poly, polycore
+from rigidconvex import TrigMatrix, TrigPoly, circlepsd, parse_poly, polycore
 from rigidconvex.circlepsd import (_GROUPS, GRID, GRID_SIZE, CircleVerdict, _circle_roots,
                                   psd_on_circle)
+from rigidconvex.polycore import _horner, _image_sign, det_exact
 from rigidconvex.hermite import hermite_matrix
 from rigidconvex.locate import critical_points
 from fixture_data import FIXTURE_NAMES, load_fixture
@@ -89,7 +91,7 @@ def test_every_hermite_matrix_is_graded():
 
 @pytest.mark.parametrize("cosine, graded", list(_GROUPS))
 def test_scan_prefix_meets_every_orbit(cosine, graded):
-    count, _, images = _GROUPS[cosine, graded]
+    count, images = _GROUPS[cosine, graded]
     orbits = [_orbit(k, cosine, graded) for k in range(GRID_SIZE)]
     assert all(min(orbit) < count for orbit in orbits)
     assert min(orbits[count - 1]) == count - 1  # and no shorter prefix does
@@ -112,68 +114,88 @@ def _random_graded_cosine(rng) -> TrigMatrix:
     return TrigMatrix(rows)
 
 
+def _cosine_value(e: TrigPoly, c: Fraction) -> Fraction:
+    """A cosine-only e at the angle with cos theta = c, exactly:
+    c_0 + 2 sum c_k cos(k theta), cos(k theta) by Chebyshev's recursion."""
+    total, prev, cur = e.cos_coeff(0), Fraction(1), c
+    for k in range(1, e.half_degree + 1):
+        total += 2 * e.cos_coeff(k) * cur
+        prev, cur = cur, 2 * c * cur - prev
+    return total
+
+
 def test_mirrored_det_equals_the_unmirrored_one():
     # the ladder's and fixtures' cosine Hermite matrices, and random graded
-    # ones, whose bound n on the half-degree of det is odd about one time in six
+    # ones, whose W-degree bound n is odd about half the time: the image in
+    # W = tan^2 theta has D(W) = scale (1+W)^n det H at theta and at its
+    # mirror pi - theta alike (t = tan(theta/2) and 1/t, exact cos theta),
+    # and det H comes back from it even in T = tan theta
     rng = random.Random(3)
     cosine = [H for H in _hermite_matrices((1,)) if H.is_cosine() and H.m > 1]
     randoms = [_random_graded_cosine(rng) for _ in range(120)]
     assert len(cosine) > 30 and {H._image()[2] % 2 for H in randoms} == {0, 1}
     for H in cosine + randoms:
         assert H.is_graded()
-        plan, polys, n, scale, _ = image = H._image()
-        reference = polycore._interpolate_minors(plan, polys, -(n // 2), n + 1)[0]
-        det = H.det(image)
-        assert det == TrigPoly._make(polycore._u_to_cos(reference), [], scale)
-        D = det.int_poly(True)[0]
-        assert not any(D[1::2])  # D(u) is even
+        plan, polys, n, scale, key = H._image()
+        assert key == (True, True)
+        D = polycore._interpolate_minors(plan, polys, -(n // 2), n + 1)[0]
+        det = H.det()
+        assert det.is_cosine() and not any(det.int_poly(True)[0][1::2])
+        for t in (Fraction(1, 3), Fraction(-5, 2), Fraction(7)):
+            W = (2 * t / (1 - t * t)) ** 2
+            for c in ((1 - t * t) / (1 + t * t), (t * t - 1) / (t * t + 1)):
+                value = det_exact([[_cosine_value(e, c) for e in row] for row in H.entries])
+                assert _horner(D, W) == scale * (1 + W) ** n * value
+                assert _cosine_value(det, c) == value
 
 
 def test_sylvester_signs_agree_across_an_orbit():
+    # theta's orbit under a graded H's group: theta, -theta, pi - theta and
+    # pi + theta when H is cosine-only (one W = tan^2 theta), theta and
+    # theta + pi otherwise (one T = tan theta).  The sheared matrix, not
+    # graded, has H's leading minors and tells them apart in t = tan(theta/2):
+    # at W = t^2 and 1/t^2, or at t and -1/t
     rng = random.Random(11)
     xs = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 60), rng.randint(1, 23))
           for _ in range(10)]
     seen = set()
     for H in _hermite_matrices((1,)):
-        sign = H.pd_sign(H._image())
-        if H.is_cosine():  # x -> -x is theta -> pi - theta in u
-            orbits = [(sign(x), sign(-x)) for x in xs]
-        else:  # theta and theta + pi share T = 2t/(1-t^2); the sheared
-            # matrix, not graded, has H's leading minors and tells them apart
-            # in t = tan(theta/2), at t and -1/t
-            G = _sheared(H)
-            other = G.pd_sign(G._image())
-            orbits = [(sign(2 * x / (1 - x * x)), other(x), other(-1 / x)) for x in xs]
-        for s, *rest in orbits:
+        sign, other = _image_sign(H._image()), _image_sign(_sheared(H)._image())
+        cosine = H.is_cosine()
+        for x in xs:
+            T = 2 * x / (1 - x * x)
+            s, *rest = ((sign(T * T), other(x * x), other(1 / (x * x))) if cosine
+                        else (sign(T), other(x), other(-1 / x)))
             assert rest == [s] * len(rest)
-            seen.add((H.is_cosine(), s))
+            seen.add((cosine, s))
     assert seen >= {(True, 1), (True, -1), (False, 1), (False, -1)}
 
 
 def test_trivial_group_path_agrees_on_a_congruent_matrix():
-    # the same status and circle roots from the graded domain and from the
-    # trivial group's whole circle; WHW^T has H's leading minors and det
+    # the same status and circle roots from the graded domain, in tan theta,
+    # and from the smaller group's, in tan(theta/2); WHW^T has H's leading
+    # minors and det
     for H in _hermite_matrices((1, 2)):
         if H.m < 2:
             continue
         G = _sheared(H)
         cosine = H.is_cosine()
         assert G.is_cosine() == cosine and H.is_graded() and not G.is_graded()
-        det = H.det()
-        assert G.det() == det
+        assert G.det() == H.det()
         assert psd_on_circle(G).status == psd_on_circle(H).status
-        if not det.is_zero():
-            roots = _circle_roots(det, cosine, True)[1]
-            assert roots == pytest.approx(_circle_roots(det, cosine, False)[1], abs=1e-9)
+        found = _circle_roots(H._image())
+        if found is not None:
+            assert found[1] == pytest.approx(_circle_roots(G._image())[1], abs=1e-9)
 
 
 def test_work_follows_the_symmetry(monkeypatch):
     # the scan's angles per group, and the determinant's Bareiss points: a
-    # graded cosine H eliminates at u = 0 .. n/2 only, a graded sine H at n+1
-    # points in T = tan theta, and a matrix without the grading at n+1 in u
-    # or 2n+1 in t = tan(theta/2).  The shifted capricorn's entry (0, 1) is
-    # zero, so its column minima b = (0, 0, 2, 3) are raised to the parity of
-    # the column in T: b = (0, 1, 2, 3), a = (0, 1, 2, 3) and n = 12
+    # graded cosine H eliminates at the n/2+1 points of W = tan^2 theta, a
+    # graded sine H at n+1 points in T = tan theta, and a matrix without the
+    # grading at n+1 in W = tan^2(theta/2) or 2n+1 in t = tan(theta/2).  The
+    # shifted capricorn's entry (0, 1) is zero, so its column minima
+    # b = (0, 0, 2, 3) are raised to the parity of the column in T:
+    # b = (0, 1, 2, 3), a = (0, 1, 2, 3) and n = 12
     cubic = hermite_matrix(parse_poly("1-x1-4*x1^2-x2^2+4*x1^3"))  # n = 6
     sine = hermite_matrix(parse_poly("1-x1^2-x2^2+x2^3"))  # m = 3, n = 6
     cap = hermite_matrix(parse_poly("x1^2*(x1^2+x2^2)-2*(x1^2+x2^2-x2)^2")
@@ -201,7 +223,7 @@ def test_degree_loss_at_a_right_angle():
     # the same root at t = tan(theta/2) = 1
     H = hermite_matrix(parse_poly("1-x1^2-3*x2^2+2*x2^3"))
     assert H.is_graded() and not H.is_cosine()
-    D = H.det().int_poly(False, None, True)[0]
+    D = H.det().int_poly(True)[0]
     assert D[-1] == 0 and any(D)
     verdict, sheared = psd_on_circle(H), psd_on_circle(_sheared(H))
     assert verdict.status == CircleVerdict.MARGINAL
@@ -215,7 +237,7 @@ def test_minor_probe_reads_tan_theta(monkeypatch):
     # theta = pi/2 exactly, where T is about 1.6e16; the first has a zero
     # diagonal entry in a nonzero row, the second a negative minor.  The
     # quadric's minor is negative at tan theta and not at tan(theta/2)
-    monkeypatch.setattr(TrigMatrix, "det", lambda H, image=None: pytest.fail("det reached"))
+    monkeypatch.setattr(circlepsd, "_circle_roots", lambda image: pytest.fail("det reached"))
     for text, k, shortcut in (("1+x2^3", GRID_SIZE // 4, True), ("1-x1^2+x2^3", GRID_SIZE // 4, False),
                               ("1+2*x2+x2^2-x1-5*x1*x2+x1^2", 209, False)):
         H = hermite_matrix(parse_poly(text))
@@ -223,5 +245,5 @@ def test_minor_probe_reads_tan_theta(monkeypatch):
         assert (verdict.status, verdict.shortcut) == (CircleVerdict.NOT_PSD, shortcut)
         assert verdict.witness_theta == GRID[k]
         x = Fraction(math.tan(GRID[k])).limit_denominator(2**20)
-        assert H.pd_sign(H._image())(x) == (0 if shortcut else -1)
+        assert _image_sign(H._image())(x) == (0 if shortcut else -1)
     assert GRID[GRID_SIZE // 4] == math.pi / 2 and math.tan(math.pi / 2) > 1e16

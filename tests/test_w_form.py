@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from rigidconvex import Poly, hermite_matrix, parse_poly, psd_on_circle
-from rigidconvex.circlepsd import CircleVerdict, _w_circle_roots, hermite_psd
+from rigidconvex.circlepsd import CircleVerdict, _circle_roots, hermite_psd
 from rigidconvex.hermite import hermite_image
 from rigidconvex.polycore import _horner, _interpolate_minors
 
@@ -38,9 +38,9 @@ def test_roots_at_zero_and_at_a_right_angle():
 
 def test_w_det_is_det_h_times_a_power_of_one_plus_t_squared():
     # D(T^2) = c (1+T^2)^(m(m-1)/2) det H at rational T = tan theta, one
-    # c > 0 per p; det H = Du(u) / den with u^2 = 4 cos^2 theta = 4 / (1+T^2),
-    # Du even.  The image's determinant at W is taken directly (sympy) and
-    # must equal the interpolated D there.
+    # c > 0 per p; det H = DT(T) / ((1+T^2)^(h/2) den), DT the T form of
+    # det H at its half-degree h, even in T.  The image's determinant at W is
+    # taken directly (sympy) and must equal the interpolated D there.
     sympy = pytest.importorskip("sympy")
     rng = random.Random(5)
     for _ in range(8):
@@ -54,8 +54,9 @@ def test_w_det_is_det_h_times_a_power_of_one_plus_t_squared():
         plan, polys, n, _, key = image
         assert key == (True, True) and n == deg * (deg - 1) // 2
         D = w_det(image)
-        Du, den = hermite_matrix(p).det().int_poly(True)
-        assert not any(Du[1::2])
+        det = hermite_matrix(p).det()
+        DT, den = det.int_poly(True)
+        assert not any(DT[1::2])
         ratios = set()
         for T in (Fraction(0), Fraction(1, 3), Fraction(-2), Fraction(7, 5), Fraction(-11, 4)):
             W = T * T
@@ -63,7 +64,8 @@ def test_w_det_is_det_h_times_a_power_of_one_plus_t_squared():
             direct = sympy.Matrix([[f * sympy.Rational(at[k].numerator, at[k].denominator)
                                     for f, k in row] for row in plan]).det()
             assert direct == _horner(D, W)
-            det_h = sum(x * (4 / (1 + W)) ** (k // 2) for k, x in enumerate(Du)) / den
+            det_h = (sum(x * W ** (k // 2) for k, x in enumerate(DT))
+                     / ((1 + W) ** (det.half_degree // 2) * den))
             if det_h:
                 ratios.add(Fraction(direct) / ((1 + W) ** n * det_h))
             else:
@@ -81,7 +83,7 @@ def test_one_point_on_every_arc(text):
     # the arcs of theta in [0, pi/2] between the roots each get one rational
     # point: in angle order, points and roots alternate, with a point at
     # either end unless 0 or pi/2 is a root
-    angles, _, points = _w_circle_roots(hermite_image(parse_poly(text))[0])
+    angles, _, points = _circle_roots(hermite_image(parse_poly(text))[0])
     assert angles
     for x, theta in points:
         assert theta == math.atan(math.sqrt(x))
