@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegreeZeroError, DeterminantMismatchError, DimensionMismatchError
-from .polycore import Pencil, Poly, Scalar, UniPoly, _add_ints, _bareiss, _clear_rows, \
+from .polycore import Pencil, Poly, UniPoly, _add_ints, _bareiss, _clear_rows, \
     _divided_differences, _interpolate_minors, _newton_to_monomial, _variations
 
 
@@ -67,12 +67,6 @@ class Parametrization:
     @property
     def m(self) -> int:
         return max(self.q0.degree, self.q1.degree, self.q2.degree)
-
-    def point(self, u: Scalar):
-        q0u = self.q0(u)
-        if q0u == 0:
-            raise ZeroDivisionError(f"q0({u}) = 0")
-        return self.q1(u) / q0u, self.q2(u) / q0u
 
 
 def pencil_from_param(par: Parametrization) -> Pencil:

@@ -7,15 +7,15 @@ coordinate of H's integer image: T = tan(theta/f) (theta mod f pi), or
 W = tan^2(theta/f) (theta/f in [0, pi/2]) when H is even in theta, with
 f = 1 for a graded H and f = 2 otherwise.  One routine, ``_circle_roots``,
 takes the circle roots off any such image.  Floats only propose a witness,
-in that domain, and report the least eigenvalue, from a batched
-``eigvalsh`` over a stack of H's values at the angles.  Two front ends feed
-``_decide``: ``psd_on_circle`` reads a TrigMatrix (``TrigMatrix._image``,
+in that domain, and report the least eigenvalue, from batched ``eigvalsh``
+over stacks of H's values at a grid's angles, in two passes.  Two front ends
+feed ``_decide``: ``psd_on_circle`` reads a TrigMatrix (``TrigMatrix._image``,
 ``eval_thetas``), in W when H is cosine-only; and ``hermite_psd`` reads the
 image and the values of ``hermite_matrix(p)`` straight off p's power sums
-(``hermite.hermite_image``), in W = tan^2 theta when p is even in x2, else
-in T = tan theta.  The equivalent semidefinite feasibility problem is
-exported in SDPA sparse format for external solvers; candidate spectral
-factors can be verified against H on a grid.
+(``hermite.hermite_image``, a kept trig table per pass), in W = tan^2 theta
+when p is even in x2, else in T = tan theta.  The equivalent semidefinite
+feasibility problem is exported in SDPA sparse format for external solvers;
+candidate spectral factors can be verified against H on a grid.
 """
 from __future__ import annotations
 
@@ -42,6 +42,9 @@ _GROUPS = {
     (False, True): (GRID_SIZE // 2, lambda th: (th, th + math.pi)),
     (False, False): (GRID_SIZE, lambda th: (th,)),
 }
+# the angles of the scan's second pass, after GRID[::8]; a domain GRID[:size] has the first
+# size * 7 // 8, and ties of the two passes go to the lower angle, as in one pass over GRID
+_REST = GRID[[i for i in range(GRID_SIZE) if i % 8]]
 
 
 @dataclass(frozen=True)
@@ -105,10 +108,10 @@ def circle_roots_of(det: TrigPoly) -> tuple[list, list]:
     return _circle_roots(TrigMatrix([[det]])._image())[1:]
 
 
-def _scan(eval_thetas, thetas) -> tuple[float, float]:
+def _scan(eval_thetas, thetas, key=None) -> tuple[float, float]:
     """(least eigenvalue, its angle) over the angles, by one batched eigvalsh
-    of the stack ``eval_thetas(thetas)``."""
-    eigs = np.linalg.eigvalsh(eval_thetas(thetas))[:, 0]
+    of the stack ``eval_thetas(thetas, key)``."""
+    eigs = np.linalg.eigvalsh(eval_thetas(thetas, key))[:, 0]
     k = int(np.argmin(eigs))
     return float(eigs[k]), float(thetas[k])
 
@@ -118,17 +121,19 @@ def _decide(image: tuple, eval_thetas) -> CircleVerdict:
     format of ``TrigMatrix._image``) and its float values at angles (the
     stack of ``TrigMatrix.eval_thetas``), in the coordinate the image's key
     names, T = tan(theta/f) or W = T^2.  The float scan only proposes a
-    witness and reports the least eigenvalue.  NOT_PSD: a
+    witness and reports the least eigenvalue.  NOT_PSD, with the witness and
+    least eigenvalue of the scan's first pass, every 8th grid angle: a
     structural zero (a zero diagonal entry whose row is not identically zero;
     an entry is zero where its image polynomial is), or a negative leading
-    minor of H at a rational point next to the scan's minimum.  Else, det H =
-    0 is INCONCLUSIVE; otherwise H's inertia is constant on each arc between
-    the circle roots of det H, and Sylvester's criterion at one point per arc
-    decides: NOT_PSD where it fails, else MARGINAL with roots and PD without.
-    H's symmetries keep its inertia: scan, arcs and witness keep to one
-    ``_GROUPS`` domain."""
+    minor of H at a rational point next to that pass's minimum.  Else, after
+    the second (``_REST``), det H = 0 is INCONCLUSIVE; otherwise H's inertia
+    is constant on each arc between the circle roots of det H, and
+    Sylvester's criterion at one point per arc decides: NOT_PSD where it
+    fails, else MARGINAL with roots and PD without.  H's symmetries keep its
+    inertia: scan, arcs and witness keep to one ``_GROUPS`` domain."""
     plan, polys, *_, (even, graded) = image
-    min_eig, witness = _scan(eval_thetas, GRID[:_GROUPS[even, graded][0]])
+    size = _GROUPS[even, graded][0]
+    min_eig, witness = _scan(eval_thetas, GRID[:size:8], 0)
     # a PSD matrix with a zero diagonal entry has a zero row, so a structural
     # zero decides NOT_PSD without the determinant
     zero = [[not any(polys[k]) for _, k in row] for row in plan]
@@ -142,6 +147,7 @@ def _decide(image: tuple, eval_thetas) -> CircleVerdict:
             for th in (witness, witness + np.pi / (2 * GRID_SIZE))]
     if min_eig < 0 and any(sign(Fraction(x).limit_denominator(2**20)) < 0 for x in near):
         return CircleVerdict(CircleVerdict.NOT_PSD, witness, min_eig)
+    min_eig, witness = min((min_eig, witness), _scan(eval_thetas, _REST[:size * 7 // 8], 1))
     found = _circle_roots(image)
     if found is None:
         return CircleVerdict(CircleVerdict.INCONCLUSIVE, witness, min_eig)
@@ -159,7 +165,7 @@ def _decide(image: tuple, eval_thetas) -> CircleVerdict:
 def psd_on_circle(H: TrigMatrix) -> CircleVerdict:
     """Classify H(z) on |z| = 1 as PD / marginal PSD / not PSD / inconclusive,
     exactly (``_decide``), from H's ``_image`` and ``eval_thetas``."""
-    return _decide(H._image(), H.eval_thetas)
+    return _decide(H._image(), lambda thetas, key: H.eval_thetas(thetas))
 
 
 def hermite_psd(p: Poly) -> CircleVerdict:

@@ -16,6 +16,7 @@ decision alone: in T, or in W = T^2 when p is even in x2, as Q_T then is.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +25,8 @@ import numpy as np
 
 from .errors import OriginOnCurveError
 from .polycore import Poly, TrigMatrix, TrigPoly, laurent_mul
+
+_TABLES: dict = {}  # a scan pass's key -> (angles, m, _monomials(angles, m))
 
 
 def _add_into(acc: list, xs: list, f: int = 1) -> None:
@@ -164,6 +167,31 @@ def power_sums(p: Poly) -> tuple[list, int]:
     return sums, p0
 
 
+@functools.cache
+def _layout(m: int) -> tuple:
+    """(ks, bs, ks - bs, hankel[i, j] = i + j) at m: monomial r of the scan is cos^(k-b) sin^b,
+    (k, b) = (ks[r], bs[r]), in an order where those at m lead those at any larger m."""
+    ks, bs = np.array([(k, b) for k in range(2 * m - 1) for b in range(k + 1)]).T
+    return ks, bs, ks - bs, np.add.outer(np.arange(m), np.arange(m))
+
+
+def _monomials(thetas, m: int, key=None) -> np.ndarray:
+    """The ``_layout(m)`` monomials, a row per angle; under a key, a slice of the table kept
+    there for prefixes of one sequence of angles, grown to the longest and the largest m,
+    so that a pass of the circle scan takes one table per process."""
+    angles, top, table = _TABLES.get(key, ((), 0, None))
+    if len(thetas) > len(angles) or m > top:
+        angles, top = max(angles, thetas, key=len), max(m, top)
+        _, bs, cos_exp, _ = _layout(top)
+        th = np.asarray(angles, dtype=float)[:, None]
+        c, e = np.cos(th), np.arange(2 * top - 1)
+        cos = np.abs(c) ** e * np.where(e % 2, np.sign(c), 1.0)  # pow is slow on a negative base
+        table = cos[:, cos_exp] * (np.sin(th) ** e)[:, bs]
+        if key is not None:
+            _TABLES[key] = angles, top, table
+    return table[:len(thetas), :m * (2 * m - 1)]
+
+
 def hermite_image(p: Poly) -> tuple:
     """(image, eval_thetas) of H = ``hermite_matrix(p)``, read off
     ``power_sums`` without building H: H_ij = (2 cos theta / p0)^k S_k(tan theta),
@@ -178,26 +206,20 @@ def hermite_image(p: Poly) -> tuple:
     coefficients, of degree <= k/2, keyed (True, True): its det is
     D(W) = (1+W)^n det H up to a positive constant, n = m(m-1)/2, of degree
     <= n, whose W^n coefficient is det H at theta = pi/2 up to that constant.
-    ``eval_thetas``: H at each angle, from the forms sum_b S_(k,b)
-    cos^(k-b) sin^b, each coefficient the exact quotient 2^k S_(k,b) / p0^k
-    rounded once."""
+    ``eval_thetas(thetas, key=None)``: H at each angle, ``_monomials`` (kept
+    per pass of the circle scan) times the forms sum_b S_(k,b) cos^(k-b) sin^b,
+    each coefficient the exact quotient 2^k S_(k,b) / p0^k rounded once."""
     sums, p0 = power_sums(p)
     m = (len(sums) + 1) // 2
     even = not any(x for s in sums for x in s[1::2])
     polys = [[x << k for x in (s[::2] if even else s)] for k, s in enumerate(sums)]
     image = ([[(1, i + j) for j in range(m)] for i in range(m)], polys, m * (m - 1) // (1 + even), 1,
              (even, True))
-    # monomial r of the scan is cos^(k-b) sin^b, (k, b) in order; column k of
-    # ``forms`` holds 2^k S_(k,b) / p0^k at those of degree k
-    ks = [k for k in range(2 * m - 1) for _ in range(k + 1)]
-    bs = [b for k in range(2 * m - 1) for b in range(k + 1)]
+    # column k of ``forms`` holds 2^k S_(k,b) / p0^k at the monomials of degree k
+    ks, _, _, hankel = _layout(m)
     forms = np.zeros((len(ks), 2 * m - 1))
     forms[range(len(ks)), ks] = [(x << k) / p0**k for k, s in enumerate(sums) for x in s]
-    cos_exp, hankel = np.subtract(ks, bs), np.add.outer(np.arange(m), np.arange(m))
 
-    def eval_thetas(thetas) -> np.ndarray:
-        th = np.asarray(thetas, dtype=float)[:, None]
-        c, e = np.cos(th), np.arange(2 * m - 1)
-        cos = np.abs(c) ** e * np.where(e % 2, np.sign(c), 1.0)  # pow is slow on a negative base
-        return ((cos[:, cos_exp] * (np.sin(th) ** e)[:, bs]) @ forms)[:, hankel]
+    def eval_thetas(thetas, key=None) -> np.ndarray:
+        return (_monomials(thetas, m, key) @ forms)[:, hankel]
     return image, eval_thetas

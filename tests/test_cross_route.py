@@ -6,16 +6,19 @@ benchmark's check-rigid inputs both must give one answer, bit for bit but
 for the least eigenvalue."""
 import importlib
 import importlib.util
+import math
 import random
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from rigidconvex import hermite_matrix, parse_poly, psd_on_circle
-from rigidconvex.circlepsd import CircleVerdict, hermite_psd
+from rigidconvex import circlepsd, hermite_matrix, parse_poly, psd_on_circle
+from rigidconvex.circlepsd import _GROUPS, GRID, GRID_SIZE, CircleVerdict, hermite_psd
 from rigidconvex.hermite import hermite_image
+from rigidconvex.polycore import _image_sign
 
 ROOT = Path(__file__).resolve().parents[1]
 THETAS = np.linspace(0.0, 2 * np.pi, 29)
@@ -40,22 +43,42 @@ def max_abs_coeff(H) -> float:
                default=0.0)
 
 
-def test_power_sum_decision_matches_psd_on_circle_on_workload_inputs():
+def test_power_sum_decision_matches_psd_on_circle_on_workload_inputs(monkeypatch):
     # the same status, shortcut, circle roots and NotPSD witness, bit for bit:
     # both images are in one coordinate and their determinants have the same
-    # real roots, so the roots' intervals and the arcs' points are the same
+    # real roots, so the roots' intervals and the arcs' points are the same.
+    # A NotPSD verdict of the scan's first pass has a negative leading minor
+    # at a rational point next to its witness, and the least eigenvalue of
+    # that pass; any other least eigenvalue is that of the whole domain's grid
+    # and the arcs, as one pass over the grid finds it
+    exact_path, circle_roots = [], circlepsd._circle_roots
+
+    def spy(image):
+        exact_path.append(circle_roots(image))
+        return exact_path[-1]
+    monkeypatch.setattr(circlepsd, "_circle_roots", spy)
     workloads = _load_workloads()
     cases = [case for workload in ("hermite-scan", "hermite-ladder") for seed in (1, 2, 3, 4)
              for case in workloads.build(workload, seed, ROOT) if case.argv[0] == "check-rigid"]
     assert len(cases) == 296
-    disagreements, statuses, forms = [], set(), set()
+    disagreements, statuses, forms, firsts = [], set(), set(), 0
     for case in cases:
         p = parse_poly(case.argv[1].removeprefix("--poly="))
         H = hermite_matrix(p)
-        want, got = psd_on_circle(H), hermite_psd(p)
+        want = psd_on_circle(H)
+        exact_path.clear()
+        got = hermite_psd(p)
         statuses.add(want.status)
-        in_w = hermite_image(p)[0][4][0]
+        image, eval_thetas = hermite_image(p)
+        in_w = image[4][0]
         forms.add(in_w)
+        if not exact_path:
+            firsts += 1
+            if not _first_pass_proof(image, eval_thetas, got):
+                disagreements.append((case.cid, case.argv[1], ["first pass"], got))
+        elif got.status != CircleVerdict.NOT_PSD and got.min_eig != _grid_minimum(
+                image, eval_thetas, exact_path[0]):
+            disagreements.append((case.cid, case.argv[1], ["grid minimum"], got))
         wrong = [f for f in ("status", "shortcut", "circle_roots")
                  if getattr(want, f) != getattr(got, f)]
         if want.status == CircleVerdict.NOT_PSD and want.witness_theta != got.witness_theta:
@@ -73,6 +96,39 @@ def test_power_sum_decision_matches_psd_on_circle_on_workload_inputs():
     assert disagreements == []
     assert statuses >= {CircleVerdict.PD, CircleVerdict.MARGINAL, CircleVerdict.NOT_PSD}
     assert forms == {True, False}
+    assert firsts > 50
+
+
+def _first_pass_proof(image, eval_thetas, verdict) -> bool:
+    """Whether a verdict reached without the circle roots is NotPSD with the
+    least eigenvalue of the first pass, every 8th angle of its grid domain, at
+    its witness, and either a negative leading minor of H at the rational
+    point next to the witness or a quarter grid step on, or (a shortcut) a
+    zero diagonal entry H_ii beside a nonzero H_ij, whose 2 x 2 principal
+    minor is -H_ij^2 < 0 somewhere."""
+    (plan, polys, *_, (even, graded)) = image
+    if verdict.shortcut:
+        zero = [[not any(polys[k]) for _, k in row] for row in plan]
+        if not any(zero[i][i] and not all(row) for i, row in enumerate(zero)):
+            return False
+    thetas = GRID[:_GROUPS[image[4]][0]:8]
+    eigs = np.linalg.eigvalsh(eval_thetas(thetas))[:, 0]
+    k = int(np.argmin(eigs))
+    sign = _image_sign(image)
+    near = [Fraction(math.tan(th / (2 - graded)) ** (1 + even)).limit_denominator(2**20)
+            for th in (thetas[k], thetas[k] + np.pi / (2 * GRID_SIZE))]
+    return (verdict.status == CircleVerdict.NOT_PSD
+            and (verdict.min_eig, verdict.witness_theta) == (eigs[k], thetas[k])
+            and (verdict.shortcut or -1 in map(sign, near)))
+
+
+def _grid_minimum(image, eval_thetas, found) -> float:
+    """The least eigenvalue of H over its grid domain, in one pass, and at the
+    circle roots and arcs' points ``found`` of the image (``_circle_roots``;
+    None where det H = 0)."""
+    angles, _, points = found or ([], None, [])
+    thetas = [GRID[:_GROUPS[image[4]][0]], angles + [th for _, th in points]]
+    return min(float(np.linalg.eigvalsh(eval_thetas(t))[:, 0].min()) for t in thetas if len(t))
 
 
 def test_w_form_keeps_the_formal_degree():

@@ -390,3 +390,35 @@ def test_hermite_determinant_is_the_discriminant():
             q = sum(at(line.q[k], z) * t**k for k in range(line.m + 1))
             disc = sympy.discriminant(sympy.expand(q), t)
             assert sympy.expand(at(det, z) - disc) == 0
+
+
+def test_scan_table_is_the_direct_formula(monkeypatch):
+    # hermite_image's scan values at a pass of the circle scan's grid, sliced
+    # off the table kept for the pass, are the floats the direct formula gives
+    # at the same angles, bit for bit, for p even in x2 (domain of 129 grid
+    # angles) and not (256); so are the monomials at off-grid angles, whose
+    # columns at m are a prefix of those at any larger m.  The cache keeps one
+    # table per pass, grown to the largest m seen
+    from rigidconvex import hermite
+    from rigidconvex.circlepsd import _GROUPS, _REST, GRID
+
+    monkeypatch.setattr(hermite, "_TABLES", {})
+    rng = random.Random(53)
+    off_grid = [0.3, 1.1, 2.5, 4.0]
+    for m in (*range(2, 9), 3):
+        for even in (True, False):
+            terms = {(a, b): Fraction(rng.randint(-4, 4)) for a in range(m + 1)
+                     for b in range(m + 1 - a) if not (even and b % 2)}
+            terms[(0, 0)], terms[(m, 0)] = Fraction(rng.randint(1, 5)), Fraction(1)
+            image, eval_thetas = hermite.hermite_image(Poly(terms))
+            assert image[4] == (even, True)
+            size = _GROUPS[image[4]][0]
+            for k, thetas in enumerate((GRID[:size:8], _REST[:size * 7 // 8])):
+                assert np.array_equal(eval_thetas(thetas, k), eval_thetas(thetas))
+            direct = hermite._monomials(off_grid, m)
+            assert np.array_equal(direct, hermite._monomials(off_grid, 8)[:, :direct.shape[1]])
+            assert np.array_equal(direct, np.vstack([hermite._monomials([th], m)
+                                                     for th in off_grid]))
+    assert sorted(hermite._TABLES) == [0, 1]
+    assert [hermite._TABLES[k][1] for k in (0, 1)] == [8, 8]
+    assert [len(hermite._TABLES[k][0]) for k in (0, 1)] == [32, 224]

@@ -195,7 +195,10 @@ def test_work_follows_the_symmetry(monkeypatch):
     # grading at n+1 in W = tan^2(theta/2) or 2n+1 in t = tan(theta/2).  The
     # shifted capricorn's entry (0, 1) is zero, so its column minima
     # b = (0, 0, 2, 3) are raised to the parity of the column in T:
-    # b = (0, 1, 2, 3), a = (0, 1, 2, 3) and n = 12
+    # b = (0, 1, 2, 3), a = (0, 1, 2, 3) and n = 12.  The scan's first pass
+    # takes every 8th angle of the domain; the probe at its minimum decides
+    # both sine matrices NotPSD, and the PD and marginal ones scan the rest
+    # of the domain in a second pass
     cubic = hermite_matrix(parse_poly("1-x1-4*x1^2-x2^2+4*x1^3"))  # n = 6
     sine = hermite_matrix(parse_poly("1-x1^2-x2^2+x2^3"))  # m = 3, n = 6
     cap = hermite_matrix(parse_poly("x1^2*(x1^2+x2^2)-2*(x1^2+x2^2-x2)^2")
@@ -203,14 +206,20 @@ def test_work_follows_the_symmetry(monkeypatch):
     scanned, eliminated = [], []
     eval_thetas, bareiss = TrigMatrix.eval_thetas, polycore._bareiss
     monkeypatch.setattr(TrigMatrix, "eval_thetas",
-                        lambda H, thetas: scanned.append(len(thetas)) or eval_thetas(H, thetas))
+                        lambda H, thetas: scanned.append(list(thetas)) or eval_thetas(H, thetas))
     monkeypatch.setattr(polycore, "_bareiss",
                         lambda mat, swap=True: eliminated.append(swap) or bareiss(mat, swap))
-    for H, grid, points in ((cubic, 129, 4), (_sheared(cubic), 257, 7),
-                            (sine, 256, 7), (_sheared(sine), 512, 13), (cap, 256, 13)):
+    for H, grid, points, decided in ((cubic, 129, 4, False), (_sheared(cubic), 257, 7, False),
+                                     (sine, 256, 7, True), (_sheared(sine), 512, 13, True),
+                                     (cap, 256, 13, False)):
         scanned.clear()
-        psd_on_circle(H)
-        assert scanned[0] == grid
+        verdict = psd_on_circle(H)
+        assert (verdict.status == CircleVerdict.NOT_PSD) == decided
+        assert scanned[0] == list(GRID[:grid:8])
+        if decided:
+            assert len(scanned) == 1
+        else:
+            assert sorted(scanned[0] + scanned[1]) == list(GRID[:grid])
         eliminated.clear()
         H.det()
         assert eliminated == [True] * points
@@ -239,7 +248,7 @@ def test_minor_probe_reads_tan_theta(monkeypatch):
     # quadric's minor is negative at tan theta and not at tan(theta/2)
     monkeypatch.setattr(circlepsd, "_circle_roots", lambda image: pytest.fail("det reached"))
     for text, k, shortcut in (("1+x2^3", GRID_SIZE // 4, True), ("1-x1^2+x2^3", GRID_SIZE // 4, False),
-                              ("1+2*x2+x2^2-x1-5*x1*x2+x1^2", 209, False)):
+                              ("1+2*x2+x2^2-x1-5*x1*x2+x1^2", 208, False)):
         H = hermite_matrix(parse_poly(text))
         verdict = psd_on_circle(H)
         assert (verdict.status, verdict.shortcut) == (CircleVerdict.NOT_PSD, shortcut)
