@@ -2,20 +2,20 @@
 
 The decision is exact: the circle zeros of det H are isolated exactly
 (``realroots``) and Sylvester's criterion at rational points decides
-(``_decide``), on one fundamental domain of H's symmetry, in the
-coordinate of H's integer image: T = tan(theta/f) (theta mod f pi), or
-W = tan^2(theta/f) (theta/f in [0, pi/2]) when H is even in theta, with
-f = 1 for a graded H and f = 2 otherwise.  One routine, ``_circle_roots``,
-takes the circle roots off any such image.  Floats only propose a witness,
-in that domain, and report the least eigenvalue, from batched ``eigvalsh``
-over stacks of H's values at a grid's angles, in two passes.  Two front ends
-feed ``_decide``: ``psd_on_circle`` reads a TrigMatrix (``TrigMatrix._image``,
+(``_decide``), on one fundamental domain of H's symmetry, in the coordinate
+of H's integer image (``polycore._hankel_image``): T = tan theta (theta mod
+pi), or W = tan^2 theta (theta in [0, pi/2]) when H is even in theta.  One
+routine, ``_circle_roots``, takes the circle roots off any such image.
+Floats only propose a witness, in that domain, and report the least
+eigenvalue, from batched ``eigvalsh`` over stacks of H's values at a grid's
+angles, in two passes.  Two front ends feed ``_decide``: ``psd_on_circle``
+reads a Hankel TrigMatrix in Hermite form (``TrigMatrix._image``,
 ``eval_thetas``), in W when H is cosine-only; and ``hermite_psd`` reads the
 image and the values of ``hermite_matrix(p)`` straight off p's power sums
-(``hermite.hermite_image``, a kept trig table per pass), in W = tan^2 theta
-when p is even in x2, else in T = tan theta.  The equivalent semidefinite
-feasibility problem is exported in SDPA sparse format for external solvers;
-candidate spectral factors can be verified against H on a grid.
+(``hermite.hermite_image``, a kept trig table per pass), in W when p is even
+in x2, else in T.  The equivalent semidefinite feasibility problem is
+exported in SDPA sparse format for external solvers; candidate spectral
+factors can be verified against H on a grid.
 """
 from __future__ import annotations
 
@@ -33,14 +33,12 @@ from .realroots import _nonnegative_roots, real_roots
 
 GRID_SIZE = 512
 GRID = np.linspace(0.0, 2 * np.pi, GRID_SIZE, endpoint=False)
-# H's symmetry groups by the image's key (even, graded): H(-theta) = H(theta) when even (the
-# image in W), H(theta + pi) = S H(theta) S with S = diag((-1)^i) when graded (f = 1, else
-# f = 2; ``TrigMatrix.is_graded``).  Each: the GRID prefix that meets every orbit, theta's orbit.
+# H's symmetry groups by the image's key ``even``: H(theta + pi) = S H(theta) S, S = diag((-1)^i)
+# (N_k has only harmonics of k's parity), and H(-theta) = H(theta) when even (the image in W).
+# Each: the GRID prefix that meets every orbit, theta's orbit.
 _GROUPS = {
-    (True, True): (GRID_SIZE // 4 + 1, lambda th: (th, -th, math.pi - th, math.pi + th)),
-    (True, False): (GRID_SIZE // 2 + 1, lambda th: (th, -th)),
-    (False, True): (GRID_SIZE // 2, lambda th: (th, th + math.pi)),
-    (False, False): (GRID_SIZE, lambda th: (th,)),
+    True: (GRID_SIZE // 4 + 1, lambda th: (th, -th, math.pi - th, math.pi + th)),
+    False: (GRID_SIZE // 2, lambda th: (th, th + math.pi)),
 }
 # the angles of the scan's second pass, after GRID[::8]; a domain GRID[:size] has the first
 # size * 7 // 8, and ties of the two passes go to the lower angle, as in one pass over GRID
@@ -67,45 +65,45 @@ class CircleVerdict:
 
 def _circle_roots(image: tuple) -> tuple[list, list, list] | None:
     """(angles, roots, points) of H from its integer image (the format of
-    ``TrigMatrix._image``), None where det H = 0: the circle zeros of det H
-    in the fundamental domain, their orbits (all zeros in [0, 2 pi), sorted)
-    and (x, theta) inside each arc there, x exact.  D = det M is interpolated
-    at the image's n + 1 points and its square-free part isolated in
-    T = tan(theta/f) = x on the whole line (theta mod f pi), or in
-    W = tan^2(theta/f) = x on [0, inf) (theta/f in [0, pi/2]).  theta = f pi/2,
-    where T is infinite, is a root where D has degree below n; W = 0 is
-    theta = 0.  The arcs' points: a midpoint between neighbouring roots; in T
-    one more on the arc through theta = f pi/2, or one either side of it
-    when it is a root; in W, 0 unless it is a root, and an integer above the
-    last root."""
-    plan, polys, n, _, (even, graded) = image
+    ``_hankel_image``), None where det H = 0: the circle zeros of det H in the
+    fundamental domain, their orbits (all zeros in [0, 2 pi), sorted) and
+    (x, theta) inside each arc there, x exact.  D = det M is interpolated at
+    the image's n + 1 points and its square-free part isolated in
+    T = tan theta = x on the whole line (theta mod pi), or in W = tan^2 theta
+    = x on [0, inf) (theta in [0, pi/2]).  theta = pi/2, where T is infinite,
+    is a root where D has degree below n; W = 0 is theta = 0.  The arcs'
+    points: a midpoint between neighbouring roots; in T one more on the arc
+    through theta = pi/2, or one either side of it when it is a root; in W, 0
+    unless it is a root, and an integer above the last root."""
+    plan, polys, n, _, even = image
     D = _interpolate_minors(plan, polys, -(n // 2), n + 1)[0]
     if not any(D):
         return None
-    f, sqf = 2 - graded, _squarefree_part(D[:_nonzero_len(D)])
+    sqf = _squarefree_part(D[:_nonzero_len(D)])
     roots = _nonnegative_roots(sqf) if even else real_roots(sqf)
     xs = [(a[1] + b[0]) / 2 for a, b in zip(roots, roots[1:])]
     if even:
         xs = [Fraction(0)] * (not roots or roots[0][0] > 0) + xs
         xs += [Fraction(math.ceil(hi) + 1) for _, hi in roots[-1:]]
-    elif roots:  # the arc through theta = f pi/2, or the two beside it when it is a root
+    elif roots:  # the arc through theta = pi/2, or the two beside it when it is a root
         xs.append(Fraction(math.floor(roots[0][0]) - 1))
         xs += [Fraction(math.ceil(roots[-1][1]) + 1)] * (not D[n])
     else:
         xs = [Fraction(0)]
 
     def theta(x) -> float:
-        return f * math.atan(math.sqrt(x)) if even else f * math.atan(x) % (f * math.pi)
-    angles = [theta((lo + hi) / 2) for lo, hi in roots] + [f * math.pi / 2] * (not D[n])
-    orbit = _GROUPS[even, graded][1]
+        return math.atan(math.sqrt(x)) if even else math.atan(x) % math.pi
+    angles = [theta((lo + hi) / 2) for lo, hi in roots] + [math.pi / 2] * (not D[n])
+    orbit = _GROUPS[even][1]
     return (angles, sorted({th % (2 * math.pi) for a in angles for th in orbit(a)}),
             [(x, theta(x)) for x in xs])
 
 
 def circle_roots_of(det: TrigPoly) -> tuple[list, list]:
-    """(roots, points) of ``_circle_roots`` on the 1 x 1 image [[det]], det
-    nonzero."""
-    return _circle_roots(TrigMatrix([[det]])._image())[1:]
+    """(roots, points) of ``_circle_roots`` on the 1 x 1 image of det, nonzero with only even
+    harmonics as the determinant of a Hermite matrix (else DimensionMismatchError)."""
+    h, even = det.half_degree + det.half_degree % 2, det.is_cosine()
+    return _circle_roots(([[(1, 0)]], [det.int_poly(h)[0][::1 + even]], h >> even, 1, even))[1:]
 
 
 def _scan(eval_thetas, thetas, key=None) -> tuple[float, float]:
@@ -118,21 +116,21 @@ def _scan(eval_thetas, thetas, key=None) -> tuple[float, float]:
 
 def _decide(image: tuple, eval_thetas) -> CircleVerdict:
     """The circle verdict of a matrix H given by its integer image (the
-    format of ``TrigMatrix._image``) and its float values at angles (the
-    stack of ``TrigMatrix.eval_thetas``), in the coordinate the image's key
-    names, T = tan(theta/f) or W = T^2.  The float scan only proposes a
-    witness and reports the least eigenvalue.  NOT_PSD, with the witness and
-    least eigenvalue of the scan's first pass, every 8th grid angle: a
-    structural zero (a zero diagonal entry whose row is not identically zero;
-    an entry is zero where its image polynomial is), or a negative leading
-    minor of H at a rational point next to that pass's minimum.  Else, after
-    the second (``_REST``), det H = 0 is INCONCLUSIVE; otherwise H's inertia
-    is constant on each arc between the circle roots of det H, and
-    Sylvester's criterion at one point per arc decides: NOT_PSD where it
-    fails, else MARGINAL with roots and PD without.  H's symmetries keep its
-    inertia: scan, arcs and witness keep to one ``_GROUPS`` domain."""
-    plan, polys, *_, (even, graded) = image
-    size = _GROUPS[even, graded][0]
+    format of ``_hankel_image``) and its float values at angles (the stack of
+    ``TrigMatrix.eval_thetas``), in the coordinate the image's key names,
+    T = tan theta or W = T^2.  The float scan only proposes a witness and
+    reports the least eigenvalue.  NOT_PSD, with the witness and least
+    eigenvalue of the scan's first pass, every 8th grid angle: a structural
+    zero (a zero diagonal entry whose row is not identically zero; an entry
+    is zero where its image polynomial is), or a negative leading minor of H
+    at a rational point next to that pass's minimum.  Else, after the second
+    (``_REST``), det H = 0 is INCONCLUSIVE; otherwise H's inertia is constant
+    on each arc between the circle roots of det H, and Sylvester's criterion
+    at one point per arc decides: NOT_PSD where it fails, else MARGINAL with
+    roots and PD without.  H's symmetries keep its inertia: scan, arcs and
+    witness keep to one ``_GROUPS`` domain."""
+    plan, polys, *_, even = image
+    size = _GROUPS[even][0]
     min_eig, witness = _scan(eval_thetas, GRID[:size:8], 0)
     # a PSD matrix with a zero diagonal entry has a zero row, so a structural
     # zero decides NOT_PSD without the determinant
@@ -141,10 +139,9 @@ def _decide(image: tuple, eval_thetas) -> CircleVerdict:
         return CircleVerdict(CircleVerdict.NOT_PSD, witness, min_eig, shortcut=True)
     sign = _image_sign(image)
     # the witness and a quarter grid step on, in the image's coordinate
-    # T = tan(theta/f) or W = T^2: a grid angle can lie on a symmetry axis,
+    # T = tan theta or W = T^2: a grid angle can lie on a symmetry axis,
     # where H is singular
-    near = [math.tan(th / (2 - graded)) ** (1 + even)
-            for th in (witness, witness + np.pi / (2 * GRID_SIZE))]
+    near = [math.tan(th) ** (1 + even) for th in (witness, witness + np.pi / (2 * GRID_SIZE))]
     if min_eig < 0 and any(sign(Fraction(x).limit_denominator(2**20)) < 0 for x in near):
         return CircleVerdict(CircleVerdict.NOT_PSD, witness, min_eig)
     min_eig, witness = min((min_eig, witness), _scan(eval_thetas, _REST[:size * 7 // 8], 1))
@@ -164,7 +161,8 @@ def _decide(image: tuple, eval_thetas) -> CircleVerdict:
 
 def psd_on_circle(H: TrigMatrix) -> CircleVerdict:
     """Classify H(z) on |z| = 1 as PD / marginal PSD / not PSD / inconclusive,
-    exactly (``_decide``), from H's ``_image`` and ``eval_thetas``."""
+    exactly (``_decide``), from H's ``_image`` (a Hankel H in Hermite form, as
+    ``hermite_matrix`` builds; else DimensionMismatchError) and ``eval_thetas``."""
     return _decide(H._image(), lambda thetas, key: H.eval_thetas(thetas))
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import OriginOnCurveError
-from .polycore import Poly, TrigMatrix, TrigPoly, laurent_mul
+from .polycore import Poly, TrigMatrix, TrigPoly, _hankel_image, laurent_mul
 
 _TABLES: dict = {}  # a scan pass's key -> (angles, m, _monomials(angles, m))
 
@@ -197,24 +197,22 @@ def hermite_image(p: Poly) -> tuple:
     ``power_sums`` without building H: H_ij = (2 cos theta / p0)^k S_k(tan theta),
     k = i + j.
 
-    ``image`` is an integer image of H in the form of ``TrigMatrix._image``,
-    entry (i, j) the polynomial k, a positive row and column scaling of H
-    (every leading minor keeps its sign, det keeps its roots), scale 1:
-    2^k S_k(T) in T = tan theta, of degree <= k, so n = m(m-1), keyed
-    (even, graded) = (False, True); or, when every S_k is even in T (p even
-    in x2), 2^k s_k(W) in W = tan^2 theta, s_k = S_k's even-index
-    coefficients, of degree <= k/2, keyed (True, True): its det is
-    D(W) = (1+W)^n det H up to a positive constant, n = m(m-1)/2, of degree
-    <= n, whose W^n coefficient is det H at theta = pi/2 up to that constant.
+    ``image`` is H's integer image (``_hankel_image``, as
+    ``TrigMatrix._image`` builds it from H), polynomial k = i + j being
+    2^k S_k(T) = p0^k cos^-k(theta) N_k in T = tan theta, of degree <= k, so
+    n = m(m-1), keyed even = False; or, when every S_k is even in T (p even in
+    x2), 2^k s_k(W) in W = tan^2 theta, s_k = S_k's even-index coefficients,
+    of degree <= k/2, keyed even = True: its det is D(W) = (1+W)^n det H up to
+    a positive constant, n = m(m-1)/2, of degree <= n, whose W^n coefficient
+    is det H at theta = pi/2 up to that constant.
     ``eval_thetas(thetas, key=None)``: H at each angle, ``_monomials`` (kept
     per pass of the circle scan) times the forms sum_b S_(k,b) cos^(k-b) sin^b,
     each coefficient the exact quotient 2^k S_(k,b) / p0^k rounded once."""
     sums, p0 = power_sums(p)
     m = (len(sums) + 1) // 2
     even = not any(x for s in sums for x in s[1::2])
-    polys = [[x << k for x in (s[::2] if even else s)] for k, s in enumerate(sums)]
-    image = ([[(1, i + j) for j in range(m)] for i in range(m)], polys, m * (m - 1) // (1 + even), 1,
-             (even, True))
+    image = _hankel_image([[x << k for x in (s[::2] if even else s)] for k, s in enumerate(sums)],
+                          even)
     # column k of ``forms`` holds 2^k S_(k,b) / p0^k at the monomials of degree k
     ks, _, _, hankel = _layout(m)
     forms = np.zeros((len(ks), 2 * m - 1))

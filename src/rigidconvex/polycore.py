@@ -9,12 +9,11 @@ Representations:
 * ``TrigPoly``  -- Laurent polynomial that is real-valued on the unit circle:
                    cosine (on z^k + z^-k) and sine (on i(z^k - z^-k)) integer
                    coefficients over one positive denominator, in lowest terms.
-* ``TrigMatrix``-- symmetric matrix of TrigPoly entries; its exact determinant
-                   is taken by integer evaluation, fraction-free Bareiss
-                   elimination and integer Newton interpolation, in
-                   T = tan(theta/f), f = 1 when H is graded (as every
-                   Hermite matrix is) and f = 2 otherwise, or in W = T^2
-                   when every entry is cosine-only.
+* ``TrigMatrix``-- symmetric matrix of TrigPoly entries; the exact
+                   determinant of a Hankel one in Hermite form is taken by
+                   integer evaluation, fraction-free Bareiss elimination and
+                   integer Newton interpolation, in T = tan theta, or in
+                   W = T^2 when every entry is cosine-only.
 * ``Pencil``    -- constant symmetric matrices (F0, ..., Fn) with
                    F(x) = F0 + x1 F1 + ... + xn Fn; the Bezout and Hessian
                    routes build n = 2, pencil files may add F3 (n = 3).
@@ -27,10 +26,10 @@ Exact arithmetic runs on integers: ``Poly`` from ``parse_poly`` on and
 numerators over one denominator, other operands are cleared of denominators
 once, and Fractions are built only as views of results.
 Each job has one kernel.  Laurent products take ``laurent_mul``; the
-polynomial in T = tan(theta/f) of a TrigPoly ``TrigPoly.int_poly``, and the
-integer image of a TrigMatrix, in T or W = T^2, ``TrigMatrix._image``, which
-``TrigMatrix.det`` interpolates and ``_image_sign`` evaluates (as it does
-``hermite.hermite_image``'s);
+polynomial in T = tan theta of a TrigPoly ``TrigPoly.int_poly``; the integer
+image of a Hankel matrix, in T or W = T^2, ``_hankel_image``, for
+``TrigMatrix._image`` and ``hermite.hermite_image`` alike, which
+``TrigMatrix.det`` interpolates and ``_image_sign`` evaluates;
 determinants, solves and bordered minors the fraction-free ``_bareiss``;
 every univariate determinant or bordered minor (``TrigMatrix.det``, ``locate``'s
 subresultants, ``bezout.signature_exact``) the loop ``_interpolate_minors``:
@@ -726,16 +725,16 @@ class TrigPoly:
     def __bool__(self):
         return not self.is_zero()
 
-    def int_poly(self, graded: bool, h: int | None = None) -> tuple[list, int]:
-        """(P, den) with integer P of formal degree g, h >= the half-degree
-        (default): den cos^-g(theta/f) e = P(T), T = tan(theta/f), with f = 1
-        and g = h when ``graded`` (e carries only harmonics of h's parity),
-        else f = 2 and g = 2h, cos^-2(theta/2) = 1 + T^2.  P is even when e is
-        cosine-only; theta = f pi/2, where T is infinite, drops the degree."""
+    def int_poly(self, h: int | None = None) -> tuple[list, int]:
+        """(P, den) with integer P of formal degree h: den cos^-h(theta) e = P(T),
+        T = tan theta, for e of half-degree at most h (default: its own) with
+        only harmonics of h's parity, as the power sum N_h of a Hermite matrix;
+        any other e raises DimensionMismatchError.  P is even when e is
+        cosine-only; theta = pi/2, where T is infinite, drops the degree."""
         h = self.half_degree if h is None else h
-        re, im = (x + [0] * (h + 1 - len(x)) if x or graded else [] for x in (self.re, self.im))
-        if not graded:
-            return _halves_to_t(re, im), self.den
+        re, im = (x + [0] * (h + 1 - len(x)) for x in (self.re, self.im))
+        if len(re) > h + 1 or any(re[1 - h % 2::2] + im[1 - h % 2::2]):
+            raise DimensionMismatchError(f"{self}: half-degree > {h} or a harmonic off its parity")
         if h % 2 == 0:  # z^(2k) = (1+iT)^(2k) / (1+T^2)^k: the t form in z^2
             return _halves_to_t(re[::2], im[::2]), self.den
         # z^(2k+1) = cos theta (1+iT) z^(2k), and l (1+iT) = l - T (s - ic), l = c + is
@@ -1079,9 +1078,22 @@ def _hom(f: list, a: int, b: int) -> int:
     return acc
 
 
+def _hankel_image(polys: list, even: bool, scale: int = 1) -> tuple:
+    """(plan, polys, n, scale, even): the integer image M of a Hankel H, entry
+    (i, j) polys[i + j], as ``_interpolate_minors``, ``_image_sign`` and
+    ``circlepsd`` read it.  polys[k] = c b^k cos^-k(theta) N_k, c > 0, is an
+    integer polynomial of degree <= k in T = tan theta, <= k/2 in W = T^2 when
+    ``even``: M is c D H D, D = diag((b / cos theta)^i), so its leading minors
+    have H's signs, and det M = scale cos^-m(m-1)(theta) det H (scale 1 where
+    only those signs and the roots are read), of degree <= n."""
+    m = (len(polys) + 1) // 2
+    plan = [[(1, i + j) for j in range(m)] for i in range(m)]
+    return plan, polys, m * (m - 1) // (1 + even), scale, even
+
+
 def _image_sign(image: tuple):
     """x -> 1 if H is positive definite at T or W = x (the coordinate of
-    ``image``, H's integer image in the format of ``TrigMatrix._image``),
+    ``image``, H's integer image in the format of ``_hankel_image``),
     otherwise the sign of its first leading minor there that is not positive
     (Sylvester: the pivots of ``_bareiss`` without swaps); -1 proves a
     negative eigenvalue.  H is exact there, up to row and column scalings that
@@ -1140,11 +1152,6 @@ class TrigMatrix:
     def is_cosine(self) -> bool:
         return all(e.is_cosine() for row in self.entries for e in row)
 
-    def is_graded(self) -> bool:
-        """Whether every entry (i, j) has only harmonics = i + j mod 2, as a Hermite matrix."""
-        return not any(any(h[(i + j + 1) % 2::2]) for i, row in enumerate(self.entries)
-                       for j, e in enumerate(row) for h in (e.re, e.im))
-
     def eval_thetas(self, thetas) -> np.ndarray:
         """H(e^{i theta}) at every angle, shape (N, m, m): the cosine and sine
         coefficients become (d+1, m, m) float blocks once, and one product with
@@ -1162,54 +1169,31 @@ class TrigMatrix:
         return (table @ blocks.reshape(2 * (d + 1), m * m)).reshape(-1, m, m)
 
     def _image(self) -> tuple:
-        """(plan, polys, n, scale, (even, graded)): H as the integer
-        polynomial matrix M of ``_interpolate_minors``, in T = tan(theta/f),
-        f = 1 when ``graded`` and f = 2 otherwise, or in W = T^2 when ``even``
-        (every entry cosine-only, so each polynomial is even in T and keeps
-        its even-index coefficients).  Row i and column j are scaled by r_i
-        and c_j, c_j the gcd of the denominators of the distinct entries in
-        column j and r_i the lcm of those left in row i, so each entry is
-        integral; scale = prod(r_i c_j).  With b_j the least half-degree in
-        column j and a_i the largest excess over it in row i (raised to the
-        parity of j and i when graded), det H has half-degree at most N =
-        sum(a) + sum(b) (a Hermite matrix, entry (i, j) of half-degree at most
-        i + j, usually gets N = m(m-1)).  M_ij is r_i c_j H_ij times
-        cos^-g(theta/f), g = f (a_i + b_j): H under row and column scalings
-        with positive products, so det M = D = scale cos^-fN(theta/f) det H,
-        of degree at most n = fN in T, fN/2 in W.  Its entries are
-        ``int_poly``s at their own degrees, one per distinct (entry, degree),
-        and a Hankel H has only 2m-1 distinct entries."""
-        m, even, graded = self.m, self.is_cosine(), self.is_graded()
-        slot: dict = {}
-        index = [[slot.setdefault(id(e), len(slot)) for e in row] for row in self.entries]
-        distinct = list({id(e): e for row in self.entries for e in row}.values())
-        half = [e.half_degree for e in distinct]
-        cols = [[row[j] for row in index] for j in range(m)]
-        up = (lambda x, i: x + (x + i) % 2) if graded else (lambda x, i: x)
-        b = [up(min([half[k] for k in col]), j) for j, col in enumerate(cols)]
-        c = [math.gcd(*[distinct[k].den for k in col]) for col in cols]
-        a = [up(max([half[k] - b[j] for j, k in enumerate(row)]), i) for i, row in enumerate(index)]
-        r = [math.lcm(*[distinct[k].den // c[j] for j, k in enumerate(row)]) for row in index]
-        # (r_i c_j / den_k, P): P the int_poly of e_k at half-degree a_i + b_j
-        key: dict = {}
-        plan = [[(r[i] * c[j] // distinct[k].den, key.setdefault((k, a[i] + b[j]), len(key)))
-                 for j, k in enumerate(row)] for i, row in enumerate(index)]
-        polys = [distinct[k].int_poly(graded, h)[0][::1 + even] for k, h in key]
-        n = (sum(a) + sum(b)) * (2 - graded) // (1 + even)
-        return plan, polys, n, math.prod(r) * math.prod(c), (even, graded)
+        """H's integer image (``_hankel_image``) for a Hankel H in Hermite form,
+        entry N_k (k = i + j) of half-degree <= k with only harmonics of k's
+        parity: polynomial k is (L / den_k) ``N_k.int_poly(k)``, L the lcm of
+        the denominators, in W when H is cosine-only, and scale = L^m.  Any
+        other H raises DimensionMismatchError."""
+        m, rows = self.m, self.entries
+        gen = [rows[max(0, k - m + 1)][min(k, m - 1)] for k in range(2 * m - 1)]
+        if any(e != gen[i + j] for i, row in enumerate(rows) for j, e in enumerate(row)):
+            raise DimensionMismatchError("the circle test reads a Hankel matrix")
+        even, den = self.is_cosine(), math.lcm(*[e.den for e in gen])
+        polys = [[den // e.den * x for x in e.int_poly(k)[0][::1 + even]]
+                 for k, e in enumerate(gen)]
+        return _hankel_image(polys, even, den**m)
 
     def det(self) -> TrigPoly:
-        """Exact determinant in the TrigPoly ring: D = det M of ``_image``,
-        interpolated at n+1 consecutive integers around 0, read in T (D(W) as
-        D(T^2)) and mapped back (``_t_to_halves``) to the halves of the result
-        over scale; no Fraction is built.  A graded det H has only even
-        harmonics, and D(T) is its t form in z^2, so its halves come back with
-        every index doubled."""
-        plan, polys, n, scale, (even, graded) = self._image()
+        """Exact determinant in the TrigPoly ring of a matrix ``_image`` reads:
+        D = det M, interpolated at n+1 consecutive integers around 0 and read in
+        T (D(W) as D(T^2)), is the t form in z^2 of det H, which has only even
+        harmonics, times scale; ``_t_to_halves`` maps it back to the halves,
+        every index doubled.  No Fraction is built."""
+        plan, polys, n, scale, even = self._image()
         D = _interpolate_minors(plan, polys, -(n // 2), n + 1)[0]
         if even:
             D = [x for y in D for x in (y, 0)][:-1]
-        re, im = ([x for y in h for x in (y, 0)] if graded else h for h in _t_to_halves(D))
+        re, im = ([x for y in h for x in (y, 0)] for h in _t_to_halves(D))
         return TrigPoly._make(re, im, scale)
 
     def __eq__(self, other):

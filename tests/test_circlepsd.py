@@ -9,6 +9,7 @@ from rigidconvex.circlepsd import (
     GRID_SIZE,
     CircleVerdict,
     MatrixPoly,
+    _decide,
     build_sdp,
     circle_roots_of,
     hermite_psd,
@@ -53,6 +54,73 @@ def congruence(H: TrigMatrix, w) -> TrigMatrix:
                         acc = tadd(acc, tscale(H.entries[a][b], W[i][a] * W[j][b]))
             out[i][j] = out[j][i] = acc
     return TrigMatrix(out)
+
+
+def hankel(gen) -> TrigMatrix:
+    """The Hankel matrix with entry (i, j) = gen[i + j]."""
+    return TrigMatrix.from_hankel(gen, (len(gen) + 1) // 2)
+
+
+def node(alpha, beta=0) -> TrigPoly:
+    """alpha cos theta + beta sin theta: a TrigPoly with the harmonic 1 only."""
+    return TrigPoly([0, Fraction(alpha) / 2], [0, -Fraction(beta) / 2])
+
+
+def hankel_congruence(H: TrigMatrix, a: TrigPoly, s) -> TrigMatrix:
+    """W H W^T for the lower triangular W = diag(s^i) P, P_ij = C(i, j) a^(i-j):
+    by Vandermonde's identity the Hankel matrix of generator
+    N'_k = s^k sum_j C(k, j) a^(k-j) N_j (power sums of the roots shifted by a
+    and scaled by s), in Hermite form again when a has the harmonic 1 only.
+    Every leading minor keeps its sign, so H's inertia at every theta is kept."""
+    s = Fraction(s)
+    gen = [H.entries[max(0, k - H.m + 1)][min(k, H.m - 1)] for k in range(2 * H.m - 1)]
+    out = []
+    for k in range(len(gen)):
+        acc = TrigPoly()
+        for j in range(k + 1):
+            acc = tadd(acc, tscale(tmul(tpow(a, k - j), gen[j]), math.comb(k, j) * s**k))
+        out.append(acc)
+    return hankel(out)
+
+
+def random_hankel(rng, m: int, sine: bool) -> TrigMatrix:
+    """An m x m Hankel matrix in Hermite form: N_k of random half-degree up to
+    k, rational coefficients at the harmonics of k's parity only, and sine
+    parts when ``sine``."""
+    gen = []
+    for k in range(2 * m - 1):
+        h = rng.randint(0, k)
+        c = [Fraction(rng.randint(-6, 6), rng.randint(1, 9)) * ((j - k) % 2 == 0)
+             for j in range(h + 1)]
+        s = [Fraction(rng.randint(-6, 6), rng.randint(1, 9)) * (j > 0 and (j - k) % 2 == 0)
+             for j in range(h + 1)] if sine else []
+        gen.append(TrigPoly(c, s))
+    return hankel(gen)
+
+
+def moment_hankel(rng, m: int, sine: bool, positive: bool) -> TrigMatrix:
+    """sum_l w_l v_l v_l^T, v_l = (1, a_l, .., a_l^(m-1)), for m + 1 random nodes
+    a_l (``node``; sine parts when ``sine``) and one at 0: the Hankel matrix of
+    N_k = sum_l w_l a_l^k, in Hermite form.  Positive definite for positive
+    weights wherever the m + 2 nodes take m distinct values or more; random
+    signs when not ``positive``."""
+    nodes = [node(rng.randint(-5, 5), rng.randint(-5, 5) * sine) for _ in range(m + 1)]
+    nodes.append(TrigPoly())
+    weights = [Fraction(rng.randint(1, 9) * (1 if positive else rng.choice([-1, 1])),
+                        rng.randint(1, 4)) for _ in nodes]
+    gen = [TrigPoly() for _ in range(2 * m - 1)]
+    for a, w in zip(nodes, weights):
+        gen = [tadd(g, tscale(tpow(a, k), w)) for k, g in enumerate(gen)]
+    return hankel(gen)
+
+
+def decide_scalar(e: TrigPoly) -> CircleVerdict:
+    """The circle verdict of the 1 x 1 matrix [[e]], e with only even
+    harmonics, by ``_decide`` on its hand-built image, as ``circle_roots_of``
+    builds it."""
+    h, even = e.half_degree, e.is_cosine()
+    image = ([[(1, 0)]], [e.int_poly(h)[0][::1 + even]], h // (1 + even), 1, even)
+    return _decide(image, lambda thetas, key: TrigMatrix([[e]]).eval_thetas(thetas))
 
 
 def scaling(H: TrigMatrix, theta0: float) -> np.ndarray:
@@ -100,10 +168,10 @@ def test_tv_screen_not_psd_via_shortcut():
 
 
 def test_structural_zero_decides_below_tolerance():
-    # [[0, e], [e, 1]] with e = 10^-6 is not PSD, but its least eigenvalue,
-    # about -e^2, lies inside the tolerance: the zero diagonal entry decides
-    e = TrigPoly([Fraction(1, 10**6)])
-    H = TrigMatrix([[TrigPoly(), e], [e, TrigPoly([1])]])
+    # [[0, e], [e, 1]] with e = 10^-6 cos theta is not PSD, but its least
+    # eigenvalue, about -e^2, lies inside the tolerance: the zero diagonal
+    # entry decides
+    H = hankel([TrigPoly(), node(Fraction(1, 10**6)), TrigPoly([1])])
     verdict = psd_on_circle(H)
     assert verdict.status == CircleVerdict.NOT_PSD and verdict.shortcut
     assert -tolerance(H) < verdict.min_eig < 0
@@ -131,10 +199,11 @@ def test_psd_on_circle_builds_one_image_per_matrix(monkeypatch):
 
 
 def test_marginal_scalar():
-    H = TrigMatrix([[TrigPoly([2, 1])]])  # 2 + (z+z^-1) = 2 + 2cos(theta)
-    verdict = psd_on_circle(H)
+    e = TrigPoly([1, 0, Fraction(1, 2)])  # 1 + cos(2 theta) = 2 cos^2(theta)
+    verdict = decide_scalar(e)
     assert verdict.status == CircleVerdict.MARGINAL
-    assert verdict.witness_theta == pytest.approx(np.pi, abs=1e-6)
+    assert verdict.circle_roots == (np.pi / 2, 3 * np.pi / 2)
+    assert verdict.witness_theta == pytest.approx(np.pi / 2, abs=1e-6)
     assert verdict.min_eig == pytest.approx(0.0, abs=1e-9)
 
 
@@ -149,7 +218,7 @@ def test_even_pencil_is_pd():
 
 def test_ellipse_product_is_marginal_at_a_quadruple_root():
     H = hermite_matrix(parse_poly(ELLIPSES))
-    D, _ = H.det().int_poly(True)
+    D, _ = H.det().int_poly()
     assert D[-4:] == [0, 0, 0, 0] and D[-5]  # in T = tan theta: cos^4 divides det H, cos^6 does not
     verdict = psd_on_circle(H)
     assert verdict.status == CircleVerdict.MARGINAL
@@ -157,11 +226,10 @@ def test_ellipse_product_is_marginal_at_a_quadruple_root():
 
 
 def test_negative_scalar():
-    H = TrigMatrix([[TrigPoly([-1, 1])]])  # -1 + 2cos(theta)
-    verdict = psd_on_circle(H)
+    verdict = decide_scalar(TrigPoly([-1, 0, 1]))  # -1 + 2cos(2 theta)
     assert verdict.status == CircleVerdict.NOT_PSD
-    # witness where value is most negative: theta = pi
-    assert verdict.witness_theta == pytest.approx(np.pi, rel=1e-3)
+    # witness where value is most negative, in the domain [0, pi/2]: theta = pi/2
+    assert verdict.witness_theta == pytest.approx(np.pi / 2, rel=1e-3)
 
 
 def test_identically_zero_det_inconclusive():
@@ -186,13 +254,15 @@ def test_brute_force_agreement_on_fixtures():
 
 
 def test_congruence_invariance_of_classification():
+    # a random shift of the roots by a = alpha cos theta + beta sin theta and
+    # scaling by s keep the Hankel form, the inertia and so the verdict
     rng = np.random.default_rng(3)
     for H in (CUBIC_H, TV_H):
         base = psd_on_circle(H).is_psd
         for _ in range(3):
-            w = rng.normal(size=(H.m, H.m))
-            w += H.m * np.eye(H.m)  # keep well-conditioned
-            assert psd_on_circle(congruence(H, w)).is_psd == base
+            a = node(*[Fraction(float(x)) for x in rng.normal(size=2)])
+            K = hankel_congruence(H, a, float(rng.uniform(0.5, 2.0)))
+            assert psd_on_circle(K).is_psd == base
 
 
 def test_notpsd_witness_consistent_with_det_sign_or_shortcut():
@@ -201,12 +271,30 @@ def test_notpsd_witness_consistent_with_det_sign_or_shortcut():
 
 
 def test_circle_roots_of_marginal_case():
-    # the double zero of z + 2 + z^-1 is one distinct root, at theta = pi,
-    # where W = tan^2(theta/2) is infinite: D(W) = 4 drops its degree 1; the
+    # the double zero of 1 + cos(2 theta) is one distinct root in W = tan^2 theta,
+    # at theta = pi/2, where W is infinite: D(W) = 4 drops its degree 1; the
     # one arc left gets one point, W = 0
-    roots, points = circle_roots_of(TrigPoly([2, 1]))
-    assert roots == [np.pi]
+    roots, points = circle_roots_of(TrigPoly([1, 0, Fraction(1, 2)]))
+    assert roots == [np.pi / 2, 3 * np.pi / 2]
     assert points == [(0, 0.0)]
+
+
+def test_circle_test_refuses_a_matrix_not_in_hermite_form():
+    # a matrix that is not Hankel, a Hankel one whose N_1 has half-degree 3,
+    # and one whose N_1 has a harmonic of the wrong parity; and a determinant
+    # with an odd harmonic
+    one, zero = TrigPoly([1]), TrigPoly()
+    refused = [TrigMatrix([[one, zero, zero], [zero, one, zero], [zero, zero, one]]),
+               hankel([one, TrigPoly([0, 0, 0, 1]), one]),
+               hankel([one, TrigPoly([1, 1]), one])]
+    for H in refused:
+        with pytest.raises(DimensionMismatchError):
+            psd_on_circle(H)
+        with pytest.raises(DimensionMismatchError):
+            H.det()
+    for det in (TrigPoly([1, 1]), TrigPoly([0, 1]), TrigPoly([2, 0, 1], [0, 1])):
+        with pytest.raises(DimensionMismatchError):
+            circle_roots_of(det)
 
 
 def laurent_coeffs(det: TrigPoly) -> np.ndarray:
@@ -226,14 +314,15 @@ def numpy_circle_roots(det: TrigPoly, tol: float = 1e-6) -> list[float]:
 
 
 def _cos_product(angles, sine_shift=None) -> TrigPoly:
-    """prod_j (2 cos theta - 2 cos a_j), simple zeros at +-a_j, times
-    1 + sin(theta - sine_shift) / 2 (no zero) when sine_shift is given."""
+    """prod_j (2 cos 2 theta - 2 cos 2 a_j), simple zeros at +-a_j and
+    pi +- a_j, times 1 + sin(2 theta - sine_shift) / 2 (no zero) when
+    sine_shift is given: even harmonics only, as a Hermite matrix's det."""
     out = TrigPoly([1])
     for a in angles:
-        out = tmul(out, TrigPoly([Fraction(-2 * np.cos(a)), 1]))
+        out = tmul(out, TrigPoly([Fraction(-2 * np.cos(2 * a)), 0, 1]))
     if sine_shift is not None:
         c, s = Fraction(np.cos(sine_shift)), Fraction(np.sin(sine_shift))
-        out = tmul(out, TrigPoly([1, -s / 4], [0, -c / 4]))
+        out = tmul(out, TrigPoly([1, 0, -s / 4], [0, 0, -c / 4]))
     return out
 
 
@@ -242,14 +331,16 @@ def test_circle_roots_match_numpy_reference_on_simple_roots():
 
     rng = random.Random(5)
     for trial in range(12):
-        angles = sorted(rng.uniform(0.2, 2.9) for _ in range(rng.randint(1, 4)))
+        angles = sorted(rng.uniform(0.1, 1.45) for _ in range(rng.randint(1, 4)))
         det = _cos_product(angles, rng.uniform(0, 6) if trial % 2 else None)
         roots, points = circle_roots_of(det)
         assert roots == pytest.approx(numpy_circle_roots(det), abs=1e-7)
-        assert roots == pytest.approx(sorted(angles + [2 * np.pi - a for a in angles]),
-                                      abs=1e-12)
-        # one point per arc; in W = tan^2(theta/2) an interval stands for two arcs
-        assert len(points) == (len(roots) // 2 + 1 if trial % 2 == 0 else len(roots))
+        assert roots == pytest.approx(sorted(angles + [np.pi - a for a in angles]
+                                             + [np.pi + a for a in angles]
+                                             + [2 * np.pi - a for a in angles]), abs=1e-12)
+        # one point per arc; in W = tan^2 theta an interval stands for four
+        # arcs, in T = tan theta for two
+        assert len(points) == (len(roots) // 4 + 1 if trial % 2 == 0 else len(roots) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -366,20 +457,21 @@ def test_notpsd_without_shortcut():
 
 
 def test_notpsd_decided_on_an_arc():
-    # H = diag(1, f), f = (cos theta - 1/3)^2 - 10^-8, is negative only on two
-    # arcs of width 2.1e-4 around +-arccos(1/3), which fall between the scan's
-    # angles: its least eigenvalue there is +1.26e-5.  Only Sylvester's test on
-    # the arcs between the circle roots of det H = f decides, at the rational
-    # point between two roots near W = tan^2(theta/2) = 1/2, where f is about -10^-8.
-    f = TrigPoly([Fraction(11, 18) - Fraction(1, 10**8), Fraction(-1, 3), Fraction(1, 4)])
-    H = TrigMatrix([[TrigPoly([1]), TrigPoly()], [TrigPoly(), f]])
+    # H = diag(1, f), f = 1 - 10^-8 - cos(2 (theta - theta0)), cos(2 theta0) = 3/5,
+    # is negative only on two arcs of width 1.4e-4 around theta0 and
+    # theta0 + pi, which fall between the scan's angles: its least eigenvalue
+    # there is +1.4e-5.  Only Sylvester's test on the arcs between the circle
+    # roots of det H = f decides, at the rational point between two roots near
+    # T = tan theta0 = 1/2, where f is about -10^-8.
+    f = TrigPoly([1 - Fraction(1, 10**8), 0, Fraction(-3, 10)], [0, 0, Fraction(2, 5)])
+    H = hankel([TrigPoly([1]), TrigPoly(), f])
     grid = np.linspace(0.0, 2 * np.pi, GRID_SIZE, endpoint=False)
     assert np.linalg.eigvalsh(H.eval_thetas(grid))[:, 0].min() > 1.2e-5
     verdict = psd_on_circle(H)
     assert verdict.status == CircleVerdict.NOT_PSD and not verdict.shortcut
     roots = verdict.circle_roots
     assert len(roots) == 4 and roots[0] < verdict.witness_theta < roots[1]
-    assert abs(math.cos(verdict.witness_theta) - 1 / 3) < 1e-4
+    assert abs(math.tan(verdict.witness_theta) - 1 / 2) < 1e-4
     assert verdict.min_eig == pytest.approx(-1e-8, rel=1e-6)
 
 
@@ -425,18 +517,10 @@ def test_build_sdp_rejects_sine_parts():
 
 def test_trigmatrix_det_matches_numeric_random():
     import random
-    from fractions import Fraction
 
     rng = random.Random(3)
     for _ in range(10):
-        m = rng.randint(1, 4)
-        entries = [[None] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i, m):
-                e = TrigPoly([Fraction(rng.randint(-4, 4)) for _ in range(3)],
-                             [0] + [Fraction(rng.randint(-3, 3))])
-                entries[i][j] = entries[j][i] = e
-        H = TrigMatrix(entries)
+        H = random_hankel(rng, rng.randint(1, 4), True)
         det = H.det()
         for theta in (0.2, 1.9, 3.3):
             sym = teval(det, theta)
@@ -481,6 +565,8 @@ def subset_recursion_det(H: TrigMatrix) -> TrigPoly:
 
 
 def _random_trig_matrix(rng, m, sine):
+    """A symmetric matrix of random entries of half-degree up to 3, for the
+    float evaluation, which takes any TrigMatrix."""
     from fractions import Fraction
 
     entries = [[None] * m for _ in range(m)]
@@ -502,58 +588,44 @@ def test_det_equals_subset_recursion_random(sine):
     dets = []
     for m in range(6):
         for _ in range(6):
-            H = _random_trig_matrix(rng, m, sine)
+            H = random_hankel(rng, m, sine)
             dets.append(H.det())
             assert dets[-1] == subset_recursion_det(H)
     assert any(not det.is_cosine() for det in dets) == sine
 
 
 def test_cosine_matrix_is_decided_in_w():
-    # a cosine-only H, graded (f = 1) or not (f = 2), has its image in
-    # W = tan^2(theta/f): its det equals the subset recursion exactly, and
-    # psd_on_circle the per-angle reference; a dominant constant diagonal
-    # makes a copy of each positive definite
+    # a cosine-only H in Hermite form has its image in W = tan^2 theta: its det
+    # equals the subset recursion exactly, and psd_on_circle the per-angle
+    # reference; moment matrices of positive weights are positive definite
     import random
 
     rng = random.Random(47)
     seen = set()
-    for graded in (True, False):
-        for m in range(1, 5):
-            for _ in range(3):
-                rows = [[None] * m for _ in range(m)]
-                for i in range(m):
-                    for j in range(i, m):
-                        c = [Fraction(rng.randint(-6, 6), rng.randint(1, 9))
-                             * (not graded or (k - i - j) % 2 == 0)
-                             for k in range(rng.randint(0, 3) + 1)]
-                        rows[i][j] = rows[j][i] = TrigPoly(c)
-                H = TrigMatrix(rows)
-                shift = TrigPoly([4 * m * m * 10])
-                shifted = [[tadd(e, shift) if i == j else e for j, e in enumerate(row)]
-                           for i, row in enumerate(rows)]
-                for K in (H, TrigMatrix(shifted)):
-                    assert K.is_cosine() and K._image()[4] == (True, K.is_graded())
-                    assert K.det() == subset_recursion_det(K)
-                    seen.add((K.is_graded(), matches_per_angle_scan(K)))
-    assert {(g, CircleVerdict.PD) for g in (True, False)} <= seen
-    assert {(g, CircleVerdict.NOT_PSD) for g in (True, False)} <= seen
-    assert {g for g, _ in seen} == {True, False}
+    for m in range(1, 5):
+        for K in [random_hankel(rng, m, False) for _ in range(3)] + [
+                moment_hankel(rng, m, False, positive) for positive in (True, False)]:
+            assert K.is_cosine() and K._image()[4] is True
+            assert K.det() == subset_recursion_det(K)
+            seen.add(matches_per_angle_scan(K))
+    assert {CircleVerdict.PD, CircleVerdict.NOT_PSD} <= seen
 
 
 def test_det_of_singular_matrix_is_zero():
-    from fractions import Fraction
-
-    u = [TrigPoly([1, Fraction(1, 2)]), TrigPoly([Fraction(-2, 3), 0, 1], [0, 3]),
-         TrigPoly([5])]
-    rank_one = TrigMatrix([[tmul(a, b) for b in u] for a in u])
+    # the Hankel matrix of the powers of one node has rank one; a zero row
+    g = TrigPoly([0, Fraction(1, 2)], [0, 3])
+    rank_one = hankel([tpow(g, k) for k in range(5)])
     assert rank_one.det() == subset_recursion_det(rank_one) == TrigPoly()
-    zero_row = TrigMatrix([[TrigPoly(), TrigPoly()], [TrigPoly(), TrigPoly([1, 1])]])
+    zero_row = hankel([TrigPoly(), TrigPoly(), TrigPoly([1, 0, 1])])
     assert zero_row.det() == TrigPoly()
 
 
 def test_det_of_float_congruence_is_exact():
+    # a shift and a scaling with float coefficients, read as the binary
+    # rationals they are, as ``hankel_congruence`` takes them
     for theta0 in (0.0, 1.0):
-        H0 = congruence(CUBIC_H, scaling(CUBIC_H, theta0))
+        H0 = hankel_congruence(CUBIC_H, node(Fraction(math.cos(theta0) / 3)),
+                               1 / math.sqrt(2 + theta0))
         assert binary(H0)
         assert H0.det() == subset_recursion_det(H0)
 
@@ -615,7 +687,7 @@ def test_cosine_det_matches_z_form_reference():
 
     rng = random.Random(83)
     matrices = [CUBIC_H, TV_H, DISC_H]
-    matrices += [_random_trig_matrix(rng, m, False) for m in range(6) for _ in range(4)]
+    matrices += [random_hankel(rng, m, False) for m in range(6) for _ in range(4)]
     for deg in (2, 3, 4, 5, 6):
         for _ in range(3):
             terms = {(i, j): Fraction(rng.randint(-5, 5), rng.randint(1, 6))
@@ -625,8 +697,8 @@ def test_cosine_det_matches_z_form_reference():
             matrices.append(hermite_matrix(Poly(terms)))
     for H in matrices[:3] + matrices[-6:]:
         for theta0 in (0.0, 1.0):
-            if min(np.linalg.eigvalsh(H.eval_thetas([theta0])[0])) > 0:
-                matrices.append(congruence(H, scaling(H, theta0)))
+            matrices.append(hankel_congruence(H, node(math.cos(theta0) / 3),
+                                              1 / math.sqrt(2 + theta0)))
     assert any(binary(H) for H in matrices)
     for H in matrices:
         assert H.is_cosine()
@@ -647,7 +719,7 @@ def test_cosine_det_takes_n_plus_one_points(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# sine-carrying determinants in t = tan(theta/2)
+# sine-carrying determinants in T = tan theta
 # ---------------------------------------------------------------------------
 
 CAP_H = hermite_matrix(parse_poly("x1^2*(x1^2+x2^2)-2*(x1^2+x2^2-x2)^2")
@@ -655,11 +727,10 @@ CAP_H = hermite_matrix(parse_poly("x1^2*(x1^2+x2^2)-2*(x1^2+x2^2-x2)^2")
 
 
 def test_sine_det_takes_two_n_plus_one_integer_points(monkeypatch):
-    # W CAP_H W^T, W = I + E_10, is not graded (entry (0, 1) gains the constant
-    # of entry (0, 0)), so its image is in t = tan(theta/2): column minima
-    # b = (0, 0, 2, 3) of its half-degrees and row excesses a = (0, 2, 3, 4),
-    # so n = 14 and D(t) takes 2n+1 = 29 points.  CAP_H itself is graded and
-    # takes n+1 points in T = tan theta (test_work_follows_the_symmetry)
+    # a sine-carrying H has its image in T = tan theta, where D(T) has degree
+    # up to 2n, n = m(m-1)/2 the degree bound a cosine-only H has in W: the
+    # shifted and scaled capricorn matrix, with m = 4 and 53-bit binary
+    # denominators, eliminates integer matrices at 2n+1 = 13 points
     from rigidconvex import polycore
 
     calls = []
@@ -670,11 +741,11 @@ def test_sine_det_takes_two_n_plus_one_integer_points(monkeypatch):
         calls.append(1)
         return bareiss(mat)
 
-    H = congruence(CAP_H, [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    H = hankel_congruence(CAP_H, node(math.cos(1.0), math.sin(1.0)), 1 / math.sqrt(3))
     monkeypatch.setattr(polycore, "_bareiss", counted)
-    assert not H.is_cosine() and not H.is_graded()
+    assert not H.is_cosine() and binary(H)
     assert H.det() == subset_recursion_det(H)
-    assert len(calls) == 29
+    assert len(calls) == 13
 
 
 def _general_pencil_poly(rng, m):
@@ -712,31 +783,39 @@ def test_sine_det_of_float_congruence_is_exact():
     for H in (CAP_H, hermite_matrix(_general_pencil_poly(random.Random(7), 3))):
         assert not H.is_cosine()
         for theta0 in (0.0, 1.0):
-            H0 = congruence(H, scaling(H, theta0))
+            H0 = hankel_congruence(H, node(math.cos(theta0) / 3, math.sin(theta0)),
+                                   1 / math.sqrt(2 + theta0))
             assert binary(H0) and not H0.is_cosine()
             assert H0.det() == subset_recursion_det(H0)
 
 
 def test_sine_det_vanishing_at_pi():
-    # 1 + cos(theta) is zero at theta = pi, where t is infinite and D(t)
-    # loses degree; once as a 1 x 1 block, twice through a scaled row and column
+    # p(x1, 0) = (1 - x1)^2 r(x1): the x1-axis touches the curve at x1 = 1, so
+    # det H vanishes at theta = 0 and pi, where T = tan theta = 0 is a root of
+    # D(T); odd x2-terms make H sine-carrying
     import random
 
-    g = TrigPoly([1, Fraction(1, 2)])
+    from rigidconvex.polycore import Poly
+
     rng = random.Random(29)
     for m in (2, 3, 4):
-        H = _random_trig_matrix(rng, m, True)
-        zero = TrigPoly()
-        block = TrigMatrix([[g] + [zero] * m]
-                           + [[zero] + list(row) for row in H.entries])
-        scaled = TrigMatrix([[tmul(e, tpow(g, (i == 0) + (j == 0))) for j, e in enumerate(row)]
-                             for i, row in enumerate(H.entries)])
-        for K in (block, scaled):
-            assert not K.is_cosine()
-            det = K.det()
-            assert det == subset_recursion_det(K)
-            assert not det.is_zero()
-            assert det.c[0] + 2 * sum((-1) ** k * x for k, x in enumerate(det.c) if k) == 0
+        r = [1] + [rng.randint(-3, 3) for _ in range(m - 2)]
+        axis = [0] * (m + 1)  # (1 - x1)^2 r(x1)
+        for i, c in enumerate((1, -2, 1)):
+            for j, x in enumerate(r):
+                axis[i + j] += c * x
+        terms = {(k, 0): Fraction(x) for k, x in enumerate(axis) if x}
+        terms.update({(a, b): Fraction(rng.choice([-2, -1, 1, 2]))
+                      for b in range(1, m + 1) for a in range(m + 1 - b) if rng.random() < 0.6})
+        terms[(0, 1)] = Fraction(1)
+        K = hermite_matrix(Poly(terms))
+        assert not K.is_cosine()
+        det = K.det()
+        assert det == subset_recursion_det(K)
+        assert not det.is_zero()
+        assert det.c[0] + 2 * sum((-1) ** k * x for k, x in enumerate(det.c) if k) == 0
+        roots, _ = circle_roots_of(det)
+        assert roots[0] == 0.0 and math.pi in roots
 
 
 def test_t_form_round_trip():
@@ -785,7 +864,7 @@ def test_tan_form_round_trip():
             re = [rng.randint(-10**9, 10**9) * ((k - g) % 2 == 0) for k in range(g + 1)]
             im = [rng.randint(-10**9, 10**9) * (k > 0 and (k - g) % 2 == 0) for k in range(g + 1)]
             for e in (TrigPoly(re, im), TrigPoly(re)):
-                P, den = e.int_poly(True, g)
+                P, den = e.int_poly(g)
                 assert len(P) == g + 1 and all(type(x) is int for x in P)
                 assert e.im or not any(P[1::2])
                 for T in (Fraction(0), Fraction(3, 7), Fraction(-5, 2), Fraction(1000, 3)):
@@ -825,18 +904,18 @@ def _exact_entry(e: TrigPoly, table) -> Fraction:
                                               for k, (ck, sk) in enumerate(table) if k)
 
 
-def _leading_minors_positive(rows) -> bool:
-    """Gaussian elimination without pivoting: pivot k is the ratio of the
-    leading minors of orders k + 1 and k, so all are positive exactly when
-    every pivot is."""
+def _leading_minor_sign(rows) -> int:
+    """1 when every leading minor is positive, else the sign of the first that
+    is not, by Gaussian elimination without pivoting: pivot k is the ratio of
+    the leading minors of orders k + 1 and k."""
     a = [list(r) for r in rows]
     for k in range(len(a)):
         if a[k][k] <= 0:
-            return False
+            return -1 if a[k][k] else 0
         for i in range(k + 1, len(a)):
             f = a[i][k] / a[k][k]
             a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return True
+    return 1
 
 
 def sympy_circle_reference(H: TrigMatrix):
@@ -844,11 +923,15 @@ def sympy_circle_reference(H: TrigMatrix):
     sympy builds (1+t^2)^h det H in t = tan(theta/2) from the cosine and
     sine coefficients and isolates its distinct real roots (theta =
     pi is a root when det H vanishes there), and the leading minors of H at
-    one rational point inside every arc between them decide."""
+    one rational point inside every arc between them decide.  Where det H = 0,
+    a negative leading minor at t = 0, 1/2, 3 or theta = pi still proves NotPSD."""
     sympy = pytest.importorskip("sympy")
     det = H.det()
     if det.is_zero():
-        return CircleVerdict.INCONCLUSIVE, []
+        signs = [_leading_minor_sign([[_exact_entry(e, _cos_sin_tables(t, H.d)) for e in row]
+                                      for row in H.entries])
+                 for t in (Fraction(0), Fraction(1, 2), Fraction(3), None)]
+        return CircleVerdict.NOT_PSD if -1 in signs else CircleVerdict.INCONCLUSIVE, []
     t = sympy.Symbol("t")
     h = det.half_degree
 
@@ -875,7 +958,7 @@ def sympy_circle_reference(H: TrigMatrix):
         points.append(Fraction(0))
     for pt in points:
         table = _cos_sin_tables(pt, H.d)
-        if not _leading_minors_positive([[_exact_entry(e, table) for e in row] for row in H.entries]):
+        if _leading_minor_sign([[_exact_entry(e, table) for e in row] for row in H.entries]) < 1:
             return CircleVerdict.NOT_PSD, None
     roots = sorted([2 * np.arctan(float((a + b) / 2)) % (2 * np.pi) for a, b in ivs] + [np.pi] * at_pi)
     return (CircleVerdict.MARGINAL if roots else CircleVerdict.PD), roots
@@ -967,15 +1050,34 @@ def matches_per_angle_scan(H: TrigMatrix) -> str:
     return status
 
 
+def _hankel_test_matrices():
+    """Hankel matrices in Hermite form, m = 1 .. 4, cosine and sine-carrying:
+    random ones, moment matrices of positive and of mixed weights; and the
+    fixtures' Hermite matrices."""
+    import random
+
+    rng = random.Random(53)
+    out = []
+    for sine in (False, True):
+        for m in range(1, 5):
+            out += [random_hankel(rng, m, sine)]
+            out += [moment_hankel(rng, m, sine, positive) for positive in (True, False)]
+    return out + [CUBIC_H, TV_H, DISC_H]
+
+
 def test_psd_on_circle_matches_per_angle_scan():
     # tangencies: a strip, two ellipses, and a sine-carrying marginal matrix
     tangent = [hermite_matrix(parse_poly(p)) for p in (
         "1-x1^2", ELLIPSES, "(1-x1^2-x1*x2-2*x2^2)*(1-3*x1^2+x1*x2-1/2*x2^2)")]
-    # (2 - sin theta)(1 + cos theta)^2: a double root at theta = pi only
-    pi_zero = tmul(TrigPoly([2], [0, Fraction(1, 2)]), tpow(TrigPoly([1, Fraction(1, 2)]), 2))
-    seen = {matches_per_angle_scan(H)
-            for H in _eval_test_matrices() + tangent + [CAP_H, TrigMatrix([[pi_zero]])]}
+    # the moment matrix of the nodes sin theta +- cos theta, det 4 cos^2 theta:
+    # a double root at theta = pi/2 only, where T = tan theta is infinite
+    a, b = node(1, 1), node(-1, 1)
+    half_pi_zero = hankel([TrigPoly([2]), tadd(a, b), tadd(tmul(a, a), tmul(b, b))])
+    matrices = _hankel_test_matrices() + tangent + [CAP_H, half_pi_zero]
+    assert {H.m for H in matrices} >= {1, 2, 3, 4} and any(not H.is_cosine() for H in matrices)
+    seen = {matches_per_angle_scan(H) for H in matrices}
     assert seen >= {CircleVerdict.PD, CircleVerdict.NOT_PSD, CircleVerdict.MARGINAL}
+    assert matches_per_angle_scan(half_pi_zero) == CircleVerdict.MARGINAL
 
 
 @pytest.mark.parametrize("degree", [8, 10, 12, 16, 20])
@@ -1006,10 +1108,8 @@ def test_degree_runtime(degree):
 def test_shortcut_witness_carries_violation():
     # zero diagonal with an off-diagonal entry that vanishes at theta = 0:
     # the witness must still come with min_eig < -tol
-    zero = TrigPoly()
-    e = TrigPoly([-2, 0, 1])  # 2cos(2 theta) - 2, zero at theta = 0
-    one = TrigPoly([1])
-    H = TrigMatrix([[zero, e], [e, one]])
+    e = node(0, 1)  # sin theta, zero at theta = 0
+    H = hankel([TrigPoly(), e, TrigPoly([1])])
     verdict = psd_on_circle(H)
     assert verdict.status == CircleVerdict.NOT_PSD
     assert verdict.shortcut

@@ -70,8 +70,7 @@ def test_power_sum_decision_matches_psd_on_circle_on_workload_inputs(monkeypatch
         got = hermite_psd(p)
         statuses.add(want.status)
         image, eval_thetas = hermite_image(p)
-        in_w = image[4][0]
-        forms.add(in_w)
+        forms.add(image[4])
         if not exact_path:
             firsts += 1
             if not _first_pass_proof(image, eval_thetas, got):
@@ -106,7 +105,7 @@ def _first_pass_proof(image, eval_thetas, verdict) -> bool:
     point next to the witness or a quarter grid step on, or (a shortcut) a
     zero diagonal entry H_ii beside a nonzero H_ij, whose 2 x 2 principal
     minor is -H_ij^2 < 0 somewhere."""
-    (plan, polys, *_, (even, graded)) = image
+    plan, polys, *_, even = image
     if verdict.shortcut:
         zero = [[not any(polys[k]) for _, k in row] for row in plan]
         if not any(zero[i][i] and not all(row) for i, row in enumerate(zero)):
@@ -115,7 +114,7 @@ def _first_pass_proof(image, eval_thetas, verdict) -> bool:
     eigs = np.linalg.eigvalsh(eval_thetas(thetas))[:, 0]
     k = int(np.argmin(eigs))
     sign = _image_sign(image)
-    near = [Fraction(math.tan(th / (2 - graded)) ** (1 + even)).limit_denominator(2**20)
+    near = [Fraction(math.tan(th) ** (1 + even)).limit_denominator(2**20)
             for th in (thetas[k], thetas[k] + np.pi / (2 * GRID_SIZE))]
     return (verdict.status == CircleVerdict.NOT_PSD
             and (verdict.min_eig, verdict.witness_theta) == (eigs[k], thetas[k])
@@ -140,7 +139,7 @@ def test_w_form_keeps_the_formal_degree():
         case = next(c for c in workloads.build("hermite-ladder", seed, ROOT) if c.cid == cid)
         p = parse_poly(case.argv[1].removeprefix("--poly="))
         (plan, polys, n, _, key), _ = hermite_image(p)
-        assert key == (True, True) and n == 6
+        assert key is True and n == 6
         verdict = hermite_psd(p)
         assert (verdict.status, verdict.circle_roots) == (CircleVerdict.PD, ())
         assert psd_on_circle(hermite_matrix(p)).status == CircleVerdict.PD
@@ -153,7 +152,7 @@ def test_both_routes_agree_in_w_at_degree_sixteen():
     poly, _ = workloads.even_pencil(random.Random("deg/16"), 16)
     p = parse_poly(workloads.exact.to_expr(poly))
     H = hermite_matrix(p)
-    assert hermite_image(p)[0][4] == H._image()[4] == (True, True)
+    assert hermite_image(p)[0][4] is H._image()[4] is True
     started = time.perf_counter()
     want = psd_on_circle(H)
     assert time.perf_counter() - started < 30.0

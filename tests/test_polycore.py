@@ -356,7 +356,7 @@ def test_trig_zero():
         assert _fields(z) == ([0], [], 1)
         assert z.is_zero() and not z and z == 0 and z == TrigPoly()
         assert z.c == () and z.s == () and z.half_degree == 0 and z.is_cosine()
-        assert z.int_poly(True) == ([0], 1) and z.int_poly(False) == ([0], 1)
+        assert z.int_poly() == ([0], 1) and z.int_poly(3) == ([0] * 4, 1)
         assert teval(z, 0.3) == 0.0 and str(z) == "0"
 
 
@@ -368,21 +368,27 @@ def test_trig_eval_sine_part():
 
 
 def test_cosine_t_form_is_even():
-    # c[0] + sum c[k](z^k + z^-k) in T = tan(theta/f): (1+T^2)^h e at f = 2,
-    # cos^-h(theta) e at f = 1 (harmonics of h's parity only), even in T
-    # either way, so W = T^2 keeps its even-index coefficients
+    # c[0] + sum c[k](z^k + z^-k) with harmonics of h's parity only is
+    # cos^h(theta) P(T), T = tan theta, P even in T, so W = T^2 keeps its
+    # even-index coefficients; a harmonic of the other parity, or a
+    # half-degree above h, is refused
     rng = random.Random(13)
     for _ in range(100):
         c = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(1, 12))]
         h = len(c) - 1
-        graded = [x * ((k - h) % 2 == 0) for k, x in enumerate(c)]
-        for e, f in ((TrigPoly(c), 2), (TrigPoly(graded), 1)):
-            P, den = e.int_poly(f == 1, h)
-            assert den == 1 and len(P) == f * h + 1 and not any(P[1::2])
-            for theta in (0.3, 2.0):
-                lhs = sum(x * np.tan(theta / f) ** k for k, x in enumerate(P))
-                rhs = teval(e, theta) / np.cos(theta / f) ** (f * h)
-                assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs), sum(map(abs, P)))
+        e = TrigPoly([x * ((k - h) % 2 == 0) for k, x in enumerate(c)])
+        P, den = e.int_poly(h)
+        assert den == 1 and len(P) == h + 1 and not any(P[1::2])
+        for theta in (0.3, 2.0):
+            lhs = sum(x * np.tan(theta) ** k for k, x in enumerate(P))
+            rhs = teval(e, theta) / np.cos(theta) ** h
+            assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs), sum(map(abs, P)))
+        if any(c[(h + 1) % 2::2]):
+            with pytest.raises(DimensionMismatchError):
+                TrigPoly(c).int_poly(h)
+        if e.half_degree:
+            with pytest.raises(DimensionMismatchError):
+                e.int_poly(e.half_degree - 1)
 
 
 def test_coeff_checks_arity():
