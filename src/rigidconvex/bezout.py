@@ -10,44 +10,48 @@ q1 - x1 q0 = q2 - x2 q0 = 0 gives the symmetric pencil
 
 whose determinant is proportional to the implicit equation p(x).  Positive
 semidefiniteness of F(0) = B(q1, q2) decides rigid convexity around the
-origin.  Every decision here is exact: det F comes from the integer lattice
-of ``interpolate_det`` and the characteristic polynomials behind
-``signature_exact`` from the univariate loop ``polycore._interpolate_minors``,
-both reading float entries as the binary rationals they are.  Float
-eigenvalues are reported only as diagnostics.
+origin.  The pencil is built on integers: q0, q1, q2 times one common
+denominator d, so d^2 F is integral and det F is scaled by d^(2m); its
+Fractions are views, its floats made once per pencil (``Pencil.floats``).
+Every decision is exact: det F comes from the integer lattice of
+``interpolate_det`` and the inertia of F(0) from the characteristic
+polynomial of ``signature_exact``.  Float eigenvalues are diagnostics only.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DegreeZeroError, DeterminantMismatchError, DimensionMismatchError
-from .polycore import Pencil, Poly, UniPoly, _add_ints, _bareiss, _clear_rows, \
+from .polycore import Pencil, Poly, UniPoly, _add_ints, _bareiss, _cleared, \
     _divided_differences, _interpolate_minors, _newton_to_monomial, _variations
 
 
+def _bezout_ints(g: list, h: list, m: int) -> list:
+    """Integer m x m Bezout matrix of coefficient lists of length m + 1: as
+    (u^i v^j - u^j v^i)/(u - v) = sum of u^(j+s) v^(i-1-s), s < i - j, entry
+    (r, c) sums g_i h_j - g_j h_i over i + j = r + c + 1, j <= min(r, c)."""
+    B = [[0] * m for _ in range(m)]
+    for r in range(m):
+        for c in range(r, m):
+            k = r + c + 1
+            B[r][c] = B[c][r] = sum([g[k - j] * h[j] - g[j] * h[k - j]
+                                     for j in range(max(0, k - m), r + 1)])
+    return B
+
+
 def bezout_matrix(g: UniPoly, h: UniPoly, m: int | None = None) -> list:
-    """Exact m x m Bezout matrix of g and h (shorter input zero-padded)."""
-    if m is None:
-        m = max(g.degree, h.degree)
+    """Exact m x m Bezout matrix of g and h (shorter input zero-padded), as
+    Fractions: B(d g, d h) / d^2 for one common denominator d."""
+    m = max(g.degree, h.degree) if m is None else m
     if m < 1:
         raise DegreeZeroError("Bezout matrix needs degree >= 1")
-    gc = [g[k] for k in range(m + 1)]
-    hc = [h[k] for k in range(m + 1)]
-    B = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m + 1):
-        for j in range(i):
-            w = gc[i] * hc[j] - gc[j] * hc[i]
-            if w == 0:
-                continue
-            # (u^i v^j - u^j v^i)/(u-v) = sum_s u^{j+s} v^{i-1-s}
-            for s in range(i - j):
-                B[j + s][i - 1 - s] += w
-    return B
+    (gi, hi), d = _cleared([[q[k] for k in range(m + 1)] for q in (g, h)])
+    return [[Fraction(v, d * d) for v in row] for row in _bezout_ints(gi, hi, m)]
 
 
 @dataclass(frozen=True)
@@ -70,19 +74,18 @@ class Parametrization:
 
 
 def pencil_from_param(par: Parametrization) -> Pencil:
-    """Symmetric pencil F(x) with det F proportional to the implicit curve.
-
-    The overall sign is normalised so that the minimum eigenvalue of F(0)
-    is as large as possible (ties keep +1).
-    """
+    """Symmetric pencil F(x) with det F proportional to the implicit curve:
+    d^2 F = B(Q1, Q2) + x1 B(Q2, Q0) + x2 B(Q0, Q1), Q_k = d q_k integral for
+    the lcm d of the denominators, is its ``cleared`` form.  The overall sign
+    makes the minimum eigenvalue of float F(0) as large as possible (ties +1)."""
     m = par.m
-    F0 = bezout_matrix(par.q1, par.q2, m)
-    F1 = bezout_matrix(par.q2, par.q0, m)
-    F2 = [[-x for x in row] for row in bezout_matrix(par.q1, par.q0, m)]
-    eigs = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in F0]))
-    sign = 1 if eigs.min() >= -eigs.max() else -1
-    pencil = Pencil.from_rows(F0, F1, F2)
-    return pencil.scaled(sign) if sign < 0 else pencil
+    (q0, q1, q2), d = _cleared([[q[k] for k in range(m + 1)] for q in (par.q0, par.q1, par.q2)])
+    # F2 = -B(q1, q0) = B(q0, q1)
+    ints = [_bezout_ints(q1, q2, m), _bezout_ints(q2, q0, m), _bezout_ints(q0, q1, m)]
+    eigs = np.linalg.eigvalsh(np.array([[v / d**2 for v in row] for row in ints[0]]))
+    if eigs.min() < -eigs.max():
+        ints = [[[-v for v in row] for row in G] for G in ints]
+    return Pencil.from_ints(ints, d * d)
 
 
 # ---------------------------------------------------------------------------
@@ -91,16 +94,13 @@ def pencil_from_param(par: Parametrization) -> Pencil:
 
 def signature_exact(rows) -> tuple[int, int, int]:
     """(n_pos, n_neg, n_zero) of a symmetric matrix A with rational or float
-    entries, floats read as the binary rationals they are.  With its rows
-    cleared by D = diag(d_i), det(tD - DA) = det D det(tI - A) is the
-    characteristic polynomial times det D > 0, taken by
-    ``_interpolate_minors`` at t = 0 .. n; it has only real roots, so
-    Descartes' rule counts the positive ones exactly as the sign changes of
-    its coefficients."""
+    entries, floats read as the binary rationals they are.  Cleared by one
+    D > 0, det(tD - DA) = D^n det(tI - A) is taken by ``_interpolate_minors``
+    at t = 0 .. n; it has only real roots, so Descartes' rule counts the
+    positive ones exactly as the sign changes of its coefficients."""
     n = len(rows)
-    mat, dens = _clear_rows(rows)
-    polys = [[-x, d * (i == j)] for i, (row, d) in enumerate(zip(mat, dens))
-             for j, x in enumerate(row)]
+    mat, den = _cleared(rows)
+    polys = [[-x, den * (i == j)] for i, row in enumerate(mat) for j, x in enumerate(row)]
     plan = [[(1, i * n + j) for j in range(n)] for i in range(n)]
     char = _interpolate_minors(plan, polys, 0, n + 1)[0]
     pos = _variations(char)
@@ -112,29 +112,36 @@ def signature_exact(rows) -> tuple[int, int, int]:
 # determinant verification
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _lattice(m: int, nvars: int) -> tuple:
+    """The principal lattice {x in N^n : |x| <= m} in product order; (x, k,
+    x - e_k) for each x past the origin, k its last nonzero axis; the lines
+    along each axis, the axes in order."""
+    monos = [e for e in itertools.product(range(m + 1), repeat=nvars) if sum(e) <= m]
+    steps = [(x, k + 1, x[:k] + (x[k] - 1,) + x[k + 1:])
+             for x in monos[1:] for k in [max(a for a, e in enumerate(x) if e)]]
+    return monos, steps, [[s[:a] + (k,) + s[a + 1:] for k in range(m + 1 - sum(s))]
+                          for a in range(nvars) for s in monos if s[a] == 0]
+
+
 def interpolate_det(pencil: Pencil) -> Poly:
     """det F(x) as an exact polynomial (total degree <= m) by Newton
-    interpolation on the principal lattice {x in N^n : |x| <= m}; float
-    entries count as the binary rationals they are.  F is cleared by one lcm
-    D, and det(D F) is evaluated at every lattice point with integer
-    multiply-adds and Bareiss.  Divided differences along each axis give its
-    coefficients in the falling-factorial basis, the one of index a using only
-    the points <= a; converting back along each axis gives its integer
-    monomial coefficients, divided by D^m."""
+    interpolation on the principal lattice {x in N^n : |x| <= m}: det G(x) of
+    the ``cleared`` G = D F by Bareiss at each point, G(x) = G(x - e_k) + G_k.
+    Divided differences along each axis give its coefficients in the
+    falling-factorial basis, the one of index a using only the points <= a;
+    converting back along each axis gives its integer monomial coefficients,
+    divided by D^m."""
     m, nvars = pencil.m, pencil.nvars
-    mats = [[[x.as_integer_ratio() for x in row] for row in mat] for mat in pencil.mats]
-    den = math.lcm(*[d for mat in mats for row in mat for _, d in row])
-    ints = [[[n * (den // d) for n, d in row] for row in mat] for mat in mats]
-    monos = [e for e in itertools.product(range(m + 1), repeat=nvars) if sum(e) <= m]
-    vals = {mono: _bareiss([[sum([e * G[i][j] for e, G in zip((1,) + mono, ints)])
-                             for j in range(m)] for i in range(m)]) for mono in monos}
+    ints, den = pencil.cleared
+    monos, steps, lines = _lattice(m, nvars)
+    mats = {monos[0]: ints[0]}
+    for x, k, prev in steps:
+        mats[x] = [[a + b for a, b in zip(row, grow)] for row, grow in zip(mats[prev], ints[k])]
+    vals = {x: _bareiss([row[:] for row in mat]) for x, mat in mats.items()}
     for convert in (_divided_differences, _newton_to_monomial):
-        for axis in range(nvars):
-            for start in monos:
-                if start[axis] == 0:  # each lattice line along the axis once
-                    line = [start[:axis] + (k,) + start[axis + 1:]
-                            for k in range(m + 1 - sum(start))]
-                    vals.update(zip(line, convert([vals[pt] for pt in line])))
+        for line in lines:
+            vals.update(zip(line, convert([vals[pt] for pt in line])))
     return Poly._make({mono: vals[mono] for mono in monos if vals[mono]}, den**m, nvars)
 
 
@@ -150,8 +157,7 @@ def verify_pencil_det(pencil: Pencil, p: Poly):
     if p.nvars != pencil.nvars:
         raise DimensionMismatchError("pencil and polynomial arity differ")
     if p.degree > pencil.m:
-        raise DimensionMismatchError(
-            f"deg p = {p.degree} exceeds pencil size {pencil.m}")
+        raise DimensionMismatchError(f"deg p = {p.degree} exceeds pencil size {pencil.m}")
     anchor = max(p.ints, key=lambda e: abs(p.ints[e]))
     det = interpolate_det(pencil)
     # with det = D / dd and p = P / dp, c = D_a dp / (dd P_a) and det - c p is
@@ -187,12 +193,8 @@ class RigidVerdict:
 
 
 def rigid_at_origin(pencil: Pencil) -> RigidVerdict:
-    """Classify F(0) = F0 by its exact inertia: PD, PSD-with-kernel, or not
-    PSD."""
-    _pos, neg, zero = signature_exact(pencil.mats[0])
-    if neg:
-        status = RigidVerdict.NO
-    else:
-        status = RigidVerdict.MARGINAL if zero else RigidVerdict.STRICT
-    eigs = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in pencil.mats[0]]))
+    """Classify F(0) = F0 by its exact inertia: PD, PSD-with-kernel, or not PSD."""
+    _pos, neg, zero = signature_exact(pencil.cleared[0][0])  # D F0, D > 0
+    status = RigidVerdict.NO if neg else RigidVerdict.MARGINAL if zero else RigidVerdict.STRICT
+    eigs = np.linalg.eigvalsh(pencil.floats[0])
     return RigidVerdict(status, tuple(float(e) for e in eigs))

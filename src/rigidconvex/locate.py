@@ -239,11 +239,9 @@ def _solve_system(f: Poly, g: Poly, real: bool = True) -> list[tuple]:
 
 
 def _dedupe_sorted(points: list[CandidatePoint]) -> list[CandidatePoint]:
-    points = sorted(points, key=lambda c: (c.x[1], c.x[0], c.source))
     out: list[CandidatePoint] = []
-    for cand in points:
-        if not any(abs(cand.x[0] - kept.x[0]) <= MERGE_TOL * (1 + abs(cand.x[0]))
-                   and abs(cand.x[1] - kept.x[1]) <= MERGE_TOL * (1 + abs(cand.x[1]))
+    for cand in sorted(points, key=lambda c: (c.x[1], c.x[0], c.source)):
+        if not any(all(abs(u - v) <= MERGE_TOL * (1 + abs(u)) for u, v in zip(cand.x, kept.x))
                    for kept in out):
             out.append(cand)
     return out
@@ -290,15 +288,10 @@ def certify_psd_point(pencil: Pencil, x, source: str = "query") -> CandidatePoin
     mat = pencil.eval(*x)
     eigs = np.linalg.eigvalsh(mat)
     scale = max(1.0, float(np.abs(eigs).max()))
-    # coefficients of prod (t + lambda_i), for the normalised eigenvalues
-    # p_0 .. p_{m-1} first
+    # coefficients p_0 .. p_{m-1} of prod (t + lambda_i), normalised eigenvalues
     normalised = np.poly(-eigs / scale)[1:][::-1]
-    if np.all(normalised > CERT_TOL):
-        verdict = "PD"
-    elif np.all(normalised >= -CERT_TOL):
-        verdict = "PSD"
-    else:
-        verdict = "rejected"
+    verdict = ("PD" if np.all(normalised > CERT_TOL) else
+               "PSD" if np.all(normalised >= -CERT_TOL) else "rejected")
     # unscaled certificate entries, constant term first
     cert = tuple(float(c) for c in np.poly(-eigs)[1:][::-1])
     return CandidatePoint((float(x[0]), float(x[1])), source, cert, verdict,

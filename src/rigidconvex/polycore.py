@@ -794,30 +794,26 @@ def _bareiss(mat, swap: bool = True) -> int:
     return mat[n - 1][n - 1]
 
 
-def _clear_rows(rows):
-    """(mat, dens): each row of rationals (floats read as the binary rationals
-    they are) times the lcm of its denominators, as integers, and those lcms."""
-    mat, dens = [], []
-    for row in rows:
-        ratios = [x.as_integer_ratio() for x in row]
-        den = math.lcm(*[d for _, d in ratios])
-        mat.append([n * (den // d) for n, d in ratios])
-        dens.append(den)
-    return mat, dens
+def _cleared(rows) -> tuple[list, int]:
+    """(mat, D): rows of rationals (floats read as the binary rationals they
+    are) times the lcm D of all their denominators, as integers."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    den = math.lcm(*[d for row in ratios for _, d in row])
+    return [[n * (den // d) for n, d in row] for row in ratios], den
 
 
 def det_exact(rows) -> Fraction:
-    """Determinant of a square rational matrix: rows cleared to integers, one
-    Bareiss elimination, then division by the clearing factors."""
-    mat, dens = _clear_rows(rows)
-    return Fraction(_bareiss(mat), math.prod(dens))
+    """Determinant of a square rational matrix: cleared by one D, one Bareiss
+    elimination of the integer D A, then division by D^n."""
+    mat, den = _cleared(rows)
+    return Fraction(_bareiss(mat), den ** len(mat))
 
 
 def solve_exact(rows, rhs) -> list:
     """Solve A x = b exactly; A must be square nonsingular over the rationals.
     Bareiss elimination of the cleared augmented matrix, then back substitution
     for y = det * x, which Cramer's rule makes integral."""
-    mat, _ = _clear_rows([list(r) + [b] for r, b in zip(rows, rhs)])
+    mat, _ = _cleared([list(r) + [b] for r, b in zip(rows, rhs)])
     n = len(mat)
     det = _bareiss(mat)
     if det == 0:
@@ -1206,24 +1202,14 @@ class TrigMatrix:
 # ---------------------------------------------------------------------------
 
 def _as_matrix(rows, m: int):
-    out = []
-    for row in rows:
-        if len(row) != m:
-            raise DimensionMismatchError("pencil matrix is not square")
-        out.append(tuple(to_exact(x) for x in row))
-    if len(out) != m:
+    out = tuple(tuple(to_exact(x) for x in row) for row in rows)
+    if len(out) != m or any(len(row) != m for row in out):
         raise DimensionMismatchError("pencil matrix is not square")
-    for i in range(m):
-        for j in range(i):
-            if not _num_eq(out[i][j], out[j][i]):
-                raise DimensionMismatchError(f"pencil matrix not symmetric at ({i},{j})")
-    return tuple(out)
-
-
-def _num_eq(a, b) -> bool:
-    if isinstance(a, float) or isinstance(b, float):
-        return float(a) == float(b)
-    return a == b
+    for i, j in ((i, j) for i in range(m) for j in range(i)):
+        a, b = out[i][j], out[j][i]
+        if float(a) != float(b) if isinstance(a, float) or isinstance(b, float) else a != b:
+            raise DimensionMismatchError(f"pencil matrix not symmetric at ({i},{j})")
+    return out
 
 
 @dataclass(frozen=True)
@@ -1232,8 +1218,8 @@ class Pencil:
 
     ``mats`` is (F0, ..., Fn), so the pencil has n = len(mats) - 1 variables.
     ``c`` optionally records the proportionality det F(x) = c * p(x) once a
-    determinant check has been run.
-    """
+    determinant check has been run.  ``cleared`` and ``floats``, the integer
+    and float forms of ``mats``, are each made once, on first use."""
 
     m: int
     mats: tuple
@@ -1243,6 +1229,28 @@ class Pencil:
     def from_rows(cls, *mats, c=None) -> "Pencil":
         m = len(mats[0])
         return cls(m, tuple(_as_matrix(F, m) for F in mats), c)
+
+    @classmethod
+    def from_ints(cls, ints, den: int) -> "Pencil":
+        """(G0 / den, ..., Gn / den), G_k symmetric integer, as ``cleared``."""
+        frac = {v: Fraction(v, den) for G in ints for row in G for v in row}
+        pencil = cls(len(ints[0]), tuple(tuple(tuple(frac[v] for v in row) for row in G)
+                                         for G in ints))
+        pencil.__dict__["cleared"] = (tuple(ints), den)
+        return pencil
+
+    @functools.cached_property
+    def cleared(self) -> tuple[tuple, int]:
+        """(G, D): integer matrices G_k = D F_k over a common denominator D."""
+        rows, den = _cleared([row for mat in self.mats for row in mat])
+        return tuple(rows[k * self.m:(k + 1) * self.m] for k in range(len(self.mats))), den
+
+    @functools.cached_property
+    def floats(self) -> np.ndarray:
+        """Read-only stack of F0, ..., Fn as floats, entry by entry float(x)."""
+        out = np.array([[[float(v) for v in row] for row in mat] for mat in self.mats])
+        out.flags.writeable = False
+        return out
 
     @property
     def nvars(self) -> int:
@@ -1261,11 +1269,10 @@ class Pencil:
     def eval(self, *x: Scalar) -> np.ndarray:
         """Float matrix F(x)."""
         if len(x) != self.nvars:
-            raise DimensionMismatchError(
-                f"expected {self.nvars} coordinates, got {len(x)}")
-        out = np.array([[float(v) for v in row] for row in self.mats[0]])
-        for xi, mat in zip(x, self.mats[1:]):
-            out += float(xi) * np.array([[float(v) for v in row] for row in mat])
+            raise DimensionMismatchError(f"expected {self.nvars} coordinates, got {len(x)}")
+        out = self.floats[0].copy()
+        for xi, mat in zip(x, self.floats[1:]):
+            out += float(xi) * mat
         return out
 
     # -- JSON ------------------------------------------------------------------
@@ -1279,11 +1286,9 @@ class Pencil:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Pencil":
-        def dec(rows):
-            return [[parse_scalar(x) for x in row] for row in rows]
         # F0, F1 and F2 are required, F3 (a third variable) is optional
         keys = ("F0", "F1", "F2", "F3") if "F3" in data else ("F0", "F1", "F2")
-        mats = [dec(data[k]) for k in keys]
+        mats = [[[parse_scalar(x) for x in row] for row in data[k]] for k in keys]
         if data.get("m", len(mats[0])) != len(mats[0]):
             raise DimensionMismatchError(f"pencil declares m = {data['m']}, F0 is "
                                          f"{len(mats[0])}x{len(mats[0])}")

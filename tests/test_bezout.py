@@ -195,6 +195,84 @@ def test_pencil_rank_drops_on_curve():
             assert abs(det) <= 1e-7 * scale
 
 
+def reference_bezout(g: UniPoly, h: UniPoly, m: int) -> list:
+    """The Fraction Bezout matrix bezout_matrix built before the integer
+    kernel: each g_i h_j - g_j h_i added along its anti-diagonal."""
+    gc = [g[k] for k in range(m + 1)]
+    hc = [h[k] for k in range(m + 1)]
+    B = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m + 1):
+        for j in range(i):
+            w = gc[i] * hc[j] - gc[j] * hc[i]
+            for s in range(i - j):
+                B[j + s][i - 1 - s] += w
+    return B
+
+
+def reference_pencil(par: Parametrization) -> Pencil:
+    """pencil_from_param before the integer kernel: Fraction Bezout
+    matrices, the float sign rule on F0, then ``Pencil.scaled``."""
+    m = par.m
+    F0 = reference_bezout(par.q1, par.q2, m)
+    F1 = reference_bezout(par.q2, par.q0, m)
+    F2 = [[-x for x in row] for row in reference_bezout(par.q1, par.q0, m)]
+    eigs = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in F0]))
+    pencil = Pencil.from_rows(F0, F1, F2)
+    return pencil if eigs.min() >= -eigs.max() else pencil.scaled(-1)
+
+
+def _random_rational_unipoly(rng, degree):
+    """Degree exactly ``degree`` (the zero polynomial for -1), mixed denominators."""
+    if degree < 0:
+        return UniPoly()
+    coeffs = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 7, 10]))
+              for _ in range(degree)]
+    return UniPoly(coeffs + [Fraction(rng.choice([-5, -2, -1, 1, 3, 8]), rng.choice([1, 3, 4]))])
+
+
+def _random_parametrizations(rng, count):
+    """Mixed degrees, so the lower ones are zero-padded, and now and then a
+    zero q; one q always has the top degree m."""
+    out = []
+    for _ in range(count):
+        m = rng.randint(1, 5)
+        degrees = [rng.choice([-1, *range(m + 1)]) for _ in range(3)]
+        degrees[rng.randrange(3)] = m
+        out.append(Parametrization(*[_random_rational_unipoly(rng, d) for d in degrees]))
+    return out
+
+
+def test_bezout_matrix_matches_fraction_reference():
+    rng = random.Random(211)
+    for _ in range(300):
+        m = rng.randint(1, 6)
+        g = _random_rational_unipoly(rng, rng.randint(-1, m))
+        h = _random_rational_unipoly(rng, rng.randint(-1, m))
+        pad = rng.randint(0, 2)  # m past both degrees: zero padding
+        B = bezout_matrix(g, h, m + pad)
+        assert B == reference_bezout(g, h, m + pad)
+        assert type(B) is list and all(type(row) is list for row in B)
+        assert all(type(x) is Fraction for row in B for x in row)
+
+
+def test_pencil_from_param_matches_fraction_reference():
+    """Same matrices, entry types, sign and cleared form as the Fraction
+    pencil; both signs of the normalisation occur."""
+    rng = random.Random(223)
+    kept = [0, 0]  # pencils with F0 = -B(q1, q2), with F0 = B(q1, q2)
+    for par in _random_parametrizations(rng, 300) + [CAPRICORN, BEAN, CIRCLE]:
+        pencil, ref = pencil_from_param(par), reference_pencil(par)
+        assert pencil == ref and hash(pencil) == hash(ref)
+        assert all(type(x) is Fraction for mat in pencil.mats for row in mat for x in row)
+        ints, den = pencil.cleared
+        assert [[[Fraction(v, den) for v in row] for row in G] for G in ints] == \
+            [[list(row) for row in mat] for mat in pencil.mats]
+        unscaled = reference_bezout(par.q1, par.q2, par.m)
+        if any(map(any, unscaled)):
+            kept[[list(row) for row in pencil.mats[0]] == unscaled] += 1
+    assert min(kept) > 30
+
+
 # ---------------------------------------------------------------------------
 # interlacing: the exact inertia of B(q1, q2)
 # ---------------------------------------------------------------------------
@@ -606,6 +684,57 @@ def test_interpolate_det_reads_floats_as_binary_rationals():
             list(interpolate_det(rationals).coeffs.items())
 
 
+def reference_lattice_det(pencil: Pencil) -> Poly:
+    """interpolate_det before the pencil's cleared form: every entry read
+    through as_integer_ratio and one lcm, each lattice point's matrix summed
+    entry by entry."""
+    from rigidconvex.polycore import _bareiss, _divided_differences, _newton_to_monomial
+
+    m, nvars = pencil.m, pencil.nvars
+    mats = [[[x.as_integer_ratio() for x in row] for row in mat] for mat in pencil.mats]
+    den = math.lcm(*[d for mat in mats for row in mat for _, d in row])
+    ints = [[[n * (den // d) for n, d in row] for row in mat] for mat in mats]
+    monos = [e for e in itertools.product(range(m + 1), repeat=nvars) if sum(e) <= m]
+    vals = {mono: _bareiss([[sum([e * G[i][j] for e, G in zip((1,) + mono, ints)])
+                             for j in range(m)] for i in range(m)]) for mono in monos}
+    for convert in (_divided_differences, _newton_to_monomial):
+        for axis in range(nvars):
+            for start in monos:
+                if start[axis] == 0:
+                    line = [start[:axis] + (k,) + start[axis + 1:]
+                            for k in range(m + 1 - sum(start))]
+                    vals.update(zip(line, convert([vals[pt] for pt in line])))
+    return Poly._make({mono: vals[mono] for mono in monos if vals[mono]}, den**m, nvars)
+
+
+def test_interpolate_det_unchanged_on_cubic_repr_floats_and_cayley():
+    """The float pencils cubic-repr emits at irrational t* (float t*, float
+    entries) and the three-variable cayley-cubic fixture."""
+    from fixture_data import load_fixture
+    from rigidconvex.cubicrepr import cubic_representations
+
+    pencils = [Pencil.from_json_dict(load_fixture("cayley-cubic")["pencil"])]
+    for text in ("x1^3-x2^2-x1+1/5", "x1^3+x1*x2^2-x2^2-1/2*x1+1/7", "x1^3-x2^2-x1"):
+        pencils += [rep.pencil for rep in cubic_representations(parse_poly(text))]
+    irrational = [P for P in pencils if not P.is_exact()]
+    assert len(irrational) >= 5 and pencils[0].nvars == 3
+    for pencil in pencils:
+        det, ref = interpolate_det(pencil), reference_lattice_det(pencil)
+        assert (det.ints, det.den) == (ref.ints, ref.den)
+        assert list(det.ints) == list(ref.ints)
+
+
+def test_interpolate_det_over_d_squared_equals_reference():
+    """pencil_from_param's cleared form has denominator d^2, not the lcm of
+    the entries' denominators; the determinant is the same in lowest terms."""
+    rng = random.Random(227)
+    for par in _random_parametrizations(rng, 60):
+        pencil = pencil_from_param(par)
+        det, ref = interpolate_det(pencil), reference_lattice_det(reference_pencil(par))
+        assert (det.ints, det.den) == (ref.ints, ref.den)
+        assert list(det.ints) == list(ref.ints)
+
+
 def test_verify_float_pencil_path():
     mu = 0.5
     F = Pencil.from_rows(
@@ -697,6 +826,24 @@ def test_rigid_at_origin_tiny_positive_eigenvalue_is_strict():
     assert verdict.status == RigidVerdict.STRICT
     assert sorted(verdict.eigenvalues) == pytest.approx([1e-12, 1.0], rel=1e-12)
     assert reference_rigid_at_origin(pencil) == RigidVerdict.MARGINAL
+
+
+def test_rigid_at_origin_unchanged_on_cleared_f0():
+    """The inertia of the integer D F0 and the eigenvalues of the cached
+    float F0 give the verdict and f0_eigenvalues, bit for bit, that
+    signature_exact on the Fraction F0 and a fresh float conversion gave."""
+    rng = random.Random(229)
+    statuses = set()
+    for par in _random_parametrizations(rng, 150) + [CAPRICORN, BEAN, CIRCLE]:
+        pencil = pencil_from_param(par)
+        verdict = rigid_at_origin(pencil)
+        _pos, neg, zero = signature_exact(pencil.mats[0])
+        want = RigidVerdict.NO if neg else RigidVerdict.MARGINAL if zero else RigidVerdict.STRICT
+        eigs = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in pencil.mats[0]]))
+        assert verdict.status == want
+        assert repr(verdict.eigenvalues) == repr(tuple(float(e) for e in eigs))
+        statuses.add(want)
+    assert statuses == {RigidVerdict.STRICT, RigidVerdict.MARGINAL, RigidVerdict.NO}
 
 
 # ---------------------------------------------------------------------------

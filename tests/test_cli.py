@@ -465,11 +465,14 @@ _ROUTES = json.loads((Path(__file__).parent / "data" / "route_golden.json").read
 
 @pytest.mark.parametrize("run_", _ROUTES["runs"], ids=[
     "check-rigid-rational", "check-rigid-recentred", "check-rigid-sine", "hermite",
-    "verify-det-float-cubic"])
+    "verify-det-float-cubic", "find-component-integer", "find-component-rational",
+    "find-component-rational-none", "find-component-float-pencil", "bezout-pencil-rational",
+    "bezout-pencil-rational-flipped"])
 def test_route_report_matches_golden(capsys, tmp_path, run_):
-    # reports as the Fraction Poly printed them, byte for byte; timing_seconds
-    # is the one field that varies between runs, and the pencil file (a
-    # cubic-repr pencil at a float t*) is named PENCIL
+    # reports as the Fraction Poly and the Fraction Bezout pencil printed
+    # them, byte for byte; timing_seconds is the one field that varies
+    # between runs, and the pencil file (a cubic-repr pencil at a float t*)
+    # is named PENCIL
     path = tmp_path / "pencil.json"
     path.write_text(json.dumps(_ROUTES["pencil"]))
     code, out, _ = run(capsys, *[str(path) if a == "PENCIL" else a for a in run_["argv"]])

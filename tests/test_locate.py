@@ -595,6 +595,66 @@ def test_certificate_matches_convolution_reference_bitwise():
     assert verdicts == {"PD", "PSD", "rejected"}
 
 
+def _reference_certify(pencil: Pencil, x, source: str = "query") -> CandidatePoint:
+    """certify_psd_point before the pencil's float cache: F(x) built from a
+    fresh float(v) of every entry, F0 + x1 F1 + x2 F2 summed in that order."""
+    mat = np.array([[float(v) for v in row] for row in pencil.mats[0]])
+    for xi, F in zip(x, pencil.mats[1:]):
+        mat += float(xi) * np.array([[float(v) for v in row] for row in F])
+    eigs = np.linalg.eigvalsh(mat)
+    normalised = np.poly(-eigs / max(1.0, float(np.abs(eigs).max())))[1:][::-1]
+    verdict = ("PD" if np.all(normalised > locate.CERT_TOL) else
+               "PSD" if np.all(normalised >= -locate.CERT_TOL) else "rejected")
+    cert = tuple(float(c) for c in np.poly(-eigs)[1:][::-1])
+    return CandidatePoint((float(x[0]), float(x[1])), source, cert, verdict,
+                          float(eigs.min()))
+
+
+def test_certify_with_float_cache_matches_per_entry_conversion():
+    """On every candidate find_interior_point certifies for the locate
+    inputs, plus fixed points, field for field and bit for bit; a fresh
+    pencil (empty cache) and the warm one answer alike."""
+    verdicts = set()
+    for pencil, p in _locate_inputs():
+        xs = [c.x for c in find_interior_point(pencil, p).candidates]
+        xs += [(0.0, 0.0), (0.25, -1.5), (-3.0, 0.125)]
+        fresh = Pencil(pencil.m, pencil.mats, pencil.c)
+        assert "floats" not in vars(fresh)
+        for x in xs:
+            ref = _reference_certify(pencil, x)
+            for P in (fresh, pencil):
+                got = certify_psd_point(P, x)
+                assert got == ref and repr(got) == repr(ref)
+            verdicts.add(ref.verdict)
+    assert verdicts == {"PD", "PSD", "rejected"}
+
+
+def test_pencil_caches_are_lazy_and_leave_equality_alone():
+    """``cleared`` and ``floats`` are made on first use (``from_ints`` knows
+    ``cleared``), never at construction, are read-only arrays eval does not
+    touch, and a pencil compares and hashes as before they were filled."""
+    from rigidconvex.cubicrepr import cubic_representations
+
+    par = Parametrization(UniPoly([Fraction(1, 2), 3, -1]), UniPoly([0, Fraction(2, 3)]),
+                          UniPoly([1, 0, Fraction(-1, 7)]))
+    pencil, twin = pencil_from_param(par), pencil_from_param(par)
+    rows = Pencil.from_rows(*pencil.mats)
+    assert "cleared" in vars(pencil) and "floats" not in vars(pencil)
+    assert not {"cleared", "floats"} & set(vars(rows))
+    for rep in cubic_representations(parse_poly("x1^3-x2^2-x1+1/5")):
+        assert not {"cleared", "floats"} & set(vars(rep.pencil))
+    before = hash(pencil)
+    F0 = pencil.floats[0].copy()
+    pencil.eval(1.5, -2.0)
+    rows.cleared
+    assert "floats" in vars(pencil) and "cleared" in vars(rows)
+    assert np.array_equal(pencil.floats[0], F0)
+    assert not pencil.floats.flags.writeable
+    assert pencil == twin == rows
+    assert hash(pencil) == before == hash(twin) == hash(rows)
+    assert len({pencil, twin, rows}) == 1
+
+
 # ---------------------------------------------------------------------------
 # find_interior_point
 # ---------------------------------------------------------------------------
